@@ -18,11 +18,8 @@ from .config import ArmConfig, load_config
 from .errors import (
     ArmError,
     ConfigError,
-    DegenerateInertia,
     DigestMismatch,
     NodeFailure,
-    NotStabilizable,
-    OutOfBounds,
     SingularYaw,
     Unreachable,
 )
@@ -128,7 +125,9 @@ def cmd_simulate(config: ArmConfig, args) -> int:
             config.geometry, config.masses, config.sim, mode, x0, x_ref,
             weights=config.weights, table=table,
         )
-    except (OutOfBounds, NotStabilizable, DegenerateInertia) as exc:
+    except ArmError as exc:
+        if not hasattr(exc, "partial"):
+            raise
         with open(args.out, "w", encoding="utf-8") as f:
             exc.partial.to_csv(f)
             f.write(f"# aborted: {exc}\n")

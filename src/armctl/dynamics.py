@@ -11,10 +11,14 @@ Links are uniform thin rods ("segments") between consecutive joints, plus
 point masses at P2..P4.  All planar quantities are independent of the yaw
 angle theta1.
 
-The partial derivatives of the potential energy and of the joint inertias
-are exact (chain rule on the planar coordinates), so the accelerations are
-smooth to machine precision and outer differentiation (linearization) is
-well conditioned.
+One kernel, `_kernel(geom, masses, t2, t3, t4)`, evaluates a configuration:
+it takes the cumulative-angle sines and cosines and the joint coordinates
+from `kinematics.planar_chain` once, and returns the four joint inertias,
+the potential energy, and the exact partial derivatives of both (chain rule
+on the planar coordinates).  Every public function below reads what it
+needs from that one call.  Because the derivatives are exact, the
+accelerations are smooth to machine precision and outer differentiation
+(linearization) is well conditioned.
 """
 
 from __future__ import annotations
@@ -25,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateInertia
-from .kinematics import ArmGeometry
+from .kinematics import ArmGeometry, planar_chain
 
 # below this (kg m^2) a joint is considered unactuatable and dynamics error out
 EPS_INERTIA = 1e-12
@@ -52,11 +56,13 @@ class MassModel:
             object.__setattr__(self, name, v)
 
 
+def _segment(x1, y1, x2, y2, m):
+    return (m / 3.0) * (x1 * x1 + x1 * x2 + x2 * x2 + y1 * y1 + y1 * y2 + y2 * y2)
+
+
 def segment_inertia(pa, pb, m: float) -> float:
     """Rotational inertia of a uniform segment from pa to pb about the origin."""
-    x1, y1 = float(pa[0]), float(pa[1])
-    x2, y2 = float(pb[0]), float(pb[1])
-    return (m / 3.0) * (x1 * x1 + x1 * x2 + x2 * x2 + y1 * y1 + y1 * y2 + y2 * y2)
+    return _segment(float(pa[0]), float(pa[1]), float(pb[0]), float(pb[1]), m)
 
 
 def point_inertia(p, m: float) -> float:
@@ -70,108 +76,71 @@ def _four(values) -> tuple[float, float, float, float]:
     return a, b, c, d
 
 
-def _planar_xy(geom: ArmGeometry, t2: float, t3: float, t4: float):
-    """Planar coordinates of P2..P4 (P1 is the origin)."""
-    a2 = t2
-    a3 = a2 + t3
-    a4 = a3 + t4
-    x2 = geom.L1 * math.sin(a2)
-    y2 = geom.L1 * math.cos(a2)
-    x3 = x2 + geom.L2 * math.sin(a3)
-    y3 = y2 + geom.L2 * math.cos(a3)
-    x4 = x3 + geom.L3 * math.sin(a4)
-    y4 = y3 + geom.L3 * math.cos(a4)
-    return x2, y2, x3, y3, x4, y4
+def _kernel(geom: ArmGeometry, mm: MassModel, t2: float, t3: float, t4: float):
+    """Inertias, potential energy and their exact gradients at a planar
+    configuration.
 
-
-def _seg(x1, y1, x2, y2, m):
-    return (m / 3.0) * (x1 * x1 + x1 * x2 + x2 * x2 + y1 * y1 + y1 * y2 + y2 * y2)
-
-
-def _inertias(geom: ArmGeometry, mm: MassModel, t2: float, t3: float, t4: float):
-    """(I1, I2, I3, I4): I1 about the vertical axis, I2 about P1, I3 about P2,
-    I4 about P3, each covering the mass distal to that pivot."""
-    x2, y2, x3, y3, x4, y4 = _planar_xy(geom, t2, t3, t4)
+    Returns (inertia, pe, dpe, jac):
+      - inertia = (I1, I2, I3, I4): I1 about the vertical axis, I2 about P1,
+        I3 about P2, I4 about P3, each covering the mass distal to that pivot;
+      - pe: gravitational PE, point masses at their heights plus each uniform
+        segment at the mean of its endpoint heights (P1 is the zero reference);
+      - dpe: the 4-list dPE/dtheta;
+      - jac: the 4x4 nested list jac[k][j] = dI_{k+1}/dtheta_{j+1}.
+    The theta1 entries of dpe and jac are structurally zero.
+    """
+    (u2, v2, u3, v3, u4, v4), (x2, y2, x3, y3, x4, y4) = planar_chain(geom, t2, t3, t4)
+    L1, L2, L3 = geom.L1, geom.L2, geom.L3
+    m2, m3, m4, M1, M2, M3, g = mm.m2, mm.m3, mm.m4, mm.M1, mm.M2, mm.M3, mm.g
+    # a uniform segment of mass M weighs its endpoint products by M / 3
+    s1, s2, s3 = M1 / 3.0, M2 / 3.0, M3 / 3.0
 
     # vertical-axis moment: only the radial coordinate matters
     i1 = (
-        mm.m2 * x2 * x2
-        + mm.m3 * x3 * x3
-        + mm.m4 * x4 * x4
-        + (mm.M1 / 3.0) * (x2 * x2)
-        + (mm.M2 / 3.0) * (x2 * x2 + x2 * x3 + x3 * x3)
-        + (mm.M3 / 3.0) * (x3 * x3 + x3 * x4 + x4 * x4)
+        m2 * x2 * x2
+        + m3 * x3 * x3
+        + m4 * x4 * x4
+        + s1 * (x2 * x2)
+        + s2 * (x2 * x2 + x2 * x3 + x3 * x3)
+        + s3 * (x3 * x3 + x3 * x4 + x4 * x4)
     )
 
     # about P1 (origin): the whole planar chain
     i2 = (
-        _seg(0.0, 0.0, x2, y2, mm.M1)
-        + _seg(x2, y2, x3, y3, mm.M2)
-        + _seg(x3, y3, x4, y4, mm.M3)
-        + mm.m2 * (x2 * x2 + y2 * y2)
-        + mm.m3 * (x3 * x3 + y3 * y3)
-        + mm.m4 * (x4 * x4 + y4 * y4)
+        _segment(0.0, 0.0, x2, y2, M1)
+        + _segment(x2, y2, x3, y3, M2)
+        + _segment(x3, y3, x4, y4, M3)
+        + m2 * (x2 * x2 + y2 * y2)
+        + m3 * (x3 * x3 + y3 * y3)
+        + m4 * (x4 * x4 + y4 * y4)
     )
 
     # about P2: links 2..3 and the masses they carry, relative to P2
-    dx3 = x3 - x2
-    dy3 = y3 - y2
-    dx4 = x4 - x2
-    dy4 = y4 - y2
+    d3x, d3y = x3 - x2, y3 - y2
+    d4x, d4y = x4 - x2, y4 - y2
     i3 = (
-        _seg(0.0, 0.0, dx3, dy3, mm.M2)
-        + _seg(dx3, dy3, dx4, dy4, mm.M3)
-        + mm.m3 * (dx3 * dx3 + dy3 * dy3)
-        + mm.m4 * (dx4 * dx4 + dy4 * dy4)
+        _segment(0.0, 0.0, d3x, d3y, M2)
+        + _segment(d3x, d3y, d4x, d4y, M3)
+        + m3 * (d3x * d3x + d3y * d3y)
+        + m4 * (d4x * d4x + d4y * d4y)
     )
 
     # about P3: the tool link only; its endpoints sit at distance L3 exactly,
     # so the segment+point sum reduces to this constant closed form
-    i4 = mm.m4 * geom.L3**2 + mm.M3 * geom.L3**2 / 3.0
+    i4 = m4 * L3**2 + M3 * L3**2 / 3.0
 
-    return i1, i2, i3, i4
-
-
-def _potential(geom: ArmGeometry, mm: MassModel, t2: float, t3: float, t4: float):
-    """Gravitational PE: point masses at their heights plus each uniform
-    segment at the mean of its endpoint heights; P1 is the zero reference."""
-    x2, y2, x3, y3, x4, y4 = _planar_xy(geom, t2, t3, t4)
-    pe_points = mm.m2 * y2 + mm.m3 * y3 + mm.m4 * y4
+    pe_points = m2 * y2 + m3 * y3 + m4 * y4
     pe_segments = (
-        mm.M1 * (0.0 + y2) / 2.0
-        + mm.M2 * (y2 + y3) / 2.0
-        + mm.M3 * (y3 + y4) / 2.0
+        M1 * (0.0 + y2) / 2.0
+        + M2 * (y2 + y3) / 2.0
+        + M3 * (y3 + y4) / 2.0
     )
-    return mm.g * (pe_points + pe_segments)
-
-
-def _derivatives(geom: ArmGeometry, mm: MassModel, t2: float, t3: float, t4: float):
-    """Exact dPE/dtheta and dI_k/dtheta at a planar configuration.
-
-    Returns (dpe, jac) with dpe a 4-list and jac a 4x4 nested list indexed
-    jac[k][j] = dI_{k+1}/dtheta_{j+1}.  Everything is differentiated through
-    the planar joint coordinates; the theta1 column is structurally zero.
-    """
-    a2 = t2
-    a3 = a2 + t3
-    a4 = a3 + t4
-    u2, v2 = math.sin(a2), math.cos(a2)
-    u3, v3 = math.sin(a3), math.cos(a3)
-    u4, v4 = math.sin(a4), math.cos(a4)
-    L1, L2, L3 = geom.L1, geom.L2, geom.L3
-
-    x2, y2 = L1 * u2, L1 * v2
-    x3, y3 = x2 + L2 * u3, y2 + L2 * v3
-    x4, y4 = x3 + L3 * u4, y3 + L3 * v4
+    pe = g * (pe_points + pe_segments)
 
     # effective weights multiplying each joint height in the PE
-    co2 = mm.m2 + 0.5 * (mm.M1 + mm.M2)
-    co3 = mm.m3 + 0.5 * (mm.M2 + mm.M3)
-    co4 = mm.m4 + 0.5 * mm.M3
-
-    # coordinates of P3, P4 relative to P2 (for the inertia about P2)
-    d3x, d3y = x3 - x2, y3 - y2
-    d4x, d4y = x4 - x2, y4 - y2
+    co2 = m2 + 0.5 * (M1 + M2)
+    co3 = m3 + 0.5 * (M2 + M3)
+    co4 = m4 + 0.5 * M3
 
     dpe = [0.0, 0.0, 0.0, 0.0]
     jac = [[0.0, 0.0, 0.0, 0.0] for _ in range(4)]
@@ -184,84 +153,84 @@ def _derivatives(geom: ArmGeometry, mm: MassModel, t2: float, t3: float, t4: flo
         dx3, dy3 = dx2 + w3a * L2 * v3, dy2 - w3a * L2 * u3
         dx4, dy4 = dx3 + w4a * L3 * v4, dy3 - w4a * L3 * u4
 
-        dpe[j] = mm.g * (co2 * dy2 + co3 * dy3 + co4 * dy4)
+        dpe[j] = g * (co2 * dy2 + co3 * dy3 + co4 * dy4)
 
         jac[0][j] = (
-            2.0 * (mm.m2 * x2 * dx2 + mm.m3 * x3 * dx3 + mm.m4 * x4 * dx4)
-            + (mm.M1 / 3.0) * (2.0 * x2 * dx2)
-            + (mm.M2 / 3.0) * (2.0 * x2 * dx2 + dx2 * x3 + x2 * dx3 + 2.0 * x3 * dx3)
-            + (mm.M3 / 3.0) * (2.0 * x3 * dx3 + dx3 * x4 + x3 * dx4 + 2.0 * x4 * dx4)
+            2.0 * (m2 * x2 * dx2 + m3 * x3 * dx3 + m4 * x4 * dx4)
+            + s1 * (2.0 * x2 * dx2)
+            + s2 * (2.0 * x2 * dx2 + dx2 * x3 + x2 * dx3 + 2.0 * x3 * dx3)
+            + s3 * (2.0 * x3 * dx3 + dx3 * x4 + x3 * dx4 + 2.0 * x4 * dx4)
         )
         jac[1][j] = (
-            (mm.M1 / 3.0) * 2.0 * (x2 * dx2 + y2 * dy2)
-            + (mm.M2 / 3.0)
+            s1 * 2.0 * (x2 * dx2 + y2 * dy2)
+            + s2
             * (
                 2.0 * (x2 * dx2 + y2 * dy2)
                 + dx2 * x3 + x2 * dx3 + dy2 * y3 + y2 * dy3
                 + 2.0 * (x3 * dx3 + y3 * dy3)
             )
-            + (mm.M3 / 3.0)
+            + s3
             * (
                 2.0 * (x3 * dx3 + y3 * dy3)
                 + dx3 * x4 + x3 * dx4 + dy3 * y4 + y3 * dy4
                 + 2.0 * (x4 * dx4 + y4 * dy4)
             )
-            + 2.0 * mm.m2 * (x2 * dx2 + y2 * dy2)
-            + 2.0 * mm.m3 * (x3 * dx3 + y3 * dy3)
-            + 2.0 * mm.m4 * (x4 * dx4 + y4 * dy4)
+            + 2.0 * m2 * (x2 * dx2 + y2 * dy2)
+            + 2.0 * m3 * (x3 * dx3 + y3 * dy3)
+            + 2.0 * m4 * (x4 * dx4 + y4 * dy4)
         )
         dd3x, dd3y = dx3 - dx2, dy3 - dy2
         dd4x, dd4y = dx4 - dx2, dy4 - dy2
         jac[2][j] = (
-            (mm.M2 / 3.0 + mm.M3 / 3.0 + mm.m3) * 2.0 * (d3x * dd3x + d3y * dd3y)
-            + (mm.M3 / 3.0 + mm.m4) * 2.0 * (d4x * dd4x + d4y * dd4y)
-            + (mm.M3 / 3.0)
+            (s2 + s3 + m3) * 2.0 * (d3x * dd3x + d3y * dd3y)
+            + (s3 + m4) * 2.0 * (d4x * dd4x + d4y * dd4y)
+            + s3
             * (dd3x * d4x + d3x * dd4x + dd3y * d4y + d3y * dd4y)
         )
         # jac[3][j] = 0: the tool-link inertia about P3 is constant
 
-    return dpe, jac
+    return (i1, i2, i3, i4), pe, dpe, jac
 
 
-def _pe_grad(geom, mm, t2, t3, t4):
-    return _derivatives(geom, mm, t2, t3, t4)[0]
+def _kinetic(inertia, rates) -> float:
+    i1, i2, i3, i4 = inertia
+    w1, w2, w3, w4 = _four(rates)
+    return 0.5 * (i1 * w1 * w1 + i2 * w2 * w2 + i3 * w3 * w3 + i4 * w4 * w4)
 
 
 def joint_inertias(geom: ArmGeometry, masses: MassModel, theta) -> np.ndarray:
     """Effective rotational inertia seen by each joint at configuration theta."""
     _, t2, t3, t4 = _four(theta)
-    return np.array(_inertias(geom, masses, t2, t3, t4))
+    return np.array(_kernel(geom, masses, t2, t3, t4)[0])
 
 
 def potential_energy(geom: ArmGeometry, masses: MassModel, theta) -> float:
     """Gravitational potential energy of the arm (joules, P1 height = 0)."""
     _, t2, t3, t4 = _four(theta)
-    return _potential(geom, masses, t2, t3, t4)
+    return _kernel(geom, masses, t2, t3, t4)[1]
 
 
 def kinetic_energy(geom: ArmGeometry, masses: MassModel, theta, rates) -> float:
     """Decoupled rotational kinetic energy: (1/2) sum_k I_k(theta) rate_k^2."""
     _, t2, t3, t4 = _four(theta)
-    w1, w2, w3, w4 = _four(rates)
-    i1, i2, i3, i4 = _inertias(geom, masses, t2, t3, t4)
-    return 0.5 * (i1 * w1 * w1 + i2 * w2 * w2 + i3 * w3 * w3 + i4 * w4 * w4)
+    return _kinetic(_kernel(geom, masses, t2, t3, t4)[0], rates)
 
 
 def total_energy(geom: ArmGeometry, masses: MassModel, theta, rates) -> float:
     """KE + PE."""
-    return kinetic_energy(geom, masses, theta, rates) + potential_energy(
-        geom, masses, theta
-    )
+    _, t2, t3, t4 = _four(theta)
+    inertia, pe, _, _ = _kernel(geom, masses, t2, t3, t4)
+    return _kinetic(inertia, rates) + pe
 
 
 def equilibrium_torque(geom: ArmGeometry, masses: MassModel, theta) -> np.ndarray:
     """Torque holding the arm motionless against gravity: dPE/dtheta.
 
     forward_dynamics(theta, 0, equilibrium_torque(theta)) is zero to machine
-    precision because both share the same gradient code.
+    precision because both read the same kernel gradient.
     """
     _, t2, t3, t4 = _four(theta)
-    return np.array(_pe_grad(geom, masses, t2, t3, t4))
+    return np.array(_kernel(geom, masses, t2, t3, t4)[2])
 
 
 def forward_dynamics(
@@ -283,15 +252,13 @@ def forward_dynamics(
     w = _four(rates)
     tau = _four(torque)
 
-    inertia = _inertias(geom, masses, t2, t3, t4)
+    inertia, _, dpe, jac = _kernel(geom, masses, t2, t3, t4)
     for k in range(4):
         if inertia[k] <= EPS_INERTIA:
             raise DegenerateInertia(
                 f"joint {k + 1} inertia {inertia[k]!r} <= {EPS_INERTIA} at "
                 f"theta={(t2, t3, t4)!r}"
             )
-
-    dpe, jac = _derivatives(geom, masses, t2, t3, t4)
 
     acc = np.empty(4)
     for i in range(4):

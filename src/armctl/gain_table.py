@@ -28,6 +28,7 @@ of a mismatch it is looking at.
 from __future__ import annotations
 
 import hashlib
+import itertools
 import math
 import struct
 from concurrent.futures import ProcessPoolExecutor
@@ -219,20 +220,18 @@ def precompute(
 # ---------------------------------------------------------------------------
 # lookup
 
-def _wrap4(theta) -> np.ndarray:
-    return np.array([wrap_angle(v) for v in theta], dtype=float)
+def _wrap4(theta) -> list[float]:
+    return [wrap_angle(v) for v in theta]
 
 
-def _cell_coordinate(axis: np.ndarray, v: float, k: int):
-    """(index, fraction) of the cell owning v on this axis.
+def _cell_coordinate(axis: np.ndarray, v: float):
+    """(index, fraction) of the cell owning v, which lies within the axis.
 
     Cells are half-open [axis[i], axis[i+1]) with the last cell closed, so a
     node coordinate belongs to the cell with the larger index range.
     """
     count = axis.size
     lo, hi = axis[0], axis[-1]
-    if v < lo or v > hi:
-        raise OutOfBounds(f"angle {v!r} outside grid dimension {k} [{lo}, {hi}]")
     i = int(math.floor((v - lo) * (count - 1) / (hi - lo)))
     i = min(max(i, 0), count - 2)
     # repair floating floor against the true axis values
@@ -257,16 +256,24 @@ def lookup(table, theta) -> np.ndarray:
     """Interpolated gain matrix at theta (wrapped into (-pi, pi] first).
 
     Accepts a GainTable or a RefinedTable.  Raises OutOfBounds outside the
-    grid; no extrapolation is attempted.  At a stored node the result is the
-    stored matrix, bit for bit.
+    grid or for a non-finite angle; no extrapolation is attempted.  At a
+    stored node the result is the stored matrix, bit for bit.
     """
-    if isinstance(table, RefinedTable):
-        return _lookup_refined(table, theta)
     th = _wrap4(theta)
+    refined = isinstance(table, RefinedTable)
+    lo, hi = (table.lo, table.hi) if refined else (table.grid.lo, table.grid.hi)
+    for k in range(NDIM):
+        # written so that NaN (and +-inf, which wraps to NaN) fails it too
+        if not lo[k] <= th[k] <= hi[k]:
+            raise OutOfBounds(
+                f"angle {th[k]!r} outside table dimension {k} [{lo[k]}, {hi[k]}]"
+            )
+    if refined:
+        return _lookup_refined(table, th)
     idx = []
     frac = []
     for k in range(NDIM):
-        i, t = _cell_coordinate(table.grid.axis(k), th[k], k)
+        i, t = _cell_coordinate(table.grid.axis(k), th[k])
         idx.append(i)
         frac.append(t)
     i1, i2, i3, i4 = idx
@@ -336,15 +343,14 @@ class RefinedTable:
 
 def _corner_coords(lo, hi):
     """The 16 corner points of a box, index bits ordered axis-1-first."""
-    coords = []
-    for mask in range(16):
-        coords.append(
-            tuple(
-                hi[k] if (mask >> (NDIM - 1 - k)) & 1 else lo[k]
-                for k in range(NDIM)
-            )
-        )
-    return coords
+    return list(itertools.product(*zip(lo, hi)))
+
+
+def _split(lo, hi):
+    """The 16 half-size children (lo, hi) of a box, in corner order: child
+    i spans from corner i of the lower half-box to corner i of the upper."""
+    mids = tuple(0.5 * (l + h) for l, h in zip(lo, hi))
+    return list(zip(_corner_coords(lo, mids), _corner_coords(mids, hi)))
 
 
 def refine(
@@ -404,33 +410,14 @@ def refine(
         if depth >= max_depth:
             cell.flagged = True
             return cell
-        mids = center
-        children = []
-        for mask in range(16):
-            slo = []
-            shi = []
-            for k in range(NDIM):
-                if (mask >> (NDIM - 1 - k)) & 1:
-                    slo.append(mids[k])
-                    shi.append(chi[k])
-                else:
-                    slo.append(clo[k])
-                    shi.append(mids[k])
-            children.append(build(tuple(slo), tuple(shi), depth + 1))
+        children = [build(slo, shi, depth + 1) for slo, shi in _split(clo, chi)]
         return RefinedCell(clo, chi, children=children)
 
     root = build(lo, hi, depth=1)
     return RefinedTable(root, table_digest(geom, masses, weights), tol, max_depth)
 
 
-def _lookup_refined(table: RefinedTable, theta) -> np.ndarray:
-    th = _wrap4(theta)
-    for k in range(NDIM):
-        if th[k] < table.lo[k] or th[k] > table.hi[k]:
-            raise OutOfBounds(
-                f"angle {th[k]!r} outside table dimension {k} "
-                f"[{table.lo[k]}, {table.hi[k]}]"
-            )
+def _lookup_refined(table: RefinedTable, th) -> np.ndarray:
     cell = table.root
     while not cell.is_leaf:
         child_index = 0
@@ -557,18 +544,7 @@ def load(data: bytes, expect_digest: bytes | None = None):
 def _read_cell(r: _Reader, lo, hi) -> RefinedCell:
     tag = r.take(1)[0]
     if tag == _TAG_INTERNAL:
-        mids = tuple(0.5 * (l + h) for l, h in zip(lo, hi))
-        children = []
-        for mask in range(16):
-            slo = tuple(
-                mids[k] if (mask >> (NDIM - 1 - k)) & 1 else lo[k]
-                for k in range(NDIM)
-            )
-            shi = tuple(
-                hi[k] if (mask >> (NDIM - 1 - k)) & 1 else mids[k]
-                for k in range(NDIM)
-            )
-            children.append(_read_cell(r, slo, shi))
+        children = [_read_cell(r, slo, shi) for slo, shi in _split(lo, hi)]
         return RefinedCell(lo, hi, children=children)
     if tag in (_TAG_LEAF, _TAG_LEAF_FLAGGED):
         raw = r.take(16 * _GAIN_BYTES)

@@ -104,24 +104,31 @@ class SpatialPoint(NamedTuple):
     z: float
 
 
-def fk_planar(
-    geom: ArmGeometry, theta2: float, theta3: float, theta4: float
-) -> tuple[PlanarPoint, PlanarPoint, PlanarPoint, PlanarPoint]:
-    """Joint positions P1..P4 in the joint plane.
+def planar_chain(geom: ArmGeometry, theta2: float, theta3: float, theta4: float):
+    """Sines and cosines of the cumulative angles a2..a4 from vertical, and
+    the planar coordinates of P2..P4 they place.
 
-    Each link adds (L sin a, L cos a) with a the cumulative angle from
-    vertical, so P1 is the origin and the zero pose stacks the links
-    straight up.
+    Returns ((u2, v2, u3, v3, u4, v4), (x2, y2, x3, y3, x4, y4)) with
+    u = sin a, v = cos a.  Each link adds (L sin a, L cos a), so P1 is the
+    origin and the zero pose stacks the links straight up.
     """
     a2 = theta2
     a3 = a2 + theta3
     a4 = a3 + theta4
-    x2 = geom.L1 * math.sin(a2)
-    y2 = geom.L1 * math.cos(a2)
-    x3 = x2 + geom.L2 * math.sin(a3)
-    y3 = y2 + geom.L2 * math.cos(a3)
-    x4 = x3 + geom.L3 * math.sin(a4)
-    y4 = y3 + geom.L3 * math.cos(a4)
+    u2, v2 = math.sin(a2), math.cos(a2)
+    u3, v3 = math.sin(a3), math.cos(a3)
+    u4, v4 = math.sin(a4), math.cos(a4)
+    x2, y2 = geom.L1 * u2, geom.L1 * v2
+    x3, y3 = x2 + geom.L2 * u3, y2 + geom.L2 * v3
+    x4, y4 = x3 + geom.L3 * u4, y3 + geom.L3 * v4
+    return (u2, v2, u3, v3, u4, v4), (x2, y2, x3, y3, x4, y4)
+
+
+def fk_planar(
+    geom: ArmGeometry, theta2: float, theta3: float, theta4: float
+) -> tuple[PlanarPoint, PlanarPoint, PlanarPoint, PlanarPoint]:
+    """Joint positions P1..P4 in the joint plane (P1 is the origin)."""
+    _, (x2, y2, x3, y3, x4, y4) = planar_chain(geom, theta2, theta3, theta4)
     return (
         PlanarPoint(0.0, 0.0),
         PlanarPoint(x2, y2),

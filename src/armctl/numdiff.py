@@ -15,20 +15,6 @@ def central_step(value: float, rel: float = DEFAULT_REL_STEP) -> float:
     return rel * max(1.0, abs(value))
 
 
-def gradient(f, x, rel: float = DEFAULT_REL_STEP) -> np.ndarray:
-    """Central-difference gradient of a scalar function of a vector."""
-    x = np.asarray(x, dtype=float)
-    g = np.empty(x.size)
-    for i in range(x.size):
-        h = central_step(x[i], rel)
-        xp = x.copy()
-        xm = x.copy()
-        xp[i] += h
-        xm[i] -= h
-        g[i] = (f(xp) - f(xm)) / (2.0 * h)
-    return g
-
-
 def jacobian(f, x, rel: float = DEFAULT_REL_STEP) -> np.ndarray:
     """Central-difference Jacobian of a vector function of a vector.
 

@@ -79,14 +79,8 @@ def _check_system(A, B, weights):
     return A, B
 
 
-def solve_care(A, B, weights: CostWeights) -> np.ndarray:
-    """Solve A'P + PA - P B R^-1 B' P + Q = 0 for the stabilizing P.
-
-    Returns the symmetric PSD solution.  Raises NotStabilizable when no
-    stabilizing solution exists (wrong stable-subspace dimension, singular
-    basis, indefinite P, or a non-Hurwitz closed loop) and IllConditioned
-    when the residual contract is not met.
-    """
+def _solve(A, B, weights: CostWeights):
+    """(P, K): the stabilizing CARE solution and its gain R^-1 B' P."""
     A, B = _check_system(A, B, weights)
     n = A.shape[0]
     r_chol = scipy.linalg.cho_factor(weights.R)
@@ -127,11 +121,23 @@ def solve_care(A, B, weights: CostWeights) -> np.ndarray:
         raise NotStabilizable(
             f"closed loop not Hurwitz (max Re eig {closed.real.max():.3e})"
         )
-    return P
+    return P, K
+
+
+def solve_care(A, B, weights: CostWeights) -> np.ndarray:
+    """Solve A'P + PA - P B R^-1 B' P + Q = 0 for the stabilizing P.
+
+    Returns the symmetric PSD solution.  Raises NotStabilizable when no
+    stabilizing solution exists (wrong stable-subspace dimension, singular
+    basis, indefinite P, or a non-Hurwitz closed loop) and IllConditioned
+    when the residual contract is not met.
+    """
+    return _solve(A, B, weights)[0]
 
 
 def lqr_gain(A, B, weights: CostWeights) -> np.ndarray:
-    """Optimal state-feedback gain K = R^-1 B' P for u = -K x."""
-    A, B = _check_system(A, B, weights)
-    P = solve_care(A, B, weights)
-    return scipy.linalg.cho_solve(scipy.linalg.cho_factor(weights.R), B.T @ P)
+    """Optimal state-feedback gain K = R^-1 B' P for u = -K x.
+
+    Raises the same errors as solve_care.
+    """
+    return _solve(A, B, weights)[1]

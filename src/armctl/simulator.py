@@ -21,7 +21,7 @@ from .dynamics import (
     forward_dynamics,
     total_energy,
 )
-from .errors import DegenerateInertia, EmptyBenchmark, NotStabilizable, OutOfBounds
+from .errors import ArmError, EmptyBenchmark
 from .gain_table import GainTable, RefinedTable, check_digest, lookup
 from .kinematics import ArmGeometry
 from .linearization import OperatingPoint, linearize
@@ -132,8 +132,9 @@ def simulate(
 
     Online mode needs `weights`; table mode needs `table` (its digest is
     checked against geom/masses, and against `weights` when given).  On a
-    mid-run failure (OutOfBounds, NotStabilizable, DegenerateInertia) the
-    exception is re-raised with the samples so far attached as `.partial`.
+    mid-run failure (any ArmError, e.g. OutOfBounds, NotStabilizable,
+    IllConditioned or DegenerateInertia) the exception is re-raised with the
+    samples so far attached as `.partial`.
     """
     x = _as_state(x0, "x0")
     if mode is not ControllerMode.PASSIVE:
@@ -187,7 +188,7 @@ def simulate(
             for _ in range(config.steps_per_update):
                 x = step_rk4(geom, masses, x, u, config.dt)
         record(config.n_updates * config.control_period, x, control(x))
-    except (OutOfBounds, NotStabilizable, DegenerateInertia) as exc:
+    except ArmError as exc:
         exc.partial = partial()
         raise
     return partial()

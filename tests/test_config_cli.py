@@ -4,7 +4,8 @@ import math
 import numpy as np
 import pytest
 
-from armctl import ConfigError, load_config
+import armctl.simulator as sim
+from armctl import ConfigError, IllConditioned, load_config
 from armctl.cli import main
 
 
@@ -243,6 +244,32 @@ class TestSimulate:
         lines = out_csv.read_text().strip().splitlines()
         assert lines[-1].startswith("# aborted:")
         assert lines[0].startswith("t,")
+
+    def test_online_solver_failure_exit_6_partial_csv(
+        self, capsys, write_config, tmp_path, monkeypatch
+    ):
+        real_gain = sim.lqr_gain
+        calls = []
+
+        def failing_on_third_update(A, B, weights):
+            calls.append(None)
+            if len(calls) == 3:
+                raise IllConditioned("injected residual failure")
+            return real_gain(A, B, weights)
+
+        monkeypatch.setattr(sim, "lqr_gain", failing_on_third_update)
+        out_csv = tmp_path / "run.csv"
+        code, _, err = run_cli(
+            capsys, "--config", write_config({"sim.duration": 1.0}), "simulate",
+            "--mode", "online", "--out", str(out_csv),
+            "--x0", "0.3", "0.8", "-0.9", "0.5", "0", "0", "0", "0",
+        )
+        assert code == 6
+        assert "injected residual failure" in err
+        lines = out_csv.read_text().strip().splitlines()
+        assert lines[0].startswith("t,")
+        assert len(lines) == 1 + 2 + 1  # header, the two finished samples, marker
+        assert lines[-1] == "# aborted: injected residual failure"
 
     def test_table_mode_requires_table(self, capsys, write_config, tmp_path):
         code, _, err = run_cli(

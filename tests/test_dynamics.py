@@ -17,7 +17,7 @@ from armctl import (
     potential_energy,
     segment_inertia,
 )
-from armctl.dynamics import _derivatives, _inertias, _potential
+from armctl.dynamics import _kernel
 from conftest import safe_random_theta
 from oracles import lagrangian_accelerations
 
@@ -199,10 +199,10 @@ class TestDerivativeAccuracy:
         rng = np.random.default_rng(3)
         for theta in safe_random_theta(rng, 20):
             args = tuple(theta[1:])
-            dpe, _ = _derivatives(geom, masses, *args)
+            _, _, dpe, _ = _kernel(geom, masses, *args)
             for j in range(3):
                 ref = _richardson_partial(
-                    lambda a, b, c: _potential(geom, masses, a, b, c), args, j, 1e-5
+                    lambda a, b, c: _kernel(geom, masses, a, b, c)[1], args, j, 1e-5
                 )
                 assert abs(dpe[j + 1] - ref) <= 1e-6 * max(1.0, abs(ref))
 
@@ -210,11 +210,11 @@ class TestDerivativeAccuracy:
         rng = np.random.default_rng(4)
         for theta in safe_random_theta(rng, 20):
             args = tuple(theta[1:])
-            _, jac = _derivatives(geom, masses, *args)
+            _, _, _, jac = _kernel(geom, masses, *args)
             for k in range(4):
                 for j in range(3):
                     ref = _richardson_partial(
-                        lambda a, b, c, k=k: _inertias(geom, masses, a, b, c)[k],
+                        lambda a, b, c, k=k: _kernel(geom, masses, a, b, c)[0][k],
                         args, j, 1e-5,
                     )
                     assert abs(jac[k][j + 1] - ref) <= 1e-6 * max(1.0, abs(ref))

@@ -155,6 +155,16 @@ class TestLookup:
         with pytest.raises(OutOfBounds):
             lookup(table, (0.3, 0.6, -1.0, BOX_HI[3] + 1e-9))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("kind", ["table", "refined_mid"])
+    def test_non_finite_angle_out_of_bounds(self, request, theta_ref, kind, bad):
+        t = request.getfixturevalue(kind)
+        for k in range(4):
+            theta = theta_ref.copy()
+            theta[k] = bad
+            with pytest.raises(OutOfBounds):
+                lookup(t, theta)
+
     def test_wraps_angles_first(self, table):
         # a 2*pi-shifted representation lands in the same cell (up to the
         # rounding the wrap itself introduces)
