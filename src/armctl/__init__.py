@@ -15,6 +15,7 @@ from .errors import (
     OutOfBounds,
     SingularYaw,
     TableFormatError,
+    TreeTooDeep,
     TruncatedData,
     Unreachable,
     VersionMismatch,

@@ -1,9 +1,11 @@
 """Command-line interface: kinematics queries, gain-table precomputation,
 simulation, and controller latency benchmarking.
 
-Exit codes: 0 success; 2 usage or config errors; 3 unreachable IK target;
-4 gain-table node failure; 5 table digest mismatch; 6 simulation aborted
-mid-run (out of table bounds, solver failure, degenerate inertia).
+Exit codes: 0 success; 1 any other armctl error; 2 usage or config errors;
+3 unreachable IK target; 4 gain-table node failure; 5 table digest mismatch;
+6 simulation aborted mid-run (out of table bounds, solver failure,
+degenerate inertia); 7 a file that cannot be read or written (missing
+--table, unwritable --out); 8 a malformed gain-table file.
 All angles are radians; results go to stdout, diagnostics to stderr.
 """
 
@@ -21,6 +23,7 @@ from .errors import (
     DigestMismatch,
     NodeFailure,
     SingularYaw,
+    TableFormatError,
     Unreachable,
 )
 from .gain_table import load_file, precompute, refine, save_file, table_digest
@@ -28,11 +31,25 @@ from .kinematics import JointAngles, fk_spatial, ik
 from .simulator import ControllerMode, simulate, bench_controller
 
 EXIT_OK = 0
+EXIT_ARM_ERROR = 1
 EXIT_USAGE = 2
 EXIT_UNREACHABLE = 3
 EXIT_NODE_FAILURE = 4
 EXIT_DIGEST = 5
 EXIT_ABORTED = 6
+EXIT_IO = 7
+EXIT_BAD_TABLE = 8
+
+# first match wins, so subclasses come before their bases
+_EXIT_CODES = (
+    ((Unreachable, SingularYaw), EXIT_UNREACHABLE),
+    (ConfigError, EXIT_USAGE),
+    (NodeFailure, EXIT_NODE_FAILURE),
+    (DigestMismatch, EXIT_DIGEST),
+    (TableFormatError, EXIT_BAD_TABLE),
+    (ArmError, EXIT_ARM_ERROR),
+    (OSError, EXIT_IO),
+)
 
 
 def _fmt(v: float) -> str:
@@ -204,25 +221,10 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        config = load_config(args.config)
-    except ConfigError as exc:
+        return args.func(load_config(args.config), args)
+    except (ArmError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-
-    try:
-        return args.func(config, args)
-    except (Unreachable, SingularYaw) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_UNREACHABLE
-    except NodeFailure as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NODE_FAILURE
-    except DigestMismatch as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DIGEST
-    except ArmError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+        return next(code for kind, code in _EXIT_CODES if isinstance(exc, kind))
 
 
 if __name__ == "__main__":

@@ -64,6 +64,10 @@ class TruncatedData(TableFormatError):
     """The byte stream ended early or carries trailing garbage."""
 
 
+class TreeTooDeep(TableFormatError):
+    """A refined table's tree nests deeper than its stored max_depth."""
+
+
 class EmptyBenchmark(ArmError):
     """A latency benchmark was requested with zero iterations."""
 

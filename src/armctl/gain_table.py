@@ -18,7 +18,8 @@ each 32 little-endian f64 (4x8 row-major).  Refined tables mark themselves
 with count = 0 in every dimension record (min/max then hold the root box),
 followed by f64 tolerance, u32 max_depth, and the pre-order tree: one tag
 byte per cell (0 = internal, 1 = leaf, 2 = leaf that still violated the
-tolerance at max_depth), leaves followed by their 16 corner gains.
+tolerance at max_depth), leaves followed by their 16 corner gains.  The
+root is depth 1, and no cell may sit deeper than max_depth.
 
 The parameter digest is two truncated SHA-256 halves - 16 bytes over the arm
 geometry/masses, 16 over the cost weights - so a loader can tell which side
@@ -43,6 +44,7 @@ from .errors import (
     DigestMismatch,
     NodeFailure,
     OutOfBounds,
+    TreeTooDeep,
     TruncatedData,
     VersionMismatch,
 )
@@ -56,6 +58,7 @@ NDIM = 4
 GAIN_SHAPE = (4, 8)
 _GAIN_BYTES = 4 * 8 * 8
 _REFINED_COUNT = 0  # per-dimension count sentinel marking a tree payload
+_MIN_CELL_BYTES = 1 + 16 * _GAIN_BYTES  # the smallest serialized cell: a leaf
 
 
 # ---------------------------------------------------------------------------
@@ -497,9 +500,10 @@ def _write_cell(out: bytearray, cell: RefinedCell):
 def load(data: bytes, expect_digest: bytes | None = None):
     """Parse a byte stream produced by save().
 
-    Raises BadMagic, VersionMismatch, TruncatedData on malformed input and
-    DigestMismatch when expect_digest is given and differs from the stored
-    one (arm half and weights half reported separately).
+    Raises BadMagic, VersionMismatch, TruncatedData or TreeTooDeep on
+    malformed input and DigestMismatch when expect_digest is given and
+    differs from the stored one (arm half and weights half reported
+    separately).
     """
     r = _Reader(bytes(data))
     if r.take(4) != MAGIC:
@@ -527,7 +531,7 @@ def load(data: bytes, expect_digest: bytes | None = None):
     if all(c == _REFINED_COUNT for c in counts):
         (tol,) = r.unpack("<d")
         (max_depth,) = r.unpack("<I")
-        root = _read_cell(r, tuple(lo), tuple(hi))
+        root = _read_tree(r, tuple(lo), tuple(hi), max_depth)
         r.done()
         return RefinedTable(root, digest, tol, max_depth, version=version)
 
@@ -541,18 +545,39 @@ def load(data: bytes, expect_digest: bytes | None = None):
     return GainTable(grid, entries, digest, version=version)
 
 
-def _read_cell(r: _Reader, lo, hi) -> RefinedCell:
-    tag = r.take(1)[0]
-    if tag == _TAG_INTERNAL:
-        children = [_read_cell(r, slo, shi) for slo, shi in _split(lo, hi)]
-        return RefinedCell(lo, hi, children=children)
-    if tag in (_TAG_LEAF, _TAG_LEAF_FLAGGED):
-        raw = r.take(16 * _GAIN_BYTES)
-        corners = np.frombuffer(raw, dtype="<f8").reshape((2, 2, 2, 2) + GAIN_SHAPE)
-        corners = np.ascontiguousarray(corners)
-        corners.flags.writeable = False
-        return RefinedCell(lo, hi, corners=corners, flagged=tag == _TAG_LEAF_FLAGGED)
-    raise TruncatedData(f"unknown cell tag {tag} at offset {r.pos - 1}")
+def _read_tree(r: _Reader, lo, hi, max_depth: int) -> RefinedCell:
+    """Parse the pre-order tree iteratively, so its depth is bounded by
+    max_depth (TreeTooDeep) and the pending cells by the bytes left
+    (TruncatedData), never by the Python stack."""
+    top: list[RefinedCell] = []
+    # cells still to read, next one last: (lo, hi, depth, parent's children)
+    pending = [(lo, hi, 1, top)]
+    while pending:
+        lo, hi, depth, siblings = pending.pop()
+        if depth > max_depth:
+            raise TreeTooDeep(f"cell at depth {depth} exceeds max_depth {max_depth}")
+        tag = r.take(1)[0]
+        if tag == _TAG_INTERNAL:
+            children: list[RefinedCell] = []
+            siblings.append(RefinedCell(lo, hi, children=children))
+            pending.extend(
+                (slo, shi, depth + 1, children) for slo, shi in reversed(_split(lo, hi))
+            )
+            left = len(r.data) - r.pos
+            if left < len(pending) * _MIN_CELL_BYTES:
+                raise TruncatedData(
+                    f"{len(pending)} cells pending at offset {r.pos}, only {left} bytes left"
+                )
+        elif tag in (_TAG_LEAF, _TAG_LEAF_FLAGGED):
+            # a view of immutable bytes: contiguous and read-only already
+            raw = r.take(16 * _GAIN_BYTES)
+            corners = np.frombuffer(raw, dtype="<f8").reshape((2, 2, 2, 2) + GAIN_SHAPE)
+            siblings.append(
+                RefinedCell(lo, hi, corners=corners, flagged=tag == _TAG_LEAF_FLAGGED)
+            )
+        else:
+            raise TruncatedData(f"unknown cell tag {tag} at offset {r.pos - 1}")
+    return top[0]
 
 
 def save_file(table, path):

@@ -4,6 +4,16 @@ State is x = [theta, rates] (8-vector), input is the joint torque (4-vector).
 The A matrix keeps its exact block structure (zero / identity top blocks);
 the acceleration blocks are differentiated numerically.  B is exact: torque
 enters the dynamics additively as tau_k / I_k(theta).
+
+Only the acceleration columns that can be non-zero are differenced.  The
+theta1 column is always exactly zero: the dynamics never read the yaw angle,
+so both perturbed evaluations are the same bit for bit.  At zero rates the
+four rate columns are exactly zero too: the velocity terms are quadratic in
+the rates, so perturbing a rate by +h and by -h gives the same
+accelerations.  An equilibrium point (every gain-table node) therefore costs
+6 dynamics evaluations (theta2..theta4) instead of 16, and a point with
+non-zero rates (the online controller) 14; the skipped columns hold the
+zeros a full difference would have produced.
 """
 
 from __future__ import annotations
@@ -22,6 +32,12 @@ from .dynamics import (
 )
 from .errors import DegenerateInertia
 from .kinematics import ArmGeometry
+
+
+# state columns whose acceleration partials can be non-zero: theta2..theta4
+# always, the rates only away from zero rates (theta1 is never read)
+_ANGLE_COLS = (1, 2, 3)
+_RATE_COLS = (4, 5, 6, 7)
 
 
 def _vec4(values, name: str) -> np.ndarray:
@@ -73,8 +89,10 @@ def linearize(geom: ArmGeometry, masses: MassModel, op: OperatingPoint) -> Linea
     """A = d[rates, acc]/d[theta, rates] and B = d[rates, acc]/d tau at op.
 
     Acceleration blocks of A use central differences with the shared step
-    rule (1e-6 * max(1, |coordinate|)).  B's lower block is diag(1/I_k),
-    which is exact for this model.
+    rule (1e-6 * max(1, |coordinate|)), over theta2..theta4 and, unless
+    op.rates are all zero, the four rates; the theta1 column, and the rate
+    columns at zero rates, are exactly zero (see the module docstring).
+    B's lower block is diag(1/I_k), which is exact for this model.
     """
     inertia = joint_inertias(geom, masses, op.theta)
     if np.min(inertia) <= EPS_INERTIA:
@@ -87,7 +105,8 @@ def linearize(geom: ArmGeometry, masses: MassModel, op: OperatingPoint) -> Linea
 
     A = np.zeros((8, 8))
     A[0:4, 4:8] = np.eye(4)
-    A[4:8, :] = numdiff.jacobian(acc, op.state())
+    cols = _ANGLE_COLS + _RATE_COLS if np.any(op.rates) else _ANGLE_COLS
+    A[4:8, :] = numdiff.jacobian(acc, op.state(), cols=cols)
 
     B = np.zeros((8, 4))
     B[4:8, :] = np.diag(1.0 / inertia)

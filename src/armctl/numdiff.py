@@ -15,18 +15,26 @@ def central_step(value: float, rel: float = DEFAULT_REL_STEP) -> float:
     return rel * max(1.0, abs(value))
 
 
-def jacobian(f, x, rel: float = DEFAULT_REL_STEP) -> np.ndarray:
+def jacobian(f, x, rel: float = DEFAULT_REL_STEP, cols=None) -> np.ndarray:
     """Central-difference Jacobian of a vector function of a vector.
 
-    Returns J with J[i, j] = d f_i / d x_j.
+    Returns J with J[i, j] = d f_i / d x_j.  Only the columns listed in cols
+    (default: every column; at least one) are differenced.  The others are
+    left zero, for callers that know those partials vanish exactly.
     """
     x = np.asarray(x, dtype=float)
-    cols = []
-    for j in range(x.size):
+    cols = range(x.size) if cols is None else cols
+    if not cols:
+        raise ValueError("jacobian needs at least one column to difference")
+    J = None
+    for j in cols:
         h = central_step(x[j], rel)
         xp = x.copy()
         xm = x.copy()
         xp[j] += h
         xm[j] -= h
-        cols.append((np.asarray(f(xp), dtype=float) - np.asarray(f(xm), dtype=float)) / (2.0 * h))
-    return np.stack(cols, axis=1)
+        col = (np.asarray(f(xp), dtype=float) - np.asarray(f(xm), dtype=float)) / (2.0 * h)
+        if J is None:
+            J = np.zeros((col.size, x.size))
+        J[:, j] = col
+    return J

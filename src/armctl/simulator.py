@@ -10,6 +10,7 @@ precomputed gain table (table mode).
 from __future__ import annotations
 
 import enum
+import math
 import time
 from dataclasses import dataclass
 
@@ -43,6 +44,12 @@ class SimConfig:
     duration: float = 5.0
 
     def __post_init__(self):
+        # inf overflows the step and update counts; nan slips past the
+        # comparisons below
+        for name in ("dt", "control_period", "duration"):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value!r}")
         if not 0.0 < self.dt <= self.control_period:
             raise ValueError(f"need 0 < dt <= control_period, got {self.dt}, {self.control_period}")
         if self.duration <= 0.0:

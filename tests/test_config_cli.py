@@ -143,6 +143,14 @@ class TestPrecompute:
         assert "node" in err
         assert not out_path.exists()
 
+    def test_unwritable_out_exit_7(self, capsys, write_config, tmp_path):
+        code, _, err = run_cli(
+            capsys, "--config", write_config(), "precompute",
+            "--out", str(tmp_path / "no-such-dir" / "gains.agt"),
+        )
+        assert code == 7
+        assert err.startswith("error:")
+
     def test_refined_leaves_meet_tolerance(self, capsys, write_config, tmp_path):
         cfg = write_config({
             "grid.theta1": {"min": 0.25, "max": 0.35, "count": 2},
@@ -277,6 +285,34 @@ class TestSimulate:
             "--out", str(tmp_path / "x.csv"),
         )
         assert code == 2
+
+    def test_missing_table_exit_7(self, capsys, write_config, tmp_path):
+        out_csv = tmp_path / "run.csv"
+        code, _, err = run_cli(
+            capsys, "--config", write_config(), "simulate", "--mode", "table",
+            "--table", str(tmp_path / "missing.agt"), "--out", str(out_csv),
+        )
+        assert code == 7
+        assert err.startswith("error:") and "missing.agt" in err
+        assert not out_csv.exists()
+
+    def test_unwritable_out_exit_7(self, capsys, write_config, tmp_path):
+        code, _, err = run_cli(
+            capsys, "--config", write_config({"sim.duration": 0.1}), "simulate",
+            "--mode", "passive", "--out", str(tmp_path / "no-such-dir" / "run.csv"),
+        )
+        assert code == 7
+        assert err.startswith("error:")
+
+    def test_malformed_table_exit_8(self, capsys, write_config, tmp_path):
+        table_path = tmp_path / "gains.agt"
+        table_path.write_bytes(b"AGT1" + bytes(20))
+        code, _, err = run_cli(
+            capsys, "--config", write_config(), "simulate", "--mode", "table",
+            "--table", str(table_path), "--out", str(tmp_path / "run.csv"),
+        )
+        assert code == 8
+        assert err.startswith("error:")
 
 
 class TestBench:

@@ -1,3 +1,5 @@
+import struct
+
 import numpy as np
 import pytest
 
@@ -11,6 +13,8 @@ from armctl import (
     NodeFailure,
     OutOfBounds,
     RefinedTable,
+    TableFormatError,
+    TreeTooDeep,
     TruncatedData,
     VersionMismatch,
     equilibrium_point,
@@ -318,6 +322,31 @@ class TestSerialization:
             load(save(table), expect_digest=wrong_w)
         loaded = load(save(table), expect_digest=table_digest(geom, masses, weights))
         assert np.array_equal(loaded.entries, table.entries)
+
+    # magic, version, dims, four (min, max, count) records, digest
+    REFINED_HEADER = 4 + 4 + 4 + 4 * 20 + 32
+
+    @pytest.mark.parametrize(
+        "params", [b"", struct.pack("<dI", 0.1, 4), struct.pack("<dI", 0.1, 2**32 - 1)],
+        ids=["zeros", "depth-4", "depth-max"],
+    )
+    def test_hostile_internal_tags_rejected(self, refined_mid, params):
+        # a refined header then 5,000 zero bytes: a chain of internal tags
+        blob = save(refined_mid)[: self.REFINED_HEADER] + params + bytes(5000)
+        with pytest.raises(TableFormatError):
+            load(blob)
+
+    def test_tree_deeper_than_max_depth(self, geom, masses, weights, theta_ref):
+        box = (tuple(theta_ref - 0.25), tuple(theta_ref + 0.25))
+        t = refine(geom, masses, weights, box, 1e-6, 2)
+        assert not t.root.is_leaf
+        blob = bytearray(save(t))
+        depth_at = self.REFINED_HEADER + 8
+        assert struct.unpack_from("<I", blob, depth_at) == (2,)
+        assert save(load(bytes(blob))) == bytes(blob)
+        struct.pack_into("<I", blob, depth_at, 1)
+        with pytest.raises(TreeTooDeep):
+            load(bytes(blob))
 
     def test_file_round_trip(self, table, tmp_path):
         from armctl import load_file, save_file

@@ -1,6 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import armctl.linearization as lin
 from armctl import (
     DegenerateInertia,
     MassModel,
@@ -9,6 +12,7 @@ from armctl import (
     forward_dynamics,
     joint_inertias,
     linearize,
+    numdiff,
 )
 from conftest import safe_random_theta
 from oracles import fd_jacobian
@@ -77,6 +81,69 @@ class TestJacobianAccuracy:
 
         reference = fd_jacobian(acc_of_tau, op.torque, h=1e-6)
         assert np.allclose(model.B[4:8, :], reference, rtol=0, atol=1e-8)
+
+
+def _count_dynamics_calls(monkeypatch):
+    calls = []
+    real = lin.forward_dynamics
+
+    def counting(*args):
+        calls.append(None)
+        return real(*args)
+
+    monkeypatch.setattr(lin, "forward_dynamics", counting)
+    return calls
+
+
+class TestSkippedColumns:
+    """linearize differences only the acceleration columns that can be
+    non-zero: theta2..theta4 always, the rates only away from zero rates."""
+
+    def test_six_dynamics_calls_at_equilibrium(self, geom, masses, theta_ref, monkeypatch):
+        op = equilibrium_point(geom, masses, theta_ref)
+        calls = _count_dynamics_calls(monkeypatch)
+        linearize(geom, masses, op)
+        assert len(calls) == 6
+
+    def test_fourteen_dynamics_calls_at_nonzero_rates(
+        self, geom, masses, theta_ref, monkeypatch
+    ):
+        op = OperatingPoint(theta_ref, [0.0, 0.0, 0.3, 0.0], np.zeros(4))
+        calls = _count_dynamics_calls(monkeypatch)
+        linearize(geom, masses, op)
+        assert len(calls) == 14
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        theta=st.tuples(
+            st.floats(-np.pi, np.pi),
+            st.floats(0.3, 2.8),
+            st.floats(-2.5, -0.3),
+            st.floats(-2.5, 2.5),
+        ),
+        rates=st.one_of(
+            st.just((0.0, 0.0, 0.0, 0.0)),
+            st.tuples(*[st.floats(-1.5, 1.5)] * 4),
+        ),
+        torque=st.tuples(*[st.floats(-4.0, 4.0)] * 4),
+        at_equilibrium=st.booleans(),
+    )
+    def test_matches_all_column_difference(
+        self, geom, masses, theta, rates, torque, at_equilibrium
+    ):
+        if at_equilibrium:
+            op = equilibrium_point(geom, masses, theta)
+        else:
+            op = OperatingPoint(theta, rates, torque)
+        model = linearize(geom, masses, op)
+
+        def acc(x):
+            return forward_dynamics(geom, masses, x[:4], x[4:], op.torque)
+
+        reference = numdiff.jacobian(acc, op.state())
+        assert np.array_equal(model.A[4:8, :], reference)
+        assert np.array_equal(model.A[4:8, 0], np.zeros(4))
+        assert not np.any(np.signbit(model.A[4:8, 0]))
 
 
 class TestOperatingPointDependence:

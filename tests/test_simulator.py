@@ -51,6 +51,12 @@ class TestSimConfig:
         with pytest.raises(ValueError):
             SimConfig(dt=0.003, control_period=0.02)  # not a multiple
 
+    @pytest.mark.parametrize("value", [math.inf, math.nan])
+    @pytest.mark.parametrize("field", ["dt", "control_period", "duration"])
+    def test_rejects_non_finite(self, field, value):
+        with pytest.raises(ValueError, match="finite"):
+            SimConfig(**{field: value})
+
     def test_steps(self):
         cfg = SimConfig(dt=1e-3, control_period=0.02, duration=1.0)
         assert cfg.steps_per_update == 20
