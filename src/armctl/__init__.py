@@ -4,10 +4,12 @@ interpolated lookup for constrained targets."""
 
 from .errors import (
     ArmError,
+    BadGrid,
     BadMagic,
     ConfigError,
     DegenerateInertia,
     DigestMismatch,
+    Diverged,
     EmptyBenchmark,
     IllConditioned,
     NodeFailure,

@@ -4,8 +4,8 @@ simulation, and controller latency benchmarking.
 Exit codes: 0 success; 1 any other armctl error; 2 usage or config errors;
 3 unreachable IK target; 4 gain-table node failure; 5 table digest mismatch;
 6 simulation aborted mid-run (out of table bounds, solver failure,
-degenerate inertia); 7 a file that cannot be read or written (missing
---table, unwritable --out); 8 a malformed gain-table file.
+degenerate inertia, a diverged state); 7 a file that cannot be read or written (missing
+--table, unwritable --out); 8 a malformed gain-table file (including an invalid dimension record).
 All angles are radians; results go to stdout, diagnostics to stderr.
 """
 

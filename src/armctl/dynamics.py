@@ -19,6 +19,12 @@ on the planar coordinates).  Every public function below reads what it
 needs from that one call.  Because the derivatives are exact, the
 accelerations are smooth to machine precision and outer differentiation
 (linearization) is well conditioned.
+
+The accelerations are computed once, in `_accelerations`, on Python floats:
+the planar angles, the rates and the torques in, a list of four
+accelerations out.  `forward_dynamics` only coerces its arguments and wraps
+the result in an array; the simulator's RK4 loop calls `_accelerations`
+directly, so integration pays no per-stage conversion.
 """
 
 from __future__ import annotations
@@ -233,6 +239,31 @@ def equilibrium_torque(geom: ArmGeometry, masses: MassModel, theta) -> np.ndarra
     return np.array(_kernel(geom, masses, t2, t3, t4)[2])
 
 
+def _accelerations(geom: ArmGeometry, masses: MassModel, t2, t3, t4, w, tau) -> list[float]:
+    """forward_dynamics on Python floats: planar angles t2..t4, and the
+    rates w and torque tau as 4-sequences of floats.  Returns the four
+    accelerations as a list."""
+    inertia, _, dpe, jac = _kernel(geom, masses, t2, t3, t4)
+    for k in range(4):
+        if inertia[k] <= EPS_INERTIA:
+            raise DegenerateInertia(
+                f"joint {k + 1} inertia {inertia[k]!r} <= {EPS_INERTIA} at "
+                f"theta={(t2, t3, t4)!r}"
+            )
+
+    w0, w1, w2, w3 = w
+    j0, j1, j2, j3 = jac
+    acc = []
+    for i in range(4):
+        quad = 0.5 * (
+            j0[i] * w0 * w0 + j1[i] * w1 * w1 + j2[i] * w2 * w2 + j3[i] * w3 * w3
+        )
+        ji = jac[i]
+        convective = w[i] * (ji[0] * w0 + ji[1] * w1 + ji[2] * w2 + ji[3] * w3)
+        acc.append((quad - dpe[i] - convective + tau[i]) / inertia[i])
+    return acc
+
+
 def forward_dynamics(
     geom: ArmGeometry, masses: MassModel, theta, rates, torque
 ) -> np.ndarray:
@@ -249,27 +280,4 @@ def forward_dynamics(
     Raises DegenerateInertia when any I_k(theta) <= EPS_INERTIA.
     """
     _, t2, t3, t4 = _four(theta)
-    w = _four(rates)
-    tau = _four(torque)
-
-    inertia, _, dpe, jac = _kernel(geom, masses, t2, t3, t4)
-    for k in range(4):
-        if inertia[k] <= EPS_INERTIA:
-            raise DegenerateInertia(
-                f"joint {k + 1} inertia {inertia[k]!r} <= {EPS_INERTIA} at "
-                f"theta={(t2, t3, t4)!r}"
-            )
-
-    acc = np.empty(4)
-    for i in range(4):
-        quad = 0.5 * (
-            jac[0][i] * w[0] * w[0]
-            + jac[1][i] * w[1] * w[1]
-            + jac[2][i] * w[2] * w[2]
-            + jac[3][i] * w[3] * w[3]
-        )
-        convective = w[i] * (
-            jac[i][0] * w[0] + jac[i][1] * w[1] + jac[i][2] * w[2] + jac[i][3] * w[3]
-        )
-        acc[i] = (quad - dpe[i] - convective + tau[i]) / inertia[i]
-    return acc
+    return np.array(_accelerations(geom, masses, t2, t3, t4, _four(rates), _four(torque)))

@@ -19,6 +19,10 @@ class DegenerateInertia(ArmError):
     that joint unactuatable (e.g. no distal mass)."""
 
 
+class Diverged(ArmError):
+    """A simulated state became non-finite (inf or nan)."""
+
+
 class NotStabilizable(ArmError):
     """The Riccati solve could not produce a stabilizing solution."""
 
@@ -54,6 +58,11 @@ class BadMagic(TableFormatError):
 
 class VersionMismatch(TableFormatError):
     """The file's format version (or layout signature) is not supported."""
+
+
+class BadGrid(TableFormatError):
+    """A dimension record holds a non-finite, empty or overflowing bound
+    range, or a flat table's node count is below 2."""
 
 
 class DigestMismatch(TableFormatError):

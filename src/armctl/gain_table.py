@@ -40,6 +40,7 @@ import numpy as np
 from .dynamics import MassModel
 from .errors import (
     ArmError,
+    BadGrid,
     BadMagic,
     DigestMismatch,
     NodeFailure,
@@ -500,8 +501,8 @@ def _write_cell(out: bytearray, cell: RefinedCell):
 def load(data: bytes, expect_digest: bytes | None = None):
     """Parse a byte stream produced by save().
 
-    Raises BadMagic, VersionMismatch, TruncatedData or TreeTooDeep on
-    malformed input and DigestMismatch when expect_digest is given and
+    Raises BadMagic, VersionMismatch, BadGrid, TruncatedData or TreeTooDeep
+    on malformed input and DigestMismatch when expect_digest is given and
     differs from the stored one (arm half and weights half reported
     separately).
     """
@@ -528,17 +529,26 @@ def load(data: bytes, expect_digest: bytes | None = None):
         if digest[16:] != expect_digest[16:]:
             raise DigestMismatch("table was built for different cost weights")
 
-    if all(c == _REFINED_COUNT for c in counts):
+    refined = all(c == _REFINED_COUNT for c in counts)
+    for k in range(NDIM):
+        # false for a nan or infinite bound, and for a span that overflows
+        if not (lo[k] < hi[k] and math.isfinite(hi[k] - lo[k])):
+            raise BadGrid(f"dimension {k}: need min < max, a finite span apart, "
+                          f"got [{lo[k]}, {hi[k]}]")
+        if not refined and counts[k] < 2:
+            raise BadGrid(f"dimension {k}: count must be >= 2, got {counts[k]}")
+
+    if refined:
         (tol,) = r.unpack("<d")
         (max_depth,) = r.unpack("<I")
         root = _read_tree(r, tuple(lo), tuple(hi), max_depth)
         r.done()
         return RefinedTable(root, digest, tol, max_depth, version=version)
 
-    grid = GridSpec(tuple(lo), tuple(hi), tuple(counts))
-    n_entries = grid.n_nodes
-    raw = r.take(n_entries * _GAIN_BYTES)
+    # length first: the grid's axes are only built for a payload that exists
+    raw = r.take(math.prod(counts) * _GAIN_BYTES)
     r.done()
+    grid = GridSpec(tuple(lo), tuple(hi), tuple(counts))
     entries = np.frombuffer(raw, dtype="<f8").reshape(grid.shape + GAIN_SHAPE)
     entries = np.ascontiguousarray(entries)
     entries.flags.writeable = False

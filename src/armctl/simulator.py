@@ -5,6 +5,12 @@ control period and held constant between updates (zero-order hold).  The
 gain K comes either from a fresh linearize-plus-Riccati solve each update
 (online mode, linearizing at the previously commanded torque) or from a
 precomputed gain table (table mode).
+
+The plant is integrated on Python floats: `_integrate` runs a whole control
+period of RK4 steps in one loop over `dynamics._accelerations`, with no
+array conversion per stage.  Each stage repeats the elementwise operations
+of the array form, so trajectories are bit-identical to it; `step_rk4` is
+the same loop for one step.  A state that turns non-finite raises Diverged.
 """
 
 from __future__ import annotations
@@ -16,13 +22,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import (
-    MassModel,
-    equilibrium_torque,
-    forward_dynamics,
-    total_energy,
-)
-from .errors import ArmError, EmptyBenchmark
+from .dynamics import MassModel, _accelerations, equilibrium_torque, total_energy
+from .errors import ArmError, Diverged, EmptyBenchmark
 from .gain_table import GainTable, RefinedTable, check_digest, lookup
 from .kinematics import ArmGeometry
 from .linearization import OperatingPoint, linearize
@@ -97,22 +98,61 @@ class Trajectory:
             f.write(",".join(format(v, ".17g") for v in row) + "\n")
 
 
+def _integrate(geom: ArmGeometry, masses: MassModel, x, torque, dt: float, steps: int):
+    """`steps` classical Runge-Kutta steps of x' = [rates, accelerations]
+    with the torque held constant, on Python floats.
+
+    x is a sequence of 8 floats and torque of 4; returns the end state as a
+    list.  Each stage repeats the elementwise IEEE operations of the array
+    form x + (0.5*dt)*k, x + dt*k and x + (dt/6)*(((k1 + 2k2) + 2k3) + k4),
+    so the result is bit-identical to it.  Raises Diverged as soon as the
+    start state, a stage state or a step's end state holds a non-finite
+    value.
+    """
+    x = list(x)
+    tau = tuple(torque)
+    if len(x) != 8 or len(tau) != 4:
+        raise ValueError(f"need an 8-state and a 4-torque, got {len(x)} and {len(tau)}")
+    half = 0.5 * dt
+    sixth = dt / 6.0
+    _check_finite(x, 0, steps)
+
+    def f(y):
+        return y[4:] + _accelerations(geom, masses, y[1], y[2], y[3], y[4:], tau)
+
+    for n in range(steps):
+        k1 = f(x)
+        y = [a + half * b for a, b in zip(x, k1)]
+        _check_finite(y, n, steps)
+        k2 = f(y)
+        y = [a + half * b for a, b in zip(x, k2)]
+        _check_finite(y, n, steps)
+        k3 = f(y)
+        y = [a + dt * b for a, b in zip(x, k3)]
+        _check_finite(y, n, steps)
+        k4 = f(y)
+        x = [
+            a + sixth * (b1 + 2.0 * b2 + 2.0 * b3 + b4)
+            for a, b1, b2, b3, b4 in zip(x, k1, k2, k3, k4)
+        ]
+        _check_finite(x, n + 1, steps)
+    return x
+
+
+def _check_finite(y, n, steps):
+    # a finite sum proves every term finite; only a non-finite sum (which
+    # finite terms can also give, by overflow) needs the term-by-term test
+    if not math.isfinite(sum(y)) and not all(map(math.isfinite, y)):
+        raise Diverged(f"non-finite state {y!r} after {n} of {steps} RK4 steps")
+
+
 def step_rk4(geom: ArmGeometry, masses: MassModel, x, torque, dt: float) -> np.ndarray:
     """One classical Runge-Kutta step of x' = [rates, forward_dynamics(...)]
-    with the torque held constant over the step."""
-    x = np.asarray(x, dtype=float)
-    tau = np.asarray(torque, dtype=float)
-
-    def f(state):
-        return np.concatenate(
-            [state[4:], forward_dynamics(geom, masses, state[:4], state[4:], tau)]
-        )
-
-    k1 = f(x)
-    k2 = f(x + 0.5 * dt * k1)
-    k3 = f(x + 0.5 * dt * k2)
-    k4 = f(x + dt * k3)
-    return x + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    with the torque held constant over the step.  Raises Diverged when a
+    state along the step is non-finite."""
+    x = np.asarray(x, dtype=float).tolist()
+    tau = np.asarray(torque, dtype=float).tolist()
+    return np.array(_integrate(geom, masses, x, tau, dt, 1))
 
 
 def _as_state(x, name) -> np.ndarray:
@@ -140,8 +180,8 @@ def simulate(
     Online mode needs `weights`; table mode needs `table` (its digest is
     checked against geom/masses, and against `weights` when given).  On a
     mid-run failure (any ArmError, e.g. OutOfBounds, NotStabilizable,
-    IllConditioned or DegenerateInertia) the exception is re-raised with the
-    samples so far attached as `.partial`.
+    IllConditioned, DegenerateInertia or Diverged) the exception is re-raised
+    with the samples so far attached as `.partial`.
     """
     x = _as_state(x0, "x0")
     if mode is not ControllerMode.PASSIVE:
@@ -192,8 +232,10 @@ def simulate(
         for p in range(config.n_updates):
             u = control(x)
             record(p * config.control_period, x, u)
-            for _ in range(config.steps_per_update):
-                x = step_rk4(geom, masses, x, u, config.dt)
+            x = np.array(_integrate(
+                geom, masses, x.tolist(), np.asarray(u, dtype=float).tolist(),
+                config.dt, config.steps_per_update,
+            ))
         record(config.n_updates * config.control_period, x, control(x))
     except ArmError as exc:
         exc.partial = partial()

@@ -1,13 +1,34 @@
-"""Independent numerical oracles for the dynamics and linearization tests.
+"""Independent numerical oracles for the dynamics, linearization and
+simulator tests.
 
-Everything here works by brute-force difference quotients of the scalar
+The dynamics oracles work by brute-force difference quotients of the scalar
 energies; none of it touches the closed-form derivative bookkeeping inside
-the library's forward dynamics or its adaptive-step Jacobians.
+the library's forward dynamics or its adaptive-step Jacobians.  The RK4
+reference is the array form of the integrator, built on the public
+forward_dynamics, that the library's float loop must reproduce bit for bit.
 """
 
 import numpy as np
 
-from armctl import kinetic_energy, potential_energy
+from armctl import forward_dynamics, kinetic_energy, potential_energy
+
+
+def reference_step_rk4(geom, masses, x, torque, dt):
+    """One classical RK4 step of x' = [rates, forward_dynamics(...)] on
+    NumPy arrays, with the torque held constant over the step."""
+    x = np.asarray(x, dtype=float)
+    tau = np.asarray(torque, dtype=float)
+
+    def f(state):
+        return np.concatenate(
+            [state[4:], forward_dynamics(geom, masses, state[:4], state[4:], tau)]
+        )
+
+    k1 = f(x)
+    k2 = f(x + 0.5 * dt * k1)
+    k3 = f(x + 0.5 * dt * k2)
+    k4 = f(x + dt * k3)
+    return x + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
 def lagrangian_accelerations(geom, masses, theta, rates, torque, h=1e-4):

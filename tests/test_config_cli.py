@@ -253,6 +253,20 @@ class TestSimulate:
         assert lines[-1].startswith("# aborted:")
         assert lines[0].startswith("t,")
 
+    def test_diverged_run_exit_6_partial_csv(self, capsys, write_config, tmp_path):
+        out_csv = tmp_path / "run.csv"
+        code, _, err = run_cli(
+            capsys, "--config", write_config(), "simulate", "--mode", "passive",
+            "--out", str(out_csv),
+            "--x0", "0.3", "0.8", "-0.9", "0.5", "0", "1e160", "0", "0",
+        )
+        assert code == 6
+        assert "non-finite" in err
+        lines = out_csv.read_text().strip().splitlines()
+        assert lines[0].startswith("t,")
+        assert len(lines) == 3  # header, the t=0 sample, the abort line
+        assert lines[-1].startswith("# aborted:")
+
     def test_online_solver_failure_exit_6_partial_csv(
         self, capsys, write_config, tmp_path, monkeypatch
     ):

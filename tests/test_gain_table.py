@@ -1,10 +1,14 @@
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import armctl.gain_table as gt
 from armctl import (
+    BadGrid,
     BadMagic,
     DigestMismatch,
     GainTable,
@@ -348,9 +352,88 @@ class TestSerialization:
         with pytest.raises(TreeTooDeep):
             load(bytes(blob))
 
+    @staticmethod
+    def _patch_dims(blob, **fields):
+        """Rewrite dimension records: fields maps "lo"/"hi"/"count" to a
+        {dimension: value} dict."""
+        blob = bytearray(blob)
+        for name, values in fields.items():
+            fmt, offset = {"lo": ("<d", 0), "hi": ("<d", 8), "count": ("<I", 16)}[name]
+            for k, value in values.items():
+                struct.pack_into(fmt, blob, 12 + 20 * k + offset, value)
+        return bytes(blob)
+
+    @pytest.mark.parametrize(
+        "kind, fields",
+        [
+            ("flat", {"count": {2: 0}}),
+            ("flat", {"count": {0: 1}}),
+            ("flat", {"lo": {1: float("nan")}}),
+            ("flat", {"hi": {3: float("inf")}}),
+            ("flat", {"lo": {0: 1.0}, "hi": {0: 1.0}}),
+            ("flat", {"lo": {1: -1e308}, "hi": {1: 1e308}}),
+            ("refined", {"hi": {2: float("nan")}}),
+            ("refined", {"lo": {1: 2.0}, "hi": {1: -2.0}}),
+        ],
+        ids=["count-0-in-one", "count-1", "nan-min", "inf-max", "empty-range",
+             "span-overflows", "refined-nan-max", "refined-min-above-max"],
+    )
+    def test_invalid_dimension_record(self, request, kind, fields):
+        blob = save(request.getfixturevalue({"flat": "table", "refined": "refined_mid"}[kind]))
+        with pytest.raises(BadGrid):
+            load(self._patch_dims(blob, **fields))
+
+    def test_huge_counts_rejected_before_allocating(self, table):
+        blob = self._patch_dims(save(table), count={k: 2**31 for k in range(4)})
+        tracemalloc.start()
+        try:
+            with pytest.raises(TruncatedData):
+                load(blob)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * len(blob)
+
     def test_file_round_trip(self, table, tmp_path):
         from armctl import load_file, save_file
 
         path = tmp_path / "gains.agt"
         save_file(table, path)
         assert save(load_file(path)) == save(table)
+
+
+@pytest.fixture(scope="module")
+def fuzz_blobs(geom, masses, weights, theta_ref, table):
+    box = (tuple(theta_ref - 0.25), tuple(theta_ref + 0.25))
+    return {"flat": save(table), "refined": save(refine(geom, masses, weights, box, 0.4, 2))}
+
+
+class TestLoadFuzz:
+    """Arbitrary damage to a valid blob gives a table or a TableFormatError."""
+
+    HEADER = TestSerialization.REFINED_HEADER + 12  # through tol and max_depth
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        kind=st.sampled_from(["flat", "refined"]),
+        edits=st.lists(
+            st.tuples(
+                # half the edits land in the header, where the structure is
+                st.one_of(st.integers(0, HEADER - 1), st.integers(0, 2**20)),
+                st.integers(0, 255),
+            ),
+            min_size=1, max_size=8,
+        ),
+        cut=st.one_of(st.none(), st.integers(0, 2**20)),
+    )
+    def test_mutated_bytes(self, fuzz_blobs, kind, edits, cut):
+        blob = bytearray(fuzz_blobs[kind])
+        for pos, value in edits:
+            blob[pos % len(blob)] = value
+        if cut is not None:
+            blob = blob[: cut % (len(blob) + 1)]
+        try:
+            loaded = load(bytes(blob))
+        except TableFormatError:
+            return
+        assert isinstance(loaded, (GainTable, RefinedTable))

@@ -3,12 +3,16 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import armctl.simulator as sim
 from armctl import (
     ArmGeometry,
     ControllerMode,
     CostWeights,
     DigestMismatch,
+    Diverged,
     EmptyBenchmark,
     GridSpec,
     MassModel,
@@ -22,6 +26,8 @@ from armctl import (
     step_rk4,
 )
 from armctl.simulator import CSV_HEADER
+from conftest import safe_random_theta
+from oracles import reference_step_rk4
 
 UNIT = ArmGeometry(1.0, 1.0, 1.0)
 
@@ -38,6 +44,12 @@ def ref_state(theta_ref):
 def flat_table(geom, masses, weights, theta_ref):
     grid = GridSpec(tuple(theta_ref - 0.25), tuple(theta_ref + 0.25), (2, 2, 2, 2))
     return precompute(geom, masses, weights, grid)
+
+
+@pytest.fixture(scope="module")
+def refined_table(geom, masses, weights, theta_ref):
+    box = (tuple(theta_ref - 0.25), tuple(theta_ref + 0.25))
+    return refine(geom, masses, weights, box, 0.4, 2)
 
 
 class TestSimConfig:
@@ -110,6 +122,79 @@ class TestStepRK4:
         assert len(crossings) >= 2
         period = crossings[1] - crossings[0]
         assert abs(period - expected) / expected < 0.01
+
+
+def _reference_integrate(geom, masses, x, torque, dt, steps):
+    x = np.asarray(x, dtype=float)
+    for _ in range(steps):
+        x = reference_step_rk4(geom, masses, x, torque, dt)
+    return x.tolist()
+
+
+class TestBitIdentity:
+    """The float RK4 loop repeats the array integrator's IEEE operations,
+    so its states equal the reference's byte for byte."""
+
+    def test_step_rk4_matches_reference(self, geom, masses):
+        rng = np.random.default_rng(11)
+        for theta in safe_random_theta(rng, 200):
+            x = np.concatenate([theta, rng.uniform(-3.0, 3.0, 4)])
+            tau = rng.uniform(-5.0, 5.0, 4)
+            dt = float(rng.choice([1e-4, 1e-3, 1e-2]))
+            got = step_rk4(geom, masses, x, tau, dt)
+            assert got.tobytes() == reference_step_rk4(geom, masses, x, tau, dt).tobytes()
+
+    @pytest.mark.parametrize("run", ["passive", "online", "flat", "refined"])
+    def test_simulate_matches_reference(
+        self, request, monkeypatch, geom, masses, weights, ref_state, run
+    ):
+        if run in ("flat", "refined"):
+            table = request.getfixturevalue(f"{run}_table")
+            mode, kwargs = ControllerMode.TABLE_LQR, {"weights": weights, "table": table}
+        elif run == "online":
+            mode, kwargs = ControllerMode.ONLINE_LQR, {"weights": weights}
+        else:
+            mode, kwargs = ControllerMode.PASSIVE, {}
+        x0 = ref_state + np.array([0.1, -0.1, 0.1, 0.1, 0.2, -0.3, 0.1, 0.4])
+        cfg = SimConfig(duration=0.2)
+        got = simulate(geom, masses, cfg, mode, x0, ref_state, **kwargs)
+        monkeypatch.setattr(sim, "_integrate", _reference_integrate)
+        want = simulate(geom, masses, cfg, mode, x0, ref_state, **kwargs)
+        for field in ("times", "states", "inputs", "energy"):
+            assert getattr(got, field).tobytes() == getattr(want, field).tobytes(), field
+
+
+class TestDivergence:
+    @pytest.mark.parametrize("rate", [1e160, 1e200])
+    def test_huge_rate_raises_diverged_with_partial(self, geom, masses, rate):
+        x0 = np.array([0.3, 0.8, -0.9, 0.5, 0.0, rate, 0.0, 0.0])
+        with pytest.raises(Diverged) as info:
+            simulate(geom, masses, SimConfig(duration=0.1), ControllerMode.PASSIVE, x0)
+        partial = info.value.partial
+        assert partial.times.size == 1
+        assert np.array_equal(partial.states[0], x0)
+
+    def test_step_rk4_rejects_non_finite_state(self, geom, masses):
+        x = np.array([0.3, 0.8, -0.9, 0.5, 0.0, np.nan, 0.0, 0.0])
+        with pytest.raises(Diverged):
+            step_rk4(geom, masses, x, np.zeros(4), 1e-3)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        rates=st.lists(
+            st.floats(min_value=-1e300, max_value=1e300, allow_nan=False),
+            min_size=4, max_size=4,
+        )
+    )
+    def test_result_finite_or_diverged(self, geom, masses, theta_ref, rates):
+        x0 = np.concatenate([theta_ref, rates])
+        try:
+            traj = simulate(geom, masses, SimConfig(duration=0.1), ControllerMode.PASSIVE, x0)
+        except Diverged as exc:
+            assert np.all(np.isfinite(exc.partial.states))
+            return
+        for field in ("states", "inputs", "energy"):
+            assert np.all(np.isfinite(getattr(traj, field))), field
 
 
 class TestPassive:

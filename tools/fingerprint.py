@@ -1,0 +1,73 @@
+"""Print byte-identity fingerprints of armctl's gain tables and trajectories.
+
+    python3 tools/fingerprint.py
+
+Each line is a name and the first 16 hex digits of the sha256 of:
+  - save() of a 5^4 precompute with 1 and with 2 workers;
+  - save() of refine(tol 0.4, depth 3) and refine(tol 0.1, depth 4);
+  - the states, inputs and energy of a 1 s simulate in the passive, online,
+    flat-table (the 5^4 table) and refined-table (the tol 0.4 table) modes.
+All use the test arm of tests/conftest.py and the box theta_ref +/- 0.25.
+Run it on two checkouts: equal lines mean the change kept those results
+bit for bit.  It imports armctl from the src/ directory next to it.
+"""
+
+import hashlib
+import sys
+from pathlib import Path
+
+import numpy as np
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
+
+from armctl import (  # noqa: E402
+    ArmGeometry,
+    ControllerMode,
+    CostWeights,
+    GridSpec,
+    MassModel,
+    SimConfig,
+    precompute,
+    refine,
+    save,
+    simulate,
+)
+
+GEOM = ArmGeometry(L1=1.0, L2=0.8, L3=0.6)
+MASSES = MassModel(m2=0.5, m3=0.4, m4=0.3, M1=0.4, M2=0.3, M3=0.2, g=9.81)
+WEIGHTS = CostWeights.from_diagonals([100.0] * 4 + [1.0] * 4, [1.0] * 4)
+THETA_REF = np.array([0.3, 0.8, -0.9, 0.5])
+# off the reference, moving, and inside the box for the whole run
+X0 = np.array([0.4, 0.7, -0.8, 0.6, 0.2, -0.3, 0.1, 0.4])
+
+
+def digest(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()[:16]
+
+
+def main():
+    lo, hi = tuple(THETA_REF - 0.25), tuple(THETA_REF + 0.25)
+    grid = GridSpec(lo, hi, (5, 5, 5, 5))
+    flat = precompute(GEOM, MASSES, WEIGHTS, grid, workers=1)
+    print("precompute 5^4 workers=1", digest(save(flat)))
+    print("precompute 5^4 workers=2",
+          digest(save(precompute(GEOM, MASSES, WEIGHTS, grid, workers=2))))
+    coarse = refine(GEOM, MASSES, WEIGHTS, (lo, hi), 0.4, 3)
+    print("refine tol=0.4 depth=3", digest(save(coarse)))
+    print("refine tol=0.1 depth=4", digest(save(refine(GEOM, MASSES, WEIGHTS, (lo, hi), 0.1, 4))))
+
+    x_ref = np.concatenate([THETA_REF, np.zeros(4)])
+    runs = {
+        "passive": (ControllerMode.PASSIVE, {}),
+        "online": (ControllerMode.ONLINE_LQR, {"weights": WEIGHTS}),
+        "flat": (ControllerMode.TABLE_LQR, {"weights": WEIGHTS, "table": flat}),
+        "refined": (ControllerMode.TABLE_LQR, {"weights": WEIGHTS, "table": coarse}),
+    }
+    for name, (mode, kwargs) in runs.items():
+        traj = simulate(GEOM, MASSES, SimConfig(duration=1.0), mode, X0, x_ref, **kwargs)
+        for field in ("states", "inputs", "energy"):
+            print(f"simulate {name} {field}", digest(getattr(traj, field).tobytes()))
+
+
+if __name__ == "__main__":
+    main()
