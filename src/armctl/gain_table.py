@@ -6,6 +6,11 @@ can replace online linearize-plus-Riccati work with a table lookup.  Queries
 between nodes are answered by entrywise multilinear interpolation over the
 2^4 surrounding corners.
 
+The dynamics never read the yaw angle theta1, so a node's equilibrium,
+linearization and gain are the same bit for bit at every theta1.  Builds
+solve each distinct planar configuration (theta2, theta3, theta4) once and
+copy that gain to every node that differs from it only in theta1.
+
 Two table kinds exist: a flat regular grid (GainTable) and an error-driven
 hierarchical box subdivision (RefinedTable) that stores more matrices only
 where the gain varies quickly.  Both serialize to one binary format:
@@ -109,6 +114,14 @@ def check_digest(table, geom=None, masses=None, weights=None):
 # ---------------------------------------------------------------------------
 # grid specification
 
+def _check_span(k: int, lo: float, hi: float, error=ValueError):
+    """Raise error unless lo < hi and hi - lo is finite, which rejects a nan
+    or infinite bound and also a finite range whose span overflows."""
+    if not (lo < hi and math.isfinite(hi - lo)):
+        raise error(f"dimension {k}: need min < max, a finite span apart, "
+                    f"got [{lo}, {hi}]")
+
+
 @dataclass(frozen=True)
 class GridSpec:
     """Per-dimension (min, max, count) over the four joint angles; rates are
@@ -125,8 +138,7 @@ class GridSpec:
         if not (len(lo) == len(hi) == len(counts) == NDIM):
             raise ValueError(f"grid must have {NDIM} dimensions")
         for k in range(NDIM):
-            if not (math.isfinite(lo[k]) and math.isfinite(hi[k]) and lo[k] < hi[k]):
-                raise ValueError(f"dimension {k}: need min < max, got [{lo[k]}, {hi[k]}]")
+            _check_span(k, lo[k], hi[k])
             if counts[k] < 2:
                 raise ValueError(f"dimension {k}: count must be >= 2, got {counts[k]}")
         object.__setattr__(self, "lo", lo)
@@ -200,14 +212,19 @@ def precompute(
     grid: GridSpec,
     workers: int = 1,
 ) -> GainTable:
-    """Solve the LQR problem at every grid node.
+    """Build a flat table holding the LQR gain of every grid node.
 
-    Node results depend only on that node's inputs and are merged by index,
-    so the table is bit-identical for any worker count.  Raises NodeFailure
-    (carrying the node index and cause) if any node cannot be solved.
+    Nodes that differ only in theta1 share one solve, made at the node with
+    i1 = 0 and copied along axis 0 (see the module docstring), so a grid of
+    n1 x n2 x n3 x n4 nodes costs n2 * n3 * n4 solves.  Each result depends
+    only on its node's inputs and is merged by index, so the table is
+    bit-identical for any worker count.  Raises NodeFailure (carrying the
+    node index and cause) if any node cannot be solved; the first failing
+    node in index order has i1 = 0, so that is the index reported.
     """
-    indices = list(np.ndindex(grid.shape))
-    jobs = [(geom, masses, weights, grid.node_angles(ix), ix) for ix in indices]
+    planar = list(np.ndindex(grid.shape[1:]))
+    jobs = [(geom, masses, weights, grid.node_angles((0,) + ix), (0,) + ix)
+            for ix in planar]
     if workers <= 1:
         gains = [_node_gain_job(job) for job in jobs]
     else:
@@ -215,8 +232,8 @@ def precompute(
             gains = list(pool.map(_node_gain_job, jobs, chunksize=8))
 
     entries = np.empty(grid.shape + GAIN_SHAPE)
-    for ix, gain in zip(indices, gains):
-        entries[ix] = gain
+    for (i2, i3, i4), gain in zip(planar, gains):
+        entries[:, i2, i3, i4] = gain
     entries.flags.writeable = False
     return GainTable(grid, entries, table_digest(geom, masses, weights))
 
@@ -370,14 +387,18 @@ def refine(
     A cell whose center-point interpolation error (spectral norm of the
     interpolated minus the directly solved gain) exceeds tol is split in
     half along every axis, up to max_depth levels; cells still violating the
-    tolerance at max_depth are kept as flagged leaves.  Corner solves are
-    cached by coordinate, so shared corners are computed once.  The build is
-    sequential and deterministic.
+    tolerance at max_depth are kept as flagged leaves.  Corner and center
+    solves are cached by planar coordinates theta2..theta4, so points that
+    differ only in theta1 (see the module docstring), and corners shared
+    between cells, are solved once.  The build is sequential and
+    deterministic.
     """
     lo = tuple(float(v) for v in root_box[0])
     hi = tuple(float(v) for v in root_box[1])
-    if len(lo) != NDIM or len(hi) != NDIM or any(l >= h for l, h in zip(lo, hi)):
-        raise ValueError(f"root box must satisfy lo < hi per dimension, got {root_box!r}")
+    if len(lo) != NDIM or len(hi) != NDIM:
+        raise ValueError(f"root box must have {NDIM} dimensions, got {root_box!r}")
+    for k in range(NDIM):
+        _check_span(k, lo[k], hi[k])
     tol = float(tol)
     if not tol > 0.0:
         raise ValueError(f"tolerance must be > 0, got {tol!r}")
@@ -388,10 +409,11 @@ def refine(
     cache: dict[tuple, np.ndarray] = {}
 
     def gain_at(coords):
-        gain = cache.get(coords)
+        planar = coords[1:]
+        gain = cache.get(planar)
         if gain is None:
             gain = _solve_node_gain(geom, masses, weights, np.array(coords), coords)
-            cache[coords] = gain
+            cache[planar] = gain
         return gain
 
     def corner_block(clo, chi):
@@ -531,10 +553,7 @@ def load(data: bytes, expect_digest: bytes | None = None):
 
     refined = all(c == _REFINED_COUNT for c in counts)
     for k in range(NDIM):
-        # false for a nan or infinite bound, and for a span that overflows
-        if not (lo[k] < hi[k] and math.isfinite(hi[k] - lo[k])):
-            raise BadGrid(f"dimension {k}: need min < max, a finite span apart, "
-                          f"got [{lo[k]}, {hi[k]}]")
+        _check_span(k, lo[k], hi[k], BadGrid)
         if not refined and counts[k] < 2:
             raise BadGrid(f"dimension {k}: count must be >= 2, got {counts[k]}")
 

@@ -54,6 +54,8 @@ class TestConfig:
             load_config(write_config({"geometry.L1": -1.0}))
         with pytest.raises(ConfigError):
             load_config(write_config({"grid.theta1.count": 1}))
+        with pytest.raises(ConfigError, match="finite span"):
+            load_config(write_config({"grid.theta2.min": -1e308, "grid.theta2.max": 1e308}))
 
     def test_rejects_malformed_json(self, tmp_path):
         bad = tmp_path / "broken.json"
@@ -141,6 +143,14 @@ class TestPrecompute:
         code, _, err = run_cli(capsys, "--config", cfg, "precompute", "--out", str(out_path))
         assert code == 4
         assert "node" in err
+        assert not out_path.exists()
+
+    def test_overflowing_grid_span_exit_2_no_file(self, capsys, write_config, tmp_path):
+        cfg = write_config({"grid.theta2.min": -1e308, "grid.theta2.max": 1e308})
+        out_path = tmp_path / "gains.agt"
+        code, _, err = run_cli(capsys, "--config", cfg, "precompute", "--out", str(out_path))
+        assert code == 2
+        assert "finite span" in err
         assert not out_path.exists()
 
     def test_unwritable_out_exit_7(self, capsys, write_config, tmp_path):

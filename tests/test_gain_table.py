@@ -61,6 +61,20 @@ def direct_gain(geom, masses, weights, theta):
     return lqr_gain(model.A, model.B, weights)
 
 
+@pytest.fixture()
+def solve_calls(monkeypatch):
+    """Record the theta of every _solve_node_gain call."""
+    calls = []
+    original = gt._solve_node_gain
+
+    def counting(geom, masses, weights, theta, index):
+        calls.append(tuple(float(v) for v in theta))
+        return original(geom, masses, weights, theta, index)
+
+    monkeypatch.setattr(gt, "_solve_node_gain", counting)
+    return calls
+
+
 class TestGridSpec:
     def test_validates(self):
         with pytest.raises(ValueError):
@@ -69,6 +83,9 @@ class TestGridSpec:
             GridSpec(BOX_LO, BOX_HI, (1, 2, 2, 2))  # count < 2
         with pytest.raises(ValueError):
             GridSpec((0, 0, 0), (1, 1, 1), (2, 2, 2))  # wrong arity
+        for lo, hi in ((float("nan"), 1.0), (0.0, float("inf")), (-1e308, 1e308)):
+            with pytest.raises(ValueError, match="finite span"):
+                GridSpec((lo, 0, 0, 0), (hi, 1, 1, 1), (2, 2, 2, 2))
 
     def test_node_count_law(self):
         rng = np.random.default_rng(8)
@@ -118,6 +135,35 @@ class TestPrecompute:
         with pytest.raises(NodeFailure) as info:
             precompute(geom, bad, weights, spec)
         assert info.value.index == (0, 0, 0, 0)
+
+    def test_one_solve_per_planar_configuration(self, geom, masses, weights, solve_calls):
+        precompute(geom, masses, weights, GridSpec(BOX_LO, BOX_HI, (3, 2, 2, 2)))
+        assert len(solve_calls) == 8
+        assert len({theta[1:] for theta in solve_calls}) == 8
+
+
+class TestYawInvariance:
+    """The gain never depends on theta1, which lets builds share one solve
+    along the theta1 axis.  Should the model gain a yaw-dependent term,
+    these fail before a table is built wrong."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        yaw=st.floats(-np.pi, np.pi),
+        planar=st.tuples(*(st.floats(l, h) for l, h in zip(BOX_LO[1:], BOX_HI[1:]))),
+    )
+    def test_gain_bytes_independent_of_yaw(self, geom, masses, weights, yaw, planar):
+        at_yaw = direct_gain(geom, masses, weights, (yaw,) + planar)
+        at_zero = direct_gain(geom, masses, weights, (0.0,) + planar)
+        assert at_yaw.tobytes() == at_zero.tobytes()
+
+    def test_precompute_rows_equal_along_yaw(self, geom, masses, weights):
+        t = precompute(geom, masses, weights, GridSpec(BOX_LO, BOX_HI, (3, 2, 2, 2)))
+        for i1 in (1, 2):
+            assert t.entries[i1].tobytes() == t.entries[0].tobytes()
+        index = (2, 1, 0, 1)
+        direct = direct_gain(geom, masses, weights, t.grid.node_angles(index))
+        assert t.entries[index].tobytes() == direct.tobytes()
 
 
 class TestLookup:
@@ -182,21 +228,20 @@ class TestLookup:
 
 
 class TestRefine:
-    def test_infinite_tolerance_is_single_leaf_16_solves(
-        self, geom, masses, weights, monkeypatch
+    def test_infinite_tolerance_is_single_leaf_8_solves(
+        self, geom, masses, weights, solve_calls
     ):
-        calls = {"n": 0}
-        original = gt._solve_node_gain
-
-        def counting(*args, **kwargs):
-            calls["n"] += 1
-            return original(*args, **kwargs)
-
-        monkeypatch.setattr(gt, "_solve_node_gain", counting)
         t = refine(geom, masses, weights, (BOX_LO, BOX_HI), float("inf"), 3)
         assert t.root.is_leaf and not t.root.flagged
         assert len(t.leaves()) == 1
-        assert calls["n"] == 16
+        # 16 corners, 8 distinct planar points: theta1 never changes a gain
+        assert len(solve_calls) == 8
+
+    def test_never_solves_a_planar_point_twice(self, geom, masses, weights, solve_calls):
+        t = refine(geom, masses, weights, (BOX_LO, BOX_HI), 0.4, 2)
+        assert not t.root.is_leaf  # the cache is exercised across cells
+        planar = [theta[1:] for theta in solve_calls]
+        assert len(planar) == len(set(planar))
 
     def test_depth_cap_flags_root(self, geom, masses, weights):
         t = refine(geom, masses, weights, (BOX_LO, BOX_HI), 1e-9, 1)
@@ -210,6 +255,13 @@ class TestRefine:
             refine(geom, masses, weights, (BOX_LO, BOX_HI), 1e-2, 0)
         with pytest.raises(ValueError):
             refine(geom, masses, weights, (BOX_HI, BOX_LO), 1e-2, 2)
+        # a nan or infinite bound, or a span that overflows, never reaches the solver
+        for k, lo, hi in ((0, float("nan"), 1.0), (2, -1.0, float("inf")),
+                          (3, -float("inf"), 1.0), (1, -1e308, 1e308)):
+            box_lo, box_hi = list(BOX_LO), list(BOX_HI)
+            box_lo[k], box_hi[k] = lo, hi
+            with pytest.raises(ValueError, match="finite span"):
+                refine(geom, masses, weights, (box_lo, box_hi), 1e-2, 2)
 
     def test_leaves_meet_tolerance_by_recomputation(self, geom, masses, weights, refined_mid):
         leaves = refined_mid.leaves()

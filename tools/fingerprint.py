@@ -3,7 +3,9 @@
     python3 tools/fingerprint.py
 
 Each line is a name and the first 16 hex digits of the sha256 of:
-  - save() of a 5^4 precompute with 1 and with 2 workers;
+  - save() of a 5^4, a non-cubic 3x4x2x5 and a 7^4 precompute, each with 1
+    and with 2 workers (the non-cubic and 7^4 grids cover the copy of each
+    planar solve along the theta1 axis; 7^4 is the grid perfbench builds);
   - save() of refine(tol 0.4, depth 3) and refine(tol 0.1, depth 4);
   - the states, inputs and energy of a 1 s simulate in the passive, online,
     flat-table (the 5^4 table) and refined-table (the tol 0.4 table) modes.
@@ -47,11 +49,14 @@ def digest(data: bytes) -> str:
 
 def main():
     lo, hi = tuple(THETA_REF - 0.25), tuple(THETA_REF + 0.25)
-    grid = GridSpec(lo, hi, (5, 5, 5, 5))
-    flat = precompute(GEOM, MASSES, WEIGHTS, grid, workers=1)
-    print("precompute 5^4 workers=1", digest(save(flat)))
-    print("precompute 5^4 workers=2",
-          digest(save(precompute(GEOM, MASSES, WEIGHTS, grid, workers=2))))
+    tables = {}
+    for name, counts in (("5^4", (5, 5, 5, 5)), ("3x4x2x5", (3, 4, 2, 5)),
+                         ("7^4", (7, 7, 7, 7))):
+        for workers in (1, 2):
+            table = precompute(GEOM, MASSES, WEIGHTS, GridSpec(lo, hi, counts), workers)
+            tables[name, workers] = table
+            print(f"precompute {name} workers={workers}", digest(save(table)))
+    flat = tables["5^4", 1]
     coarse = refine(GEOM, MASSES, WEIGHTS, (lo, hi), 0.4, 3)
     print("refine tol=0.4 depth=3", digest(save(coarse)))
     print("refine tol=0.1 depth=4", digest(save(refine(GEOM, MASSES, WEIGHTS, (lo, hi), 0.1, 4))))
