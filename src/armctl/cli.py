@@ -1,5 +1,5 @@
-"""Command-line interface: kinematics queries, gain-table precomputation,
-simulation, and controller latency benchmarking.
+"""Command-line interface: kinematics queries, gain-table precomputation and
+inspection, simulation, and controller latency benchmarking.
 
 Exit codes: 0 success; 1 any other armctl error; 2 usage or config errors;
 3 unreachable IK target; 4 gain-table node failure; 5 table digest mismatch;
@@ -12,7 +12,9 @@ All angles are radians; results go to stdout, diagnostics to stderr.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
+from collections import Counter
 
 import numpy as np
 
@@ -26,7 +28,18 @@ from .errors import (
     TableFormatError,
     Unreachable,
 )
-from .gain_table import load_file, precompute, refine, save_file, table_digest
+from .gain_table import (
+    FORMAT_VERSION,
+    RefinedTable,
+    arm_digest,
+    load,
+    load_file,
+    precompute,
+    refine,
+    save_file,
+    table_digest,
+    weights_digest,
+)
 from .kinematics import JointAngles, fk_spatial, ik
 from .simulator import ControllerMode, simulate, bench_controller
 
@@ -64,6 +77,23 @@ def _positive_int(text: str) -> int:
     value = int(text)
     if value <= 0:
         raise argparse.ArgumentTypeError(f"must be a positive integer, got {value}")
+    return value
+
+
+def _finite_float(text: str) -> float:
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan  # reported like a nan: not a finite number
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"must be a finite number, got {text!r}")
+    return value
+
+
+def _positive_float(text: str) -> float:
+    value = _finite_float(text)
+    if value <= 0.0:
+        raise argparse.ArgumentTypeError(f"must be a finite number > 0, got {text!r}")
     return value
 
 
@@ -170,32 +200,67 @@ def cmd_bench(config: ArmConfig, args) -> int:
     return EXIT_OK
 
 
+def cmd_inspect(config: ArmConfig | None, args) -> int:
+    with open(args.table, "rb") as f:
+        data = f.read()
+    table = load(data)
+    refined = isinstance(table, RefinedTable)
+    print(f"kind: {'refined' if refined else 'flat'}")
+    print(f"version: {FORMAT_VERSION}")
+    for k in range(4):
+        print(f"theta{k + 1}: [{table.lo[k]!r}, {table.hi[k]!r}]")
+    if refined:
+        leaves = table.leaves()
+        depths = Counter(leaf.depth for leaf in leaves)
+        print(f"tol: {table.tol!r}")
+        print(f"max_depth: {table.max_depth}")
+        print(f"leaves: {len(leaves)}")
+        print("depths: " + " ".join(f"{d}:{depths[d]}" for d in sorted(depths)))
+        print(f"flagged: {sum(leaf.flagged for leaf in leaves)}")
+        gains = table.pool
+    else:
+        print("counts: " + " ".join(str(n) for n in table.grid.counts))
+        print(f"leaves: {math.prod(n - 1 for n in table.grid.counts[1:])}")
+        print("flagged: 0")
+        gains = table.gains
+    print(f"pool_gains: {gains.size // 32}")
+    print(f"pool_bytes: {gains.nbytes}")
+    print(f"file_bytes: {len(data)}")
+    if config is not None:
+        arm = table.digest[:16] == arm_digest(config.geometry, config.masses)
+        cost = table.digest[16:] == weights_digest(config.weights)
+        print(f"arm_digest: {'match' if arm else 'differs'}")
+        print(f"weights_digest: {'match' if cost else 'differs'}")
+    return EXIT_OK
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="armctl",
         description="Four-axis arm control: kinematics, LQR gain tables, simulation.",
     )
-    parser.add_argument("--config", required=True, help="path to the JSON arm config")
+    parser.add_argument("--config", help="path to the JSON arm config (required by every "
+                                          "command but inspect)")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("fk", help="forward kinematics: print world joint positions")
-    p.add_argument("angles", nargs=4, type=float, metavar="THETA",
+    p.add_argument("angles", nargs=4, type=_finite_float, metavar="THETA",
                    help="joint angles theta1..theta4 (rad)")
     p.set_defaults(func=cmd_fk)
 
     p = sub.add_parser("ik", help="inverse kinematics for a world target")
-    p.add_argument("x", type=float)
-    p.add_argument("y", type=float)
-    p.add_argument("z", type=float)
-    p.add_argument("--pitch", type=float, default=0.0,
+    p.add_argument("x", type=_finite_float)
+    p.add_argument("y", type=_finite_float)
+    p.add_argument("z", type=_finite_float)
+    p.add_argument("--pitch", type=_finite_float, default=0.0,
                    help="tool pitch theta2+theta3+theta4 in the joint plane (rad)")
     p.set_defaults(func=cmd_ik)
 
     p = sub.add_parser("precompute", help="build and save a gain table")
     p.add_argument("--out", required=True, help="output table file")
-    p.add_argument("--refine", type=float, default=None, metavar="TOL",
+    p.add_argument("--refine", type=_positive_float, default=None, metavar="TOL",
                    help="build an error-driven refined table with this tolerance")
-    p.add_argument("--max-depth", type=int, default=6, dest="max_depth")
+    p.add_argument("--max-depth", type=_positive_int, default=6, dest="max_depth")
     p.add_argument("--workers", type=_positive_int, default=1)
     p.set_defaults(func=cmd_precompute)
 
@@ -203,9 +268,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mode", required=True, choices=[m.value for m in ControllerMode])
     p.add_argument("--table", default=None, help="gain table file (table mode)")
     p.add_argument("--out", required=True, help="output CSV file")
-    p.add_argument("--x0", nargs=8, type=float, default=None, metavar="V",
+    p.add_argument("--x0", nargs=8, type=_finite_float, default=None, metavar="V",
                    help="initial state theta1..4 w1..4 (default: grid center, at rest)")
-    p.add_argument("--ref", nargs=4, type=float, default=None, metavar="THETA",
+    p.add_argument("--ref", nargs=4, type=_finite_float, default=None, metavar="THETA",
                    help="reference angles (default: the x0 angles)")
     p.set_defaults(func=cmd_simulate)
 
@@ -214,14 +279,22 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--iters", type=_positive_int, default=1000)
     p.set_defaults(func=cmd_bench)
 
+    p = sub.add_parser("inspect", help="describe a gain-table file; with --config, "
+                                       "say which digest halves match it")
+    p.add_argument("table", help="gain table file")
+    p.set_defaults(func=cmd_inspect)
+
     return parser
 
 
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    if args.config is None and args.func is not cmd_inspect:
+        parser.error("the following arguments are required: --config")
     try:
-        return args.func(load_config(args.config), args)
+        config = None if args.config is None else load_config(args.config)
+        return args.func(config, args)
     except (ArmError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return next(code for kind, code in _EXIT_CODES if isinstance(exc, kind))

@@ -25,6 +25,10 @@ the planar angles, the rates and the torques in, a list of four
 accelerations out.  `forward_dynamics` only coerces its arguments and wraps
 the result in an array; the simulator's RK4 loop calls `_accelerations`
 directly, so integration pays no per-stage conversion.
+
+The public functions reject a non-finite angle, rate or torque with
+ValueError("<name> must be finite"); `_kernel` and `_accelerations` do not
+check, and the simulator raises Diverged for a non-finite state instead.
 """
 
 from __future__ import annotations
@@ -77,8 +81,11 @@ def point_inertia(p, m: float) -> float:
     return m * (x * x + y * y)
 
 
-def _four(values) -> tuple[float, float, float, float]:
-    a, b, c, d = (float(v) for v in values)
+def _four(values, name: str) -> tuple[float, float, float, float]:
+    a, b, c, d = map(float, values)
+    # a finite sum proves every term finite; a non-finite one may be overflow
+    if not math.isfinite(a + b + c + d) and not all(map(math.isfinite, (a, b, c, d))):
+        raise ValueError(f"{name} must be finite, got {(a, b, c, d)!r}")
     return a, b, c, d
 
 
@@ -200,31 +207,31 @@ def _kernel(geom: ArmGeometry, mm: MassModel, t2: float, t3: float, t4: float):
 
 def _kinetic(inertia, rates) -> float:
     i1, i2, i3, i4 = inertia
-    w1, w2, w3, w4 = _four(rates)
+    w1, w2, w3, w4 = _four(rates, "rates")
     return 0.5 * (i1 * w1 * w1 + i2 * w2 * w2 + i3 * w3 * w3 + i4 * w4 * w4)
 
 
 def joint_inertias(geom: ArmGeometry, masses: MassModel, theta) -> np.ndarray:
     """Effective rotational inertia seen by each joint at configuration theta."""
-    _, t2, t3, t4 = _four(theta)
+    _, t2, t3, t4 = _four(theta, "theta")
     return np.array(_kernel(geom, masses, t2, t3, t4)[0])
 
 
 def potential_energy(geom: ArmGeometry, masses: MassModel, theta) -> float:
     """Gravitational potential energy of the arm (joules, P1 height = 0)."""
-    _, t2, t3, t4 = _four(theta)
+    _, t2, t3, t4 = _four(theta, "theta")
     return _kernel(geom, masses, t2, t3, t4)[1]
 
 
 def kinetic_energy(geom: ArmGeometry, masses: MassModel, theta, rates) -> float:
     """Decoupled rotational kinetic energy: (1/2) sum_k I_k(theta) rate_k^2."""
-    _, t2, t3, t4 = _four(theta)
+    _, t2, t3, t4 = _four(theta, "theta")
     return _kinetic(_kernel(geom, masses, t2, t3, t4)[0], rates)
 
 
 def total_energy(geom: ArmGeometry, masses: MassModel, theta, rates) -> float:
     """KE + PE."""
-    _, t2, t3, t4 = _four(theta)
+    _, t2, t3, t4 = _four(theta, "theta")
     inertia, pe, _, _ = _kernel(geom, masses, t2, t3, t4)
     return _kinetic(inertia, rates) + pe
 
@@ -235,7 +242,7 @@ def equilibrium_torque(geom: ArmGeometry, masses: MassModel, theta) -> np.ndarra
     forward_dynamics(theta, 0, equilibrium_torque(theta)) is zero to machine
     precision because both read the same kernel gradient.
     """
-    _, t2, t3, t4 = _four(theta)
+    _, t2, t3, t4 = _four(theta, "theta")
     return np.array(_kernel(geom, masses, t2, t3, t4)[2])
 
 
@@ -279,5 +286,7 @@ def forward_dynamics(
 
     Raises DegenerateInertia when any I_k(theta) <= EPS_INERTIA.
     """
-    _, t2, t3, t4 = _four(theta)
-    return np.array(_accelerations(geom, masses, t2, t3, t4, _four(rates), _four(torque)))
+    _, t2, t3, t4 = _four(theta, "theta")
+    return np.array(_accelerations(
+        geom, masses, t2, t3, t4, _four(rates, "rates"), _four(torque, "torque")
+    ))

@@ -1,38 +1,41 @@
-"""Precomputed LQR gain tables over a grid of joint angles.
+"""Precomputed LQR gain tables over a box of joint angles.
 
-Each grid node is an equilibrium operating point (zero rates, gravity-holding
+Each table node is an equilibrium operating point (zero rates, gravity-holding
 torque); its 4x8 gain matrix is solved once offline so a constrained target
-can replace online linearize-plus-Riccati work with a table lookup.  Queries
-between nodes are answered by entrywise multilinear interpolation over the
-2^4 surrounding corners.
+can replace online linearize-plus-Riccati work with a table lookup.
 
-The dynamics never read the yaw angle theta1, so a node's equilibrium,
-linearization and gain are the same bit for bit at every theta1.  Builds
-solve each distinct planar configuration (theta2, theta3, theta4) once and
-copy that gain to every node that differs from it only in theta1.
+The dynamics never read the yaw angle theta1, so a gain is the same bit for
+bit at every theta1.  Tables are therefore planar: they store gains over
+(theta2, theta3, theta4) and keep the theta1 range only as a bound, so a yaw
+outside it is still OutOfBounds.  A flat regular grid (GainTable) and an
+error-driven subdivision that splits a cell 8 ways where the gain varies
+quickly (RefinedTable) share one lookup: locate the planar cell (arithmetic
+on a grid, descent in a tree), weigh its 8 corner gains, one (8, 32) product.
 
-Two table kinds exist: a flat regular grid (GainTable) and an error-driven
-hierarchical box subdivision (RefinedTable) that stores more matrices only
-where the gain varies quickly.  Both serialize to one binary format:
+Binary format, version 2 (little-endian):
 
     magic "AGT1" | u32 version | u32 dims |
     per dim: f64 min, f64 max, u32 count | 32-byte parameter digest | payload
 
-Flat payload: gain matrices in row-major node order (last dimension fastest),
-each 32 little-endian f64 (4x8 row-major).  Refined tables mark themselves
-with count = 0 in every dimension record (min/max then hold the root box),
-followed by f64 tolerance, u32 max_depth, and the pre-order tree: one tag
-byte per cell (0 = internal, 1 = leaf, 2 = leaf that still violated the
-tolerance at max_depth), leaves followed by their 16 corner gains.  The
-root is depth 1, and no cell may sit deeper than max_depth.
+Flat payload: the n2*n3*n4 planar gains in row-major (theta2, theta3,
+theta4) order, each 32 f64 (4x8 row-major), shared by every theta1 node.
+Refined tables mark themselves with count = 0 in every dimension record
+(min/max then hold the root box), followed by f64 tolerance, u32 max_depth,
+u32 pool size, the pool of distinct corner gains (32 f64 each, in order of
+first use), and the pre-order tree: one tag byte per cell (0 = internal,
+1 = leaf, 2 = leaf that still violated the tolerance at max_depth), each leaf
+followed by the u32 pool indices of its 8 corners.  Children and corners are
+numbered with theta2 as the most significant bit.  The root is depth 1, and
+no cell may sit deeper than max_depth.  Version 1 files (a gain per theta1
+node) are not read; rebuild them from their config.
 
 The parameter digest is two truncated SHA-256 halves - 16 bytes over the arm
 geometry/masses, 16 over the cost weights - so a loader can tell which side
 of a mismatch it is looking at.
 """
-
 from __future__ import annotations
 
+import bisect
 import hashlib
 import itertools
 import math
@@ -50,6 +53,7 @@ from .errors import (
     DigestMismatch,
     NodeFailure,
     OutOfBounds,
+    TableFormatError,
     TreeTooDeep,
     TruncatedData,
     VersionMismatch,
@@ -59,12 +63,12 @@ from .linearization import equilibrium_point, linearize
 from .riccati import CostWeights, lqr_gain
 
 MAGIC = b"AGT1"
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
 NDIM = 4
 GAIN_SHAPE = (4, 8)
 _GAIN_BYTES = 4 * 8 * 8
 _REFINED_COUNT = 0  # per-dimension count sentinel marking a tree payload
-_MIN_CELL_BYTES = 1 + 16 * _GAIN_BYTES  # the smallest serialized cell: a leaf
+_MIN_CELL_BYTES = 1 + 8 * 4  # the smallest serialized cell: a leaf
 
 
 # ---------------------------------------------------------------------------
@@ -144,12 +148,6 @@ class GridSpec:
         object.__setattr__(self, "lo", lo)
         object.__setattr__(self, "hi", hi)
         object.__setattr__(self, "counts", counts)
-        axes = []
-        for k in range(NDIM):
-            axis = np.linspace(lo[k], hi[k], counts[k])
-            axis.flags.writeable = False
-            axes.append(axis)
-        object.__setattr__(self, "_axes", tuple(axes))
 
     @classmethod
     def from_ranges(cls, ranges) -> "GridSpec":
@@ -166,31 +164,102 @@ class GridSpec:
         return int(np.prod(self.counts))
 
     def axis(self, k: int) -> np.ndarray:
-        return self._axes[k]
+        """Node coordinates of dimension k, built on demand (n1 may be large)."""
+        axis = np.linspace(self.lo[k], self.hi[k], self.counts[k])
+        axis.flags.writeable = False
+        return axis
 
     def node_angles(self, index) -> np.ndarray:
         return np.array([self.axis(k)[index[k]] for k in range(NDIM)])
 
 
-@dataclass(frozen=True)
-class GainTable:
-    """Flat grid of gain matrices, entries[i1, i2, i3, i4] a 4x8 matrix."""
+# ---------------------------------------------------------------------------
+# the lookup kernel
 
-    grid: GridSpec
-    entries: np.ndarray
-    digest: bytes
-    version: int = FORMAT_VERSION
+def _cell_coordinate(axis, v: float):
+    """(index, fraction) of the cell owning v, which lies within the axis
+    (a sorted list of floats).  Cells are half-open [axis[i], axis[i+1]) with
+    the last cell closed, so a node belongs to the cell above it."""
+    i = min(bisect.bisect_right(axis, v), len(axis) - 1) - 1
+    width = axis[i + 1] - axis[i]  # 0 only at repeated nodes (a span of a few ulp)
+    return i, (v - axis[i]) / width if width else 0.0
 
-    def __post_init__(self):
-        expected = self.grid.shape + GAIN_SHAPE
-        if self.entries.shape != expected:
-            raise ValueError(f"entries must have shape {expected}, got {self.entries.shape}")
-        if len(self.digest) != 32:
-            raise ValueError("digest must be 32 bytes")
+
+def _blend(rows: np.ndarray, fractions) -> np.ndarray:
+    """Trilinear blend of a planar cell's corner gains, rows (8, 32): row
+    4*b2 + 2*b3 + b4 holds the corner at the upper end of axis k where b_k
+    is set.  At a corner (fractions 0 or 1) one weight is 1 and the others
+    0, so that corner's gain comes back bit for bit."""
+    t2, t3, t4 = fractions
+    s2, s3, s4 = 1.0 - t2, 1.0 - t3, 1.0 - t4
+    a, b, c, d = s2 * s3, s2 * t3, t2 * s3, t2 * t3
+    w = [a * s4, a * t4, b * s4, b * t4, c * s4, c * t4, d * s4, d * t4]
+    return np.dot(w, rows).reshape(GAIN_SHAPE)
+
+
+def lookup(table, theta) -> np.ndarray:
+    """Interpolated gain matrix at theta (wrapped into (-pi, pi] first).
+
+    Accepts a GainTable or a RefinedTable.  Raises OutOfBounds outside the
+    table's box (theta1 included) or for a non-finite angle; no
+    extrapolation is attempted.  At a stored node the result is the stored
+    matrix, bit for bit.
+    """
+    th = [wrap_angle(v) for v in theta]
+    lo, hi = table.lo, table.hi
+    for k in range(NDIM):
+        # written so that NaN (and +-inf, which wraps to NaN) fails it too
+        if not lo[k] <= th[k] <= hi[k]:
+            raise OutOfBounds(f"angle {th[k]!r} outside table dimension {k} "
+                              f"[{lo[k]}, {hi[k]}]")
+    corners, fractions = table._locate(th[1], th[2], th[3])
+    return _blend(table._rows.take(corners, axis=0), fractions)
 
 
 # ---------------------------------------------------------------------------
-# construction
+# flat tables
+
+@dataclass(frozen=True)
+class GainTable:
+    """Flat grid of gain matrices: gains[i2, i3, i4] is the 4x8 gain of
+    every node (i1, i2, i3, i4)."""
+
+    grid: GridSpec
+    gains: np.ndarray
+    digest: bytes
+
+    def __post_init__(self):
+        expected = self.grid.shape[1:] + GAIN_SHAPE
+        if self.gains.shape != expected:
+            raise ValueError(f"gains must have shape {expected}, got {self.gains.shape}")
+        if len(self.digest) != 32:
+            raise ValueError("digest must be 32 bytes")
+        _, _, n3, n4 = self.grid.counts
+        object.__setattr__(self, "_rows", self.gains.reshape(-1, 32))
+        object.__setattr__(self, "_axes", tuple(self.grid.axis(k).tolist() for k in (1, 2, 3)))
+        # row offsets of a cell's 8 corners from its lowest one
+        object.__setattr__(self, "_offsets", tuple(
+            (b2 * n3 + b3) * n4 + b4 for b2, b3, b4 in itertools.product((0, 1), repeat=3)
+        ))
+
+    lo = property(lambda self: self.grid.lo)
+    hi = property(lambda self: self.grid.hi)
+    counts = property(lambda self: self.grid.counts)
+
+    @property
+    def entries(self) -> np.ndarray:
+        """Read-only 4-D view: entries[i1, i2, i3, i4] is gains[i2, i3, i4]."""
+        return np.broadcast_to(self.gains, self.grid.shape + GAIN_SHAPE)
+
+    def _locate(self, t2, t3, t4):
+        (i2, f2), (i3, f3), (i4, f4) = map(_cell_coordinate, self._axes, (t2, t3, t4))
+        _, _, n3, n4 = self.grid.counts
+        base = (i2 * n3 + i3) * n4 + i4
+        return [base + o for o in self._offsets], (f2, f3, f4)
+
+    def _payload(self) -> bytes:
+        return _gain_bytes(self.gains)
+
 
 def _solve_node_gain(geom, masses, weights, theta, index):
     try:
@@ -214,92 +283,28 @@ def precompute(
 ) -> GainTable:
     """Build a flat table holding the LQR gain of every grid node.
 
-    Nodes that differ only in theta1 share one solve, made at the node with
-    i1 = 0 and copied along axis 0 (see the module docstring), so a grid of
-    n1 x n2 x n3 x n4 nodes costs n2 * n3 * n4 solves.  Each result depends
-    only on its node's inputs and is merged by index, so the table is
-    bit-identical for any worker count.  Raises NodeFailure (carrying the
-    node index and cause) if any node cannot be solved; the first failing
-    node in index order has i1 = 0, so that is the index reported.
+    Nodes that differ only in theta1 share one gain, solved at i1 = 0, so a
+    grid of n1 x n2 x n3 x n4 nodes costs and stores n2 * n3 * n4 solves.
+    Results are merged by index, so the table is bit-identical for any
+    worker count.  Raises NodeFailure (carrying the node index and cause)
+    for the first node in index order that cannot be solved.
     """
     planar = list(np.ndindex(grid.shape[1:]))
-    jobs = [(geom, masses, weights, grid.node_angles((0,) + ix), (0,) + ix)
-            for ix in planar]
+    axes = [grid.axis(k) for k in (1, 2, 3)]
+    jobs = [
+        (geom, masses, weights,
+         np.array([grid.lo[0]] + [axis[i] for axis, i in zip(axes, ix)]), (0,) + ix)
+        for ix in planar
+    ]
     if workers <= 1:
         gains = [_node_gain_job(job) for job in jobs]
     else:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             gains = list(pool.map(_node_gain_job, jobs, chunksize=8))
 
-    entries = np.empty(grid.shape + GAIN_SHAPE)
-    for (i2, i3, i4), gain in zip(planar, gains):
-        entries[:, i2, i3, i4] = gain
-    entries.flags.writeable = False
-    return GainTable(grid, entries, table_digest(geom, masses, weights))
-
-
-# ---------------------------------------------------------------------------
-# lookup
-
-def _wrap4(theta) -> list[float]:
-    return [wrap_angle(v) for v in theta]
-
-
-def _cell_coordinate(axis: np.ndarray, v: float):
-    """(index, fraction) of the cell owning v, which lies within the axis.
-
-    Cells are half-open [axis[i], axis[i+1]) with the last cell closed, so a
-    node coordinate belongs to the cell with the larger index range.
-    """
-    count = axis.size
-    lo, hi = axis[0], axis[-1]
-    i = int(math.floor((v - lo) * (count - 1) / (hi - lo)))
-    i = min(max(i, 0), count - 2)
-    # repair floating floor against the true axis values
-    if v < axis[i] and i > 0:
-        i -= 1
-    elif i + 1 < count - 1 and v >= axis[i + 1]:
-        i += 1
-    return i, (v - axis[i]) / (axis[i + 1] - axis[i])
-
-
-def _combine_corners(corners: np.ndarray, fractions) -> np.ndarray:
-    """Multilinear blend of corner gains shaped (2, 2, 2, 2, 4, 8)."""
-    t1, t2, t3, t4 = fractions
-    w1 = np.array([1.0 - t1, t1])
-    w2 = np.array([1.0 - t2, t2])
-    w3 = np.array([1.0 - t3, t3])
-    w4 = np.array([1.0 - t4, t4])
-    return np.einsum("i,j,k,l,ijklmn->mn", w1, w2, w3, w4, corners)
-
-
-def lookup(table, theta) -> np.ndarray:
-    """Interpolated gain matrix at theta (wrapped into (-pi, pi] first).
-
-    Accepts a GainTable or a RefinedTable.  Raises OutOfBounds outside the
-    grid or for a non-finite angle; no extrapolation is attempted.  At a
-    stored node the result is the stored matrix, bit for bit.
-    """
-    th = _wrap4(theta)
-    refined = isinstance(table, RefinedTable)
-    lo, hi = (table.lo, table.hi) if refined else (table.grid.lo, table.grid.hi)
-    for k in range(NDIM):
-        # written so that NaN (and +-inf, which wraps to NaN) fails it too
-        if not lo[k] <= th[k] <= hi[k]:
-            raise OutOfBounds(
-                f"angle {th[k]!r} outside table dimension {k} [{lo[k]}, {hi[k]}]"
-            )
-    if refined:
-        return _lookup_refined(table, th)
-    idx = []
-    frac = []
-    for k in range(NDIM):
-        i, t = _cell_coordinate(table.grid.axis(k), th[k])
-        idx.append(i)
-        frac.append(t)
-    i1, i2, i3, i4 = idx
-    corners = table.entries[i1 : i1 + 2, i2 : i2 + 2, i3 : i3 + 2, i4 : i4 + 2]
-    return _combine_corners(corners, frac)
+    gains = np.array(gains).reshape(grid.shape[1:] + GAIN_SHAPE)
+    gains.flags.writeable = False
+    return GainTable(grid, gains, table_digest(geom, masses, weights))
 
 
 # ---------------------------------------------------------------------------
@@ -310,20 +315,16 @@ _TAG_LEAF = 1
 _TAG_LEAF_FLAGGED = 2
 
 
-@dataclass
+@dataclass(frozen=True)
 class RefinedCell:
-    """Axis-aligned box, either subdivided into 16 children (one binary
-    split per axis) or a leaf holding its 16 corner gains."""
+    """A leaf of a RefinedTable: its box over all four angles (theta1 spans
+    the table's range), its depth (the root is 1), and whether it still
+    violated the tolerance at max_depth."""
 
     lo: tuple[float, float, float, float]
     hi: tuple[float, float, float, float]
-    children: list["RefinedCell"] | None = None
-    corners: np.ndarray | None = None  # (2, 2, 2, 2, 4, 8), axis order = dims
+    depth: int
     flagged: bool = False
-
-    @property
-    def is_leaf(self) -> bool:
-        return self.children is None
 
     def center(self) -> np.ndarray:
         return 0.5 * (np.asarray(self.lo) + np.asarray(self.hi))
@@ -331,45 +332,87 @@ class RefinedCell:
 
 @dataclass(frozen=True)
 class RefinedTable:
-    """Error-driven hierarchical gain table over a root box."""
+    """Error-driven subdivision of a root box over theta2..theta4.
 
-    root: RefinedCell
+    The 8 children of a cell are consecutive cells: child[c] is the first
+    child of cell c, or 0 for a leaf (the root is cell 0).  Leaf n, counted
+    in pre-order, has the flag flagged[n] and the corner gains
+    pool[corners[n][i]], corners ordered as in _blend."""
+
+    lo: tuple[float, float, float, float]
+    hi: tuple[float, float, float, float]
     digest: bytes
     tol: float
     max_depth: int
-    version: int = FORMAT_VERSION
+    child: tuple[int, ...]
+    flagged: tuple[bool, ...]
+    corners: tuple[tuple[int, ...], ...]
+    pool: np.ndarray  # (n, 4, 8)
 
-    @property
-    def lo(self):
-        return self.root.lo
+    counts = (_REFINED_COUNT,) * NDIM
 
-    @property
-    def hi(self):
-        return self.root.hi
+    def __post_init__(self):
+        # per cell, from one pre-order walk: planar box, depth, leaf number
+        n = len(self.child)
+        boxes, depth, leaf, order, leaves = [None] * n, [0] * n, [-1] * n, [], 0
+        stack = [(0, self.lo[1:], self.hi[1:], 1)]
+        while stack:
+            cell, lo, hi, d = stack.pop()
+            boxes[cell], depth[cell] = (lo, hi), d
+            order.append(cell)
+            first = self.child[cell]
+            if first:
+                stack.extend((first + octant, clo, chi, d + 1)
+                             for octant, (clo, chi) in reversed(list(enumerate(_split(lo, hi)))))
+            else:
+                leaf[cell], leaves = leaves, leaves + 1
+        for name, value in (("_rows", self.pool.reshape(-1, 32)), ("_boxes", boxes),
+                            ("_depth", depth), ("_leaf", leaf), ("_order", order)):
+            object.__setattr__(self, name, value)
+
+    def _locate(self, t2, t3, t4):
+        child, boxes, cell = self.child, self._boxes, 0
+        while child[cell]:
+            # the midpoints _split splits at; a boundary goes to the upper child
+            (l2, l3, l4), (h2, h3, h4) = boxes[cell]
+            cell = (child[cell] + 4 * (t2 >= 0.5 * (l2 + h2)) + 2 * (t3 >= 0.5 * (l3 + h3))
+                    + (t4 >= 0.5 * (l4 + h4)))
+        (l2, l3, l4), (h2, h3, h4) = boxes[cell]
+        fractions = ((t2 - l2) / (h2 - l2), (t3 - l3) / (h3 - l3), (t4 - l4) / (h4 - l4))
+        return self.corners[self._leaf[cell]], fractions
 
     def leaves(self) -> list[RefinedCell]:
-        out = []
-        stack = [self.root]
-        while stack:
-            cell = stack.pop()
-            if cell.is_leaf:
-                out.append(cell)
-            else:
-                stack.extend(reversed(cell.children))
-        return out
+        """The leaf cells in pre-order, so leaves()[n] is leaf n."""
+        return [
+            RefinedCell((self.lo[0],) + self._boxes[c][0], (self.hi[0],) + self._boxes[c][1],
+                        self._depth[c], self.flagged[self._leaf[c]])
+            for c in self._order if not self.child[c]
+        ]
 
     def flagged_leaves(self) -> list[RefinedCell]:
         return [leaf for leaf in self.leaves() if leaf.flagged]
 
+    def _payload(self) -> bytes:
+        out = bytearray(struct.pack("<dII", self.tol, self.max_depth, len(self.pool)))
+        out += _gain_bytes(self.pool)
+        for cell in self._order:
+            n = self._leaf[cell]
+            if n < 0:
+                out.append(_TAG_INTERNAL)
+            else:
+                out.append(_TAG_LEAF_FLAGGED if self.flagged[n] else _TAG_LEAF)
+                out += struct.pack("<8I", *self.corners[n])
+        return bytes(out)
+
 
 def _corner_coords(lo, hi):
-    """The 16 corner points of a box, index bits ordered axis-1-first."""
+    """The corner points of a box, index bits ordered first-axis-first."""
     return list(itertools.product(*zip(lo, hi)))
 
 
 def _split(lo, hi):
-    """The 16 half-size children (lo, hi) of a box, in corner order: child
-    i spans from corner i of the lower half-box to corner i of the upper."""
+    """The half-size children (lo, hi) of a box, in corner order: child i
+    spans from corner i of the lower half-box to corner i of the upper."""
     mids = tuple(0.5 * (l + h) for l, h in zip(lo, hi))
     return list(zip(_corner_coords(lo, mids), _corner_coords(mids, hi)))
 
@@ -386,12 +429,11 @@ def refine(
 
     A cell whose center-point interpolation error (spectral norm of the
     interpolated minus the directly solved gain) exceeds tol is split in
-    half along every axis, up to max_depth levels; cells still violating the
-    tolerance at max_depth are kept as flagged leaves.  Corner and center
-    solves are cached by planar coordinates theta2..theta4, so points that
-    differ only in theta1 (see the module docstring), and corners shared
-    between cells, are solved once.  The build is sequential and
-    deterministic.
+    half along theta2..theta4, up to max_depth levels; cells still violating
+    the tolerance at max_depth are kept as flagged leaves.  Every cell spans
+    the whole theta1 range.  Solves are cached by planar coordinates, so a
+    corner shared between cells is solved and pooled once.  The build is
+    sequential and deterministic.
     """
     lo = tuple(float(v) for v in root_box[0])
     hi = tuple(float(v) for v in root_box[1])
@@ -407,55 +449,38 @@ def refine(
         raise ValueError(f"max_depth must be >= 1, got {max_depth}")
 
     cache: dict[tuple, np.ndarray] = {}
+    pool: dict[tuple, int] = {}  # planar corner -> pool index, in order of first use
+    child, flagged, corners = [0], [], []
 
-    def gain_at(coords):
-        planar = coords[1:]
+    def gain_at(planar):
         gain = cache.get(planar)
         if gain is None:
+            coords = (lo[0],) + planar
             gain = _solve_node_gain(geom, masses, weights, np.array(coords), coords)
             cache[planar] = gain
         return gain
 
-    def corner_block(clo, chi):
-        gains = [gain_at(c) for c in _corner_coords(clo, chi)]
-        block = np.array(gains).reshape((2, 2, 2, 2) + GAIN_SHAPE)
-        block.flags.writeable = False
-        return block
+    def build(cell, clo, chi, depth):
+        points = _corner_coords(clo, chi)
+        rows = np.array([gain_at(p) for p in points]).reshape(8, 32)
+        err = 0.0
+        if not math.isinf(tol):
+            center = tuple(0.5 * (l + h) for l, h in zip(clo, chi))
+            err = float(np.linalg.norm(_blend(rows, (0.5, 0.5, 0.5)) - gain_at(center), 2))
+        if not err <= tol and depth < max_depth:
+            first = child[cell] = len(child)
+            child.extend([0] * 8)
+            for octant, (slo, shi) in enumerate(_split(clo, chi)):
+                build(first + octant, slo, shi, depth + 1)
+        else:
+            corners.append(tuple(pool.setdefault(p, len(pool)) for p in points))
+            flagged.append(not err <= tol)
 
-    def build(clo, chi, depth):
-        corners = corner_block(clo, chi)
-        cell = RefinedCell(clo, chi, corners=corners)
-        if math.isinf(tol):
-            return cell
-        center = tuple(0.5 * (l + h) for l, h in zip(clo, chi))
-        direct = gain_at(center)
-        interpolated = _combine_corners(corners, (0.5, 0.5, 0.5, 0.5))
-        err = float(np.linalg.norm(interpolated - direct, 2))
-        if err <= tol:
-            return cell
-        if depth >= max_depth:
-            cell.flagged = True
-            return cell
-        children = [build(slo, shi, depth + 1) for slo, shi in _split(clo, chi)]
-        return RefinedCell(clo, chi, children=children)
-
-    root = build(lo, hi, depth=1)
-    return RefinedTable(root, table_digest(geom, masses, weights), tol, max_depth)
-
-
-def _lookup_refined(table: RefinedTable, th) -> np.ndarray:
-    cell = table.root
-    while not cell.is_leaf:
-        child_index = 0
-        for k in range(NDIM):
-            mid = 0.5 * (cell.lo[k] + cell.hi[k])
-            if th[k] >= mid:  # boundary goes to the upper child
-                child_index |= 1 << (NDIM - 1 - k)
-        cell = cell.children[child_index]
-    frac = tuple(
-        (th[k] - cell.lo[k]) / (cell.hi[k] - cell.lo[k]) for k in range(NDIM)
-    )
-    return _combine_corners(cell.corners, frac)
+    build(0, lo[1:], hi[1:], depth=1)
+    gains = np.array([cache[p] for p in pool])
+    gains.flags.writeable = False
+    return RefinedTable(lo, hi, table_digest(geom, masses, weights), tol, max_depth,
+                        tuple(child), tuple(flagged), tuple(corners), gains)
 
 
 # ---------------------------------------------------------------------------
@@ -478,72 +503,50 @@ class _Reader:
     def unpack(self, fmt: str):
         return struct.unpack(fmt, self.take(struct.calcsize(fmt)))
 
+    def gains(self, n: int) -> np.ndarray:
+        # a view of immutable bytes: contiguous and read-only already
+        return np.frombuffer(self.take(n * _GAIN_BYTES), dtype="<f8").reshape((n,) + GAIN_SHAPE)
+
     def done(self):
         if self.pos != len(self.data):
             raise TruncatedData(f"{len(self.data) - self.pos} trailing bytes")
 
 
-def _gain_bytes(gain: np.ndarray) -> bytes:
-    return np.ascontiguousarray(gain, dtype="<f8").tobytes()
+def _gain_bytes(gains: np.ndarray) -> bytes:
+    return np.ascontiguousarray(gains, dtype="<f8").tobytes()
 
 
 def save(table) -> bytes:
     """Serialize a GainTable or RefinedTable to the binary format."""
     out = bytearray(MAGIC)
-    out += struct.pack("<I", table.version)
-    out += struct.pack("<I", NDIM)
-    if isinstance(table, GainTable):
-        for k in range(NDIM):
-            out += struct.pack("<ddI", table.grid.lo[k], table.grid.hi[k],
-                               table.grid.counts[k])
-        out += table.digest
-        out += _gain_bytes(table.entries)
-        return bytes(out)
-    if isinstance(table, RefinedTable):
-        for k in range(NDIM):
-            out += struct.pack("<ddI", table.lo[k], table.hi[k], _REFINED_COUNT)
-        out += table.digest
-        out += struct.pack("<d", table.tol)
-        out += struct.pack("<I", table.max_depth)
-        _write_cell(out, table.root)
-        return bytes(out)
-    raise TypeError(f"cannot serialize {type(table).__name__}")
-
-
-def _write_cell(out: bytearray, cell: RefinedCell):
-    if cell.is_leaf:
-        out.append(_TAG_LEAF_FLAGGED if cell.flagged else _TAG_LEAF)
-        out += _gain_bytes(cell.corners)
-    else:
-        out.append(_TAG_INTERNAL)
-        for child in cell.children:
-            _write_cell(out, child)
+    out += struct.pack("<II", FORMAT_VERSION, NDIM)
+    for k in range(NDIM):
+        out += struct.pack("<ddI", table.lo[k], table.hi[k], table.counts[k])
+    out += table.digest
+    out += table._payload()
+    return bytes(out)
 
 
 def load(data: bytes, expect_digest: bytes | None = None):
     """Parse a byte stream produced by save().
 
-    Raises BadMagic, VersionMismatch, BadGrid, TruncatedData or TreeTooDeep
-    on malformed input and DigestMismatch when expect_digest is given and
-    differs from the stored one (arm half and weights half reported
-    separately).
+    Raises BadMagic, VersionMismatch (a version 1 file included), BadGrid,
+    TruncatedData, TreeTooDeep or TableFormatError on malformed input and
+    DigestMismatch when expect_digest is given and differs from the stored
+    one (arm half and weights half reported separately).
     """
     r = _Reader(bytes(data))
     if r.take(4) != MAGIC:
         raise BadMagic(f"expected magic {MAGIC!r}")
     (version,) = r.unpack("<I")
     if version != FORMAT_VERSION:
-        raise VersionMismatch(f"unsupported format version {version}")
+        raise VersionMismatch(f"unsupported format version {version}, expected "
+                              f"{FORMAT_VERSION}; rebuild the table from its config")
     (ndim,) = r.unpack("<I")
     if ndim != NDIM:
         raise VersionMismatch(f"unsupported dimension count {ndim}")
 
-    lo, hi, counts = [], [], []
-    for _ in range(NDIM):
-        dlo, dhi, count = r.unpack("<ddI")
-        lo.append(dlo)
-        hi.append(dhi)
-        counts.append(count)
+    lo, hi, counts = zip(*(r.unpack("<ddI") for _ in range(NDIM)))
     digest = r.take(32)
     if expect_digest is not None:
         if digest[:16] != expect_digest[:16]:
@@ -558,55 +561,51 @@ def load(data: bytes, expect_digest: bytes | None = None):
             raise BadGrid(f"dimension {k}: count must be >= 2, got {counts[k]}")
 
     if refined:
-        (tol,) = r.unpack("<d")
-        (max_depth,) = r.unpack("<I")
-        root = _read_tree(r, tuple(lo), tuple(hi), max_depth)
+        tol, max_depth, n_pool = r.unpack("<dII")
+        pool = r.gains(n_pool)
+        tree = _read_tree(r, max_depth, n_pool)
         r.done()
-        return RefinedTable(root, digest, tol, max_depth, version=version)
+        return RefinedTable(lo, hi, digest, tol, max_depth, *tree, pool)
 
-    # length first: the grid's axes are only built for a payload that exists
-    raw = r.take(math.prod(counts) * _GAIN_BYTES)
+    # length first: only the planar axes are built, for a payload that exists
+    gains = r.gains(math.prod(counts[1:]))
     r.done()
-    grid = GridSpec(tuple(lo), tuple(hi), tuple(counts))
-    entries = np.frombuffer(raw, dtype="<f8").reshape(grid.shape + GAIN_SHAPE)
-    entries = np.ascontiguousarray(entries)
-    entries.flags.writeable = False
-    return GainTable(grid, entries, digest, version=version)
+    grid = GridSpec(lo, hi, counts)
+    return GainTable(grid, gains.reshape(grid.shape[1:] + GAIN_SHAPE), digest)
 
 
-def _read_tree(r: _Reader, lo, hi, max_depth: int) -> RefinedCell:
-    """Parse the pre-order tree iteratively, so its depth is bounded by
-    max_depth (TreeTooDeep) and the pending cells by the bytes left
-    (TruncatedData), never by the Python stack."""
-    top: list[RefinedCell] = []
-    # cells still to read, next one last: (lo, hi, depth, parent's children)
-    pending = [(lo, hi, 1, top)]
+def _read_tree(r: _Reader, max_depth: int, n_pool: int):
+    """Parse the pre-order tree into (child, flagged, corners), as
+    RefinedTable holds them.  The parse is iterative, so the depth is
+    bounded by max_depth (TreeTooDeep) and the pending cells by the bytes
+    left (TruncatedData), never by the Python stack; a corner index must
+    name a pool entry."""
+    child, flagged, corners = [0], [], []
+    pending = [(0, 1)]  # cells still to read, next one last: (cell, depth)
     while pending:
-        lo, hi, depth, siblings = pending.pop()
+        cell, depth = pending.pop()
         if depth > max_depth:
             raise TreeTooDeep(f"cell at depth {depth} exceeds max_depth {max_depth}")
         tag = r.take(1)[0]
         if tag == _TAG_INTERNAL:
-            children: list[RefinedCell] = []
-            siblings.append(RefinedCell(lo, hi, children=children))
-            pending.extend(
-                (slo, shi, depth + 1, children) for slo, shi in reversed(_split(lo, hi))
-            )
+            first = child[cell] = len(child)
+            child.extend([0] * 8)
+            pending.extend((first + octant, depth + 1) for octant in range(7, -1, -1))
             left = len(r.data) - r.pos
             if left < len(pending) * _MIN_CELL_BYTES:
                 raise TruncatedData(
                     f"{len(pending)} cells pending at offset {r.pos}, only {left} bytes left"
                 )
         elif tag in (_TAG_LEAF, _TAG_LEAF_FLAGGED):
-            # a view of immutable bytes: contiguous and read-only already
-            raw = r.take(16 * _GAIN_BYTES)
-            corners = np.frombuffer(raw, dtype="<f8").reshape((2, 2, 2, 2) + GAIN_SHAPE)
-            siblings.append(
-                RefinedCell(lo, hi, corners=corners, flagged=tag == _TAG_LEAF_FLAGGED)
-            )
+            indices = r.unpack("<8I")
+            if max(indices) >= n_pool:
+                raise TableFormatError(f"corner index {max(indices)} at offset "
+                                       f"{r.pos - 32} outside a pool of {n_pool}")
+            corners.append(indices)
+            flagged.append(tag == _TAG_LEAF_FLAGGED)
         else:
             raise TruncatedData(f"unknown cell tag {tag} at offset {r.pos - 1}")
-    return top[0]
+    return tuple(child), tuple(flagged), tuple(corners)
 
 
 def save_file(table, path):

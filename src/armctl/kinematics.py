@@ -128,6 +128,9 @@ def fk_planar(
     geom: ArmGeometry, theta2: float, theta3: float, theta4: float
 ) -> tuple[PlanarPoint, PlanarPoint, PlanarPoint, PlanarPoint]:
     """Joint positions P1..P4 in the joint plane (P1 is the origin)."""
+    for name, v in (("theta2", theta2), ("theta3", theta3), ("theta4", theta4)):
+        if not math.isfinite(v):
+            raise ValueError(f"{name} must be finite, got {v!r}")
     _, (x2, y2, x3, y3, x4, y4) = planar_chain(geom, theta2, theta3, theta4)
     return (
         PlanarPoint(0.0, 0.0),
@@ -161,6 +164,10 @@ def ik(geom: ArmGeometry, target, pitch: float = 0.0) -> JointAngles:
     """
     x, y, z = (float(v) for v in target)
     phi = float(pitch)
+    if not all(map(math.isfinite, (x, y, z))):
+        raise ValueError(f"target must be finite, got {(x, y, z)!r}")
+    if not math.isfinite(phi):
+        raise ValueError(f"pitch must be finite, got {phi!r}")
     r = math.hypot(x, y)
 
     if r == 0.0:

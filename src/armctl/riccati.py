@@ -28,6 +28,8 @@ def _symmetric(mat: np.ndarray, name: str) -> np.ndarray:
     m = np.asarray(mat, dtype=float)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError(f"{name} must be square, got shape {m.shape}")
+    if not np.isfinite(m).all():
+        raise ValueError(f"{name} must be finite")
     scale = max(1.0, float(np.abs(m).max()) if m.size else 0.0)
     if float(np.abs(m - m.T).max()) > _SYM_TOL * scale:
         raise ValueError(f"{name} must be symmetric to {_SYM_TOL}")
@@ -83,11 +85,16 @@ def _solve(A, B, weights: CostWeights):
     """(P, K): the stabilizing CARE solution and its gain R^-1 B' P."""
     A, B = _check_system(A, B, weights)
     n = A.shape[0]
+    # finiteness is checked here, on B and on H, in place of scipy's checks
+    if not np.isfinite(B).all():
+        raise ValueError("B must be finite")
     r_chol = scipy.linalg.cho_factor(weights.R)
-    G = B @ scipy.linalg.cho_solve(r_chol, B.T)
+    G = B @ scipy.linalg.cho_solve(r_chol, B.T, check_finite=False)
 
     H = np.block([[A, -G], [-weights.Q, -A.T]])
-    _, Z, sdim = scipy.linalg.schur(H, output="real", sort="lhp")
+    if not np.isfinite(H).all():
+        raise ValueError("A must be finite, and B R^-1 B' must not overflow")
+    _, Z, sdim = scipy.linalg.schur(H, output="real", sort="lhp", check_finite=False)
     if sdim != n:
         raise NotStabilizable(
             f"stable invariant subspace has dimension {sdim}, expected {n}"
@@ -130,7 +137,7 @@ def solve_care(A, B, weights: CostWeights) -> np.ndarray:
     Returns the symmetric PSD solution.  Raises NotStabilizable when no
     stabilizing solution exists (wrong stable-subspace dimension, singular
     basis, indefinite P, or a non-Hurwitz closed loop) and IllConditioned
-    when the residual contract is not met.
+    when the residual contract is not met; ValueError for a non-finite A or B.
     """
     return _solve(A, B, weights)[0]
 

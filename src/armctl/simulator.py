@@ -30,6 +30,7 @@ from .linearization import OperatingPoint, linearize
 from .riccati import CostWeights, lqr_gain
 
 CSV_HEADER = "t,th1,th2,th3,th4,w1,w2,w3,w4,tau1,tau2,tau3,tau4,E"
+BENCH_RATE = 0.5  # rad/s, bound of the joint rates bench_controller draws
 
 
 @dataclass(frozen=True)
@@ -266,7 +267,9 @@ def bench_controller(
 ) -> LatencyReport:
     """Compare one online control step (linearize + Riccati solve + gain,
     then applying the gain) against one table lookup + gain application,
-    at n_iters random in-bounds states.
+    at n_iters random states: in-bounds angles and rates up to BENCH_RATE.
+    The rates are non-zero, as in a closed-loop update, so linearize
+    differences the rate columns too (see linearization).
 
     Everything runs on the calling thread so the timings are stable.
     Raises EmptyBenchmark when n_iters <= 0.
@@ -275,23 +278,17 @@ def bench_controller(
         raise EmptyBenchmark(f"n_iters must be positive, got {n_iters}")
     check_digest(table, geom=geom, masses=masses, weights=weights)
 
-    if isinstance(table, RefinedTable):
-        lo = np.asarray(table.lo)
-        hi = np.asarray(table.hi)
-    else:
-        lo = np.asarray(table.grid.lo)
-        hi = np.asarray(table.grid.hi)
-
     rng = np.random.default_rng(seed)
-    thetas = rng.uniform(lo, hi, size=(n_iters, 4))
-    refs = rng.uniform(lo, hi, size=(n_iters, 4))
+    thetas = rng.uniform(table.lo, table.hi, size=(n_iters, 4))
+    refs = rng.uniform(table.lo, table.hi, size=(n_iters, 4))
+    rates = rng.uniform(-BENCH_RATE, BENCH_RATE, size=(n_iters, 4))
 
     online_ns = np.empty(n_iters)
     lookup_ns = np.empty(n_iters)
     for i in range(n_iters):
         theta = thetas[i]
-        dx = np.concatenate([theta - refs[i], np.zeros(4)])
-        op = OperatingPoint(theta, np.zeros(4), equilibrium_torque(geom, masses, theta))
+        dx = np.concatenate([theta - refs[i], rates[i]])
+        op = OperatingPoint(theta, rates[i], equilibrium_torque(geom, masses, theta))
 
         start = time.perf_counter_ns()
         model = linearize(geom, masses, op)

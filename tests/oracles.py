@@ -6,6 +6,8 @@ energies; none of it touches the closed-form derivative bookkeeping inside
 the library's forward dynamics or its adaptive-step Jacobians.  The RK4
 reference is the array form of the integrator, built on the public
 forward_dynamics, that the library's float loop must reproduce bit for bit.
+The gain-table reference is the 4-D multilinear blend over every node of a
+flat grid, theta1 included, that the planar lookup must match to rounding.
 """
 
 import numpy as np
@@ -84,3 +86,20 @@ def fd_jacobian(f, x, h=1e-5):
         xm[j] -= h
         cols.append((np.asarray(f(xp), float) - np.asarray(f(xm), float)) / (2.0 * h))
     return np.stack(cols, axis=1)
+
+
+def reference_multilinear(grid, entries, theta):
+    """Multilinear interpolation over the 2^4 nodes around theta, from the
+    4-D node array of a flat table (entries[i1, i2, i3, i4] a 4x8 gain)."""
+    gain = np.zeros(entries.shape[4:])
+    cells = []
+    for k in range(4):
+        axis = grid.axis(k)
+        i = min(int(np.searchsorted(axis, theta[k], side="right")) - 1, axis.size - 2)
+        cells.append((i, (theta[k] - axis[i]) / (axis[i + 1] - axis[i])))
+    for bits in np.ndindex(2, 2, 2, 2):
+        weight = 1.0
+        for (i, t), b in zip(cells, bits):
+            weight *= t if b else 1.0 - t
+        gain += weight * entries[tuple(i + b for (i, _), b in zip(cells, bits))]
+    return gain

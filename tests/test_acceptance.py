@@ -187,7 +187,7 @@ def test_09_refinement_contract(geom, masses, weights, theta_ref):
         center = leaf.center()
         model = linearize(geom, masses, equilibrium_point(geom, masses, center))
         direct = lqr_gain(model.A, model.B, weights)
-        interpolated = gt._combine_corners(leaf.corners, (0.5, 0.5, 0.5, 0.5))
+        interpolated = lookup(table, center)
         err = np.linalg.norm(interpolated - direct, 2)
         assert err <= tol, f"leaf at {leaf.lo}..{leaf.hi} error {err}"
         checked += 1

@@ -64,6 +64,33 @@ class TestConfig:
             load_config(bad)
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["fk", "0", "nan", "0", "0"],
+        ["fk", "inf", "0", "0", "0"],
+        ["ik", "nan", "0", "0.5"],
+        ["ik", "0.5", "0", "0.5", "--pitch", "inf"],
+        ["simulate", "--mode", "passive", "--out", "run.csv",
+         "--x0", "0.3", "0.8", "nan", "0.5", "0", "0", "0", "0"],
+        ["simulate", "--mode", "online", "--out", "run.csv",
+         "--ref", "0.3", "inf", "-0.9", "0.5"],
+        ["precompute", "--out", "gains.agt", "--refine", "nan"],
+        ["precompute", "--out", "gains.agt", "--refine", "-0.1"],
+        ["precompute", "--out", "gains.agt", "--refine", "0.1", "--max-depth", "0"],
+    ],
+    ids=["fk-nan", "fk-inf", "ik-nan", "ik-pitch-inf", "simulate-x0-nan",
+         "simulate-ref-inf", "refine-nan", "refine-negative", "max-depth-0"],
+)
+def test_bad_number_is_usage_error(capsys, write_config, tmp_path, monkeypatch, argv):
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as info:
+        main(["--config", write_config()] + argv)
+    assert info.value.code == 2
+    assert "usage:" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == [tmp_path / "arm.json"]  # nothing written
+
+
 class TestFk:
     def test_vertical(self, capsys, write_config):
         cfg = write_config({"geometry": {"L1": 1.0, "L2": 1.0, "L3": 1.0}})
@@ -174,8 +201,7 @@ class TestPrecompute:
         assert code == 0
         assert "flagged: 0" in out
 
-        from armctl import equilibrium_point, linearize, load_file, lqr_gain
-        from armctl.gain_table import _combine_corners
+        from armctl import equilibrium_point, linearize, load_file, lookup, lqr_gain
 
         table = load_file(out_path)
         config = load_config(cfg)
@@ -184,7 +210,7 @@ class TestPrecompute:
             model = linearize(config.geometry, config.masses,
                               equilibrium_point(config.geometry, config.masses, center))
             direct = lqr_gain(model.A, model.B, config.weights)
-            interpolated = _combine_corners(leaf.corners, (0.5, 0.5, 0.5, 0.5))
+            interpolated = lookup(table, center)
             assert np.linalg.norm(interpolated - direct, 2) <= 1e-2
 
 
@@ -328,6 +354,21 @@ class TestSimulate:
         assert code == 7
         assert err.startswith("error:")
 
+    def test_version_1_table_exit_8(self, capsys, write_config, tmp_path):
+        # a version 1 file is not read: its tables rebuild from their config
+        cfg = write_config()
+        table_path = tmp_path / "gains.agt"
+        assert run_cli(capsys, "--config", cfg, "precompute", "--out", str(table_path))[0] == 0
+        blob = bytearray(table_path.read_bytes())
+        blob[4:8] = (1).to_bytes(4, "little")
+        table_path.write_bytes(bytes(blob))
+        code, _, err = run_cli(
+            capsys, "--config", cfg, "simulate", "--mode", "table",
+            "--table", str(table_path), "--out", str(tmp_path / "run.csv"),
+        )
+        assert code == 8
+        assert "version 1" in err and "rebuild" in err
+
     def test_malformed_table_exit_8(self, capsys, write_config, tmp_path):
         table_path = tmp_path / "gains.agt"
         table_path.write_bytes(b"AGT1" + bytes(20))
@@ -337,6 +378,58 @@ class TestSimulate:
         )
         assert code == 8
         assert err.startswith("error:")
+
+
+class TestInspect:
+    def test_flat(self, capsys, write_config, tmp_path):
+        cfg = write_config({"grid.theta1.count": 4, "grid.theta2.count": 3})
+        table_path = tmp_path / "gains.agt"
+        assert run_cli(capsys, "--config", cfg, "precompute", "--out", str(table_path))[0] == 0
+        code, out, _ = run_cli(capsys, "inspect", str(table_path))
+        assert code == 0
+        report = dict(line.split(": ", 1) for line in out.strip().splitlines())
+        assert report["kind"] == "flat" and report["version"] == "2"
+        assert report["theta1"] == "[0.05, 0.55]"
+        assert report["counts"] == "4 3 2 2"
+        assert report["leaves"] == "2" and report["flagged"] == "0"
+        assert report["pool_gains"] == "12"  # one gain per planar node, none per theta1
+        assert report["pool_bytes"] == str(12 * 256)
+        assert report["file_bytes"] == str(table_path.stat().st_size)
+        assert "arm_digest" not in report
+
+    def test_refined_with_config(self, capsys, write_config, tmp_path):
+        cfg = write_config()
+        table_path = tmp_path / "refined.agt"
+        code, out, _ = run_cli(capsys, "--config", cfg, "precompute", "--out",
+                               str(table_path), "--refine", "0.4", "--max-depth", "2")
+        assert code == 0
+        built = dict(line.split(": ") for line in out.strip().splitlines())
+        other = write_config({"cost.r_diag": [2.0] * 4}, name="other.json")
+        code, out, _ = run_cli(capsys, "--config", other, "inspect", str(table_path))
+        assert code == 0
+        report = dict(line.split(": ", 1) for line in out.strip().splitlines())
+        assert report["kind"] == "refined"
+        assert report["tol"] == "0.4" and report["max_depth"] == "2"
+        assert report["leaves"] == built["leaves"] and report["flagged"] == built["flagged"]
+        depths = dict(item.split(":") for item in report["depths"].split())
+        assert sum(map(int, depths.values())) == int(report["leaves"])
+        assert set(depths) <= {"1", "2"}
+        assert int(report["pool_bytes"]) == 256 * int(report["pool_gains"])
+        assert report["arm_digest"] == "match"
+        assert report["weights_digest"] == "differs"
+
+    def test_bad_files(self, capsys, tmp_path):
+        assert run_cli(capsys, "inspect", str(tmp_path / "missing.agt"))[0] == 7
+        bad = tmp_path / "bad.agt"
+        bad.write_bytes(b"AGT1" + bytes(20))
+        code, _, err = run_cli(capsys, "inspect", str(bad))
+        assert code == 8 and err.startswith("error:")
+
+    def test_other_commands_still_need_config(self, capsys):
+        with pytest.raises(SystemExit) as info:
+            main(["fk", "0", "0", "0", "0"])
+        assert info.value.code == 2
+        assert "--config" in capsys.readouterr().err
 
 
 class TestBench:

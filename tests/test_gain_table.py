@@ -1,3 +1,4 @@
+import itertools
 import struct
 import tracemalloc
 
@@ -31,6 +32,7 @@ from armctl import (
     save,
     table_digest,
 )
+from oracles import reference_multilinear
 
 BOX_LO = (0.05, 0.55, -1.15, 0.25)
 BOX_HI = (0.55, 1.05, -0.65, 0.75)
@@ -219,6 +221,39 @@ class TestLookup:
             with pytest.raises(OutOfBounds):
                 lookup(t, theta)
 
+    @pytest.mark.parametrize("kind", ["table", "refined_mid"])
+    def test_yaw_outside_range_out_of_bounds(self, request, kind):
+        t = request.getfixturevalue(kind)
+        inside = 0.5 * (np.asarray(t.lo) + np.asarray(t.hi))
+        for yaw in (np.nextafter(t.lo[0], -np.inf), np.nextafter(t.hi[0], np.inf)):
+            with pytest.raises(OutOfBounds, match="dimension 0"):
+                lookup(t, (yaw,) + tuple(inside[1:]))
+        for yaw in t.lo[0], t.hi[0]:
+            assert np.array_equal(lookup(t, (yaw,) + tuple(inside[1:])),
+                                  lookup(t, inside))
+
+    def test_matches_4d_multilinear_reference(self, geom, masses, weights):
+        # the planar blend equals the 4-D blend over the theta1 copies up to
+        # rounding: at most about 8 ulp of the largest corner gain
+        t = precompute(geom, masses, weights, GridSpec(BOX_LO, BOX_HI, (3, 4, 2, 5)))
+        rng = np.random.default_rng(41)
+        for theta in rng.uniform(BOX_LO, BOX_HI, size=(200, 4)):
+            want = reference_multilinear(t.grid, t.entries, theta)
+            bound = 8 * np.finfo(float).eps * np.abs(t.gains).max()
+            assert np.abs(lookup(t, theta) - want).max() <= bound
+
+    def test_repeated_nodes_of_a_few_ulp_span(self, geom, masses, weights):
+        # linspace over a 1-ulp span repeats node values; a query on them
+        # is still answered with the stored gain, never a division by zero
+        hi = list(BOX_HI)
+        hi[1] = float(np.nextafter(BOX_LO[1], 2.0))
+        t = precompute(geom, masses, weights, GridSpec(BOX_LO, hi, (2, 4, 2, 2)))
+        axis = t.grid.axis(1)
+        assert len(set(axis.tolist())) < axis.size
+        for index in np.ndindex(t.grid.shape):
+            theta = t.grid.node_angles(index)
+            assert lookup(t, theta).tobytes() == t.entries[index].tobytes()
+
     def test_wraps_angles_first(self, table):
         # a 2*pi-shifted representation lands in the same cell (up to the
         # rounding the wrap itself introduces)
@@ -232,21 +267,23 @@ class TestRefine:
         self, geom, masses, weights, solve_calls
     ):
         t = refine(geom, masses, weights, (BOX_LO, BOX_HI), float("inf"), 3)
-        assert t.root.is_leaf and not t.root.flagged
-        assert len(t.leaves()) == 1
+        leaves = t.leaves()
+        assert len(leaves) == 1 and not leaves[0].flagged
         # 16 corners, 8 distinct planar points: theta1 never changes a gain
         assert len(solve_calls) == 8
 
     def test_never_solves_a_planar_point_twice(self, geom, masses, weights, solve_calls):
         t = refine(geom, masses, weights, (BOX_LO, BOX_HI), 0.4, 2)
-        assert not t.root.is_leaf  # the cache is exercised across cells
+        assert len(t.leaves()) > 1  # the cache is exercised across cells
         planar = [theta[1:] for theta in solve_calls]
         assert len(planar) == len(set(planar))
 
     def test_depth_cap_flags_root(self, geom, masses, weights):
         t = refine(geom, masses, weights, (BOX_LO, BOX_HI), 1e-9, 1)
-        assert t.root.is_leaf and t.root.flagged
-        assert t.flagged_leaves() == [t.root]
+        leaves = t.leaves()
+        assert len(leaves) == 1 and leaves[0].flagged
+        assert leaves[0].lo == BOX_LO and leaves[0].hi == BOX_HI
+        assert t.flagged_leaves() == leaves
 
     def test_rejects_bad_arguments(self, geom, masses, weights):
         with pytest.raises(ValueError):
@@ -271,7 +308,7 @@ class TestRefine:
             if leaf.flagged:
                 continue
             direct = direct_gain(geom, masses, weights, leaf.center())
-            interpolated = gt._combine_corners(leaf.corners, (0.5, 0.5, 0.5, 0.5))
+            interpolated = lookup(refined_mid, leaf.center())
             assert np.linalg.norm(interpolated - direct, 2) <= MID_TOL
             checked += 1
         assert checked > 0
@@ -282,7 +319,7 @@ class TestRefine:
         rng = np.random.default_rng(31)
         center_errs = [
             np.linalg.norm(
-                gt._combine_corners(leaf.corners, (0.5, 0.5, 0.5, 0.5))
+                lookup(refined_mid, leaf.center())
                 - direct_gain(geom, masses, weights, leaf.center()),
                 2,
             )
@@ -304,13 +341,36 @@ class TestRefine:
         t = refine(geom, masses, weights, box, 1e-2, 3)
         # at a root corner the interpolation weights collapse to one corner
         assert np.array_equal(
-            lookup(t, np.array(box[0])),
-            t.leaves()[0].corners[0, 0, 0, 0]
-            if t.root.is_leaf
-            else lookup(t, np.array(box[0])),
+            lookup(t, np.array(box[0])), direct_gain(geom, masses, weights, box[0])
         )
         with pytest.raises(OutOfBounds):
             lookup(t, np.asarray(box[1]) + 0.1)
+
+
+class TestPlanarStorage:
+    """Tables store each planar gain once; theta1 is a bound only."""
+
+    def test_flat_stores_one_gain_per_planar_node(self, geom, masses, weights):
+        t = precompute(geom, masses, weights, GridSpec(BOX_LO, BOX_HI, (3, 2, 2, 2)))
+        assert t.gains.shape == (2, 2, 2, 4, 8)
+        assert t.entries.shape == (3, 2, 2, 2, 4, 8) and not t.entries.flags.writeable
+        assert len(save(t)) == TestSerialization.REFINED_HEADER + 8 * 256
+
+    def test_refined_pools_each_corner_once(self, geom, masses, weights, theta_ref):
+        box = (tuple(theta_ref - 0.25), tuple(theta_ref + 0.25))
+        t = refine(geom, masses, weights, box, 0.4, 2)
+        leaves = t.leaves()
+        assert len(leaves) == 8 and all(leaf.depth == 2 for leaf in leaves)
+        assert all(leaf.lo[0] == box[0][0] and leaf.hi[0] == box[1][0] for leaf in leaves)
+        planar = {p for leaf in leaves for p in itertools.product(*zip(leaf.lo[1:], leaf.hi[1:]))}
+        assert len(t.pool) == len(planar) == 27
+        # every corner of every leaf looks up to its pooled gain, bit for bit,
+        # whichever leaf owns the point and at either end of the yaw range
+        for n, leaf in enumerate(leaves):
+            for c, point in enumerate(itertools.product(*zip(leaf.lo[1:], leaf.hi[1:]))):
+                for yaw in (leaf.lo[0], leaf.hi[0]):
+                    stored = t.pool[t.corners[n][c]]
+                    assert lookup(t, (yaw,) + point).tobytes() == stored.tobytes()
 
 
 class TestSerialization:
@@ -346,6 +406,14 @@ class TestSerialization:
         blob = bytearray(save(table))
         blob[4:8] = (99).to_bytes(4, "little")
         with pytest.raises(VersionMismatch):
+            load(bytes(blob))
+
+    @pytest.mark.parametrize("kind", ["table", "refined_mid"])
+    def test_version_1_rejected(self, request, kind):
+        blob = bytearray(save(request.getfixturevalue(kind)))
+        assert blob[4:8] == (2).to_bytes(4, "little")
+        blob[4:8] = (1).to_bytes(4, "little")
+        with pytest.raises(VersionMismatch, match="rebuild"):
             load(bytes(blob))
 
     def test_unsupported_dimension_count(self, table):
@@ -392,10 +460,35 @@ class TestSerialization:
         with pytest.raises(TableFormatError):
             load(blob)
 
+    @pytest.mark.parametrize("index", ["pool-size", "u32-max"])
+    def test_corner_index_outside_pool(self, refined_mid, index):
+        blob = bytearray(save(refined_mid))
+        n_pool = len(refined_mid.pool)
+        assert struct.unpack_from("<I", blob, self.REFINED_HEADER + 12) == (n_pool,)
+        leaf_at = self.REFINED_HEADER + 16 + n_pool * 256
+        while blob[leaf_at] == 0:  # skip the internal tags before the first leaf
+            leaf_at += 1
+        value = n_pool if index == "pool-size" else 2**32 - 1
+        struct.pack_into("<I", blob, leaf_at + 1 + 4 * 5, value)
+        with pytest.raises(TableFormatError, match="outside a pool"):
+            load(bytes(blob))
+
+    def test_huge_pool_rejected_before_allocating(self, refined_mid):
+        blob = bytearray(save(refined_mid))
+        struct.pack_into("<I", blob, self.REFINED_HEADER + 12, 2**32 - 1)
+        tracemalloc.start()
+        try:
+            with pytest.raises(TruncatedData):
+                load(bytes(blob))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * len(blob)
+
     def test_tree_deeper_than_max_depth(self, geom, masses, weights, theta_ref):
         box = (tuple(theta_ref - 0.25), tuple(theta_ref + 0.25))
         t = refine(geom, masses, weights, box, 1e-6, 2)
-        assert not t.root.is_leaf
+        assert len(t.leaves()) > 1
         blob = bytearray(save(t))
         depth_at = self.REFINED_HEADER + 8
         assert struct.unpack_from("<I", blob, depth_at) == (2,)
@@ -463,7 +556,7 @@ def fuzz_blobs(geom, masses, weights, theta_ref, table):
 class TestLoadFuzz:
     """Arbitrary damage to a valid blob gives a table or a TableFormatError."""
 
-    HEADER = TestSerialization.REFINED_HEADER + 12  # through tol and max_depth
+    HEADER = TestSerialization.REFINED_HEADER + 16  # through tol, max_depth, pool size
 
     @settings(max_examples=300, deadline=None)
     @given(

@@ -33,6 +33,13 @@ class TestCostWeights:
         with pytest.raises(ValueError):
             CostWeights(np.eye(2), [[0.0]])
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_rejects_non_finite(self, bad):
+        with pytest.raises(ValueError, match="Q must be finite"):
+            CostWeights([[bad, 0.0], [0.0, 1.0]], [[1.0]])
+        with pytest.raises(ValueError, match="R must be finite"):
+            CostWeights(np.eye(2), [[bad]])
+
     def test_from_diagonals(self):
         w = CostWeights.from_diagonals([1, 2], [3])
         assert np.array_equal(w.Q, np.diag([1.0, 2.0]))

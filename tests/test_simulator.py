@@ -323,6 +323,22 @@ class TestBench:
         assert math.isfinite(report.speedup)
         assert report.n_iters == 50
 
+    def test_online_step_at_non_zero_rates(self, geom, masses, weights, flat_table,
+                                           monkeypatch):
+        # a closed-loop update linearizes at non-zero rates (14 dynamics
+        # calls); an equilibrium (6 calls) would flatter the online side
+        rates = []
+        real = sim.linearize
+
+        def recording(geom, masses, op):
+            rates.append(op.rates)
+            return real(geom, masses, op)
+
+        monkeypatch.setattr(sim, "linearize", recording)
+        bench_controller(geom, masses, flat_table, 20, weights=weights)
+        assert len(rates) == 20
+        assert all(np.all(r != 0.0) and np.all(np.abs(r) <= sim.BENCH_RATE) for r in rates)
+
     def test_digest_checked(self, geom, masses, weights, flat_table):
         other = CostWeights.from_diagonals([1.0] * 8, [1.0] * 4)
         with pytest.raises(DigestMismatch):

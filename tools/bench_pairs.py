@@ -1,0 +1,147 @@
+"""Compare two checkouts on the benchmark in alternating pairs and write the
+result as BENCH_<n>.json.
+
+    python3 tools/bench_pairs.py --parent PARENT_DIR --change CHANGE_DIR \\
+        --workload regulate-table:10 --workload regulate-online:6 \\
+        --workload build-table:4 --seed 16001 \\
+        --claim regulate-table:control_us_p50 --out BENCH_6.json
+
+Each directory is a checkout holding perfbench/ and src/.  For workload j
+(in the order given) pair i runs `perfbench/run.py --workload W --seed S
+--seconds 10 --trace 0` with S = seed + 100 * j + i on both checkouts, the
+parent first in even pairs and the change first in odd ones.  For every
+end-to-end metric of BENCHMARK.json the output holds, per side, the runs,
+median and quartiles, the change/parent ratio of the medians, the pairs the
+change won (ties count for neither), and whether the change's median is
+worse than the parent's by more than the metric's bound.  A claim
+(WORKLOAD:METRIC) holds when the change wins at least 9 in 10 of its pairs
+and the medians differ, in the better direction, by more than the parent's
+interquartile range.  A run that fails the correctness gate, or exits non-zero,
+is recorded, and the script then exits with status 1.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import platform
+import statistics
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+SECONDS = 10
+CLAIM_WIN_FRACTION = 0.9
+
+
+def run_once(checkout: Path, workload: str, seed: int) -> dict:
+    """One benchmark run; returns its report and metrics."""
+    cmd = [sys.executable, str(checkout / "perfbench" / "run.py"), "--workload", workload,
+           "--seed", str(seed), "--seconds", str(SECONDS), "--trace", "0"]
+    proc = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True)
+    lines = proc.stdout.strip().splitlines()
+    report = next((json.loads(line[len("report "):]) for line in lines
+                   if line.startswith("report ")), {})
+    result = json.loads(lines[-1]) if proc.returncode == 0 and lines else None
+    return {
+        "seed": seed,
+        "exit": proc.returncode,
+        "identity": {k: report.get(k) for k in ("commit", "src_sha256")},
+        "attempted": result and result["attempted"],
+        "failed": result and result["failed"],
+        "metrics": result and {k: v["value"] for k, v in result["metrics"].items()},
+        "error": None if result else proc.stderr.strip().splitlines()[-1:],
+    }
+
+
+def summary(values: list[float]) -> dict:
+    q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return {"median": median, "q1": q1, "q3": q3, "runs": values}
+
+
+def compare(parent_runs, change_runs, spec) -> dict:
+    """Per end-to-end metric: both sides summarized, ratio, wins, regression."""
+    out = {}
+    for metric in spec["end_to_end"]:
+        name, lower = metric["name"], metric["better"] == "lower"
+        p = [run["metrics"][name] for run in parent_runs]
+        c = [run["metrics"][name] for run in change_runs]
+        ps, cs = summary(p), summary(c)
+        wins = sum((b < a) if lower else (b > a) for a, b in zip(p, c))
+        ratio = cs["median"] / ps["median"] if ps["median"] else None
+        worse = (cs["median"] - ps["median"]) if lower else (ps["median"] - cs["median"])
+        out[name] = {
+            "better": metric["better"],
+            "bound": metric["bound"],
+            "parent": ps,
+            "change": cs,
+            "ratio": ratio,
+            "wins": wins,
+            "pairs": len(p),
+            "regressed": worse > metric["bound"] * abs(ps["median"]),
+        }
+    return out
+
+
+def claim_holds(entry: dict) -> bool:
+    parent, change = entry["parent"], entry["change"]
+    gain = parent["median"] - change["median"]
+    if entry["better"] == "higher":
+        gain = -gain
+    return (entry["wins"] >= CLAIM_WIN_FRACTION * entry["pairs"]
+            and gain > parent["q3"] - parent["q1"])
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--parent", type=Path, required=True)
+    parser.add_argument("--change", type=Path, required=True)
+    parser.add_argument("--workload", action="append", required=True, metavar="NAME:PAIRS")
+    parser.add_argument("--seed", type=int, required=True)
+    parser.add_argument("--claim", default=None, metavar="WORKLOAD:METRIC")
+    parser.add_argument("--out", type=Path, required=True)
+    args = parser.parse_args(argv)
+
+    spec = json.loads((ROOT / "BENCHMARK.json").read_text())
+    sides = {"parent": args.parent.resolve(), "change": args.change.resolve()}
+    import numpy
+    import scipy
+
+    doc = {
+        "command": "perfbench/run.py --seconds %d --trace 0" % SECONDS,
+        "host": {"nproc": len(os.sched_getaffinity(0)), "machine": platform.machine(),
+                 "python": platform.python_version(), "numpy": numpy.__version__,
+                 "scipy": scipy.__version__},
+        "workloads": {},
+    }
+    status = 0
+    for j, item in enumerate(args.workload):
+        workload, pairs = item.split(":")
+        runs = {"parent": [], "change": []}
+        seeds = [args.seed + 100 * j + i for i in range(int(pairs))]
+        for i, seed in enumerate(seeds):
+            order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
+            for side in order:
+                run = run_once(sides[side], workload, seed)
+                runs[side].append(run)
+                print(f"{workload} seed {seed} {side}: exit {run['exit']}", flush=True)
+        entry = {"seeds": seeds, "runs": runs}
+        if all(run["metrics"] for side in runs.values() for run in side):
+            entry["metrics"] = compare(runs["parent"], runs["change"], spec)
+        else:
+            status = 1
+        doc["workloads"][workload] = entry
+    for side in sides:  # what each side ran, from its first run's report
+        doc[side] = runs[side][0]["identity"]
+    if args.claim and status == 0:
+        workload, metric = args.claim.split(":")
+        entry = doc["workloads"][workload]["metrics"][metric]
+        doc["claim"] = {"workload": workload, "metric": metric, "holds": claim_holds(entry)}
+    args.out.write_text(json.dumps(doc, indent=1, sort_keys=True) + "\n")
+    return status
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -4,8 +4,9 @@
 
 Each line is a name and the first 16 hex digits of the sha256 of:
   - save() of a 5^4, a non-cubic 3x4x2x5 and a 7^4 precompute, each with 1
-    and with 2 workers (the non-cubic and 7^4 grids cover the copy of each
-    planar solve along the theta1 axis; 7^4 is the grid perfbench builds);
+    and with 2 workers (the non-cubic and 7^4 grids cover the planar gain
+    order and a theta1 count that differs from the others; 7^4 is the grid
+    perfbench builds);
   - save() of refine(tol 0.4, depth 3) and refine(tol 0.1, depth 4);
   - the states, inputs and energy of a 1 s simulate in the passive, online,
     flat-table (the 5^4 table) and refined-table (the tol 0.4 table) modes.
