@@ -44,6 +44,7 @@ from .dynamics import (
     segment_inertia,
     total_energy,
 )
+from . import numdiff  # noqa: F401  (the central-difference reference)
 from .linearization import LinearModel, OperatingPoint, equilibrium_point, linearize
 from .riccati import CostWeights, lqr_gain, solve_care
 from .gain_table import (

@@ -197,6 +197,9 @@ def cmd_bench(config: ArmConfig, args) -> int:
     print(f"lookup_median_us: {report.lookup_median_us:.3f}")
     print(f"lookup_p95_us: {report.lookup_p95_us:.3f}")
     print(f"speedup: {report.speedup:.3f}")
+    if args.layers:
+        for layer in ("linearize", "care", "locate", "blend"):
+            print(f"{layer}_median_us: {getattr(report, f'{layer}_median_us'):.3f}")
     return EXIT_OK
 
 
@@ -277,6 +280,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("bench", help="latency: online LQR step vs table lookup")
     p.add_argument("--table", required=True)
     p.add_argument("--iters", type=_positive_int, default=1000)
+    p.add_argument("--layers", action="store_true",
+                   help="also print the median of each layer: linearize, care "
+                        "(online step); locate, blend (lookup)")
     p.set_defaults(func=cmd_bench)
 
     p = sub.add_parser("inspect", help="describe a gain-table file; with --config, "

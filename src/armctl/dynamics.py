@@ -1,4 +1,5 @@
-"""Mass model, energies, and Euler-Lagrange forward dynamics.
+"""Mass model, energies, Euler-Lagrange forward dynamics, and the exact
+first and second derivatives the linearization is built from.
 
 The kinetic-energy model is deliberately decoupled: joint k contributes
 (1/2) * I_k(theta) * rate_k^2, where I_k is the rotational inertia of
@@ -16,15 +17,24 @@ it takes the cumulative-angle sines and cosines and the joint coordinates
 from `kinematics.planar_chain` once, and returns the four joint inertias,
 the potential energy, and the exact partial derivatives of both (chain rule
 on the planar coordinates).  Every public function below reads what it
-needs from that one call.  Because the derivatives are exact, the
-accelerations are smooth to machine precision and outer differentiation
-(linearization) is well conditioned.
+needs from that one call.
 
-The accelerations are computed once, in `_accelerations`, on Python floats:
-the planar angles, the rates and the torques in, a list of four
-accelerations out.  `forward_dynamics` only coerces its arguments and wraps
-the result in an array; the simulator's RK4 loop calls `_accelerations`
-directly, so integration pays no per-stage conversion.
+The accelerations are computed once, in `_solve`, from a kernel evaluation
+on Python floats.  `_accelerations` (planar angles, rates and torques in,
+four accelerations out) is `_kernel` followed by `_solve`;
+`forward_dynamics` only coerces its arguments and wraps the result in an
+array, and the simulator's RK4 loop calls `_accelerations` directly, so
+integration pays no per-stage conversion.
+
+Second derivatives come from a second, equivalent form of the same
+quantities.  Each planar coordinate is a sum of link vectors
+L (sin a, cos a) over the cumulative angles a2..a4, so every inertia is a
+quadratic form in sines and cosines and PE is linear in the cosines.  By
+the product-to-sum identities each of I1..I4 and PE is therefore a short
+sum of terms alpha * cos(n . theta) over integer vectors n
+(`_cosine_terms`, built once per arm), whose Hessian is
+-alpha * cos(n . theta) * n n^T (`_hessians`).  The linearization takes I,
+dI and dPE from `_kernel` and only the Hessians from this form.
 
 The public functions reject a non-finite angle, rate or torque with
 ValueError("<name> must be finite"); `_kernel` and `_accelerations` do not
@@ -33,6 +43,8 @@ check, and the simulator raises Diverged for a non-finite state instead.
 
 from __future__ import annotations
 
+import functools
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -250,12 +262,19 @@ def _accelerations(geom: ArmGeometry, masses: MassModel, t2, t3, t4, w, tau) -> 
     """forward_dynamics on Python floats: planar angles t2..t4, and the
     rates w and torque tau as 4-sequences of floats.  Returns the four
     accelerations as a list."""
-    inertia, _, dpe, jac = _kernel(geom, masses, t2, t3, t4)
+    return _solve(_kernel(geom, masses, t2, t3, t4), (t2, t3, t4), w, tau)
+
+
+def _solve(kernel, planar, w, tau) -> list[float]:
+    """The four accelerations (a list) from a `_kernel` evaluation at the
+    planar angles `planar`, the rates w and the torque tau (4-sequences of
+    floats).  Raises DegenerateInertia when any I_k <= EPS_INERTIA."""
+    inertia, _, dpe, jac = kernel
     for k in range(4):
         if inertia[k] <= EPS_INERTIA:
             raise DegenerateInertia(
                 f"joint {k + 1} inertia {inertia[k]!r} <= {EPS_INERTIA} at "
-                f"theta={(t2, t3, t4)!r}"
+                f"theta={planar!r}"
             )
 
     w0, w1, w2, w3 = w
@@ -269,6 +288,76 @@ def _accelerations(geom: ArmGeometry, masses: MassModel, t2, t3, t4, w, tau) -> 
         convective = w[i] * (ji[0] * w0 + ji[1] * w1 + ji[2] * w2 + ji[3] * w3)
         acc.append((quad - dpe[i] - convective + tau[i]) / inertia[i])
     return acc
+
+
+# the cumulative angles a2, a3, a4 as integer combinations of theta1..theta4
+_LINK_ANGLES = ((0, 1, 0, 0), (0, 1, 1, 0), (0, 1, 1, 1))
+
+
+@functools.lru_cache(maxsize=16)
+def _cosine_terms(geom: ArmGeometry, mm: MassModel):
+    """I1..I4 and PE as sums of cosines: quantity q at theta is
+    sum_t alpha[t, q] * cos(n[t] . theta), q = 0..3 for I1..I4 and 4 for PE.
+
+    Returns read-only float arrays (n (T, 4), alpha (T, 5), nn (T, 16)),
+    with nn[t] the flattened outer product n[t] n[t]^T.  Row 0 is the
+    constant term (n = 0); the theta1 entry of every n is zero.
+    """
+    L1, L2, L3 = geom.L1, geom.L2, geom.L3
+    m2, m3, m4, g = mm.m2, mm.m3, mm.m4, mm.g
+    s1, s2, s3 = mm.M1 / 3.0, mm.M2 / 3.0, mm.M3 / 3.0
+
+    # the joints P2..P4 as combinations of the link vectors e_l = (sin a, cos a)
+    chain = np.array([[L1, 0.0, 0.0], [L1, L2, 0.0], [L1, L2, L3]])
+    # I2 (and, on the radial coordinates alone, I1) is sum_ij q[i, j] P_i . P_j:
+    # the point masses plus each segment's (M / 3)(a.a + a.b + b.b)
+    q = np.array([[s1 + s2 + m2, s2 / 2, 0.0],
+                  [s2 / 2, s2 + s3 + m3, s3 / 2],
+                  [0.0, s3 / 2, s3 + m4]])
+    # I3 over P3 - P2 and P4 - P2, I4 over P4 - P3
+    rel3 = np.array([[0.0, L2, 0.0], [0.0, L2, L3]])
+    q3 = np.array([[s2 + s3 + m3, s3 / 2], [s3 / 2, s3 + m4]])
+    rel4 = np.array([[0.0, 0.0, L3]])
+    quadratic = [chain.T @ q @ chain, rel3.T @ q3 @ rel3, rel4.T @ [[s3 + m4]] @ rel4]
+    # PE weighs each joint height by its point mass plus half of each segment on it
+    heights = g * (np.array([m2 + 0.5 * (mm.M1 + mm.M2), m3 + 0.5 * (mm.M2 + mm.M3),
+                             m4 + 0.5 * mm.M3]) @ chain)
+
+    zero = (0, 0, 0, 0)
+    terms = {zero: [0.0] * 5}
+
+    def add(n, quantity, alpha):
+        n = tuple(int(v) for v in n)
+        if n < zero:  # cos is even: n and -n are one term
+            n = tuple(-v for v in n)
+        terms.setdefault(n, [0.0] * 5)[quantity] += alpha
+
+    links = [np.array(n) for n in _LINK_ANGLES]
+    for l, m in itertools.product(range(3), repeat=2):
+        diff, total = links[l] - links[m], links[l] + links[m]
+        # e_l . e_m = cos(a_l - a_m); sin a_l sin a_m = (cos(a_l - a_m) - cos(a_l + a_m)) / 2
+        add(diff, 0, 0.5 * quadratic[0][l, m])
+        add(total, 0, -0.5 * quadratic[0][l, m])
+        for k in range(3):
+            add(diff, k + 1, quadratic[k][l, m])
+    for l in range(3):
+        add(links[l], 4, heights[l])
+
+    n = np.array(list(terms), dtype=float)
+    alpha = np.array(list(terms.values()))
+    nn = (n[:, :, None] * n[:, None, :]).reshape(-1, 16)
+    for array in (n, alpha, nn):
+        array.flags.writeable = False
+    return n, alpha, nn
+
+
+def _hessians(geom: ArmGeometry, masses: MassModel, theta) -> np.ndarray:
+    """Exact second derivatives at theta (4 angles): H[q, i, j] =
+    d2 Q / dtheta_i dtheta_j for Q = I1..I4 (q = 0..3) and PE (q = 4).
+    Row and column 0 (theta1) and H[3] (I4 is constant) are zero."""
+    n, alpha, nn = _cosine_terms(geom, masses)
+    c = np.cos(n @ theta)
+    return -((alpha.T * c) @ nn).reshape(5, 4, 4)
 
 
 def forward_dynamics(

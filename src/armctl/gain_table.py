@@ -69,6 +69,7 @@ GAIN_SHAPE = (4, 8)
 _GAIN_BYTES = 4 * 8 * 8
 _REFINED_COUNT = 0  # per-dimension count sentinel marking a tree payload
 _MIN_CELL_BYTES = 1 + 8 * 4  # the smallest serialized cell: a leaf
+_CHUNK = 8  # planar nodes per precompute work item
 
 
 # ---------------------------------------------------------------------------
@@ -286,7 +287,8 @@ def precompute(
     Nodes that differ only in theta1 share one gain, solved at i1 = 0, so a
     grid of n1 x n2 x n3 x n4 nodes costs and stores n2 * n3 * n4 solves.
     Results are merged by index, so the table is bit-identical for any
-    worker count.  Raises NodeFailure (carrying the node index and cause)
+    worker count, and the pool gets at most one process per chunk of
+    _CHUNK nodes.  Raises NodeFailure (carrying the node index and cause)
     for the first node in index order that cannot be solved.
     """
     planar = list(np.ndindex(grid.shape[1:]))
@@ -299,8 +301,11 @@ def precompute(
     if workers <= 1:
         gains = [_node_gain_job(job) for job in jobs]
     else:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            gains = list(pool.map(_node_gain_job, jobs, chunksize=8))
+        # the pool starts all its processes up front; any beyond one per
+        # chunk would only sit idle
+        chunks = -(-len(jobs) // _CHUNK)
+        with ProcessPoolExecutor(max_workers=min(workers, chunks)) as pool:
+            gains = list(pool.map(_node_gain_job, jobs, chunksize=_CHUNK))
 
     gains = np.array(gains).reshape(grid.shape[1:] + GAIN_SHAPE)
     gains.flags.writeable = False

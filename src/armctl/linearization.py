@@ -1,19 +1,23 @@
-"""Jacobian linearization of the arm dynamics about an operating point.
+"""Exact, closed-form linearization of the arm dynamics about an operating
+point.
 
 State is x = [theta, rates] (8-vector), input is the joint torque (4-vector).
-The A matrix keeps its exact block structure (zero / identity top blocks);
-the acceleration blocks are differentiated numerically.  B is exact: torque
-enters the dynamics additively as tau_k / I_k(theta).
+With the decoupled kinetic energy each acceleration is a quotient
 
-Only the acceleration columns that can be non-zero are differenced.  The
-theta1 column is always exactly zero: the dynamics never read the yaw angle,
-so both perturbed evaluations are the same bit for bit.  At zero rates the
-four rate columns are exactly zero too: the velocity terms are quadratic in
-the rates, so perturbing a rate by +h and by -h gives the same
-accelerations.  An equilibrium point (every gain-table node) therefore costs
-6 dynamics evaluations (theta2..theta4) instead of 16, and a point with
-non-zero rates (the online controller) 14; the skipped columns hold the
-zeros a full difference would have produced.
+    acc_i = N_i / I_i,   N_i = 1/2 sum_k dI_k/dtheta_i w_k^2 - dPE/dtheta_i
+                               - w_i sum_j dI_i/dtheta_j w_j + tau_i,
+
+so A is assembled from one configuration evaluation: the inertias I, their
+gradient J[i][j] = dI_i/dtheta_j and the accelerations come from the same
+`dynamics._kernel` call and `dynamics._solve` that forward_dynamics uses,
+and the Hessians of I1..I4 and PE from `dynamics._hessians`.  No dynamics
+call is differenced.
+
+A keeps its exact block structure (zero / identity top blocks).  The theta1
+column is +0.0: the dynamics never read the yaw angle.  At zero rates the
+four rate columns are exactly zero too (every velocity term is quadratic in
+the rates), so they are only filled away from zero rates.  B is exact:
+torque enters additively as tau_k / I_k(theta).
 """
 
 from __future__ import annotations
@@ -22,22 +26,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import numdiff
-from .dynamics import (
-    EPS_INERTIA,
-    MassModel,
-    equilibrium_torque,
-    forward_dynamics,
-    joint_inertias,
-)
-from .errors import DegenerateInertia
+from .dynamics import MassModel, _hessians, _kernel, _solve, equilibrium_torque
 from .kinematics import ArmGeometry
 
-
-# state columns whose acceleration partials can be non-zero: theta2..theta4
-# always, the rates only away from zero rates (theta1 is never read)
-_ANGLE_COLS = (1, 2, 3)
-_RATE_COLS = (4, 5, 6, 7)
+# the upper half of every A: d theta/dt = rates
+_A_TOP = np.zeros((8, 8))
+_A_TOP[0:4, 4:8] = np.eye(4)
+_A_TOP.flags.writeable = False
 
 
 def _vec4(values, name: str) -> np.ndarray:
@@ -86,28 +81,37 @@ def equilibrium_point(
 
 
 def linearize(geom: ArmGeometry, masses: MassModel, op: OperatingPoint) -> LinearModel:
-    """A = d[rates, acc]/d[theta, rates] and B = d[rates, acc]/d tau at op.
+    """A = d[rates, acc]/d[theta, rates] and B = d[rates, acc]/d tau at op,
+    in closed form (see the module docstring).
 
-    Acceleration blocks of A use central differences with the shared step
-    rule (1e-6 * max(1, |coordinate|)), over theta2..theta4 and, unless
-    op.rates are all zero, the four rates; the theta1 column, and the rate
-    columns at zero rates, are exactly zero (see the module docstring).
-    B's lower block is diag(1/I_k), which is exact for this model.
+    With N_i the numerator above and H_k the Hessian of I_k (k = 1..4) or
+    of PE, the lower blocks are
+        dacc_i/dtheta_l = (1/2 sum_k H_k[i][l] w_k^2 - H_PE[i][l]
+                           - w_i sum_j H_i[j][l] w_j - acc_i J[i][l]) / I_i,
+        dacc_i/dw_m = (J[m][i] w_m - [i == m] sum_j J[i][j] w_j
+                       - w_i J[i][m]) / I_i,
+    and B's lower block is diag(1/I).  Raises DegenerateInertia where
+    forward_dynamics would.
     """
-    inertia = joint_inertias(geom, masses, op.theta)
-    if np.min(inertia) <= EPS_INERTIA:
-        raise DegenerateInertia(
-            f"inertia {inertia!r} degenerate at theta={op.theta!r}"
-        )
+    theta, w = op.theta, op.rates
+    wl = w.tolist()
+    _, t2, t3, t4 = theta.tolist()
+    kernel = _kernel(geom, masses, t2, t3, t4)
+    acc = np.array(_solve(kernel, (t2, t3, t4), wl, op.torque.tolist()))
+    inverse = 1.0 / np.array(kernel[0])
+    jac = np.array(kernel[3])
+    hess = _hessians(geom, masses, theta)
 
-    def acc(x):
-        return forward_dynamics(geom, masses, x[:4], x[4:], op.torque)
-
-    A = np.zeros((8, 8))
-    A[0:4, 4:8] = np.eye(4)
-    cols = _ANGLE_COLS + _RATE_COLS if np.any(op.rates) else _ANGLE_COLS
-    A[4:8, :] = numdiff.jacobian(acc, op.state(), cols=cols)
+    # dN_i/dtheta_l, then the quotient rule
+    dnum = (np.array([0.5 * v * v for v in wl] + [-1.0]) @ hess.reshape(5, 16)).reshape(4, 4)
+    dnum -= w[:, None] * (w @ hess[:4])
+    A = _A_TOP.copy()
+    A[4:8, 1:4] = (dnum[:, 1:4] - acc[:, None] * jac[:, 1:4]) * inverse[:, None]
+    if any(wl):
+        rate = jac.T * w - w[:, None] * jac
+        rate.flat[::5] -= jac @ w
+        A[4:8, 4:8] = rate * inverse[:, None]
 
     B = np.zeros((8, 4))
-    B[4:8, :] = np.diag(1.0 / inertia)
+    B[4:8].flat[::5] = inverse
     return LinearModel(A, B)

@@ -24,7 +24,7 @@ import numpy as np
 
 from .dynamics import MassModel, _accelerations, equilibrium_torque, total_energy
 from .errors import ArmError, Diverged, EmptyBenchmark
-from .gain_table import GainTable, RefinedTable, check_digest, lookup
+from .gain_table import GainTable, RefinedTable, _blend, check_digest, lookup
 from .kinematics import ArmGeometry
 from .linearization import OperatingPoint, linearize
 from .riccati import CostWeights, lqr_gain
@@ -246,7 +246,10 @@ def simulate(
 
 @dataclass(frozen=True)
 class LatencyReport:
-    """Wall-clock cost of one control step, online versus table lookup."""
+    """Wall-clock cost of one control step, online versus table lookup, and
+    the medians of the layers inside each: linearize and the CARE solve
+    (lqr_gain) of the online step; cell location and the corner blend
+    with the gain product of the lookup."""
 
     online_median_us: float
     online_p95_us: float
@@ -254,6 +257,10 @@ class LatencyReport:
     lookup_p95_us: float
     speedup: float
     n_iters: int
+    linearize_median_us: float
+    care_median_us: float
+    locate_median_us: float
+    blend_median_us: float
 
 
 def bench_controller(
@@ -268,9 +275,12 @@ def bench_controller(
     """Compare one online control step (linearize + Riccati solve + gain,
     then applying the gain) against one table lookup + gain application,
     at n_iters random states: in-bounds angles and rates up to BENCH_RATE.
-    The rates are non-zero, as in a closed-loop update, so linearize
-    differences the rate columns too (see linearization).
+    The rates are non-zero, as in a closed-loop update, so linearize fills
+    the rate columns too (see linearization).
 
+    Each layer is also timed on its own: linearize and lqr_gain inside the
+    online step, and, in a second pass over the same state, the table's
+    cell location and the corner blend with the gain product.
     Everything runs on the calling thread so the timings are stable.
     Raises EmptyBenchmark when n_iters <= 0.
     """
@@ -283,33 +293,47 @@ def bench_controller(
     refs = rng.uniform(table.lo, table.hi, size=(n_iters, 4))
     rates = rng.uniform(-BENCH_RATE, BENCH_RATE, size=(n_iters, 4))
 
-    online_ns = np.empty(n_iters)
-    lookup_ns = np.empty(n_iters)
+    # per iteration: online, lookup, linearize, care, locate, blend
+    ns = np.empty((6, n_iters))
+    clock = time.perf_counter_ns
     for i in range(n_iters):
         theta = thetas[i]
         dx = np.concatenate([theta - refs[i], rates[i]])
         op = OperatingPoint(theta, rates[i], equilibrium_torque(geom, masses, theta))
 
-        start = time.perf_counter_ns()
+        start = clock()
         model = linearize(geom, masses, op)
+        linearized = clock()
         gain = lqr_gain(model.A, model.B, weights)
+        solved = clock()
         _ = gain @ dx
-        online_ns[i] = time.perf_counter_ns() - start
+        end = clock()
+        ns[0, i], ns[2, i], ns[3, i] = end - start, linearized - start, solved - linearized
 
-        start = time.perf_counter_ns()
+        start = clock()
         gain = lookup(table, theta)
         _ = gain @ dx
-        lookup_ns[i] = time.perf_counter_ns() - start
+        ns[1, i] = clock() - start
 
-    online_us = online_ns / 1e3
-    lookup_us = lookup_ns / 1e3
-    online_median = float(np.median(online_us))
-    lookup_median = float(np.median(lookup_us))
+        _, t2, t3, t4 = theta.tolist()
+        start = clock()
+        corners, fractions = table._locate(t2, t3, t4)
+        located = clock()
+        _ = _blend(table._rows.take(corners, axis=0), fractions) @ dx
+        end = clock()
+        ns[4, i], ns[5, i] = located - start, end - located
+
+    online, lookup_us, linearize_us, care_us, locate_us, blend_us = (
+        np.median(ns / 1e3, axis=1).tolist())
     return LatencyReport(
-        online_median_us=online_median,
-        online_p95_us=float(np.percentile(online_us, 95)),
-        lookup_median_us=lookup_median,
-        lookup_p95_us=float(np.percentile(lookup_us, 95)),
-        speedup=online_median / lookup_median,
+        online_median_us=online,
+        online_p95_us=float(np.percentile(ns[0] / 1e3, 95)),
+        lookup_median_us=lookup_us,
+        lookup_p95_us=float(np.percentile(ns[1] / 1e3, 95)),
+        speedup=online / lookup_us,
         n_iters=n_iters,
+        linearize_median_us=linearize_us,
+        care_median_us=care_us,
+        locate_median_us=locate_us,
+        blend_median_us=blend_us,
     )

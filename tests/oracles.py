@@ -3,7 +3,7 @@ simulator tests.
 
 The dynamics oracles work by brute-force difference quotients of the scalar
 energies; none of it touches the closed-form derivative bookkeeping inside
-the library's forward dynamics or its adaptive-step Jacobians.  The RK4
+the library's forward dynamics or its closed-form linearization.  The RK4
 reference is the array form of the integrator, built on the public
 forward_dynamics, that the library's float loop must reproduce bit for bit.
 The gain-table reference is the 4-D multilinear blend over every node of a
@@ -86,6 +86,28 @@ def fd_jacobian(f, x, h=1e-5):
         xm[j] -= h
         cols.append((np.asarray(f(xp), float) - np.asarray(f(xm), float)) / (2.0 * h))
     return np.stack(cols, axis=1)
+
+
+def five_point_jacobian(f, x, h=1e-3):
+    """High-order central-difference Jacobian with fixed steps: the
+    five-point stencil (f(x - 2h) - 8 f(x - h) + 8 f(x + h) - f(x + 2h)) / 12h
+    at steps h and h/2, Richardson-combined as (16 D(h/2) - D(h)) / 15.
+    The result is sixth-order in h, so with h = 1e-3 rounding (about 1e-12
+    relative), not the step, sets its error; a plain five-point stencil
+    there is off by ~1e-9 where a joint inertia is small."""
+    x = np.asarray(x, dtype=float)
+
+    def stencil(j, step):
+        def at(k):
+            y = x.copy()
+            y[j] += k * step
+            return np.asarray(f(y), float)
+
+        return (at(-2) - 8.0 * at(-1) + 8.0 * at(1) - at(2)) / (12.0 * step)
+
+    return np.stack(
+        [(16.0 * stencil(j, h / 2) - stencil(j, h)) / 15.0 for j in range(x.size)], axis=1
+    )
 
 
 def reference_multilinear(grid, entries, theta):

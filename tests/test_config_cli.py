@@ -444,6 +444,22 @@ class TestBench:
         assert float(report["speedup"]) > 1.0
         assert float(report["online_median_us"]) > float(report["lookup_median_us"]) > 0.0
 
+    def test_layers_flag(self, capsys, write_config, tmp_path):
+        cfg = write_config()
+        table_path = tmp_path / "gains.agt"
+        assert run_cli(capsys, "--config", cfg, "precompute", "--out", str(table_path))[0] == 0
+        base = ["--config", cfg, "bench", "--table", str(table_path), "--iters", "20"]
+        plain = [line.split(": ")[0] for line in run_cli(capsys, *base)[1].splitlines()]
+        code, out, _ = run_cli(capsys, *base, "--layers")
+        assert code == 0
+        report = dict(line.split(": ") for line in out.strip().splitlines())
+        layers = ["linearize_median_us", "care_median_us", "locate_median_us",
+                  "blend_median_us"]
+        # the default lines come first and unchanged; the layers follow
+        assert list(report) == plain + layers
+        assert all(float(report[name]) > 0.0 for name in layers)
+        assert float(report["linearize_median_us"]) < float(report["online_median_us"])
+
     def test_zero_iters_exit_2(self, capsys, write_config, tmp_path):
         with pytest.raises(SystemExit) as info:
             main(["--config", write_config(), "bench", "--table", "x", "--iters", "0"])

@@ -17,7 +17,7 @@ from armctl import (
     potential_energy,
     segment_inertia,
 )
-from armctl.dynamics import _kernel
+from armctl.dynamics import _cosine_terms, _hessians, _kernel
 from conftest import safe_random_theta
 from oracles import lagrangian_accelerations
 
@@ -218,6 +218,54 @@ class TestDerivativeAccuracy:
                         args, j, 1e-5,
                     )
                     assert abs(jac[k][j + 1] - ref) <= 1e-6 * max(1.0, abs(ref))
+
+
+class TestSecondDerivatives:
+    """The cosine-sum form behind the Hessians reproduces the kernel's
+    values and gradients to rounding, and its Hessians match differences of
+    the kernel's exact gradients."""
+
+    @settings(max_examples=50, deadline=None)
+    @given(
+        theta=st.tuples(*[st.floats(-np.pi, np.pi)] * 4),
+        lengths=st.tuples(*[st.floats(0.1, 2.0)] * 3),
+        mass=st.tuples(*[mass_st] * 6),
+    )
+    def test_cosine_form_reproduces_kernel(self, theta, lengths, mass):
+        geom = ArmGeometry(*lengths)
+        mm = MassModel(*mass)
+        n, alpha, _ = _cosine_terms(geom, mm)
+        th = np.array(theta)
+        inertia, pe, dpe, jac = _kernel(geom, mm, *theta[1:])
+        value = alpha.T @ np.cos(n @ th)
+        grad = -(alpha.T * np.sin(n @ th)) @ n
+        scale = max(1.0, *map(abs, inertia), abs(pe))
+        assert np.max(np.abs(value - [*inertia, pe])) <= 1e-12 * scale
+        assert np.max(np.abs(grad - [*jac, dpe])) <= 1e-12 * scale
+        assert np.array_equal(n[:, 0], np.zeros(len(n)))
+
+    def test_test_arm_has_sixteen_terms(self, geom, masses):
+        # I1: 3 differences and 6 sums of link angles; I2: 3; I3: 1; PE: 3
+        _, alpha, _ = _cosine_terms(geom, masses)
+        assert np.count_nonzero(alpha[1:]) == 16
+        assert np.count_nonzero(alpha[1:, 3]) == 0  # I4 is constant
+
+    def test_hessians_match_gradient_differences(self, geom, masses):
+        rng = np.random.default_rng(5)
+        for theta in safe_random_theta(rng, 20):
+            hess = _hessians(geom, masses, theta)
+            assert np.array_equal(hess[:, 0, :], np.zeros((5, 4)))
+            assert np.array_equal(hess[:, :, 0], np.zeros((5, 4)))
+            assert np.array_equal(hess[3], np.zeros((4, 4)))
+            args = tuple(theta[1:])
+            for l in range(3):
+                def gradients(a, b, c):
+                    _, _, dpe, jac = _kernel(geom, masses, a, b, c)
+                    return np.array([*jac, dpe])
+
+                ref = _richardson_partial(gradients, args, l, 1e-4)
+                assert np.max(np.abs(hess[:, :, l + 1] - ref)) <= 1e-6 * max(
+                    1.0, np.max(np.abs(ref)))
 
 
 class TestForwardDynamics:

@@ -130,6 +130,36 @@ class TestPrecompute:
         assert one == again
         assert one == parallel
 
+    @pytest.mark.parametrize("counts, workers, expected", [
+        ((2, 2, 2, 2), 64, 1),   # 8 planar nodes: one chunk
+        ((3, 5, 5, 5), 64, 16),  # 125 planar nodes: 16 chunks
+        ((3, 5, 5, 5), 2, 2),
+    ])
+    def test_pool_capped_at_chunk_count(self, geom, masses, weights, monkeypatch,
+                                        counts, workers, expected):
+        # a recording stand-in for the executor, so no process is started
+        pools = []
+
+        class Recording:
+            def __init__(self, max_workers):
+                pools.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, jobs, chunksize):
+                assert chunksize == 8
+                return map(fn, jobs)
+
+        grid = GridSpec(BOX_LO, BOX_HI, counts)
+        serial = save(precompute(geom, masses, weights, grid))
+        monkeypatch.setattr(gt, "ProcessPoolExecutor", Recording)
+        assert save(precompute(geom, masses, weights, grid, workers=workers)) == serial
+        assert pools == [expected]
+
     def test_node_failure_carries_index(self, geom, weights):
         # no tool mass: every node has a degenerate joint-4 inertia
         bad = MassModel(m2=0.5, m3=0.4, m4=0.0, M1=0.4, M2=0.3, M3=0.0)

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import armctl.dynamics as dyn
 import armctl.linearization as lin
 from armctl import (
     DegenerateInertia,
@@ -15,7 +16,7 @@ from armctl import (
     numdiff,
 )
 from conftest import safe_random_theta
-from oracles import fd_jacobian
+from oracles import fd_jacobian, five_point_jacobian
 
 
 def random_op(rng):
@@ -84,66 +85,95 @@ class TestJacobianAccuracy:
 
 
 def _count_dynamics_calls(monkeypatch):
+    """Count calls of forward_dynamics and numdiff.jacobian, under every
+    name linearize could reach them by."""
     calls = []
-    real = lin.forward_dynamics
 
-    def counting(*args):
-        calls.append(None)
-        return real(*args)
+    def counting(real):
+        def wrapper(*args, **kwargs):
+            calls.append(real)
+            return real(*args, **kwargs)
 
-    monkeypatch.setattr(lin, "forward_dynamics", counting)
+        return wrapper
+
+    for module, name in ((dyn, "forward_dynamics"), (lin, "forward_dynamics"),
+                         (numdiff, "jacobian"), (lin, "numdiff")):
+        real = getattr(module, name, None)
+        if callable(real):
+            monkeypatch.setattr(module, name, counting(real))
     return calls
 
 
-class TestSkippedColumns:
-    """linearize differences only the acceleration columns that can be
-    non-zero: theta2..theta4 always, the rates only away from zero rates."""
+THETAS = st.tuples(
+    st.floats(-np.pi, np.pi),
+    st.floats(0.3, 2.8),
+    st.floats(-2.5, -0.3),
+    st.floats(-2.5, 2.5),
+)
+RATES = st.one_of(
+    st.just((0.0, 0.0, 0.0, 0.0)),
+    st.tuples(*[st.floats(-1.5, 1.5)] * 4),
+)
+TORQUES = st.tuples(*[st.floats(-4.0, 4.0)] * 4)
 
-    def test_six_dynamics_calls_at_equilibrium(self, geom, masses, theta_ref, monkeypatch):
+
+def _op(geom, masses, theta, rates, torque, at_equilibrium):
+    if at_equilibrium:
+        return equilibrium_point(geom, masses, theta)
+    return OperatingPoint(theta, rates, torque)
+
+
+def _acc_of_state(geom, masses, op):
+    return lambda x: forward_dynamics(geom, masses, x[:4], x[4:], op.torque)
+
+
+class TestSkippedColumns:
+    """linearize is closed-form: it calls no dynamics and differences
+    nothing, and keeps the structural zeros exact (the theta1 column always,
+    the rate columns at zero rates)."""
+
+    def test_no_dynamics_calls_at_equilibrium(self, geom, masses, theta_ref, monkeypatch):
         op = equilibrium_point(geom, masses, theta_ref)
         calls = _count_dynamics_calls(monkeypatch)
-        linearize(geom, masses, op)
-        assert len(calls) == 6
+        model = linearize(geom, masses, op)
+        assert calls == []
+        assert np.array_equal(model.A[4:8, 4:8], np.zeros((4, 4)))
+        assert not np.any(np.signbit(model.A[4:8, 4:8]))
 
-    def test_fourteen_dynamics_calls_at_nonzero_rates(
-        self, geom, masses, theta_ref, monkeypatch
-    ):
+    def test_no_dynamics_calls_at_nonzero_rates(self, geom, masses, theta_ref, monkeypatch):
         op = OperatingPoint(theta_ref, [0.0, 0.0, 0.3, 0.0], np.zeros(4))
         calls = _count_dynamics_calls(monkeypatch)
-        linearize(geom, masses, op)
-        assert len(calls) == 14
+        model = linearize(geom, masses, op)
+        assert calls == []
+        assert np.any(model.A[4:8, 4:8])
 
     @settings(max_examples=60, deadline=None)
-    @given(
-        theta=st.tuples(
-            st.floats(-np.pi, np.pi),
-            st.floats(0.3, 2.8),
-            st.floats(-2.5, -0.3),
-            st.floats(-2.5, 2.5),
-        ),
-        rates=st.one_of(
-            st.just((0.0, 0.0, 0.0, 0.0)),
-            st.tuples(*[st.floats(-1.5, 1.5)] * 4),
-        ),
-        torque=st.tuples(*[st.floats(-4.0, 4.0)] * 4),
-        at_equilibrium=st.booleans(),
-    )
+    @given(theta=THETAS, rates=RATES, torque=TORQUES, at_equilibrium=st.booleans())
     def test_matches_all_column_difference(
         self, geom, masses, theta, rates, torque, at_equilibrium
     ):
-        if at_equilibrium:
-            op = equilibrium_point(geom, masses, theta)
-        else:
-            op = OperatingPoint(theta, rates, torque)
+        op = _op(geom, masses, theta, rates, torque, at_equilibrium)
         model = linearize(geom, masses, op)
-
-        def acc(x):
-            return forward_dynamics(geom, masses, x[:4], x[4:], op.torque)
-
-        reference = numdiff.jacobian(acc, op.state())
-        assert np.array_equal(model.A[4:8, :], reference)
+        reference = numdiff.jacobian(_acc_of_state(geom, masses, op), op.state())
+        scale = np.max(np.abs(model.A))
+        assert np.max(np.abs(model.A[4:8, :] - reference)) <= 1e-7 * scale
         assert np.array_equal(model.A[4:8, 0], np.zeros(4))
         assert not np.any(np.signbit(model.A[4:8, 0]))
+        if not np.any(op.rates):
+            assert np.array_equal(model.A[4:8, 4:8], np.zeros((4, 4)))
+
+    @settings(max_examples=60, deadline=None)
+    @given(theta=THETAS, rates=RATES, torque=TORQUES, at_equilibrium=st.booleans())
+    def test_matches_five_point_difference(
+        self, geom, masses, theta, rates, torque, at_equilibrium
+    ):
+        # the fourth-order difference is accurate to about 1e-13 relative,
+        # so this bounds the closed form's own error, not the step rule's
+        op = _op(geom, masses, theta, rates, torque, at_equilibrium)
+        model = linearize(geom, masses, op)
+        reference = five_point_jacobian(_acc_of_state(geom, masses, op), op.state())
+        scale = np.max(np.abs(model.A))
+        assert np.max(np.abs(model.A[4:8, :] - reference)) <= 1e-10 * scale
 
 
 class TestOperatingPointDependence:

@@ -323,10 +323,18 @@ class TestBench:
         assert math.isfinite(report.speedup)
         assert report.n_iters == 50
 
+    def test_layer_medians(self, geom, masses, weights, flat_table):
+        report = bench_controller(geom, masses, flat_table, 30, weights=weights)
+        layers = (report.linearize_median_us, report.care_median_us,
+                  report.locate_median_us, report.blend_median_us)
+        assert all(math.isfinite(v) and v > 0.0 for v in layers)
+        assert report.linearize_median_us < report.online_median_us
+        assert report.care_median_us < report.online_median_us
+
     def test_online_step_at_non_zero_rates(self, geom, masses, weights, flat_table,
                                            monkeypatch):
-        # a closed-loop update linearizes at non-zero rates (14 dynamics
-        # calls); an equilibrium (6 calls) would flatter the online side
+        # a closed-loop update linearizes at non-zero rates, where the rate
+        # columns are filled; an equilibrium would flatter the online side
         rates = []
         real = sim.linearize
 
