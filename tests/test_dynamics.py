@@ -244,7 +244,7 @@ class TestSecondDerivatives:
         assert np.max(np.abs(grad - [*jac, dpe])) <= 1e-12 * scale
         assert np.array_equal(n[:, 0], np.zeros(len(n)))
 
-    def test_test_arm_has_sixteen_terms(self, geom, masses):
+    def test_sixteen_terms_for_the_test_arm(self, geom, masses):
         # I1: 3 differences and 6 sums of link angles; I2: 3; I3: 1; PE: 3
         _, alpha, _ = _cosine_terms(geom, masses)
         assert np.count_nonzero(alpha[1:]) == 16

@@ -97,9 +97,9 @@ def _count_dynamics_calls(monkeypatch):
         return wrapper
 
     for module, name in ((dyn, "forward_dynamics"), (lin, "forward_dynamics"),
-                         (numdiff, "jacobian"), (lin, "numdiff")):
+                         (numdiff, "jacobian")):
         real = getattr(module, name, None)
-        if callable(real):
+        if real is not None:
             monkeypatch.setattr(module, name, counting(real))
     return calls
 
