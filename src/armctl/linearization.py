@@ -54,9 +54,18 @@ class OperatingPoint:
     torque: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "theta", _vec4(self.theta, "theta"))
-        object.__setattr__(self, "rates", _vec4(self.rates, "rates"))
-        object.__setattr__(self, "torque", _vec4(self.torque, "torque"))
+        names = ("theta", "rates", "torque")
+        # one conversion and one finiteness test for all three vectors; on any
+        # failure _vec4 checks them one by one and raises its message
+        try:
+            block = np.array([getattr(self, k) for k in names], dtype=float).reshape(3, 4)
+        except ValueError:
+            block = None
+        if block is None or not np.isfinite(block).all():
+            block = np.array([_vec4(getattr(self, k), k) for k in names])
+        block.flags.writeable = False
+        for name, row in zip(names, block):
+            object.__setattr__(self, name, row)
 
     def state(self) -> np.ndarray:
         return np.concatenate([self.theta, self.rates])

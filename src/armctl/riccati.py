@@ -7,15 +7,17 @@ solve_care extracts the stable invariant subspace of the Hamiltonian
 
 with an ordered real Schur decomposition and recovers P from its basis.
 The solver accepts any n x n / n x m pair so small analytic cases can be
-checked by hand.
+checked by hand.  Each solve calls LAPACK directly (dgees, dpotrs, dsyevd,
+dgeev), and CostWeights computes once what depends on the weights alone: the
+Cholesky factor of R, -Q, the residual limit and the dgees workspace.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
+from scipy.linalg import lapack
 
 from .errors import IllConditioned, NotStabilizable
 
@@ -36,12 +38,21 @@ def _symmetric(mat: np.ndarray, name: str) -> np.ndarray:
     return 0.5 * (m + m.T)
 
 
+def _lhp(re, im):
+    return re < 0.0
+
+
 @dataclass(frozen=True)
 class CostWeights:
     """State weight Q (symmetric PSD) and input weight R (symmetric PD)."""
 
     Q: np.ndarray
     R: np.ndarray
+    # what _solve needs from Q and R alone; not part of equality or repr
+    _r_chol: np.ndarray = field(init=False, repr=False, compare=False)
+    _neg_q: np.ndarray = field(init=False, repr=False, compare=False)
+    _limit: float = field(init=False, repr=False, compare=False)
+    _lwork: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         q = _symmetric(self.Q, "Q")
@@ -50,12 +61,19 @@ class CostWeights:
         if q_eigs.min() < -1e-10 * max(1.0, q_eigs.max()):
             raise ValueError(f"Q must be positive semidefinite (min eig {q_eigs.min()})")
         r_eigs = np.linalg.eigvalsh(r)
-        if r_eigs.min() <= 0.0:
+        r_chol, info = lapack.dpotrf(r)  # the upper factor, as in scipy's cho_factor
+        if r_eigs.min() <= 0.0 or info:
             raise ValueError(f"R must be positive definite (min eig {r_eigs.min()})")
         q.flags.writeable = False
         r.flags.writeable = False
         object.__setattr__(self, "Q", q)
         object.__setattr__(self, "R", r)
+        object.__setattr__(self, "_r_chol", r_chol)
+        object.__setattr__(self, "_neg_q", -q)
+        object.__setattr__(self, "_limit", RESIDUAL_RTOL * max(1.0, float(np.linalg.norm(q))))
+        # the optimal dgees workspace, queried as scipy.linalg.schur does; it depends on n alone
+        query = lapack.dgees(_lhp, np.zeros((2 * len(q),) * 2), lwork=-1)
+        object.__setattr__(self, "_lwork", int(query[-2][0]))
 
     @classmethod
     def from_diagonals(cls, q_diag, r_diag) -> "CostWeights":
@@ -64,7 +82,9 @@ class CostWeights:
 
 
 def _check_system(A, B, weights):
-    A = np.atleast_2d(np.asarray(A, dtype=float))
+    A = np.asarray(A, dtype=float)
+    if A.ndim < 2:
+        A = A.reshape(1, -1)  # as np.atleast_2d
     B = np.asarray(B, dtype=float)
     if B.ndim == 1:
         B = B.reshape(-1, 1)
@@ -88,21 +108,21 @@ def _solve(A, B, weights: CostWeights):
     # finiteness is checked here, on B and on H, in place of scipy's checks
     if not np.isfinite(B).all():
         raise ValueError("B must be finite")
-    r_chol = scipy.linalg.cho_factor(weights.R)
-    G = B @ scipy.linalg.cho_solve(r_chol, B.T, check_finite=False)
+    G = B @ lapack.dpotrs(weights._r_chol, B.T)[0]
 
-    H = np.block([[A, -G], [-weights.Q, -A.T]])
+    H = np.empty((2 * n, 2 * n), order="F")
+    H[:n, :n], H[:n, n:] = A, -G
+    H[n:, :n], H[n:, n:] = weights._neg_q, -A.T
     if not np.isfinite(H).all():
         raise ValueError("A must be finite, and B R^-1 B' must not overflow")
-    _, Z, sdim = scipy.linalg.schur(H, output="real", sort="lhp", check_finite=False)
+    _, sdim, _, _, Z, _, info = lapack.dgees(_lhp, H, lwork=weights._lwork,
+                                             sort_t=1, overwrite_a=1)
+    if info:
+        raise np.linalg.LinAlgError(f"ordered Schur form failed (dgees info {info})")
     if sdim != n:
-        raise NotStabilizable(
-            f"stable invariant subspace has dimension {sdim}, expected {n}"
-        )
-    Z11 = Z[:n, :n]
-    Z21 = Z[n:, :n]
+        raise NotStabilizable(f"stable invariant subspace has dimension {sdim}, expected {n}")
     try:
-        P = np.linalg.solve(Z11.T, Z21.T).T
+        P = np.linalg.solve(Z[:n, :n].T, Z[n:, :n].T).T
     except np.linalg.LinAlgError as exc:
         raise NotStabilizable(f"singular subspace basis: {exc}") from exc
 
@@ -111,23 +131,19 @@ def _solve(A, B, weights: CostWeights):
         raise IllConditioned("Riccati solution lost symmetry")
     P = 0.5 * (P + P.T)
 
-    eigs = np.linalg.eigvalsh(P)
+    eigs = lapack.dsyevd(P, compute_v=0)[0]
     if eigs.min() < -1e-8 * max(1.0, eigs.max()):
         raise NotStabilizable(f"Riccati solution not PSD (min eig {eigs.min()})")
 
-    residual = A.T @ P + P @ A - P @ G @ P + weights.Q
-    limit = RESIDUAL_RTOL * max(1.0, float(np.linalg.norm(weights.Q)))
-    if float(np.linalg.norm(residual)) > limit:
-        raise IllConditioned(
-            f"CARE residual {np.linalg.norm(residual):.3e} exceeds {limit:.3e}"
-        )
+    # written so that a non-finite residual fails too
+    residual = float(np.linalg.norm(A.T @ P + P @ A - P @ G @ P + weights.Q))
+    if not residual <= weights._limit:
+        raise IllConditioned(f"CARE residual {residual:.3e} exceeds {weights._limit:.3e}")
 
-    K = scipy.linalg.cho_solve(r_chol, B.T @ P)
-    closed = np.linalg.eigvals(A - B @ K)
-    if closed.real.max() >= 0.0:
-        raise NotStabilizable(
-            f"closed loop not Hurwitz (max Re eig {closed.real.max():.3e})"
-        )
+    K = lapack.dpotrs(weights._r_chol, B.T @ P)[0]
+    closed = lapack.dgeev(A - B @ K, compute_vl=0, compute_vr=0)[0]
+    if closed.max() >= 0.0:
+        raise NotStabilizable(f"closed loop not Hurwitz (max Re eig {closed.max():.3e})")
     return P, K
 
 

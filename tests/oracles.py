@@ -8,11 +8,22 @@ reference is the array form of the integrator, built on the public
 forward_dynamics, that the library's float loop must reproduce bit for bit.
 The gain-table reference is the 4-D multilinear blend over every node of a
 flat grid, theta1 included, that the planar lookup must match to rounding.
+The CARE reference is the Schur solve written with scipy.linalg's
+high-level schur, cho_factor/cho_solve and np.block, whose P and K the
+library's direct LAPACK calls must reproduce byte for byte.
 """
 
 import numpy as np
+import scipy.linalg
 
-from armctl import forward_dynamics, kinetic_energy, potential_energy
+from armctl import (
+    IllConditioned,
+    NotStabilizable,
+    forward_dynamics,
+    kinetic_energy,
+    potential_energy,
+)
+from armctl.riccati import RESIDUAL_RTOL
 
 
 def reference_step_rk4(geom, masses, x, torque, dt):
@@ -125,3 +136,72 @@ def reference_multilinear(grid, entries, theta):
             weight *= t if b else 1.0 - t
         gain += weight * entries[tuple(i + b for (i, _), b in zip(cells, bits))]
     return gain
+
+
+def _reference_check_system(A, B, weights):
+    A = np.atleast_2d(np.asarray(A, dtype=float))
+    B = np.asarray(B, dtype=float)
+    if B.ndim == 1:
+        B = B.reshape(-1, 1)
+    n = A.shape[0]
+    if A.shape != (n, n):
+        raise ValueError(f"A must be square, got {A.shape}")
+    if B.shape[0] != n:
+        raise ValueError(f"B must have {n} rows, got {B.shape}")
+    if weights.Q.shape != (n, n):
+        raise ValueError(f"Q must be {n}x{n}, got {weights.Q.shape}")
+    m = B.shape[1]
+    if weights.R.shape != (m, m):
+        raise ValueError(f"R must be {m}x{m}, got {weights.R.shape}")
+    return A, B
+
+
+def reference_care(A, B, weights):
+    """(P, K): the stabilizing CARE solution and its gain R^-1 B' P, from
+    the ordered Schur form of the Hamiltonian through scipy.linalg.schur."""
+    A, B = _reference_check_system(A, B, weights)
+    n = A.shape[0]
+    # finiteness is checked here, on B and on H, in place of scipy's checks
+    if not np.isfinite(B).all():
+        raise ValueError("B must be finite")
+    r_chol = scipy.linalg.cho_factor(weights.R)
+    G = B @ scipy.linalg.cho_solve(r_chol, B.T, check_finite=False)
+
+    H = np.block([[A, -G], [-weights.Q, -A.T]])
+    if not np.isfinite(H).all():
+        raise ValueError("A must be finite, and B R^-1 B' must not overflow")
+    _, Z, sdim = scipy.linalg.schur(H, output="real", sort="lhp", check_finite=False)
+    if sdim != n:
+        raise NotStabilizable(
+            f"stable invariant subspace has dimension {sdim}, expected {n}"
+        )
+    Z11 = Z[:n, :n]
+    Z21 = Z[n:, :n]
+    try:
+        P = np.linalg.solve(Z11.T, Z21.T).T
+    except np.linalg.LinAlgError as exc:
+        raise NotStabilizable(f"singular subspace basis: {exc}") from exc
+
+    scale = max(1.0, float(np.abs(P).max()))
+    if float(np.abs(P - P.T).max()) > 1e-10 * scale:
+        raise IllConditioned("Riccati solution lost symmetry")
+    P = 0.5 * (P + P.T)
+
+    eigs = np.linalg.eigvalsh(P)
+    if eigs.min() < -1e-8 * max(1.0, eigs.max()):
+        raise NotStabilizable(f"Riccati solution not PSD (min eig {eigs.min()})")
+
+    residual = A.T @ P + P @ A - P @ G @ P + weights.Q
+    limit = RESIDUAL_RTOL * max(1.0, float(np.linalg.norm(weights.Q)))
+    if float(np.linalg.norm(residual)) > limit:
+        raise IllConditioned(
+            f"CARE residual {np.linalg.norm(residual):.3e} exceeds {limit:.3e}"
+        )
+
+    K = scipy.linalg.cho_solve(r_chol, B.T @ P)
+    closed = np.linalg.eigvals(A - B @ K)
+    if closed.real.max() >= 0.0:
+        raise NotStabilizable(
+            f"closed loop not Hurwitz (max Re eig {closed.real.max():.3e})"
+        )
+    return P, K

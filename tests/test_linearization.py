@@ -33,6 +33,24 @@ class TestOperatingPoint:
         with pytest.raises(ValueError):
             OperatingPoint([0.1, 0.2, 0.3, np.nan], np.zeros(4), np.zeros(4))
 
+    @pytest.mark.parametrize("args, message", [
+        (([0.1, 0.2], np.zeros(4), np.zeros(4)), "theta must have 4 components, got 2"),
+        ((np.zeros(4), [0.0, np.inf, 0.0, 0.0], [np.nan] * 4), "rates must be finite"),
+        ((np.zeros(4), np.zeros((1, 4)), [1.0, 2.0, 3.0]), "torque must have 4 components"),
+        ((np.zeros(4), np.zeros((1, 4)), [np.nan] * 4), "torque must be finite"),
+    ])
+    def test_message_names_the_first_bad_vector(self, args, message):
+        with pytest.raises(ValueError, match=message):
+            OperatingPoint(*args)
+
+    def test_vectors_are_read_only_copies(self):
+        rates = np.arange(4.0)
+        op = OperatingPoint(np.zeros((2, 2)), rates, [1, 2, 3, 4])
+        rates[0] = 9.0
+        assert np.array_equal(op.rates, np.arange(4.0))
+        for v in (op.theta, op.rates, op.torque):
+            assert v.shape == (4,) and v.dtype == float and not v.flags.writeable
+
     def test_state_concatenation(self):
         op = OperatingPoint([1, 2, 3, 4], [5, 6, 7, 8], np.zeros(4))
         assert np.array_equal(op.state(), [1, 2, 3, 4, 5, 6, 7, 8])

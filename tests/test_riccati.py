@@ -1,10 +1,23 @@
+import dataclasses
 import math
+import pickle
 
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from armctl import CostWeights, NotStabilizable, lqr_gain, solve_care
+from armctl import (
+    CostWeights,
+    NotStabilizable,
+    OperatingPoint,
+    equilibrium_point,
+    linearize,
+    lqr_gain,
+    solve_care,
+)
+from oracles import reference_care
 
 DOUBLE_INTEGRATOR = (np.array([[0.0, 1.0], [0.0, 0.0]]), np.array([[0.0], [1.0]]))
 
@@ -125,3 +138,99 @@ class TestContracts:
             solve_care(np.eye(3), np.ones((3, 1)), w)
         with pytest.raises(ValueError):
             solve_care(np.eye(2), np.ones((3, 1)), w)
+
+
+def outcome(solve, A, B, w):
+    """("ok", P bytes, K bytes) or (exception type, message)."""
+    try:
+        P, K = solve(A, B, w)
+    except Exception as exc:  # noqa: BLE001 - the type is what is compared
+        return type(exc), str(exc)
+    return "ok", P.tobytes(), K.tobytes()
+
+
+def library(A, B, w):
+    return solve_care(A, B, w), lqr_gain(A, B, w)
+
+
+# one case per system: an 8x8 linearized test-arm model (theta, rates zero
+# or not, at the equilibrium torque or a random one), or a random 1x1 / 2x2
+# system from a seed, with weights shared per size or built fresh
+ARM_CASES = st.tuples(
+    st.just(8),
+    st.tuples(st.floats(-np.pi, np.pi), st.floats(0.3, 2.8),
+              st.floats(-2.5, -0.3), st.floats(-2.5, 2.5)),
+    st.one_of(st.just((0.0,) * 4), st.tuples(*[st.floats(-1.5, 1.5)] * 4)),
+    st.booleans(),
+)
+SMALL_CASES = st.tuples(st.sampled_from([1, 2]), st.integers(0, 2**32 - 1), st.booleans())
+
+
+class TestMatchesReference:
+    """The LAPACK kernel returns the same bytes as the scipy.linalg
+    reference, or raises the same error."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(cases=st.lists(st.one_of(ARM_CASES, SMALL_CASES), min_size=1, max_size=6))
+    def test_byte_identical_gains(self, geom, masses, weights, cases):
+        shared = {n: CostWeights(np.eye(n), np.eye(1)) for n in (1, 2)}
+        for case in cases:
+            if case[0] == 8:
+                _, theta, rates, at_equilibrium = case
+                op = (equilibrium_point(geom, masses, theta) if at_equilibrium else
+                      OperatingPoint(theta, rates, np.sin(np.arange(4.0) + theta[1])))
+                model = linearize(geom, masses, op)
+                A, B, w = model.A, model.B, weights
+            else:
+                n, seed, fresh = case
+                A, B, w = random_stabilizable(np.random.default_rng(seed), n, 1)
+                w = w if fresh else shared[n]
+            expected = outcome(reference_care, A, B, w)
+            assert outcome(library, A, B, w) == expected
+            if case[0] == 8:
+                assert expected[0] == "ok"
+
+    @pytest.mark.parametrize("A, B, w", [
+        # unstabilizable: an unstable mode, or a mode on the imaginary axis,
+        # outside the input's reach
+        (np.diag([1.0, -1.0]), [[0.0], [1.0]], CostWeights(np.eye(2), np.eye(1))),
+        ([[0.0]], [[0.0]], CostWeights([[1.0]], [[1.0]])),
+        (np.diag([0.0, -1.0]), [[0.0], [1.0]], CostWeights(np.eye(2), np.eye(1))),
+        # shapes
+        (np.eye(3), np.ones((3, 1)), CostWeights(np.eye(2), np.eye(1))),
+        (np.eye(2), np.ones((3, 1)), CostWeights(np.eye(2), np.eye(1))),
+        (np.eye(2), np.ones((2, 2)), CostWeights(np.eye(2), np.eye(1))),
+        (np.ones((2, 3)), np.ones((2, 1)), CostWeights(np.eye(2), np.eye(1))),
+        ([1.0, 2.0], np.ones((2, 1)), CostWeights(np.eye(2), np.eye(1))),
+        # non-finite A or B, and a B R^-1 B' that overflows
+        ([[np.nan, 0.0], [0.0, 1.0]], np.ones((2, 1)), CostWeights(np.eye(2), np.eye(1))),
+        (np.eye(2), [[np.inf], [1.0]], CostWeights(np.eye(2), np.eye(1))),
+        (np.eye(2), [[1e200], [1.0]], CostWeights(np.eye(2), np.eye(1))),
+    ])
+    @pytest.mark.filterwarnings("ignore:overflow encountered")
+    def test_same_error_as_reference(self, A, B, w):
+        expected = outcome(reference_care, A, B, w)
+        assert expected[0] != "ok"
+        assert outcome(library, A, B, w) == expected
+
+
+class TestCachedWeights:
+    """CostWeights keeps its R factor, -Q, residual limit and dgees
+    workspace in fields outside equality and repr, and carries them through
+    pickle, which is how precompute's workers receive the weights."""
+
+    def test_equality_and_repr_see_only_q_and_r(self):
+        w = CostWeights([[2.0]], [[3.0]])
+        assert [f.name for f in dataclasses.fields(w) if f.compare or f.repr] == ["Q", "R"]
+        assert repr(w) == f"CostWeights(Q={w.Q!r}, R={w.R!r})"
+        assert w == CostWeights([[2.0]], [[3.0]])
+        assert w != CostWeights([[2.0]], [[4.0]])
+
+    def test_pickle_round_trip_gives_identical_gains(self, geom, masses, weights, theta_ref):
+        copy = pickle.loads(pickle.dumps(weights))
+        assert repr(copy) == repr(weights)
+        assert np.array_equal(copy.Q, weights.Q) and np.array_equal(copy.R, weights.R)
+        model = linearize(geom, masses, OperatingPoint(theta_ref, [0.2, -0.1, 0.3, 0.0],
+                                                       np.zeros(4)))
+        assert (lqr_gain(model.A, model.B, copy).tobytes()
+                == lqr_gain(model.A, model.B, weights).tobytes())
