@@ -144,7 +144,7 @@ def outcome(solve, A, B, w):
     """("ok", P bytes, K bytes) or (exception type, message)."""
     try:
         P, K = solve(A, B, w)
-    except Exception as exc:  # noqa: BLE001 - the type is what is compared
+    except Exception as exc:  # the type and message are what is compared
         return type(exc), str(exc)
     return "ok", P.tobytes(), K.tobytes()
 
@@ -153,14 +153,15 @@ def library(A, B, w):
     return solve_care(A, B, w), lqr_gain(A, B, w)
 
 
-# one case per system: an 8x8 linearized test-arm model (theta, rates zero
-# or not, at the equilibrium torque or a random one), or a random 1x1 / 2x2
+# one case per system: an 8x8 linearized test-arm model (at an equilibrium,
+# or at zero or non-zero rates and a random torque), or a random 1x1 / 2x2
 # system from a seed, with weights shared per size or built fresh
 ARM_CASES = st.tuples(
     st.just(8),
     st.tuples(st.floats(-np.pi, np.pi), st.floats(0.3, 2.8),
               st.floats(-2.5, -0.3), st.floats(-2.5, 2.5)),
     st.one_of(st.just((0.0,) * 4), st.tuples(*[st.floats(-1.5, 1.5)] * 4)),
+    st.tuples(*[st.floats(-4.0, 4.0)] * 4),
     st.booleans(),
 )
 SMALL_CASES = st.tuples(st.sampled_from([1, 2]), st.integers(0, 2**32 - 1), st.booleans())
@@ -176,9 +177,9 @@ class TestMatchesReference:
         shared = {n: CostWeights(np.eye(n), np.eye(1)) for n in (1, 2)}
         for case in cases:
             if case[0] == 8:
-                _, theta, rates, at_equilibrium = case
-                op = (equilibrium_point(geom, masses, theta) if at_equilibrium else
-                      OperatingPoint(theta, rates, np.sin(np.arange(4.0) + theta[1])))
+                _, theta, rates, torque, at_equilibrium = case
+                op = (equilibrium_point(geom, masses, theta) if at_equilibrium
+                      else OperatingPoint(theta, rates, torque))
                 model = linearize(geom, masses, op)
                 A, B, w = model.A, model.B, weights
             else:
