@@ -12,12 +12,17 @@ Links are uniform thin rods ("segments") between consecutive joints, plus
 point masses at P2..P4.  All planar quantities are independent of the yaw
 angle theta1.
 
-One kernel, `_kernel(geom, masses, t2, t3, t4)`, evaluates a configuration:
-it takes the cumulative-angle sines and cosines and the joint coordinates
-from `kinematics.planar_chain` once, and returns the four joint inertias,
-the potential energy, and the exact partial derivatives of both (chain rule
-on the planar coordinates).  Every public function below reads what it
-needs from that one call.
+The mass model is stated once, in `_mass_forms` (built once per arm).  Each
+joint is a sum of link vectors L (sin a, cos a) over the cumulative angles
+a2..a4, so I1 is a quadratic form u' C u in the link sines, I2 and I3 are
+sums of C[l][m] cos(a_l - a_m) over all links and over the elbow links, PE
+is linear in the link cosines, and I4 is a constant.
+
+One kernel, `_kernel(geom, masses, t2, t3, t4)`, evaluates those forms at a
+configuration from the link sines and cosines of `kinematics.planar_chain`,
+and returns the four joint inertias, the potential energy, and their exact
+gradients (d/da_l, summed over the links each joint angle turns).  Every
+public function below reads what it needs from that one call.
 
 The accelerations are computed once, in `_solve`, from a kernel evaluation
 on Python floats.  `_accelerations` (planar angles, rates and torques in,
@@ -26,15 +31,12 @@ four accelerations out) is `_kernel` followed by `_solve`;
 array, and the simulator's RK4 loop calls `_accelerations` directly, so
 integration pays no per-stage conversion.
 
-Second derivatives come from a second, equivalent form of the same
-quantities.  Each planar coordinate is a sum of link vectors
-L (sin a, cos a) over the cumulative angles a2..a4, so every inertia is a
-quadratic form in sines and cosines and PE is linear in the cosines.  By
-the product-to-sum identities each of I1..I4 and PE is therefore a short
-sum of terms alpha * cos(n . theta) over integer vectors n
-(`_cosine_terms`, built once per arm), whose Hessian is
--alpha * cos(n . theta) * n n^T (`_hessians`).  The linearization takes I,
-dI and dPE from `_kernel` and only the Hessians from this form.
+Second derivatives come from the same forms.  By the product-to-sum
+identities each of I1..I4 and PE is a short sum of terms
+alpha * cos(n . theta) over integer vectors n (`_cosine_terms`), whose
+Hessian is -alpha * cos(n . theta) * n n^T (`_hessians`).  The
+linearization takes I, dI and dPE from `_kernel` and the Hessians from this
+expansion.
 
 The public functions reject a non-finite angle, rate or torque with
 ValueError("<name> must be finite"); `_kernel` and `_accelerations` do not
@@ -78,13 +80,10 @@ class MassModel:
             object.__setattr__(self, name, v)
 
 
-def _segment(x1, y1, x2, y2, m):
-    return (m / 3.0) * (x1 * x1 + x1 * x2 + x2 * x2 + y1 * y1 + y1 * y2 + y2 * y2)
-
-
 def segment_inertia(pa, pb, m: float) -> float:
     """Rotational inertia of a uniform segment from pa to pb about the origin."""
-    return _segment(float(pa[0]), float(pa[1]), float(pb[0]), float(pb[1]), m)
+    x1, y1, x2, y2 = float(pa[0]), float(pa[1]), float(pb[0]), float(pb[1])
+    return (m / 3.0) * (x1 * x1 + x1 * x2 + x2 * x2 + y1 * y1 + y1 * y2 + y2 * y2)
 
 
 def point_inertia(p, m: float) -> float:
@@ -101,6 +100,42 @@ def _four(values, name: str) -> tuple[float, float, float, float]:
     return a, b, c, d
 
 
+@functools.lru_cache(maxsize=16)
+def _mass_forms(geom: ArmGeometry, mm: MassModel):
+    """The mass model as forms in the link angles a2, a3, a4 (links l = 0..2).
+
+    Returns Python floats (C, h, i4):
+      - C, symmetric 3x3: I1 = u' C u on the link sines u, and
+        I2 = sum_lm C[l][m] cos(a_l - a_m); I3 is the same sum over the
+        elbow form, links 1 and 2 only;
+      - h: PE = h . v on the link cosines v;
+      - i4: the constant tool-link inertia about P3.
+    """
+    L = (geom.L1, geom.L2, geom.L3)
+    m2, m3, m4 = mm.m2, mm.m3, mm.m4
+    s1, s2, s3 = mm.M1 / 3.0, mm.M2 / 3.0, mm.M3 / 3.0
+    # the moment about P1 is sum_ij q[i][j] P_i . P_j over the joints P2..P4:
+    # each point mass m P.P plus each segment's (M / 3)(a.a + a.b + b.b).
+    # Radial coordinates alone give I1.  About P2 the distal joints are
+    # P3 - P2 and P4 - P2, weighed by q's lower block, so I3 drops link 0.
+    q = ((s1 + s2 + m2, s2 / 2, 0.0),
+         (s2 / 2, s2 + s3 + m3, s3 / 2),
+         (0.0, s3 / 2, s3 + m4))
+    # P_i = sum_{l <= i} L_l (sin a_l, cos a_l) turns q into C over link pairs:
+    # C[l][m] = L_l L_m sum_{i >= l, j >= m} q[i][j]
+    C = tuple(
+        tuple(L[l] * L[m] * sum(q[i][j] for i in range(l, 3) for j in range(m, 3))
+              for m in range(3))
+        for l in range(3)
+    )
+    # PE weighs each joint height by its point mass plus half of each segment on it
+    weight = (m2 + 0.5 * (mm.M1 + mm.M2), m3 + 0.5 * (mm.M2 + mm.M3), m4 + 0.5 * mm.M3)
+    h = tuple(mm.g * L[l] * sum(weight[l:]) for l in range(3))
+    # about P3 the tool link's endpoints sit at distance L3 exactly
+    i4 = m4 * geom.L3**2 + mm.M3 * geom.L3**2 / 3.0
+    return C, h, i4
+
+
 def _kernel(geom: ArmGeometry, mm: MassModel, t2: float, t3: float, t4: float):
     """Inertias, potential energy and their exact gradients at a planar
     configuration.
@@ -114,106 +149,29 @@ def _kernel(geom: ArmGeometry, mm: MassModel, t2: float, t3: float, t4: float):
       - jac: the 4x4 nested list jac[k][j] = dI_{k+1}/dtheta_{j+1}.
     The theta1 entries of dpe and jac are structurally zero.
     """
-    (u2, v2, u3, v3, u4, v4), (x2, y2, x3, y3, x4, y4) = planar_chain(geom, t2, t3, t4)
-    L1, L2, L3 = geom.L1, geom.L2, geom.L3
-    m2, m3, m4, M1, M2, M3, g = mm.m2, mm.m3, mm.m4, mm.M1, mm.M2, mm.M3, mm.g
-    # a uniform segment of mass M weighs its endpoint products by M / 3
-    s1, s2, s3 = M1 / 3.0, M2 / 3.0, M3 / 3.0
-
-    # vertical-axis moment: only the radial coordinate matters
-    i1 = (
-        m2 * x2 * x2
-        + m3 * x3 * x3
-        + m4 * x4 * x4
-        + s1 * (x2 * x2)
-        + s2 * (x2 * x2 + x2 * x3 + x3 * x3)
-        + s3 * (x3 * x3 + x3 * x4 + x4 * x4)
-    )
-
-    # about P1 (origin): the whole planar chain
-    i2 = (
-        _segment(0.0, 0.0, x2, y2, M1)
-        + _segment(x2, y2, x3, y3, M2)
-        + _segment(x3, y3, x4, y4, M3)
-        + m2 * (x2 * x2 + y2 * y2)
-        + m3 * (x3 * x3 + y3 * y3)
-        + m4 * (x4 * x4 + y4 * y4)
-    )
-
-    # about P2: links 2..3 and the masses they carry, relative to P2
-    d3x, d3y = x3 - x2, y3 - y2
-    d4x, d4y = x4 - x2, y4 - y2
-    i3 = (
-        _segment(0.0, 0.0, d3x, d3y, M2)
-        + _segment(d3x, d3y, d4x, d4y, M3)
-        + m3 * (d3x * d3x + d3y * d3y)
-        + m4 * (d4x * d4x + d4y * d4y)
-    )
-
-    # about P3: the tool link only; its endpoints sit at distance L3 exactly,
-    # so the segment+point sum reduces to this constant closed form
-    i4 = m4 * L3**2 + M3 * L3**2 / 3.0
-
-    pe_points = m2 * y2 + m3 * y3 + m4 * y4
-    pe_segments = (
-        M1 * (0.0 + y2) / 2.0
-        + M2 * (y2 + y3) / 2.0
-        + M3 * (y3 + y4) / 2.0
-    )
-    pe = g * (pe_points + pe_segments)
-
-    # effective weights multiplying each joint height in the PE
-    co2 = m2 + 0.5 * (M1 + M2)
-    co3 = m3 + 0.5 * (M2 + M3)
-    co4 = m4 + 0.5 * M3
-
+    u0, v0, u1, v1, u2, v2 = planar_chain(geom, t2, t3, t4)[0]
+    C, h, i4 = _mass_forms(geom, mm)
+    i1 = i2 = i3 = pe = 0.0
+    d1 = d2 = d3 = dp = 0.0
     dpe = [0.0, 0.0, 0.0, 0.0]
     jac = [[0.0, 0.0, 0.0, 0.0] for _ in range(4)]
-
-    # cumulative-angle dependency: a2 sees theta2; a3 sees theta2..3; a4 all
-    for j, (w2a, w3a, w4a) in enumerate(
-        ((1.0, 1.0, 1.0), (0.0, 1.0, 1.0), (0.0, 0.0, 1.0)), start=1
-    ):
-        dx2, dy2 = w2a * L1 * v2, -w2a * L1 * u2
-        dx3, dy3 = dx2 + w3a * L2 * v3, dy2 - w3a * L2 * u3
-        dx4, dy4 = dx3 + w4a * L3 * v4, dy3 - w4a * L3 * u4
-
-        dpe[j] = g * (co2 * dy2 + co3 * dy3 + co4 * dy4)
-
-        jac[0][j] = (
-            2.0 * (m2 * x2 * dx2 + m3 * x3 * dx3 + m4 * x4 * dx4)
-            + s1 * (2.0 * x2 * dx2)
-            + s2 * (2.0 * x2 * dx2 + dx2 * x3 + x2 * dx3 + 2.0 * x3 * dx3)
-            + s3 * (2.0 * x3 * dx3 + dx3 * x4 + x3 * dx4 + 2.0 * x4 * dx4)
-        )
-        jac[1][j] = (
-            s1 * 2.0 * (x2 * dx2 + y2 * dy2)
-            + s2
-            * (
-                2.0 * (x2 * dx2 + y2 * dy2)
-                + dx2 * x3 + x2 * dx3 + dy2 * y3 + y2 * dy3
-                + 2.0 * (x3 * dx3 + y3 * dy3)
-            )
-            + s3
-            * (
-                2.0 * (x3 * dx3 + y3 * dy3)
-                + dx3 * x4 + x3 * dx4 + dy3 * y4 + y3 * dy4
-                + 2.0 * (x4 * dx4 + y4 * dy4)
-            )
-            + 2.0 * m2 * (x2 * dx2 + y2 * dy2)
-            + 2.0 * m3 * (x3 * dx3 + y3 * dy3)
-            + 2.0 * m4 * (x4 * dx4 + y4 * dy4)
-        )
-        dd3x, dd3y = dx3 - dx2, dy3 - dy2
-        dd4x, dd4y = dx4 - dx2, dy4 - dy2
-        jac[2][j] = (
-            (s2 + s3 + m3) * 2.0 * (d3x * dd3x + d3y * dd3y)
-            + (s3 + m4) * 2.0 * (d4x * dd4x + d4y * dd4y)
-            + s3
-            * (dd3x * d4x + d3x * dd4x + dd3y * d4y + d3y * dd4y)
-        )
-        # jac[3][j] = 0: the tool-link inertia about P3 is constant
-
+    # a4 = theta2 + theta3 + theta4, a3 = theta2 + theta3, a2 = theta2: so
+    # d/dtheta_j sums d/da_l over the links l >= j - 2, a suffix sum
+    for l, u, v in ((2, u2, v2), (1, u1, v1), (0, u0, v0)):
+        c0, c1, c2 = C[l]
+        # (C u)_l and (C v)_l, first over the elbow links 1 and 2 alone
+        eu, ev = c1 * u1 + c2 * u2, c1 * v1 + c2 * v2
+        cu, cv = eu + c0 * u0, ev + c0 * v0
+        i1 += u * cu
+        i2 += u * cu + v * cv
+        pe += h[l] * v
+        d1 += 2.0 * v * cu
+        d2 += 2.0 * (v * cu - u * cv)
+        dp -= h[l] * u
+        if l:
+            i3 += u * eu + v * ev
+            d3 += 2.0 * (v * eu - u * ev)
+        jac[0][l + 1], jac[1][l + 1], jac[2][l + 1], dpe[l + 1] = d1, d2, d3, dp
     return (i1, i2, i3, i4), pe, dpe, jac
 
 
@@ -296,35 +254,17 @@ _LINK_ANGLES = ((0, 1, 0, 0), (0, 1, 1, 0), (0, 1, 1, 1))
 
 @functools.lru_cache(maxsize=16)
 def _cosine_terms(geom: ArmGeometry, mm: MassModel):
-    """I1..I4 and PE as sums of cosines: quantity q at theta is
-    sum_t alpha[t, q] * cos(n[t] . theta), q = 0..3 for I1..I4 and 4 for PE.
+    """The forms of `_mass_forms` expanded by the product-to-sum identities:
+    quantity q at theta is sum_t alpha[t, q] * cos(n[t] . theta), q = 0..3
+    for I1..I4 and 4 for PE.
 
     Returns read-only float arrays (n (T, 4), alpha (T, 5), nn (T, 16)),
     with nn[t] the flattened outer product n[t] n[t]^T.  Row 0 is the
     constant term (n = 0); the theta1 entry of every n is zero.
     """
-    L1, L2, L3 = geom.L1, geom.L2, geom.L3
-    m2, m3, m4, g = mm.m2, mm.m3, mm.m4, mm.g
-    s1, s2, s3 = mm.M1 / 3.0, mm.M2 / 3.0, mm.M3 / 3.0
-
-    # the joints P2..P4 as combinations of the link vectors e_l = (sin a, cos a)
-    chain = np.array([[L1, 0.0, 0.0], [L1, L2, 0.0], [L1, L2, L3]])
-    # I2 (and, on the radial coordinates alone, I1) is sum_ij q[i, j] P_i . P_j:
-    # the point masses plus each segment's (M / 3)(a.a + a.b + b.b)
-    q = np.array([[s1 + s2 + m2, s2 / 2, 0.0],
-                  [s2 / 2, s2 + s3 + m3, s3 / 2],
-                  [0.0, s3 / 2, s3 + m4]])
-    # I3 over P3 - P2 and P4 - P2, I4 over P4 - P3
-    rel3 = np.array([[0.0, L2, 0.0], [0.0, L2, L3]])
-    q3 = np.array([[s2 + s3 + m3, s3 / 2], [s3 / 2, s3 + m4]])
-    rel4 = np.array([[0.0, 0.0, L3]])
-    quadratic = [chain.T @ q @ chain, rel3.T @ q3 @ rel3, rel4.T @ [[s3 + m4]] @ rel4]
-    # PE weighs each joint height by its point mass plus half of each segment on it
-    heights = g * (np.array([m2 + 0.5 * (mm.M1 + mm.M2), m3 + 0.5 * (mm.M2 + mm.M3),
-                             m4 + 0.5 * mm.M3]) @ chain)
-
+    C, h, i4 = _mass_forms(geom, mm)
     zero = (0, 0, 0, 0)
-    terms = {zero: [0.0] * 5}
+    terms = {zero: [0.0, 0.0, 0.0, i4, 0.0]}
 
     def add(n, quantity, alpha):
         n = tuple(int(v) for v in n)
@@ -335,13 +275,14 @@ def _cosine_terms(geom: ArmGeometry, mm: MassModel):
     links = [np.array(n) for n in _LINK_ANGLES]
     for l, m in itertools.product(range(3), repeat=2):
         diff, total = links[l] - links[m], links[l] + links[m]
-        # e_l . e_m = cos(a_l - a_m); sin a_l sin a_m = (cos(a_l - a_m) - cos(a_l + a_m)) / 2
-        add(diff, 0, 0.5 * quadratic[0][l, m])
-        add(total, 0, -0.5 * quadratic[0][l, m])
-        for k in range(3):
-            add(diff, k + 1, quadratic[k][l, m])
+        # sin a_l sin a_m = (cos(a_l - a_m) - cos(a_l + a_m)) / 2
+        add(diff, 0, 0.5 * C[l][m])
+        add(total, 0, -0.5 * C[l][m])
+        add(diff, 1, C[l][m])
+        if l and m:
+            add(diff, 2, C[l][m])
     for l in range(3):
-        add(links[l], 4, heights[l])
+        add(links[l], 4, h[l])
 
     n = np.array(list(terms), dtype=float)
     alpha = np.array(list(terms.values()))

@@ -110,9 +110,15 @@ def check_digest(table, geom=None, masses=None, weights=None):
     """
     if (geom is None) != (masses is None):
         raise ValueError("geom and masses must be provided together")
-    if geom is not None and table.digest[:16] != arm_digest(geom, masses):
+    _match_digest(table.digest, None if geom is None else arm_digest(geom, masses),
+                  None if weights is None else weights_digest(weights))
+
+
+def _match_digest(digest: bytes, arm: bytes | None, weights: bytes | None):
+    """Raise DigestMismatch unless each given half equals its half of digest."""
+    if arm is not None and digest[:16] != arm:
         raise DigestMismatch("table was built for a different arm")
-    if weights is not None and table.digest[16:] != weights_digest(weights):
+    if weights is not None and digest[16:] != weights:
         raise DigestMismatch("table was built for different cost weights")
 
 
@@ -203,10 +209,13 @@ def lookup(table, theta) -> np.ndarray:
 
     Accepts a GainTable or a RefinedTable.  Raises OutOfBounds outside the
     table's box (theta1 included) or for a non-finite angle; no
-    extrapolation is attempted.  At a stored node the result is the stored
-    matrix, bit for bit.
+    extrapolation is attempted, and ValueError unless theta has 4
+    components.  At a stored node the result is the stored matrix, bit for
+    bit.
     """
     th = [wrap_angle(v) for v in theta]
+    if len(th) != NDIM:
+        raise ValueError(f"theta must have {NDIM} components, got {len(th)}")
     lo, hi = table.lo, table.hi
     for k in range(NDIM):
         # written so that NaN (and +-inf, which wraps to NaN) fails it too
@@ -554,10 +563,7 @@ def load(data: bytes, expect_digest: bytes | None = None):
     lo, hi, counts = zip(*(r.unpack("<ddI") for _ in range(NDIM)))
     digest = r.take(32)
     if expect_digest is not None:
-        if digest[:16] != expect_digest[:16]:
-            raise DigestMismatch("table was built for a different arm")
-        if digest[16:] != expect_digest[16:]:
-            raise DigestMismatch("table was built for different cost weights")
+        _match_digest(digest, expect_digest[:16], expect_digest[16:])
 
     refined = all(c == _REFINED_COUNT for c in counts)
     for k in range(NDIM):

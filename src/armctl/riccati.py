@@ -91,7 +91,7 @@ def _check_system(A, B, weights):
     n = A.shape[0]
     if A.shape != (n, n):
         raise ValueError(f"A must be square, got {A.shape}")
-    if B.shape[0] != n:
+    if B.ndim != 2 or B.shape[0] != n:
         raise ValueError(f"B must have {n} rows, got {B.shape}")
     if weights.Q.shape != (n, n):
         raise ValueError(f"Q must be {n}x{n}, got {weights.Q.shape}")

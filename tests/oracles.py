@@ -3,7 +3,10 @@ simulator tests.
 
 The dynamics oracles work by brute-force difference quotients of the scalar
 energies; none of it touches the closed-form derivative bookkeeping inside
-the library's forward dynamics or its closed-form linearization.  The RK4
+the library's forward dynamics or its closed-form linearization.  The
+energies themselves are checked against a segment route that sums the
+public rod and point-mass inertias link by link, independent of the
+library's link-angle forms.  The RK4
 reference is the array form of the integrator, built on the public
 forward_dynamics, that the library's float loop must reproduce bit for bit.
 The gain-table reference is the 4-D multilinear blend over every node of a
@@ -19,9 +22,12 @@ import scipy.linalg
 from armctl import (
     IllConditioned,
     NotStabilizable,
+    fk_planar,
     forward_dynamics,
     kinetic_energy,
+    point_inertia,
     potential_energy,
+    segment_inertia,
 )
 from armctl.riccati import RESIDUAL_RTOL
 
@@ -42,6 +48,30 @@ def reference_step_rk4(geom, masses, x, torque, dt):
     k3 = f(x + 0.5 * dt * k2)
     k4 = f(x + dt * k3)
     return x + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+
+
+def segment_route_energies(geom, masses, theta):
+    """(I1, I2, I3, I4, PE) at theta, summed over the rods and point masses
+    placed by fk_planar.  I_k is the moment of everything distal to joint
+    k's pivot (P1 for I1 and I2, P2 for I3, P3 for I4), I1 on the radial
+    coordinates alone; PE puts each point mass at its height and each rod
+    at the mean of its endpoint heights."""
+    p = fk_planar(geom, theta[1], theta[2], theta[3])
+    rods = ((p[0], p[1], masses.M1), (p[1], p[2], masses.M2), (p[2], p[3], masses.M3))
+    points = ((p[1], masses.m2), (p[2], masses.m3), (p[3], masses.m4))
+
+    def moment(first, pivot, radial=False):
+        def rel(a):
+            return (a.x - pivot.x, 0.0 if radial else a.y - pivot.y)
+
+        return (sum(segment_inertia(rel(a), rel(b), m) for a, b, m in rods[first:])
+                + sum(point_inertia(rel(a), m) for a, m in points[first:]))
+
+    inertias = (moment(0, p[0], radial=True), moment(0, p[0]), moment(1, p[1]),
+                moment(2, p[2]))
+    pe = masses.g * (sum(m * a.y for a, m in points)
+                     + sum(m * (a.y + b.y) / 2.0 for a, b, m in rods))
+    return (*inertias, pe)
 
 
 def lagrangian_accelerations(geom, masses, theta, rates, torque, h=1e-4):

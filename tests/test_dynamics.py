@@ -19,12 +19,16 @@ from armctl import (
 )
 from armctl.dynamics import _cosine_terms, _hessians, _kernel
 from conftest import safe_random_theta
-from oracles import lagrangian_accelerations
+from oracles import lagrangian_accelerations, segment_route_energies
 
 UNIT = ArmGeometry(1.0, 1.0, 1.0)
 
 coord_st = st.floats(-3.0, 3.0, allow_nan=False)
 mass_st = st.floats(0.0, 5.0, allow_nan=False)
+# random arms and configurations
+theta_st = st.tuples(*[st.floats(-np.pi, np.pi)] * 4)
+lengths_st = st.tuples(*[st.floats(0.1, 2.0)] * 3)
+masses_st = st.tuples(*[mass_st] * 6)
 
 
 class TestSegmentInertia:
@@ -108,6 +112,16 @@ class TestJointInertias:
         a = joint_inertias(geom, masses, [0.0, 0.9, -0.7, 0.3])
         b = joint_inertias(geom, masses, [2.1, 0.9, -0.7, 0.3])
         assert np.array_equal(a, b)
+
+    @settings(max_examples=100, deadline=None)
+    @given(theta=theta_st, lengths=lengths_st, mass=masses_st)
+    def test_match_segment_route(self, theta, lengths, mass):
+        geom = ArmGeometry(*lengths)
+        mm = MassModel(*mass)
+        want = segment_route_energies(geom, mm, theta)
+        got = [*joint_inertias(geom, mm, theta), potential_energy(geom, mm, theta)]
+        scale = max(1.0, *map(abs, want))
+        assert np.max(np.abs(np.subtract(got, want))) <= 1e-12 * scale
 
     @given(angle2=st.floats(-math.pi, math.pi), angle3=st.floats(-math.pi, math.pi),
            angle4=st.floats(-math.pi, math.pi))
@@ -221,16 +235,13 @@ class TestDerivativeAccuracy:
 
 
 class TestSecondDerivatives:
-    """The cosine-sum form behind the Hessians reproduces the kernel's
-    values and gradients to rounding, and its Hessians match differences of
-    the kernel's exact gradients."""
+    """The product-to-sum expansion behind the Hessians reproduces the
+    kernel's values and gradients to rounding (both read the same mass
+    forms), and its Hessians match differences of the kernel's exact
+    gradients."""
 
     @settings(max_examples=50, deadline=None)
-    @given(
-        theta=st.tuples(*[st.floats(-np.pi, np.pi)] * 4),
-        lengths=st.tuples(*[st.floats(0.1, 2.0)] * 3),
-        mass=st.tuples(*[mass_st] * 6),
-    )
+    @given(theta=theta_st, lengths=lengths_st, mass=masses_st)
     def test_cosine_form_reproduces_kernel(self, theta, lengths, mass):
         geom = ArmGeometry(*lengths)
         mm = MassModel(*mass)

@@ -241,6 +241,13 @@ class TestLookup:
         with pytest.raises(OutOfBounds):
             lookup(table, (0.3, 0.6, -1.0, BOX_HI[3] + 1e-9))
 
+    @pytest.mark.parametrize("size", [3, 5])
+    @pytest.mark.parametrize("kind", ["table", "refined_mid"])
+    def test_wrong_angle_count(self, request, theta_ref, kind, size):
+        theta = np.resize(theta_ref, size)
+        with pytest.raises(ValueError, match=f"theta must have 4 components, got {size}"):
+            lookup(request.getfixturevalue(kind), theta)
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     @pytest.mark.parametrize("kind", ["table", "refined_mid"])
     def test_non_finite_angle_out_of_bounds(self, request, theta_ref, kind, bad):

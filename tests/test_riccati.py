@@ -139,6 +139,11 @@ class TestContracts:
         with pytest.raises(ValueError):
             solve_care(np.eye(2), np.ones((3, 1)), w)
 
+    def test_scalar_b_names_b(self):
+        # a 0-d B has no row axis; the reference raises IndexError here
+        with pytest.raises(ValueError, match="B must have 1 rows, got"):
+            solve_care([[1.0]], 5.0, CostWeights([[1.0]], [[1.0]]))
+
 
 def outcome(solve, A, B, w):
     """("ok", P bytes, K bytes) or (exception type, message)."""
