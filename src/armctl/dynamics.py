@@ -19,15 +19,16 @@ sums of C[l][m] cos(a_l - a_m) over all links and over the elbow links, PE
 is linear in the link cosines, and I4 is a constant.
 
 One kernel, `_kernel(geom, masses, t2, t3, t4)`, evaluates those forms at a
-configuration from the link sines and cosines of `kinematics.planar_chain`,
-and returns the four joint inertias, the potential energy, and their exact
+configuration from the six link sines and cosines that
+`kinematics.planar_chain(t2, t3, t4)` returns (no joint coordinates), and
+returns the four joint inertias, the potential energy, and their exact
 gradients (d/da_l, summed over the links each joint angle turns).  Every
 public function below reads what it needs from that one call.
 
 The accelerations are computed once, in `_solve`, from a kernel evaluation
 on Python floats.  `_accelerations` (planar angles, rates and torques in,
 four accelerations out) is `_kernel` followed by `_solve`;
-`forward_dynamics` only coerces its arguments and wraps the result in an
+`forward_dynamics` only checks its arguments and wraps the result in an
 array, and the simulator's RK4 loop calls `_accelerations` directly, so
 integration pays no per-stage conversion.
 
@@ -38,9 +39,12 @@ Hessian is -alpha * cos(n . theta) * n n^T (`_hessians`).  The
 linearization takes I, dI and dPE from `_kernel` and the Hessians from this
 expansion.
 
-The public functions reject a non-finite angle, rate or torque with
-ValueError("<name> must be finite"); `_kernel` and `_accelerations` do not
-check, and the simulator raises Diverged for a non-finite state instead.
+The public functions read theta, rates and torque through
+`errors.vector`: any array-like of 4 values is accepted flattened, any
+other size raises ValueError("<name> must have 4 components, got N"), and a
+nan or inf ValueError("<name> must be finite").  `_kernel` and
+`_accelerations` do not check, and the simulator raises Diverged for a
+non-finite state instead.
 """
 
 from __future__ import annotations
@@ -52,7 +56,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateInertia
+from .errors import DegenerateInertia, vector
 from .kinematics import ArmGeometry, planar_chain
 
 # below this (kg m^2) a joint is considered unactuatable and dynamics error out
@@ -82,22 +86,15 @@ class MassModel:
 
 def segment_inertia(pa, pb, m: float) -> float:
     """Rotational inertia of a uniform segment from pa to pb about the origin."""
-    x1, y1, x2, y2 = float(pa[0]), float(pa[1]), float(pb[0]), float(pb[1])
+    x1, y1 = vector(pa, 2, "pa")
+    x2, y2 = vector(pb, 2, "pb")
     return (m / 3.0) * (x1 * x1 + x1 * x2 + x2 * x2 + y1 * y1 + y1 * y2 + y2 * y2)
 
 
 def point_inertia(p, m: float) -> float:
     """Rotational inertia of a point mass about the origin: m * (x^2 + y^2)."""
-    x, y = float(p[0]), float(p[1])
+    x, y = vector(p, 2, "p")
     return m * (x * x + y * y)
-
-
-def _four(values, name: str) -> tuple[float, float, float, float]:
-    a, b, c, d = map(float, values)
-    # a finite sum proves every term finite; a non-finite one may be overflow
-    if not math.isfinite(a + b + c + d) and not all(map(math.isfinite, (a, b, c, d))):
-        raise ValueError(f"{name} must be finite, got {(a, b, c, d)!r}")
-    return a, b, c, d
 
 
 @functools.lru_cache(maxsize=16)
@@ -149,7 +146,7 @@ def _kernel(geom: ArmGeometry, mm: MassModel, t2: float, t3: float, t4: float):
       - jac: the 4x4 nested list jac[k][j] = dI_{k+1}/dtheta_{j+1}.
     The theta1 entries of dpe and jac are structurally zero.
     """
-    u0, v0, u1, v1, u2, v2 = planar_chain(geom, t2, t3, t4)[0]
+    u0, v0, u1, v1, u2, v2 = planar_chain(t2, t3, t4)
     C, h, i4 = _mass_forms(geom, mm)
     i1 = i2 = i3 = pe = 0.0
     d1 = d2 = d3 = dp = 0.0
@@ -177,31 +174,31 @@ def _kernel(geom: ArmGeometry, mm: MassModel, t2: float, t3: float, t4: float):
 
 def _kinetic(inertia, rates) -> float:
     i1, i2, i3, i4 = inertia
-    w1, w2, w3, w4 = _four(rates, "rates")
+    w1, w2, w3, w4 = vector(rates, 4, "rates")
     return 0.5 * (i1 * w1 * w1 + i2 * w2 * w2 + i3 * w3 * w3 + i4 * w4 * w4)
 
 
 def joint_inertias(geom: ArmGeometry, masses: MassModel, theta) -> np.ndarray:
     """Effective rotational inertia seen by each joint at configuration theta."""
-    _, t2, t3, t4 = _four(theta, "theta")
+    _, t2, t3, t4 = vector(theta, 4, "theta")
     return np.array(_kernel(geom, masses, t2, t3, t4)[0])
 
 
 def potential_energy(geom: ArmGeometry, masses: MassModel, theta) -> float:
     """Gravitational potential energy of the arm (joules, P1 height = 0)."""
-    _, t2, t3, t4 = _four(theta, "theta")
+    _, t2, t3, t4 = vector(theta, 4, "theta")
     return _kernel(geom, masses, t2, t3, t4)[1]
 
 
 def kinetic_energy(geom: ArmGeometry, masses: MassModel, theta, rates) -> float:
     """Decoupled rotational kinetic energy: (1/2) sum_k I_k(theta) rate_k^2."""
-    _, t2, t3, t4 = _four(theta, "theta")
+    _, t2, t3, t4 = vector(theta, 4, "theta")
     return _kinetic(_kernel(geom, masses, t2, t3, t4)[0], rates)
 
 
 def total_energy(geom: ArmGeometry, masses: MassModel, theta, rates) -> float:
     """KE + PE."""
-    _, t2, t3, t4 = _four(theta, "theta")
+    _, t2, t3, t4 = vector(theta, 4, "theta")
     inertia, pe, _, _ = _kernel(geom, masses, t2, t3, t4)
     return _kinetic(inertia, rates) + pe
 
@@ -212,7 +209,7 @@ def equilibrium_torque(geom: ArmGeometry, masses: MassModel, theta) -> np.ndarra
     forward_dynamics(theta, 0, equilibrium_torque(theta)) is zero to machine
     precision because both read the same kernel gradient.
     """
-    _, t2, t3, t4 = _four(theta, "theta")
+    _, t2, t3, t4 = vector(theta, 4, "theta")
     return np.array(_kernel(geom, masses, t2, t3, t4)[2])
 
 
@@ -316,7 +313,7 @@ def forward_dynamics(
 
     Raises DegenerateInertia when any I_k(theta) <= EPS_INERTIA.
     """
-    _, t2, t3, t4 = _four(theta, "theta")
+    _, t2, t3, t4 = vector(theta, 4, "theta")
     return np.array(_accelerations(
-        geom, masses, t2, t3, t4, _four(rates, "rates"), _four(torque, "torque")
+        geom, masses, t2, t3, t4, vector(rates, 4, "rates"), vector(torque, 4, "torque")
     ))

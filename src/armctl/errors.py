@@ -1,4 +1,37 @@
-"""Exception types shared across the library."""
+"""Exception types shared across the library, and `vector`, the one check
+of the vector arguments of its public functions: any array-like of exactly
+n values is read flattened as n floats (a scalar is one component), any
+other size raises ValueError("<name> must have n components, got m") (the
+input itself in place of m if it is ragged or not numbers), and a nan or
+inf ValueError("<name> must be finite, got [...]").  `components` is its
+shape step alone, for the inputs whose non-finite values another check
+reports: lookup (OutOfBounds), step_rk4 (Diverged), and the GridSpec and
+refine bounds (their span check).
+"""
+
+import math
+
+import numpy as np
+
+
+def components(values, n: int, name: str) -> list[float]:
+    """values flattened to a list of exactly n floats, or ValueError."""
+    try:
+        v = np.asarray(values, dtype=float).ravel().tolist()
+    except (TypeError, ValueError) as exc:  # ragged, or not numbers
+        raise ValueError(f"{name} must have {n} components, got {values!r}") from exc
+    if len(v) != n:
+        raise ValueError(f"{name} must have {n} components, got {len(v)}")
+    return v
+
+
+def vector(values, n: int, name: str) -> list[float]:
+    """components(values, n, name), each one finite, or ValueError."""
+    v = components(values, n, name)
+    # a finite sum proves every term finite; a non-finite one may be overflow
+    if not math.isfinite(sum(v)) and not all(map(math.isfinite, v)):
+        raise ValueError(f"{name} must be finite, got {v!r}")
+    return v
 
 
 class ArmError(Exception):

@@ -57,6 +57,7 @@ from .errors import (
     TreeTooDeep,
     TruncatedData,
     VersionMismatch,
+    components,
 )
 from .kinematics import ArmGeometry, wrap_angle
 from .linearization import equilibrium_point, linearize
@@ -143,11 +144,9 @@ class GridSpec:
     counts: tuple[int, int, int, int]
 
     def __post_init__(self):
-        lo = tuple(float(v) for v in self.lo)
-        hi = tuple(float(v) for v in self.hi)
-        counts = tuple(int(c) for c in self.counts)
-        if not (len(lo) == len(hi) == len(counts) == NDIM):
-            raise ValueError(f"grid must have {NDIM} dimensions")
+        lo = tuple(components(self.lo, NDIM, "lo"))
+        hi = tuple(components(self.hi, NDIM, "hi"))
+        counts = tuple(int(c) for c in components(self.counts, NDIM, "counts"))
         for k in range(NDIM):
             _check_span(k, lo[k], hi[k])
             if counts[k] < 2:
@@ -183,13 +182,20 @@ class GridSpec:
 # ---------------------------------------------------------------------------
 # the lookup kernel
 
+def _fraction(v: float, lo: float, hi: float) -> float:
+    """Where v lies in [lo, hi], from 0 to 1.  A span of a few ulp can
+    leave a cell of width 0 (repeated grid nodes, or the upper half of a
+    split whose midpoint rounds up to hi); its fraction is 0."""
+    width = hi - lo
+    return (v - lo) / width if width else 0.0
+
+
 def _cell_coordinate(axis, v: float):
     """(index, fraction) of the cell owning v, which lies within the axis
     (a sorted list of floats).  Cells are half-open [axis[i], axis[i+1]) with
     the last cell closed, so a node belongs to the cell above it."""
     i = min(bisect.bisect_right(axis, v), len(axis) - 1) - 1
-    width = axis[i + 1] - axis[i]  # 0 only at repeated nodes (a span of a few ulp)
-    return i, (v - axis[i]) / width if width else 0.0
+    return i, _fraction(v, axis[i], axis[i + 1])
 
 
 def _blend(rows: np.ndarray, fractions) -> np.ndarray:
@@ -209,13 +215,12 @@ def lookup(table, theta) -> np.ndarray:
 
     Accepts a GainTable or a RefinedTable.  Raises OutOfBounds outside the
     table's box (theta1 included) or for a non-finite angle; no
-    extrapolation is attempted, and ValueError unless theta has 4
-    components.  At a stored node the result is the stored matrix, bit for
-    bit.
+    extrapolation is attempted.  theta is any array-like of 4 values, read
+    flattened (`errors.components`); any other size, a scalar being one
+    component, raises ValueError("theta must have 4 components, got N").
+    At a stored node the result is the stored matrix, bit for bit.
     """
-    th = [wrap_angle(v) for v in theta]
-    if len(th) != NDIM:
-        raise ValueError(f"theta must have {NDIM} components, got {len(th)}")
+    th = [wrap_angle(v) for v in components(theta, NDIM, "theta")]
     lo, hi = table.lo, table.hi
     for k in range(NDIM):
         # written so that NaN (and +-inf, which wraps to NaN) fails it too
@@ -392,7 +397,7 @@ class RefinedTable:
             cell = (child[cell] + 4 * (t2 >= 0.5 * (l2 + h2)) + 2 * (t3 >= 0.5 * (l3 + h3))
                     + (t4 >= 0.5 * (l4 + h4)))
         (l2, l3, l4), (h2, h3, h4) = boxes[cell]
-        fractions = ((t2 - l2) / (h2 - l2), (t3 - l3) / (h3 - l3), (t4 - l4) / (h4 - l4))
+        fractions = (_fraction(t2, l2, h2), _fraction(t3, l3, h3), _fraction(t4, l4, h4))
         return self.corners[self._leaf[cell]], fractions
 
     def leaves(self) -> list[RefinedCell]:
@@ -439,7 +444,8 @@ def refine(
     tol: float,
     max_depth: int,
 ) -> RefinedTable:
-    """Build a RefinedTable over root_box = ((lo1..lo4), (hi1..hi4)).
+    """Build a RefinedTable over root_box = ((lo1..lo4), (hi1..hi4)), read
+    flattened as 8 values (`errors.components`).
 
     A cell whose center-point interpolation error (spectral norm of the
     interpolated minus the directly solved gain) exceeds tol is split in
@@ -449,10 +455,8 @@ def refine(
     corner shared between cells is solved and pooled once.  The build is
     sequential and deterministic.
     """
-    lo = tuple(float(v) for v in root_box[0])
-    hi = tuple(float(v) for v in root_box[1])
-    if len(lo) != NDIM or len(hi) != NDIM:
-        raise ValueError(f"root box must have {NDIM} dimensions, got {root_box!r}")
+    box = components(root_box, 2 * NDIM, "root_box")
+    lo, hi = tuple(box[:NDIM]), tuple(box[NDIM:])
     for k in range(NDIM):
         _check_span(k, lo[k], hi[k])
     tol = float(tol)

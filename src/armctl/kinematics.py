@@ -15,7 +15,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import SingularYaw, Unreachable
+from .errors import SingularYaw, Unreachable, components, vector
 
 TWO_PI = 2.0 * math.pi
 
@@ -70,8 +70,7 @@ class JointAngles:
 
     @classmethod
     def from_array(cls, values) -> "JointAngles":
-        t1, t2, t3, t4 = (float(v) for v in values)
-        return cls(t1, t2, t3, t4)
+        return cls(*components(values, 4, "values"))
 
     def as_array(self) -> np.ndarray:
         return np.array([self.theta1, self.theta2, self.theta3, self.theta4])
@@ -104,34 +103,27 @@ class SpatialPoint(NamedTuple):
     z: float
 
 
-def planar_chain(geom: ArmGeometry, theta2: float, theta3: float, theta4: float):
-    """Sines and cosines of the cumulative angles a2..a4 from vertical, and
-    the planar coordinates of P2..P4 they place.
-
-    Returns ((u2, v2, u3, v3, u4, v4), (x2, y2, x3, y3, x4, y4)) with
-    u = sin a, v = cos a.  Each link adds (L sin a, L cos a), so P1 is the
-    origin and the zero pose stacks the links straight up.
-    """
+def planar_chain(theta2: float, theta3: float, theta4: float):
+    """Sines and cosines of the cumulative angles a2..a4 from vertical:
+    (u2, v2, u3, v3, u4, v4) with u = sin a, v = cos a.  Link k runs along
+    (sin a_k, cos a_k), so the zero pose stacks the links straight up."""
     a2 = theta2
     a3 = a2 + theta3
     a4 = a3 + theta4
-    u2, v2 = math.sin(a2), math.cos(a2)
-    u3, v3 = math.sin(a3), math.cos(a3)
-    u4, v4 = math.sin(a4), math.cos(a4)
-    x2, y2 = geom.L1 * u2, geom.L1 * v2
-    x3, y3 = x2 + geom.L2 * u3, y2 + geom.L2 * v3
-    x4, y4 = x3 + geom.L3 * u4, y3 + geom.L3 * v4
-    return (u2, v2, u3, v3, u4, v4), (x2, y2, x3, y3, x4, y4)
+    return (math.sin(a2), math.cos(a2), math.sin(a3), math.cos(a3),
+            math.sin(a4), math.cos(a4))
 
 
 def fk_planar(
     geom: ArmGeometry, theta2: float, theta3: float, theta4: float
 ) -> tuple[PlanarPoint, PlanarPoint, PlanarPoint, PlanarPoint]:
-    """Joint positions P1..P4 in the joint plane (P1 is the origin)."""
-    for name, v in (("theta2", theta2), ("theta3", theta3), ("theta4", theta4)):
-        if not math.isfinite(v):
-            raise ValueError(f"{name} must be finite, got {v!r}")
-    _, (x2, y2, x3, y3, x4, y4) = planar_chain(geom, theta2, theta3, theta4)
+    """Joint positions P1..P4 in the joint plane: P1 is the origin and each
+    link adds L (sin a, cos a) at its cumulative angle a (see planar_chain)."""
+    angles = vector((theta2, theta3, theta4), 3, "theta2..theta4")
+    u2, v2, u3, v3, u4, v4 = planar_chain(*angles)
+    x2, y2 = geom.L1 * u2, geom.L1 * v2
+    x3, y3 = x2 + geom.L2 * u3, y2 + geom.L2 * v3
+    x4, y4 = x3 + geom.L3 * u4, y3 + geom.L3 * v4
     return (
         PlanarPoint(0.0, 0.0),
         PlanarPoint(x2, y2),
@@ -162,10 +154,8 @@ def ik(geom: ArmGeometry, target, pitch: float = 0.0) -> JointAngles:
     cosines, and SingularYaw when the target is on the vertical axis while
     the wrist offset has a radial component (the yaw would be arbitrary).
     """
-    x, y, z = (float(v) for v in target)
+    x, y, z = vector(target, 3, "target")
     phi = float(pitch)
-    if not all(map(math.isfinite, (x, y, z))):
-        raise ValueError(f"target must be finite, got {(x, y, z)!r}")
     if not math.isfinite(phi):
         raise ValueError(f"pitch must be finite, got {phi!r}")
     r = math.hypot(x, y)

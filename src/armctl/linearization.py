@@ -27,6 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dynamics import MassModel, _hessians, _kernel, _solve, equilibrium_torque
+from .errors import vector
 from .kinematics import ArmGeometry
 
 # the upper half of every A: d theta/dt = rates
@@ -35,19 +36,10 @@ _A_TOP[0:4, 4:8] = np.eye(4)
 _A_TOP.flags.writeable = False
 
 
-def _vec4(values, name: str) -> np.ndarray:
-    v = np.asarray(values, dtype=float).reshape(-1)
-    if v.size != 4:
-        raise ValueError(f"{name} must have 4 components, got {v.size}")
-    if not np.all(np.isfinite(v)):
-        raise ValueError(f"{name} must be finite, got {v!r}")
-    v.flags.writeable = False
-    return v
-
-
 @dataclass(frozen=True)
 class OperatingPoint:
-    """A (theta, rates, torque) triple the dynamics are linearized at."""
+    """A (theta, rates, torque) triple the dynamics are linearized at, each
+    read by `errors.vector` and held as a read-only array of 4 floats."""
 
     theta: np.ndarray
     rates: np.ndarray
@@ -55,14 +47,7 @@ class OperatingPoint:
 
     def __post_init__(self):
         names = ("theta", "rates", "torque")
-        # one conversion and one finiteness test for all three vectors; on any
-        # failure _vec4 checks them one by one and raises its message
-        try:
-            block = np.array([getattr(self, k) for k in names], dtype=float).reshape(3, 4)
-        except ValueError:
-            block = None
-        if block is None or not np.isfinite(block).all():
-            block = np.array([_vec4(getattr(self, k), k) for k in names])
+        block = np.array([vector(getattr(self, k), 4, k) for k in names])
         block.flags.writeable = False
         for name, row in zip(names, block):
             object.__setattr__(self, name, row)
@@ -84,9 +69,8 @@ def equilibrium_point(
 ) -> OperatingPoint:
     """Zero-rate operating point with the gravity-holding torque, so the
     state derivative vanishes there."""
-    theta = _vec4(theta_ref, "theta_ref")
-    tau = equilibrium_torque(geom, masses, theta)
-    return OperatingPoint(theta, np.zeros(4), tau)
+    theta = vector(theta_ref, 4, "theta_ref")
+    return OperatingPoint(theta, np.zeros(4), equilibrium_torque(geom, masses, theta))
 
 
 def linearize(geom: ArmGeometry, masses: MassModel, op: OperatingPoint) -> LinearModel:

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dynamics import MassModel, _accelerations, equilibrium_torque, total_energy
-from .errors import ArmError, Diverged, EmptyBenchmark
+from .errors import ArmError, Diverged, EmptyBenchmark, components, vector
 from .gain_table import GainTable, RefinedTable, _blend, check_digest, lookup
 from .kinematics import ArmGeometry
 from .linearization import OperatingPoint, linearize
@@ -103,23 +103,19 @@ def _integrate(geom: ArmGeometry, masses: MassModel, x, torque, dt: float, steps
     """`steps` classical Runge-Kutta steps of x' = [rates, accelerations]
     with the torque held constant, on Python floats.
 
-    x is a sequence of 8 floats and torque of 4; returns the end state as a
-    list.  Each stage repeats the elementwise IEEE operations of the array
-    form x + (0.5*dt)*k, x + dt*k and x + (dt/6)*(((k1 + 2k2) + 2k3) + k4),
-    so the result is bit-identical to it.  Raises Diverged as soon as the
-    start state, a stage state or a step's end state holds a non-finite
-    value.
+    x is a list of 8 floats and torque a sequence of 4 (the callers check
+    both); returns the end state as a list.  Each stage repeats the
+    elementwise IEEE operations of the array form x + (0.5*dt)*k, x + dt*k
+    and x + (dt/6)*(((k1 + 2k2) + 2k3) + k4), so the result is
+    bit-identical to it.  Raises Diverged as soon as the start state, a
+    stage state or a step's end state holds a non-finite value.
     """
-    x = list(x)
-    tau = tuple(torque)
-    if len(x) != 8 or len(tau) != 4:
-        raise ValueError(f"need an 8-state and a 4-torque, got {len(x)} and {len(tau)}")
     half = 0.5 * dt
     sixth = dt / 6.0
     _check_finite(x, 0, steps)
 
     def f(y):
-        return y[4:] + _accelerations(geom, masses, y[1], y[2], y[3], y[4:], tau)
+        return y[4:] + _accelerations(geom, masses, y[1], y[2], y[3], y[4:], torque)
 
     for n in range(steps):
         k1 = f(x)
@@ -150,19 +146,10 @@ def _check_finite(y, n, steps):
 def step_rk4(geom: ArmGeometry, masses: MassModel, x, torque, dt: float) -> np.ndarray:
     """One classical Runge-Kutta step of x' = [rates, forward_dynamics(...)]
     with the torque held constant over the step.  Raises Diverged when a
-    state along the step is non-finite."""
-    x = np.asarray(x, dtype=float).tolist()
-    tau = np.asarray(torque, dtype=float).tolist()
-    return np.array(_integrate(geom, masses, x, tau, dt, 1))
-
-
-def _as_state(x, name) -> np.ndarray:
-    v = np.asarray(x, dtype=float).reshape(-1)
-    if v.size != 8:
-        raise ValueError(f"{name} must be an 8-vector [theta, rates], got size {v.size}")
-    if not np.all(np.isfinite(v)):
-        raise ValueError(f"{name} must be finite")
-    return v
+    state along the step is non-finite (x and torque included: their shapes
+    alone are checked first, by `errors.components`)."""
+    x = components(x, 8, "x")
+    return np.array(_integrate(geom, masses, x, components(torque, 4, "torque"), dt, 1))
 
 
 def simulate(
@@ -182,13 +169,14 @@ def simulate(
     checked against geom/masses, and against `weights` when given).  On a
     mid-run failure (any ArmError, e.g. OutOfBounds, NotStabilizable,
     IllConditioned, DegenerateInertia or Diverged) the exception is re-raised
-    with the samples so far attached as `.partial`.
+    with the samples so far attached as `.partial`.  x0 and x_ref are
+    8-vectors [theta, rates], read by `errors.vector`.
     """
-    x = _as_state(x0, "x0")
+    x = np.array(vector(x0, 8, "x0"))
     if mode is not ControllerMode.PASSIVE:
         if x_ref is None:
             raise ValueError(f"{mode.value} mode requires x_ref")
-        x_ref = _as_state(x_ref, "x_ref")
+        x_ref = np.array(vector(x_ref, 8, "x_ref"))
         tau_ff = equilibrium_torque(geom, masses, x_ref[:4])
     if mode is ControllerMode.ONLINE_LQR and weights is None:
         raise ValueError("online mode requires cost weights")

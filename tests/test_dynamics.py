@@ -68,6 +68,14 @@ class TestPointInertia:
         assert point_inertia((0.0, 0.0), 5.0) == 0.0
         assert point_inertia((3.0, 4.0), 1.0) == 25.0
 
+    def test_points_are_checked_2_vectors(self):
+        with pytest.raises(ValueError, match="p must have 2 components, got 3"):
+            point_inertia((1.0, 0.0, 0.0), 2.0)
+        with pytest.raises(ValueError, match="pb must have 2 components, got 1"):
+            segment_inertia((0.0, 0.0), 1.0, 2.0)
+        with pytest.raises(ValueError, match="pa must be finite"):
+            segment_inertia((math.nan, 0.0), (1.0, 0.0), 2.0)
+
 
 class TestJointInertias:
     def test_tool_joint_constant_closed_form(self, geom, masses):

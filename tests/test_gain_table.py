@@ -83,8 +83,10 @@ class TestGridSpec:
             GridSpec((0, 0, 0, 0), (1, 1, 1, 0.0), (2, 2, 2, 2))  # min == max
         with pytest.raises(ValueError):
             GridSpec(BOX_LO, BOX_HI, (1, 2, 2, 2))  # count < 2
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="lo must have 4 components, got 3"):
             GridSpec((0, 0, 0), (1, 1, 1), (2, 2, 2))  # wrong arity
+        with pytest.raises(ValueError, match="counts must have 4 components, got 1"):
+            GridSpec(BOX_LO, BOX_HI, 2)
         for lo, hi in ((float("nan"), 1.0), (0.0, float("inf")), (-1e308, 1e308)):
             with pytest.raises(ValueError, match="finite span"):
                 GridSpec((lo, 0, 0, 0), (hi, 1, 1, 1), (2, 2, 2, 2))
@@ -291,6 +293,26 @@ class TestLookup:
             theta = t.grid.node_angles(index)
             assert lookup(t, theta).tobytes() == t.entries[index].tobytes()
 
+    @pytest.mark.parametrize("shipped", [False, True])
+    def test_zero_width_leaf_of_a_one_ulp_root(self, geom, masses, weights, shipped):
+        # over a 1-ulp theta2 span the midpoint rounds up to the upper bound,
+        # so the upper children are 0 wide along theta2; a query in them
+        # reads fraction 0 there, never a division by zero
+        lo, hi = list(BOX_LO), list(BOX_HI)
+        lo[1] = float(np.nextafter(0.8, 1.0))
+        hi[1] = float(np.nextafter(lo[1], 1.0))
+        assert 0.5 * (lo[1] + hi[1]) == hi[1]
+        t = refine(geom, masses, weights, (lo, hi), 1e-12, 2)
+        if shipped:
+            t = load(save(t))
+        leaves = t.leaves()
+        zero_width = [n for n, leaf in enumerate(leaves) if leaf.lo[1] == leaf.hi[1]]
+        assert zero_width
+        for n in zero_width:
+            corner = (0.3,) + leaves[n].lo[1:]
+            assert lookup(t, corner).tobytes() == t.pool[t.corners[n][0]].tobytes()
+            assert np.all(np.isfinite(lookup(t, leaves[n].center())))
+
     def test_wraps_angles_first(self, table):
         # a 2*pi-shifted representation lands in the same cell (up to the
         # rounding the wrap itself introduces)
@@ -336,6 +358,10 @@ class TestRefine:
             box_lo[k], box_hi[k] = lo, hi
             with pytest.raises(ValueError, match="finite span"):
                 refine(geom, masses, weights, (box_lo, box_hi), 1e-2, 2)
+        # the root box is read as 8 values, flattened
+        for box, size in ((0.5, 1), ((0.0, 1.0), 2), (BOX_LO, 4)):
+            with pytest.raises(ValueError, match=f"root_box must have 8 components, got {size}"):
+                refine(geom, masses, weights, box, 1e-2, 2)
 
     def test_leaves_meet_tolerance_by_recomputation(self, geom, masses, weights, refined_mid):
         leaves = refined_mid.leaves()

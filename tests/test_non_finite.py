@@ -1,9 +1,12 @@
 """A nan or +-inf anywhere in the input of a public entry point gives a
 finite result, a typed ArmError, or ValueError("<name> must be finite"):
 never a silent nan, nor an error from deeper down (math domain error,
-scipy's own message)."""
+scipy's own message).  A vector argument of the wrong size gives
+ValueError("<name> must have N components, got M"), and one of the right
+size in any shape is read flattened."""
 
 import math
+from functools import partial
 
 import numpy as np
 import pytest
@@ -32,6 +35,7 @@ from armctl import (
     precompute,
     refine,
     simulate,
+    step_rk4,
     total_energy,
 )
 
@@ -42,37 +46,62 @@ X0 = THETA + RATES
 
 @pytest.fixture(scope="module")
 def entry_points(geom, masses, weights, theta_ref):
-    """name -> (finite base input, call taking that input as a list)."""
+    """name -> (arguments, call): the finite base value of each argument by
+    name, in the order `call` takes them.  A list is a vector argument, a
+    float a scalar and an array a matrix."""
     box = (tuple(theta_ref - 0.1), tuple(theta_ref + 0.1))
     flat = precompute(geom, masses, weights, GridSpec(*box, (2, 2, 2, 2)))
     refined = refine(geom, masses, weights, box, 0.4, 2)
-    torque = list(equilibrium_torque(geom, masses, THETA))
+    torque = equilibrium_torque(geom, masses, THETA).tolist()
     model = linearize(geom, masses, equilibrium_point(geom, masses, THETA))
     target = list(fk_spatial(geom, JointAngles(*THETA))[-1])
     sim = SimConfig(duration=0.02)
 
-    def simulate_table(v):
-        return simulate(geom, masses, sim, ControllerMode.TABLE_LQR, v[:8], v[8:],
+    def simulate_table(x0, x_ref):
+        return simulate(geom, masses, sim, ControllerMode.TABLE_LQR, x0, x_ref,
                         weights=weights, table=flat)
 
+    state = {"theta": THETA, "rates": RATES, "torque": torque}
     return {
-        "fk_planar": (THETA[1:], lambda v: fk_planar(geom, *v)),
-        "fk_spatial": (THETA, lambda v: fk_spatial(geom, JointAngles(*v))),
-        "ik": (target + [sum(THETA[1:])], lambda v: ik(geom, v[:3], pitch=v[3])),
-        "forward_dynamics": (THETA + RATES + torque,
-                             lambda v: forward_dynamics(geom, masses, v[:4], v[4:8], v[8:])),
-        "equilibrium_torque": (THETA, lambda v: equilibrium_torque(geom, masses, v)),
-        "total_energy": (X0, lambda v: total_energy(geom, masses, v[:4], v[4:])),
-        "joint_inertias": (THETA, lambda v: joint_inertias(geom, masses, v)),
-        "linearize": (THETA + RATES + torque, lambda v: linearize(
-            geom, masses, OperatingPoint(v[:4], v[4:8], v[8:]))),
-        "lqr_gain": (list(model.A.ravel()) + list(model.B.ravel()), lambda v: lqr_gain(
-            np.reshape(v[:64], (8, 8)), np.reshape(v[64:], (8, 4)), weights)),
-        "lookup flat": (THETA, lambda v: lookup(flat, v)),
-        "lookup refined": (THETA, lambda v: lookup(refined, v)),
-        "simulate": (X0 + THETA + [0.0] * 4, simulate_table),
-        "SimConfig": ([1e-3, 0.02, 0.04], lambda v: SimConfig(*v)),
+        "fk_planar": (dict(zip(("theta2", "theta3", "theta4"), THETA[1:])),
+                      partial(fk_planar, geom)),
+        "fk_spatial": (dict(zip(("theta1", "theta2", "theta3", "theta4"), THETA)),
+                       lambda *v: fk_spatial(geom, JointAngles(*v))),
+        "JointAngles.from_array": ({"values": THETA}, JointAngles.from_array),
+        "ik": ({"target": target, "pitch": sum(THETA[1:])},
+               lambda target, pitch: ik(geom, target, pitch=pitch)),
+        "forward_dynamics": (state, partial(forward_dynamics, geom, masses)),
+        "equilibrium_torque": ({"theta": THETA}, partial(equilibrium_torque, geom, masses)),
+        "total_energy": ({"theta": THETA, "rates": RATES}, partial(total_energy, geom, masses)),
+        "joint_inertias": ({"theta": THETA}, partial(joint_inertias, geom, masses)),
+        "equilibrium_point": ({"theta_ref": THETA}, partial(equilibrium_point, geom, masses)),
+        "linearize": (state, lambda *v: linearize(geom, masses, OperatingPoint(*v))),
+        "lqr_gain": ({"A": model.A, "B": model.B}, lambda A, B: lqr_gain(A, B, weights)),
+        "lookup flat": ({"theta": THETA}, partial(lookup, flat)),
+        "lookup refined": ({"theta": THETA}, partial(lookup, refined)),
+        "step_rk4": ({"x": X0, "torque": torque},
+                     lambda x, torque: step_rk4(geom, masses, x, torque, 1e-3)),
+        "simulate": ({"x0": X0, "x_ref": THETA + [0.0] * 4}, simulate_table),
+        "SimConfig": ({"dt": 1e-3, "control_period": 0.02, "duration": 0.04}, SimConfig),
     }
+
+
+def _flatten(arguments) -> list:
+    return [float(v) for base in arguments.values() for v in np.ravel(base)]
+
+
+def _call(entry, values):
+    """Call an entry point with its arguments read back from flat values."""
+    arguments, call = entry
+    args = []
+    for base in arguments.values():
+        size = np.size(base)
+        part, values = values[:size], values[size:]
+        if isinstance(base, float):
+            args.append(part[0])
+        else:
+            args.append(part if isinstance(base, list) else np.reshape(part, np.shape(base)))
+    return call(*args)
 
 
 def _floats(result) -> np.ndarray:
@@ -82,19 +111,22 @@ def _floats(result) -> np.ndarray:
         return np.concatenate([result.states.ravel(), result.inputs.ravel()])
     if isinstance(result, SimConfig):
         return np.array([result.dt, result.control_period, result.duration])
+    if isinstance(result, OperatingPoint):
+        return np.concatenate([result.theta, result.rates, result.torque])
     return np.asarray(list(result) if isinstance(result, JointAngles) else result,
                       dtype=float).ravel()
 
 
-NAMES = ["fk_planar", "fk_spatial", "ik", "forward_dynamics", "equilibrium_torque",
-         "total_energy", "joint_inertias", "linearize", "lqr_gain", "lookup flat",
-         "lookup refined", "simulate", "SimConfig"]
+NAMES = ["fk_planar", "fk_spatial", "JointAngles.from_array", "ik", "forward_dynamics",
+         "equilibrium_torque", "total_energy", "joint_inertias", "equilibrium_point",
+         "linearize", "lqr_gain", "lookup flat", "lookup refined", "step_rk4", "simulate",
+         "SimConfig"]
 
 
 @pytest.mark.parametrize("name", NAMES)
 def test_base_input_is_finite_and_accepted(entry_points, name):
-    values, call = entry_points[name]
-    assert np.all(np.isfinite(_floats(call(list(values)))))
+    arguments, call = entry_points[name]
+    assert np.all(np.isfinite(_floats(call(*arguments.values()))))
 
 
 @settings(max_examples=300, deadline=None)
@@ -104,14 +136,32 @@ def test_base_input_is_finite_and_accepted(entry_points, name):
     bad=st.sampled_from([math.nan, math.inf, -math.inf]),
 )
 def test_non_finite_input(entry_points, name, position, bad):
-    values, call = entry_points[name]
-    values = list(values)
+    values = _flatten(entry_points[name][0])
     values[position % len(values)] = bad
     try:
-        result = call(values)
+        result = _call(entry_points[name], values)
     except ArmError:
         return
     except ValueError as exc:
         assert "must be finite" in str(exc), f"{name}: {exc}"
         return
     assert np.all(np.isfinite(_floats(result))), f"{name} returned a non-finite result"
+
+
+@pytest.mark.parametrize("name", NAMES)
+def test_wrong_size_vector_names_the_argument(entry_points, name):
+    arguments, call = entry_points[name]
+    want = _floats(call(*arguments.values()))
+    for arg, base in arguments.items():
+        if not isinstance(base, list):
+            continue
+        n = len(base)
+        # a scalar, one value short, and a ragged nesting
+        for bad, got in ((0.5, "1$"), (base[:-1], f"{n - 1}$"), ([base, [0.0]], r"\[\[")):
+            args = {**arguments, arg: bad}
+            with pytest.raises(ValueError, match=f"^{arg} must have {n} components, got {got}"):
+                call(*args.values())
+        # the right number of components in a 2-D shape reads as the flat vector
+        for shape in ((1, n), (n, 1)):
+            args = {**arguments, arg: np.reshape(base, shape)}
+            assert _floats(call(*args.values())).tobytes() == want.tobytes(), (arg, shape)
