@@ -37,7 +37,6 @@ from .gain_table import (
     precompute,
     refine,
     save_file,
-    table_digest,
     weights_digest,
 )
 from .kinematics import JointAngles, fk_spatial, ik
@@ -163,8 +162,7 @@ def cmd_simulate(config: ArmConfig, args) -> int:
         if args.table is None:
             print("error: --table is required for table mode", file=sys.stderr)
             return EXIT_USAGE
-        expected = table_digest(config.geometry, config.masses, config.weights)
-        table = load_file(args.table, expect_digest=expected)
+        table = load_file(args.table)
     x0, x_ref = _parse_state(config, args)
 
     try:
@@ -187,8 +185,7 @@ def cmd_simulate(config: ArmConfig, args) -> int:
 
 
 def cmd_bench(config: ArmConfig, args) -> int:
-    expected = table_digest(config.geometry, config.masses, config.weights)
-    table = load_file(args.table, expect_digest=expected)
+    table = load_file(args.table)
     report = bench_controller(
         config.geometry, config.masses, table, args.iters, weights=config.weights,
     )

@@ -1,16 +1,20 @@
 """Strict JSON configuration shared by all CLI commands.
 
 One file carries the arm geometry, mass model, LQR cost diagonals, gain-table
-grid, and simulation parameters.  Unknown keys are rejected everywhere so a
-typo cannot silently fall back to a default.
+grid, and simulation parameters.  `_SHAPE` states the document once: a dict
+is an object with exactly those keys (unknown ones are rejected everywhere,
+so a typo cannot silently fall back to a default), a list an array of
+exactly that length, and "number" / "integer" a leaf.  A number is an int or
+float, never a bool; an integer may be written 2.0, as JSON Schema allows.
+A document of another shape raises ConfigError("config invalid at <path>:
+..."), the path being the object path or <root>; the domain constructors
+then check the values.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-
-import jsonschema
 
 from .dynamics import MassModel
 from .errors import ConfigError
@@ -19,79 +23,44 @@ from .kinematics import ArmGeometry
 from .riccati import CostWeights
 from .simulator import SimConfig
 
-_RANGE_SCHEMA = {
-    "type": "object",
-    "properties": {
-        "min": {"type": "number"},
-        "max": {"type": "number"},
-        "count": {"type": "integer"},
-    },
-    "required": ["min", "max", "count"],
-    "additionalProperties": False,
+_RANGE = {"min": "number", "max": "number", "count": "integer"}
+_SHAPE = {
+    "geometry": dict.fromkeys(("L1", "L2", "L3"), "number"),
+    "masses": dict.fromkeys(("m2", "m3", "m4", "M1", "M2", "M3", "g"), "number"),
+    "cost": {"q_diag": ["number"] * 8, "r_diag": ["number"] * 4},
+    "grid": dict.fromkeys(("theta1", "theta2", "theta3", "theta4"), _RANGE),
+    "sim": dict.fromkeys(("dt", "control_period", "duration"), "number"),
 }
 
-SCHEMA = {
-    "type": "object",
-    "properties": {
-        "geometry": {
-            "type": "object",
-            "properties": {k: {"type": "number"} for k in ("L1", "L2", "L3")},
-            "required": ["L1", "L2", "L3"],
-            "additionalProperties": False,
-        },
-        "masses": {
-            "type": "object",
-            "properties": {
-                k: {"type": "number"}
-                for k in ("m2", "m3", "m4", "M1", "M2", "M3", "g")
-            },
-            "required": ["m2", "m3", "m4", "M1", "M2", "M3", "g"],
-            "additionalProperties": False,
-        },
-        "cost": {
-            "type": "object",
-            "properties": {
-                "q_diag": {
-                    "type": "array",
-                    "items": {"type": "number"},
-                    "minItems": 8,
-                    "maxItems": 8,
-                },
-                "r_diag": {
-                    "type": "array",
-                    "items": {"type": "number"},
-                    "minItems": 4,
-                    "maxItems": 4,
-                },
-            },
-            "required": ["q_diag", "r_diag"],
-            "additionalProperties": False,
-        },
-        "grid": {
-            "type": "object",
-            "properties": {
-                "theta1": _RANGE_SCHEMA,
-                "theta2": _RANGE_SCHEMA,
-                "theta3": _RANGE_SCHEMA,
-                "theta4": _RANGE_SCHEMA,
-            },
-            "required": ["theta1", "theta2", "theta3", "theta4"],
-            "additionalProperties": False,
-        },
-        "sim": {
-            "type": "object",
-            "properties": {
-                "dt": {"type": "number"},
-                "control_period": {"type": "number"},
-                "duration": {"type": "number"},
-            },
-            "required": ["dt", "control_period", "duration"],
-            "additionalProperties": False,
-        },
-    },
-    "required": ["geometry", "masses", "cost", "grid", "sim"],
-    "additionalProperties": False,
-}
+
+def _check_shape(value, shape, path: str = "") -> None:
+    """Raise ConfigError unless value has the shape (see the module doc)."""
+    def invalid(why):
+        return ConfigError(f"config invalid at {path or '<root>'}: {why}")
+
+    if isinstance(shape, dict):
+        if not isinstance(value, dict):
+            raise invalid(f"expected an object, got {type(value).__name__}")
+        for key in value:
+            if key not in shape:
+                raise invalid(f"unknown key {key!r}")
+        for key in shape:
+            if key not in value:
+                raise invalid(f"missing key {key!r}")
+        items = shape.items()
+    elif isinstance(shape, list):
+        if not (isinstance(value, list) and len(value) == len(shape)):
+            got = f"{len(value)} items" if isinstance(value, list) else type(value).__name__
+            raise invalid(f"expected an array of {len(shape)} numbers, got {got}")
+        items = enumerate(shape)
+    else:
+        if not isinstance(value, (int, float)) or isinstance(value, bool):
+            raise invalid(f"expected {shape}, got {type(value).__name__}")
+        if shape == "integer" and not (isinstance(value, int) or value.is_integer()):
+            raise invalid(f"expected integer, got {value!r}")
+        return
+    for key, sub in items:
+        _check_shape(value[key], sub, f"{path}/{key}" if path else str(key))
 
 
 @dataclass(frozen=True)
@@ -104,14 +73,9 @@ class ArmConfig:
 
 
 def parse_config(raw: dict) -> ArmConfig:
-    """Validate a parsed JSON document and build the domain objects (which
-    re-check their own invariants)."""
-    try:
-        jsonschema.validate(raw, SCHEMA)
-    except jsonschema.ValidationError as exc:
-        path = "/".join(str(p) for p in exc.absolute_path) or "<root>"
-        raise ConfigError(f"config invalid at {path}: {exc.message}") from exc
-
+    """Check a parsed JSON document's shape and build the domain objects
+    (which re-check their own invariants)."""
+    _check_shape(raw, _SHAPE)
     try:
         geometry = ArmGeometry(**raw["geometry"])
         masses = MassModel(**raw["masses"])
@@ -121,7 +85,7 @@ def parse_config(raw: dict) -> ArmConfig:
             for k in ("theta1", "theta2", "theta3", "theta4")
         )
         sim = SimConfig(**raw["sim"])
-    except ValueError as exc:
+    except (ValueError, OverflowError) as exc:  # OverflowError: an int beyond float range
         raise ConfigError(str(exc)) from exc
     return ArmConfig(geometry, masses, weights, grid, sim)
 
@@ -132,6 +96,8 @@ def load_config(path) -> ArmConfig:
             raw = json.load(f)
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
+        # JSONDecodeError, and also bad UTF-8, an int literal past Python's
+        # digit limit, or nesting deeper than the stack
         raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
     return parse_config(raw)

@@ -2,11 +2,12 @@
 of the vector arguments of its public functions: any array-like of exactly
 n values is read flattened as n floats (a scalar is one component), any
 other size raises ValueError("<name> must have n components, got m") (the
-input itself in place of m if it is ragged or not numbers), and a nan or
-inf ValueError("<name> must be finite, got [...]").  `components` is its
-shape step alone, for the inputs whose non-finite values another check
-reports: lookup (OutOfBounds), step_rk4 (Diverged), and the GridSpec and
-refine bounds (their span check).
+input itself in place of m if it is ragged or not numbers), and a nan, an
+inf or an int beyond float range ValueError("<name> must be finite, got
+...").  `components` is its shape step alone, for the inputs whose
+non-finite values another check reports: lookup (OutOfBounds), step_rk4
+(Diverged), and the GridSpec and refine bounds (their span check).  An int
+beyond float range is an error there too.
 """
 
 import math
@@ -20,6 +21,8 @@ def components(values, n: int, name: str) -> list[float]:
         v = np.asarray(values, dtype=float).ravel().tolist()
     except (TypeError, ValueError) as exc:  # ragged, or not numbers
         raise ValueError(f"{name} must have {n} components, got {values!r}") from exc
+    except OverflowError as exc:  # an int beyond the float range
+        raise ValueError(f"{name} must be finite, got an int beyond float range") from exc
     if len(v) != n:
         raise ValueError(f"{name} must have {n} components, got {len(v)}")
     return v
@@ -115,4 +118,4 @@ class EmptyBenchmark(ArmError):
 
 
 class ConfigError(ArmError):
-    """A configuration file failed schema or invariant validation."""
+    """A configuration file failed its shape or value checks."""

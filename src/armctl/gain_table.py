@@ -103,23 +103,12 @@ def table_digest(geom: ArmGeometry, masses: MassModel, weights: CostWeights) -> 
     return arm_digest(geom, masses) + weights_digest(weights)
 
 
-def check_digest(table, geom=None, masses=None, weights=None):
-    """Raise DigestMismatch if the table was built for other parameters.
-
-    The arm half is checked when geom and masses are given, the weights half
-    when weights is given.
-    """
-    if (geom is None) != (masses is None):
-        raise ValueError("geom and masses must be provided together")
-    _match_digest(table.digest, None if geom is None else arm_digest(geom, masses),
-                  None if weights is None else weights_digest(weights))
-
-
-def _match_digest(digest: bytes, arm: bytes | None, weights: bytes | None):
-    """Raise DigestMismatch unless each given half equals its half of digest."""
-    if arm is not None and digest[:16] != arm:
+def check_digest(table, geom, masses, weights=None):
+    """Raise DigestMismatch if the table was built for another arm, or, when
+    weights is given, for other cost weights."""
+    if table.digest[:16] != arm_digest(geom, masses):
         raise DigestMismatch("table was built for a different arm")
-    if weights is not None and digest[16:] != weights:
+    if weights is not None and table.digest[16:] != weights_digest(weights):
         raise DigestMismatch("table was built for different cost weights")
 
 
@@ -545,13 +534,12 @@ def save(table) -> bytes:
     return bytes(out)
 
 
-def load(data: bytes, expect_digest: bytes | None = None):
+def load(data: bytes):
     """Parse a byte stream produced by save().
 
     Raises BadMagic, VersionMismatch (a version 1 file included), BadGrid,
-    TruncatedData, TreeTooDeep or TableFormatError on malformed input and
-    DigestMismatch when expect_digest is given and differs from the stored
-    one (arm half and weights half reported separately).
+    TruncatedData, TreeTooDeep or TableFormatError on malformed input.  The
+    stored digest is not compared here: check_digest does that.
     """
     r = _Reader(bytes(data))
     if r.take(4) != MAGIC:
@@ -566,8 +554,6 @@ def load(data: bytes, expect_digest: bytes | None = None):
 
     lo, hi, counts = zip(*(r.unpack("<ddI") for _ in range(NDIM)))
     digest = r.take(32)
-    if expect_digest is not None:
-        _match_digest(digest, expect_digest[:16], expect_digest[16:])
 
     refined = all(c == _REFINED_COUNT for c in counts)
     for k in range(NDIM):
@@ -641,6 +627,6 @@ def save_file(table, path):
         raise
 
 
-def load_file(path, expect_digest: bytes | None = None):
+def load_file(path):
     with open(path, "rb") as f:
-        return load(f.read(), expect_digest=expect_digest)
+        return load(f.read())

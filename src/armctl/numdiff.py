@@ -17,19 +17,14 @@ def central_step(value: float, rel: float = DEFAULT_REL_STEP) -> float:
     return rel * max(1.0, abs(value))
 
 
-def jacobian(f, x, rel: float = DEFAULT_REL_STEP, cols=None) -> np.ndarray:
+def jacobian(f, x, rel: float = DEFAULT_REL_STEP) -> np.ndarray:
     """Central-difference Jacobian of a vector function of a vector.
 
-    Returns J with J[i, j] = d f_i / d x_j.  Only the columns listed in cols
-    (default: every column; at least one) are differenced.  The others are
-    left zero, for callers that know those partials vanish exactly.
+    Returns J with J[i, j] = d f_i / d x_j.
     """
     x = np.asarray(x, dtype=float)
-    cols = range(x.size) if cols is None else cols
-    if not cols:
-        raise ValueError("jacobian needs at least one column to difference")
     J = None
-    for j in cols:
+    for j in range(x.size):
         h = central_step(x[j], rel)
         xp = x.copy()
         xm = x.copy()

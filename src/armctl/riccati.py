@@ -77,8 +77,19 @@ class CostWeights:
 
     @classmethod
     def from_diagonals(cls, q_diag, r_diag) -> "CostWeights":
-        return cls(np.diag(np.asarray(q_diag, dtype=float)),
-                   np.diag(np.asarray(r_diag, dtype=float)))
+        """Diagonal Q and R from two 1-D vectors of any length."""
+        return cls(_diagonal(q_diag, "q_diag"), _diagonal(r_diag, "r_diag"))
+
+
+def _diagonal(values, name: str) -> np.ndarray:
+    """diag(values) for a 1-D vector, or ValueError naming it."""
+    try:
+        d = np.asarray(values, dtype=float)
+    except (TypeError, ValueError, OverflowError) as exc:  # ragged, not numbers, too large
+        raise ValueError(f"{name} must be a 1-D vector of floats, got {values!r}") from exc
+    if d.ndim != 1:
+        raise ValueError(f"{name} must be a 1-D vector, got shape {d.shape}")
+    return np.diag(d)
 
 
 def _check_system(A, B, weights):

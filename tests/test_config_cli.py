@@ -1,12 +1,22 @@
+import copy
 import json
 import math
+import os
+import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import armctl
 import armctl.simulator as sim
-from armctl import ConfigError, IllConditioned, load_config
+from armctl import ArmConfig, ConfigError, IllConditioned, load_config, parse_config
 from armctl.cli import main
+from conftest import CONFIG_TEMPLATE
 
 
 def run_cli(capsys, *argv):
@@ -62,6 +72,131 @@ class TestConfig:
         bad.write_text("{not json")
         with pytest.raises(ConfigError):
             load_config(bad)
+
+    @pytest.mark.parametrize("content", [
+        b"\xff\xfe{}",                         # not UTF-8
+        b'{"sim": 1' + b"0" * 5000 + b"}",      # an int literal past the digit limit
+        b"[" * 100_000 + b"]" * 100_000,        # nesting deeper than the stack
+    ], ids=["bad-utf8", "5000-digits", "deep-nesting"])
+    def test_hostile_file_is_config_error(self, tmp_path, content):
+        bad = tmp_path / "hostile.json"
+        bad.write_bytes(content)
+        with pytest.raises(ConfigError, match="is not valid JSON"):
+            load_config(bad)
+
+
+DELETE = object()
+
+
+def _config(*edits):
+    """The template config after each edit (dotted path, value); a value of
+    DELETE removes the key, and an empty path replaces the document."""
+    doc = copy.deepcopy(CONFIG_TEMPLATE)
+    for dotted, value in edits:
+        if not dotted:
+            return value
+        *keys, last = dotted.split(".")
+        node = doc
+        for key in keys:
+            node = node[key]
+        if value is DELETE:
+            del node[last]
+        else:
+            node[last] = value
+    return doc
+
+
+@pytest.mark.parametrize("edit, where", [
+    (("extra", {}), "<root>: unknown key 'extra'"),
+    (("sim", DELETE), "<root>: missing key 'sim'"),
+    (("geometry.L4", 1.0), "geometry: unknown key 'L4'"),
+    (("masses.g", DELETE), "masses: missing key 'g'"),
+    (("grid.theta2.step", 0.1), "grid/theta2: unknown key 'step'"),
+    (("grid.theta3.count", DELETE), "grid/theta3: missing key 'count'"),
+    (("geometry.L2", "0.8"), "geometry/L2: expected number, got str"),
+    (("masses.g", True), "masses/g: expected number, got bool"),
+    (("sim.dt", None), "sim/dt: expected number, got NoneType"),
+    (("grid.theta1.count", 2.5), "grid/theta1/count: expected integer, got 2.5"),
+    (("cost.q_diag", [1.0] * 7), "cost/q_diag: expected an array of 8 numbers, got 7 items"),
+    (("cost.q_diag", [1.0] * 9), "cost/q_diag: expected an array of 8 numbers, got 9 items"),
+    (("cost.r_diag", [1.0, 1.0, "1", 1.0]), "cost/r_diag/2: expected number, got str"),
+    (("sim", [0.001, 0.02, 5.0]), "sim: expected an object, got list"),
+    (("", [CONFIG_TEMPLATE]), "<root>: expected an object, got list"),
+], ids=["root-unknown", "root-missing", "section-unknown", "section-missing", "range-unknown",
+        "range-missing", "string", "bool", "null", "count-2.5", "q_diag-7", "q_diag-9",
+        "string-in-array", "section-as-list", "root-array"])
+def test_malformed_config_names_its_path(edit, where):
+    with pytest.raises(ConfigError, match=f"^config invalid at {re.escape(where)}$"):
+        parse_config(_config(edit))
+
+
+def test_integer_may_be_written_as_float():
+    assert parse_config(_config(("grid.theta1.count", 2.0))).grid.counts[0] == 2
+
+
+@pytest.mark.parametrize("dotted", ["geometry.L1", "grid.theta2.count", "cost.q_diag", "sim.dt"])
+def test_int_beyond_float_range_exit_2(capsys, write_config, dotted):
+    big = 10**400  # a 401-digit JSON literal
+    cfg = write_config({dotted: [big] + [1.0] * 7 if dotted == "cost.q_diag" else big})
+    code, _, err = run_cli(capsys, "--config", cfg, "fk", "0", "0", "0", "0")
+    assert code == 2
+    assert err.startswith("error: ")
+
+
+# what a mutation may put in a config: JSON leaves (ints beyond float
+# range too), arrays and objects of them
+_LEAVES = st.one_of(st.none(), st.booleans(), st.text(max_size=2), st.integers(),
+                    st.sampled_from([10**400, -10**400, 2.0, 2.5]), st.floats())
+_VALUES = st.one_of(_LEAVES, st.lists(_LEAVES, max_size=9),
+                    st.dictionaries(st.sampled_from(["min", "max", "count", "L1", "x"]), _LEAVES))
+
+
+def _paths(value, path=()):
+    yield path
+    children = (value.items() if isinstance(value, dict)
+                else enumerate(value) if isinstance(value, list) else ())
+    for key, child in children:
+        yield from _paths(child, path + (key,))
+
+
+@st.composite
+def _mutated_configs(draw):
+    """The template config with one to three nodes deleted, replaced or
+    given an extra sibling key."""
+    doc = copy.deepcopy(CONFIG_TEMPLATE)
+    for _ in range(draw(st.integers(1, 3))):
+        path = draw(st.sampled_from(list(_paths(doc))))
+        if not path:
+            return draw(_VALUES)
+        *keys, last = path
+        parent = doc
+        for key in keys:
+            parent = parent[key]
+        action = draw(st.sampled_from(["delete", "replace", "add"]))
+        if action == "delete":
+            del parent[last]
+        elif action == "add" and isinstance(parent, dict):
+            parent[draw(st.sampled_from(["extra", "min", "g"]))] = draw(_VALUES)
+        else:
+            parent[last] = draw(_VALUES)
+    return doc
+
+
+@settings(max_examples=300, deadline=None)
+@given(raw=_mutated_configs())
+def test_mutated_config_is_config_or_config_error(raw):
+    try:
+        assert isinstance(parse_config(raw), ArmConfig)
+    except ConfigError:
+        pass
+
+
+def test_import_leaves_out_jsonschema():
+    src = Path(armctl.__file__).resolve().parents[1]
+    code = "import sys, armctl; print('jsonschema' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": str(src)},
+                         capture_output=True, text=True, check=True).stdout
+    assert out.strip() == "False"
 
 
 @pytest.mark.parametrize(
@@ -459,6 +594,17 @@ class TestBench:
         assert list(report) == plain + layers
         assert all(float(report[name]) > 0.0 for name in layers)
         assert float(report["linearize_median_us"]) < float(report["online_median_us"])
+
+    def test_other_arms_table_exit_5(self, capsys, write_config, tmp_path):
+        table_path = tmp_path / "gains.agt"
+        assert run_cli(capsys, "--config", write_config(), "precompute",
+                       "--out", str(table_path))[0] == 0
+        other = write_config({"masses.m2": 0.9}, name="other.json")
+        code, out, err = run_cli(capsys, "--config", other, "bench",
+                                 "--table", str(table_path), "--iters", "5")
+        assert code == 5
+        assert "different arm" in err
+        assert out == ""
 
     def test_zero_iters_exit_2(self, capsys, write_config, tmp_path):
         with pytest.raises(SystemExit) as info:

@@ -22,6 +22,7 @@ from armctl import (
     TreeTooDeep,
     TruncatedData,
     VersionMismatch,
+    check_digest,
     equilibrium_point,
     linearize,
     load,
@@ -496,19 +497,19 @@ class TestSerialization:
         with pytest.raises(TruncatedData):
             load(save(table) + b"\x00")
 
-    def test_digest_checked_on_load(self, geom, masses, weights, table):
+    def test_check_digest(self, geom, masses, weights, table):
+        loaded = load(save(table))
         other = MassModel(m2=0.6, m3=0.4, m4=0.3, M1=0.4, M2=0.3, M3=0.2)
-        wrong_arm = table_digest(geom, other, weights)
         with pytest.raises(DigestMismatch, match="different arm"):
-            load(save(table), expect_digest=wrong_arm)
+            check_digest(loaded, geom, other, weights)
         from armctl import CostWeights
 
         other_w = CostWeights.from_diagonals([1.0] * 8, [2.0] * 4)
-        wrong_w = table_digest(geom, masses, other_w)
         with pytest.raises(DigestMismatch, match="cost weights"):
-            load(save(table), expect_digest=wrong_w)
-        loaded = load(save(table), expect_digest=table_digest(geom, masses, weights))
-        assert np.array_equal(loaded.entries, table.entries)
+            check_digest(loaded, geom, masses, other_w)
+        check_digest(loaded, geom, masses)  # without weights, the arm half alone
+        check_digest(loaded, geom, masses, weights)
+        assert loaded.digest == table_digest(geom, masses, weights)
 
     # magic, version, dims, four (min, max, count) records, digest
     REFINED_HEADER = 4 + 4 + 4 + 4 * 20 + 32

@@ -1,7 +1,8 @@
 """A nan or +-inf anywhere in the input of a public entry point gives a
 finite result, a typed ArmError, or ValueError("<name> must be finite"):
 never a silent nan, nor an error from deeper down (math domain error,
-scipy's own message).  A vector argument of the wrong size gives
+scipy's own message).  An int beyond float range in a vector argument is
+not finite either.  A vector argument of the wrong size gives
 ValueError("<name> must have N components, got M"), and one of the right
 size in any shape is read flattened."""
 
@@ -165,3 +166,15 @@ def test_wrong_size_vector_names_the_argument(entry_points, name):
         for shape in ((1, n), (n, 1)):
             args = {**arguments, arg: np.reshape(base, shape)}
             assert _floats(call(*args.values())).tobytes() == want.tobytes(), (arg, shape)
+
+
+@pytest.mark.parametrize("name", NAMES)
+def test_int_beyond_float_range_is_not_finite(entry_points, name):
+    """A Python int too large for a float (as a JSON literal can be) in a
+    vector argument is reported like an inf, not as an OverflowError."""
+    arguments, call = entry_points[name]
+    for arg, base in arguments.items():
+        if isinstance(base, list):
+            args = {**arguments, arg: [10**400] + base[1:]}
+            with pytest.raises(ValueError, match=f"^{arg} must be finite"):
+                call(*args.values())

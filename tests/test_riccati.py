@@ -58,6 +58,16 @@ class TestCostWeights:
         assert np.array_equal(w.Q, np.diag([1.0, 2.0]))
         assert np.array_equal(w.R, [[3.0]])
 
+    @pytest.mark.parametrize("q_diag, r_diag, message", [
+        (2 * np.eye(8), np.eye(4), r"^q_diag must be a 1-D vector, got shape \(8, 8\)"),
+        (1.0, [1.0] * 4, r"^q_diag must be a 1-D vector, got shape \(\)"),
+        ([1.0] * 8, [[1.0, 1.0], [1.0]], r"^r_diag must be a 1-D vector of floats"),
+        ([1.0] * 8, [10**400] * 4, r"^r_diag must be a 1-D vector of floats"),
+    ], ids=["2-d", "scalar", "ragged", "int-beyond-float"])
+    def test_from_diagonals_names_a_bad_vector(self, q_diag, r_diag, message):
+        with pytest.raises(ValueError, match=message):
+            CostWeights.from_diagonals(q_diag, r_diag)
+
 
 class TestAnalyticCases:
     def test_double_integrator_care(self):
