@@ -85,7 +85,7 @@ def parse_config(raw: dict) -> ArmConfig:
             for k in ("theta1", "theta2", "theta3", "theta4")
         )
         sim = SimConfig(**raw["sim"])
-    except (ValueError, OverflowError) as exc:  # OverflowError: an int beyond float range
+    except ValueError as exc:
         raise ConfigError(str(exc)) from exc
     return ArmConfig(geometry, masses, weights, grid, sim)
 

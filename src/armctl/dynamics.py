@@ -51,12 +51,11 @@ from __future__ import annotations
 
 import functools
 import itertools
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateInertia, vector
+from .errors import DegenerateInertia, scalar, vector
 from .kinematics import ArmGeometry, planar_chain
 
 # below this (kg m^2) a joint is considered unactuatable and dynamics error out
@@ -78,8 +77,8 @@ class MassModel:
 
     def __post_init__(self):
         for name in ("m2", "m3", "m4", "M1", "M2", "M3", "g"):
-            v = float(getattr(self, name))
-            if not (math.isfinite(v) and v >= 0.0):
+            v = scalar(getattr(self, name), name)
+            if not v >= 0.0:
                 raise ValueError(f"{name} must be finite and >= 0, got {v!r}")
             object.__setattr__(self, name, v)
 
@@ -88,13 +87,13 @@ def segment_inertia(pa, pb, m: float) -> float:
     """Rotational inertia of a uniform segment from pa to pb about the origin."""
     x1, y1 = vector(pa, 2, "pa")
     x2, y2 = vector(pb, 2, "pb")
-    return (m / 3.0) * (x1 * x1 + x1 * x2 + x2 * x2 + y1 * y1 + y1 * y2 + y2 * y2)
+    return (scalar(m, "m") / 3.0) * (x1 * x1 + x1 * x2 + x2 * x2 + y1 * y1 + y1 * y2 + y2 * y2)
 
 
 def point_inertia(p, m: float) -> float:
     """Rotational inertia of a point mass about the origin: m * (x^2 + y^2)."""
     x, y = vector(p, 2, "p")
-    return m * (x * x + y * y)
+    return scalar(m, "m") * (x * x + y * y)
 
 
 @functools.lru_cache(maxsize=16)

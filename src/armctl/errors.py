@@ -1,13 +1,14 @@
-"""Exception types shared across the library, and `vector`, the one check
-of the vector arguments of its public functions: any array-like of exactly
-n values is read flattened as n floats (a scalar is one component), any
-other size raises ValueError("<name> must have n components, got m") (the
-input itself in place of m if it is ragged or not numbers), and a nan, an
-inf or an int beyond float range ValueError("<name> must be finite, got
-...").  `components` is its shape step alone, for the inputs whose
-non-finite values another check reports: lookup (OutOfBounds), step_rk4
-(Diverged), and the GridSpec and refine bounds (their span check).  An int
-beyond float range is an error there too.
+"""Exception types, and the one reading of the numbers public functions take:
+every vector, scalar and count argument is read here and a bad one raises
+ValueError naming it; a failure on a value the library computed is an
+ArmError.  `vector` reads any array-like of exactly n values flattened as n
+floats (a scalar is one); any other size raises ValueError("<name> must have
+n components, got m") (m is the input if ragged or not numbers), and a nan,
+inf or int beyond float range ValueError("<name> must be finite, got ...").
+`scalar` is its one-value case, `count` a whole number >= least (2.0 reads
+as 2), and `components` its shape step alone, where another check reports a
+non-finite value: lookup, step_rk4, refine's tol and the GridSpec and refine
+bounds.  An int beyond float range is an error there too.
 """
 
 import math
@@ -37,6 +38,19 @@ def vector(values, n: int, name: str) -> list[float]:
     return v
 
 
+def scalar(value, name: str) -> float:
+    """value as one finite float: vector's one-value case."""
+    return vector(value, 1, name)[0]
+
+
+def count(value, name: str, least: int) -> int:
+    """value as a whole number >= least, or ValueError naming it."""
+    v = scalar(value, name)
+    if not (v.is_integer() and v >= least):
+        raise ValueError(f"{name} must be a whole number >= {least}, got {value!r}")
+    return int(v)
+
+
 class ArmError(Exception):
     """Base class for all armctl errors."""
 
@@ -56,7 +70,7 @@ class DegenerateInertia(ArmError):
 
 
 class Diverged(ArmError):
-    """A simulated state became non-finite (inf or nan)."""
+    """A simulated state, or the linear model at one, became non-finite."""
 
 
 class NotStabilizable(ArmError):
@@ -64,7 +78,7 @@ class NotStabilizable(ArmError):
 
 
 class IllConditioned(ArmError):
-    """The Riccati solution failed its residual accuracy contract."""
+    """The Schur form or the Riccati solution failed an accuracy check."""
 
 
 class NodeFailure(ArmError):

@@ -58,6 +58,7 @@ from .errors import (
     TruncatedData,
     VersionMismatch,
     components,
+    count,
 )
 from .kinematics import ArmGeometry, wrap_angle
 from .linearization import equilibrium_point, linearize
@@ -135,11 +136,10 @@ class GridSpec:
     def __post_init__(self):
         lo = tuple(components(self.lo, NDIM, "lo"))
         hi = tuple(components(self.hi, NDIM, "hi"))
-        counts = tuple(int(c) for c in components(self.counts, NDIM, "counts"))
+        counts = components(self.counts, NDIM, "counts")
+        counts = tuple(count(c, f"counts[{k}]", 2) for k, c in enumerate(counts))
         for k in range(NDIM):
             _check_span(k, lo[k], hi[k])
-            if counts[k] < 2:
-                raise ValueError(f"dimension {k}: count must be >= 2, got {counts[k]}")
         object.__setattr__(self, "lo", lo)
         object.__setattr__(self, "hi", hi)
         object.__setattr__(self, "counts", counts)
@@ -294,6 +294,7 @@ def precompute(
     _CHUNK nodes.  Raises NodeFailure (carrying the node index and cause)
     for the first node in index order that cannot be solved.
     """
+    workers = count(workers, "workers", 1)
     planar = list(np.ndindex(grid.shape[1:]))
     axes = [grid.axis(k) for k in (1, 2, 3)]
     jobs = [
@@ -301,7 +302,7 @@ def precompute(
          np.array([grid.lo[0]] + [axis[i] for axis, i in zip(axes, ix)]), (0,) + ix)
         for ix in planar
     ]
-    if workers <= 1:
+    if workers == 1:
         gains = [_node_gain_job(job) for job in jobs]
     else:
         # the pool starts all its processes up front; any beyond one per
@@ -448,12 +449,10 @@ def refine(
     lo, hi = tuple(box[:NDIM]), tuple(box[NDIM:])
     for k in range(NDIM):
         _check_span(k, lo[k], hi[k])
-    tol = float(tol)
+    (tol,) = components(tol, 1, "tol")
     if not tol > 0.0:
-        raise ValueError(f"tolerance must be > 0, got {tol!r}")
-    max_depth = int(max_depth)
-    if max_depth < 1:
-        raise ValueError(f"max_depth must be >= 1, got {max_depth}")
+        raise ValueError(f"tol must be > 0, got {tol!r}")
+    max_depth = count(max_depth, "max_depth", 1)
 
     cache: dict[tuple, np.ndarray] = {}
     pool: dict[tuple, int] = {}  # planar corner -> pool index, in order of first use

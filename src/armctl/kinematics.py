@@ -15,7 +15,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import SingularYaw, Unreachable, components, vector
+from .errors import SingularYaw, Unreachable, components, scalar, vector
 
 TWO_PI = 2.0 * math.pi
 
@@ -42,8 +42,8 @@ class ArmGeometry:
 
     def __post_init__(self):
         for name in ("L1", "L2", "L3"):
-            v = float(getattr(self, name))
-            if not (math.isfinite(v) and v > 0.0):
+            v = scalar(getattr(self, name), name)
+            if not v > 0.0:
                 raise ValueError(f"{name} must be a positive finite length, got {v!r}")
             object.__setattr__(self, name, v)
 
@@ -63,10 +63,7 @@ class JointAngles:
 
     def __post_init__(self):
         for name in ("theta1", "theta2", "theta3", "theta4"):
-            v = float(getattr(self, name))
-            if not math.isfinite(v):
-                raise ValueError(f"{name} must be finite, got {v!r}")
-            object.__setattr__(self, name, wrap_angle(v))
+            object.__setattr__(self, name, wrap_angle(scalar(getattr(self, name), name)))
 
     @classmethod
     def from_array(cls, values) -> "JointAngles":
@@ -119,7 +116,7 @@ def fk_planar(
 ) -> tuple[PlanarPoint, PlanarPoint, PlanarPoint, PlanarPoint]:
     """Joint positions P1..P4 in the joint plane: P1 is the origin and each
     link adds L (sin a, cos a) at its cumulative angle a (see planar_chain)."""
-    angles = vector((theta2, theta3, theta4), 3, "theta2..theta4")
+    angles = map(scalar, (theta2, theta3, theta4), ("theta2", "theta3", "theta4"))
     u2, v2, u3, v3, u4, v4 = planar_chain(*angles)
     x2, y2 = geom.L1 * u2, geom.L1 * v2
     x3, y3 = x2 + geom.L2 * u3, y2 + geom.L2 * v3
@@ -155,9 +152,7 @@ def ik(geom: ArmGeometry, target, pitch: float = 0.0) -> JointAngles:
     the wrist offset has a radial component (the yaw would be arbitrary).
     """
     x, y, z = vector(target, 3, "target")
-    phi = float(pitch)
-    if not math.isfinite(phi):
-        raise ValueError(f"pitch must be finite, got {phi!r}")
+    phi = scalar(pitch, "pitch")
     r = math.hypot(x, y)
 
     if r == 0.0:

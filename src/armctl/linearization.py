@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dynamics import MassModel, _hessians, _kernel, _solve, equilibrium_torque
-from .errors import vector
+from .errors import Diverged, vector
 from .kinematics import ArmGeometry
 
 # the upper half of every A: d theta/dt = rates
@@ -84,7 +84,7 @@ def linearize(geom: ArmGeometry, masses: MassModel, op: OperatingPoint) -> Linea
         dacc_i/dw_m = (J[m][i] w_m - [i == m] sum_j J[i][j] w_j
                        - w_i J[i][m]) / I_i,
     and B's lower block is diag(1/I).  Raises DegenerateInertia where
-    forward_dynamics would.
+    forward_dynamics would, and Diverged where A overflows to inf or nan.
     """
     theta, w = op.theta, op.rates
     wl = w.tolist()
@@ -95,15 +95,18 @@ def linearize(geom: ArmGeometry, masses: MassModel, op: OperatingPoint) -> Linea
     jac = np.array(kernel[3])
     hess = _hessians(geom, masses, theta)
 
-    # dN_i/dtheta_l, then the quotient rule
-    dnum = (np.array([0.5 * v * v for v in wl] + [-1.0]) @ hess.reshape(5, 16)).reshape(4, 4)
-    dnum -= w[:, None] * (w @ hess[:4])
-    A = _A_TOP.copy()
-    A[4:8, 1:4] = (dnum[:, 1:4] - acc[:, None] * jac[:, 1:4]) * inverse[:, None]
-    if any(wl):
-        rate = jac.T * w - w[:, None] * jac
-        rate.flat[::5] -= jac @ w
-        A[4:8, 4:8] = rate * inverse[:, None]
+    with np.errstate(over="ignore", invalid="ignore"):  # A is checked below
+        # dN_i/dtheta_l, then the quotient rule
+        dnum = (np.array([0.5 * v * v for v in wl] + [-1.0]) @ hess.reshape(5, 16)).reshape(4, 4)
+        dnum -= w[:, None] * (w @ hess[:4])
+        A = _A_TOP.copy()
+        A[4:8, 1:4] = (dnum[:, 1:4] - acc[:, None] * jac[:, 1:4]) * inverse[:, None]
+        if any(wl):
+            rate = jac.T * w - w[:, None] * jac
+            rate.flat[::5] -= jac @ w
+            A[4:8, 4:8] = rate * inverse[:, None]
+    if not np.isfinite(A).all():
+        raise Diverged(f"linear model not finite at rates {wl} and torque {op.torque.tolist()}")
 
     B = np.zeros((8, 4))
     B[4:8].flat[::5] = inverse

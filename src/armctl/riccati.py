@@ -26,16 +26,21 @@ RESIDUAL_RTOL = 1e-8
 _SYM_TOL = 1e-12
 
 
-def _symmetric(mat: np.ndarray, name: str) -> np.ndarray:
+def _symmetric(mat: np.ndarray, name: str) -> tuple[np.ndarray, float]:
     m = np.asarray(mat, dtype=float)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError(f"{name} must be square, got shape {m.shape}")
     if not np.isfinite(m).all():
         raise ValueError(f"{name} must be finite")
     scale = max(1.0, float(np.abs(m).max()) if m.size else 0.0)
-    if float(np.abs(m - m.T).max()) > _SYM_TOL * scale:
+    with np.errstate(over="ignore"):  # an overflow gives inf, rejected below
+        sym, asymmetry = 0.5 * (m + m.T), float(np.abs(m - m.T).max())
+        norm = float(np.linalg.norm(sym))
+    if asymmetry > _SYM_TOL * scale:
         raise ValueError(f"{name} must be symmetric to {_SYM_TOL}")
-    return 0.5 * (m + m.T)
+    if np.isinf(norm):
+        raise ValueError(f"{name} is too large: its symmetric part or norm overflows")
+    return sym, norm
 
 
 def _lhp(re, im):
@@ -55,8 +60,8 @@ class CostWeights:
     _lwork: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        q = _symmetric(self.Q, "Q")
-        r = _symmetric(self.R, "R")
+        q, q_norm = _symmetric(self.Q, "Q")
+        r, _ = _symmetric(self.R, "R")
         q_eigs = np.linalg.eigvalsh(q)
         if q_eigs.min() < -1e-10 * max(1.0, q_eigs.max()):
             raise ValueError(f"Q must be positive semidefinite (min eig {q_eigs.min()})")
@@ -70,7 +75,7 @@ class CostWeights:
         object.__setattr__(self, "R", r)
         object.__setattr__(self, "_r_chol", r_chol)
         object.__setattr__(self, "_neg_q", -q)
-        object.__setattr__(self, "_limit", RESIDUAL_RTOL * max(1.0, float(np.linalg.norm(q))))
+        object.__setattr__(self, "_limit", RESIDUAL_RTOL * max(1.0, q_norm))
         # the optimal dgees workspace, queried as scipy.linalg.schur does; it depends on n alone
         query = lapack.dgees(_lhp, np.zeros((2 * len(q),) * 2), lwork=-1)
         object.__setattr__(self, "_lwork", int(query[-2][0]))
@@ -129,7 +134,7 @@ def _solve(A, B, weights: CostWeights):
     _, sdim, _, _, Z, _, info = lapack.dgees(_lhp, H, lwork=weights._lwork,
                                              sort_t=1, overwrite_a=1)
     if info:
-        raise np.linalg.LinAlgError(f"ordered Schur form failed (dgees info {info})")
+        raise IllConditioned(f"ordered Schur form failed (dgees info {info})")
     if sdim != n:
         raise NotStabilizable(f"stable invariant subspace has dimension {sdim}, expected {n}")
     try:
@@ -163,8 +168,8 @@ def solve_care(A, B, weights: CostWeights) -> np.ndarray:
 
     Returns the symmetric PSD solution.  Raises NotStabilizable when no
     stabilizing solution exists (wrong stable-subspace dimension, singular
-    basis, indefinite P, or a non-Hurwitz closed loop) and IllConditioned
-    when the residual contract is not met; ValueError for a non-finite A or B.
+    basis, indefinite P, or a non-Hurwitz closed loop), IllConditioned when
+    the Schur form or residual check fails; ValueError for non-finite A or B.
     """
     return _solve(A, B, weights)[0]
 

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dynamics import MassModel, _accelerations, equilibrium_torque, total_energy
-from .errors import ArmError, Diverged, EmptyBenchmark, components, vector
+from .errors import ArmError, Diverged, EmptyBenchmark, components, count, scalar, vector
 from .gain_table import GainTable, RefinedTable, _blend, check_digest, lookup
 from .kinematics import ArmGeometry
 from .linearization import OperatingPoint, linearize
@@ -46,14 +46,12 @@ class SimConfig:
     duration: float = 5.0
 
     def __post_init__(self):
-        # inf overflows the step and update counts; nan slips past the
-        # comparisons below
         for name in ("dt", "control_period", "duration"):
-            value = getattr(self, name)
-            if not math.isfinite(value):
-                raise ValueError(f"{name} must be finite, got {value!r}")
-        if not 0.0 < self.dt <= self.control_period:
-            raise ValueError(f"need 0 < dt <= control_period, got {self.dt}, {self.control_period}")
+            object.__setattr__(self, name, scalar(getattr(self, name), name))
+        if self.dt <= 0.0:
+            raise ValueError(f"dt must be > 0, got {self.dt}")
+        if self.control_period < self.dt:
+            raise ValueError(f"control_period must be >= dt {self.dt}, got {self.control_period}")
         if self.duration <= 0.0:
             raise ValueError(f"duration must be > 0, got {self.duration}")
         steps = self.control_period / self.dt
@@ -148,8 +146,8 @@ def step_rk4(geom: ArmGeometry, masses: MassModel, x, torque, dt: float) -> np.n
     with the torque held constant over the step.  Raises Diverged when a
     state along the step is non-finite (x and torque included: their shapes
     alone are checked first, by `errors.components`)."""
-    x = components(x, 8, "x")
-    return np.array(_integrate(geom, masses, x, components(torque, 4, "torque"), dt, 1))
+    x, torque = components(x, 8, "x"), components(torque, 4, "torque")
+    return np.array(_integrate(geom, masses, x, torque, scalar(dt, "dt"), 1))
 
 
 def simulate(
@@ -272,8 +270,9 @@ def bench_controller(
     Everything runs on the calling thread so the timings are stable.
     Raises EmptyBenchmark when n_iters <= 0.
     """
-    if n_iters <= 0:
+    if scalar(n_iters, "n_iters") <= 0:
         raise EmptyBenchmark(f"n_iters must be positive, got {n_iters}")
+    n_iters = count(n_iters, "n_iters", 1)
     check_digest(table, geom=geom, masses=masses, weights=weights)
 
     rng = np.random.default_rng(seed)

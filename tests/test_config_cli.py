@@ -134,13 +134,26 @@ def test_integer_may_be_written_as_float():
     assert parse_config(_config(("grid.theta1.count", 2.0))).grid.counts[0] == 2
 
 
-@pytest.mark.parametrize("dotted", ["geometry.L1", "grid.theta2.count", "cost.q_diag", "sim.dt"])
+@pytest.mark.parametrize("dotted", ["geometry.L1", "masses.g", "grid.theta2.count",
+                                    "cost.q_diag", "sim.dt"])
 def test_int_beyond_float_range_exit_2(capsys, write_config, dotted):
     big = 10**400  # a 401-digit JSON literal
     cfg = write_config({dotted: [big] + [1.0] * 7 if dotted == "cost.q_diag" else big})
     code, _, err = run_cli(capsys, "--config", cfg, "fk", "0", "0", "0", "0")
     assert code == 2
-    assert err.startswith("error: ")
+    # the message names the field (GridSpec reads the four counts as one argument)
+    name = "counts" if dotted.endswith(".count") else dotted.split(".")[-1]
+    assert err.startswith(f"error: {name} must be ")
+
+
+@pytest.mark.parametrize("q_diag, r_diag, name", [
+    ([1e308] * 8, [1.0] * 4, "Q"), ([1e200] * 8, [1.0] * 4, "Q"), ([1.0] * 8, [1e200] * 4, "R"),
+])
+def test_overflowing_cost_weights_exit_2(capsys, write_config, q_diag, r_diag, name):
+    cfg = write_config({"cost.q_diag": q_diag, "cost.r_diag": r_diag})
+    code, _, err = run_cli(capsys, "--config", cfg, "fk", "0", "0", "0", "0")
+    assert code == 2
+    assert err.startswith(f"error: {name} is too large")
 
 
 # what a mutation may put in a config: JSON leaves (ints beyond float
@@ -436,6 +449,20 @@ class TestSimulate:
         lines = out_csv.read_text().strip().splitlines()
         assert lines[0].startswith("t,")
         assert len(lines) == 3  # header, the t=0 sample, the abort line
+        assert lines[-1].startswith("# aborted:")
+
+    @pytest.mark.parametrize("rate", ["1e150", "1e200"])
+    def test_online_runaway_rate_exit_6_partial_csv(self, capsys, write_config, tmp_path, rate):
+        out_csv = tmp_path / "run.csv"
+        code, _, err = run_cli(
+            capsys, "--config", write_config(), "simulate", "--mode", "online",
+            "--out", str(out_csv), "--x0", "0", "0.5", "-0.5", "0.2", rate, "0", "0", "0",
+        )
+        assert code == 6
+        assert err.startswith("aborted: ")
+        lines = out_csv.read_text().strip().splitlines()
+        assert lines[0].startswith("t,")
+        assert len(lines) == 2  # header, the abort line
         assert lines[-1].startswith("# aborted:")
 
     def test_online_solver_failure_exit_6_partial_csv(

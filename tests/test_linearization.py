@@ -7,6 +7,7 @@ import armctl.dynamics as dyn
 import armctl.linearization as lin
 from armctl import (
     DegenerateInertia,
+    Diverged,
     MassModel,
     OperatingPoint,
     equilibrium_point,
@@ -54,6 +55,19 @@ class TestOperatingPoint:
     def test_state_concatenation(self):
         op = OperatingPoint([1, 2, 3, 4], [5, 6, 7, 8], np.zeros(4))
         assert np.array_equal(op.state(), [1, 2, 3, 4, 5, 6, 7, 8])
+
+
+class TestOverflow:
+    @pytest.mark.parametrize("rates, torque", [
+        ([1e200, 0.0, 0.0, 0.0], np.zeros(4)),
+        ([0.0, 0.0, 1e160, 0.0], np.zeros(4)),
+        (np.zeros(4), [0.0, 0.0, 0.0, -1e308]),
+    ])
+    def test_non_finite_model_is_diverged(self, geom, masses, theta_ref, rates, torque):
+        """Finite rates or a finite torque large enough to overflow A raise
+        a typed error, with no numpy overflow warning on the way."""
+        with pytest.raises(Diverged, match="^linear model not finite"):
+            linearize(geom, masses, OperatingPoint(theta_ref, rates, torque))
 
 
 class TestBlockStructure:

@@ -4,8 +4,11 @@ never a silent nan, nor an error from deeper down (math domain error,
 scipy's own message).  An int beyond float range in a vector argument is
 not finite either.  A vector argument of the wrong size gives
 ValueError("<name> must have N components, got M"), and one of the right
-size in any shape is read flattened."""
+size in any shape is read flattened.  A scalar argument gets the same
+finiteness checks, and a count must be a whole number: each bad value
+raises a ValueError whose message starts with the argument's name."""
 
+import dataclasses
 import math
 from functools import partial
 
@@ -16,13 +19,17 @@ from hypothesis import strategies as st
 
 from armctl import (
     ArmError,
+    ArmGeometry,
     ControllerMode,
+    EmptyBenchmark,
     GridSpec,
     JointAngles,
     LinearModel,
+    MassModel,
     OperatingPoint,
     SimConfig,
     Trajectory,
+    bench_controller,
     equilibrium_point,
     equilibrium_torque,
     fk_planar,
@@ -178,3 +185,78 @@ def test_int_beyond_float_range_is_not_finite(entry_points, name):
             args = {**arguments, arg: [10**400] + base[1:]}
             with pytest.raises(ValueError, match=f"^{arg} must be finite"):
                 call(*args.values())
+
+
+@pytest.mark.parametrize("name", NAMES)
+def test_non_finite_scalar_names_the_argument(entry_points, name):
+    """A scalar argument gets a vector argument's finiteness checks."""
+    arguments, call = entry_points[name]
+    for arg, base in arguments.items():
+        if not isinstance(base, float):
+            continue
+        for bad in (math.nan, math.inf, -math.inf, 10**400):
+            args = {**arguments, arg: bad}
+            with pytest.raises(ValueError, match=f"^{arg} must be finite"):
+                call(*args.values())
+
+
+NOT_FINITE = (math.nan, math.inf, -math.inf, 10**400)
+NOT_COUNT = (2.5, math.nan, math.inf, 10**400, 0, -1)
+
+
+@pytest.fixture(scope="module")
+def numbers(geom, masses, weights, theta_ref):
+    """name -> (call, bad values): call(v) passes v as that scalar or count
+    argument, with every other argument valid.  JointAngles' angles and ik's
+    pitch are entry-point arguments above."""
+    box = (tuple(theta_ref - 0.1), tuple(theta_ref + 0.1))
+    grid = GridSpec(*box, (2, 2, 2, 2))
+    table = precompute(geom, masses, weights, grid)
+
+    def field(cls, base, name, bad):
+        return name, (lambda v: cls(**{**base, name: v}), bad)
+
+    sim = dataclasses.asdict(SimConfig())
+    return dict(
+        [field(ArmGeometry, dataclasses.asdict(geom), k, NOT_FINITE + (0.0,))
+         for k in ("L1", "L2", "L3")]
+        + [field(MassModel, dataclasses.asdict(masses), k, NOT_FINITE + (-1.0,))
+           for k in ("m2", "m3", "m4", "M1", "M2", "M3", "g")]
+        + [field(SimConfig, sim, k, NOT_FINITE + (0.0,)) for k in sim]
+        + [
+            ("counts", (lambda v: GridSpec(*box, (2, v, 2, 2)), NOT_COUNT + (1,))),
+            ("tol", (lambda v: refine(geom, masses, weights, box, v, 2),
+                     (math.nan, 10**400, 0.0, -1.0))),
+            ("max_depth", (lambda v: refine(geom, masses, weights, box, 0.4, v), NOT_COUNT)),
+            ("workers", (lambda v: precompute(geom, masses, weights, grid, workers=v),
+                         NOT_COUNT)),
+            ("n_iters", (lambda v: bench_controller(geom, masses, table, v, weights=weights),
+                         NOT_COUNT[:4])),
+        ]
+    )
+
+
+NUMBERS = ["L1", "L2", "L3", "m2", "m3", "m4", "M1", "M2", "M3", "g", "dt", "control_period",
+           "duration", "counts", "tol", "max_depth", "workers", "n_iters"]
+
+
+@pytest.mark.parametrize("name", NUMBERS)
+def test_bad_number_names_the_argument(numbers, name):
+    call, bad_values = numbers[name]
+    for bad in bad_values:
+        with pytest.raises(ValueError, match=rf"^{name}\b"):
+            call(bad)
+
+
+def test_count_may_be_written_as_float(numbers, theta_ref):
+    box = (tuple(theta_ref - 0.1), tuple(theta_ref + 0.1))
+    counts = GridSpec(*box, (2, 2.0, 3.0, 2)).counts
+    assert counts == (2, 2, 3, 2) and all(type(c) is int for c in counts)
+    max_depth = numbers["max_depth"][0](2.0).max_depth
+    assert max_depth == 2 and type(max_depth) is int
+
+
+@pytest.mark.parametrize("n_iters", [0, -1, 0.0])
+def test_no_iterations_is_empty_benchmark(numbers, n_iters):
+    with pytest.raises(EmptyBenchmark):
+        numbers["n_iters"][0](n_iters)

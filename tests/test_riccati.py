@@ -8,8 +8,10 @@ import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import armctl.riccati as riccati
 from armctl import (
     CostWeights,
+    IllConditioned,
     NotStabilizable,
     OperatingPoint,
     equilibrium_point,
@@ -52,6 +54,15 @@ class TestCostWeights:
             CostWeights([[bad, 0.0], [0.0, 1.0]], [[1.0]])
         with pytest.raises(ValueError, match="R must be finite"):
             CostWeights(np.eye(2), [[bad]])
+
+    @pytest.mark.parametrize("q_diag, r_diag, name", [
+        ([1e308] * 8, [1.0] * 4, "Q"),  # the symmetric part overflows
+        ([1e200] * 8, [1.0] * 4, "Q"),  # the Frobenius norm overflows
+        ([1.0] * 8, [1e200] * 4, "R"),
+    ])
+    def test_rejects_overflowing_weights(self, q_diag, r_diag, name):
+        with pytest.raises(ValueError, match=f"^{name} is too large"):
+            CostWeights.from_diagonals(q_diag, r_diag)
 
     def test_from_diagonals(self):
         w = CostWeights.from_diagonals([1, 2], [3])
@@ -148,6 +159,19 @@ class TestContracts:
             solve_care(np.eye(3), np.ones((3, 1)), w)
         with pytest.raises(ValueError):
             solve_care(np.eye(2), np.ones((3, 1)), w)
+
+    def test_schur_failure_is_ill_conditioned(self, monkeypatch):
+        """A dgees convergence failure (as on the linear model of a runaway
+        state, rates near 1e150) is a typed error, not numpy's LinAlgError."""
+        w = CostWeights(np.eye(2), np.eye(1))
+        real = riccati.lapack.dgees
+
+        def not_converged(*args, **kwargs):
+            return real(*args, **kwargs)[:-1] + (3,)
+
+        monkeypatch.setattr(riccati.lapack, "dgees", not_converged)
+        with pytest.raises(IllConditioned, match=r"^ordered Schur form failed \(dgees info 3\)"):
+            lqr_gain(*DOUBLE_INTEGRATOR, w)
 
     def test_scalar_b_names_b(self):
         # a 0-d B has no row axis; the reference raises IndexError here

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 import armctl.simulator as sim
 from armctl import (
+    ArmError,
     ArmGeometry,
     ControllerMode,
     CostWeights,
@@ -173,6 +174,19 @@ class TestDivergence:
         partial = info.value.partial
         assert partial.times.size == 1
         assert np.array_equal(partial.states[0], x0)
+
+    @pytest.mark.parametrize("rate, error", [(1e150, ArmError), (1e200, Diverged)])
+    def test_online_runaway_rate_is_typed_with_partial(self, geom, masses, weights, rate,
+                                                        error):
+        """A finite but runaway state defeats the online update: the ordered
+        Schur form fails at 1e150 and the linear model overflows at 1e200.
+        Either is an ArmError carrying the (empty) run so far."""
+        x0 = np.array([0.0, 0.5, -0.5, 0.2, rate, 0.0, 0.0, 0.0])
+        x_ref = np.concatenate([x0[:4], np.zeros(4)])
+        with pytest.raises(error) as info:
+            simulate(geom, masses, SimConfig(duration=0.1), ControllerMode.ONLINE_LQR,
+                     x0, x_ref, weights=weights)
+        assert info.value.partial.times.size == 0
 
     def test_step_rk4_rejects_non_finite_state(self, geom, masses):
         x = np.array([0.3, 0.8, -0.9, 0.5, 0.0, np.nan, 0.0, 0.0])
