@@ -1,11 +1,17 @@
 """Command-line interface: kinematics queries, gain-table precomputation and
 inspection, simulation, and controller latency benchmarking.
 
-Exit codes: 0 success; 1 any other armctl error; 2 usage or config errors;
-3 unreachable IK target; 4 gain-table node failure; 5 table digest mismatch;
-6 simulation aborted mid-run (out of table bounds, solver failure,
-degenerate inertia, a diverged state); 7 a file that cannot be read or written (missing
---table, unwritable --out); 8 a malformed gain-table file (including an invalid dimension record).
+Number arguments parse as plain float or int; the library function each one
+reaches checks it, and its ValueError (a bad argument, see `errors`) exits 2
+with the usage line and the library's message naming the argument, e.g.
+"theta2 must be finite, got [nan]".  `--refine inf` builds a one-leaf table.
+
+Exit codes: 0 success; 1 any other armctl error; 2 usage, config or argument
+errors; 3 unreachable IK target; 4 gain-table node failure; 5 table digest
+mismatch; 6 simulation aborted mid-run (out of table bounds, solver failure,
+degenerate inertia, a diverged state); 7 a file that cannot be read or written
+(missing --table, unwritable --out); 8 a malformed gain-table file (including
+an invalid dimension record).
 All angles are radians; results go to stdout, diagnostics to stderr.
 """
 
@@ -76,23 +82,6 @@ def _positive_int(text: str) -> int:
     value = int(text)
     if value <= 0:
         raise argparse.ArgumentTypeError(f"must be a positive integer, got {value}")
-    return value
-
-
-def _finite_float(text: str) -> float:
-    try:
-        value = float(text)
-    except ValueError:
-        value = math.nan  # reported like a nan: not a finite number
-    if not math.isfinite(value):
-        raise argparse.ArgumentTypeError(f"must be a finite number, got {text!r}")
-    return value
-
-
-def _positive_float(text: str) -> float:
-    value = _finite_float(text)
-    if value <= 0.0:
-        raise argparse.ArgumentTypeError(f"must be a finite number > 0, got {text!r}")
     return value
 
 
@@ -244,23 +233,23 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("fk", help="forward kinematics: print world joint positions")
-    p.add_argument("angles", nargs=4, type=_finite_float, metavar="THETA",
+    p.add_argument("angles", nargs=4, type=float, metavar="THETA",
                    help="joint angles theta1..theta4 (rad)")
     p.set_defaults(func=cmd_fk)
 
     p = sub.add_parser("ik", help="inverse kinematics for a world target")
-    p.add_argument("x", type=_finite_float)
-    p.add_argument("y", type=_finite_float)
-    p.add_argument("z", type=_finite_float)
-    p.add_argument("--pitch", type=_finite_float, default=0.0,
+    p.add_argument("x", type=float)
+    p.add_argument("y", type=float)
+    p.add_argument("z", type=float)
+    p.add_argument("--pitch", type=float, default=0.0,
                    help="tool pitch theta2+theta3+theta4 in the joint plane (rad)")
     p.set_defaults(func=cmd_ik)
 
     p = sub.add_parser("precompute", help="build and save a gain table")
     p.add_argument("--out", required=True, help="output table file")
-    p.add_argument("--refine", type=_positive_float, default=None, metavar="TOL",
+    p.add_argument("--refine", type=float, default=None, metavar="TOL",
                    help="build an error-driven refined table with this tolerance")
-    p.add_argument("--max-depth", type=_positive_int, default=6, dest="max_depth")
+    p.add_argument("--max-depth", type=int, default=6, dest="max_depth")
     p.add_argument("--workers", type=_positive_int, default=1)
     p.set_defaults(func=cmd_precompute)
 
@@ -268,9 +257,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mode", required=True, choices=[m.value for m in ControllerMode])
     p.add_argument("--table", default=None, help="gain table file (table mode)")
     p.add_argument("--out", required=True, help="output CSV file")
-    p.add_argument("--x0", nargs=8, type=_finite_float, default=None, metavar="V",
+    p.add_argument("--x0", nargs=8, type=float, default=None, metavar="V",
                    help="initial state theta1..4 w1..4 (default: grid center, at rest)")
-    p.add_argument("--ref", nargs=4, type=_finite_float, default=None, metavar="THETA",
+    p.add_argument("--ref", nargs=4, type=float, default=None, metavar="THETA",
                    help="reference angles (default: the x0 angles)")
     p.set_defaults(func=cmd_simulate)
 
@@ -298,6 +287,8 @@ def main(argv=None) -> int:
     try:
         config = None if args.config is None else load_config(args.config)
         return args.func(config, args)
+    except ValueError as exc:  # a bad argument, named by the library's message
+        parser.error(str(exc))
     except (ArmError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return next(code for kind, code in _EXIT_CODES if isinstance(exc, kind))

@@ -124,7 +124,8 @@ def _solve(A, B, weights: CostWeights):
     # finiteness is checked here, on B and on H, in place of scipy's checks
     if not np.isfinite(B).all():
         raise ValueError("B must be finite")
-    G = B @ lapack.dpotrs(weights._r_chol, B.T)[0]
+    with np.errstate(over="ignore"):  # an overflow fails the check on H below
+        G = B @ lapack.dpotrs(weights._r_chol, B.T)[0]
 
     H = np.empty((2 * n, 2 * n), order="F")
     H[:n, :n], H[:n, n:] = A, -G

@@ -171,10 +171,11 @@ def simulate(
     8-vectors [theta, rates], read by `errors.vector`.
     """
     x = np.array(vector(x0, 8, "x0"))
+    if x_ref is not None:
+        x_ref = np.array(vector(x_ref, 8, "x_ref"))
     if mode is not ControllerMode.PASSIVE:
         if x_ref is None:
             raise ValueError(f"{mode.value} mode requires x_ref")
-        x_ref = np.array(vector(x_ref, 8, "x_ref"))
         tau_ff = equilibrium_torque(geom, masses, x_ref[:4])
     if mode is ControllerMode.ONLINE_LQR and weights is None:
         raise ValueError("online mode requires cost weights")

@@ -195,7 +195,8 @@ def reference_care(A, B, weights):
     if not np.isfinite(B).all():
         raise ValueError("B must be finite")
     r_chol = scipy.linalg.cho_factor(weights.R)
-    G = B @ scipy.linalg.cho_solve(r_chol, B.T, check_finite=False)
+    with np.errstate(over="ignore"):  # an overflow fails the check on H below
+        G = B @ scipy.linalg.cho_solve(r_chol, B.T, check_finite=False)
 
     H = np.block([[A, -G], [-weights.Q, -A.T]])
     if not np.isfinite(H).all():

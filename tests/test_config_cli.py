@@ -223,12 +223,14 @@ def test_import_leaves_out_jsonschema():
          "--x0", "0.3", "0.8", "nan", "0.5", "0", "0", "0", "0"],
         ["simulate", "--mode", "online", "--out", "run.csv",
          "--ref", "0.3", "inf", "-0.9", "0.5"],
+        ["simulate", "--mode", "passive", "--out", "run.csv",
+         "--ref", "0.3", "nan", "-0.9", "0.5"],
         ["precompute", "--out", "gains.agt", "--refine", "nan"],
         ["precompute", "--out", "gains.agt", "--refine", "-0.1"],
         ["precompute", "--out", "gains.agt", "--refine", "0.1", "--max-depth", "0"],
     ],
     ids=["fk-nan", "fk-inf", "ik-nan", "ik-pitch-inf", "simulate-x0-nan",
-         "simulate-ref-inf", "refine-nan", "refine-negative", "max-depth-0"],
+         "simulate-ref-inf", "passive-ref-nan", "refine-nan", "refine-negative", "max-depth-0"],
 )
 def test_bad_number_is_usage_error(capsys, write_config, tmp_path, monkeypatch, argv):
     monkeypatch.chdir(tmp_path)
@@ -236,6 +238,22 @@ def test_bad_number_is_usage_error(capsys, write_config, tmp_path, monkeypatch, 
         main(["--config", write_config()] + argv)
     assert info.value.code == 2
     assert "usage:" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == [tmp_path / "arm.json"]  # nothing written
+
+
+@pytest.mark.parametrize("argv", [
+    ["precompute", "--out", "gains.agt"],
+    ["simulate", "--mode", "online", "--out", "run.csv"],
+], ids=["precompute", "simulate-online"])
+def test_library_value_error_is_usage_error(capsys, write_config, tmp_path, monkeypatch, argv):
+    # R = 1e-307 I is positive definite, but B R^-1 B' overflows in the solve
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as info:
+        main(["--config", write_config({"cost.r_diag": [1e-307] * 4})] + argv)
+    assert info.value.code == 2
+    err = capsys.readouterr().err
+    assert "usage:" in err and "must not overflow" in err
+    assert "Traceback" not in err
     assert list(tmp_path.iterdir()) == [tmp_path / "arm.json"]  # nothing written
 
 
@@ -335,6 +353,26 @@ class TestPrecompute:
         )
         assert code == 7
         assert err.startswith("error:")
+
+    def test_out_is_directory_exit_7_no_temp_file(self, capsys, write_config, tmp_path):
+        out_dir = tmp_path / "gains.agt"
+        out_dir.mkdir()
+        code, _, err = run_cli(capsys, "--config", write_config(), "precompute",
+                               "--out", str(out_dir))
+        assert code == 7
+        assert err.startswith("error:")
+        assert sorted(tmp_path.iterdir()) == [tmp_path / "arm.json", out_dir]
+        assert list(out_dir.iterdir()) == []
+
+    def test_refine_inf_builds_one_leaf(self, capsys, write_config, tmp_path):
+        out_path = tmp_path / "refined.agt"
+        code, out, _ = run_cli(capsys, "--config", write_config(), "precompute",
+                               "--out", str(out_path), "--refine", "inf")
+        assert code == 0
+        assert "leaves: 1" in out
+        code, out, _ = run_cli(capsys, "inspect", str(out_path))
+        assert code == 0
+        assert "leaves: 1" in out.splitlines()
 
     def test_refined_leaves_meet_tolerance(self, capsys, write_config, tmp_path):
         cfg = write_config({

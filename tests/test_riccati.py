@@ -247,7 +247,6 @@ class TestMatchesReference:
         (np.eye(2), [[np.inf], [1.0]], CostWeights(np.eye(2), np.eye(1))),
         (np.eye(2), [[1e200], [1.0]], CostWeights(np.eye(2), np.eye(1))),
     ])
-    @pytest.mark.filterwarnings("ignore:overflow encountered")
     def test_same_error_as_reference(self, A, B, w):
         expected = outcome(reference_care, A, B, w)
         assert expected[0] != "ok"
