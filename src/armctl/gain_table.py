@@ -62,7 +62,7 @@ from .errors import (
 )
 from .kinematics import ArmGeometry, wrap_angle
 from .linearization import equilibrium_point, linearize
-from .riccati import CostWeights, lqr_gain
+from .riccati import CostWeights, solve_stack
 
 MAGIC = b"AGT1"
 FORMAT_VERSION = 2
@@ -71,7 +71,9 @@ GAIN_SHAPE = (4, 8)
 _GAIN_BYTES = 4 * 8 * 8
 _REFINED_COUNT = 0  # per-dimension count sentinel marking a tree payload
 _MIN_CELL_BYTES = 1 + 8 * 4  # the smallest serialized cell: a leaf
-_CHUNK = 8  # planar nodes per precompute work item
+# planar nodes per Riccati stack: a precompute work item, or one solve of
+# a refine level; larger stacks gain little and hold more memory
+_CHUNK = 64
 
 
 # ---------------------------------------------------------------------------
@@ -265,17 +267,31 @@ class GainTable:
         return _gain_bytes(self.gains)
 
 
-def _solve_node_gain(geom, masses, weights, theta, index):
-    try:
-        op = equilibrium_point(geom, masses, theta)
-        model = linearize(geom, masses, op)
-        return lqr_gain(model.A, model.B, weights)
-    except ArmError as exc:
-        raise NodeFailure(index, exc) from exc
+def _solve_nodes(geom, masses, weights, thetas, indices) -> np.ndarray:
+    """The gains (k, 4, 8) of the equilibrium nodes thetas (k, 4), each
+    linearized alone and all solved as one Riccati stack.
 
-
-def _node_gain_job(args):
-    return _solve_node_gain(*args)
+    The first node i that fails, in order, raises: NodeFailure(indices[i],
+    cause) for an ArmError, or the ValueError itself."""
+    A = np.empty((len(thetas), 8, 8))
+    B = np.empty((len(thetas), 8, 4))
+    failure = None
+    for i, theta in enumerate(thetas):
+        try:
+            model = linearize(geom, masses, equilibrium_point(geom, masses, theta))
+        except (ArmError, ValueError) as exc:
+            failure = i, exc
+            break
+        A[i], B[i] = model.A, model.B
+    done = len(thetas) if failure is None else failure[0]
+    _, gains, stack_failure = solve_stack(A[:done], B[:done], weights)
+    failure = stack_failure or failure
+    if failure:
+        i, exc = failure
+        if isinstance(exc, ArmError):
+            raise NodeFailure(indices[i], exc) from exc
+        raise exc
+    return gains
 
 
 def precompute(
@@ -289,29 +305,29 @@ def precompute(
 
     Nodes that differ only in theta1 share one gain, solved at i1 = 0, so a
     grid of n1 x n2 x n3 x n4 nodes costs and stores n2 * n3 * n4 solves.
-    Results are merged by index, so the table is bit-identical for any
-    worker count, and the pool gets at most one process per chunk of
-    _CHUNK nodes.  Raises NodeFailure (carrying the node index and cause)
-    for the first node in index order that cannot be solved.
+    The planar nodes go in index order, in chunks of _CHUNK (64), each one
+    work item solved as one Riccati stack.  A node's gain never depends on
+    its chunk, so the table is bit-identical for any worker count, and the
+    pool gets at most one process per chunk.  Raises NodeFailure (carrying
+    the node index and cause) for the first node in index order that cannot
+    be solved.
     """
     workers = count(workers, "workers", 1)
     planar = list(np.ndindex(grid.shape[1:]))
     axes = [grid.axis(k) for k in (1, 2, 3)]
-    jobs = [
-        (geom, masses, weights,
-         np.array([grid.lo[0]] + [axis[i] for axis, i in zip(axes, ix)]), (0,) + ix)
-        for ix in planar
-    ]
+    thetas = np.array([[grid.lo[0]] + [axis[i] for axis, i in zip(axes, ix)] for ix in planar])
+    indices = [(0,) + ix for ix in planar]
+    chunks = [(geom, masses, weights, thetas[s:s + _CHUNK], indices[s:s + _CHUNK])
+              for s in range(0, len(planar), _CHUNK)]
     if workers == 1:
-        gains = [_node_gain_job(job) for job in jobs]
+        gains = [_solve_nodes(*chunk) for chunk in chunks]
     else:
         # the pool starts all its processes up front; any beyond one per
         # chunk would only sit idle
-        chunks = -(-len(jobs) // _CHUNK)
-        with ProcessPoolExecutor(max_workers=min(workers, chunks)) as pool:
-            gains = list(pool.map(_node_gain_job, jobs, chunksize=_CHUNK))
+        with ProcessPoolExecutor(max_workers=min(workers, len(chunks))) as pool:
+            gains = list(pool.map(_solve_nodes, *zip(*chunks)))
 
-    gains = np.array(gains).reshape(grid.shape[1:] + GAIN_SHAPE)
+    gains = np.concatenate(gains).reshape(grid.shape[1:] + GAIN_SHAPE)
     gains.flags.writeable = False
     return GainTable(grid, gains, table_digest(geom, masses, weights))
 
@@ -441,9 +457,12 @@ def refine(
     interpolated minus the directly solved gain) exceeds tol is split in
     half along theta2..theta4, up to max_depth levels; cells still violating
     the tolerance at max_depth are kept as flagged leaves.  Every cell spans
-    the whole theta1 range.  Solves are cached by planar coordinates, so a
-    corner shared between cells is solved and pooled once.  The build is
-    sequential and deterministic.
+    the whole theta1 range.  The build goes level by level: the corners and
+    centers a depth needs that no earlier depth solved are solved in stacks
+    of at most _CHUNK (64), then that depth's cells are split or kept.  A
+    NodeFailure names the first failing point of the first failing stack.
+    The tree is laid out in pre-order, and the pool holds each distinct
+    corner gain once, in order of first use, so the build is deterministic.
     """
     box = components(root_box, 2 * NDIM, "root_box")
     lo, hi = tuple(box[:NDIM]), tuple(box[NDIM:])
@@ -454,39 +473,63 @@ def refine(
         raise ValueError(f"tol must be > 0, got {tol!r}")
     max_depth = count(max_depth, "max_depth", 1)
 
-    cache: dict[tuple, np.ndarray] = {}
+    cache: dict[tuple, np.ndarray] = {}  # planar point -> its gain
+
+    def solve(points):
+        new = [p for p in dict.fromkeys(points) if p not in cache]
+        for s in range(0, len(new), _CHUNK):
+            batch = new[s:s + _CHUNK]
+            coords = [(lo[0],) + p for p in batch]
+            cache.update(zip(batch, _solve_nodes(geom, masses, weights, np.array(coords), coords)))
+
+    # per depth: each cell's corner points, and the index of its first child
+    # in the next depth's cells (None for a leaf) and whether it is flagged
+    levels = []
+    boxes = [(lo[1:], hi[1:])]
+    for depth in range(1, max_depth + 1):
+        corners = [_corner_coords(clo, chi) for clo, chi in boxes]
+        errors = [0.0] * len(boxes)
+        if math.isinf(tol):
+            solve(itertools.chain(*corners))
+        else:
+            centers = [tuple(0.5 * (l + h) for l, h in zip(clo, chi)) for clo, chi in boxes]
+            solve(itertools.chain(*corners, centers))
+            errors = np.linalg.norm([
+                _blend(np.array([cache[p] for p in points]).reshape(8, 32), (0.5, 0.5, 0.5))
+                - cache[center] for points, center in zip(corners, centers)
+            ], 2, axis=(1, 2)).tolist()
+        firsts, flagged, children = [], [], []
+        for box, err in zip(boxes, errors):
+            split = not err <= tol and depth < max_depth
+            firsts.append(len(children) if split else None)
+            flagged.append(not err <= tol)
+            if split:
+                children.extend(_split(*box))
+        levels.append((corners, firsts, flagged))
+        boxes = children
+        if not boxes:
+            break
+
+    # lay the tree out in pre-order, numbering children and pool entries as
+    # they are reached
+    child, leaf_flags, leaf_corners = [0], [], []
     pool: dict[tuple, int] = {}  # planar corner -> pool index, in order of first use
-    child, flagged, corners = [0], [], []
-
-    def gain_at(planar):
-        gain = cache.get(planar)
-        if gain is None:
-            coords = (lo[0],) + planar
-            gain = _solve_node_gain(geom, masses, weights, np.array(coords), coords)
-            cache[planar] = gain
-        return gain
-
-    def build(cell, clo, chi, depth):
-        points = _corner_coords(clo, chi)
-        rows = np.array([gain_at(p) for p in points]).reshape(8, 32)
-        err = 0.0
-        if not math.isinf(tol):
-            center = tuple(0.5 * (l + h) for l, h in zip(clo, chi))
-            err = float(np.linalg.norm(_blend(rows, (0.5, 0.5, 0.5)) - gain_at(center), 2))
-        if not err <= tol and depth < max_depth:
+    pending = [(0, 0, 0)]  # (cell, depth index, position at that depth), next one last
+    while pending:
+        cell, d, j = pending.pop()
+        corners, firsts, flagged = levels[d]
+        if firsts[j] is None:
+            leaf_corners.append(tuple(pool.setdefault(p, len(pool)) for p in corners[j]))
+            leaf_flags.append(flagged[j])
+        else:
             first = child[cell] = len(child)
             child.extend([0] * 8)
-            for octant, (slo, shi) in enumerate(_split(clo, chi)):
-                build(first + octant, slo, shi, depth + 1)
-        else:
-            corners.append(tuple(pool.setdefault(p, len(pool)) for p in points))
-            flagged.append(not err <= tol)
-
-    build(0, lo[1:], hi[1:], depth=1)
+            pending.extend((first + octant, d + 1, firsts[j] + octant)
+                           for octant in range(7, -1, -1))
     gains = np.array([cache[p] for p in pool])
     gains.flags.writeable = False
     return RefinedTable(lo, hi, table_digest(geom, masses, weights), tol, max_depth,
-                        tuple(child), tuple(flagged), tuple(corners), gains)
+                        tuple(child), tuple(leaf_flags), tuple(leaf_corners), gains)
 
 
 # ---------------------------------------------------------------------------

@@ -10,6 +10,13 @@ The solver accepts any n x n / n x m pair so small analytic cases can be
 checked by hand.  Each solve calls LAPACK directly (dgees, dpotrs, dsyevd,
 dgeev), and CostWeights computes once what depends on the weights alone: the
 Cholesky factor of R, -Q, the residual limit and the dgees workspace.
+
+solve_stack solves a stack of systems that share the weights, as a table
+build does: the LAPACK calls still run once per system, and the rest (the
+solve for P, the symmetry and residual checks, the products around them)
+runs once over the stack, which saves most of the per-call overhead.  Each
+system gets the bytes and the error it gets alone.  One system keeps its
+own path (_solve), which a stack of one would make about 5% slower.
 """
 
 from __future__ import annotations
@@ -162,6 +169,130 @@ def _solve(A, B, weights: CostWeights):
     if closed.max() >= 0.0:
         raise NotStabilizable(f"closed loop not Hurwitz (max Re eig {closed.max():.3e})")
     return P, K
+
+
+def _solve_stack(A, B, weights: CostWeights):
+    """_solve over a stack of systems sharing the weights: A (k, n, n) and B
+    (k, n, m), float arrays of checked shapes.
+
+    Returns (P, K, failure).  failure is None, or (i, error) for the
+    lowest-index system that fails, with the error _solve raises for it;
+    P and K then hold systems [:i] only.  Each system meets _solve's checks
+    in _solve's order, and a failure drops the later systems from the checks
+    after it.  The LAPACK calls run per system; the rest runs over the stack
+    on operands laid out as _solve lays them out, so each system gets the
+    bytes _solve gives it, whatever the rest of the stack holds.
+    """
+    k, n = A.shape[:2]
+    m = B.shape[2]
+    live, failure = k, None  # systems [:live] are still checked; failure is system live's
+
+    def fail(i, error):
+        nonlocal live, failure
+        live, failure = i, (i, error)
+
+    def check(ok, error):
+        """Fail the first system that is not ok with error(i)."""
+        ok = ok.tolist()
+        if False in ok[:live]:
+            i = ok.index(False)
+            fail(i, error(i))
+
+    # finiteness is checked here, on B and on H, in place of scipy's checks
+    check(np.isfinite(B).all(axis=(1, 2)), lambda i: ValueError("B must be finite"))
+    A, B = A[:live], B[:live]
+    X = np.empty((live, n, m)).transpose(0, 2, 1)  # R^-1 B', Fortran-ordered as from dpotrs
+    for i in range(live):
+        X[i] = lapack.dpotrs(weights._r_chol, B[i].T)[0]
+    with np.errstate(over="ignore"):  # an overflow fails the check on H below
+        G = B @ X
+
+    H = np.empty((live, 2 * n, 2 * n)).transpose(0, 2, 1)  # Fortran-ordered for dgees
+    H[:, :n, :n], H[:, :n, n:] = A, -G
+    H[:, n:, :n], H[:, n:, n:] = weights._neg_q, -A.transpose(0, 2, 1)
+    check(np.isfinite(H).all(axis=(1, 2)),
+          lambda i: ValueError("A must be finite, and B R^-1 B' must not overflow"))
+    Zt = np.empty((live, n, 2 * n))  # the bases [Z11; Z21], transposed
+    for i in range(live):
+        _, sdim, _, _, Z, _, info = lapack.dgees(_lhp, H[i], lwork=weights._lwork,
+                                                 sort_t=1, overwrite_a=1)
+        if info:
+            fail(i, IllConditioned(f"ordered Schur form failed (dgees info {info})"))
+            break
+        if sdim != n:
+            fail(i, NotStabilizable(f"stable invariant subspace has dimension {sdim}, "
+                                    f"expected {n}"))
+            break
+        Zt[i] = Z[:, :n].T
+    A, B, G, Zt = A[:live], B[:live], G[:live], Zt[:live]
+    try:
+        P = np.linalg.solve(Zt[:, :, :n], Zt[:, :, n:]).transpose(0, 2, 1)
+    except np.linalg.LinAlgError:
+        for i in range(live):  # the first singular basis
+            try:
+                np.linalg.solve(Zt[i, :, :n], Zt[i, :, n:])
+            except np.linalg.LinAlgError as exc:
+                error = NotStabilizable(f"singular subspace basis: {exc}")
+                error.__cause__ = exc
+                fail(i, error)
+                break
+        A, B, G, Zt = A[:live], B[:live], G[:live], Zt[:live]
+        P = np.linalg.solve(Zt[:, :, :n], Zt[:, :, n:]).transpose(0, 2, 1)
+
+    P_t = P.transpose(0, 2, 1)
+    scale = np.fmax(np.abs(P).max(axis=(1, 2)), 1.0)  # max(1.0, nan) is 1.0
+    check(~(np.abs(P - P_t).max(axis=(1, 2)) > 1e-10 * scale),
+          lambda i: IllConditioned("Riccati solution lost symmetry"))
+    P = 0.5 * (P[:live] + P_t[:live])
+
+    for i in range(live):
+        eigs = lapack.dsyevd(P[i], compute_v=0)[0]
+        if eigs.min() < -1e-8 * max(1.0, eigs.max()):
+            fail(i, NotStabilizable(f"Riccati solution not PSD (min eig {eigs.min()})"))
+            break
+    A, B, G, P = A[:live], B[:live], G[:live], P[:live]
+
+    # the norm as np.linalg.norm takes it: the flattened matrix's dot product
+    # with itself; written so that a non-finite residual fails too
+    R = (A.transpose(0, 2, 1) @ P + P @ A - P @ G @ P + weights.Q).reshape(live, 1, n * n)
+    residual = np.sqrt(R @ R.transpose(0, 2, 1)).ravel()
+    check(residual <= weights._limit, lambda i: IllConditioned(
+        f"CARE residual {residual[i]:.3e} exceeds {weights._limit:.3e}"))
+    A, B, P = A[:live], B[:live], P[:live]
+
+    K = np.empty((live, n, m)).transpose(0, 2, 1)  # Fortran-ordered as from dpotrs
+    BtP = B.transpose(0, 2, 1) @ P
+    for i in range(live):
+        K[i] = lapack.dpotrs(weights._r_chol, BtP[i])[0]
+    closed = np.empty((live, n, n)).transpose(0, 2, 1)  # Fortran-ordered: dgeev overwrites it
+    np.subtract(A, B @ K, out=closed)
+    for i in range(live):
+        eigs = lapack.dgeev(closed[i], compute_vl=0, compute_vr=0, overwrite_a=1)[0]
+        if eigs.max() >= 0.0:
+            fail(i, NotStabilizable(f"closed loop not Hurwitz (max Re eig {eigs.max():.3e})"))
+            break
+    return P[:live], K[:live], failure
+
+
+def solve_stack(A, B, weights: CostWeights):
+    """Solve a stack of systems sharing the weights, A (k, n, n) and B
+    (k, n, m), in one call; a table build solves its nodes this way.
+
+    Returns (P, K, failure).  P and K are (k, n, n) and (k, m, n), and
+    system i's P[i] and K[i] are the bytes solve_care and lqr_gain return for
+    it.  failure is None, or (i, error) for the lowest-index system that
+    cannot be solved, with the error solve_care raises for it alone; P and K
+    then hold systems [:i] only.  Raises ValueError unless A and B are
+    stacks of k systems of one shape.
+    """
+    A = np.asarray(A, dtype=float)
+    B = np.asarray(B, dtype=float)
+    if A.ndim != 3 or B.ndim != 3 or len(A) != len(B):
+        raise ValueError(f"A and B must be stacks of k systems, got shapes "
+                         f"{A.shape} and {B.shape}")
+    if len(A):
+        _check_system(A[0], B[0], weights)
+    return _solve_stack(A, B, weights)
 
 
 def solve_care(A, B, weights: CostWeights) -> np.ndarray:

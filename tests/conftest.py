@@ -64,3 +64,35 @@ def write_config(tmp_path):
         return str(path)
 
     return _write
+
+
+@pytest.fixture()
+def lapack_failures(monkeypatch):
+    """inject(dgees=i, dgeev=j) makes the Riccati solver's dgees call
+    number i (from 0) report a convergence failure (info 3), and its dgeev
+    call number j an unstable closed-loop eigenvalue 0.5; None skips one."""
+    import armctl.riccati as riccati
+
+    real = {"dgees": riccati.lapack.dgees, "dgeev": riccati.lapack.dgeev}
+
+    def inject(dgees=None, dgeev=None):
+        calls = {"dgees": 0, "dgeev": 0}
+
+        def counted(name):
+            calls[name] += 1
+            return calls[name] - 1
+
+        def failing_dgees(*args, **kwargs):
+            out = real["dgees"](*args, **kwargs)
+            return out[:-1] + (3,) if counted("dgees") == dgees else out
+
+        def failing_dgeev(*args, **kwargs):
+            wr, *rest = real["dgeev"](*args, **kwargs)
+            if counted("dgeev") == dgeev:
+                wr = np.append(wr[1:], 0.5)
+            return (wr, *rest)
+
+        monkeypatch.setattr(riccati.lapack, "dgees", failing_dgees)
+        monkeypatch.setattr(riccati.lapack, "dgeev", failing_dgeev)
+
+    return inject

@@ -66,15 +66,15 @@ def direct_gain(geom, masses, weights, theta):
 
 @pytest.fixture()
 def solve_calls(monkeypatch):
-    """Record the theta of every _solve_node_gain call."""
+    """Record the theta of every node that _solve_nodes solves."""
     calls = []
-    original = gt._solve_node_gain
+    original = gt._solve_nodes
 
-    def counting(geom, masses, weights, theta, index):
-        calls.append(tuple(float(v) for v in theta))
-        return original(geom, masses, weights, theta, index)
+    def counting(geom, masses, weights, thetas, indices):
+        calls.extend(tuple(float(v) for v in theta) for theta in thetas)
+        return original(geom, masses, weights, thetas, indices)
 
-    monkeypatch.setattr(gt, "_solve_node_gain", counting)
+    monkeypatch.setattr(gt, "_solve_nodes", counting)
     return calls
 
 
@@ -134,8 +134,8 @@ class TestPrecompute:
         assert one == parallel
 
     @pytest.mark.parametrize("counts, workers, expected", [
-        ((2, 2, 2, 2), 64, 1),   # 8 planar nodes: one chunk
-        ((3, 5, 5, 5), 64, 16),  # 125 planar nodes: 16 chunks
+        ((2, 2, 2, 2), 64, 1),  # 8 planar nodes: one chunk
+        ((3, 5, 5, 5), 64, -(-125 // gt._CHUNK)),  # 125 planar nodes: one chunk each _CHUNK
         ((3, 5, 5, 5), 2, 2),
     ])
     def test_pool_capped_at_chunk_count(self, geom, masses, weights, monkeypatch,
@@ -153,9 +153,10 @@ class TestPrecompute:
             def __exit__(self, *exc):
                 return False
 
-            def map(self, fn, jobs, chunksize):
-                assert chunksize == 8
-                return map(fn, jobs)
+            def map(self, fn, *iterables):
+                # one work item per chunk, each at most _CHUNK nodes
+                assert all(len(thetas) <= gt._CHUNK for thetas in iterables[3])
+                return map(fn, *iterables)
 
         grid = GridSpec(BOX_LO, BOX_HI, counts)
         serial = save(precompute(geom, masses, weights, grid))
@@ -170,6 +171,15 @@ class TestPrecompute:
         with pytest.raises(NodeFailure) as info:
             precompute(geom, bad, weights, spec)
         assert info.value.index == (0, 0, 0, 0)
+
+    def test_node_failure_names_the_lowest_failing_node(self, geom, masses, weights,
+                                                        lapack_failures):
+        # node 2's Schur form fails; node 1 fails a later check, and wins
+        lapack_failures(dgees=2, dgeev=1)
+        with pytest.raises(NodeFailure) as info:
+            precompute(geom, masses, weights, GridSpec(BOX_LO, BOX_HI, (2, 2, 2, 2)))
+        assert info.value.index == (0, 0, 0, 1)
+        assert str(info.value.cause) == "closed loop not Hurwitz (max Re eig 5.000e-01)"
 
     def test_one_solve_per_planar_configuration(self, geom, masses, weights, solve_calls):
         precompute(geom, masses, weights, GridSpec(BOX_LO, BOX_HI, (3, 2, 2, 2)))

@@ -8,6 +8,7 @@ import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import armctl.gain_table as gt
 import armctl.riccati as riccati
 from armctl import (
     CostWeights,
@@ -19,6 +20,7 @@ from armctl import (
     lqr_gain,
     solve_care,
 )
+from conftest import safe_random_theta
 from oracles import reference_care
 
 DOUBLE_INTEGRATOR = (np.array([[0.0, 1.0], [0.0, 0.0]]), np.array([[0.0], [1.0]]))
@@ -173,6 +175,39 @@ class TestContracts:
         with pytest.raises(IllConditioned, match=r"^ordered Schur form failed \(dgees info 3\)"):
             lqr_gain(*DOUBLE_INTEGRATOR, w)
 
+    def test_lowest_failing_index_wins_in_a_stack(self, geom, masses, weights,
+                                                 lapack_failures):
+        """dgees fails at system 2 and the closed-loop check, a later one,
+        at system 1: system 1's failure comes back, as it raises alone, and
+        P and K hold system 0."""
+        models = [linearize(geom, masses, equilibrium_point(geom, masses, t))
+                  for t in safe_random_theta(np.random.default_rng(3), 4)]
+        A, B = np.array([m.A for m in models]), np.array([m.B for m in models])
+        expected_K = lqr_gain(A[0], B[0], weights)
+        lapack_failures(dgeev=0)
+        with pytest.raises(NotStabilizable) as alone:
+            lqr_gain(A[1], B[1], weights)
+        assert str(alone.value) == "closed loop not Hurwitz (max Re eig 5.000e-01)"
+
+        lapack_failures(dgees=2, dgeev=1)
+        P, K, (i, error) = riccati.solve_stack(A, B, weights)
+        assert (i, type(error), str(error)) == (1, NotStabilizable, str(alone.value))
+        assert len(P) == len(K) == 1 and K[0].tobytes() == expected_K.tobytes()
+
+    @pytest.mark.parametrize("A, B", [
+        (np.eye(2), np.ones((2, 1))),  # one system, not a stack
+        (np.zeros((2, 2, 2)), np.ones((3, 2, 1))),  # stacks of different lengths
+        (np.zeros((1, 2, 3)), np.ones((1, 2, 1))),
+    ])
+    def test_stack_shape_validation(self, A, B):
+        with pytest.raises(ValueError):
+            riccati.solve_stack(A, B, CostWeights(np.eye(2), np.eye(1)))
+
+    def test_empty_stack(self):
+        P, K, failure = riccati.solve_stack(np.zeros((0, 2, 2)), np.zeros((0, 2, 1)),
+                                            CostWeights(np.eye(2), np.eye(1)))
+        assert P.shape == (0, 2, 2) and K.shape == (0, 1, 2) and failure is None
+
     def test_scalar_b_names_b(self):
         # a 0-d B has no row axis; the reference raises IndexError here
         with pytest.raises(ValueError, match="B must have 1 rows, got"):
@@ -190,6 +225,20 @@ def outcome(solve, A, B, w):
 
 def library(A, B, w):
     return solve_care(A, B, w), lqr_gain(A, B, w)
+
+
+def stack_outcomes(As, Bs, w):
+    """Each system's outcome, as outcome() gives it, from solving the list
+    as one stack; after a failure the rest is solved as a new stack."""
+    out = []
+    while len(out) < len(As):
+        P, K, failure = riccati.solve_stack(np.array(As[len(out):]), np.array(Bs[len(out):]), w)
+        out += [("ok", p.tobytes(), k.tobytes()) for p, k in zip(P, K)]
+        if failure:
+            i, exc = failure
+            assert i == len(P)
+            out.append((type(exc), str(exc)))
+    return out
 
 
 # one case per system: an 8x8 linearized test-arm model (at an equilibrium,
@@ -213,7 +262,10 @@ class TestMatchesReference:
     @settings(max_examples=40, deadline=None)
     @given(cases=st.lists(st.one_of(ARM_CASES, SMALL_CASES), min_size=1, max_size=6))
     def test_byte_identical_gains(self, geom, masses, weights, cases):
+        """Alone and in stacks: the list is solved as one stack per size and
+        weights, each system's outcome that of the reference alone."""
         shared = {n: CostWeights(np.eye(n), np.eye(1)) for n in (1, 2)}
+        stacks = {}  # (n, id of the weights) -> (weights, [(A, B, expected outcome)])
         for case in cases:
             if case[0] == 8:
                 _, theta, rates, torque, at_equilibrium = case
@@ -229,6 +281,30 @@ class TestMatchesReference:
             assert outcome(library, A, B, w) == expected
             if case[0] == 8:
                 assert expected[0] == "ok"
+            stacks.setdefault((len(A), id(w)), (w, []))[1].append((A, B, expected))
+        for w, systems in stacks.values():
+            As, Bs, expected = zip(*systems)
+            assert stack_outcomes(As, Bs, w) == list(expected)
+
+    def test_stacked_bytes_never_depend_on_batch_mates(self, geom, masses, weights):
+        """Stacks of 1, 2, 9 and one more than a table build's stack cap,
+        in both orders, give every system the reference's bytes alone."""
+        rng = np.random.default_rng(14)
+        size = gt._CHUNK + 1
+        thetas = safe_random_theta(rng, size)
+        models = [linearize(geom, masses, equilibrium_point(geom, masses, t)) if i % 2
+                  else linearize(geom, masses, OperatingPoint(t, rng.uniform(-1.5, 1.5, 4),
+                                                              rng.uniform(-4.0, 4.0, 4)))
+                  for i, t in enumerate(thetas)]
+        As, Bs = [m.A for m in models], [m.B for m in models]
+        expected = [outcome(reference_care, A, B, weights) for A, B in zip(As, Bs)]
+        assert all(e[0] == "ok" for e in expected)
+        for k in (1, 2, 9, size):
+            got = []
+            for s in range(0, size, k):
+                got += stack_outcomes(As[s:s + k], Bs[s:s + k], weights)
+            assert got == expected
+            assert stack_outcomes(As[::-1][:k], Bs[::-1][:k], weights) == expected[::-1][:k]
 
     @pytest.mark.parametrize("A, B, w", [
         # unstabilizable: an unstable mode, or a mode on the imaginary axis,

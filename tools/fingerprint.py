@@ -12,7 +12,9 @@ Each line is a name and the first 16 hex digits of the sha256 of:
     flat-table (the 5^4 table) and refined-table (the tol 0.4 table) modes.
 All use the test arm of tests/conftest.py and the box theta_ref +/- 0.25.
 Run it on two checkouts: equal lines mean the change kept those results
-bit for bit.  It imports armctl from the src/ directory next to it.
+bit for bit.  It imports armctl from the src/ directory next to it.  It
+exits with status 1, naming the grid on standard error, when a grid's 1-
+and 2-worker tables differ.
 """
 
 import hashlib
@@ -50,13 +52,17 @@ def digest(data: bytes) -> str:
 
 def main():
     lo, hi = tuple(THETA_REF - 0.25), tuple(THETA_REF + 0.25)
-    tables = {}
+    tables, mismatched = {}, []
     for name, counts in (("5^4", (5, 5, 5, 5)), ("3x4x2x5", (3, 4, 2, 5)),
                          ("7^4", (7, 7, 7, 7))):
+        digests = []
         for workers in (1, 2):
             table = precompute(GEOM, MASSES, WEIGHTS, GridSpec(lo, hi, counts), workers)
             tables[name, workers] = table
-            print(f"precompute {name} workers={workers}", digest(save(table)))
+            digests.append(digest(save(table)))
+            print(f"precompute {name} workers={workers}", digests[-1])
+        if digests[0] != digests[1]:
+            mismatched.append(name)
     flat = tables["5^4", 1]
     coarse = refine(GEOM, MASSES, WEIGHTS, (lo, hi), 0.4, 3)
     print("refine tol=0.4 depth=3", digest(save(coarse)))
@@ -73,7 +79,10 @@ def main():
         traj = simulate(GEOM, MASSES, SimConfig(duration=1.0), mode, X0, x_ref, **kwargs)
         for field in ("states", "inputs", "energy"):
             print(f"simulate {name} {field}", digest(getattr(traj, field).tobytes()))
+    for name in mismatched:
+        print(f"precompute {name}: the 1- and 2-worker tables differ", file=sys.stderr)
+    return 1 if mismatched else 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())
