@@ -269,23 +269,22 @@ class GainTable:
 
 def _solve_nodes(geom, masses, weights, thetas, indices) -> np.ndarray:
     """The gains (k, 4, 8) of the equilibrium nodes thetas (k, 4), each
-    linearized alone and all solved as one Riccati stack.
-
-    The first node i that fails, in order, raises: NodeFailure(indices[i],
-    cause) for an ArmError, or the ValueError itself."""
+    linearized alone and all solved as one Riccati stack.  The first node i
+    that fails raises NodeFailure(indices[i], cause) for an ArmError, or
+    the ValueError itself."""
     A = np.empty((len(thetas), 8, 8))
     B = np.empty((len(thetas), 8, 4))
     failure = None
     for i, theta in enumerate(thetas):
         try:
             model = linearize(geom, masses, equilibrium_point(geom, masses, theta))
-        except (ArmError, ValueError) as exc:
+        except ArmError as exc:
             failure = i, exc
             break
         A[i], B[i] = model.A, model.B
-    done = len(thetas) if failure is None else failure[0]
+    done = failure[0] if failure else len(thetas)
     _, gains, stack_failure = solve_stack(A[:done], B[:done], weights)
-    failure = stack_failure or failure
+    failure = stack_failure or failure  # a failing stack holds only earlier nodes
     if failure:
         i, exc = failure
         if isinstance(exc, ArmError):
@@ -488,16 +487,13 @@ def refine(
     boxes = [(lo[1:], hi[1:])]
     for depth in range(1, max_depth + 1):
         corners = [_corner_coords(clo, chi) for clo, chi in boxes]
-        errors = [0.0] * len(boxes)
-        if math.isinf(tol):
-            solve(itertools.chain(*corners))
-        else:
-            centers = [tuple(0.5 * (l + h) for l, h in zip(clo, chi)) for clo, chi in boxes]
-            solve(itertools.chain(*corners, centers))
-            errors = np.linalg.norm([
-                _blend(np.array([cache[p] for p in points]).reshape(8, 32), (0.5, 0.5, 0.5))
-                - cache[center] for points, center in zip(corners, centers)
-            ], 2, axis=(1, 2)).tolist()
+        centers = [] if math.isinf(tol) else [
+            tuple(0.5 * (l + h) for l, h in zip(clo, chi)) for clo, chi in boxes]
+        solve(itertools.chain(*corners, centers))
+        errors = np.linalg.norm([
+            _blend(np.array([cache[p] for p in points]).reshape(8, 32), (0.5, 0.5, 0.5))
+            - cache[center] for points, center in zip(corners, centers)
+        ], 2, axis=(1, 2)).tolist() if centers else [0.0] * len(boxes)
         firsts, flagged, children = [], [], []
         for box, err in zip(boxes, errors):
             split = not err <= tol and depth < max_depth

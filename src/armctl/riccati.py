@@ -171,18 +171,29 @@ def _solve(A, B, weights: CostWeights):
     return P, K
 
 
-def _solve_stack(A, B, weights: CostWeights):
-    """_solve over a stack of systems sharing the weights: A (k, n, n) and B
-    (k, n, m), float arrays of checked shapes.
+def solve_stack(A, B, weights: CostWeights):
+    """Solve a stack of systems sharing the weights, A (k, n, n) and B
+    (k, n, m), in one call; a table build solves its nodes this way.
 
-    Returns (P, K, failure).  failure is None, or (i, error) for the
-    lowest-index system that fails, with the error _solve raises for it;
-    P and K then hold systems [:i] only.  Each system meets _solve's checks
-    in _solve's order, and a failure drops the later systems from the checks
-    after it.  The LAPACK calls run per system; the rest runs over the stack
-    on operands laid out as _solve lays them out, so each system gets the
-    bytes _solve gives it, whatever the rest of the stack holds.
+    Returns (P, K, failure).  P and K are (k, n, n) and (k, m, n), and
+    system i's P[i] and K[i] are the bytes solve_care and lqr_gain return for
+    it.  failure is None, or (i, error) for the lowest-index system that
+    cannot be solved, with the error solve_care raises for it alone; P and K
+    then hold systems [:i] only.  Raises ValueError unless A and B are
+    stacks of k systems of one shape.
+
+    Each system meets _solve's checks in _solve's order, and a failure
+    drops the later systems from the checks after it.  The LAPACK calls run
+    per system; the rest runs over the stack on operands laid out as _solve
+    lays them out, so each system gets the bytes _solve gives it.
     """
+    A = np.asarray(A, dtype=float)
+    B = np.asarray(B, dtype=float)
+    if A.ndim != 3 or B.ndim != 3 or len(A) != len(B):
+        raise ValueError(f"A and B must be stacks of k systems, got shapes "
+                         f"{A.shape} and {B.shape}")
+    if len(A):
+        _check_system(A[0], B[0], weights)
     k, n = A.shape[:2]
     m = B.shape[2]
     live, failure = k, None  # systems [:live] are still checked; failure is system live's
@@ -272,27 +283,6 @@ def _solve_stack(A, B, weights: CostWeights):
             fail(i, NotStabilizable(f"closed loop not Hurwitz (max Re eig {eigs.max():.3e})"))
             break
     return P[:live], K[:live], failure
-
-
-def solve_stack(A, B, weights: CostWeights):
-    """Solve a stack of systems sharing the weights, A (k, n, n) and B
-    (k, n, m), in one call; a table build solves its nodes this way.
-
-    Returns (P, K, failure).  P and K are (k, n, n) and (k, m, n), and
-    system i's P[i] and K[i] are the bytes solve_care and lqr_gain return for
-    it.  failure is None, or (i, error) for the lowest-index system that
-    cannot be solved, with the error solve_care raises for it alone; P and K
-    then hold systems [:i] only.  Raises ValueError unless A and B are
-    stacks of k systems of one shape.
-    """
-    A = np.asarray(A, dtype=float)
-    B = np.asarray(B, dtype=float)
-    if A.ndim != 3 or B.ndim != 3 or len(A) != len(B):
-        raise ValueError(f"A and B must be stacks of k systems, got shapes "
-                         f"{A.shape} and {B.shape}")
-    if len(A):
-        _check_system(A[0], B[0], weights)
-    return _solve_stack(A, B, weights)
 
 
 def solve_care(A, B, weights: CostWeights) -> np.ndarray:
