@@ -135,7 +135,7 @@ class TestPrecompute:
 
     @pytest.mark.parametrize("counts, workers, expected", [
         ((2, 2, 2, 2), 64, 1),  # 8 planar nodes: one chunk
-        ((3, 5, 5, 5), 64, -(-125 // gt._CHUNK)),  # 125 planar nodes: one chunk each _CHUNK
+        ((3, 5, 5, 5), 64, -(-125 // gt._CHUNK)),  # 125 planar nodes in chunks of _CHUNK
         ((3, 5, 5, 5), 2, 2),
     ])
     def test_pool_capped_at_chunk_count(self, geom, masses, weights, monkeypatch,
