@@ -16,7 +16,7 @@ build does: the LAPACK calls still run once per system, and the rest (the
 solve for P, the symmetry and residual checks, the products around them)
 runs once over the stack, which saves most of the per-call overhead.  Each
 system gets the bytes and the error it gets alone.  One system keeps its
-own path (_solve), which a stack of one would make about 5% slower.
+own path (_solve): through stacked code, a stack of one ran 5-18% slower.
 """
 
 from __future__ import annotations
