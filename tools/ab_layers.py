@@ -1,5 +1,4 @@
-"""Time armctl's solve layers in one process against another revision, and
-append the result to the "layers" list of a BENCH_<n>.json.
+"""Time armctl's solve layers in one process against another revision.
 
     python3 tools/ab_layers.py [--parent REV] [--rounds N] [--out BENCH_14.json]
 
