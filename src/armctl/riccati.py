@@ -15,8 +15,8 @@ solve_stack solves a stack of systems that share the weights, as a table
 build does: the LAPACK calls still run once per system, and the rest (the
 solve for P, the symmetry and residual checks, the products around them)
 runs once over the stack, which saves most of the per-call overhead.  Each
-system gets the bytes and the error it gets alone.  One system keeps its
-own path (_solve): through stacked code, a stack of one ran 5-18% slower.
+system gets the bytes and the error it gets alone.  solve_care and lqr_gain
+solve a stack of one.
 """
 
 from __future__ import annotations
@@ -60,7 +60,7 @@ class CostWeights:
 
     Q: np.ndarray
     R: np.ndarray
-    # what _solve needs from Q and R alone; not part of equality or repr
+    # what solve_stack needs from Q and R alone; not part of equality or repr
     _r_chol: np.ndarray = field(init=False, repr=False, compare=False)
     _neg_q: np.ndarray = field(init=False, repr=False, compare=False)
     _limit: float = field(init=False, repr=False, compare=False)
@@ -124,53 +124,6 @@ def _check_system(A, B, weights):
     return A, B
 
 
-def _solve(A, B, weights: CostWeights):
-    """(P, K): the stabilizing CARE solution and its gain R^-1 B' P."""
-    A, B = _check_system(A, B, weights)
-    n = A.shape[0]
-    # finiteness is checked here, on B and on H, in place of scipy's checks
-    if not np.isfinite(B).all():
-        raise ValueError("B must be finite")
-    with np.errstate(over="ignore"):  # an overflow fails the check on H below
-        G = B @ lapack.dpotrs(weights._r_chol, B.T)[0]
-
-    H = np.empty((2 * n, 2 * n), order="F")
-    H[:n, :n], H[:n, n:] = A, -G
-    H[n:, :n], H[n:, n:] = weights._neg_q, -A.T
-    if not np.isfinite(H).all():
-        raise ValueError("A must be finite, and B R^-1 B' must not overflow")
-    _, sdim, _, _, Z, _, info = lapack.dgees(_lhp, H, lwork=weights._lwork,
-                                             sort_t=1, overwrite_a=1)
-    if info:
-        raise IllConditioned(f"ordered Schur form failed (dgees info {info})")
-    if sdim != n:
-        raise NotStabilizable(f"stable invariant subspace has dimension {sdim}, expected {n}")
-    try:
-        P = np.linalg.solve(Z[:n, :n].T, Z[n:, :n].T).T
-    except np.linalg.LinAlgError as exc:
-        raise NotStabilizable(f"singular subspace basis: {exc}") from exc
-
-    scale = max(1.0, float(np.abs(P).max()))
-    if float(np.abs(P - P.T).max()) > 1e-10 * scale:
-        raise IllConditioned("Riccati solution lost symmetry")
-    P = 0.5 * (P + P.T)
-
-    eigs = lapack.dsyevd(P, compute_v=0)[0]
-    if eigs.min() < -1e-8 * max(1.0, eigs.max()):
-        raise NotStabilizable(f"Riccati solution not PSD (min eig {eigs.min()})")
-
-    # written so that a non-finite residual fails too
-    residual = float(np.linalg.norm(A.T @ P + P @ A - P @ G @ P + weights.Q))
-    if not residual <= weights._limit:
-        raise IllConditioned(f"CARE residual {residual:.3e} exceeds {weights._limit:.3e}")
-
-    K = lapack.dpotrs(weights._r_chol, B.T @ P)[0]
-    closed = lapack.dgeev(A - B @ K, compute_vl=0, compute_vr=0)[0]
-    if closed.max() >= 0.0:
-        raise NotStabilizable(f"closed loop not Hurwitz (max Re eig {closed.max():.3e})")
-    return P, K
-
-
 def solve_stack(A, B, weights: CostWeights):
     """Solve a stack of systems sharing the weights, A (k, n, n) and B
     (k, n, m), in one call; a table build solves its nodes this way.
@@ -182,10 +135,10 @@ def solve_stack(A, B, weights: CostWeights):
     then hold systems [:i] only.  Raises ValueError unless A and B are
     stacks of k systems of one shape.
 
-    Each system meets _solve's checks in _solve's order, and a failure
-    drops the later systems from the checks after it.  The LAPACK calls run
-    per system; the rest runs over the stack on operands laid out as _solve
-    lays them out, so each system gets the bytes _solve gives it.
+    Each system meets the checks in turn, and a failure drops the later
+    systems from the checks after it.  The LAPACK calls run per system; the
+    rest runs over the stack on operands laid out per system as LAPACK lays
+    them out, so a system's bytes do not depend on the rest of its stack.
     """
     A = np.asarray(A, dtype=float)
     B = np.asarray(B, dtype=float)
@@ -211,7 +164,8 @@ def solve_stack(A, B, weights: CostWeights):
 
     # finiteness is checked here, on B and on H, in place of scipy's checks
     check(np.isfinite(B).all(axis=(1, 2)), lambda i: ValueError("B must be finite"))
-    A, B = A[:live], B[:live]
+    if failure:
+        A, B = A[:live], B[:live]
     X = np.empty((live, n, m)).transpose(0, 2, 1)  # R^-1 B', Fortran-ordered as from dpotrs
     for i in range(live):
         X[i] = lapack.dpotrs(weights._r_chol, B[i].T)[0]
@@ -235,7 +189,8 @@ def solve_stack(A, B, weights: CostWeights):
                                     f"expected {n}"))
             break
         Zt[i] = Z[:, :n].T
-    A, B, G, Zt = A[:live], B[:live], G[:live], Zt[:live]
+    if failure:
+        A, B, G, Zt = A[:live], B[:live], G[:live], Zt[:live]
     try:
         P = np.linalg.solve(Zt[:, :, :n], Zt[:, :, n:]).transpose(0, 2, 1)
     except np.linalg.LinAlgError:
@@ -261,7 +216,8 @@ def solve_stack(A, B, weights: CostWeights):
         if eigs.min() < -1e-8 * max(1.0, eigs.max()):
             fail(i, NotStabilizable(f"Riccati solution not PSD (min eig {eigs.min()})"))
             break
-    A, B, G, P = A[:live], B[:live], G[:live], P[:live]
+    if failure:
+        A, B, G, P = A[:live], B[:live], G[:live], P[:live]
 
     # the norm as np.linalg.norm takes it: the flattened matrix's dot product
     # with itself; written so that a non-finite residual fails too
@@ -269,7 +225,8 @@ def solve_stack(A, B, weights: CostWeights):
     residual = np.sqrt(R @ R.transpose(0, 2, 1)).ravel()
     check(residual <= weights._limit, lambda i: IllConditioned(
         f"CARE residual {residual[i]:.3e} exceeds {weights._limit:.3e}"))
-    A, B, P = A[:live], B[:live], P[:live]
+    if failure:
+        A, B, P = A[:live], B[:live], P[:live]
 
     K = np.empty((live, n, m)).transpose(0, 2, 1)  # Fortran-ordered as from dpotrs
     BtP = B.transpose(0, 2, 1) @ P
@@ -282,7 +239,18 @@ def solve_stack(A, B, weights: CostWeights):
         if eigs.max() >= 0.0:
             fail(i, NotStabilizable(f"closed loop not Hurwitz (max Re eig {eigs.max():.3e})"))
             break
-    return P[:live], K[:live], failure
+    if failure:
+        P, K = P[:live], K[:live]
+    return P, K, failure
+
+
+def _solve(A, B, weights: CostWeights):
+    """(P, K) of one system, as a stack of one."""
+    A, B = _check_system(A, B, weights)
+    P, K, failure = solve_stack(A[None], B[None], weights)
+    if failure:
+        raise failure[1]
+    return P[0], K[0]
 
 
 def solve_care(A, B, weights: CostWeights) -> np.ndarray:
@@ -302,3 +270,4 @@ def lqr_gain(A, B, weights: CostWeights) -> np.ndarray:
     Raises the same errors as solve_care.
     """
     return _solve(A, B, weights)[1]
+

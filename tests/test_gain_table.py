@@ -135,8 +135,8 @@ class TestPrecompute:
 
     @pytest.mark.parametrize("counts, workers, expected", [
         ((2, 2, 2, 2), 64, 1),  # 8 planar nodes: one chunk
-        ((3, 5, 5, 5), 64, -(-125 // gt._CHUNK)),  # 125 planar nodes in chunks of _CHUNK
-        ((3, 5, 5, 5), 2, 2),
+        ((3, 10, 10, 10), 64, -(-1000 // gt._CHUNK)),  # 1000 planar nodes: 16 chunks of 64
+        ((3, 9, 9, 9), 2, 2),  # 729 planar nodes: 12 chunks, capped by the 2 workers
     ])
     def test_pool_capped_at_chunk_count(self, geom, masses, weights, monkeypatch,
                                         counts, workers, expected):
