@@ -18,16 +18,19 @@ a2..a4, so I1 is a quadratic form u' C u in the link sines, I2 and I3 are
 sums of C[l][m] cos(a_l - a_m) over all links and over the elbow links, PE
 is linear in the link cosines, and I4 is a constant.
 
-One kernel, `_kernel(geom, masses, t2, t3, t4)`, evaluates those forms at a
+One kernel, `_kernel(forms, t2, t3, t4)`, evaluates those forms at a
 configuration from the six link sines and cosines that
 `kinematics.planar_chain(t2, t3, t4)` returns (no joint coordinates), and
 returns the four joint inertias, the potential energy, and their exact
-gradients (d/da_l, summed over the links each joint angle turns).  Every
-public function below reads what it needs from that one call.
+gradients (d/da_l, summed over the links each joint angle turns) as
+tuples.  `forms` is `_mass_forms(geom, masses)`, looked up once per
+caller: once per public call below, and once per control period in the
+simulator, so the per-stage path is arithmetic alone.  Every public
+function below reads what it needs from that one kernel call.
 
 The accelerations are computed once, in `_solve`, from a kernel evaluation
-on Python floats.  `_accelerations` (planar angles, rates and torques in,
-four accelerations out) is `_kernel` followed by `_solve`;
+on Python floats.  `_accelerations(forms, ...)` (planar angles, rates and
+torques in, four accelerations out) is `_kernel` followed by `_solve`;
 `forward_dynamics` only checks its arguments and wraps the result in an
 array, and the simulator's RK4 loop calls `_accelerations` directly, so
 integration pays no per-stage conversion.
@@ -132,27 +135,26 @@ def _mass_forms(geom: ArmGeometry, mm: MassModel):
     return C, h, i4
 
 
-def _kernel(geom: ArmGeometry, mm: MassModel, t2: float, t3: float, t4: float):
+def _kernel(forms, t2: float, t3: float, t4: float):
     """Inertias, potential energy and their exact gradients at a planar
-    configuration.
+    configuration, from the mass forms `_mass_forms(geom, masses)`.
 
     Returns (inertia, pe, dpe, jac):
       - inertia = (I1, I2, I3, I4): I1 about the vertical axis, I2 about P1,
         I3 about P2, I4 about P3, each covering the mass distal to that pivot;
       - pe: gravitational PE, point masses at their heights plus each uniform
         segment at the mean of its endpoint heights (P1 is the zero reference);
-      - dpe: the 4-list dPE/dtheta;
-      - jac: the 4x4 nested list jac[k][j] = dI_{k+1}/dtheta_{j+1}.
-    The theta1 entries of dpe and jac are structurally zero.
+      - dpe: the 4-tuple dPE/dtheta;
+      - jac: the 4x4 nested tuple jac[k][j] = dI_{k+1}/dtheta_{j+1}.
+    The theta1 entries of dpe and jac, and the row of I4, are structurally zero.
     """
     u0, v0, u1, v1, u2, v2 = planar_chain(t2, t3, t4)
-    C, h, i4 = _mass_forms(geom, mm)
+    C, h, i4 = forms
     i1 = i2 = i3 = pe = 0.0
     d1 = d2 = d3 = dp = 0.0
-    dpe = [0.0, 0.0, 0.0, 0.0]
-    jac = [[0.0, 0.0, 0.0, 0.0] for _ in range(4)]
     # a4 = theta2 + theta3 + theta4, a3 = theta2 + theta3, a2 = theta2: so
-    # d/dtheta_j sums d/da_l over the links l >= j - 2, a suffix sum
+    # d/dtheta_j sums d/da_l over the links l >= j - 2, a suffix sum: s2 and
+    # s1 keep it through links 2 and 1, and d1..dp end holding it through 0
     for l, u, v in ((2, u2, v2), (1, u1, v1), (0, u0, v0)):
         c0, c1, c2 = C[l]
         # (C u)_l and (C v)_l, first over the elbow links 1 and 2 alone
@@ -167,8 +169,13 @@ def _kernel(geom: ArmGeometry, mm: MassModel, t2: float, t3: float, t4: float):
         if l:
             i3 += u * eu + v * ev
             d3 += 2.0 * (v * eu - u * ev)
-        jac[0][l + 1], jac[1][l + 1], jac[2][l + 1], dpe[l + 1] = d1, d2, d3, dp
-    return (i1, i2, i3, i4), pe, dpe, jac
+        if l == 2:
+            s2 = d1, d2, d3, dp
+        elif l == 1:
+            s1 = d1, d2, d3, dp
+    jac = ((0.0, d1, s1[0], s2[0]), (0.0, d2, s1[1], s2[1]), (0.0, d3, s1[2], s2[2]),
+           (0.0, 0.0, 0.0, 0.0))
+    return (i1, i2, i3, i4), pe, (0.0, dp, s1[3], s2[3]), jac
 
 
 def _kinetic(inertia, rates) -> float:
@@ -180,25 +187,25 @@ def _kinetic(inertia, rates) -> float:
 def joint_inertias(geom: ArmGeometry, masses: MassModel, theta) -> np.ndarray:
     """Effective rotational inertia seen by each joint at configuration theta."""
     _, t2, t3, t4 = vector(theta, 4, "theta")
-    return np.array(_kernel(geom, masses, t2, t3, t4)[0])
+    return np.array(_kernel(_mass_forms(geom, masses), t2, t3, t4)[0])
 
 
 def potential_energy(geom: ArmGeometry, masses: MassModel, theta) -> float:
     """Gravitational potential energy of the arm (joules, P1 height = 0)."""
     _, t2, t3, t4 = vector(theta, 4, "theta")
-    return _kernel(geom, masses, t2, t3, t4)[1]
+    return _kernel(_mass_forms(geom, masses), t2, t3, t4)[1]
 
 
 def kinetic_energy(geom: ArmGeometry, masses: MassModel, theta, rates) -> float:
     """Decoupled rotational kinetic energy: (1/2) sum_k I_k(theta) rate_k^2."""
     _, t2, t3, t4 = vector(theta, 4, "theta")
-    return _kinetic(_kernel(geom, masses, t2, t3, t4)[0], rates)
+    return _kinetic(_kernel(_mass_forms(geom, masses), t2, t3, t4)[0], rates)
 
 
 def total_energy(geom: ArmGeometry, masses: MassModel, theta, rates) -> float:
     """KE + PE."""
     _, t2, t3, t4 = vector(theta, 4, "theta")
-    inertia, pe, _, _ = _kernel(geom, masses, t2, t3, t4)
+    inertia, pe, _, _ = _kernel(_mass_forms(geom, masses), t2, t3, t4)
     return _kinetic(inertia, rates) + pe
 
 
@@ -209,14 +216,15 @@ def equilibrium_torque(geom: ArmGeometry, masses: MassModel, theta) -> np.ndarra
     precision because both read the same kernel gradient.
     """
     _, t2, t3, t4 = vector(theta, 4, "theta")
-    return np.array(_kernel(geom, masses, t2, t3, t4)[2])
+    return np.array(_kernel(_mass_forms(geom, masses), t2, t3, t4)[2])
 
 
-def _accelerations(geom: ArmGeometry, masses: MassModel, t2, t3, t4, w, tau) -> list[float]:
-    """forward_dynamics on Python floats: planar angles t2..t4, and the
-    rates w and torque tau as 4-sequences of floats.  Returns the four
-    accelerations as a list."""
-    return _solve(_kernel(geom, masses, t2, t3, t4), (t2, t3, t4), w, tau)
+def _accelerations(forms, t2, t3, t4, w, tau) -> list[float]:
+    """forward_dynamics on Python floats, from the mass forms
+    `_mass_forms(geom, masses)`: planar angles t2..t4, and the rates w and
+    torque tau as 4-sequences of floats.  Returns the four accelerations
+    as a list."""
+    return _solve(_kernel(forms, t2, t3, t4), (t2, t3, t4), w, tau)
 
 
 def _solve(kernel, planar, w, tau) -> list[float]:
@@ -314,5 +322,6 @@ def forward_dynamics(
     """
     _, t2, t3, t4 = vector(theta, 4, "theta")
     return np.array(_accelerations(
-        geom, masses, t2, t3, t4, vector(rates, 4, "rates"), vector(torque, 4, "torque")
+        _mass_forms(geom, masses), t2, t3, t4,
+        vector(rates, 4, "rates"), vector(torque, 4, "torque"),
     ))

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import MassModel, _hessians, _kernel, _solve, equilibrium_torque
+from .dynamics import MassModel, _hessians, _kernel, _mass_forms, _solve, equilibrium_torque
 from .errors import Diverged, vector
 from .kinematics import ArmGeometry
 
@@ -89,7 +89,7 @@ def linearize(geom: ArmGeometry, masses: MassModel, op: OperatingPoint) -> Linea
     theta, w = op.theta, op.rates
     wl = w.tolist()
     _, t2, t3, t4 = theta.tolist()
-    kernel = _kernel(geom, masses, t2, t3, t4)
+    kernel = _kernel(_mass_forms(geom, masses), t2, t3, t4)
     acc = np.array(_solve(kernel, (t2, t3, t4), wl, op.torque.tolist()))
     inverse = 1.0 / np.array(kernel[0])
     jac = np.array(kernel[3])

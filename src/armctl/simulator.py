@@ -8,7 +8,8 @@ precomputed gain table (table mode).
 
 The plant is integrated on Python floats: `_integrate` runs a whole control
 period of RK4 steps in one loop over `dynamics._accelerations`, with no
-array conversion per stage.  Each stage repeats the elementwise operations
+array conversion per stage and the arm's mass forms looked up once per
+call, not once per stage.  Each stage repeats the elementwise operations
 of the array form, so trajectories are bit-identical to it; `step_rk4` is
 the same loop for one step.  A state that turns non-finite raises Diverged.
 """
@@ -22,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import MassModel, _accelerations, equilibrium_torque, total_energy
+from .dynamics import MassModel, _accelerations, _mass_forms, equilibrium_torque, total_energy
 from .errors import ArmError, Diverged, EmptyBenchmark, components, count, scalar, vector
 from .gain_table import GainTable, RefinedTable, _blend, check_digest, lookup
 from .kinematics import ArmGeometry
@@ -111,9 +112,10 @@ def _integrate(geom: ArmGeometry, masses: MassModel, x, torque, dt: float, steps
     half = 0.5 * dt
     sixth = dt / 6.0
     _check_finite(x, 0, steps)
+    forms = _mass_forms(geom, masses)
 
     def f(y):
-        return y[4:] + _accelerations(geom, masses, y[1], y[2], y[3], y[4:], torque)
+        return y[4:] + _accelerations(forms, y[1], y[2], y[3], y[4:], torque)
 
     for n in range(steps):
         k1 = f(x)

@@ -17,7 +17,7 @@ from armctl import (
     potential_energy,
     segment_inertia,
 )
-from armctl.dynamics import _cosine_terms, _hessians, _kernel
+from armctl.dynamics import _cosine_terms, _hessians, _kernel, _mass_forms
 from conftest import safe_random_theta
 from oracles import lagrangian_accelerations, segment_route_energies
 
@@ -221,10 +221,10 @@ class TestDerivativeAccuracy:
         rng = np.random.default_rng(3)
         for theta in safe_random_theta(rng, 20):
             args = tuple(theta[1:])
-            _, _, dpe, _ = _kernel(geom, masses, *args)
+            _, _, dpe, _ = _kernel(_mass_forms(geom, masses), *args)
             for j in range(3):
                 ref = _richardson_partial(
-                    lambda a, b, c: _kernel(geom, masses, a, b, c)[1], args, j, 1e-5
+                    lambda a, b, c: _kernel(_mass_forms(geom, masses), a, b, c)[1], args, j, 1e-5
                 )
                 assert abs(dpe[j + 1] - ref) <= 1e-6 * max(1.0, abs(ref))
 
@@ -232,11 +232,11 @@ class TestDerivativeAccuracy:
         rng = np.random.default_rng(4)
         for theta in safe_random_theta(rng, 20):
             args = tuple(theta[1:])
-            _, _, _, jac = _kernel(geom, masses, *args)
+            _, _, _, jac = _kernel(_mass_forms(geom, masses), *args)
             for k in range(4):
                 for j in range(3):
                     ref = _richardson_partial(
-                        lambda a, b, c, k=k: _kernel(geom, masses, a, b, c)[0][k],
+                        lambda a, b, c, k=k: _kernel(_mass_forms(geom, masses), a, b, c)[0][k],
                         args, j, 1e-5,
                     )
                     assert abs(jac[k][j + 1] - ref) <= 1e-6 * max(1.0, abs(ref))
@@ -255,7 +255,7 @@ class TestSecondDerivatives:
         mm = MassModel(*mass)
         n, alpha, _ = _cosine_terms(geom, mm)
         th = np.array(theta)
-        inertia, pe, dpe, jac = _kernel(geom, mm, *theta[1:])
+        inertia, pe, dpe, jac = _kernel(_mass_forms(geom, mm), *theta[1:])
         value = alpha.T @ np.cos(n @ th)
         grad = -(alpha.T * np.sin(n @ th)) @ n
         scale = max(1.0, *map(abs, inertia), abs(pe))
@@ -279,7 +279,7 @@ class TestSecondDerivatives:
             args = tuple(theta[1:])
             for l in range(3):
                 def gradients(a, b, c):
-                    _, _, dpe, jac = _kernel(geom, masses, a, b, c)
+                    _, _, dpe, jac = _kernel(_mass_forms(geom, masses), a, b, c)
                     return np.array([*jac, dpe])
 
                 ref = _richardson_partial(gradients, args, l, 1e-4)

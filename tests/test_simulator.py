@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import armctl.dynamics as dyn
 import armctl.simulator as sim
 from armctl import (
     ArmError,
@@ -144,6 +145,29 @@ class TestBitIdentity:
             dt = float(rng.choice([1e-4, 1e-3, 1e-2]))
             got = step_rk4(geom, masses, x, tau, dt)
             assert got.tobytes() == reference_step_rk4(geom, masses, x, tau, dt).tobytes()
+
+    def test_control_period_matches_reference(self, geom, masses):
+        rng = np.random.default_rng(15)
+        for theta in safe_random_theta(rng, 200):
+            x = np.concatenate([theta, rng.uniform(-5.0, 5.0, 4)])
+            tau = rng.uniform(-5.0, 5.0, 4)
+            got = sim._integrate(geom, masses, x.tolist(), tau.tolist(), 1e-3, 20)
+            want = _reference_integrate(geom, masses, x, tau, 1e-3, 20)
+            assert np.array(got).tobytes() == np.array(want).tobytes()
+
+    def test_control_period_looks_up_mass_forms_once(self, geom, masses, monkeypatch):
+        # counted under every name the RK4 loop could reach it by
+        calls, real = [], dyn._mass_forms
+
+        def counting(*args):
+            calls.append(args)
+            return real(*args)
+
+        for module in (dyn, sim):
+            monkeypatch.setattr(module, "_mass_forms", counting)
+        x = [0.3, 0.8, -0.9, 0.5, 0.2, -0.1, 0.3, 0.0]
+        sim._integrate(geom, masses, x, [0.5, -1.0, 2.0, 0.1], 1e-3, 20)
+        assert calls == [(geom, masses)]
 
     @pytest.mark.parametrize("run", ["passive", "online", "flat", "refined"])
     def test_simulate_matches_reference(
