@@ -1,25 +1,35 @@
-"""Time armctl's solve layers in one process against another revision.
+"""Time armctl's layers in one process against another revision.
 
-    python3 tools/ab_layers.py [--parent REV] [--rounds N] [--out BENCH_14.json]
+    python3 tools/ab_layers.py [--parent REV] [--rounds N] [--out BENCH_15.json]
 
 `git archive REV src/armctl` unpacks the parent's package into a temporary
 directory, where it is imported as armctl_parent beside the working tree's
 armctl (from the src/ directory next to this script).  Each round times
 every case once on each side, the parent first in even rounds and the change
 first in odd ones.  A sample is the best of 3 repeats of the case's mean time
-per call.  Each run appends one entry to the "layers" list of --out (other
-keys stay): the two sides' commits, and per case both sides' samples and
-medians, the change/parent ratio of the medians and the rounds the change
-won.
+per call, timed with the garbage collector off.  Each run appends one entry
+to the "layers" list of --out (other keys stay): the two sides' commits,
+and per case both sides' samples and medians, the change/parent ratio of
+the medians, the rounds the change won, and whether those wins meet the
+layer-claim rule: at least 15 of 20, three quarters of the rounds.  The
+cases use only public API, so any parent revision imports.
 
 Cases, on the test arm of tests/conftest.py:
-  lqr_gain    one lqr_gain on the linear model of an online state (non-zero
-              rates and torque);
-  stack64     the gains of 64 equilibrium nodes from their linear models:
-              one riccati.solve_stack call on a side that has it, else 64
-              lqr_gain calls;
-  refine      refine(tol 0.4, depth 3) on the box theta_ref +/- 0.25;
-  precompute  a 5^4 precompute with 1 worker on the same box.
+  rk4_period        a 0.2 s passive simulate (ten control periods of 20 RK4
+                    steps);
+  forward_dynamics  one forward_dynamics at an online state (non-zero rates
+                    and torque);
+  linearize         one linearize at that online state;
+  lqr_gain          one lqr_gain on the linear model of that state;
+  online_update     one online control update: OperatingPoint, linearize and
+                    lqr_gain at that state;
+  lookup_flat       one lookup off-node in the 5^4 table below;
+  lookup_refined    one lookup at the same angles in the refine(0.4, 3) tree;
+  stack64           the gains of 64 equilibrium nodes from their linear models:
+                    one riccati.solve_stack call on a side that has it, else 64
+                    lqr_gain calls;
+  refine            refine(tol 0.4, depth 3) on the box theta_ref +/- 0.25;
+  precompute        a 5^4 precompute with 1 worker on the same box.
 
 Run with --parent HEAD first: that self-A/B shows the noise floor, and each
 of its ratios should lie within +/-5%.
@@ -28,6 +38,7 @@ of its ratios should lie within +/-5%.
 from __future__ import annotations
 
 import argparse
+import gc
 import importlib
 import io
 import json
@@ -42,8 +53,11 @@ from pathlib import Path
 import numpy as np
 
 ROOT = Path(__file__).resolve().parents[1]
-CASES = {"lqr_gain": 200, "stack64": 4, "refine": 1, "precompute": 1}  # calls per timing
+CASES = {"rk4_period": 2, "forward_dynamics": 500, "linearize": 300, "lqr_gain": 200,
+         "online_update": 100, "lookup_flat": 500, "lookup_refined": 500,
+         "stack64": 4, "refine": 1, "precompute": 1}  # calls per timing
 REPEATS = 3
+WIN_FRACTION = 0.75  # a layer claim needs 15 of 20 wins
 
 
 def git(*args) -> str:
@@ -70,8 +84,8 @@ def cases(pkg) -> dict:
     theta_ref = np.array([0.3, 0.8, -0.9, 0.5])
     box = (tuple(theta_ref - 0.25), tuple(theta_ref + 0.25))
 
-    online = pkg.linearize(geom, masses, pkg.OperatingPoint(
-        theta_ref, [0.2, -0.1, 0.3, 0.0], [0.5, -1.0, 2.0, 0.1]))
+    rates, torque = [0.2, -0.1, 0.3, 0.0], [0.5, -1.0, 2.0, 0.1]
+    online = pkg.linearize(geom, masses, pkg.OperatingPoint(theta_ref, rates, torque))
     thetas = np.random.default_rng(14).uniform(box[0], box[1], size=(64, 4))
     models = [pkg.linearize(geom, masses, pkg.equilibrium_point(geom, masses, t))
               for t in thetas]
@@ -85,9 +99,28 @@ def cases(pkg) -> dict:
         def stack64():
             return solve_stack(A, B, weights)
 
+    def online_update():
+        op = pkg.OperatingPoint(theta_ref, rates, torque)
+        model = pkg.linearize(geom, masses, op)
+        return pkg.lqr_gain(model.A, model.B, weights)
+
     grid = pkg.GridSpec(box[0], box[1], (5, 5, 5, 5))
+    flat = pkg.precompute(geom, masses, weights, grid, workers=1)
+    tree = pkg.refine(geom, masses, weights, box, 0.4, 3)
+    off_node = theta_ref + [0.01, 0.07, -0.05, 0.11]
+    passive = pkg.SimConfig(duration=0.2)
+    x0 = np.concatenate([theta_ref, rates])
     return {
+        "rk4_period": lambda: pkg.simulate(
+            geom, masses, passive, pkg.ControllerMode.PASSIVE, x0),
+        "forward_dynamics": lambda: pkg.forward_dynamics(
+            geom, masses, theta_ref, rates, torque),
+        "linearize": lambda: pkg.linearize(
+            geom, masses, pkg.OperatingPoint(theta_ref, rates, torque)),
         "lqr_gain": lambda: pkg.lqr_gain(online.A, online.B, weights),
+        "online_update": online_update,
+        "lookup_flat": lambda: pkg.lookup(flat, off_node),
+        "lookup_refined": lambda: pkg.lookup(tree, off_node),
         "stack64": stack64,
         "refine": lambda: pkg.refine(geom, masses, weights, box, 0.4, 3),
         "precompute": lambda: pkg.precompute(geom, masses, weights, grid, workers=1),
@@ -95,13 +128,20 @@ def cases(pkg) -> dict:
 
 
 def sample(fn, number: int) -> float:
-    """Best of REPEATS means, in seconds per call."""
+    """Best of REPEATS means, in seconds per call, with the cyclic garbage
+    collector off as in timeit, so a collection the other side's garbage
+    triggers is not charged to this side."""
     best = float("inf")
-    for _ in range(REPEATS):
-        start = time.perf_counter()
-        for _ in range(number):
-            fn()
-        best = min(best, (time.perf_counter() - start) / number)
+    gc.collect()
+    gc.disable()
+    try:
+        for _ in range(REPEATS):
+            start = time.perf_counter()
+            for _ in range(number):
+                fn()
+            best = min(best, (time.perf_counter() - start) / number)
+    finally:
+        gc.enable()
     return best
 
 
@@ -131,11 +171,13 @@ def main(argv=None) -> int:
     for case, runs in times.items():
         parent, change = statistics.median(runs["parent"]), statistics.median(runs["change"])
         wins = sum(c < p for p, c in zip(runs["parent"], runs["change"]))
+        holds = wins >= WIN_FRACTION * args.rounds
         layers["cases"][case] = {"parent": {"median": parent, "runs": runs["parent"]},
                                  "change": {"median": change, "runs": runs["change"]},
-                                 "ratio": change / parent, "wins": wins}
-        print(f"{case:<11} parent {parent * 1e6:10.1f} us  change {change * 1e6:10.1f} us  "
-              f"ratio {change / parent:.3f}  wins {wins}/{args.rounds}")
+                                 "ratio": change / parent, "wins": wins, "wins_rule": holds}
+        print(f"{case:<16} parent {parent * 1e6:10.1f} us  change {change * 1e6:10.1f} us  "
+              f"ratio {change / parent:.3f}  wins {wins}/{args.rounds}  "
+              f"15-of-20 rule {'holds' if holds else 'fails'}")
     if args.out:
         doc = json.loads(args.out.read_text()) if args.out.exists() else {}
         doc.setdefault("layers", []).append(layers)

@@ -12,8 +12,13 @@ Each directory is a checkout holding perfbench/ and src/.  For workload j
 parent first in even pairs and the change first in odd ones.  For every
 end-to-end metric of BENCHMARK.json the output holds, per side, the runs,
 median and quartiles, the change/parent ratio of the medians, the pairs the
-change won (ties count for neither), and whether the change's median is
-worse than the parent's by more than the metric's bound.  A claim
+change won (ties count for neither), the parent's spread (interquartile
+range over median), and one verdict.  The metric is unresolved when that
+spread exceeds the metric's bound, unless every change run reads better
+than every parent run: the runs cannot then tell a regression from noise.
+Otherwise it regressed when the change's median is worse than the
+parent's by more than the bound.  Each workload's regressed and unresolved
+metrics are also printed.  A claim
 (WORKLOAD:METRIC) holds when the change wins at least 9 in 10 of its pairs
 and the medians differ, in the better direction, by more than the parent's
 interquartile range.  A run that fails the correctness gate, or exits non-zero,
@@ -62,25 +67,31 @@ def summary(values: list[float]) -> dict:
 
 
 def compare(parent_runs, change_runs, spec) -> dict:
-    """Per end-to-end metric: both sides summarized, ratio, wins, regression."""
+    """Per end-to-end metric: both sides summarized, ratio, wins, spread,
+    and whether it is unresolved or regressed (see the module docstring)."""
     out = {}
     for metric in spec["end_to_end"]:
-        name, lower = metric["name"], metric["better"] == "lower"
+        name, lower, bound = metric["name"], metric["better"] == "lower", metric["bound"]
         p = [run["metrics"][name] for run in parent_runs]
         c = [run["metrics"][name] for run in change_runs]
         ps, cs = summary(p), summary(c)
         wins = sum((b < a) if lower else (b > a) for a, b in zip(p, c))
         ratio = cs["median"] / ps["median"] if ps["median"] else None
         worse = (cs["median"] - ps["median"]) if lower else (ps["median"] - cs["median"])
+        spread = (ps["q3"] - ps["q1"]) / abs(ps["median"]) if ps["median"] else 0.0
+        all_better = max(c) < min(p) if lower else min(c) > max(p)
+        unresolved = spread > bound and not all_better
         out[name] = {
             "better": metric["better"],
-            "bound": metric["bound"],
+            "bound": bound,
             "parent": ps,
             "change": cs,
             "ratio": ratio,
             "wins": wins,
             "pairs": len(p),
-            "regressed": worse > metric["bound"] * abs(ps["median"]),
+            "spread": spread,
+            "unresolved": unresolved,
+            "regressed": not unresolved and worse > bound * abs(ps["median"]),
         }
     return out
 
@@ -130,6 +141,9 @@ def main(argv=None) -> int:
         entry = {"seeds": seeds, "runs": runs}
         if all(run["metrics"] for side in runs.values() for run in side):
             entry["metrics"] = compare(runs["parent"], runs["change"], spec)
+            for verdict in ("regressed", "unresolved"):
+                names = [k for k, v in entry["metrics"].items() if v[verdict]]
+                print(f"{workload} {verdict}: {', '.join(names) or 'none'}", flush=True)
         else:
             status = 1
         doc["workloads"][workload] = entry
