@@ -7,16 +7,16 @@ directory, where it is imported as armctl_parent beside the working tree's
 armctl (from the src/ directory next to this script).  Each round times
 every case once on each side, the parent first in even rounds and the change
 first in odd ones.  A sample is the best of 3 repeats of the case's mean time
-per call, timed with the garbage collector off.  Each run appends one entry
-to the "layers" list of --out (other keys stay): the two sides' commits,
-and per case both sides' samples and medians, the ratio (the median over
-rounds of the change/parent ratio within a round), the rounds the change
-won, and whether those wins meet the layer-claim rule: at least 15 of 20,
-three quarters of the rounds.  The ratio is taken within rounds because
-this host's speed drifts between rounds by more than a layer change: in
-one self-A/B the samples varied by ~20% and the ratio of the two sides'
-medians read 0.88-1.12, while the within-round ratio read 0.99-1.03.  The
-cases use only public API, so any parent revision imports.
+per call.  Each run appends one entry to the "layers" list of --out (other
+keys stay): the two sides' commits, and per case both sides' samples and
+medians, the ratio (the median over rounds of the change/parent ratio
+within a round), the rounds the change won, and whether those wins meet
+the layer-claim rule: at least 15 of 20, three quarters of the rounds.
+The ratio is taken within rounds because a shared host's speed can drift
+between rounds by more than a layer change: in one self-A/B on a 2-vCPU
+host the samples varied by ~20%, and the ratio of the two sides' medians
+read 0.88-1.12 while the within-round ratio read 0.99-1.03.  The cases
+use only public API, so any parent revision imports.
 
 Cases, on the test arm of tests/conftest.py:
   rk4_period        a 0.2 s passive simulate (ten control periods of 20 RK4
@@ -42,7 +42,6 @@ of its ratios should lie within +/-5%.
 from __future__ import annotations
 
 import argparse
-import gc
 import importlib
 import io
 import json
@@ -132,20 +131,13 @@ def cases(pkg) -> dict:
 
 
 def sample(fn, number: int) -> float:
-    """Best of REPEATS means, in seconds per call, with the cyclic garbage
-    collector off as in timeit, so a collection the other side's garbage
-    triggers is not charged to this side."""
+    """Best of REPEATS means, in seconds per call."""
     best = float("inf")
-    gc.collect()
-    gc.disable()
-    try:
-        for _ in range(REPEATS):
-            start = time.perf_counter()
-            for _ in range(number):
-                fn()
-            best = min(best, (time.perf_counter() - start) / number)
-    finally:
-        gc.enable()
+    for _ in range(REPEATS):
+        start = time.perf_counter()
+        for _ in range(number):
+            fn()
+        best = min(best, (time.perf_counter() - start) / number)
     return best
 
 
