@@ -20,20 +20,22 @@ is linear in the link cosines, and I4 is a constant.
 
 One kernel, `_kernel(forms, t2, t3, t4)`, evaluates those forms at a
 configuration from the six link sines and cosines that
-`kinematics.planar_chain(t2, t3, t4)` returns (no joint coordinates), and
-returns the four joint inertias, the potential energy, and their exact
-gradients (d/da_l, summed over the links each joint angle turns) as
-tuples.  `forms` is `_mass_forms(geom, masses)`, looked up once per
-caller: once per public call below, and once per control period in the
-simulator, so the per-stage path is arithmetic alone.  Every public
-function below reads what it needs from that one kernel call.
+`kinematics.planar_chain(t2, t3, t4)` returns (no joint coordinates).  It
+is straight-line code, one block per link, and returns one flat tuple of
+floats: the four joint inertias, the potential energy, and their non-zero
+exact gradients (d/da_l, summed over the links each joint angle turns).
+`forms` is `_mass_forms(geom, masses)`, looked up once per caller: once
+per public call below, and once per control period in the simulator.
+Every public function below reads what it needs from that one kernel call.
 
-The accelerations are computed once, in `_solve`, from a kernel evaluation
-on Python floats.  `_accelerations(forms, ...)` (planar angles, rates and
-torques in, four accelerations out) is `_kernel` followed by `_solve`;
-`forward_dynamics` only checks its arguments and wraps the result in an
-array, and the simulator's RK4 loop calls `_accelerations` directly, so
-integration pays no per-stage conversion.
+The accelerations are computed once, in `_solve`, from a kernel evaluation,
+the rates and the torques, all Python floats, in straight-line code.
+`forward_dynamics` checks its arguments, calls `_kernel` then `_solve` and
+wraps the result in an array; the simulator's RK4 loop calls the two
+directly, so integration pays no per-stage conversion.  Both were loops once;
+they keep the loops' IEEE operations in the same order, each sum starting
+from 0.0 and each structural-zero term kept, so every result is
+bit-identical to the loop form (`tests/oracles.py` keeps it).
 
 Second derivatives come from the same forms.  By the product-to-sum
 identities each of I1..I4 and PE is a short sum of terms
@@ -45,9 +47,9 @@ expansion.
 The public functions read theta, rates and torque through
 `errors.vector`: any array-like of 4 values is accepted flattened, any
 other size raises ValueError("<name> must have 4 components, got N"), and a
-nan or inf ValueError("<name> must be finite").  `_kernel` and
-`_accelerations` do not check, and the simulator raises Diverged for a
-non-finite state instead.
+nan or inf ValueError("<name> must be finite").  `_kernel` and `_solve`
+do not check, and the simulator raises Diverged for a non-finite state
+instead.
 """
 
 from __future__ import annotations
@@ -135,78 +137,81 @@ def _mass_forms(geom: ArmGeometry, mm: MassModel):
     return C, h, i4
 
 
-def _kernel(forms, t2: float, t3: float, t4: float):
+def _kernel(forms, t2: float, t3: float, t4: float) -> tuple:
     """Inertias, potential energy and their exact gradients at a planar
-    configuration, from the mass forms `_mass_forms(geom, masses)`.
+    configuration, from the mass forms `_mass_forms(geom, masses)`, as one
+    flat tuple of 17 floats:
 
-    Returns (inertia, pe, dpe, jac):
-      - inertia = (I1, I2, I3, I4): I1 about the vertical axis, I2 about P1,
-        I3 about P2, I4 about P3, each covering the mass distal to that pivot;
-      - pe: gravitational PE, point masses at their heights plus each uniform
-        segment at the mean of its endpoint heights (P1 is the zero reference);
-      - dpe: the 4-tuple dPE/dtheta;
-      - jac: the 4x4 nested tuple jac[k][j] = dI_{k+1}/dtheta_{j+1}.
-    The theta1 entries of dpe and jac, and the row of I4, are structurally zero.
+        (I1, I2, I3, I4, PE, P2, P3, P4,
+         J12, J13, J14, J22, J23, J24, J32, J33, J34)
+
+    I1 is about the vertical axis, I2 about P1, I3 about P2 and I4 about P3,
+    each covering the mass distal to that pivot; PE puts the point masses at
+    their heights and each uniform segment at the mean of its endpoint
+    heights (P1 is the zero reference); Pj = dPE/dtheta_j and
+    Jkj = dI_k/dtheta_j.  The theta1 entries and the gradient of I4 are
+    structurally zero and left out.
     """
     u0, v0, u1, v1, u2, v2 = planar_chain(t2, t3, t4)
-    C, h, i4 = forms
-    i1 = i2 = i3 = pe = 0.0
-    d1 = d2 = d3 = dp = 0.0
+    ((c00, c01, c02), (c10, c11, c12), (c20, c21, c22)), (h0, h1, h2), i4 = forms
     # a4 = theta2 + theta3 + theta4, a3 = theta2 + theta3, a2 = theta2: so
-    # d/dtheta_j sums d/da_l over the links l >= j - 2, a suffix sum: s2 and
-    # s1 keep it through links 2 and 1, and d1..dp end holding it through 0
-    for l, u, v in ((2, u2, v2), (1, u1, v1), (0, u0, v0)):
-        c0, c1, c2 = C[l]
-        # (C u)_l and (C v)_l, first over the elbow links 1 and 2 alone
-        eu, ev = c1 * u1 + c2 * u2, c1 * v1 + c2 * v2
-        cu, cv = eu + c0 * u0, ev + c0 * v0
-        i1 += u * cu
-        i2 += u * cu + v * cv
-        pe += h[l] * v
-        d1 += 2.0 * v * cu
-        d2 += 2.0 * (v * cu - u * cv)
-        dp -= h[l] * u
-        if l:
-            i3 += u * eu + v * ev
-            d3 += 2.0 * (v * eu - u * ev)
-        if l == 2:
-            s2 = d1, d2, d3, dp
-        elif l == 1:
-            s1 = d1, d2, d3, dp
-    jac = ((0.0, d1, s1[0], s2[0]), (0.0, d2, s1[1], s2[1]), (0.0, d3, s1[2], s2[2]),
-           (0.0, 0.0, 0.0, 0.0))
-    return (i1, i2, i3, i4), pe, (0.0, dp, s1[3], s2[3]), jac
+    # d/dtheta_j sums d/da_l over the links l >= j - 2, a suffix sum taken
+    # from link 2 down, as every other sum is, each starting from 0.0.
+    # Link 2: (C u)_2 and (C v)_2, first over the elbow links 1 and 2 alone
+    eu, ev = c21 * u1 + c22 * u2, c21 * v1 + c22 * v2
+    cu, cv = eu + c20 * u0, ev + c20 * v0
+    i1, i2, i3 = 0.0 + u2 * cu, 0.0 + (u2 * cu + v2 * cv), 0.0 + (u2 * eu + v2 * ev)
+    pe, p4 = 0.0 + h2 * v2, 0.0 - h2 * u2
+    j14, j24 = 0.0 + 2.0 * v2 * cu, 0.0 + 2.0 * (v2 * cu - u2 * cv)
+    j34 = 0.0 + 2.0 * (v2 * eu - u2 * ev)
+    # link 1
+    eu, ev = c11 * u1 + c12 * u2, c11 * v1 + c12 * v2
+    cu, cv = eu + c10 * u0, ev + c10 * v0
+    i1, i2, i3 = i1 + u1 * cu, i2 + (u1 * cu + v1 * cv), i3 + (u1 * eu + v1 * ev)
+    pe, p3 = pe + h1 * v1, p4 - h1 * u1
+    j13, j23 = j14 + 2.0 * v1 * cu, j24 + 2.0 * (v1 * cu - u1 * cv)
+    j33 = j34 + 2.0 * (v1 * eu - u1 * ev)
+    # link 0, which I3 does not cover
+    cu = c01 * u1 + c02 * u2 + c00 * u0
+    cv = c01 * v1 + c02 * v2 + c00 * v0
+    return (i1 + u0 * cu, i2 + (u0 * cu + v0 * cv), i3, i4, pe + h0 * v0,
+            p3 - h0 * u0, p3, p4, j13 + 2.0 * v0 * cu, j13, j14,
+            j23 + 2.0 * (v0 * cu - u0 * cv), j23, j24, j33, j33, j34)
 
 
-def _kinetic(inertia, rates) -> float:
-    i1, i2, i3, i4 = inertia
-    w1, w2, w3, w4 = vector(rates, 4, "rates")
+def _kinetic(kernel, w1: float, w2: float, w3: float, w4: float) -> float:
+    i1, i2, i3, i4 = kernel[:4]
     return 0.5 * (i1 * w1 * w1 + i2 * w2 * w2 + i3 * w3 * w3 + i4 * w4 * w4)
+
+
+def _energy(forms, t2, t3, t4, w1, w2, w3, w4) -> float:
+    """KE + PE on floats, from the mass forms `_mass_forms(geom, masses)`."""
+    kernel = _kernel(forms, t2, t3, t4)
+    return _kinetic(kernel, w1, w2, w3, w4) + kernel[4]
 
 
 def joint_inertias(geom: ArmGeometry, masses: MassModel, theta) -> np.ndarray:
     """Effective rotational inertia seen by each joint at configuration theta."""
     _, t2, t3, t4 = vector(theta, 4, "theta")
-    return np.array(_kernel(_mass_forms(geom, masses), t2, t3, t4)[0])
+    return np.array(_kernel(_mass_forms(geom, masses), t2, t3, t4)[:4])
 
 
 def potential_energy(geom: ArmGeometry, masses: MassModel, theta) -> float:
     """Gravitational potential energy of the arm (joules, P1 height = 0)."""
     _, t2, t3, t4 = vector(theta, 4, "theta")
-    return _kernel(_mass_forms(geom, masses), t2, t3, t4)[1]
+    return _kernel(_mass_forms(geom, masses), t2, t3, t4)[4]
 
 
 def kinetic_energy(geom: ArmGeometry, masses: MassModel, theta, rates) -> float:
     """Decoupled rotational kinetic energy: (1/2) sum_k I_k(theta) rate_k^2."""
     _, t2, t3, t4 = vector(theta, 4, "theta")
-    return _kinetic(_kernel(_mass_forms(geom, masses), t2, t3, t4)[0], rates)
+    return _kinetic(_kernel(_mass_forms(geom, masses), t2, t3, t4), *vector(rates, 4, "rates"))
 
 
 def total_energy(geom: ArmGeometry, masses: MassModel, theta, rates) -> float:
     """KE + PE."""
     _, t2, t3, t4 = vector(theta, 4, "theta")
-    inertia, pe, _, _ = _kernel(_mass_forms(geom, masses), t2, t3, t4)
-    return _kinetic(inertia, rates) + pe
+    return _energy(_mass_forms(geom, masses), t2, t3, t4, *vector(rates, 4, "rates"))
 
 
 def equilibrium_torque(geom: ArmGeometry, masses: MassModel, theta) -> np.ndarray:
@@ -216,40 +221,36 @@ def equilibrium_torque(geom: ArmGeometry, masses: MassModel, theta) -> np.ndarra
     precision because both read the same kernel gradient.
     """
     _, t2, t3, t4 = vector(theta, 4, "theta")
-    return np.array(_kernel(_mass_forms(geom, masses), t2, t3, t4)[2])
+    return np.array((0.0, *_kernel(_mass_forms(geom, masses), t2, t3, t4)[5:8]))
 
 
-def _accelerations(forms, t2, t3, t4, w, tau) -> list[float]:
-    """forward_dynamics on Python floats, from the mass forms
-    `_mass_forms(geom, masses)`: planar angles t2..t4, and the rates w and
-    torque tau as 4-sequences of floats.  Returns the four accelerations
-    as a list."""
-    return _solve(_kernel(forms, t2, t3, t4), (t2, t3, t4), w, tau)
+def _solve(kernel, t2, t3, t4, w1, w2, w3, w4, tau1, tau2, tau3, tau4) -> tuple:
+    """The four accelerations from a `_kernel` evaluation at the planar
+    angles t2..t4, the rates w1..w4 and the torques tau1..tau4 (floats).
+    Raises DegenerateInertia when any I_k <= EPS_INERTIA.
 
-
-def _solve(kernel, planar, w, tau) -> list[float]:
-    """The four accelerations (a list) from a `_kernel` evaluation at the
-    planar angles `planar`, the rates w and the torque tau (4-sequences of
-    floats).  Raises DegenerateInertia when any I_k <= EPS_INERTIA."""
-    inertia, _, dpe, jac = kernel
-    for k in range(4):
-        if inertia[k] <= EPS_INERTIA:
-            raise DegenerateInertia(
-                f"joint {k + 1} inertia {inertia[k]!r} <= {EPS_INERTIA} at "
-                f"theta={planar!r}"
-            )
-
-    w0, w1, w2, w3 = w
-    j0, j1, j2, j3 = jac
-    acc = []
-    for i in range(4):
-        quad = 0.5 * (
-            j0[i] * w0 * w0 + j1[i] * w1 * w1 + j2[i] * w2 * w2 + j3[i] * w3 * w3
+    Each acceleration is the sum of forward_dynamics' docstring, taken term
+    by term in index order.  The rates are finite (every caller checks
+    them), so each structural-zero term 0.0 * w * w of a quadratic sum is
+    +0.0 and is added as such (the first sum, and dPE/dtheta1, are 0.0);
+    the convective sums keep their signed zeros 0.0 * w.
+    """
+    i1, i2, i3, i4, _, p2, p3, p4, j12, j13, j14, j22, j23, j24, j32, j33, j34 = kernel
+    if i1 <= EPS_INERTIA or i2 <= EPS_INERTIA or i3 <= EPS_INERTIA or i4 <= EPS_INERTIA:
+        k, inertia = next((k, i) for k, i in enumerate(kernel[:4]) if i <= EPS_INERTIA)
+        raise DegenerateInertia(
+            f"joint {k + 1} inertia {inertia!r} <= {EPS_INERTIA} at theta={(t2, t3, t4)!r}"
         )
-        ji = jac[i]
-        convective = w[i] * (ji[0] * w0 + ji[1] * w1 + ji[2] * w2 + ji[3] * w3)
-        acc.append((quad - dpe[i] - convective + tau[i]) / inertia[i])
-    return acc
+    z = 0.0 * w1
+    return (
+        (0.0 - w1 * (z + j12 * w2 + j13 * w3 + j14 * w4) + tau1) / i1,
+        (0.5 * (j12 * w1 * w1 + j22 * w2 * w2 + j32 * w3 * w3 + 0.0) - p2
+         - w2 * (z + j22 * w2 + j23 * w3 + j24 * w4) + tau2) / i2,
+        (0.5 * (j13 * w1 * w1 + j23 * w2 * w2 + j33 * w3 * w3 + 0.0) - p3
+         - w3 * (z + j32 * w2 + j33 * w3 + j34 * w4) + tau3) / i3,
+        (0.5 * (j14 * w1 * w1 + j24 * w2 * w2 + j34 * w3 * w3 + 0.0) - p4
+         - w4 * (z + 0.0 * w2 + 0.0 * w3 + 0.0 * w4) + tau4) / i4,
+    )
 
 
 # the cumulative angles a2, a3, a4 as integer combinations of theta1..theta4
@@ -321,7 +322,7 @@ def forward_dynamics(
     Raises DegenerateInertia when any I_k(theta) <= EPS_INERTIA.
     """
     _, t2, t3, t4 = vector(theta, 4, "theta")
-    return np.array(_accelerations(
-        _mass_forms(geom, masses), t2, t3, t4,
-        vector(rates, 4, "rates"), vector(torque, 4, "torque"),
+    return np.array(_solve(
+        _kernel(_mass_forms(geom, masses), t2, t3, t4), t2, t3, t4,
+        *vector(rates, 4, "rates"), *vector(torque, 4, "torque"),
     ))

@@ -90,9 +90,10 @@ def linearize(geom: ArmGeometry, masses: MassModel, op: OperatingPoint) -> Linea
     wl = w.tolist()
     _, t2, t3, t4 = theta.tolist()
     kernel = _kernel(_mass_forms(geom, masses), t2, t3, t4)
-    acc = np.array(_solve(kernel, (t2, t3, t4), wl, op.torque.tolist()))
-    inverse = 1.0 / np.array(kernel[0])
-    jac = np.array(kernel[3])
+    acc = np.array(_solve(kernel, t2, t3, t4, *wl, *op.torque.tolist()))
+    inverse = 1.0 / np.array(kernel[:4])
+    jac = np.zeros((4, 4))
+    jac[:3, 1:] = np.reshape(kernel[8:], (3, 3))
     hess = _hessians(geom, masses, theta)
 
     with np.errstate(over="ignore", invalid="ignore"):  # A is checked below

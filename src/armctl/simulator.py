@@ -7,11 +7,13 @@ gain K comes either from a fresh linearize-plus-Riccati solve each update
 precomputed gain table (table mode).
 
 The plant is integrated on Python floats: `_integrate` runs a whole control
-period of RK4 steps in one loop over `dynamics._accelerations`, with no
-array conversion per stage and the arm's mass forms looked up once per
-call, not once per stage.  Each stage repeats the elementwise operations
-of the array form, so trajectories are bit-identical to it; `step_rk4` is
-the same loop for one step.  A state that turns non-finite raises Diverged.
+period of RK4 steps in one loop over `dynamics._kernel` and `_solve`, with
+the state held in 8 local floats, the arm's mass forms looked up once per call
+and no array conversion per stage.  Each stage writes out the elementwise
+operations of the array form, so trajectories are bit-identical to it;
+`step_rk4` is the same loop for one step.  A state that turns non-finite
+raises Diverged.  The energy sampled each control period is read from the
+same kernel, on the state's floats.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import MassModel, _accelerations, _mass_forms, equilibrium_torque, total_energy
+from .dynamics import MassModel, _energy, _kernel, _mass_forms, _solve, equilibrium_torque
 from .errors import ArmError, Diverged, EmptyBenchmark, components, count, scalar, vector
 from .gain_table import GainTable, RefinedTable, _blend, check_digest, lookup
 from .kinematics import ArmGeometry
@@ -103,36 +105,51 @@ def _integrate(geom: ArmGeometry, masses: MassModel, x, torque, dt: float, steps
     with the torque held constant, on Python floats.
 
     x is a list of 8 floats and torque a sequence of 4 (the callers check
-    both); returns the end state as a list.  Each stage repeats the
-    elementwise IEEE operations of the array form x + (0.5*dt)*k, x + dt*k
-    and x + (dt/6)*(((k1 + 2k2) + 2k3) + k4), so the result is
-    bit-identical to it.  Raises Diverged as soon as the start state, a
-    stage state or a step's end state holds a non-finite value.
+    both); returns the end state as a list.  The state is held as 8 local
+    floats, and each stage writes out the elementwise IEEE operations of
+    the array form x + (0.5*dt)*k, x + dt*k and
+    x + (dt/6)*(((k1 + 2k2) + 2k3) + k4), so the result is bit-identical to
+    it.  Raises Diverged as soon as the start state, a stage state or a
+    step's end state holds a non-finite value.
     """
     half = 0.5 * dt
     sixth = dt / 6.0
     _check_finite(x, 0, steps)
     forms = _mass_forms(geom, masses)
-
-    def f(y):
-        return y[4:] + _accelerations(forms, y[1], y[2], y[3], y[4:], torque)
-
+    t1, t2, t3, t4, w1, w2, w3, w4 = x
+    u1, u2, u3, u4 = torque
     for n in range(steps):
-        k1 = f(x)
-        y = [a + half * b for a, b in zip(x, k1)]
+        # k1 = (w, a), k2 = (r, b), k3 = (q, c), k4 = (p, d)
+        a1, a2, a3, a4 = _solve(_kernel(forms, t2, t3, t4), t2, t3, t4,
+                                w1, w2, w3, w4, u1, u2, u3, u4)
+        y = [t1 + half * w1, t2 + half * w2, t3 + half * w3, t4 + half * w4,
+             w1 + half * a1, w2 + half * a2, w3 + half * a3, w4 + half * a4]
         _check_finite(y, n, steps)
-        k2 = f(y)
-        y = [a + half * b for a, b in zip(x, k2)]
+        _, s2, s3, s4, r1, r2, r3, r4 = y
+        b1, b2, b3, b4 = _solve(_kernel(forms, s2, s3, s4), s2, s3, s4,
+                                r1, r2, r3, r4, u1, u2, u3, u4)
+        y = [t1 + half * r1, t2 + half * r2, t3 + half * r3, t4 + half * r4,
+             w1 + half * b1, w2 + half * b2, w3 + half * b3, w4 + half * b4]
         _check_finite(y, n, steps)
-        k3 = f(y)
-        y = [a + dt * b for a, b in zip(x, k3)]
+        _, s2, s3, s4, q1, q2, q3, q4 = y
+        c1, c2, c3, c4 = _solve(_kernel(forms, s2, s3, s4), s2, s3, s4,
+                                q1, q2, q3, q4, u1, u2, u3, u4)
+        y = [t1 + dt * q1, t2 + dt * q2, t3 + dt * q3, t4 + dt * q4,
+             w1 + dt * c1, w2 + dt * c2, w3 + dt * c3, w4 + dt * c4]
         _check_finite(y, n, steps)
-        k4 = f(y)
-        x = [
-            a + sixth * (b1 + 2.0 * b2 + 2.0 * b3 + b4)
-            for a, b1, b2, b3, b4 in zip(x, k1, k2, k3, k4)
-        ]
+        _, s2, s3, s4, p1, p2, p3, p4 = y
+        d1, d2, d3, d4 = _solve(_kernel(forms, s2, s3, s4), s2, s3, s4,
+                                p1, p2, p3, p4, u1, u2, u3, u4)
+        x = [t1 + sixth * (w1 + 2.0 * r1 + 2.0 * q1 + p1),
+             t2 + sixth * (w2 + 2.0 * r2 + 2.0 * q2 + p2),
+             t3 + sixth * (w3 + 2.0 * r3 + 2.0 * q3 + p3),
+             t4 + sixth * (w4 + 2.0 * r4 + 2.0 * q4 + p4),
+             w1 + sixth * (a1 + 2.0 * b1 + 2.0 * c1 + d1),
+             w2 + sixth * (a2 + 2.0 * b2 + 2.0 * c2 + d2),
+             w3 + sixth * (a3 + 2.0 * b3 + 2.0 * c3 + d3),
+             w4 + sixth * (a4 + 2.0 * b4 + 2.0 * c4 + d4)]
         _check_finite(x, n + 1, steps)
+        t1, t2, t3, t4, w1, w2, w3, w4 = x
     return x
 
 
@@ -205,12 +222,13 @@ def simulate(
         return tau_ff - gain @ (state - x_ref)
 
     times, states, inputs, energy = [], [], [], []
+    forms = _mass_forms(geom, masses)
 
     def record(t, state, u):
         times.append(t)
         states.append(state.copy())
         inputs.append(np.asarray(u, dtype=float).copy())
-        energy.append(total_energy(geom, masses, state[:4], state[4:]))
+        energy.append(_energy(forms, *state[1:].tolist()))
 
     def partial() -> Trajectory:
         return Trajectory(

@@ -7,8 +7,11 @@ the library's forward dynamics or its closed-form linearization.  The
 energies themselves are checked against a segment route that sums the
 public rod and point-mass inertias link by link, independent of the
 library's link-angle forms.  The RK4
-reference is the array form of the integrator, built on the public
-forward_dynamics, that the library's float loop must reproduce bit for bit.
+reference is the array form of the integrator, built on `loop_kernel` and
+`loop_solve`: the loop form of the dynamics kernel and acceleration solve,
+kept here as the library had them before they became straight-line code,
+so the library's float loop must reproduce their IEEE operations bit for
+bit without the reference reading the code under test.
 The gain-table reference is the 4-D multilinear blend over every node of a
 flat grid, theta1 included, that the planar lookup must match to rounding.
 The CARE reference is the Schur solve written with scipy.linalg's
@@ -20,27 +23,106 @@ import numpy as np
 import scipy.linalg
 
 from armctl import (
+    DegenerateInertia,
     IllConditioned,
     NotStabilizable,
     fk_planar,
-    forward_dynamics,
     kinetic_energy,
     point_inertia,
     potential_energy,
     segment_inertia,
 )
+from armctl.dynamics import EPS_INERTIA, _mass_forms
+from armctl.kinematics import planar_chain
 from armctl.riccati import RESIDUAL_RTOL
 
 
+def loop_kernel(forms, t2: float, t3: float, t4: float):
+    """Inertias, potential energy and their exact gradients at a planar
+    configuration, from the mass forms `_mass_forms(geom, masses)`.
+
+    Returns (inertia, pe, dpe, jac):
+      - inertia = (I1, I2, I3, I4): I1 about the vertical axis, I2 about P1,
+        I3 about P2, I4 about P3, each covering the mass distal to that pivot;
+      - pe: gravitational PE, point masses at their heights plus each uniform
+        segment at the mean of its endpoint heights (P1 is the zero reference);
+      - dpe: the 4-tuple dPE/dtheta;
+      - jac: the 4x4 nested tuple jac[k][j] = dI_{k+1}/dtheta_{j+1}.
+    The theta1 entries of dpe and jac, and the row of I4, are structurally zero.
+    """
+    u0, v0, u1, v1, u2, v2 = planar_chain(t2, t3, t4)
+    C, h, i4 = forms
+    i1 = i2 = i3 = pe = 0.0
+    d1 = d2 = d3 = dp = 0.0
+    # a4 = theta2 + theta3 + theta4, a3 = theta2 + theta3, a2 = theta2: so
+    # d/dtheta_j sums d/da_l over the links l >= j - 2, a suffix sum: s2 and
+    # s1 keep it through links 2 and 1, and d1..dp end holding it through 0
+    for l, u, v in ((2, u2, v2), (1, u1, v1), (0, u0, v0)):
+        c0, c1, c2 = C[l]
+        # (C u)_l and (C v)_l, first over the elbow links 1 and 2 alone
+        eu, ev = c1 * u1 + c2 * u2, c1 * v1 + c2 * v2
+        cu, cv = eu + c0 * u0, ev + c0 * v0
+        i1 += u * cu
+        i2 += u * cu + v * cv
+        pe += h[l] * v
+        d1 += 2.0 * v * cu
+        d2 += 2.0 * (v * cu - u * cv)
+        dp -= h[l] * u
+        if l:
+            i3 += u * eu + v * ev
+            d3 += 2.0 * (v * eu - u * ev)
+        if l == 2:
+            s2 = d1, d2, d3, dp
+        elif l == 1:
+            s1 = d1, d2, d3, dp
+    jac = ((0.0, d1, s1[0], s2[0]), (0.0, d2, s1[1], s2[1]), (0.0, d3, s1[2], s2[2]),
+           (0.0, 0.0, 0.0, 0.0))
+    return (i1, i2, i3, i4), pe, (0.0, dp, s1[3], s2[3]), jac
+
+
+def loop_solve(kernel, planar, w, tau) -> list[float]:
+    """The four accelerations (a list) from a `loop_kernel` evaluation at the
+    planar angles `planar`, the rates w and the torque tau (4-sequences of
+    floats).  Raises DegenerateInertia when any I_k <= EPS_INERTIA."""
+    inertia, _, dpe, jac = kernel
+    for k in range(4):
+        if inertia[k] <= EPS_INERTIA:
+            raise DegenerateInertia(
+                f"joint {k + 1} inertia {inertia[k]!r} <= {EPS_INERTIA} at "
+                f"theta={planar!r}"
+            )
+
+    w0, w1, w2, w3 = w
+    j0, j1, j2, j3 = jac
+    acc = []
+    for i in range(4):
+        quad = 0.5 * (
+            j0[i] * w0 * w0 + j1[i] * w1 * w1 + j2[i] * w2 * w2 + j3[i] * w3 * w3
+        )
+        ji = jac[i]
+        convective = w[i] * (ji[0] * w0 + ji[1] * w1 + ji[2] * w2 + ji[3] * w3)
+        acc.append((quad - dpe[i] - convective + tau[i]) / inertia[i])
+    return acc
+
+
+def reference_accelerations(geom, masses, theta, rates, torque) -> np.ndarray:
+    """forward_dynamics through `loop_kernel` and `loop_solve`, on the floats
+    of theta, rates and torque (4-sequences, not checked)."""
+    planar = tuple(float(t) for t in theta[1:])
+    kernel = loop_kernel(_mass_forms(geom, masses), *planar)
+    return np.array(loop_solve(kernel, planar, [float(w) for w in rates],
+                               [float(t) for t in torque]))
+
+
 def reference_step_rk4(geom, masses, x, torque, dt):
-    """One classical RK4 step of x' = [rates, forward_dynamics(...)] on
-    NumPy arrays, with the torque held constant over the step."""
+    """One classical RK4 step of x' = [rates, reference_accelerations(...)]
+    on NumPy arrays, with the torque held constant over the step."""
     x = np.asarray(x, dtype=float)
     tau = np.asarray(torque, dtype=float)
 
     def f(state):
         return np.concatenate(
-            [state[4:], forward_dynamics(geom, masses, state[:4], state[4:], tau)]
+            [state[4:], reference_accelerations(geom, masses, state[:4], state[4:], tau)]
         )
 
     k1 = f(x)

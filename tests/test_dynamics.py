@@ -19,7 +19,7 @@ from armctl import (
 )
 from armctl.dynamics import _cosine_terms, _hessians, _kernel, _mass_forms
 from conftest import safe_random_theta
-from oracles import lagrangian_accelerations, segment_route_energies
+from oracles import lagrangian_accelerations, loop_kernel, segment_route_energies
 
 UNIT = ArmGeometry(1.0, 1.0, 1.0)
 
@@ -29,6 +29,14 @@ mass_st = st.floats(0.0, 5.0, allow_nan=False)
 theta_st = st.tuples(*[st.floats(-np.pi, np.pi)] * 4)
 lengths_st = st.tuples(*[st.floats(0.1, 2.0)] * 3)
 masses_st = st.tuples(*[mass_st] * 6)
+
+
+def nested_kernel(geom, masses, t2, t3, t4):
+    """`_kernel` at (t2, t3, t4) in the loop form's layout (inertia, pe,
+    dpe, jac), with the structural zeros filled in."""
+    k = _kernel(_mass_forms(geom, masses), t2, t3, t4)
+    jac = tuple((0.0, *k[8 + 3 * i:11 + 3 * i]) for i in range(3)) + ((0.0,) * 4,)
+    return k[:4], k[4], (0.0, *k[5:8]), jac
 
 
 class TestSegmentInertia:
@@ -221,10 +229,10 @@ class TestDerivativeAccuracy:
         rng = np.random.default_rng(3)
         for theta in safe_random_theta(rng, 20):
             args = tuple(theta[1:])
-            _, _, dpe, _ = _kernel(_mass_forms(geom, masses), *args)
+            _, _, dpe, _ = nested_kernel(geom, masses, *args)
             for j in range(3):
                 ref = _richardson_partial(
-                    lambda a, b, c: _kernel(_mass_forms(geom, masses), a, b, c)[1], args, j, 1e-5
+                    lambda a, b, c: nested_kernel(geom, masses, a, b, c)[1], args, j, 1e-5
                 )
                 assert abs(dpe[j + 1] - ref) <= 1e-6 * max(1.0, abs(ref))
 
@@ -232,14 +240,37 @@ class TestDerivativeAccuracy:
         rng = np.random.default_rng(4)
         for theta in safe_random_theta(rng, 20):
             args = tuple(theta[1:])
-            _, _, _, jac = _kernel(_mass_forms(geom, masses), *args)
+            _, _, _, jac = nested_kernel(geom, masses, *args)
             for k in range(4):
                 for j in range(3):
                     ref = _richardson_partial(
-                        lambda a, b, c, k=k: _kernel(_mass_forms(geom, masses), a, b, c)[0][k],
+                        lambda a, b, c, k=k: nested_kernel(geom, masses, a, b, c)[0][k],
                         args, j, 1e-5,
                     )
                     assert abs(jac[k][j + 1] - ref) <= 1e-6 * max(1.0, abs(ref))
+
+
+def kernel_bytes(inertia, pe, dpe, jac) -> bytes:
+    return np.array([*inertia, pe, *dpe, *(g for row in jac for g in row)]).tobytes()
+
+
+class TestLoopForm:
+    """The straight-line kernel repeats the IEEE operations of its loop
+    form (`oracles.loop_kernel`), so every value and gradient matches it
+    byte for byte, signed zeros included."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(planar=st.tuples(*[st.floats(-1e3, 1e3)] * 3), lengths=lengths_st, mass=masses_st)
+    def test_kernel_matches_loop_form(self, planar, lengths, mass):
+        geom, mm = ArmGeometry(*lengths), MassModel(*mass)
+        want = loop_kernel(_mass_forms(geom, mm), *planar)
+        assert kernel_bytes(*nested_kernel(geom, mm, *planar)) == kernel_bytes(*want)
+
+    @pytest.mark.parametrize("planar", [(0.0, 0.0, 0.0), (-0.0, -0.0, -0.0),
+                                        (-0.0, 0.0, -0.0), (math.pi, -0.0, 0.0)])
+    def test_signed_zero_poses_match_loop_form(self, geom, masses, planar):
+        want = loop_kernel(_mass_forms(geom, masses), *planar)
+        assert kernel_bytes(*nested_kernel(geom, masses, *planar)) == kernel_bytes(*want)
 
 
 class TestSecondDerivatives:
@@ -255,7 +286,7 @@ class TestSecondDerivatives:
         mm = MassModel(*mass)
         n, alpha, _ = _cosine_terms(geom, mm)
         th = np.array(theta)
-        inertia, pe, dpe, jac = _kernel(_mass_forms(geom, mm), *theta[1:])
+        inertia, pe, dpe, jac = nested_kernel(geom, mm, *theta[1:])
         value = alpha.T @ np.cos(n @ th)
         grad = -(alpha.T * np.sin(n @ th)) @ n
         scale = max(1.0, *map(abs, inertia), abs(pe))
@@ -279,7 +310,7 @@ class TestSecondDerivatives:
             args = tuple(theta[1:])
             for l in range(3):
                 def gradients(a, b, c):
-                    _, _, dpe, jac = _kernel(_mass_forms(geom, masses), a, b, c)
+                    _, _, dpe, jac = nested_kernel(geom, masses, a, b, c)
                     return np.array([*jac, dpe])
 
                 ref = _richardson_partial(gradients, args, l, 1e-4)

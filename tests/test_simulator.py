@@ -133,6 +133,38 @@ def _reference_integrate(geom, masses, x, torque, dt, steps):
     return x.tolist()
 
 
+def _outcome(fn, *args):
+    """fn's state as bytes, or the type and message of the ArmError it
+    raises; a non-finite reference state reads as Diverged, which the
+    float loop raises for it."""
+    try:
+        with np.errstate(all="ignore"):
+            state = np.asarray(fn(*args), dtype=float)
+    except Diverged:
+        return "Diverged"
+    except ArmError as exc:
+        return type(exc).__name__, str(exc)
+    return state.tobytes() if np.isfinite(state).all() else "Diverged"
+
+
+def _same_outcome(geom, masses, x, tau, dt, steps=1):
+    got = _outcome(sim._integrate, geom, masses, list(x), list(tau), dt, steps)
+    assert got == _outcome(_reference_integrate, geom, masses, x, tau, dt, steps)
+
+
+# the upright pose has I1 = 0, so it ends in DegenerateInertia on both sides
+SIGNED_ZERO_STATES = {
+    "all zero": ([0.0] * 8, [0.0] * 4),
+    "all minus zero": ([-0.0] * 8, [-0.0] * 4),
+    "upright at zero rates": ([0.3, 0.0, -0.0, 0.0, 0.0, -0.0, 0.0, -0.0], [0.5, 0.0, 0.0, 0.0]),
+    "minus zero angles and rates": ([-0.0, 1.2, -0.0, -0.0, -0.0, -0.0, -0.0, -0.0], [-0.0] * 4),
+    "mixed zero rates and torque": ([0.0, 1.2, -0.9, 0.5, -0.0, 0.0, -0.0, 0.0],
+                                    [-0.0, 0.0, -0.0, 0.0]),
+    "minus zero rates, torque one way": ([0.3, 0.8, -0.9, 0.5, -0.0, -0.0, -0.0, -0.0],
+                                         [1.0, -1.0, 0.5, -0.5]),
+}
+
+
 class TestBitIdentity:
     """The float RK4 loop repeats the array integrator's IEEE operations,
     so its states equal the reference's byte for byte."""
@@ -154,6 +186,26 @@ class TestBitIdentity:
             got = sim._integrate(geom, masses, x.tolist(), tau.tolist(), 1e-3, 20)
             want = _reference_integrate(geom, masses, x, tau, 1e-3, 20)
             assert np.array(got).tobytes() == np.array(want).tobytes()
+
+    @pytest.mark.parametrize("name", SIGNED_ZERO_STATES)
+    def test_signed_zero_states_match_reference(self, geom, masses, name):
+        x, tau = SIGNED_ZERO_STATES[name]
+        _same_outcome(geom, masses, x, tau, 1e-3)
+        _same_outcome(geom, masses, x, tau, 1e-3, steps=20)
+
+    def test_equilibrium_with_minus_zero_rates_matches_reference(self, geom, masses, theta_ref):
+        tau = equilibrium_torque(geom, masses, theta_ref).tolist()
+        x = [*theta_ref.tolist(), -0.0, 0.0, -0.0, -0.0]
+        _same_outcome(geom, masses, x, tau, 1e-3, steps=20)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        x=st.lists(st.floats(-4.0, 4.0), min_size=8, max_size=8),
+        tau=st.lists(st.floats(-10.0, 10.0), min_size=4, max_size=4),
+        dt=st.sampled_from([1e-4, 1e-3, 1e-2]),
+    )
+    def test_finite_states_match_reference(self, geom, masses, x, tau, dt):
+        _same_outcome(geom, masses, x, tau, dt)
 
     def test_control_period_looks_up_mass_forms_once(self, geom, masses, monkeypatch):
         # counted under every name the RK4 loop could reach it by
