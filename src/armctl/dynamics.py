@@ -229,10 +229,10 @@ def _solve(kernel, t2, t3, t4, w1, w2, w3, w4, tau1, tau2, tau3, tau4) -> tuple:
     angles t2..t4, the rates w1..w4 and the torques tau1..tau4 (floats).
     Raises DegenerateInertia when any I_k <= EPS_INERTIA.
 
-    Each acceleration is the sum of forward_dynamics' docstring, taken term
-    by term in index order.  The rates are finite (every caller checks
-    them), so each structural-zero term 0.0 * w * w of a quadratic sum is
-    +0.0 and is added as such (the first sum, and dPE/dtheta1, are 0.0);
+    Each acceleration is forward_dynamics' formula, its sums taken term by
+    term in index order.  The rates are finite (every caller checks them),
+    so each structural-zero term 0.0 * w * w of a quadratic sum is +0.0 and
+    is added as such (the first quadratic sum, and dPE/dtheta1, are 0.0);
     the convective sums keep their signed zeros 0.0 * w.
     """
     i1, i2, i3, i4, _, p2, p3, p4, j12, j13, j14, j22, j23, j24, j32, j33, j34 = kernel

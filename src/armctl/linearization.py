@@ -93,7 +93,7 @@ def linearize(geom: ArmGeometry, masses: MassModel, op: OperatingPoint) -> Linea
     acc = np.array(_solve(kernel, t2, t3, t4, *wl, *op.torque.tolist()))
     inverse = 1.0 / np.array(kernel[:4])
     jac = np.zeros((4, 4))
-    jac[:3, 1:] = np.reshape(kernel[8:], (3, 3))
+    jac[:3, 1:] = kernel[8:11], kernel[11:14], kernel[14:]
     hess = _hessians(geom, masses, theta)
 
     with np.errstate(over="ignore", invalid="ignore"):  # A is checked below

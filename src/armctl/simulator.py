@@ -8,12 +8,12 @@ precomputed gain table (table mode).
 
 The plant is integrated on Python floats: `_integrate` runs a whole control
 period of RK4 steps in one loop over `dynamics._kernel` and `_solve`, with
-the state held in 8 local floats, the arm's mass forms looked up once per call
-and no array conversion per stage.  Each stage writes out the elementwise
-operations of the array form, so trajectories are bit-identical to it;
-`step_rk4` is the same loop for one step.  A state that turns non-finite
-raises Diverged.  The energy sampled each control period is read from the
-same kernel, on the state's floats.
+the state held in 8 local floats, the arm's mass forms looked up once per
+call and no array conversion per stage.  Each stage writes out the
+elementwise operations of the array form, so trajectories are
+bit-identical to it; `step_rk4` is the same loop for one step.  A state
+that turns non-finite raises Diverged.  The energy sampled each control
+period is read from the same kernel, on the state's floats.
 """
 
 from __future__ import annotations
