@@ -32,10 +32,10 @@ The accelerations are computed once, in `_solve`, from a kernel evaluation,
 the rates and the torques, all Python floats, in straight-line code.
 `forward_dynamics` checks its arguments, calls `_kernel` then `_solve` and
 wraps the result in an array; the simulator's RK4 loop calls the two
-directly, so integration pays no per-stage conversion.  Both were loops once;
-they keep the loops' IEEE operations in the same order, each sum starting
-from 0.0 and each structural-zero term kept, so every result is
-bit-identical to the loop form (`tests/oracles.py` keeps it).
+directly, so integration pays no per-stage conversion.  Both repeat the
+IEEE operations of the loop form that `tests/oracles.py` keeps as their
+reference, in the same order, each sum starting from 0.0 and each
+structural-zero term kept, so every result is bit-identical to it.
 
 Second derivatives come from the same forms.  By the product-to-sum
 identities each of I1..I4 and PE is a short sum of terms
@@ -157,7 +157,7 @@ def _kernel(forms, t2: float, t3: float, t4: float) -> tuple:
     # a4 = theta2 + theta3 + theta4, a3 = theta2 + theta3, a2 = theta2: so
     # d/dtheta_j sums d/da_l over the links l >= j - 2, a suffix sum taken
     # from link 2 down, as every other sum is, each starting from 0.0.
-    # Link 2: (C u)_2 and (C v)_2, first over the elbow links 1 and 2 alone
+    # link 2: (C u)_2 and (C v)_2, first over the elbow links 1 and 2 alone
     eu, ev = c21 * u1 + c22 * u2, c21 * v1 + c22 * v2
     cu, cv = eu + c20 * u0, ev + c20 * v0
     i1, i2, i3 = 0.0 + u2 * cu, 0.0 + (u2 * cu + v2 * cv), 0.0 + (u2 * eu + v2 * ev)
