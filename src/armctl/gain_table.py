@@ -45,7 +45,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import MassModel
+from .dynamics import MassModel, _kernel, _mass_forms
 from .errors import (
     ArmError,
     BadGrid,
@@ -61,7 +61,7 @@ from .errors import (
     count,
 )
 from .kinematics import ArmGeometry, wrap_angle
-from .linearization import equilibrium_point, linearize
+from .linearization import linearize_stack
 from .riccati import CostWeights, solve_stack
 
 MAGIC = b"AGT1"
@@ -268,22 +268,16 @@ class GainTable:
 
 
 def _solve_nodes(geom, masses, weights, thetas, indices) -> np.ndarray:
-    """The gains (k, 4, 8) of the equilibrium nodes thetas (k, 4), each
-    linearized alone and all solved as one Riccati stack.  The first node i
-    that fails raises NodeFailure(indices[i], cause) for an ArmError, or
-    the ValueError itself."""
-    A = np.empty((len(thetas), 8, 8))
-    B = np.empty((len(thetas), 8, 4))
-    failure = None
-    for i, theta in enumerate(thetas):
-        try:
-            model = linearize(geom, masses, equilibrium_point(geom, masses, theta))
-        except ArmError as exc:
-            failure = i, exc
-            break
-        A[i], B[i] = model.A, model.B
-    done = failure[0] if failure else len(thetas)
-    _, gains, stack_failure = solve_stack(A[:done], B[:done], weights)
+    """The gains (k, 4, 8) of the equilibrium nodes thetas (k, 4), linearized
+    as one stack at zero rates and the torque (0, dPE/dtheta2..4) read from
+    the kernel (equilibrium_torque's bytes), then solved as one Riccati
+    stack.  The first node i that fails raises NodeFailure(indices[i],
+    cause) for an ArmError, or the ValueError itself."""
+    forms = _mass_forms(geom, masses)
+    torque = np.zeros((len(thetas), 4))
+    torque[:, 1:] = [_kernel(forms, t2, t3, t4)[5:8] for _, t2, t3, t4 in thetas.tolist()]
+    A, B, failure = linearize_stack(geom, masses, thetas, np.zeros((len(thetas), 4)), torque)
+    _, gains, stack_failure = solve_stack(A, B, weights)
     failure = stack_failure or failure  # a failing stack holds only earlier nodes
     if failure:
         i, exc = failure
@@ -305,7 +299,7 @@ def precompute(
     Nodes that differ only in theta1 share one gain, solved at i1 = 0, so a
     grid of n1 x n2 x n3 x n4 nodes costs and stores n2 * n3 * n4 solves.
     The planar nodes go in index order, in chunks of _CHUNK (64), each one
-    work item solved as one Riccati stack.  A node's gain never depends on
+    work item linearized as one stack and solved as one Riccati stack.  A node's gain never depends on
     its chunk, so the table is bit-identical for any worker count, and the
     pool gets at most one process per chunk.  Raises NodeFailure (carrying
     the node index and cause) for the first node in index order that cannot

@@ -13,11 +13,18 @@ gradient J[i][j] = dI_i/dtheta_j and the accelerations come from the same
 and the Hessians of I1..I4 and PE from `dynamics._hessians`.  No dynamics
 call is differenced.
 
+The one body, `linearize_stack`, makes a kernel and a `_solve` call per
+point, then the Hessians, A and B over the stack; `linearize` is a stack of
+one, and a table build linearizes a chunk of nodes as one stack.  Products
+keep their per-point shapes, so a point's bytes do not depend on its stack
+(one (k, 4) @ (4, T) product for the angles n . theta would round them
+differently).  As in `riccati.solve_stack`, the first failing point ends it.
+
 A keeps its exact block structure (zero / identity top blocks).  The theta1
 column is +0.0: the dynamics never read the yaw angle.  At zero rates the
-four rate columns are exactly zero too (every velocity term is quadratic in
-the rates), so they are only filled away from zero rates.  B is exact:
-torque enters additively as tau_k / I_k(theta).
+rate columns are exactly zero (every velocity term is quadratic in the
+rates), so they are only filled at moving points.  B is exact: torque
+enters additively as tau_k / I_k(theta).
 """
 
 from __future__ import annotations
@@ -27,14 +34,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dynamics import MassModel, _hessians, _kernel, _mass_forms, _solve, equilibrium_torque
-from .errors import Diverged, vector
+from .errors import DegenerateInertia, Diverged, vector
 from .kinematics import ArmGeometry
 
-# the upper half of every A: d theta/dt = rates
-_A_TOP = np.zeros((8, 8))
-_A_TOP[0:4, 4:8] = np.eye(4)
-_A_TOP.flags.writeable = False
-
+# the identity blocks of every A (d theta/dt = rates) and of every B's lower half
+_A_TOP, _B_LOW = np.eye(8, 8, 4), np.eye(8, 4, -4)
 
 @dataclass(frozen=True)
 class OperatingPoint:
@@ -64,18 +68,20 @@ class LinearModel:
     B: np.ndarray
 
 
-def equilibrium_point(
-    geom: ArmGeometry, masses: MassModel, theta_ref
-) -> OperatingPoint:
+def equilibrium_point(geom: ArmGeometry, masses: MassModel, theta_ref) -> OperatingPoint:
     """Zero-rate operating point with the gravity-holding torque, so the
     state derivative vanishes there."""
     theta = vector(theta_ref, 4, "theta_ref")
     return OperatingPoint(theta, np.zeros(4), equilibrium_torque(geom, masses, theta))
 
 
-def linearize(geom: ArmGeometry, masses: MassModel, op: OperatingPoint) -> LinearModel:
-    """A = d[rates, acc]/d[theta, rates] and B = d[rates, acc]/d tau at op,
-    in closed form (see the module docstring).
+def linearize_stack(geom: ArmGeometry, masses: MassModel, theta, rates, torque):
+    """Linearize k operating points, theta, rates and torque float arrays
+    (k, 4) that are not checked, in one pass.  Returns (A, B, failure), A
+    (k, 8, 8) and B (k, 8, 4).  failure is None, or (i, error) for the
+    lowest-index point that fails: DegenerateInertia where forward_dynamics
+    would raise it, or Diverged where A overflows to inf or nan.  A and B
+    then hold points [:i] only.
 
     With N_i the numerator above and H_k the Hessian of I_k (k = 1..4) or
     of PE, the lower blocks are
@@ -83,32 +89,61 @@ def linearize(geom: ArmGeometry, masses: MassModel, op: OperatingPoint) -> Linea
                            - w_i sum_j H_i[j][l] w_j - acc_i J[i][l]) / I_i,
         dacc_i/dw_m = (J[m][i] w_m - [i == m] sum_j J[i][j] w_j
                        - w_i J[i][m]) / I_i,
-    and B's lower block is diag(1/I).  Raises DegenerateInertia where
-    forward_dynamics would, and Diverged where A overflows to inf or nan.
+    and B's lower block is diag(1/I).
     """
-    theta, w = op.theta, op.rates
-    wl = w.tolist()
-    _, t2, t3, t4 = theta.tolist()
-    kernel = _kernel(_mass_forms(geom, masses), t2, t3, t4)
-    acc = np.array(_solve(kernel, t2, t3, t4, *wl, *op.torque.tolist()))
-    inverse = 1.0 / np.array(kernel[:4])
-    jac = np.zeros((4, 4))
-    jac[:3, 1:] = kernel[8:11], kernel[11:14], kernel[14:]
+    forms = _mass_forms(geom, masses)
+    # a row per point: 1/I, J (4x4), acc and the Hessian weights in dN/dtheta
+    rows, resting, failure = [], [], None
+    for i, ((_, t2, t3, t4), (w1, w2, w3, w4), tau) in enumerate(
+            zip(theta.tolist(), rates.tolist(), torque.tolist())):
+        kernel = _kernel(forms, t2, t3, t4)
+        try:
+            acc = _solve(kernel, t2, t3, t4, w1, w2, w3, w4, *tau)
+        except DegenerateInertia as exc:
+            failure = i, exc
+            break
+        i1, i2, i3, i4, _, _, _, _, j12, j13, j14, j22, j23, j24, j32, j33, j34 = kernel
+        rows.append((1.0 / i1, 1.0 / i2, 1.0 / i3, 1.0 / i4, 0.0, j12, j13, j14, 0.0, j22,
+                     j23, j24, 0.0, j32, j33, j34, 0.0, 0.0, 0.0, 0.0, *acc, 0.5 * w1 * w1,
+                     0.5 * w2 * w2, 0.5 * w3 * w3, 0.5 * w4 * w4, -1.0))
+        if not (w1 or w2 or w3 or w4):
+            resting.append(i)
+    k = len(rows)
+    theta, rates, rows = theta[:k], rates[:k], np.array(rows).reshape(k, 29)
+    inverse, jac = rows[:, :4, None], rows[:, 4:20].reshape(k, 4, 4)
     hess = _hessians(geom, masses, theta)
+    w = rates[:, :, None]
 
+    A = _A_TOP[None].repeat(k, 0)
     with np.errstate(over="ignore", invalid="ignore"):  # A is checked below
         # dN_i/dtheta_l, then the quotient rule
-        dnum = (np.array([0.5 * v * v for v in wl] + [-1.0]) @ hess.reshape(5, 16)).reshape(4, 4)
-        dnum -= w[:, None] * (w @ hess[:4])
-        A = _A_TOP.copy()
-        A[4:8, 1:4] = (dnum[:, 1:4] - acc[:, None] * jac[:, 1:4]) * inverse[:, None]
-        if any(wl):
-            rate = jac.T * w - w[:, None] * jac
-            rate.flat[::5] -= jac @ w
-            A[4:8, 4:8] = rate * inverse[:, None]
-    if not np.isfinite(A).all():
-        raise Diverged(f"linear model not finite at rates {wl} and torque {op.torque.tolist()}")
+        dnum = (rows[:, None, 24:] @ hess.reshape(k, 5, 16)).reshape(k, 4, 4)
+        dnum -= w * (rates[:, None, None] @ hess[:, :4]).reshape(k, 4, 4)
+        dnum -= rows[:, 20:24, None] * jac
+        np.multiply(dnum[:, :, 1:], inverse, out=A[:, 4:, 1:4])
+        if len(resting) < k:  # the rate block; resting points keep +0.0 there
+            # C order, so that the diagonal below is a view of rate
+            rate = np.multiply(jac.transpose(0, 2, 1), rates[:, None], order="C")
+            rate -= w * jac
+            rate.reshape(-1, 16)[:, ::5] -= (jac @ w)[:, :, 0]
+            np.multiply(rate, inverse, out=A[:, 4:, 4:])
+            if resting:
+                A[resting, 4:, 4:] = 0.0
+    finite = np.isfinite(A).all(axis=(1, 2)).tolist()
+    if False in finite:
+        i = finite.index(False)
+        failure = i, Diverged(f"linear model not finite at rates {rates[i].tolist()} "
+                              f"and torque {torque[i].tolist()}")
+        A, rows = A[:i], rows[:i]
 
-    B = np.zeros((8, 4))
-    B[4:8].flat[::5] = inverse
-    return LinearModel(A, B)
+    return A, _B_LOW * rows[:, None, :4], failure  # 1/I > 0, so B's zeros are +0.0
+
+
+def linearize(geom: ArmGeometry, masses: MassModel, op: OperatingPoint) -> LinearModel:
+    """A = d[rates, acc]/d[theta, rates] and B = d[rates, acc]/d tau at op,
+    in closed form: a stack of one, raising its failure."""
+    A, B, failure = linearize_stack(geom, masses, op.theta[None], op.rates[None],
+                                    op.torque[None])
+    if failure:
+        raise failure[1]
+    return LinearModel(A[0], B[0])

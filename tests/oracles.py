@@ -24,7 +24,9 @@ import scipy.linalg
 
 from armctl import (
     DegenerateInertia,
+    Diverged,
     IllConditioned,
+    LinearModel,
     NotStabilizable,
     fk_planar,
     kinetic_energy,
@@ -32,7 +34,7 @@ from armctl import (
     potential_energy,
     segment_inertia,
 )
-from armctl.dynamics import EPS_INERTIA, _mass_forms
+from armctl.dynamics import EPS_INERTIA, _cosine_terms, _kernel, _mass_forms, _solve
 from armctl.kinematics import planar_chain
 from armctl.riccati import RESIDUAL_RTOL
 
@@ -130,6 +132,38 @@ def reference_step_rk4(geom, masses, x, torque, dt):
     k3 = f(x + 0.5 * dt * k2)
     k4 = f(x + dt * k3)
     return x + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+
+
+def loop_linearize(geom, masses, op) -> LinearModel:
+    """linearize at one OperatingPoint, per point: the closed-form A and B
+    the library's stacked body must reproduce byte for byte."""
+    theta, w = op.theta, op.rates
+    wl = w.tolist()
+    _, t2, t3, t4 = theta.tolist()
+    kernel = _kernel(_mass_forms(geom, masses), t2, t3, t4)
+    acc = np.array(_solve(kernel, t2, t3, t4, *wl, *op.torque.tolist()))
+    inverse = 1.0 / np.array(kernel[:4])
+    jac = np.zeros((4, 4))
+    jac[:3, 1:] = kernel[8:11], kernel[11:14], kernel[14:]
+    n, alpha, nn = _cosine_terms(geom, masses)
+    hess = -((alpha.T * np.cos(n @ theta)) @ nn).reshape(5, 4, 4)
+
+    with np.errstate(over="ignore", invalid="ignore"):  # A is checked below
+        dnum = (np.array([0.5 * v * v for v in wl] + [-1.0]) @ hess.reshape(5, 16)).reshape(4, 4)
+        dnum -= w[:, None] * (w @ hess[:4])
+        A = np.zeros((8, 8))
+        A[0:4, 4:8] = np.eye(4)
+        A[4:8, 1:4] = (dnum[:, 1:4] - acc[:, None] * jac[:, 1:4]) * inverse[:, None]
+        if any(wl):
+            rate = jac.T * w - w[:, None] * jac
+            rate.flat[::5] -= jac @ w
+            A[4:8, 4:8] = rate * inverse[:, None]
+    if not np.isfinite(A).all():
+        raise Diverged(f"linear model not finite at rates {wl} and torque {op.torque.tolist()}")
+
+    B = np.zeros((8, 4))
+    B[4:8].flat[::5] = inverse
+    return LinearModel(A, B)
 
 
 def segment_route_energies(geom, masses, theta):

@@ -302,8 +302,10 @@ class TestSecondDerivatives:
 
     def test_hessians_match_gradient_differences(self, geom, masses):
         rng = np.random.default_rng(5)
-        for theta in safe_random_theta(rng, 20):
-            hess = _hessians(geom, masses, theta)
+        thetas = safe_random_theta(rng, 20)
+        stack = _hessians(geom, masses, thetas)
+        assert stack.shape == (20, 5, 4, 4)
+        for theta, hess in zip(thetas, stack):
             assert np.array_equal(hess[:, 0, :], np.zeros((5, 4)))
             assert np.array_equal(hess[:, :, 0], np.zeros((5, 4)))
             assert np.array_equal(hess[3], np.zeros((4, 4)))

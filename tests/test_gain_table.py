@@ -11,6 +11,7 @@ import armctl.gain_table as gt
 from armctl import (
     BadGrid,
     BadMagic,
+    DegenerateInertia,
     DigestMismatch,
     GainTable,
     GridSpec,
@@ -171,6 +172,14 @@ class TestPrecompute:
         with pytest.raises(NodeFailure) as info:
             precompute(geom, bad, weights, spec)
         assert info.value.index == (0, 0, 0, 0)
+
+    def test_upright_node_failure_carries_index_and_cause(self, geom, masses, weights):
+        # node (0, 1, 1, 1) is the upright pose, where the yaw inertia I1 is 0
+        spec = GridSpec([-0.5] * 4, [0.5] * 4, (2, 3, 3, 3))
+        with pytest.raises(NodeFailure) as info:
+            precompute(geom, masses, weights, spec)
+        assert info.value.index == (0, 1, 1, 1)
+        assert isinstance(info.value.cause, DegenerateInertia)
 
     def test_node_failure_names_the_lowest_failing_node(self, geom, masses, weights,
                                                         lapack_failures):

@@ -17,7 +17,7 @@ from armctl import (
     numdiff,
 )
 from conftest import safe_random_theta
-from oracles import fd_jacobian, five_point_jacobian
+from oracles import fd_jacobian, five_point_jacobian, loop_linearize
 
 
 def random_op(rng):
@@ -206,6 +206,74 @@ class TestSkippedColumns:
         reference = five_point_jacobian(_acc_of_state(geom, masses, op), op.state())
         scale = np.max(np.abs(model.A))
         assert np.max(np.abs(model.A[4:8, :] - reference)) <= 1e-10 * scale
+
+
+def _stack(ops):
+    return tuple(np.array([getattr(op, name) for op in ops])
+                 for name in ("theta", "rates", "torque"))
+
+
+def _assert_matches_oracle(geom, masses, ops, A, B):
+    assert A.shape == (len(ops), 8, 8) and B.shape == (len(ops), 8, 4)
+    for op, a, b in zip(ops, A, B):
+        want = loop_linearize(geom, masses, op)
+        assert a.tobytes() == want.A.tobytes()
+        assert b.tobytes() == want.B.tobytes()
+
+
+# an equilibrium, or an online state: rates up to 0.5 rad/s, torque off equilibrium
+NODES = st.tuples(THETAS, st.booleans(), st.tuples(*[st.floats(-0.5, 0.5)] * 4), TORQUES)
+
+
+class TestStack:
+    """linearize_stack reproduces the per-point body byte for byte, for
+    every point of any stack, and names the lowest failing point."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(nodes=st.sampled_from([1, 2, 64]).flatmap(
+        lambda k: st.lists(NODES, min_size=k, max_size=k)))
+    def test_bytes_match_the_per_point_oracle(self, geom, masses, nodes):
+        ops = [_op(geom, masses, theta, rates, torque, at_equilibrium)
+               for theta, at_equilibrium, rates, torque in nodes]
+        A, B, failure = lin.linearize_stack(geom, masses, *_stack(ops))
+        assert failure is None
+        _assert_matches_oracle(geom, masses, ops, A, B)
+        for op, a, b in zip(ops, A, B):
+            model = linearize(geom, masses, op)
+            assert model.A.tobytes() == a.tobytes() and model.B.tobytes() == b.tobytes()
+
+    def _ops_with(self, geom, masses, bad, i, k=5):
+        rng = np.random.default_rng(41)
+        ops = [equilibrium_point(geom, masses, theta) if j % 2 else
+               OperatingPoint(theta, rng.uniform(-0.5, 0.5, 4), rng.uniform(-4.0, 4.0, 4))
+               for j, theta in enumerate(safe_random_theta(rng, k))]
+        ops[i] = bad
+        return ops
+
+    @pytest.mark.parametrize("i", [0, 2, 4])
+    def test_degenerate_point_is_reported_at_its_index(self, geom, masses, i):
+        # upright: theta2 = theta3 = theta4 = 0 leaves no yaw inertia (I1 = 0)
+        upright = OperatingPoint([0.4, 0.0, 0.0, 0.0], np.zeros(4), np.zeros(4))
+        ops = self._ops_with(geom, masses, upright, i)
+        A, B, failure = lin.linearize_stack(geom, masses, *_stack(ops))
+        assert failure[0] == i and isinstance(failure[1], DegenerateInertia)
+        _assert_matches_oracle(geom, masses, ops[:i], A, B)
+
+    @pytest.mark.parametrize("i", [0, 2, 4])
+    def test_overflowing_point_is_reported_at_its_index(self, geom, masses, theta_ref, i):
+        fast = OperatingPoint(theta_ref, [1e160, 0.0, 0.0, 0.0], np.zeros(4))
+        ops = self._ops_with(geom, masses, fast, i)
+        A, B, failure = lin.linearize_stack(geom, masses, *_stack(ops))
+        assert failure[0] == i and isinstance(failure[1], Diverged)
+        assert str(failure[1]).startswith("linear model not finite at rates [1e+160")
+        _assert_matches_oracle(geom, masses, ops[:i], A, B)
+
+    def test_the_lower_index_failure_wins(self, geom, masses, theta_ref):
+        fast = OperatingPoint(theta_ref, [1e160, 0.0, 0.0, 0.0], np.zeros(4))
+        ops = self._ops_with(geom, masses, fast, 1)
+        ops[3] = OperatingPoint([0.4, 0.0, 0.0, 0.0], np.zeros(4), np.zeros(4))
+        _, _, failure = lin.linearize_stack(geom, masses, *_stack(ops))
+        assert failure[0] == 1 and isinstance(failure[1], Diverged)
 
 
 class TestOperatingPointDependence:

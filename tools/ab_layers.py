@@ -31,6 +31,10 @@ Cases, on the test arm of tests/conftest.py:
                     gravity-holding torque), as a table build linearizes nodes;
   lookup_flat       one lookup off-node in the 5^4 table below;
   lookup_refined    one lookup at the same angles in the refine(0.4, 3) tree;
+  linearize_stack64 the linear models of 64 equilibrium nodes, as a build
+                    makes them: on a side with linearization.linearize_stack,
+                    the torques read from the kernel then one stacked call,
+                    else 64 linearize(equilibrium_point(...)) calls;
   stack64           the gains of 64 equilibrium nodes from their linear models:
                     one riccati.solve_stack call on a side that has it, else 64
                     lqr_gain calls;
@@ -66,7 +70,8 @@ ROOT = Path(__file__).resolve().parents[1]
 CASES = {"rk4_period": 2, "forward_dynamics": 500, "linearize": 300, "linearize_eq": 300,
          "lqr_gain": 200,
          "online_update": 100, "lookup_flat": 500, "lookup_refined": 500,
-         "stack64": 4, "refine": 1, "precompute": 1}  # calls per timing
+         "linearize_stack64": 4, "stack64": 4, "refine": 1,
+         "precompute": 1}  # calls per timing
 REPEATS = 3
 WIN_FRACTION = 0.75  # a layer claim needs 15 of 20 wins
 
@@ -103,6 +108,19 @@ def cases(pkg) -> dict:
               for t in thetas]
     A = np.array([model.A for model in models])
     B = np.array([model.B for model in models])
+    linearize_stack = getattr(pkg.linearization, "linearize_stack", None)
+    if linearize_stack is None:
+        def linearize_stack64():
+            return [pkg.linearize(geom, masses, pkg.equilibrium_point(geom, masses, t))
+                    for t in thetas]
+    else:
+        def linearize_stack64():
+            # as gain_table._solve_nodes: zero rates, torque (0, dPE/dtheta2..4)
+            forms = pkg.dynamics._mass_forms(geom, masses)
+            torque = np.zeros((64, 4))
+            torque[:, 1:] = [pkg.dynamics._kernel(forms, t2, t3, t4)[5:8]
+                             for _, t2, t3, t4 in thetas.tolist()]
+            return linearize_stack(geom, masses, thetas, np.zeros((64, 4)), torque)
     solve_stack = getattr(pkg.riccati, "solve_stack", None)
     if solve_stack is None:
         def stack64():
@@ -134,6 +152,7 @@ def cases(pkg) -> dict:
         "online_update": online_update,
         "lookup_flat": lambda: pkg.lookup(flat, off_node),
         "lookup_refined": lambda: pkg.lookup(tree, off_node),
+        "linearize_stack64": linearize_stack64,
         "stack64": stack64,
         "refine": lambda: pkg.refine(geom, masses, weights, box, 0.4, 3),
         "precompute": lambda: pkg.precompute(geom, masses, weights, grid, workers=1),
@@ -183,7 +202,7 @@ def main(argv=None) -> int:
         layers["cases"][case] = {"parent": {"median": parent, "runs": runs["parent"]},
                                  "change": {"median": change, "runs": runs["change"]},
                                  "ratio": ratio, "wins": wins, "wins_rule": holds}
-        print(f"{case:<16} parent {parent * 1e6:10.1f} us  change {change * 1e6:10.1f} us  "
+        print(f"{case:<17} parent {parent * 1e6:10.1f} us  change {change * 1e6:10.1f} us  "
               f"ratio {ratio:.3f}  wins {wins}/{args.rounds}  "
               f"15-of-20 rule {'holds' if holds else 'fails'}")
     if args.out:

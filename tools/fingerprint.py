@@ -1,6 +1,6 @@
 """Print byte-identity fingerprints of armctl's gain tables and trajectories.
 
-    python3 tools/fingerprint.py
+    python3 tools/fingerprint.py [--against REV]
 
 Each line is a name and the first 16 hex digits of the sha256 of:
   - save() of a 5^4, a non-cubic 3x4x2x5 and a 7^4 precompute, each with 1
@@ -11,36 +11,31 @@ Each line is a name and the first 16 hex digits of the sha256 of:
   - the states, inputs and energy of a 1 s simulate in the passive, online,
     flat-table (the 5^4 table) and refined-table (the tol 0.4 table) modes.
 All use the test arm of tests/conftest.py and the box theta_ref +/- 0.25.
-Run it on two checkouts: equal lines mean the change kept those results
-bit for bit.  It imports armctl from the src/ directory next to it.  It
-exits with status 1, naming the grid on standard error, when a grid's 1-
-and 2-worker tables differ.
+It imports armctl from the src/ directory next to it.  It exits with status
+1, naming the grid on standard error, when a grid's 1- and 2-worker tables
+differ.
+
+With --against REV it also imports REV's src/armctl from `git archive`, as
+tools/ab_layers.py does, fingerprints it the same way, prints every line
+whose digest differs as "name: REV-digest -> digest", and exits with status
+1 on any difference.  Equal lines mean the working tree kept those results
+bit for bit.
 """
 
+import argparse
 import hashlib
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
 
+from ab_layers import load_parent
+
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
-from armctl import (  # noqa: E402
-    ArmGeometry,
-    ControllerMode,
-    CostWeights,
-    GridSpec,
-    MassModel,
-    SimConfig,
-    precompute,
-    refine,
-    save,
-    simulate,
-)
+import armctl  # noqa: E402
 
-GEOM = ArmGeometry(L1=1.0, L2=0.8, L3=0.6)
-MASSES = MassModel(m2=0.5, m3=0.4, m4=0.3, M1=0.4, M2=0.3, M3=0.2, g=9.81)
-WEIGHTS = CostWeights.from_diagonals([100.0] * 4 + [1.0] * 4, [1.0] * 4)
 THETA_REF = np.array([0.3, 0.8, -0.9, 0.5])
 # off the reference, moving, and inside the box for the whole run
 X0 = np.array([0.4, 0.7, -0.8, 0.6, 0.2, -0.3, 0.1, 0.4])
@@ -50,38 +45,66 @@ def digest(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()[:16]
 
 
-def main():
+def fingerprints(pkg):
+    """({name: digest}, [grids whose 1- and 2-worker tables differ]) of the
+    armctl package pkg."""
+    geom = pkg.ArmGeometry(L1=1.0, L2=0.8, L3=0.6)
+    masses = pkg.MassModel(m2=0.5, m3=0.4, m4=0.3, M1=0.4, M2=0.3, M3=0.2, g=9.81)
+    weights = pkg.CostWeights.from_diagonals([100.0] * 4 + [1.0] * 4, [1.0] * 4)
     lo, hi = tuple(THETA_REF - 0.25), tuple(THETA_REF + 0.25)
-    tables, mismatched = {}, []
+    lines, tables, mismatched = {}, {}, []
     for name, counts in (("5^4", (5, 5, 5, 5)), ("3x4x2x5", (3, 4, 2, 5)),
                          ("7^4", (7, 7, 7, 7))):
         digests = []
         for workers in (1, 2):
-            table = precompute(GEOM, MASSES, WEIGHTS, GridSpec(lo, hi, counts), workers)
+            table = pkg.precompute(geom, masses, weights, pkg.GridSpec(lo, hi, counts), workers)
             tables[name, workers] = table
-            digests.append(digest(save(table)))
-            print(f"precompute {name} workers={workers}", digests[-1])
+            digests.append(digest(pkg.save(table)))
+            lines[f"precompute {name} workers={workers}"] = digests[-1]
         if digests[0] != digests[1]:
             mismatched.append(name)
     flat = tables["5^4", 1]
-    coarse = refine(GEOM, MASSES, WEIGHTS, (lo, hi), 0.4, 3)
-    print("refine tol=0.4 depth=3", digest(save(coarse)))
-    print("refine tol=0.1 depth=4", digest(save(refine(GEOM, MASSES, WEIGHTS, (lo, hi), 0.1, 4))))
+    coarse = pkg.refine(geom, masses, weights, (lo, hi), 0.4, 3)
+    lines["refine tol=0.4 depth=3"] = digest(pkg.save(coarse))
+    lines["refine tol=0.1 depth=4"] = digest(
+        pkg.save(pkg.refine(geom, masses, weights, (lo, hi), 0.1, 4)))
 
     x_ref = np.concatenate([THETA_REF, np.zeros(4)])
+    mode = pkg.ControllerMode
     runs = {
-        "passive": (ControllerMode.PASSIVE, {}),
-        "online": (ControllerMode.ONLINE_LQR, {"weights": WEIGHTS}),
-        "flat": (ControllerMode.TABLE_LQR, {"weights": WEIGHTS, "table": flat}),
-        "refined": (ControllerMode.TABLE_LQR, {"weights": WEIGHTS, "table": coarse}),
+        "passive": (mode.PASSIVE, {}),
+        "online": (mode.ONLINE_LQR, {"weights": weights}),
+        "flat": (mode.TABLE_LQR, {"weights": weights, "table": flat}),
+        "refined": (mode.TABLE_LQR, {"weights": weights, "table": coarse}),
     }
-    for name, (mode, kwargs) in runs.items():
-        traj = simulate(GEOM, MASSES, SimConfig(duration=1.0), mode, X0, x_ref, **kwargs)
+    for name, (run_mode, kwargs) in runs.items():
+        traj = pkg.simulate(geom, masses, pkg.SimConfig(duration=1.0), run_mode, X0, x_ref,
+                            **kwargs)
         for field in ("states", "inputs", "energy"):
-            print(f"simulate {name} {field}", digest(getattr(traj, field).tobytes()))
+            lines[f"simulate {name} {field}"] = digest(getattr(traj, field).tobytes())
+    return lines, mismatched
+
+
+def main(argv=None):
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--against", metavar="REV",
+                        help="also fingerprint REV's src/armctl and compare")
+    args = parser.parse_args(argv)
+
+    lines, mismatched = fingerprints(armctl)
+    for name, value in lines.items():
+        print(name, value)
     for name in mismatched:
         print(f"precompute {name}: the 1- and 2-worker tables differ", file=sys.stderr)
-    return 1 if mismatched else 0
+    differ = []
+    if args.against:
+        with tempfile.TemporaryDirectory() as tmp:
+            theirs, _ = fingerprints(load_parent(args.against, Path(tmp)))
+        differ = [name for name in lines if theirs.get(name) != lines[name]]
+        for name in differ:
+            print(f"{name}: {theirs.get(name)} -> {lines[name]}")
+        print(f"{len(lines) - len(differ)} of {len(lines)} lines identical to {args.against}")
+    return 1 if mismatched or differ else 0
 
 
 if __name__ == "__main__":
