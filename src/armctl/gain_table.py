@@ -299,11 +299,11 @@ def precompute(
     Nodes that differ only in theta1 share one gain, solved at i1 = 0, so a
     grid of n1 x n2 x n3 x n4 nodes costs and stores n2 * n3 * n4 solves.
     The planar nodes go in index order, in chunks of _CHUNK (64), each one
-    work item linearized as one stack and solved as one Riccati stack.  A node's gain never depends on
-    its chunk, so the table is bit-identical for any worker count, and the
-    pool gets at most one process per chunk.  Raises NodeFailure (carrying
-    the node index and cause) for the first node in index order that cannot
-    be solved.
+    work item linearized as one stack and solved as one Riccati stack.  A
+    node's gain never depends on its chunk, so the table is bit-identical
+    for any worker count, and the pool gets at most one process per chunk.
+    Raises NodeFailure (carrying the node index and cause) for the first
+    node in index order that cannot be solved.
     """
     workers = count(workers, "workers", 1)
     planar = list(np.ndindex(grid.shape[1:]))

@@ -13,12 +13,11 @@ gradient J[i][j] = dI_i/dtheta_j and the accelerations come from the same
 and the Hessians of I1..I4 and PE from `dynamics._hessians`.  No dynamics
 call is differenced.
 
-The one body, `linearize_stack`, makes a kernel and a `_solve` call per
-point, then the Hessians, A and B over the stack; `linearize` is a stack of
-one, and a table build linearizes a chunk of nodes as one stack.  Products
-keep their per-point shapes, so a point's bytes do not depend on its stack
-(one (k, 4) @ (4, T) product for the angles n . theta would round them
-differently).  As in `riccati.solve_stack`, the first failing point ends it.
+One body, `linearize_stack`, serves a stack of points: a kernel and a
+`_solve` call per point, then the Hessians, A and B over the stack, each
+product in its per-point shape so that a point's bytes never depend on its
+stack (one (k, 4) @ (4, T) product for the angles n . theta rounds them
+otherwise).  `linearize` and each chunk of a table build are such stacks.
 
 A keeps its exact block structure (zero / identity top blocks).  The theta1
 column is +0.0: the dynamics never read the yaw angle.  At zero rates the
@@ -39,6 +38,7 @@ from .kinematics import ArmGeometry
 
 # the identity blocks of every A (d theta/dt = rates) and of every B's lower half
 _A_TOP, _B_LOW = np.eye(8, 8, 4), np.eye(8, 4, -4)
+
 
 @dataclass(frozen=True)
 class OperatingPoint:
@@ -68,7 +68,9 @@ class LinearModel:
     B: np.ndarray
 
 
-def equilibrium_point(geom: ArmGeometry, masses: MassModel, theta_ref) -> OperatingPoint:
+def equilibrium_point(
+    geom: ArmGeometry, masses: MassModel, theta_ref
+) -> OperatingPoint:
     """Zero-rate operating point with the gravity-holding torque, so the
     state derivative vanishes there."""
     theta = vector(theta_ref, 4, "theta_ref")
@@ -76,12 +78,11 @@ def equilibrium_point(geom: ArmGeometry, masses: MassModel, theta_ref) -> Operat
 
 
 def linearize_stack(geom: ArmGeometry, masses: MassModel, theta, rates, torque):
-    """Linearize k operating points, theta, rates and torque float arrays
-    (k, 4) that are not checked, in one pass.  Returns (A, B, failure), A
-    (k, 8, 8) and B (k, 8, 4).  failure is None, or (i, error) for the
-    lowest-index point that fails: DegenerateInertia where forward_dynamics
-    would raise it, or Diverged where A overflows to inf or nan.  A and B
-    then hold points [:i] only.
+    """Linearize k points given as unchecked float arrays (k, 4) in one
+    pass.  Returns (A, B, failure), A (k, 8, 8) and B (k, 8, 4); failure is
+    None, or (i, error) for the lowest-index point that fails, as in
+    `riccati.solve_stack`: DegenerateInertia where forward_dynamics raises
+    it, or Diverged where A overflows.  A and B then hold points [:i].
 
     With N_i the numerator above and H_k the Hessian of I_k (k = 1..4) or
     of PE, the lower blocks are

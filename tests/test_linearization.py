@@ -242,11 +242,12 @@ class TestStack:
             model = linearize(geom, masses, op)
             assert model.A.tobytes() == a.tobytes() and model.B.tobytes() == b.tobytes()
 
-    def _ops_with(self, geom, masses, bad, i, k=5):
+    def _ops_with(self, geom, masses, bad, i):
+        """Five points, online and equilibria in turn, with bad at index i."""
         rng = np.random.default_rng(41)
         ops = [equilibrium_point(geom, masses, theta) if j % 2 else
                OperatingPoint(theta, rng.uniform(-0.5, 0.5, 4), rng.uniform(-4.0, 4.0, 4))
-               for j, theta in enumerate(safe_random_theta(rng, k))]
+               for j, theta in enumerate(safe_random_theta(rng, 5))]
         ops[i] = bad
         return ops
 

@@ -16,7 +16,8 @@ The ratio is taken within rounds because a shared host's speed can drift
 between rounds by more than a layer change: in one self-A/B on a 2-vCPU
 host the samples varied by ~20%, and the ratio of the two sides' medians
 read 0.88-1.12 while the within-round ratio read 0.99-1.03.  The cases
-use only public API, so any parent revision imports.
+use only public API, so any parent revision imports; the one exception is
+linearize_stack64's build-side torque read, on a side that has the stack.
 
 Cases, on the test arm of tests/conftest.py:
   rk4_period        a 0.2 s passive simulate (ten control periods of 20 RK4
