@@ -123,9 +123,9 @@ def linearize_stack(geom: ArmGeometry, masses: MassModel, theta, rates, torque):
         dnum -= rows[:, 20:24, None] * jac
         np.multiply(dnum[:, :, 1:], inverse, out=A[:, 4:, 1:4])
         if len(resting) < k:  # the rate block; resting points keep +0.0 there
-            # C order, so that the diagonal below is a view of rate
-            rate = np.multiply(jac.transpose(0, 2, 1), rates[:, None], order="C")
-            rate -= w * jac
+            # J[m][i] w_m is (w J)[m][i]; C order makes rate's diagonal a view
+            wjac = w * jac
+            rate = np.subtract(wjac.transpose(0, 2, 1), wjac, order="C")
             rate.reshape(-1, 16)[:, ::5] -= (jac @ w)[:, :, 0]
             np.multiply(rate, inverse, out=A[:, 4:, 4:])
             if resting:
