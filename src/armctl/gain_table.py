@@ -27,7 +27,9 @@ first use), and the pre-order tree: one tag byte per cell (0 = internal,
 followed by the u32 pool indices of its 8 corners.  Children and corners are
 numbered with theta2 as the most significant bit.  The root is depth 1, and
 no cell may sit deeper than max_depth.  Version 1 files (a gain per theta1
-node) are not read; rebuild them from their config.
+node) are not read; rebuild them from their config.  A RefinedTable holds
+the tree as these stored cells, and one walk reads them whether refine laid
+them out or load read them.
 
 The parameter digest is two truncated SHA-256 halves - 16 bytes over the arm
 geometry/masses, 16 over the cost weights - so a loader can tell which side
@@ -39,6 +41,7 @@ import bisect
 import hashlib
 import itertools
 import math
+import os
 import struct
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -352,40 +355,65 @@ class RefinedCell:
 class RefinedTable:
     """Error-driven subdivision of a root box over theta2..theta4.
 
-    The 8 children of a cell are consecutive cells: child[c] is the first
-    child of cell c, or 0 for a leaf (the root is cell 0).  Leaf n, counted
-    in pre-order, has the flag flagged[n] and the corner gains
-    pool[corners[n][i]], corners ordered as in _blend."""
+    tree holds the cells as a file stores them, after the pool.  The
+    constructor's one walk checks it as load does, for a built and a loaded
+    tree alike (offsets count from the tree's first byte), and derives the
+    rest: child[c] is the first of cell c's 8 consecutive children, or 0 for
+    a leaf (the root is cell 0); leaf n, in pre-order, has the flag
+    flagged[n] and the corner gains pool[corners[n][i]], ordered as in _blend."""
 
     lo: tuple[float, float, float, float]
     hi: tuple[float, float, float, float]
     digest: bytes
     tol: float
     max_depth: int
-    child: tuple[int, ...]
-    flagged: tuple[bool, ...]
-    corners: tuple[tuple[int, ...], ...]
     pool: np.ndarray  # (n, 4, 8)
+    tree: bytes
 
     counts = (_REFINED_COUNT,) * NDIM
 
     def __post_init__(self):
-        # per cell, from one pre-order walk: planar box, depth, leaf number
-        n = len(self.child)
-        boxes, depth, leaf, order, leaves = [None] * n, [0] * n, [-1] * n, [], 0
-        stack = [(0, self.lo[1:], self.hi[1:], 1)]
-        while stack:
-            cell, lo, hi, d = stack.pop()
-            boxes[cell], depth[cell] = (lo, hi), d
-            order.append(cell)
-            first = self.child[cell]
-            if first:
-                stack.extend((first + octant, clo, chi, d + 1)
-                             for octant, (clo, chi) in reversed(list(enumerate(_split(lo, hi)))))
+        tree, n_pool, max_depth = self.tree, len(self.pool), self.max_depth
+        if max_depth < 1:  # the root is depth 1; the walk checks its bytes first
+            raise TreeTooDeep(f"cell at depth 1 exceeds max_depth {max_depth}")
+        # per cell: first child, planar box, leaf number; per leaf: (cell, depth)
+        child, boxes, leaf = [0], [(self.lo[1:], self.hi[1:])], [-1]
+        cells, flagged, corners = [], [], []
+        pos, pending = 0, [(0, 1)]  # cells still to read, next one last: (cell, depth)
+        while pending:
+            # each pending cell takes a leaf's bytes or more: no read runs short
+            left = len(tree) - pos
+            if left < len(pending) * _MIN_CELL_BYTES:
+                raise TruncatedData(f"{len(pending)} cells pending at tree offset {pos}, "
+                                    f"only {left} bytes left")
+            cell, depth = pending.pop()
+            if depth > max_depth:
+                raise TreeTooDeep(f"cell at depth {depth} exceeds max_depth {max_depth}")
+            tag = tree[pos]
+            if tag == _TAG_INTERNAL:
+                first = child[cell] = len(child)
+                child += [0] * 8
+                leaf += [-1] * 8
+                boxes += _split(*boxes[cell])
+                pending.extend((first + octant, depth + 1) for octant in range(7, -1, -1))
+                pos += 1
+            elif tag in (_TAG_LEAF, _TAG_LEAF_FLAGGED):
+                indices = struct.unpack_from("<8I", tree, pos + 1)
+                if max(indices) >= n_pool:
+                    raise TableFormatError(f"corner index {max(indices)} at tree offset "
+                                           f"{pos + 1} outside a pool of {n_pool}")
+                leaf[cell] = len(cells)
+                cells.append((cell, depth))
+                flagged.append(tag == _TAG_LEAF_FLAGGED)
+                corners.append(indices)
+                pos += _MIN_CELL_BYTES
             else:
-                leaf[cell], leaves = leaves, leaves + 1
-        for name, value in (("_rows", self.pool.reshape(-1, 32)), ("_boxes", boxes),
-                            ("_depth", depth), ("_leaf", leaf), ("_order", order)):
+                raise TruncatedData(f"unknown cell tag {tag} at tree offset {pos}")
+        if pos != len(tree):
+            raise TruncatedData(f"{len(tree) - pos} trailing bytes after the tree")
+        for name, value in (("child", tuple(child)), ("flagged", tuple(flagged)),
+                            ("corners", tuple(corners)), ("_rows", self.pool.reshape(-1, 32)),
+                            ("_boxes", boxes), ("_leaf", leaf), ("_cells", cells)):
             object.__setattr__(self, name, value)
 
     def _locate(self, t2, t3, t4):
@@ -401,26 +429,16 @@ class RefinedTable:
 
     def leaves(self) -> list[RefinedCell]:
         """The leaf cells in pre-order, so leaves()[n] is leaf n."""
-        return [
-            RefinedCell((self.lo[0],) + self._boxes[c][0], (self.hi[0],) + self._boxes[c][1],
-                        self._depth[c], self.flagged[self._leaf[c]])
-            for c in self._order if not self.child[c]
-        ]
+        lo, hi, boxes = self.lo[0], self.hi[0], self._boxes
+        return [RefinedCell((lo,) + boxes[c][0], (hi,) + boxes[c][1], depth, flagged)
+                for (c, depth), flagged in zip(self._cells, self.flagged)]
 
     def flagged_leaves(self) -> list[RefinedCell]:
         return [leaf for leaf in self.leaves() if leaf.flagged]
 
     def _payload(self) -> bytes:
-        out = bytearray(struct.pack("<dII", self.tol, self.max_depth, len(self.pool)))
-        out += _gain_bytes(self.pool)
-        for cell in self._order:
-            n = self._leaf[cell]
-            if n < 0:
-                out.append(_TAG_INTERNAL)
-            else:
-                out.append(_TAG_LEAF_FLAGGED if self.flagged[n] else _TAG_LEAF)
-                out += struct.pack("<8I", *self.corners[n])
-        return bytes(out)
+        return (struct.pack("<dII", self.tol, self.max_depth, len(self.pool))
+                + _gain_bytes(self.pool) + self.tree)
 
 
 def _corner_coords(lo, hi):
@@ -500,26 +518,23 @@ def refine(
         if not boxes:
             break
 
-    # lay the tree out in pre-order, numbering children and pool entries as
-    # they are reached
-    child, leaf_flags, leaf_corners = [0], [], []
+    # lay the cells out in pre-order, numbering pool entries as they are reached
+    tree = bytearray()
     pool: dict[tuple, int] = {}  # planar corner -> pool index, in order of first use
-    pending = [(0, 0, 0)]  # (cell, depth index, position at that depth), next one last
+    pending = [(0, 0)]  # (depth index, position at that depth), next one last
     while pending:
-        cell, d, j = pending.pop()
+        d, j = pending.pop()
         corners, firsts, flagged = levels[d]
         if firsts[j] is None:
-            leaf_corners.append(tuple(pool.setdefault(p, len(pool)) for p in corners[j]))
-            leaf_flags.append(flagged[j])
+            tree.append(_TAG_LEAF_FLAGGED if flagged[j] else _TAG_LEAF)
+            tree += struct.pack("<8I", *(pool.setdefault(p, len(pool)) for p in corners[j]))
         else:
-            first = child[cell] = len(child)
-            child.extend([0] * 8)
-            pending.extend((first + octant, d + 1, firsts[j] + octant)
-                           for octant in range(7, -1, -1))
+            tree.append(_TAG_INTERNAL)
+            pending.extend((d + 1, firsts[j] + octant) for octant in range(7, -1, -1))
     gains = np.array([cache[p] for p in pool])
     gains.flags.writeable = False
     return RefinedTable(lo, hi, table_digest(geom, masses, weights), tol, max_depth,
-                        tuple(child), tuple(leaf_flags), tuple(leaf_corners), gains)
+                        gains, bytes(tree))
 
 
 # ---------------------------------------------------------------------------
@@ -596,9 +611,7 @@ def load(data: bytes):
     if refined:
         tol, max_depth, n_pool = r.unpack("<dII")
         pool = r.gains(n_pool)
-        tree = _read_tree(r, max_depth, n_pool)
-        r.done()
-        return RefinedTable(lo, hi, digest, tol, max_depth, *tree, pool)
+        return RefinedTable(lo, hi, digest, tol, max_depth, pool, r.take(len(r.data) - r.pos))
 
     # length first: only the planar axes are built, for a payload that exists
     gains = r.gains(math.prod(counts[1:]))
@@ -607,51 +620,19 @@ def load(data: bytes):
     return GainTable(grid, gains.reshape(grid.shape[1:] + GAIN_SHAPE), digest)
 
 
-def _read_tree(r: _Reader, max_depth: int, n_pool: int):
-    """Parse the pre-order tree into (child, flagged, corners), as
-    RefinedTable holds them.  The parse is iterative, so the depth is
-    bounded by max_depth (TreeTooDeep) and the pending cells by the bytes
-    left (TruncatedData), never by the Python stack; a corner index must
-    name a pool entry."""
-    child, flagged, corners = [0], [], []
-    pending = [(0, 1)]  # cells still to read, next one last: (cell, depth)
-    while pending:
-        cell, depth = pending.pop()
-        if depth > max_depth:
-            raise TreeTooDeep(f"cell at depth {depth} exceeds max_depth {max_depth}")
-        tag = r.take(1)[0]
-        if tag == _TAG_INTERNAL:
-            first = child[cell] = len(child)
-            child.extend([0] * 8)
-            pending.extend((first + octant, depth + 1) for octant in range(7, -1, -1))
-            left = len(r.data) - r.pos
-            if left < len(pending) * _MIN_CELL_BYTES:
-                raise TruncatedData(
-                    f"{len(pending)} cells pending at offset {r.pos}, only {left} bytes left"
-                )
-        elif tag in (_TAG_LEAF, _TAG_LEAF_FLAGGED):
-            indices = r.unpack("<8I")
-            if max(indices) >= n_pool:
-                raise TableFormatError(f"corner index {max(indices)} at offset "
-                                       f"{r.pos - 32} outside a pool of {n_pool}")
-            corners.append(indices)
-            flagged.append(tag == _TAG_LEAF_FLAGGED)
-        else:
-            raise TruncatedData(f"unknown cell tag {tag} at offset {r.pos - 1}")
-    return tuple(child), tuple(flagged), tuple(corners)
-
-
 def save_file(table, path):
-    """Atomically write a table next to `path` (temp file + rename)."""
-    import os
-    import tempfile
-
+    """Atomically write a table to `path`: the bytes go to a new file beside
+    it, created under the umask as open() creates one, flushed and fsynced,
+    then renamed over `path`.  On failure the new file is removed and an
+    existing `path` is left as it was."""
     data = save(table)
-    directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
+    tmp = f"{os.path.abspath(path)}.{os.urandom(6).hex()}.tmp"
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with os.fdopen(fd, "wb") as f:
             f.write(data)
+            f.flush()
+            os.fsync(f.fileno())
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):

@@ -1,4 +1,7 @@
+import dataclasses
 import itertools
+import os
+import stat
 import struct
 import tracemalloc
 
@@ -580,6 +583,32 @@ class TestSerialization:
         with pytest.raises(TreeTooDeep):
             load(bytes(blob))
 
+    LEAF = bytes([1]) + bytes(32)  # a leaf whose corners are all pool entry 0
+
+    @pytest.mark.parametrize(
+        "make_tree, error",
+        [
+            # a chain of internal tags one deeper than max_depth allows
+            (lambda t: bytes(t.max_depth) + TestSerialization.LEAF * 8 * t.max_depth, TreeTooDeep),
+            (lambda t: t.tree[:-1], TruncatedData),
+            (lambda t: bytes([1]) + struct.pack("<8I", *[0] * 5, len(t.pool), 0, 0),
+             TableFormatError),
+            (lambda t: bytes([3]) + bytes(32), TruncatedData),
+            (lambda t: t.tree + bytes([1]), TruncatedData),
+        ],
+        ids=["too-deep", "truncated", "corner-is-pool-size", "unknown-tag", "trailing"],
+    )
+    def test_malformed_tree_same_error_built_or_loaded(self, refined_mid, make_tree, error):
+        # one walk reads a tree: a table made from it directly raises what
+        # loading its bytes raises
+        tree = make_tree(refined_mid)
+        with pytest.raises(error) as built:
+            dataclasses.replace(refined_mid, tree=tree)
+        blob = save(refined_mid)
+        with pytest.raises(error) as loaded:
+            load(blob[: len(blob) - len(refined_mid.tree)] + tree)
+        assert type(built.value) is type(loaded.value) is error
+
     @staticmethod
     def _patch_dims(blob, **fields):
         """Rewrite dimension records: fields maps "lo"/"hi"/"count" to a
@@ -628,6 +657,88 @@ class TestSerialization:
         path = tmp_path / "gains.agt"
         save_file(table, path)
         assert save(load_file(path)) == save(table)
+
+
+class TestSaveFile:
+    """save_file writes a new file beside the target and renames it over."""
+
+    @pytest.fixture
+    def umask_022(self):
+        old = os.umask(0o022)
+        yield
+        os.umask(old)
+
+    def test_mode_follows_the_umask(self, table, tmp_path, umask_022):
+        from armctl import save_file
+
+        with open(tmp_path / "plain", "wb"):
+            pass
+        save_file(table, tmp_path / "gains.agt")
+        mode = stat.S_IMODE(os.stat(tmp_path / "gains.agt").st_mode)
+        assert mode == stat.S_IMODE(os.stat(tmp_path / "plain").st_mode) == 0o644
+
+    def test_replaces_an_existing_file(self, table, refined_mid, tmp_path):
+        from armctl import load_file, save_file
+
+        path = tmp_path / "gains.agt"
+        save_file(refined_mid, path)
+        save_file(table, path)
+        assert save(load_file(path)) == save(table)
+        assert os.listdir(tmp_path) == ["gains.agt"]
+
+    def test_failed_rename_keeps_the_old_file(self, table, refined_mid, tmp_path, monkeypatch):
+        from armctl import save_file
+
+        path = tmp_path / "gains.agt"
+        save_file(refined_mid, path)
+
+        def fail(src, dst):
+            raise OSError("rename failed")
+
+        monkeypatch.setattr(os, "replace", fail)
+        with pytest.raises(OSError, match="rename failed"):
+            save_file(table, path)
+        assert path.read_bytes() == save(refined_mid)
+        assert os.listdir(tmp_path) == ["gains.agt"]
+
+    def test_fsyncs_the_new_file_before_the_rename(self, table, tmp_path, monkeypatch):
+        from armctl import save_file
+
+        calls, fsync, replace = [], os.fsync, os.replace
+
+        def record_fsync(fd):
+            calls.append(("fsync", os.fstat(fd).st_ino))
+            fsync(fd)
+
+        def record_replace(src, dst):
+            calls.append(("replace", os.stat(src).st_ino))
+            replace(src, dst)
+
+        monkeypatch.setattr(os, "fsync", record_fsync)
+        monkeypatch.setattr(os, "replace", record_replace)
+        path = tmp_path / "gains.agt"
+        save_file(table, path)
+        inode = os.stat(path).st_ino
+        assert calls == [("fsync", inode), ("replace", inode)]
+
+
+class TestTreeRoundTrip:
+    @settings(max_examples=12, deadline=None)
+    @given(
+        offset=st.lists(st.floats(-0.2, 0.2), min_size=4, max_size=4),
+        half=st.floats(0.01, 0.2),
+        tol=st.sampled_from([float("inf"), 1.0, 0.1, 0.01]),
+        depth=st.integers(1, 3),
+    )
+    def test_saved_tree_reads_back(self, geom, masses, weights, theta_ref, offset, half, tol,
+                                   depth):
+        center = theta_ref + offset
+        t = refine(geom, masses, weights, (tuple(center - half), tuple(center + half)), tol, depth)
+        blob = save(t)
+        loaded = load(blob)
+        assert loaded.tree == t.tree
+        assert save(loaded) == blob
+        assert loaded.leaves() == t.leaves()
 
 
 @pytest.fixture(scope="module")

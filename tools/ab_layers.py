@@ -40,6 +40,9 @@ Cases, on the test arm of tests/conftest.py:
                     one riccati.solve_stack call on a side that has it, else 64
                     lqr_gain calls;
   refine            refine(tol 0.4, depth 3) on the box theta_ref +/- 0.25;
+  load_refined      load of the saved refine(tol 0.1, depth 4) on that box, the
+                    203,733-byte reference tree whose load build-table's
+                    load_ms times;
   precompute        a 5^4 precompute with 1 worker on the same box.
 
 Run with --parent HEAD first: that self-A/B shows the noise floor, and each
@@ -71,7 +74,7 @@ ROOT = Path(__file__).resolve().parents[1]
 CASES = {"rk4_period": 2, "forward_dynamics": 500, "linearize": 300, "linearize_eq": 300,
          "lqr_gain": 200,
          "online_update": 100, "lookup_flat": 500, "lookup_refined": 500,
-         "linearize_stack64": 4, "stack64": 4, "refine": 1,
+         "linearize_stack64": 4, "stack64": 4, "refine": 1, "load_refined": 20,
          "precompute": 1}  # calls per timing
 REPEATS = 3
 WIN_FRACTION = 0.75  # a layer claim needs 15 of 20 wins
@@ -138,6 +141,7 @@ def cases(pkg) -> dict:
     grid = pkg.GridSpec(box[0], box[1], (5, 5, 5, 5))
     flat = pkg.precompute(geom, masses, weights, grid, workers=1)
     tree = pkg.refine(geom, masses, weights, box, 0.4, 3)
+    reference = pkg.save(pkg.refine(geom, masses, weights, box, 0.1, 4))
     off_node = theta_ref + [0.01, 0.07, -0.05, 0.11]
     passive = pkg.SimConfig(duration=0.2)
     x0 = np.concatenate([theta_ref, rates])
@@ -156,6 +160,7 @@ def cases(pkg) -> dict:
         "linearize_stack64": linearize_stack64,
         "stack64": stack64,
         "refine": lambda: pkg.refine(geom, masses, weights, box, 0.4, 3),
+        "load_refined": lambda: pkg.load(reference),
         "precompute": lambda: pkg.precompute(geom, masses, weights, grid, workers=1),
     }
 
