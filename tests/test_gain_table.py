@@ -30,11 +30,13 @@ from armctl import (
     equilibrium_point,
     linearize,
     load,
+    load_file,
     lookup,
     lqr_gain,
     precompute,
     refine,
     save,
+    save_file,
     table_digest,
 )
 from oracles import reference_multilinear
@@ -652,8 +654,6 @@ class TestSerialization:
         assert peak < 16 * len(blob)
 
     def test_file_round_trip(self, table, tmp_path):
-        from armctl import load_file, save_file
-
         path = tmp_path / "gains.agt"
         save_file(table, path)
         assert save(load_file(path)) == save(table)
@@ -669,8 +669,6 @@ class TestSaveFile:
         os.umask(old)
 
     def test_mode_follows_the_umask(self, table, tmp_path, umask_022):
-        from armctl import save_file
-
         with open(tmp_path / "plain", "wb"):
             pass
         save_file(table, tmp_path / "gains.agt")
@@ -678,8 +676,6 @@ class TestSaveFile:
         assert mode == stat.S_IMODE(os.stat(tmp_path / "plain").st_mode) == 0o644
 
     def test_replaces_an_existing_file(self, table, refined_mid, tmp_path):
-        from armctl import load_file, save_file
-
         path = tmp_path / "gains.agt"
         save_file(refined_mid, path)
         save_file(table, path)
@@ -687,8 +683,6 @@ class TestSaveFile:
         assert os.listdir(tmp_path) == ["gains.agt"]
 
     def test_failed_rename_keeps_the_old_file(self, table, refined_mid, tmp_path, monkeypatch):
-        from armctl import save_file
-
         path = tmp_path / "gains.agt"
         save_file(refined_mid, path)
 
@@ -702,8 +696,6 @@ class TestSaveFile:
         assert os.listdir(tmp_path) == ["gains.agt"]
 
     def test_fsyncs_the_new_file_before_the_rename(self, table, tmp_path, monkeypatch):
-        from armctl import save_file
-
         calls, fsync, replace = [], os.fsync, os.replace
 
         def record_fsync(fd):
