@@ -74,6 +74,7 @@ GAIN_SHAPE = (4, 8)
 _GAIN_BYTES = 4 * 8 * 8
 _REFINED_COUNT = 0  # per-dimension count sentinel marking a tree payload
 _MIN_CELL_BYTES = 1 + 8 * 4  # the smallest serialized cell: a leaf
+_MAX_COUNT = 2**32 - 1  # a table file stores each per-dimension count as a u32
 # planar nodes per Riccati stack: a precompute work item, or one solve of
 # a refine level; larger stacks gain little and hold more memory
 _CHUNK = 64
@@ -145,6 +146,8 @@ class GridSpec:
         counts = tuple(count(c, f"counts[{k}]", 2) for k, c in enumerate(counts))
         for k in range(NDIM):
             _check_span(k, lo[k], hi[k])
+            if counts[k] > _MAX_COUNT:
+                raise ValueError(f"counts[{k}] must be at most {_MAX_COUNT}, got {counts[k]}")
         object.__setattr__(self, "lo", lo)
         object.__setattr__(self, "hi", hi)
         object.__setattr__(self, "counts", counts)
@@ -161,7 +164,7 @@ class GridSpec:
 
     @property
     def n_nodes(self) -> int:
-        return int(np.prod(self.counts))
+        return math.prod(self.counts)
 
     def axis(self, k: int) -> np.ndarray:
         """Node coordinates of dimension k, built on demand (n1 may be large)."""

@@ -15,7 +15,9 @@ solve_stack solves a stack of systems that share the weights, as a table
 build does: the LAPACK calls still run once per system, and the rest (the
 solve for P, the symmetry and residual checks, the products around them)
 runs once over the stack, which saves most of the per-call overhead.  Each
-system gets the bytes and the error it gets alone.  solve_care and lqr_gain
+system gets the bytes and the error it gets alone: when a check first fails
+at system i, the stack's result is that of its prefix [:i] solved again,
+with the prefix's own failure or else system i's.  solve_care and lqr_gain
 solve a stack of one.
 """
 
@@ -135,10 +137,11 @@ def solve_stack(A, B, weights: CostWeights):
     then hold systems [:i] only.  Raises ValueError unless A and B are
     stacks of k systems of one shape.
 
-    Each system meets the checks in turn, and a failure drops the later
-    systems from the checks after it.  The LAPACK calls run per system; the
-    rest runs over the stack on operands laid out per system as LAPACK lays
-    them out, so a system's bytes do not depend on the rest of its stack.
+    Each check runs over the whole stack; when one first fails at system i,
+    the result is solve_stack(A[:i], B[:i], weights)'s, with its failure or
+    else (i, error).  The LAPACK calls run per system; the rest runs over
+    the stack on operands laid out per system as LAPACK lays them out, so a
+    system's bytes do not depend on the rest of its stack.
     """
     A = np.asarray(A, dtype=float)
     B = np.asarray(B, dtype=float)
@@ -149,99 +152,89 @@ def solve_stack(A, B, weights: CostWeights):
         _check_system(A[0], B[0], weights)
     k, n = A.shape[:2]
     m = B.shape[2]
-    live, failure = k, None  # systems [:live] are still checked; failure is system live's
 
     def fail(i, error):
-        nonlocal live, failure
-        live, failure = i, (i, error)
+        """Systems [:i] solved, with their own failure or else (i, error);
+        they passed every check before this one, so can fail only a later one."""
+        P, K, failure = solve_stack(A[:i], B[:i], weights)
+        return P, K, failure or (i, error)
 
-    def check(ok, error):
-        """Fail the first system that is not ok with error(i)."""
+    def first_bad(ok):
+        """The first system that is not ok, or None."""
         ok = ok.tolist()
-        if False in ok[:live]:
-            i = ok.index(False)
-            fail(i, error(i))
+        return ok.index(False) if False in ok else None
 
     # finiteness is checked here, on B and on H, in place of scipy's checks
-    check(np.isfinite(B).all(axis=(1, 2)), lambda i: ValueError("B must be finite"))
-    if failure:
-        A, B = A[:live], B[:live]
-    X = np.empty((live, n, m)).transpose(0, 2, 1)  # R^-1 B', Fortran-ordered as from dpotrs
-    for i in range(live):
+    i = first_bad(np.isfinite(B).all(axis=(1, 2)))
+    if i is not None:
+        return fail(i, ValueError("B must be finite"))
+    X = np.empty((k, n, m)).transpose(0, 2, 1)  # R^-1 B', Fortran-ordered as from dpotrs
+    for i in range(k):
         X[i] = lapack.dpotrs(weights._r_chol, B[i].T)[0]
     with np.errstate(over="ignore"):  # an overflow fails the check on H below
         G = B @ X
 
-    H = np.empty((live, 2 * n, 2 * n)).transpose(0, 2, 1)  # Fortran-ordered for dgees
+    H = np.empty((k, 2 * n, 2 * n)).transpose(0, 2, 1)  # Fortran-ordered for dgees
     H[:, :n, :n], H[:, :n, n:] = A, -G
     H[:, n:, :n], H[:, n:, n:] = weights._neg_q, -A.transpose(0, 2, 1)
-    check(np.isfinite(H).all(axis=(1, 2)),
-          lambda i: ValueError("A must be finite, and B R^-1 B' must not overflow"))
-    Zt = np.empty((live, n, 2 * n))  # the bases [Z11; Z21], transposed
-    for i in range(live):
+    i = first_bad(np.isfinite(H).all(axis=(1, 2)))
+    if i is not None:
+        return fail(i, ValueError("A must be finite, and B R^-1 B' must not overflow"))
+    Zt = np.empty((k, n, 2 * n))  # the bases [Z11; Z21], transposed
+    for i in range(k):
         _, sdim, _, _, Z, _, info = lapack.dgees(_lhp, H[i], lwork=weights._lwork,
                                                  sort_t=1, overwrite_a=1)
         if info:
-            fail(i, IllConditioned(f"ordered Schur form failed (dgees info {info})"))
-            break
+            return fail(i, IllConditioned(f"ordered Schur form failed (dgees info {info})"))
         if sdim != n:
-            fail(i, NotStabilizable(f"stable invariant subspace has dimension {sdim}, "
-                                    f"expected {n}"))
-            break
+            return fail(i, NotStabilizable(f"stable invariant subspace has dimension {sdim}, "
+                                           f"expected {n}"))
         Zt[i] = Z[:, :n].T
-    if failure:
-        A, B, G, Zt = A[:live], B[:live], G[:live], Zt[:live]
     try:
         P = np.linalg.solve(Zt[:, :, :n], Zt[:, :, n:]).transpose(0, 2, 1)
     except np.linalg.LinAlgError:
-        for i in range(live):  # the first singular basis
+        for i in range(k):  # the first singular basis
             try:
                 np.linalg.solve(Zt[i, :, :n], Zt[i, :, n:])
             except np.linalg.LinAlgError as exc:
                 error = NotStabilizable(f"singular subspace basis: {exc}")
                 error.__cause__ = exc
-                fail(i, error)
-                break
-        A, B, G, Zt = A[:live], B[:live], G[:live], Zt[:live]
-        P = np.linalg.solve(Zt[:, :, :n], Zt[:, :, n:]).transpose(0, 2, 1)
+                return fail(i, error)
+        raise
 
     P_t = P.transpose(0, 2, 1)
     scale = np.fmax(np.abs(P).max(axis=(1, 2)), 1.0)  # max(1.0, nan) is 1.0
-    check(~(np.abs(P - P_t).max(axis=(1, 2)) > 1e-10 * scale),
-          lambda i: IllConditioned("Riccati solution lost symmetry"))
-    P = 0.5 * (P[:live] + P_t[:live])
+    i = first_bad(~(np.abs(P - P_t).max(axis=(1, 2)) > 1e-10 * scale))
+    if i is not None:
+        return fail(i, IllConditioned("Riccati solution lost symmetry"))
+    P = 0.5 * (P + P_t)
 
-    for i in range(live):
+    for i in range(k):
         eigs = lapack.dsyevd(P[i], compute_v=0)[0]
         if eigs.min() < -1e-8 * max(1.0, eigs.max()):
-            fail(i, NotStabilizable(f"Riccati solution not PSD (min eig {eigs.min()})"))
-            break
-    if failure:
-        A, B, G, P = A[:live], B[:live], G[:live], P[:live]
+            return fail(i, NotStabilizable(f"Riccati solution not PSD (min eig {eigs.min()})"))
 
     # the norm as np.linalg.norm takes it: the flattened matrix's dot product
     # with itself; written so that a non-finite residual fails too
-    R = (A.transpose(0, 2, 1) @ P + P @ A - P @ G @ P + weights.Q).reshape(live, 1, n * n)
+    R = (A.transpose(0, 2, 1) @ P + P @ A - P @ G @ P + weights.Q).reshape(k, 1, n * n)
     residual = np.sqrt(R @ R.transpose(0, 2, 1)).ravel()
-    check(residual <= weights._limit, lambda i: IllConditioned(
-        f"CARE residual {residual[i]:.3e} exceeds {weights._limit:.3e}"))
-    if failure:
-        A, B, P = A[:live], B[:live], P[:live]
+    i = first_bad(residual <= weights._limit)
+    if i is not None:
+        return fail(i, IllConditioned(f"CARE residual {residual[i]:.3e} exceeds "
+                                      f"{weights._limit:.3e}"))
 
-    K = np.empty((live, n, m)).transpose(0, 2, 1)  # Fortran-ordered as from dpotrs
+    K = np.empty((k, n, m)).transpose(0, 2, 1)  # Fortran-ordered as from dpotrs
     BtP = B.transpose(0, 2, 1) @ P
-    for i in range(live):
+    for i in range(k):
         K[i] = lapack.dpotrs(weights._r_chol, BtP[i])[0]
-    closed = np.empty((live, n, n)).transpose(0, 2, 1)  # Fortran-ordered: dgeev overwrites it
+    closed = np.empty((k, n, n)).transpose(0, 2, 1)  # Fortran-ordered: dgeev overwrites it
     np.subtract(A, B @ K, out=closed)
-    for i in range(live):
+    for i in range(k):
         eigs = lapack.dgeev(closed[i], compute_vl=0, compute_vr=0, overwrite_a=1)[0]
         if eigs.max() >= 0.0:
-            fail(i, NotStabilizable(f"closed loop not Hurwitz (max Re eig {eigs.max():.3e})"))
-            break
-    if failure:
-        P, K = P[:live], K[:live]
-    return P, K, failure
+            return fail(i, NotStabilizable(f"closed loop not Hurwitz "
+                                           f"(max Re eig {eigs.max():.3e})"))
+    return P, K, None
 
 
 def _solve(A, B, weights: CostWeights):

@@ -68,15 +68,17 @@ def write_config(tmp_path):
 
 @pytest.fixture()
 def lapack_failures(monkeypatch):
-    """inject(dgees=i, dgeev=j) makes the Riccati solver's dgees call
-    number i (from 0) report a convergence failure (info 3), and its dgeev
-    call number j an unstable closed-loop eigenvalue 0.5; None skips one."""
+    """inject(dgees=i, dsyevd=j, dgeev=k) makes the Riccati solver's dgees
+    call number i (from 0) report a convergence failure (info 3), its dsyevd
+    call number j a negative eigenvalue -0.5 of P, and its dgeev call
+    number k an unstable closed-loop eigenvalue 0.5; None skips one."""
     import armctl.riccati as riccati
 
-    real = {"dgees": riccati.lapack.dgees, "dgeev": riccati.lapack.dgeev}
+    names = ("dgees", "dsyevd", "dgeev")
+    real = {name: getattr(riccati.lapack, name) for name in names}
 
-    def inject(dgees=None, dgeev=None):
-        calls = {"dgees": 0, "dgeev": 0}
+    def inject(dgees=None, dsyevd=None, dgeev=None):
+        calls = dict.fromkeys(names, 0)
 
         def counted(name):
             calls[name] += 1
@@ -86,6 +88,12 @@ def lapack_failures(monkeypatch):
             out = real["dgees"](*args, **kwargs)
             return out[:-1] + (3,) if counted("dgees") == dgees else out
 
+        def failing_dsyevd(*args, **kwargs):
+            w, *rest = real["dsyevd"](*args, **kwargs)
+            if counted("dsyevd") == dsyevd:
+                w = np.append(-0.5, w[1:])
+            return (w, *rest)
+
         def failing_dgeev(*args, **kwargs):
             wr, *rest = real["dgeev"](*args, **kwargs)
             if counted("dgeev") == dgeev:
@@ -93,6 +101,7 @@ def lapack_failures(monkeypatch):
             return (wr, *rest)
 
         monkeypatch.setattr(riccati.lapack, "dgees", failing_dgees)
+        monkeypatch.setattr(riccati.lapack, "dsyevd", failing_dsyevd)
         monkeypatch.setattr(riccati.lapack, "dgeev", failing_dgeev)
 
     return inject

@@ -346,6 +346,14 @@ class TestPrecompute:
         assert "finite span" in err
         assert not out_path.exists()
 
+    def test_count_beyond_u32_exit_2_no_file(self, capsys, write_config, tmp_path):
+        cfg = write_config({"grid.theta1.count": 2**32})
+        out_path = tmp_path / "gains.agt"
+        code, _, err = run_cli(capsys, "--config", cfg, "precompute", "--out", str(out_path))
+        assert code == 2
+        assert "counts[0] must be at most 4294967295" in err
+        assert "Traceback" not in err and not out_path.exists()
+
     def test_unwritable_out_exit_7(self, capsys, write_config, tmp_path):
         code, _, err = run_cli(
             capsys, "--config", write_config(), "precompute",

@@ -19,7 +19,12 @@ from armctl import (
 )
 from armctl.dynamics import _cosine_terms, _hessians, _kernel, _mass_forms
 from conftest import safe_random_theta
-from oracles import lagrangian_accelerations, loop_kernel, segment_route_energies
+from oracles import (
+    lagrangian_accelerations,
+    loop_kernel,
+    reference_accelerations,
+    segment_route_energies,
+)
 
 UNIT = ArmGeometry(1.0, 1.0, 1.0)
 
@@ -271,6 +276,19 @@ class TestLoopForm:
     def test_signed_zero_poses_match_loop_form(self, geom, masses, planar):
         want = loop_kernel(_mass_forms(geom, masses), *planar)
         assert kernel_bytes(*nested_kernel(geom, masses, *planar)) == kernel_bytes(*want)
+
+    def test_structural_zero_terms_match_loop_form(self, geom, masses):
+        """Without gravity, at rates whose squares underflow and zero
+        torques, an acceleration can be a signed zero: the sign then shows
+        the convective sums' 0.0 * w1 start and the whole I4 sum."""
+        mm = MassModel(masses.m2, masses.m3, masses.m4, masses.M1, masses.M2, masses.M3, g=0.0)
+        rng = np.random.default_rng(19)
+        rates = [s * r for s in (1.0, -1.0) for r in (0.0, 1e-200, 1e-170, 3e-162)]
+        for theta in safe_random_theta(rng, 2000):
+            w = rng.choice(rates, 4)
+            tau = rng.choice([0.0, -0.0], 4)
+            got = forward_dynamics(geom, mm, theta, w, tau)
+            assert got.tobytes() == reference_accelerations(geom, mm, theta, w, tau).tobytes()
 
 
 class TestSecondDerivatives:

@@ -98,6 +98,19 @@ class TestGridSpec:
             with pytest.raises(ValueError, match="finite span"):
                 GridSpec((lo, 0, 0, 0), (hi, 1, 1, 1), (2, 2, 2, 2))
 
+    def test_counts_beyond_u32_rejected(self):
+        """A table file stores each count as a u32, so a larger one is a bad
+        argument here, not a failure in save after the table is solved."""
+        assert GridSpec(BOX_LO, BOX_HI, (2**32 - 1, 2, 2, 2)).counts[0] == 2**32 - 1
+        for k in range(4):
+            counts = [2] * 4
+            counts[k] = 2**32
+            with pytest.raises(ValueError, match=rf"^counts\[{k}\] must be at most 4294967295"):
+                GridSpec(BOX_LO, BOX_HI, counts)
+
+    def test_node_count_does_not_wrap(self):
+        assert GridSpec(BOX_LO, BOX_HI, (2**16,) * 4).n_nodes == 2**64
+
     def test_node_count_law(self):
         rng = np.random.default_rng(8)
         for _ in range(5):

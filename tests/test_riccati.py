@@ -115,6 +115,33 @@ class TestAnalyticCases:
         assert P.shape == (2, 2)
 
 
+def _bad_system(fault, system):
+    """system (A, B) with the fault MIDDLE_FAILURES names, or as it is."""
+    A, B = system
+    return {
+        None: (A, B),
+        "B not finite": (A, np.array([[np.inf], [1.0]])),
+        "B R^-1 B' overflows": (A, np.array([[1e200], [1.0]])),
+        # a mode on the imaginary axis outside the input's reach
+        "stable subspace too small": (np.diag([0.0, -1.0]), np.array([[0.0], [1.0]])),
+        # an unstable mode outside the input's reach
+        "singular basis": (np.diag([1.0, -1.0]), np.array([[0.0], [1.0]])),
+    }[fault]
+
+
+# check -> (system 2's input fault, system 4's, LAPACK calls failed by the
+# lapack_failures fixture); each input fault reaches the check named
+MIDDLE_FAILURES = {
+    "B finite": ("B not finite", "B not finite", ()),
+    "H finite": ("B R^-1 B' overflows", "B not finite", ()),
+    "dgees sdim": ("stable subspace too small", "B R^-1 B' overflows", ()),
+    "singular basis": ("singular basis", "stable subspace too small", ()),
+    "dgees info": (None, "B not finite", ("dgees",)),
+    "dsyevd PSD": (None, "singular basis", ("dsyevd",)),
+    "dgeev Hurwitz": (None, "stable subspace too small", ("dgeev",)),
+}
+
+
 class TestContracts:
     def test_random_batch_residual_and_stability(self, subtests=None):
         rng = np.random.default_rng(99)
@@ -193,6 +220,29 @@ class TestContracts:
         P, K, (i, error) = riccati.solve_stack(A, B, weights)
         assert (i, type(error), str(error)) == (1, NotStabilizable, str(alone.value))
         assert len(P) == len(K) == 1 and K[0].tobytes() == expected_K.tobytes()
+
+    @pytest.mark.parametrize("bad, later, inject", MIDDLE_FAILURES.values(),
+                             ids=list(MIDDLE_FAILURES))
+    def test_failure_in_the_middle_of_a_stack(self, bad, later, inject, lapack_failures):
+        """System 2 of five fails a check and system 4 fails too (the same
+        check, or one before it): system 2's failure comes back, as it
+        raises alone, and P and K hold systems 0 and 1 as solved alone."""
+        w = CostWeights(np.eye(2), np.eye(1))
+        systems = [(np.array([[0.0, 1.0], [0.1 * i, -0.2 * i]]),
+                    np.array([[0.0], [1.0 + 0.1 * i]])) for i in range(5)]
+        expected = [(solve_care(A, B, w), lqr_gain(A, B, w)) for A, B in systems[:2]]
+        systems[2], systems[4] = _bad_system(bad, systems[2]), _bad_system(later, systems[4])
+        lapack_failures(**{check: 0 for check in inject})
+        with pytest.raises(Exception) as alone:
+            lqr_gain(*systems[2], w)
+
+        lapack_failures(**{check: 2 for check in inject})
+        A, B = (np.array(x) for x in zip(*systems))
+        P, K, (i, error) = riccati.solve_stack(A, B, w)
+        assert (i, type(error), str(error)) == (2, type(alone.value), str(alone.value))
+        assert len(P) == len(K) == 2
+        for p, k, (p_alone, k_alone) in zip(P, K, expected):
+            assert p.tobytes() == p_alone.tobytes() and k.tobytes() == k_alone.tobytes()
 
     @pytest.mark.parametrize("A, B", [
         (np.eye(2), np.ones((2, 1))),  # one system, not a stack
