@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import pickle
+import re
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from hypothesis import strategies as st
 import armctl.gain_table as gt
 import armctl.riccati as riccati
 from armctl import (
+    ArmError,
     CostWeights,
     IllConditioned,
     NotStabilizable,
@@ -129,16 +131,18 @@ def _bad_system(fault, system):
     }[fault]
 
 
-# check -> (system 2's input fault, system 4's, LAPACK calls failed by the
-# lapack_failures fixture); each input fault reaches the check named
+# check -> (system 2's input fault, system 4's, the LAPACK calls the
+# lapack_failures fixture fails, the start of the check's message)
 MIDDLE_FAILURES = {
-    "B finite": ("B not finite", "B not finite", ()),
-    "H finite": ("B R^-1 B' overflows", "B not finite", ()),
-    "dgees sdim": ("stable subspace too small", "B R^-1 B' overflows", ()),
-    "singular basis": ("singular basis", "stable subspace too small", ()),
-    "dgees info": (None, "B not finite", ("dgees",)),
-    "dsyevd PSD": (None, "singular basis", ("dsyevd",)),
-    "dgeev Hurwitz": (None, "stable subspace too small", ("dgeev",)),
+    "B finite": ("B not finite", "B not finite", (), "B must be finite"),
+    "H finite": ("B R^-1 B' overflows", "B not finite", (), "A must be finite, and B R^-1 B'"),
+    "dgees sdim": ("stable subspace too small", "B R^-1 B' overflows", (),
+                   "stable invariant subspace has dimension 1"),
+    "singular basis": ("singular basis", "stable subspace too small", (),
+                       "singular subspace basis"),
+    "dgees info": (None, "B not finite", ("dgees",), "ordered Schur form failed"),
+    "dsyevd PSD": (None, "singular basis", ("dsyevd",), "Riccati solution not PSD"),
+    "dgeev Hurwitz": (None, "stable subspace too small", ("dgeev",), "closed loop not Hurwitz"),
 }
 
 
@@ -221,9 +225,10 @@ class TestContracts:
         assert (i, type(error), str(error)) == (1, NotStabilizable, str(alone.value))
         assert len(P) == len(K) == 1 and K[0].tobytes() == expected_K.tobytes()
 
-    @pytest.mark.parametrize("bad, later, inject", MIDDLE_FAILURES.values(),
+    @pytest.mark.parametrize("bad, later, inject, message", MIDDLE_FAILURES.values(),
                              ids=list(MIDDLE_FAILURES))
-    def test_failure_in_the_middle_of_a_stack(self, bad, later, inject, lapack_failures):
+    def test_failure_in_the_middle_of_a_stack(self, bad, later, inject, message,
+                                              lapack_failures):
         """System 2 of five fails a check and system 4 fails too (the same
         check, or one before it): system 2's failure comes back, as it
         raises alone, and P and K hold systems 0 and 1 as solved alone."""
@@ -233,7 +238,7 @@ class TestContracts:
         expected = [(solve_care(A, B, w), lqr_gain(A, B, w)) for A, B in systems[:2]]
         systems[2], systems[4] = _bad_system(bad, systems[2]), _bad_system(later, systems[4])
         lapack_failures(**{check: 0 for check in inject})
-        with pytest.raises(Exception) as alone:
+        with pytest.raises((ValueError, ArmError), match=f"^{re.escape(message)}") as alone:
             lqr_gain(*systems[2], w)
 
         lapack_failures(**{check: 2 for check in inject})
