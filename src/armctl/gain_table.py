@@ -9,8 +9,9 @@ bit at every theta1.  Tables are therefore planar: they store gains over
 (theta2, theta3, theta4) and keep the theta1 range only as a bound, so a yaw
 outside it is still OutOfBounds.  A flat regular grid (GainTable) and an
 error-driven subdivision that splits a cell 8 ways where the gain varies
-quickly (RefinedTable) share one lookup: locate the planar cell (arithmetic
-on a grid, descent in a tree), weigh its 8 corner gains, one (8, 32) product.
+quickly (RefinedTable) share one lookup: locate the planar cell (bisection
+of each grid axis, descent in a tree), weigh its 8 corner gains, one (8, 32)
+product.
 
 Binary format, version 2 (little-endian):
 
@@ -37,12 +38,12 @@ of a mismatch it is looking at.
 """
 from __future__ import annotations
 
-import bisect
 import hashlib
 import itertools
 import math
 import os
 import struct
+from bisect import bisect_right
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
@@ -187,14 +188,6 @@ def _fraction(v: float, lo: float, hi: float) -> float:
     return (v - lo) / width if width else 0.0
 
 
-def _cell_coordinate(axis, v: float):
-    """(index, fraction) of the cell owning v, which lies within the axis
-    (a sorted list of floats).  Cells are half-open [axis[i], axis[i+1]) with
-    the last cell closed, so a node belongs to the cell above it."""
-    i = min(bisect.bisect_right(axis, v), len(axis) - 1) - 1
-    return i, _fraction(v, axis[i], axis[i + 1])
-
-
 def _blend(rows: np.ndarray, fractions) -> np.ndarray:
     """Trilinear blend of a planar cell's corner gains, rows (8, 32): row
     4*b2 + 2*b3 + b4 holds the corner at the upper end of axis k where b_k
@@ -217,13 +210,14 @@ def lookup(table, theta) -> np.ndarray:
     component, raises ValueError("theta must have 4 components, got N").
     At a stored node the result is the stored matrix, bit for bit.
     """
-    th = [wrap_angle(v) for v in components(theta, NDIM, "theta")]
+    th = components(theta, NDIM, "theta")
     lo, hi = table.lo, table.hi
-    for k in range(NDIM):
+    for k, v in enumerate(th):
+        if not -math.pi < v <= math.pi:
+            v = th[k] = wrap_angle(v)
         # written so that NaN (and +-inf, which wraps to NaN) fails it too
-        if not lo[k] <= th[k] <= hi[k]:
-            raise OutOfBounds(f"angle {th[k]!r} outside table dimension {k} "
-                              f"[{lo[k]}, {hi[k]}]")
+        if not lo[k] <= v <= hi[k]:
+            raise OutOfBounds(f"angle {v!r} outside table dimension {k} [{lo[k]}, {hi[k]}]")
     corners, fractions = table._locate(th[1], th[2], th[3])
     return _blend(table._rows.take(corners, axis=0), fractions)
 
@@ -246,13 +240,15 @@ class GainTable:
             raise ValueError(f"gains must have shape {expected}, got {self.gains.shape}")
         if len(self.digest) != 32:
             raise ValueError("digest must be 32 bytes")
-        _, _, n3, n4 = self.grid.counts
+        _, n2, n3, n4 = self.grid.counts
+        row = np.arange(n2 * n3 * n4, dtype=np.intp).reshape(n2, n3, n4)
+        # _corners[i2, i3, i4]: the rows of cell (i2, i3, i4)'s 8 corners, ordered as in _blend
+        corners = np.stack([row[b2:n2 - 1 + b2, b3:n3 - 1 + b3, b4:n4 - 1 + b4]
+                            for b2, b3, b4 in itertools.product((0, 1), repeat=3)], axis=-1)
+        corners.flags.writeable = False
+        object.__setattr__(self, "_corners", corners)
         object.__setattr__(self, "_rows", self.gains.reshape(-1, 32))
         object.__setattr__(self, "_axes", tuple(self.grid.axis(k).tolist() for k in (1, 2, 3)))
-        # row offsets of a cell's 8 corners from its lowest one
-        object.__setattr__(self, "_offsets", tuple(
-            (b2 * n3 + b3) * n4 + b4 for b2, b3, b4 in itertools.product((0, 1), repeat=3)
-        ))
 
     lo = property(lambda self: self.grid.lo)
     hi = property(lambda self: self.grid.hi)
@@ -264,10 +260,15 @@ class GainTable:
         return np.broadcast_to(self.gains, self.grid.shape + GAIN_SHAPE)
 
     def _locate(self, t2, t3, t4):
-        (i2, f2), (i3, f3), (i4, f4) = map(_cell_coordinate, self._axes, (t2, t3, t4))
-        _, _, n3, n4 = self.grid.counts
-        base = (i2 * n3 + i3) * n4 + i4
-        return [base + o for o in self._offsets], (f2, f3, f4)
+        # cells are half-open [a[i], a[i+1]) with the last one closed, so a
+        # node belongs to the cell above it
+        a2, a3, a4 = self._axes
+        i2 = min(bisect_right(a2, t2), len(a2) - 1) - 1
+        i3 = min(bisect_right(a3, t3), len(a3) - 1) - 1
+        i4 = min(bisect_right(a4, t4), len(a4) - 1) - 1
+        fractions = (_fraction(t2, a2[i2], a2[i2 + 1]), _fraction(t3, a3[i3], a3[i3 + 1]),
+                     _fraction(t4, a4[i4], a4[i4 + 1]))
+        return self._corners[i2, i3, i4], fractions
 
     def _payload(self) -> bytes:
         return _gain_bytes(self.gains)
@@ -363,7 +364,8 @@ class RefinedTable:
     tree alike (offsets count from the tree's first byte), and derives the
     rest: child[c] is the first of cell c's 8 consecutive children, or 0 for
     a leaf (the root is cell 0); leaf n, in pre-order, has the flag
-    flagged[n] and the corner gains pool[corners[n][i]], ordered as in _blend."""
+    flagged[n] and the corner gains pool[corners[n, i]], ordered as in
+    _blend, corners being a read-only (n_leaves, 8) np.intp array."""
 
     lo: tuple[float, float, float, float]
     hi: tuple[float, float, float, float]
@@ -379,43 +381,50 @@ class RefinedTable:
         tree, n_pool, max_depth = self.tree, len(self.pool), self.max_depth
         if max_depth < 1:  # the root is depth 1; the walk checks its bytes first
             raise TreeTooDeep(f"cell at depth 1 exceeds max_depth {max_depth}")
-        # per cell: first child, planar box, leaf number; per leaf: (cell, depth)
+        # per cell: first child, planar box, leaf number; per leaf: (cell, depth), flag, offset
         child, boxes, leaf = [0], [(self.lo[1:], self.hi[1:])], [-1]
-        cells, flagged, corners = [], [], []
+        cells, flagged, offsets = [], [], []
         pos, pending = 0, [(0, 1)]  # cells still to read, next one last: (cell, depth)
-        while pending:
-            # each pending cell takes a leaf's bytes or more: no read runs short
-            left = len(tree) - pos
-            if left < len(pending) * _MIN_CELL_BYTES:
-                raise TruncatedData(f"{len(pending)} cells pending at tree offset {pos}, "
-                                    f"only {left} bytes left")
-            cell, depth = pending.pop()
-            if depth > max_depth:
-                raise TreeTooDeep(f"cell at depth {depth} exceeds max_depth {max_depth}")
-            tag = tree[pos]
-            if tag == _TAG_INTERNAL:
-                first = child[cell] = len(child)
-                child += [0] * 8
-                leaf += [-1] * 8
-                boxes += _split(*boxes[cell])
-                pending.extend((first + octant, depth + 1) for octant in range(7, -1, -1))
-                pos += 1
-            elif tag in (_TAG_LEAF, _TAG_LEAF_FLAGGED):
-                indices = struct.unpack_from("<8I", tree, pos + 1)
-                if max(indices) >= n_pool:
-                    raise TableFormatError(f"corner index {max(indices)} at tree offset "
-                                           f"{pos + 1} outside a pool of {n_pool}")
-                leaf[cell] = len(cells)
-                cells.append((cell, depth))
-                flagged.append(tag == _TAG_LEAF_FLAGGED)
-                corners.append(indices)
-                pos += _MIN_CELL_BYTES
-            else:
-                raise TruncatedData(f"unknown cell tag {tag} at tree offset {pos}")
-        if pos != len(tree):
-            raise TruncatedData(f"{len(tree) - pos} trailing bytes after the tree")
+        try:
+            while pending:
+                # each pending cell takes a leaf's bytes or more: no read runs short
+                left = len(tree) - pos
+                if left < len(pending) * _MIN_CELL_BYTES:
+                    raise TruncatedData(f"{len(pending)} cells pending at tree offset {pos}, "
+                                        f"only {left} bytes left")
+                cell, depth = pending.pop()
+                if depth > max_depth:
+                    raise TreeTooDeep(f"cell at depth {depth} exceeds max_depth {max_depth}")
+                tag = tree[pos]
+                if tag == _TAG_INTERNAL:
+                    first = child[cell] = len(child)
+                    child += [0] * 8
+                    leaf += [-1] * 8
+                    boxes += _split(*boxes[cell])
+                    pending.extend((first + octant, depth + 1) for octant in range(7, -1, -1))
+                    pos += 1
+                elif tag in (_TAG_LEAF, _TAG_LEAF_FLAGGED):
+                    leaf[cell] = len(cells)
+                    cells.append((cell, depth))
+                    flagged.append(tag == _TAG_LEAF_FLAGGED)
+                    offsets.append(pos + 1)
+                    pos += _MIN_CELL_BYTES
+                else:
+                    raise TruncatedData(f"unknown cell tag {tag} at tree offset {pos}")
+            if pos != len(tree):
+                raise TruncatedData(f"{len(tree) - pos} trailing bytes after the tree")
+        finally:
+            # every leaf's 8 u32 corner indices in one gather, also after a walk
+            # error, since an index outside the pool read before it comes first
+            at = np.array(offsets, np.intp)[:, None] + np.arange(32)
+            corners = np.frombuffer(tree, np.uint8)[at].view("<u4").astype(np.intp)
+            bad = np.flatnonzero(corners.max(axis=1) >= n_pool)
+            if bad.size:
+                raise TableFormatError(f"corner index {corners[bad[0]].max()} at tree offset "
+                                       f"{offsets[bad[0]]} outside a pool of {n_pool}")
+        corners.flags.writeable = False
         for name, value in (("child", tuple(child)), ("flagged", tuple(flagged)),
-                            ("corners", tuple(corners)), ("_rows", self.pool.reshape(-1, 32)),
+                            ("corners", corners), ("_rows", self.pool.reshape(-1, 32)),
                             ("_boxes", boxes), ("_leaf", leaf), ("_cells", cells)):
             object.__setattr__(self, name, value)
 

@@ -12,12 +12,21 @@ reference is the array form of the integrator, built on `loop_kernel` and
 kept here as the library had them before they became straight-line code,
 so the library's float loop must reproduce their IEEE operations bit for
 bit without the reference reading the code under test.
-The gain-table reference is the 4-D multilinear blend over every node of a
-flat grid, theta1 included, that the planar lookup must match to rounding.
+The gain-table references are the 4-D multilinear blend over every node of a
+flat grid, theta1 included, that the planar lookup must match to rounding,
+and `reference_lookup`, the lookup kernel as the library had it before it
+read array-backed corner indices (every angle wrapped, each flat axis
+bisected by one call, corners as lists of ints read leaf by leaf from the
+tree bytes), whose bytes and errors the library's lookup must reproduce.
 The CARE reference is the Schur solve written with scipy.linalg's
 high-level schur, cho_factor/cho_solve and np.block, whose P and K the
 library's direct LAPACK calls must reproduce byte for byte.
 """
+
+import bisect
+import functools
+import itertools
+import struct
 
 import numpy as np
 import scipy.linalg
@@ -26,8 +35,10 @@ from armctl import (
     DegenerateInertia,
     Diverged,
     IllConditioned,
+    GainTable,
     LinearModel,
     NotStabilizable,
+    OutOfBounds,
     fk_planar,
     kinetic_energy,
     point_inertia,
@@ -35,7 +46,9 @@ from armctl import (
     segment_inertia,
 )
 from armctl.dynamics import EPS_INERTIA, _cosine_terms, _kernel, _mass_forms, _solve
-from armctl.kinematics import planar_chain
+from armctl.errors import components
+from armctl.gain_table import _blend, _fraction
+from armctl.kinematics import planar_chain, wrap_angle
 from armctl.riccati import RESIDUAL_RTOL
 
 
@@ -282,6 +295,60 @@ def reference_multilinear(grid, entries, theta):
             weight *= t if b else 1.0 - t
         gain += weight * entries[tuple(i + b for (i, _), b in zip(cells, bits))]
     return gain
+
+
+def _cell_coordinate(axis, v: float):
+    """(index, fraction) of the cell owning v, which lies within the axis
+    (a sorted list of floats).  Cells are half-open [axis[i], axis[i+1]) with
+    the last cell closed, so a node belongs to the cell above it."""
+    i = min(bisect.bisect_right(axis, v), len(axis) - 1) - 1
+    return i, _fraction(v, axis[i], axis[i + 1])
+
+
+@functools.lru_cache(maxsize=8)
+def _leaf_indices(tree: bytes) -> list:
+    """Each leaf's 8 pool indices, in pre-order, one struct read per leaf: a
+    valid tree stores its cells in pre-order, so its leaves come in byte
+    order."""
+    corners, pos = [], 0
+    while pos < len(tree):
+        if tree[pos]:
+            corners.append(list(struct.unpack_from("<8I", tree, pos + 1)))
+            pos += 33
+        else:
+            pos += 1
+    return corners
+
+
+def reference_lookup(table, theta) -> np.ndarray:
+    """lookup(table, theta) as one wrap_angle per angle, one bounds test per
+    angle, and the cell's corner rows gathered by a list of ints."""
+    th = [wrap_angle(v) for v in components(theta, 4, "theta")]
+    lo, hi = table.lo, table.hi
+    for k in range(4):
+        if not lo[k] <= th[k] <= hi[k]:
+            raise OutOfBounds(f"angle {th[k]!r} outside table dimension {k} "
+                              f"[{lo[k]}, {hi[k]}]")
+    if isinstance(table, GainTable):
+        axes = [table.grid.axis(k).tolist() for k in (1, 2, 3)]
+        (i2, f2), (i3, f3), (i4, f4) = map(_cell_coordinate, axes, th[1:])
+        _, _, n3, n4 = table.grid.counts
+        base = (i2 * n3 + i3) * n4 + i4
+        corners = [base + (b2 * n3 + b3) * n4 + b4
+                   for b2, b3, b4 in itertools.product((0, 1), repeat=3)]
+        fractions, rows = (f2, f3, f4), table.gains.reshape(-1, 32)
+    else:
+        t2, t3, t4 = th[1:]
+        child, boxes, cell = table.child, table._boxes, 0
+        while child[cell]:
+            (l2, l3, l4), (h2, h3, h4) = boxes[cell]
+            cell = (child[cell] + 4 * (t2 >= 0.5 * (l2 + h2)) + 2 * (t3 >= 0.5 * (l3 + h3))
+                    + (t4 >= 0.5 * (l4 + h4)))
+        (l2, l3, l4), (h2, h3, h4) = boxes[cell]
+        fractions = (_fraction(t2, l2, h2), _fraction(t3, l3, h3), _fraction(t4, l4, h4))
+        corners = _leaf_indices(table.tree)[table._leaf[cell]]
+        rows = table.pool.reshape(-1, 32)
+    return _blend(rows.take(corners, axis=0), fractions)
 
 
 def _reference_check_system(A, B, weights):

@@ -1,5 +1,6 @@
 import dataclasses
 import itertools
+import math
 import os
 import stat
 import struct
@@ -39,7 +40,7 @@ from armctl import (
     save_file,
     table_digest,
 )
-from oracles import reference_multilinear
+from oracles import reference_lookup, reference_multilinear
 
 BOX_LO = (0.05, 0.55, -1.15, 0.25)
 BOX_HI = (0.55, 1.05, -0.65, 0.75)
@@ -238,7 +239,78 @@ class TestYawInvariance:
         assert t.entries[index].tobytes() == direct.tobytes()
 
 
+@pytest.fixture(scope="module")
+def oracle_tables(geom, masses, weights, theta_ref):
+    """The tables whose lookups are compared with the byte reference: two flat
+    grids and two trees on the box theta_ref +/- 0.25, a grid whose few-ulp
+    theta2 span repeats nodes, and a tree with zero-width leaves."""
+    lo, hi = tuple(theta_ref - 0.25), tuple(theta_ref + 0.25)
+    few_ulp = list(BOX_HI)
+    few_ulp[1] = float(np.nextafter(BOX_LO[1], 2.0))
+    ulp_lo, ulp_hi = list(BOX_LO), list(BOX_HI)
+    ulp_lo[1] = float(np.nextafter(0.8, 1.0))
+    ulp_hi[1] = float(np.nextafter(ulp_lo[1], 1.0))
+    return {
+        "5^4": precompute(geom, masses, weights, GridSpec(lo, hi, (5, 5, 5, 5))),
+        "3x4x2x5": precompute(geom, masses, weights, GridSpec(lo, hi, (3, 4, 2, 5))),
+        "tol-0.4": refine(geom, masses, weights, (lo, hi), 0.4, 3),
+        "tol-0.1": refine(geom, masses, weights, (lo, hi), 0.1, 4),
+        "repeated-nodes": precompute(geom, masses, weights,
+                                     GridSpec(BOX_LO, few_ulp, (2, 4, 2, 2))),
+        "zero-width-leaf": refine(geom, masses, weights, (ulp_lo, ulp_hi), 1e-12, 2),
+    }
+
+
+def node_values(t):
+    """Per axis, the sorted exact node values: a flat table's axis, or every
+    leaf bound of a tree."""
+    if isinstance(t, GainTable):
+        return [t.grid.axis(k).tolist() for k in range(4)]
+    return [sorted({v for leaf in t.leaves() for v in (leaf.lo[k], leaf.hi[k])})
+            for k in range(4)]
+
+
+def outcome(fn, table, theta):
+    """The bytes fn returns, or the type and message of its OutOfBounds."""
+    try:
+        return fn(table, theta).tobytes()
+    except OutOfBounds as exc:
+        return type(exc), str(exc)
+
+
 class TestLookup:
+    @pytest.mark.parametrize("name", ["5^4", "3x4x2x5", "tol-0.4", "tol-0.1",
+                                      "repeated-nodes", "zero-width-leaf"])
+    def test_every_node_matches_byte_reference(self, oracle_tables, name):
+        # every flat node, or every corner of every leaf, hi included
+        t = oracle_tables[name]
+        if isinstance(t, GainTable):
+            points = itertools.product(*node_values(t))
+        else:
+            points = {p for leaf in t.leaves() for p in itertools.product(*zip(leaf.lo, leaf.hi))}
+        for theta in points:
+            assert lookup(t, theta).tobytes() == reference_lookup(t, theta).tobytes()
+
+    @settings(max_examples=400, deadline=None)
+    @given(data=st.data())
+    def test_matches_byte_reference(self, oracle_tables, data):
+        # exact node values, points inside, one ulp outside and +-pi on each
+        # axis, some shifted by +-2 pi or made non-finite
+        t = oracle_tables[data.draw(st.sampled_from(sorted(oracle_tables)))]
+        nodes, theta = node_values(t), []
+        for k in range(4):
+            lo, hi = t.lo[k], t.hi[k]
+            v = data.draw(st.one_of(
+                st.sampled_from(nodes[k]),
+                st.floats(lo, hi),
+                st.sampled_from([float(np.nextafter(lo, -np.inf)), float(np.nextafter(hi, np.inf)),
+                                 -math.pi, math.pi]),
+            ))
+            edit = data.draw(st.sampled_from([None] * 12 + ["+2pi", "-2pi", "nan", "inf", "-inf"]))
+            theta.append({None: v, "+2pi": v + 2 * math.pi, "-2pi": v - 2 * math.pi,
+                          "nan": math.nan, "inf": math.inf, "-inf": -math.inf}[edit])
+        assert outcome(lookup, t, theta) == outcome(reference_lookup, t, theta)
+
     def test_node_lookup_bit_exact(self, table):
         for index in ((0, 0, 0, 0), (1, 0, 1, 0), (1, 1, 1, 1)):
             theta = table.grid.node_angles(index)
@@ -623,6 +695,52 @@ class TestSerialization:
         with pytest.raises(error) as loaded:
             load(blob[: len(blob) - len(refined_mid.tree)] + tree)
         assert type(built.value) is type(loaded.value) is error
+
+    @staticmethod
+    def _bad_leaf(t):
+        """A leaf whose sixth corner index is the pool size."""
+        return bytes([1]) + struct.pack("<8I", *[0] * 5, len(t.pool), 0, 0)
+
+    @pytest.mark.parametrize(
+        "make_tree, error, message",
+        [
+            # an index outside the pool at the root's first child, then a
+            # structural fault in a later cell: the index is the first fault
+            (lambda t, bad: bytes([0]) + bad + bytes(t.max_depth - 1)
+             + TestSerialization.LEAF * 8 * t.max_depth,
+             TableFormatError, "corner index 125 at tree offset 2 outside a pool of 125"),
+            (lambda t, bad: bytes([0]) + bad + bytes([3]) + bytes(32) + TestSerialization.LEAF * 6,
+             TableFormatError, "corner index 125 at tree offset 2 outside a pool of 125"),
+            (lambda t, bad: (bytes([0]) + bad + bytes([0]) + TestSerialization.LEAF * 14)[:-1],
+             TableFormatError, "corner index 125 at tree offset 2 outside a pool of 125"),
+            (lambda t, bad: bytes([0]) + bad + TestSerialization.LEAF * 7 + bytes([1]),
+             TableFormatError, "corner index 125 at tree offset 2 outside a pool of 125"),
+            # a structural fault, then such an index in cells never read
+            (lambda t, bad: bytes(t.max_depth) + bad + TestSerialization.LEAF * (8 * t.max_depth),
+             TreeTooDeep, "cell at depth 5 exceeds max_depth 4"),
+            (lambda t, bad: bytes([0, 3]) + bytes(32) + bad + TestSerialization.LEAF * 6,
+             TruncatedData, "unknown cell tag 3 at tree offset 1"),
+            (lambda t, bad: bytes([0]) + TestSerialization.LEAF * 6 + bad,
+             TruncatedData, "8 cells pending at tree offset 1, only 231 bytes left"),
+            (lambda t, bad: bytes([0]) + TestSerialization.LEAF * 8 + bad,
+             TruncatedData, "33 trailing bytes after the tree"),
+        ],
+        ids=["index-then-too-deep", "index-then-unknown-tag", "index-then-truncated",
+             "index-then-trailing", "too-deep-then-index", "unknown-tag-then-index",
+             "truncated-then-index", "trailing-then-index"],
+    )
+    def test_first_fault_of_several_is_raised(self, refined_mid, make_tree, error, message):
+        # the walk reads cells in file order and raises the first fault it
+        # reads, whether a table is made from the tree or loaded from bytes
+        assert refined_mid.max_depth == 4 and len(refined_mid.pool) == 125
+        tree = make_tree(refined_mid, self._bad_leaf(refined_mid))
+        blob = save(refined_mid)
+        for make in (lambda: dataclasses.replace(refined_mid, tree=tree),
+                     lambda: load(blob[: len(blob) - len(refined_mid.tree)] + tree)):
+            with pytest.raises(error) as raised:
+                make()
+            assert type(raised.value) is error
+            assert str(raised.value) == message
 
     @staticmethod
     def _patch_dims(blob, **fields):

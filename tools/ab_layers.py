@@ -32,6 +32,10 @@ Cases, on the test arm of tests/conftest.py:
                     gravity-holding torque), as a table build linearizes nodes;
   lookup_flat       one lookup off-node in the 5^4 table below;
   lookup_refined    one lookup at the same angles in the refine(0.4, 3) tree;
+  table_update      one table control update on each of those two tables:
+                    lookup, then tau_ff - K @ (x - x_ref) at a moving state
+                    with those angles, as regulate-table's control_us_p50
+                    times it (so a call is two updates);
   linearize_stack64 the linear models of 64 equilibrium nodes, as a build
                     makes them: on a side with linearization.linearize_stack,
                     the torques read from the kernel then one stacked call,
@@ -74,6 +78,7 @@ ROOT = Path(__file__).resolve().parents[1]
 CASES = {"rk4_period": 2, "forward_dynamics": 500, "linearize": 300, "linearize_eq": 300,
          "lqr_gain": 200,
          "online_update": 100, "lookup_flat": 500, "lookup_refined": 500,
+         "table_update": 250,
          "linearize_stack64": 4, "stack64": 4, "refine": 1, "load_refined": 20,
          "precompute": 1}  # calls per timing
 REPEATS = 3
@@ -143,6 +148,12 @@ def cases(pkg) -> dict:
     tree = pkg.refine(geom, masses, weights, box, 0.4, 3)
     reference = pkg.save(pkg.refine(geom, masses, weights, box, 0.1, 4))
     off_node = theta_ref + [0.01, 0.07, -0.05, 0.11]
+    x, x_ref = np.concatenate([off_node, rates]), np.concatenate([theta_ref, np.zeros(4)])
+    tau_ff = pkg.equilibrium_torque(geom, masses, theta_ref)
+
+    def table_update():
+        return [tau_ff - pkg.lookup(table, x[:4]) @ (x - x_ref) for table in (flat, tree)]
+
     passive = pkg.SimConfig(duration=0.2)
     x0 = np.concatenate([theta_ref, rates])
     return {
@@ -157,6 +168,7 @@ def cases(pkg) -> dict:
         "online_update": online_update,
         "lookup_flat": lambda: pkg.lookup(flat, off_node),
         "lookup_refined": lambda: pkg.lookup(tree, off_node),
+        "table_update": table_update,
         "linearize_stack64": linearize_stack64,
         "stack64": stack64,
         "refine": lambda: pkg.refine(geom, masses, weights, box, 0.4, 3),

@@ -8,6 +8,9 @@ Each line is a name and the first 16 hex digits of the sha256 of:
     order and a theta1 count that differs from the others; 7^4 is the grid
     perfbench builds);
   - save() of refine(tol 0.4, depth 3) and refine(tol 0.1, depth 4);
+  - the bytes lookup returns, on the 5^4 table and on both refined tables,
+    at every node (every grid node, or every corner of every leaf) and then
+    at 2,000 points drawn uniformly in the box (seed 20);
   - the states, inputs and energy of a 1 s simulate in the passive, online,
     flat-table (the 5^4 table) and refined-table (the tol 0.4 table) modes.
 All use the test arm of tests/conftest.py and the box theta_ref +/- 0.25.
@@ -24,6 +27,7 @@ bit for bit.
 
 import argparse
 import hashlib
+import itertools
 import sys
 import tempfile
 from pathlib import Path
@@ -39,10 +43,22 @@ import armctl  # noqa: E402
 THETA_REF = np.array([0.3, 0.8, -0.9, 0.5])
 # off the reference, moving, and inside the box for the whole run
 X0 = np.array([0.4, 0.7, -0.8, 0.6, 0.2, -0.3, 0.1, 0.4])
+OFF_NODE = 2000  # seeded lookup points in the box, after the nodes
 
 
 def digest(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()[:16]
+
+
+def lookup_bytes(pkg, table, lo, hi) -> bytes:
+    """lookup's bytes at every node of table, then at OFF_NODE points."""
+    if isinstance(table, pkg.GainTable):
+        nodes = itertools.product(*(table.grid.axis(k).tolist() for k in range(4)))
+    else:
+        nodes = sorted({p for leaf in table.leaves()
+                        for p in itertools.product(*zip(leaf.lo, leaf.hi))})
+    off_node = np.random.default_rng(20).uniform(lo, hi, size=(OFF_NODE, 4)).tolist()
+    return b"".join(pkg.lookup(table, theta).tobytes() for theta in [*nodes, *off_node])
 
 
 def fingerprints(pkg):
@@ -65,9 +81,11 @@ def fingerprints(pkg):
             mismatched.append(name)
     flat = tables["5^4", 1]
     coarse = pkg.refine(geom, masses, weights, (lo, hi), 0.4, 3)
+    fine = pkg.refine(geom, masses, weights, (lo, hi), 0.1, 4)
     lines["refine tol=0.4 depth=3"] = digest(pkg.save(coarse))
-    lines["refine tol=0.1 depth=4"] = digest(
-        pkg.save(pkg.refine(geom, masses, weights, (lo, hi), 0.1, 4)))
+    lines["refine tol=0.1 depth=4"] = digest(pkg.save(fine))
+    for name, table in (("5^4", flat), ("refine tol=0.4", coarse), ("refine tol=0.1", fine)):
+        lines[f"lookup {name}"] = digest(lookup_bytes(pkg, table, lo, hi))
 
     x_ref = np.concatenate([THETA_REF, np.zeros(4)])
     mode = pkg.ControllerMode
