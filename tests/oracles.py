@@ -34,8 +34,8 @@ import scipy.linalg
 from armctl import (
     DegenerateInertia,
     Diverged,
-    IllConditioned,
     GainTable,
+    IllConditioned,
     LinearModel,
     NotStabilizable,
     OutOfBounds,
