@@ -10,8 +10,8 @@ Exit codes: 0 success; 1 any other armctl error; 2 usage, config or argument
 errors; 3 unreachable IK target; 4 gain-table node failure; 5 table digest
 mismatch; 6 simulation aborted mid-run (out of table bounds, solver failure,
 degenerate inertia, a diverged state); 7 a file that cannot be read or written
-(missing --table, unwritable --out); 8 a malformed gain-table file (including
-an invalid dimension record).
+(an absent --table file, an unwritable --out); 8 a malformed gain-table file
+(including an invalid dimension record).
 All angles are radians; results go to stdout, diagnostics to stderr.
 """
 
@@ -21,8 +21,6 @@ import argparse
 import math
 import sys
 from collections import Counter
-
-import numpy as np
 
 from .config import ArmConfig, load_config
 from .errors import (
@@ -85,12 +83,6 @@ def _positive_int(text: str) -> int:
     return value
 
 
-def _grid_center(config: ArmConfig) -> np.ndarray:
-    lo = np.asarray(config.grid.lo)
-    hi = np.asarray(config.grid.hi)
-    return 0.5 * (lo + hi)
-
-
 def cmd_fk(config: ArmConfig, args) -> int:
     angles = JointAngles(*args.angles)
     points = fk_spatial(config.geometry, angles)
@@ -132,27 +124,14 @@ def cmd_precompute(config: ArmConfig, args) -> int:
     return EXIT_OK
 
 
-def _parse_state(config: ArmConfig, args):
-    if args.x0 is not None:
-        x0 = np.asarray(args.x0, dtype=float)
-    else:
-        x0 = np.concatenate([_grid_center(config), np.zeros(4)])
-    if args.ref is not None:
-        x_ref = np.concatenate([np.asarray(args.ref, dtype=float), np.zeros(4)])
-    else:
-        x_ref = np.concatenate([x0[:4], np.zeros(4)])
-    return x0, x_ref
-
-
 def cmd_simulate(config: ArmConfig, args) -> int:
     mode = ControllerMode(args.mode)
     table = None
-    if mode is ControllerMode.TABLE_LQR:
-        if args.table is None:
-            print("error: --table is required for table mode", file=sys.stderr)
-            return EXIT_USAGE
-        table = load_file(args.table)
-    x0, x_ref = _parse_state(config, args)
+    if mode is ControllerMode.TABLE_LQR and args.table is not None:
+        table = load_file(args.table)  # without one, simulate's ValueError exits 2
+    grid = config.grid
+    x0 = args.x0 or [0.5 * (lo + hi) for lo, hi in zip(grid.lo, grid.hi)] + [0.0] * 4
+    x_ref = (args.ref or x0[:4]) + [0.0] * 4
 
     try:
         trajectory = simulate(

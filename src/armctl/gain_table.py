@@ -378,6 +378,11 @@ class RefinedTable:
     counts = (_REFINED_COUNT,) * NDIM
 
     def __post_init__(self):
+        # what save writes, load must read back: load checks these before the tree
+        if len(self.digest) != 32:
+            raise ValueError("digest must be 32 bytes")
+        for k in range(NDIM):
+            _check_span(k, self.lo[k], self.hi[k])
         tree, n_pool, max_depth = self.tree, len(self.pool), self.max_depth
         if max_depth < 1:  # the root is depth 1; the walk checks its bytes first
             raise TreeTooDeep(f"cell at depth 1 exceeds max_depth {max_depth}")

@@ -203,52 +203,42 @@ def simulate(
             raise ValueError("table mode requires a gain table")
         check_digest(table, geom=geom, masses=masses, weights=weights)
 
-    tau_cached = None
-    if mode is ControllerMode.ONLINE_LQR:
-        tau_cached = equilibrium_torque(geom, masses, x[:4])
+    # the torque held before the first update, which online mode linearizes at
+    u = (equilibrium_torque(geom, masses, x[:4]) if mode is ControllerMode.ONLINE_LQR
+         else np.zeros(4))
 
-    def control(state):
-        nonlocal tau_cached
+    def control(state, u):
         if mode is ControllerMode.PASSIVE:
-            return np.zeros(4)
-        if mode is ControllerMode.ONLINE_LQR:
-            op = OperatingPoint(state[:4], state[4:], tau_cached)
-            model = linearize(geom, masses, op)
-            gain = lqr_gain(model.A, model.B, weights)
-            u = tau_ff - gain @ (state - x_ref)
-            tau_cached = u
             return u
-        gain = lookup(table, state[:4])
+        if mode is ControllerMode.ONLINE_LQR:
+            model = linearize(geom, masses, OperatingPoint(state[:4], state[4:], u))
+            gain = lqr_gain(model.A, model.B, weights)
+        else:
+            gain = lookup(table, state[:4])
         return tau_ff - gain @ (state - x_ref)
 
     times, states, inputs, energy = [], [], [], []
     forms = _mass_forms(geom, masses)
 
-    def record(t, state, u):
-        times.append(t)
-        states.append(state.copy())
-        inputs.append(np.asarray(u, dtype=float).copy())
-        energy.append(_energy(forms, *state[1:].tolist()))
-
-    def partial() -> Trajectory:
-        return Trajectory(
-            np.array(times), np.array(states).reshape(len(times), 8),
-            np.array(inputs).reshape(len(times), 4), np.array(energy),
-        )
+    def trajectory() -> Trajectory:
+        return Trajectory(np.array(times), np.array(states).reshape(len(times), 8),
+                          np.array(inputs).reshape(len(times), 4), np.array(energy))
 
     try:
-        for p in range(config.n_updates):
-            u = control(x)
-            record(p * config.control_period, x, u)
-            x = np.array(_integrate(
-                geom, masses, x.tolist(), np.asarray(u, dtype=float).tolist(),
-                config.dt, config.steps_per_update,
-            ))
-        record(config.n_updates * config.control_period, x, control(x))
+        # x is a fresh array every period and u a float array, so both are kept as they are
+        for p in range(config.n_updates + 1):
+            u = control(x, u)
+            times.append(p * config.control_period)
+            states.append(x)
+            inputs.append(u)
+            energy.append(_energy(forms, *x[1:].tolist()))
+            if p < config.n_updates:
+                x = np.array(_integrate(geom, masses, x.tolist(), u.tolist(),
+                                        config.dt, config.steps_per_update))
     except ArmError as exc:
-        exc.partial = partial()
+        exc.partial = trajectory()
         raise
-    return partial()
+    return trajectory()
 
 
 @dataclass(frozen=True)

@@ -538,11 +538,16 @@ class TestSimulate:
         assert lines[-1] == "# aborted: injected residual failure"
 
     def test_table_mode_requires_table(self, capsys, write_config, tmp_path):
-        code, _, err = run_cli(
-            capsys, "--config", write_config(), "simulate", "--mode", "table",
-            "--out", str(tmp_path / "x.csv"),
-        )
-        assert code == 2
+        # simulate's own ValueError takes main's one path for a bad argument
+        out_csv = tmp_path / "x.csv"
+        with pytest.raises(SystemExit) as info:
+            main(["--config", write_config(), "simulate", "--mode", "table",
+                  "--out", str(out_csv)])
+        assert info.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage:")
+        assert err.rstrip().endswith("error: table mode requires a gain table")
+        assert not out_csv.exists()
 
     def test_missing_table_exit_7(self, capsys, write_config, tmp_path):
         out_csv = tmp_path / "run.csv"

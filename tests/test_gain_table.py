@@ -696,6 +696,25 @@ class TestSerialization:
             load(blob[: len(blob) - len(refined_mid.tree)] + tree)
         assert type(built.value) is type(loaded.value) is error
 
+    @pytest.mark.parametrize(
+        "fields, message",
+        [
+            ({"digest": b"short"}, "digest must be 32 bytes"),
+            ({"digest": bytes(33)}, "digest must be 32 bytes"),
+            ({"lo": BOX_HI, "hi": BOX_LO}, r"dimension 0: need min < max, .* got \[0.55, 0.05\]"),
+            ({"lo": BOX_LO[:2] + BOX_HI[2:3] + BOX_LO[3:],
+              "hi": BOX_HI[:2] + BOX_LO[2:3] + BOX_HI[3:]}, r"dimension 2: need min < max"),
+            ({"lo": BOX_LO, "hi": BOX_HI[:3] + (math.nan,)}, r"dimension 3: need min < max"),
+        ],
+        ids=["short-digest", "long-digest", "inverted-box", "inverted-theta3", "nan-bound"],
+    )
+    def test_table_save_cannot_round_trip_is_rejected(self, refined_mid, fields, message):
+        # save would write such a table, and load would reject its bytes or
+        # misread them, so the constructor rejects it as GainTable does
+        with pytest.raises(ValueError, match=message) as raised:
+            dataclasses.replace(refined_mid, **fields)
+        assert type(raised.value) is ValueError
+
     @staticmethod
     def _bad_leaf(t):
         """A leaf whose sixth corner index is the pool size."""

@@ -54,6 +54,17 @@ def refined_table(geom, masses, weights, theta_ref):
     return refine(geom, masses, weights, box, 0.4, 2)
 
 
+def _run(request, run, weights):
+    """simulate's mode and keyword arguments for a passive, online, flat- or
+    refined-table run."""
+    if run in ("flat", "refined"):
+        table = request.getfixturevalue(f"{run}_table")
+        return ControllerMode.TABLE_LQR, {"weights": weights, "table": table}
+    if run == "online":
+        return ControllerMode.ONLINE_LQR, {"weights": weights}
+    return ControllerMode.PASSIVE, {}
+
+
 class TestSimConfig:
     def test_validates(self):
         with pytest.raises(ValueError):
@@ -225,13 +236,7 @@ class TestBitIdentity:
     def test_simulate_matches_reference(
         self, request, monkeypatch, geom, masses, weights, ref_state, run
     ):
-        if run in ("flat", "refined"):
-            table = request.getfixturevalue(f"{run}_table")
-            mode, kwargs = ControllerMode.TABLE_LQR, {"weights": weights, "table": table}
-        elif run == "online":
-            mode, kwargs = ControllerMode.ONLINE_LQR, {"weights": weights}
-        else:
-            mode, kwargs = ControllerMode.PASSIVE, {}
+        mode, kwargs = _run(request, run, weights)
         x0 = ref_state + np.array([0.1, -0.1, 0.1, 0.1, 0.2, -0.3, 0.1, 0.4])
         cfg = SimConfig(duration=0.2)
         got = simulate(geom, masses, cfg, mode, x0, ref_state, **kwargs)
@@ -263,6 +268,48 @@ class TestDivergence:
             simulate(geom, masses, SimConfig(duration=0.1), ControllerMode.ONLINE_LQR,
                      x0, x_ref, weights=weights)
         assert info.value.partial.times.size == 0
+
+    @pytest.mark.parametrize("run, target", [
+        ("passive", "_integrate"),
+        ("online", "_integrate"), ("online", "lqr_gain"),
+        ("flat", "_integrate"), ("flat", "lookup"),
+        ("refined", "_integrate"), ("refined", "lookup"),
+    ])
+    @pytest.mark.parametrize("k", [0, 3, "last"])
+    def test_partial_is_a_byte_prefix_of_the_run(
+        self, request, monkeypatch, geom, masses, weights, ref_state, run, target, k
+    ):
+        """A failure injected on call k (from 0) of the integrator or the
+        gain source aborts the run with the samples before it: k + 1 when
+        period k's integration fails, k when update k's gain does.  They
+        are the first samples of the same run without the failure, byte for
+        byte."""
+        mode, kwargs = _run(request, run, weights)
+        x0 = ref_state + np.array([0.1, -0.1, 0.1, 0.1, 0.2, -0.3, 0.1, 0.4])
+        cfg = SimConfig(duration=0.2)
+        full = simulate(geom, masses, cfg, mode, x0, ref_state, **kwargs)
+        integrating = target == "_integrate"
+        # the n_updates integrations, or the n_updates + 1 control updates
+        if k == "last":
+            k = cfg.n_updates - 1 if integrating else cfg.n_updates
+        calls = []
+        real = getattr(sim, target)
+
+        def failing(*args):
+            calls.append(None)
+            if len(calls) > k:
+                raise Diverged(f"injected on call {k}")
+            return real(*args)
+
+        monkeypatch.setattr(sim, target, failing)
+        with pytest.raises(Diverged, match=f"injected on call {k}") as info:
+            simulate(geom, masses, cfg, mode, x0, ref_state, **kwargs)
+        partial = info.value.partial
+        n = k + 1 if integrating else k
+        assert partial.times.size == n
+        assert partial.states.shape == (n, 8) and partial.inputs.shape == (n, 4)
+        for field in ("times", "states", "inputs", "energy"):
+            assert getattr(partial, field).tobytes() == getattr(full, field)[:n].tobytes(), field
 
     def test_step_rk4_rejects_non_finite_state(self, geom, masses):
         x = np.array([0.3, 0.8, -0.9, 0.5, 0.0, np.nan, 0.0, 0.0])
