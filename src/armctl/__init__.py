@@ -10,7 +10,6 @@ from .errors import (
     DegenerateInertia,
     DigestMismatch,
     Diverged,
-    EmptyBenchmark,
     IllConditioned,
     NodeFailure,
     NotStabilizable,

@@ -127,9 +127,5 @@ class TreeTooDeep(TableFormatError):
     """A refined table's tree nests deeper than its stored max_depth."""
 
 
-class EmptyBenchmark(ArmError):
-    """A latency benchmark was requested with zero iterations."""
-
-
 class ConfigError(ArmError):
     """A configuration file failed its shape or value checks."""

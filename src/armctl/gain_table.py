@@ -49,7 +49,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import MassModel, _kernel, _mass_forms
+from .dynamics import MassModel, equilibrium_torque
 from .errors import (
     ArmError,
     BadGrid,
@@ -75,7 +75,7 @@ GAIN_SHAPE = (4, 8)
 _GAIN_BYTES = 4 * 8 * 8
 _REFINED_COUNT = 0  # per-dimension count sentinel marking a tree payload
 _MIN_CELL_BYTES = 1 + 8 * 4  # the smallest serialized cell: a leaf
-_MAX_COUNT = 2**32 - 1  # a table file stores each per-dimension count as a u32
+_MAX_COUNT = 2**32 - 1  # a table file stores each count and max_depth as a u32
 # planar nodes per Riccati stack: a precompute work item, or one solve of
 # a refine level; larger stacks gain little and hold more memory
 _CHUNK = 64
@@ -131,6 +131,14 @@ def _check_span(k: int, lo: float, hi: float, error=ValueError):
                     f"got [{lo}, {hi}]")
 
 
+def _u32(value, name: str, least: int) -> int:
+    """value as a count (`errors.count`) that a table file can store."""
+    v = count(value, name, least)
+    if v > _MAX_COUNT:
+        raise ValueError(f"{name} must be at most {_MAX_COUNT}, got {v}")
+    return v
+
+
 @dataclass(frozen=True)
 class GridSpec:
     """Per-dimension (min, max, count) over the four joint angles; rates are
@@ -144,11 +152,9 @@ class GridSpec:
         lo = tuple(components(self.lo, NDIM, "lo"))
         hi = tuple(components(self.hi, NDIM, "hi"))
         counts = components(self.counts, NDIM, "counts")
-        counts = tuple(count(c, f"counts[{k}]", 2) for k, c in enumerate(counts))
+        counts = tuple(_u32(c, f"counts[{k}]", 2) for k, c in enumerate(counts))
         for k in range(NDIM):
             _check_span(k, lo[k], hi[k])
-            if counts[k] > _MAX_COUNT:
-                raise ValueError(f"counts[{k}] must be at most {_MAX_COUNT}, got {counts[k]}")
         object.__setattr__(self, "lo", lo)
         object.__setattr__(self, "hi", hi)
         object.__setattr__(self, "counts", counts)
@@ -276,13 +282,10 @@ class GainTable:
 
 def _solve_nodes(geom, masses, weights, thetas, indices) -> np.ndarray:
     """The gains (k, 4, 8) of the equilibrium nodes thetas (k, 4), linearized
-    as one stack at zero rates and the torque (0, dPE/dtheta2..4) read from
-    the kernel (equilibrium_torque's bytes), then solved as one Riccati
-    stack.  The first node i that fails raises NodeFailure(indices[i],
+    as one stack at zero rates and equilibrium_torque, then solved as one
+    Riccati stack.  The first node i that fails raises NodeFailure(indices[i],
     cause) for an ArmError, or the ValueError itself."""
-    forms = _mass_forms(geom, masses)
-    torque = np.zeros((len(thetas), 4))
-    torque[:, 1:] = [_kernel(forms, t2, t3, t4)[5:8] for _, t2, t3, t4 in thetas.tolist()]
+    torque = np.array([equilibrium_torque(geom, masses, theta) for theta in thetas])
     A, B, failure = linearize_stack(geom, masses, thetas, np.zeros((len(thetas), 4)), torque)
     _, gains, stack_failure = solve_stack(A, B, weights)
     failure = stack_failure or failure  # a failing stack holds only earlier nodes
@@ -383,6 +386,9 @@ class RefinedTable:
             raise ValueError("digest must be 32 bytes")
         for k in range(NDIM):
             _check_span(k, self.lo[k], self.hi[k])
+        object.__setattr__(self, "max_depth", _u32(self.max_depth, "max_depth", 0))
+        if self.pool.shape[1:] != GAIN_SHAPE:
+            raise ValueError(f"pool must have shape (n, 4, 8), got {self.pool.shape}")
         tree, n_pool, max_depth = self.tree, len(self.pool), self.max_depth
         if max_depth < 1:  # the root is depth 1; the walk checks its bytes first
             raise TreeTooDeep(f"cell at depth 1 exceeds max_depth {max_depth}")
@@ -489,7 +495,8 @@ def refine(
     centers a depth needs that no earlier depth solved are solved in stacks
     of at most _CHUNK (64), then that depth's cells are split or kept.  A
     NodeFailure names the first failing point of the first failing stack.
-    The tree is laid out in pre-order, and the pool holds each distinct
+    Leaves are kept by (depth, planar box), which fixes a cell's split, and
+    laid out in pre-order from the root box; the pool holds each distinct
     corner gain once, in order of first use, so the build is deterministic.
     """
     box = components(root_box, 2 * NDIM, "root_box")
@@ -499,38 +506,30 @@ def refine(
     (tol,) = components(tol, 1, "tol")
     if not tol > 0.0:
         raise ValueError(f"tol must be > 0, got {tol!r}")
-    max_depth = count(max_depth, "max_depth", 1)
+    max_depth = _u32(max_depth, "max_depth", 1)
 
     cache: dict[tuple, np.ndarray] = {}  # planar point -> its gain
-
-    def solve(points):
-        new = [p for p in dict.fromkeys(points) if p not in cache]
-        for s in range(0, len(new), _CHUNK):
-            batch = new[s:s + _CHUNK]
-            coords = [(lo[0],) + p for p in batch]
-            cache.update(zip(batch, _solve_nodes(geom, masses, weights, np.array(coords), coords)))
-
-    # per depth: each cell's corner points, and the index of its first child
-    # in the next depth's cells (None for a leaf) and whether it is flagged
-    levels = []
+    leaves: dict[tuple, bool] = {}  # (depth, planar box) of each leaf -> flagged
     boxes = [(lo[1:], hi[1:])]
     for depth in range(1, max_depth + 1):
         corners = [_corner_coords(clo, chi) for clo, chi in boxes]
         centers = [] if math.isinf(tol) else [
             tuple(0.5 * (l + h) for l, h in zip(clo, chi)) for clo, chi in boxes]
-        solve(itertools.chain(*corners, centers))
+        new = [p for p in dict.fromkeys(itertools.chain(*corners, centers)) if p not in cache]
+        for s in range(0, len(new), _CHUNK):
+            batch = new[s:s + _CHUNK]
+            coords = [(lo[0],) + p for p in batch]
+            cache.update(zip(batch, _solve_nodes(geom, masses, weights, np.array(coords), coords)))
         errors = np.linalg.norm([
             _blend(np.array([cache[p] for p in points]).reshape(8, 32), (0.5, 0.5, 0.5))
             - cache[center] for points, center in zip(corners, centers)
         ], 2, axis=(1, 2)).tolist() if centers else [0.0] * len(boxes)
-        firsts, flagged, children = [], [], []
+        children = []
         for box, err in zip(boxes, errors):
-            split = not err <= tol and depth < max_depth
-            firsts.append(len(children) if split else None)
-            flagged.append(not err <= tol)
-            if split:
+            if not err <= tol and depth < max_depth:
                 children.extend(_split(*box))
-        levels.append((corners, firsts, flagged))
+            else:
+                leaves[depth, box] = not err <= tol
         boxes = children
         if not boxes:
             break
@@ -538,16 +537,16 @@ def refine(
     # lay the cells out in pre-order, numbering pool entries as they are reached
     tree = bytearray()
     pool: dict[tuple, int] = {}  # planar corner -> pool index, in order of first use
-    pending = [(0, 0)]  # (depth index, position at that depth), next one last
+    pending = [(1, (lo[1:], hi[1:]))]  # (depth, planar box), next one last
     while pending:
-        d, j = pending.pop()
-        corners, firsts, flagged = levels[d]
-        if firsts[j] is None:
-            tree.append(_TAG_LEAF_FLAGGED if flagged[j] else _TAG_LEAF)
-            tree += struct.pack("<8I", *(pool.setdefault(p, len(pool)) for p in corners[j]))
+        depth, box = pending.pop()
+        if (depth, box) in leaves:
+            tree.append(_TAG_LEAF_FLAGGED if leaves[depth, box] else _TAG_LEAF)
+            tree += struct.pack("<8I", *(pool.setdefault(p, len(pool))
+                                         for p in _corner_coords(*box)))
         else:
             tree.append(_TAG_INTERNAL)
-            pending.extend((d + 1, firsts[j] + octant) for octant in range(7, -1, -1))
+            pending.extend((depth + 1, child) for child in reversed(_split(*box)))
     gains = np.array([cache[p] for p in pool])
     gains.flags.writeable = False
     return RefinedTable(lo, hi, table_digest(geom, masses, weights), tol, max_depth,

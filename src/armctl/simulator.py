@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dynamics import MassModel, _energy, _kernel, _mass_forms, _solve, equilibrium_torque
-from .errors import ArmError, Diverged, EmptyBenchmark, components, count, scalar, vector
+from .errors import ArmError, Diverged, components, count, scalar, vector
 from .gain_table import GainTable, RefinedTable, _blend, check_digest, lookup
 from .kinematics import ArmGeometry
 from .linearization import OperatingPoint, linearize
@@ -189,6 +189,8 @@ def simulate(
     with the samples so far attached as `.partial`.  x0 and x_ref are
     8-vectors [theta, rates], read by `errors.vector`.
     """
+    if not isinstance(mode, ControllerMode):
+        raise ValueError(f"mode must be a ControllerMode, got {mode!r}")
     x = np.array(vector(x0, 8, "x0"))
     if x_ref is not None:
         x_ref = np.array(vector(x_ref, 8, "x_ref"))
@@ -279,10 +281,7 @@ def bench_controller(
     online step, and, in a second pass over the same state, the table's
     cell location and the corner blend with the gain product.
     Everything runs on the calling thread so the timings are stable.
-    Raises EmptyBenchmark when n_iters <= 0.
     """
-    if scalar(n_iters, "n_iters") <= 0:
-        raise EmptyBenchmark(f"n_iters must be positive, got {n_iters}")
     n_iters = count(n_iters, "n_iters", 1)
     check_digest(table, geom=geom, masses=masses, weights=weights)
 

@@ -17,7 +17,11 @@ flat grid, theta1 included, that the planar lookup must match to rounding,
 and `reference_lookup`, the lookup kernel as the library had it before it
 read array-backed corner indices (every angle wrapped, each flat axis
 bisected by one call, corners as lists of ints read leaf by leaf from the
-tree bytes), whose bytes and errors the library's lookup must reproduce.
+tree bytes), whose bytes and errors the library's lookup must reproduce, and
+`reference_refine`, the refined build as the library had it before it kept
+its cells by (depth, box): per-depth lists of corners, first children and
+flags, laid out by (depth, position) cursors, each node's torque read from
+the dynamics kernel.  The library's refine must save the same bytes.
 The CARE reference is the Schur solve written with scipy.linalg's
 high-level schur, cho_factor/cho_solve and np.block, whose P and K the
 library's direct LAPACK calls must reproduce byte for byte.
@@ -39,17 +43,20 @@ from armctl import (
     LinearModel,
     NotStabilizable,
     OutOfBounds,
+    RefinedTable,
     fk_planar,
     kinetic_energy,
     point_inertia,
     potential_energy,
     segment_inertia,
+    table_digest,
 )
 from armctl.dynamics import EPS_INERTIA, _cosine_terms, _kernel, _mass_forms, _solve
 from armctl.errors import components
-from armctl.gain_table import _blend, _fraction
+from armctl.gain_table import _blend, _corner_coords, _fraction, _split
 from armctl.kinematics import planar_chain, wrap_angle
-from armctl.riccati import RESIDUAL_RTOL
+from armctl.linearization import linearize_stack
+from armctl.riccati import RESIDUAL_RTOL, solve_stack
 
 
 def loop_kernel(forms, t2: float, t3: float, t4: float):
@@ -349,6 +356,73 @@ def reference_lookup(table, theta) -> np.ndarray:
         corners = _leaf_indices(table.tree)[table._leaf[cell]]
         rows = table.pool.reshape(-1, 32)
     return _blend(rows.take(corners, axis=0), fractions)
+
+
+def _kernel_torque_gains(geom, masses, weights, thetas):
+    """The gains of the equilibrium nodes thetas (k, 4), each torque
+    (0, dPE/dtheta2..4) read from the kernel; every node must solve."""
+    forms = _mass_forms(geom, masses)
+    torque = np.zeros((len(thetas), 4))
+    torque[:, 1:] = [_kernel(forms, t2, t3, t4)[5:8] for _, t2, t3, t4 in thetas.tolist()]
+    A, B, failure = linearize_stack(geom, masses, thetas, np.zeros((len(thetas), 4)), torque)
+    _, gains, stack_failure = solve_stack(A, B, weights)
+    assert not (failure or stack_failure), failure or stack_failure
+    return gains
+
+
+def reference_refine(geom, masses, weights, root_box, tol, max_depth) -> RefinedTable:
+    """refine() on valid arguments, level by level: each depth keeps its
+    cells' corner points, the index of each cell's first child among the
+    next depth's cells (None for a leaf) and its flag; the pre-order layout
+    then follows (depth, position) cursors through those lists."""
+    box = components(root_box, 8, "root_box")
+    lo, hi = tuple(box[:4]), tuple(box[4:])
+    cache = {}  # planar point -> its gain
+
+    def solve(points):
+        new = [p for p in dict.fromkeys(points) if p not in cache]
+        for s in range(0, len(new), 64):
+            batch = new[s:s + 64]
+            coords = np.array([(lo[0],) + p for p in batch])
+            cache.update(zip(batch, _kernel_torque_gains(geom, masses, weights, coords)))
+
+    levels = []
+    boxes = [(lo[1:], hi[1:])]
+    for depth in range(1, max_depth + 1):
+        corners = [_corner_coords(clo, chi) for clo, chi in boxes]
+        centers = [] if np.isinf(tol) else [
+            tuple(0.5 * (l + h) for l, h in zip(clo, chi)) for clo, chi in boxes]
+        solve(itertools.chain(*corners, centers))
+        errors = np.linalg.norm([
+            _blend(np.array([cache[p] for p in points]).reshape(8, 32), (0.5, 0.5, 0.5))
+            - cache[center] for points, center in zip(corners, centers)
+        ], 2, axis=(1, 2)).tolist() if centers else [0.0] * len(boxes)
+        firsts, flagged, children = [], [], []
+        for cell, err in zip(boxes, errors):
+            split = not err <= tol and depth < max_depth
+            firsts.append(len(children) if split else None)
+            flagged.append(not err <= tol)
+            if split:
+                children.extend(_split(*cell))
+        levels.append((corners, firsts, flagged))
+        boxes = children
+        if not boxes:
+            break
+
+    tree = bytearray()
+    pool = {}  # planar corner -> pool index, in order of first use
+    pending = [(0, 0)]  # (depth index, position at that depth), next one last
+    while pending:
+        d, j = pending.pop()
+        corners, firsts, flagged = levels[d]
+        if firsts[j] is None:
+            tree.append(2 if flagged[j] else 1)
+            tree += struct.pack("<8I", *(pool.setdefault(p, len(pool)) for p in corners[j]))
+        else:
+            tree.append(0)
+            pending.extend((d + 1, firsts[j] + octant) for octant in range(7, -1, -1))
+    return RefinedTable(lo, hi, table_digest(geom, masses, weights), tol, max_depth,
+                        np.array([cache[p] for p in pool]), bytes(tree))
 
 
 def _reference_check_system(A, B, weights):

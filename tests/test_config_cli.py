@@ -354,6 +354,19 @@ class TestPrecompute:
         assert "counts[0] must be at most 4294967295" in err
         assert "Traceback" not in err and not out_path.exists()
 
+    def test_max_depth_beyond_u32_exit_2_no_file(self, capsys, write_config, tmp_path):
+        # refine's own ValueError, before any node is solved
+        out_path = tmp_path / "refined.agt"
+        with pytest.raises(SystemExit) as info:
+            main(["--config", write_config(), "precompute", "--out", str(out_path),
+                  "--refine", "inf", "--max-depth", str(2**32)])
+        assert info.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage:")
+        assert err.rstrip().endswith(
+            "error: max_depth must be at most 4294967295, got 4294967296")
+        assert not out_path.exists()
+
     def test_unwritable_out_exit_7(self, capsys, write_config, tmp_path):
         code, _, err = run_cli(
             capsys, "--config", write_config(), "precompute",

@@ -4,6 +4,7 @@ import math
 import os
 import stat
 import struct
+import time
 import tracemalloc
 
 import numpy as np
@@ -40,7 +41,7 @@ from armctl import (
     save_file,
     table_digest,
 )
-from oracles import reference_lookup, reference_multilinear
+from oracles import reference_lookup, reference_multilinear, reference_refine
 
 BOX_LO = (0.05, 0.55, -1.15, 0.25)
 BOX_HI = (0.55, 1.05, -0.65, 0.75)
@@ -64,6 +65,15 @@ def refined_mid(geom, masses, weights, theta_ref):
     """Mid-workspace refined table at the standard tolerance."""
     box = (tuple(theta_ref - 0.05), tuple(theta_ref + 0.05))
     return refine(geom, masses, weights, box, MID_TOL, 4)
+
+
+def few_ulp_box(n):
+    """The box BOX_LO..BOX_HI with theta2 spanning n ulp just above 0.8."""
+    lo, hi = list(BOX_LO), list(BOX_HI)
+    lo[1] = hi[1] = float(np.nextafter(0.8, 1.0))
+    for _ in range(n):
+        hi[1] = float(np.nextafter(hi[1], 1.0))
+    return lo, hi
 
 
 def direct_gain(geom, masses, weights, theta):
@@ -454,6 +464,48 @@ class TestRefine:
         assert leaves[0].lo == BOX_LO and leaves[0].hi == BOX_HI
         assert t.flagged_leaves() == leaves
 
+    # name: (root box, tol, max_depth, what the tree must show); a box of
+    # None is theta_ref +/- 0.25
+    REFERENCE_CASES = {
+        "tol-0.4": (None, 0.4, 3, "splits"),
+        "tol-0.1": (None, 0.1, 4, "splits"),
+        "zero-width-leaf": (few_ulp_box(1), 1e-12, 2, "zero-width"),
+        "coinciding-siblings": (few_ulp_box(2), 1e-12, 3, "coinciding"),
+        "tol-inf": ((BOX_LO, BOX_HI), math.inf, 3, "one-leaf"),
+        "flagged": ((BOX_LO, BOX_HI), 1e-6, 2, "flagged"),
+    }
+
+    @pytest.mark.parametrize("case", list(REFERENCE_CASES))
+    def test_same_bytes_as_reference_refine(self, geom, masses, weights, theta_ref, case):
+        box, tol, depth, shows = self.REFERENCE_CASES[case]
+        box = box or (tuple(theta_ref - 0.25), tuple(theta_ref + 0.25))
+        t = refine(geom, masses, weights, box, tol, depth)
+        assert save(t) == save(reference_refine(geom, masses, weights, box, tol, depth))
+        leaves = t.leaves()
+        keys = [(leaf.depth, leaf.lo, leaf.hi) for leaf in leaves]
+        assert {
+            "splits": len(leaves) > 1,
+            "zero-width": any(leaf.lo[1] == leaf.hi[1] for leaf in leaves),
+            # sibling cells with one (depth, box) key share one decision
+            "coinciding": len(set(keys)) < len(keys),
+            "one-leaf": len(leaves) == 1,
+            "flagged": any(leaf.flagged for leaf in leaves),
+        }[shows]
+
+    def test_depth_never_reached_costs_nothing(self, geom, masses, weights):
+        # the level loop stops at the first depth that has no cell to split
+        start = time.perf_counter()
+        t = refine(geom, masses, weights, (BOX_LO, BOX_HI), math.inf, 2**31)
+        assert time.perf_counter() - start < 1.0
+        assert len(t.leaves()) == 1 and t.max_depth == 2**31
+
+    def test_max_depth_fits_a_table_file(self, geom, masses, weights):
+        t = refine(geom, masses, weights, (BOX_LO, BOX_HI), math.inf, 2**32 - 1)
+        assert load(save(t)).max_depth == 2**32 - 1
+        with pytest.raises(ValueError, match="^max_depth must be at most 4294967295, "
+                                             "got 4294967296$"):
+            refine(geom, masses, weights, (BOX_LO, BOX_HI), math.inf, 2**32)
+
     def test_rejects_bad_arguments(self, geom, masses, weights):
         with pytest.raises(ValueError):
             refine(geom, masses, weights, (BOX_LO, BOX_HI), 0.0, 2)
@@ -666,9 +718,10 @@ class TestSerialization:
         depth_at = self.REFINED_HEADER + 8
         assert struct.unpack_from("<I", blob, depth_at) == (2,)
         assert save(load(bytes(blob))) == bytes(blob)
-        struct.pack_into("<I", blob, depth_at, 1)
-        with pytest.raises(TreeTooDeep):
-            load(bytes(blob))
+        for max_depth in (1, 0):
+            struct.pack_into("<I", blob, depth_at, max_depth)
+            with pytest.raises(TreeTooDeep, match=f"exceeds max_depth {max_depth}$"):
+                load(bytes(blob))
 
     LEAF = bytes([1]) + bytes(32)  # a leaf whose corners are all pool entry 0
 
@@ -705,15 +758,28 @@ class TestSerialization:
             ({"lo": BOX_LO[:2] + BOX_HI[2:3] + BOX_LO[3:],
               "hi": BOX_HI[:2] + BOX_LO[2:3] + BOX_HI[3:]}, r"dimension 2: need min < max"),
             ({"lo": BOX_LO, "hi": BOX_HI[:3] + (math.nan,)}, r"dimension 3: need min < max"),
+            ({"max_depth": 2**32}, "^max_depth must be at most 4294967295, got 4294967296$"),
+            ({"max_depth": 2.5}, "^max_depth must be a whole number >= 0, got 2.5$"),
+            ({"pool": lambda t: t.pool[:, :, :7]},
+             r"^pool must have shape \(n, 4, 8\), got \(125, 4, 7\)$"),
+            ({"pool": lambda t: t.pool.reshape(-1, 32)},
+             r"^pool must have shape \(n, 4, 8\), got \(125, 32\)$"),
         ],
-        ids=["short-digest", "long-digest", "inverted-box", "inverted-theta3", "nan-bound"],
+        ids=["short-digest", "long-digest", "inverted-box", "inverted-theta3", "nan-bound",
+             "max-depth-beyond-u32", "fractional-max-depth", "pool-of-4x7", "flat-pool"],
     )
     def test_table_save_cannot_round_trip_is_rejected(self, refined_mid, fields, message):
         # save would write such a table, and load would reject its bytes or
         # misread them, so the constructor rejects it as GainTable does
+        fields = {k: v(refined_mid) if callable(v) else v for k, v in fields.items()}
         with pytest.raises(ValueError, match=message) as raised:
             dataclasses.replace(refined_mid, **fields)
         assert type(raised.value) is ValueError
+
+    def test_whole_float_max_depth_is_stored_as_int(self, refined_mid):
+        t = dataclasses.replace(refined_mid, max_depth=4.0)
+        assert t.max_depth == 4 and type(t.max_depth) is int
+        assert save(t) == save(refined_mid)
 
     @staticmethod
     def _bad_leaf(t):

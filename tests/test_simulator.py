@@ -15,7 +15,6 @@ from armctl import (
     CostWeights,
     DigestMismatch,
     Diverged,
-    EmptyBenchmark,
     GridSpec,
     MassModel,
     OutOfBounds,
@@ -410,6 +409,13 @@ class TestClosedLoop:
             simulate(geom, masses, SimConfig(duration=0.1), ControllerMode.ONLINE_LQR,
                      PASSIVE_X0, weights=weights)
 
+    @pytest.mark.parametrize("mode", ["online", None, 3])
+    def test_mode_must_be_a_controller_mode(self, geom, masses, weights, flat_table, mode):
+        # not parsed from its value, nor taken as table mode
+        with pytest.raises(ValueError, match=f"^mode must be a ControllerMode, got {mode!r}$"):
+            simulate(geom, masses, SimConfig(duration=0.1), mode, PASSIVE_X0, PASSIVE_X0,
+                     weights=weights, table=flat_table)
+
     def test_digest_mismatch_rejected(self, geom, masses, weights, ref_state, flat_table):
         other = MassModel(m2=0.9, m3=0.4, m4=0.3, M1=0.4, M2=0.3, M3=0.2)
         with pytest.raises(DigestMismatch):
@@ -450,7 +456,7 @@ class TestCSV:
 
 class TestBench:
     def test_rejects_empty(self, geom, masses, weights, flat_table):
-        with pytest.raises(EmptyBenchmark):
+        with pytest.raises(ValueError, match="^n_iters"):
             bench_controller(geom, masses, flat_table, 0, weights=weights)
 
     def test_lookup_beats_online(self, geom, masses, weights, flat_table):

@@ -16,8 +16,7 @@ The ratio is taken within rounds because a shared host's speed can drift
 between rounds by more than a layer change: in one self-A/B on a 2-vCPU
 host the samples varied by ~20%, and the ratio of the two sides' medians
 read 0.88-1.12 while the within-round ratio read 0.99-1.03.  The cases
-use only public API, so any parent revision imports; the one exception is
-linearize_stack64's build-side torque read, on a side that has the stack.
+use only public API, so any parent revision imports.
 
 Cases, on the test arm of tests/conftest.py:
   rk4_period        a 0.2 s passive simulate (ten control periods of 20 RK4
@@ -38,8 +37,8 @@ Cases, on the test arm of tests/conftest.py:
                     times it (so a call is two updates);
   linearize_stack64 the linear models of 64 equilibrium nodes, as a build
                     makes them: on a side with linearization.linearize_stack,
-                    the torques read from the kernel then one stacked call,
-                    else 64 linearize(equilibrium_point(...)) calls;
+                    64 equilibrium_torque calls then one stacked call, else
+                    64 linearize(equilibrium_point(...)) calls;
   stack64           the gains of 64 equilibrium nodes from their linear models:
                     one riccati.solve_stack call on a side that has it, else 64
                     lqr_gain calls;
@@ -124,11 +123,8 @@ def cases(pkg) -> dict:
                     for t in thetas]
     else:
         def linearize_stack64():
-            # as gain_table._solve_nodes: zero rates, torque (0, dPE/dtheta2..4)
-            forms = pkg.dynamics._mass_forms(geom, masses)
-            torque = np.zeros((64, 4))
-            torque[:, 1:] = [pkg.dynamics._kernel(forms, t2, t3, t4)[5:8]
-                             for _, t2, t3, t4 in thetas.tolist()]
+            # as gain_table._solve_nodes: zero rates, each node's equilibrium torque
+            torque = np.array([pkg.equilibrium_torque(geom, masses, t) for t in thetas])
             return linearize_stack(geom, masses, thetas, np.zeros((64, 4)), torque)
     solve_stack = getattr(pkg.riccati, "solve_stack", None)
     if solve_stack is None:
