@@ -248,6 +248,12 @@ def test_bad_number_names_the_argument(numbers, name):
             call(bad)
 
 
+@pytest.mark.parametrize("n_iters", [0, -1, 0.0])
+def test_no_iterations_is_empty_benchmark(numbers, n_iters):
+    with pytest.raises(ValueError, match=r"^n_iters must be a whole number >= 1"):
+        numbers["n_iters"][0](n_iters)
+
+
 def test_count_may_be_written_as_float(numbers, theta_ref):
     box = (tuple(theta_ref - 0.1), tuple(theta_ref + 0.1))
     counts = GridSpec(*box, (2, 2.0, 3.0, 2)).counts
