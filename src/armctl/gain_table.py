@@ -216,6 +216,12 @@ def lookup(table, theta) -> np.ndarray:
     component, raises ValueError("theta must have 4 components, got N").
     At a stored node the result is the stored matrix, bit for bit.
     """
+    return _blend(*_cell(table, theta))
+
+
+def _cell(table, theta):
+    """lookup before the blend: theta read, wrapped, bounds-checked and
+    located; returns its cell's corner rows (8, 32) and fractions for _blend."""
     th = components(theta, NDIM, "theta")
     lo, hi = table.lo, table.hi
     for k, v in enumerate(th):
@@ -225,7 +231,7 @@ def lookup(table, theta) -> np.ndarray:
         if not lo[k] <= v <= hi[k]:
             raise OutOfBounds(f"angle {v!r} outside table dimension {k} [{lo[k]}, {hi[k]}]")
     corners, fractions = table._locate(th[1], th[2], th[3])
-    return _blend(table._rows.take(corners, axis=0), fractions)
+    return table._rows.take(corners, axis=0), fractions
 
 
 # ---------------------------------------------------------------------------
@@ -384,8 +390,10 @@ class RefinedTable:
         # what save writes, load must read back: load checks these before the tree
         if len(self.digest) != 32:
             raise ValueError("digest must be 32 bytes")
+        lo = tuple(components(self.lo, NDIM, "lo"))
+        hi = tuple(components(self.hi, NDIM, "hi"))
         for k in range(NDIM):
-            _check_span(k, self.lo[k], self.hi[k])
+            _check_span(k, lo[k], hi[k])
         object.__setattr__(self, "max_depth", _u32(self.max_depth, "max_depth", 0))
         if self.pool.shape[1:] != GAIN_SHAPE:
             raise ValueError(f"pool must have shape (n, 4, 8), got {self.pool.shape}")
@@ -393,7 +401,7 @@ class RefinedTable:
         if max_depth < 1:  # the root is depth 1; the walk checks its bytes first
             raise TreeTooDeep(f"cell at depth 1 exceeds max_depth {max_depth}")
         # per cell: first child, planar box, leaf number; per leaf: (cell, depth), flag, offset
-        child, boxes, leaf = [0], [(self.lo[1:], self.hi[1:])], [-1]
+        child, boxes, leaf = [0], [(lo[1:], hi[1:])], [-1]
         cells, flagged, offsets = [], [], []
         pos, pending = 0, [(0, 1)]  # cells still to read, next one last: (cell, depth)
         try:
@@ -434,9 +442,10 @@ class RefinedTable:
                 raise TableFormatError(f"corner index {corners[bad[0]].max()} at tree offset "
                                        f"{offsets[bad[0]]} outside a pool of {n_pool}")
         corners.flags.writeable = False
-        for name, value in (("child", tuple(child)), ("flagged", tuple(flagged)),
-                            ("corners", corners), ("_rows", self.pool.reshape(-1, 32)),
-                            ("_boxes", boxes), ("_leaf", leaf), ("_cells", cells)):
+        for name, value in (("lo", lo), ("hi", hi), ("child", tuple(child)),
+                            ("flagged", tuple(flagged)), ("corners", corners),
+                            ("_rows", self.pool.reshape(-1, 32)), ("_boxes", boxes),
+                            ("_leaf", leaf), ("_cells", cells)):
             object.__setattr__(self, name, value)
 
     def _locate(self, t2, t3, t4):

@@ -27,7 +27,7 @@ import numpy as np
 
 from .dynamics import MassModel, _energy, _kernel, _mass_forms, _solve, equilibrium_torque
 from .errors import ArmError, Diverged, components, count, scalar, vector
-from .gain_table import GainTable, RefinedTable, _blend, check_digest, lookup
+from .gain_table import GainTable, RefinedTable, _blend, _cell, check_digest, lookup
 from .kinematics import ArmGeometry
 from .linearization import OperatingPoint, linearize
 from .riccati import CostWeights, lqr_gain
@@ -246,9 +246,9 @@ def simulate(
 @dataclass(frozen=True)
 class LatencyReport:
     """Wall-clock cost of one control step, online versus table lookup, and
-    the medians of the layers inside each: linearize and the CARE solve
-    (lqr_gain) of the online step; cell location and the corner blend
-    with the gain product of the lookup."""
+    the medians of its layers: online, linearize and lqr_gain; lookup, in one
+    pass, locate (argument read, wrap, bounds, cell location, corner gather)
+    then blend (corner blend, gain product), which sum to it per iteration."""
 
     online_median_us: float
     online_p95_us: float
@@ -277,9 +277,9 @@ def bench_controller(
     The rates are non-zero, as in a closed-loop update, so linearize fills
     the rate columns too (see linearization).
 
-    Each layer is also timed on its own: linearize and lqr_gain inside the
-    online step, and, in a second pass over the same state, the table's
-    cell location and the corner blend with the gain product.
+    Each layer is also timed on its own (see LatencyReport): linearize and
+    lqr_gain inside the online step, and the lookup's two halves, locate
+    (`gain_table._cell`) and blend, timed in one pass so they sum to it.
     Everything runs on the calling thread so the timings are stable.
     """
     n_iters = count(n_iters, "n_iters", 1)
@@ -308,17 +308,11 @@ def bench_controller(
         ns[0, i], ns[2, i], ns[3, i] = end - start, linearized - start, solved - linearized
 
         start = clock()
-        gain = lookup(table, theta)
-        _ = gain @ dx
-        ns[1, i] = clock() - start
-
-        _, t2, t3, t4 = theta.tolist()
-        start = clock()
-        corners, fractions = table._locate(t2, t3, t4)
+        cell = _cell(table, theta)
         located = clock()
-        _ = _blend(table._rows.take(corners, axis=0), fractions) @ dx
+        _ = _blend(*cell) @ dx
         end = clock()
-        ns[4, i], ns[5, i] = located - start, end - located
+        ns[1, i], ns[4, i], ns[5, i] = end - start, located - start, end - located
 
     online, lookup_us, linearize_us, care_us, locate_us, blend_us = (
         np.median(ns / 1e3, axis=1).tolist())

@@ -764,9 +764,12 @@ class TestSerialization:
              r"^pool must have shape \(n, 4, 8\), got \(125, 4, 7\)$"),
             ({"pool": lambda t: t.pool.reshape(-1, 32)},
              r"^pool must have shape \(n, 4, 8\), got \(125, 32\)$"),
+            ({"lo": lambda t: t.lo[:3]}, "^lo must have 4 components, got 3$"),
+            ({"lo": lambda t: t.lo + (t.lo[0],)}, "^lo must have 4 components, got 5$"),
         ],
         ids=["short-digest", "long-digest", "inverted-box", "inverted-theta3", "nan-bound",
-             "max-depth-beyond-u32", "fractional-max-depth", "pool-of-4x7", "flat-pool"],
+             "max-depth-beyond-u32", "fractional-max-depth", "pool-of-4x7", "flat-pool",
+             "3-component-box", "5-component-box"],
     )
     def test_table_save_cannot_round_trip_is_rejected(self, refined_mid, fields, message):
         # save would write such a table, and load would reject its bytes or
@@ -779,6 +782,15 @@ class TestSerialization:
     def test_whole_float_max_depth_is_stored_as_int(self, refined_mid):
         t = dataclasses.replace(refined_mid, max_depth=4.0)
         assert t.max_depth == 4 and type(t.max_depth) is int
+        assert save(t) == save(refined_mid)
+
+    @pytest.mark.parametrize("as_box", [np.array, list], ids=["ndarray", "list"])
+    def test_array_like_box_is_stored_as_tuples(self, refined_mid, as_box):
+        # the box is read as GridSpec reads it, so any array-like of 4
+        # values gives the table that the tuple box gives
+        t = dataclasses.replace(refined_mid, lo=as_box(refined_mid.lo), hi=as_box(refined_mid.hi))
+        assert type(t.lo) is type(t.hi) is tuple
+        assert t.leaves() == refined_mid.leaves()
         assert save(t) == save(refined_mid)
 
     @staticmethod

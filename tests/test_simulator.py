@@ -466,13 +466,33 @@ class TestBench:
         assert math.isfinite(report.speedup)
         assert report.n_iters == 50
 
-    def test_layer_medians(self, geom, masses, weights, flat_table):
-        report = bench_controller(geom, masses, flat_table, 30, weights=weights)
-        layers = (report.linearize_median_us, report.care_median_us,
-                  report.locate_median_us, report.blend_median_us)
-        assert all(math.isfinite(v) and v > 0.0 for v in layers)
-        assert report.linearize_median_us < report.online_median_us
-        assert report.care_median_us < report.online_median_us
+    def test_layer_medians(self, geom, masses, weights, flat_table, refined_table):
+        for table in (flat_table, refined_table):
+            report = bench_controller(geom, masses, table, 30, weights=weights)
+            layers = (report.linearize_median_us, report.care_median_us,
+                      report.locate_median_us, report.blend_median_us)
+            assert all(math.isfinite(v) and v > 0.0 for v in layers)
+            assert report.linearize_median_us < report.online_median_us
+            assert report.care_median_us < report.online_median_us
+            # locate and blend are the two halves of each timed lookup, so
+            # neither can exceed it on any iteration, nor in the median
+            assert report.locate_median_us <= report.lookup_median_us
+            assert report.blend_median_us <= report.lookup_median_us
+
+    @pytest.mark.parametrize("kind", ["flat", "refined"])
+    def test_one_lookup_pass(self, request, geom, masses, weights, kind, monkeypatch):
+        # the layers are the two halves of the timed lookup: one _locate per iteration
+        table = request.getfixturevalue(f"{kind}_table")
+        calls = []
+        real = type(table)._locate
+
+        def counting(self, t2, t3, t4):
+            calls.append((t2, t3, t4))
+            return real(self, t2, t3, t4)
+
+        monkeypatch.setattr(type(table), "_locate", counting)
+        bench_controller(geom, masses, table, 20, weights=weights)
+        assert len(calls) == 20
 
     def test_online_step_at_non_zero_rates(self, geom, masses, weights, flat_table,
                                            monkeypatch):

@@ -16,7 +16,10 @@ The ratio is taken within rounds because a shared host's speed can drift
 between rounds by more than a layer change: in one self-A/B on a 2-vCPU
 host the samples varied by ~20%, and the ratio of the two sides' medians
 read 0.88-1.12 while the within-round ratio read 0.99-1.03.  The cases
-use only public API, so any parent revision imports.
+use the public API and the stacked build kernels
+linearization.linearize_stack and riccati.solve_stack, so a parent must be
+commit e759761, which added linearize_stack, or later; an older one fails
+with an AttributeError.
 
 Cases, on the test arm of tests/conftest.py:
   rk4_period        a 0.2 s passive simulate (ten control periods of 20 RK4
@@ -36,12 +39,10 @@ Cases, on the test arm of tests/conftest.py:
                     with those angles, as regulate-table's control_us_p50
                     times it (so a call is two updates);
   linearize_stack64 the linear models of 64 equilibrium nodes, as a build
-                    makes them: on a side with linearization.linearize_stack,
-                    64 equilibrium_torque calls then one stacked call, else
-                    64 linearize(equilibrium_point(...)) calls;
+                    makes them: 64 equilibrium_torque calls, then one
+                    linearization.linearize_stack call;
   stack64           the gains of 64 equilibrium nodes from their linear models:
-                    one riccati.solve_stack call on a side that has it, else 64
-                    lqr_gain calls;
+                    one riccati.solve_stack call;
   refine            refine(tol 0.4, depth 3) on the box theta_ref +/- 0.25;
   load_refined      load of the saved refine(tol 0.1, depth 4) on that box, the
                     203,733-byte reference tree whose load build-table's
@@ -116,23 +117,11 @@ def cases(pkg) -> dict:
               for t in thetas]
     A = np.array([model.A for model in models])
     B = np.array([model.B for model in models])
-    linearize_stack = getattr(pkg.linearization, "linearize_stack", None)
-    if linearize_stack is None:
-        def linearize_stack64():
-            return [pkg.linearize(geom, masses, pkg.equilibrium_point(geom, masses, t))
-                    for t in thetas]
-    else:
-        def linearize_stack64():
-            # as gain_table._solve_nodes: zero rates, each node's equilibrium torque
-            torque = np.array([pkg.equilibrium_torque(geom, masses, t) for t in thetas])
-            return linearize_stack(geom, masses, thetas, np.zeros((64, 4)), torque)
-    solve_stack = getattr(pkg.riccati, "solve_stack", None)
-    if solve_stack is None:
-        def stack64():
-            return [pkg.lqr_gain(a, b, weights) for a, b in zip(A, B)]
-    else:
-        def stack64():
-            return solve_stack(A, B, weights)
+
+    def linearize_stack64():
+        # as gain_table._solve_nodes: zero rates, each node's equilibrium torque
+        torque = np.array([pkg.equilibrium_torque(geom, masses, t) for t in thetas])
+        return pkg.linearization.linearize_stack(geom, masses, thetas, np.zeros((64, 4)), torque)
 
     def online_update():
         op = pkg.OperatingPoint(theta_ref, rates, torque)
@@ -166,7 +155,7 @@ def cases(pkg) -> dict:
         "lookup_refined": lambda: pkg.lookup(tree, off_node),
         "table_update": table_update,
         "linearize_stack64": linearize_stack64,
-        "stack64": stack64,
+        "stack64": lambda: pkg.riccati.solve_stack(A, B, weights),
         "refine": lambda: pkg.refine(geom, masses, weights, box, 0.4, 3),
         "load_refined": lambda: pkg.load(reference),
         "precompute": lambda: pkg.precompute(geom, masses, weights, grid, workers=1),
