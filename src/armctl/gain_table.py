@@ -131,6 +131,15 @@ def _check_span(k: int, lo: float, hi: float, error=ValueError):
                     f"got [{lo}, {hi}]")
 
 
+def _box(lo, hi):
+    """lo and hi, each read as 4 components (`errors.components`), as tuples
+    a finite span apart in every dimension (_check_span)."""
+    lo, hi = tuple(components(lo, NDIM, "lo")), tuple(components(hi, NDIM, "hi"))
+    for k in range(NDIM):
+        _check_span(k, lo[k], hi[k])
+    return lo, hi
+
+
 def _u32(value, name: str, least: int) -> int:
     """value as a count (`errors.count`) that a table file can store."""
     v = count(value, name, least)
@@ -149,12 +158,9 @@ class GridSpec:
     counts: tuple[int, int, int, int]
 
     def __post_init__(self):
-        lo = tuple(components(self.lo, NDIM, "lo"))
-        hi = tuple(components(self.hi, NDIM, "hi"))
+        lo, hi = _box(self.lo, self.hi)
         counts = components(self.counts, NDIM, "counts")
         counts = tuple(_u32(c, f"counts[{k}]", 2) for k, c in enumerate(counts))
-        for k in range(NDIM):
-            _check_span(k, lo[k], hi[k])
         object.__setattr__(self, "lo", lo)
         object.__setattr__(self, "hi", hi)
         object.__setattr__(self, "counts", counts)
@@ -250,7 +256,7 @@ class GainTable:
         expected = self.grid.shape[1:] + GAIN_SHAPE
         if self.gains.shape != expected:
             raise ValueError(f"gains must have shape {expected}, got {self.gains.shape}")
-        if len(self.digest) != 32:
+        if not isinstance(self.digest, bytes) or len(self.digest) != 32:
             raise ValueError("digest must be 32 bytes")
         _, n2, n3, n4 = self.grid.counts
         row = np.arange(n2 * n3 * n4, dtype=np.intp).reshape(n2, n3, n4)
@@ -371,10 +377,10 @@ class RefinedTable:
     tree holds the cells as a file stores them, after the pool.  The
     constructor's one walk checks it as load does, for a built and a loaded
     tree alike (offsets count from the tree's first byte), and derives the
-    rest: child[c] is the first of cell c's 8 consecutive children, or 0 for
-    a leaf (the root is cell 0); leaf n, in pre-order, has the flag
-    flagged[n] and the corner gains pool[corners[n, i]], ordered as in
-    _blend, corners being a read-only (n_leaves, 8) np.intp array."""
+    rest: child[c] is the first of cell c's 8 consecutive children, or ~n
+    when c is leaf n in pre-order (the root is cell 0); leaf n has the corner
+    gains pool[corners[n, i]], ordered as in _blend, corners being a
+    read-only (n_leaves, 8) np.intp array, and its flag in leaves()[n]."""
 
     lo: tuple[float, float, float, float]
     hi: tuple[float, float, float, float]
@@ -388,21 +394,18 @@ class RefinedTable:
 
     def __post_init__(self):
         # what save writes, load must read back: load checks these before the tree
-        if len(self.digest) != 32:
+        if not isinstance(self.digest, bytes) or len(self.digest) != 32:
             raise ValueError("digest must be 32 bytes")
-        lo = tuple(components(self.lo, NDIM, "lo"))
-        hi = tuple(components(self.hi, NDIM, "hi"))
-        for k in range(NDIM):
-            _check_span(k, lo[k], hi[k])
+        lo, hi = _box(self.lo, self.hi)
+        object.__setattr__(self, "tol", components(self.tol, 1, "tol")[0])
         object.__setattr__(self, "max_depth", _u32(self.max_depth, "max_depth", 0))
         if self.pool.shape[1:] != GAIN_SHAPE:
             raise ValueError(f"pool must have shape (n, 4, 8), got {self.pool.shape}")
         tree, n_pool, max_depth = self.tree, len(self.pool), self.max_depth
         if max_depth < 1:  # the root is depth 1; the walk checks its bytes first
             raise TreeTooDeep(f"cell at depth 1 exceeds max_depth {max_depth}")
-        # per cell: first child, planar box, leaf number; per leaf: (cell, depth), flag, offset
-        child, boxes, leaf = [0], [(lo[1:], hi[1:])], [-1]
-        cells, flagged, offsets = [], [], []
+        # per cell: first child or ~leaf, planar box; per leaf: (cell, depth, flag), offset
+        child, boxes, cells, offsets = [0], [(lo[1:], hi[1:])], [], []
         pos, pending = 0, [(0, 1)]  # cells still to read, next one last: (cell, depth)
         try:
             while pending:
@@ -418,14 +421,12 @@ class RefinedTable:
                 if tag == _TAG_INTERNAL:
                     first = child[cell] = len(child)
                     child += [0] * 8
-                    leaf += [-1] * 8
                     boxes += _split(*boxes[cell])
                     pending.extend((first + octant, depth + 1) for octant in range(7, -1, -1))
                     pos += 1
                 elif tag in (_TAG_LEAF, _TAG_LEAF_FLAGGED):
-                    leaf[cell] = len(cells)
-                    cells.append((cell, depth))
-                    flagged.append(tag == _TAG_LEAF_FLAGGED)
+                    child[cell] = ~len(cells)
+                    cells.append((cell, depth, tag == _TAG_LEAF_FLAGGED))
                     offsets.append(pos + 1)
                     pos += _MIN_CELL_BYTES
                 else:
@@ -442,28 +443,26 @@ class RefinedTable:
                 raise TableFormatError(f"corner index {corners[bad[0]].max()} at tree offset "
                                        f"{offsets[bad[0]]} outside a pool of {n_pool}")
         corners.flags.writeable = False
-        for name, value in (("lo", lo), ("hi", hi), ("child", tuple(child)),
-                            ("flagged", tuple(flagged)), ("corners", corners),
+        for name, value in (("lo", lo), ("hi", hi), ("child", tuple(child)), ("corners", corners),
                             ("_rows", self.pool.reshape(-1, 32)), ("_boxes", boxes),
-                            ("_leaf", leaf), ("_cells", cells)):
+                            ("_cells", cells)):
             object.__setattr__(self, name, value)
 
     def _locate(self, t2, t3, t4):
         child, boxes, cell = self.child, self._boxes, 0
-        while child[cell]:
-            # the midpoints _split splits at; a boundary goes to the upper child
-            (l2, l3, l4), (h2, h3, h4) = boxes[cell]
-            cell = (child[cell] + 4 * (t2 >= 0.5 * (l2 + h2)) + 2 * (t3 >= 0.5 * (l3 + h3))
-                    + (t4 >= 0.5 * (l4 + h4)))
+        while (first := child[cell]) > 0:
+            # _split's midpoints, the last child's lower corner; a boundary goes up
+            m2, m3, m4 = boxes[first + 7][0]
+            cell = first + 4 * (t2 >= m2) + 2 * (t3 >= m3) + (t4 >= m4)
         (l2, l3, l4), (h2, h3, h4) = boxes[cell]
         fractions = (_fraction(t2, l2, h2), _fraction(t3, l3, h3), _fraction(t4, l4, h4))
-        return self.corners[self._leaf[cell]], fractions
+        return self.corners[~first], fractions
 
     def leaves(self) -> list[RefinedCell]:
         """The leaf cells in pre-order, so leaves()[n] is leaf n."""
         lo, hi, boxes = self.lo[0], self.hi[0], self._boxes
         return [RefinedCell((lo,) + boxes[c][0], (hi,) + boxes[c][1], depth, flagged)
-                for (c, depth), flagged in zip(self._cells, self.flagged)]
+                for c, depth, flagged in self._cells]
 
     def flagged_leaves(self) -> list[RefinedCell]:
         return [leaf for leaf in self.leaves() if leaf.flagged]
@@ -509,9 +508,7 @@ def refine(
     corner gain once, in order of first use, so the build is deterministic.
     """
     box = components(root_box, 2 * NDIM, "root_box")
-    lo, hi = tuple(box[:NDIM]), tuple(box[NDIM:])
-    for k in range(NDIM):
-        _check_span(k, lo[k], hi[k])
+    lo, hi = _box(box[:NDIM], box[NDIM:])
     (tol,) = components(tol, 1, "tol")
     if not tol > 0.0:
         raise ValueError(f"tol must be > 0, got {tol!r}")

@@ -347,13 +347,13 @@ def reference_lookup(table, theta) -> np.ndarray:
     else:
         t2, t3, t4 = th[1:]
         child, boxes, cell = table.child, table._boxes, 0
-        while child[cell]:
+        while child[cell] > 0:
             (l2, l3, l4), (h2, h3, h4) = boxes[cell]
             cell = (child[cell] + 4 * (t2 >= 0.5 * (l2 + h2)) + 2 * (t3 >= 0.5 * (l3 + h3))
                     + (t4 >= 0.5 * (l4 + h4)))
         (l2, l3, l4), (h2, h3, h4) = boxes[cell]
         fractions = (_fraction(t2, l2, h2), _fraction(t3, l3, h3), _fraction(t4, l4, h4))
-        corners = _leaf_indices(table.tree)[table._leaf[cell]]
+        corners = _leaf_indices(table.tree)[~child[cell]]
         rows = table.pool.reshape(-1, 32)
     return _blend(rows.take(corners, axis=0), fractions)
 

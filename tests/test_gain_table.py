@@ -41,7 +41,7 @@ from armctl import (
     save_file,
     table_digest,
 )
-from oracles import reference_lookup, reference_multilinear, reference_refine
+from oracles import _leaf_indices, reference_lookup, reference_multilinear, reference_refine
 
 BOX_LO = (0.05, 0.55, -1.15, 0.25)
 BOX_HI = (0.55, 1.05, -0.65, 0.75)
@@ -108,6 +108,9 @@ class TestGridSpec:
         for lo, hi in ((float("nan"), 1.0), (0.0, float("inf")), (-1e308, 1e308)):
             with pytest.raises(ValueError, match="finite span"):
                 GridSpec((lo, 0, 0, 0), (hi, 1, 1, 1), (2, 2, 2, 2))
+        # the box is read before the counts: an inverted span names the span
+        with pytest.raises(ValueError, match="need min < max"):
+            GridSpec(BOX_HI, BOX_LO, (1, 2, 2, 2))
 
     def test_counts_beyond_u32_rejected(self):
         """A table file stores each count as a u32, so a larger one is a bad
@@ -155,6 +158,13 @@ class TestPrecompute:
         model = linearize(geom, masses, equilibrium_point(geom, masses, theta))
         direct = lqr_gain(model.A, model.B, weights)
         assert np.array_equal(table.entries[index], direct)
+
+    @pytest.mark.parametrize("digest", [b"short", "x" * 32, np.zeros(32, np.uint8)],
+                             ids=["short", "str", "array"])
+    def test_digest_must_be_32_bytes(self, table, digest):
+        # save writes the digest as it is, so only 32 bytes round-trip
+        with pytest.raises(ValueError, match="^digest must be 32 bytes"):
+            dataclasses.replace(table, digest=digest)
 
     def test_deterministic_and_worker_independent(self, geom, masses, weights, small_grid):
         one = save(precompute(geom, masses, weights, small_grid, workers=1))
@@ -766,10 +776,13 @@ class TestSerialization:
              r"^pool must have shape \(n, 4, 8\), got \(125, 32\)$"),
             ({"lo": lambda t: t.lo[:3]}, "^lo must have 4 components, got 3$"),
             ({"lo": lambda t: t.lo + (t.lo[0],)}, "^lo must have 4 components, got 5$"),
+            ({"tol": "x"}, "^tol must have 1 components"),
+            ({"digest": "x" * 32}, "^digest must be 32 bytes"),
+            ({"digest": np.zeros(32, np.uint8)}, "^digest must be 32 bytes"),
         ],
         ids=["short-digest", "long-digest", "inverted-box", "inverted-theta3", "nan-bound",
              "max-depth-beyond-u32", "fractional-max-depth", "pool-of-4x7", "flat-pool",
-             "3-component-box", "5-component-box"],
+             "3-component-box", "5-component-box", "text-tol", "str-digest", "array-digest"],
     )
     def test_table_save_cannot_round_trip_is_rejected(self, refined_mid, fields, message):
         # save would write such a table, and load would reject its bytes or
@@ -778,6 +791,11 @@ class TestSerialization:
         with pytest.raises(ValueError, match=message) as raised:
             dataclasses.replace(refined_mid, **fields)
         assert type(raised.value) is ValueError
+
+    def test_tol_is_stored_as_float(self, refined_mid):
+        t = dataclasses.replace(refined_mid, tol=np.array([refined_mid.tol]))
+        assert type(t.tol) is float
+        assert save(t) == save(refined_mid)
 
     def test_whole_float_max_depth_is_stored_as_int(self, refined_mid):
         t = dataclasses.replace(refined_mid, max_depth=4.0)
@@ -943,6 +961,18 @@ class TestSaveFile:
 
 
 class TestTreeRoundTrip:
+    @pytest.mark.parametrize("case", ["refined_mid", "flagged"])
+    def test_child_numbers_the_leaves(self, geom, masses, weights, refined_mid, case):
+        # child[c] < 0 marks exactly the leaf cells, and ~child[c] is the
+        # leaf's number: its place in leaves(), corners and the tree bytes
+        t = refined_mid if case == "refined_mid" else refine(
+            geom, masses, weights, (BOX_LO, BOX_HI), 1e-6, 2)
+        leaves, cells = t.leaves(), [c for c, _, _ in t._cells]
+        assert {c for c, first in enumerate(t.child) if first < 0} == set(cells)
+        assert [~t.child[c] for c in cells] == list(range(len(leaves)))
+        assert t.corners.tolist() == _leaf_indices(t.tree)
+        assert any(leaf.flagged for leaf in leaves) == (case == "flagged")
+
     @settings(max_examples=12, deadline=None)
     @given(
         offset=st.lists(st.floats(-0.2, 0.2), min_size=4, max_size=4),
