@@ -80,10 +80,8 @@ def parse_config(raw: dict) -> ArmConfig:
         geometry = ArmGeometry(**raw["geometry"])
         masses = MassModel(**raw["masses"])
         weights = CostWeights.from_diagonals(raw["cost"]["q_diag"], raw["cost"]["r_diag"])
-        grid = GridSpec.from_ranges(
-            (raw["grid"][k]["min"], raw["grid"][k]["max"], raw["grid"][k]["count"])
-            for k in ("theta1", "theta2", "theta3", "theta4")
-        )
+        axes = [raw["grid"][f"theta{k}"] for k in range(1, 5)]
+        grid = GridSpec(*([axis[key] for axis in axes] for key in ("min", "max", "count")))
         sim = SimConfig(**raw["sim"])
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc

@@ -111,8 +111,8 @@ class VersionMismatch(TableFormatError):
 
 
 class BadGrid(TableFormatError):
-    """A dimension record holds a non-finite, empty or overflowing bound
-    range, or a flat table's node count is below 2."""
+    """A dimension record holds an empty bound range or one not within
+    [-pi, pi], or a flat table's node count is below 2."""
 
 
 class DigestMismatch(TableFormatError):

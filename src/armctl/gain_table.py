@@ -124,16 +124,16 @@ def check_digest(table, geom, masses, weights=None):
 # grid specification
 
 def _check_span(k: int, lo: float, hi: float, error=ValueError):
-    """Raise error unless lo < hi and hi - lo is finite, which rejects a nan
-    or infinite bound and also a finite range whose span overflows."""
-    if not (lo < hi and math.isfinite(hi - lo)):
-        raise error(f"dimension {k}: need min < max, a finite span apart, "
-                    f"got [{lo}, {hi}]")
+    """Raise error unless -pi <= lo < hi <= pi, as lookup wraps angles into
+    (-pi, pi] first; a nan or infinite bound fails every comparison."""
+    if not -math.pi <= lo < hi <= math.pi:
+        raise error(f"dimension {k}: need min < max, a finite span apart within "
+                    f"[-pi, pi], got [{lo}, {hi}]")
 
 
 def _box(lo, hi):
     """lo and hi, each read as 4 components (`errors.components`), as tuples
-    a finite span apart in every dimension (_check_span)."""
+    with -pi <= lo < hi <= pi in every dimension (_check_span)."""
     lo, hi = tuple(components(lo, NDIM, "lo")), tuple(components(hi, NDIM, "hi"))
     for k in range(NDIM):
         _check_span(k, lo[k], hi[k])
@@ -150,8 +150,8 @@ def _u32(value, name: str, least: int) -> int:
 
 @dataclass(frozen=True)
 class GridSpec:
-    """Per-dimension (min, max, count) over the four joint angles; rates are
-    pinned to zero when the table is built."""
+    """Per-dimension (min, max, count) over the four joint angles, each range
+    within [-pi, pi]; rates are pinned to zero when the table is built."""
 
     lo: tuple[float, float, float, float]
     hi: tuple[float, float, float, float]
@@ -164,12 +164,6 @@ class GridSpec:
         object.__setattr__(self, "lo", lo)
         object.__setattr__(self, "hi", hi)
         object.__setattr__(self, "counts", counts)
-
-    @classmethod
-    def from_ranges(cls, ranges) -> "GridSpec":
-        """Build from four (min, max, count) triples."""
-        lo, hi, counts = zip(*((r[0], r[1], r[2]) for r in ranges))
-        return cls(lo, hi, counts)
 
     @property
     def shape(self) -> tuple[int, int, int, int]:
@@ -254,6 +248,8 @@ class GainTable:
 
     def __post_init__(self):
         expected = self.grid.shape[1:] + GAIN_SHAPE
+        if not isinstance(self.gains, np.ndarray):
+            raise ValueError(f"gains must be a numpy array, got {type(self.gains).__name__}")
         if self.gains.shape != expected:
             raise ValueError(f"gains must have shape {expected}, got {self.gains.shape}")
         if not isinstance(self.digest, bytes) or len(self.digest) != 32:
@@ -399,6 +395,8 @@ class RefinedTable:
         lo, hi = _box(self.lo, self.hi)
         object.__setattr__(self, "tol", components(self.tol, 1, "tol")[0])
         object.__setattr__(self, "max_depth", _u32(self.max_depth, "max_depth", 0))
+        if not isinstance(self.pool, np.ndarray):
+            raise ValueError(f"pool must be a numpy array, got {type(self.pool).__name__}")
         if self.pool.shape[1:] != GAIN_SHAPE:
             raise ValueError(f"pool must have shape (n, 4, 8), got {self.pool.shape}")
         tree, n_pool, max_depth = self.tree, len(self.pool), self.max_depth

@@ -37,11 +37,11 @@ _SYM_TOL = 1e-12
 
 def _symmetric(mat: np.ndarray, name: str) -> tuple[np.ndarray, float]:
     m = np.asarray(mat, dtype=float)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise ValueError(f"{name} must be square, got shape {m.shape}")
+    if m.ndim != 2 or m.shape[0] != m.shape[1] or m.size == 0:
+        raise ValueError(f"{name} must be a non-empty square matrix, got shape {m.shape}")
     if not np.isfinite(m).all():
         raise ValueError(f"{name} must be finite")
-    scale = max(1.0, float(np.abs(m).max()) if m.size else 0.0)
+    scale = max(1.0, float(np.abs(m).max()))
     with np.errstate(over="ignore"):  # an overflow gives inf, rejected below
         sym, asymmetry = 0.5 * (m + m.T), float(np.abs(m - m.T).max())
         norm = float(np.linalg.norm(sym))

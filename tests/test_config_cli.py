@@ -282,6 +282,12 @@ class TestFk:
         assert code == 2
         assert err
 
+    def test_missing_config_exit_2(self, capsys, tmp_path):
+        absent = str(tmp_path / "absent.json")
+        code, _, err = run_cli(capsys, "--config", absent, "fk", "0", "0", "0", "0")
+        assert code == 2
+        assert err.startswith("error: cannot read config")
+
 
 class TestIk:
     def test_known_target(self, capsys, write_config):

@@ -76,6 +76,18 @@ def few_ulp_box(n):
     return lo, hi
 
 
+def boxes_beyond_pi():
+    """(dimension k, lo, hi): BOX_LO..BOX_HI with bound k moved to 3.2 or
+    -3.2, outside the [-pi, pi] a table box must lie in."""
+    for k, bound in itertools.product(range(4), (3.2, -3.2)):
+        lo, hi = list(BOX_LO), list(BOX_HI)
+        (hi if bound > 0 else lo)[k] = bound
+        yield k, lo, hi
+
+
+BEYOND_PI = r"^dimension {}: need min < max, .* within \[-pi, pi\]"
+
+
 def direct_gain(geom, masses, weights, theta):
     model = linearize(geom, masses, equilibrium_point(geom, masses, theta))
     return lqr_gain(model.A, model.B, weights)
@@ -111,6 +123,13 @@ class TestGridSpec:
         # the box is read before the counts: an inverted span names the span
         with pytest.raises(ValueError, match="need min < max"):
             GridSpec(BOX_HI, BOX_LO, (1, 2, 2, 2))
+        # a bound beyond +-pi, where lookup's wrap never reaches
+        for k, lo, hi in boxes_beyond_pi():
+            with pytest.raises(ValueError, match=BEYOND_PI.format(k)):
+                GridSpec(lo, hi, (2, 2, 2, 2))
+        # a full turn is a box: the interval is closed
+        full_turn = GridSpec((-math.pi,) + BOX_LO[1:], (math.pi,) + BOX_HI[1:], (2,) * 4)
+        assert (full_turn.lo[0], full_turn.hi[0]) == (-math.pi, math.pi)
 
     def test_counts_beyond_u32_rejected(self):
         """A table file stores each count as a u32, so a larger one is a bad
@@ -165,6 +184,16 @@ class TestPrecompute:
         # save writes the digest as it is, so only 32 bytes round-trip
         with pytest.raises(ValueError, match="^digest must be 32 bytes"):
             dataclasses.replace(table, digest=digest)
+
+    @pytest.mark.parametrize("gains, message", [
+        (lambda t: t.gains.tolist(), "^gains must be a numpy array, got list$"),
+        (lambda t: np.zeros((2, 2, 3, 4, 8)),
+         r"^gains must have shape \(2, 2, 2, 4, 8\), got \(2, 2, 3, 4, 8\)$"),
+    ], ids=["list", "2x2x3x4x8"])
+    def test_gains_must_be_an_array_of_the_grid_shape(self, table, gains, message):
+        # stored as given, never converted: save reads its shape and bytes
+        with pytest.raises(ValueError, match=message):
+            dataclasses.replace(table, gains=gains(table))
 
     def test_deterministic_and_worker_independent(self, geom, masses, weights, small_grid):
         one = save(precompute(geom, masses, weights, small_grid, workers=1))
@@ -443,6 +472,18 @@ class TestLookup:
             assert lookup(t, corner).tobytes() == t.pool[t.corners[n][0]].tobytes()
             assert np.all(np.isfinite(lookup(t, leaves[n].center())))
 
+    def test_box_edges_at_pi(self, geom, masses, weights):
+        # yaw over a full turn, theta2 ending at pi: -pi wraps to pi, and
+        # every node, both ends included, returns its stored gain
+        grid = GridSpec((-math.pi, 2.9, -1.15, 0.25), (math.pi, math.pi, -0.65, 0.75),
+                        (2, 3, 2, 2))
+        t = precompute(geom, masses, weights, grid)
+        for index in np.ndindex(grid.shape):
+            theta = grid.node_angles(index)
+            assert lookup(t, theta).tobytes() == t.entries[index].tobytes()
+        assert lookup(t, (-math.pi, 3.0, -0.9, 0.5)).tobytes() == \
+            lookup(t, (math.pi, 3.0, -0.9, 0.5)).tobytes()
+
     def test_wraps_angles_first(self, table):
         # a 2*pi-shifted representation lands in the same cell (up to the
         # rounding the wrap itself introduces)
@@ -529,6 +570,9 @@ class TestRefine:
             box_lo, box_hi = list(BOX_LO), list(BOX_HI)
             box_lo[k], box_hi[k] = lo, hi
             with pytest.raises(ValueError, match="finite span"):
+                refine(geom, masses, weights, (box_lo, box_hi), 1e-2, 2)
+        for k, box_lo, box_hi in boxes_beyond_pi():
+            with pytest.raises(ValueError, match=BEYOND_PI.format(k)):
                 refine(geom, masses, weights, (box_lo, box_hi), 1e-2, 2)
         # the root box is read as 8 values, flattened
         for box, size in ((0.5, 1), ((0.0, 1.0), 2), (BOX_LO, 4)):
@@ -779,10 +823,13 @@ class TestSerialization:
             ({"tol": "x"}, "^tol must have 1 components"),
             ({"digest": "x" * 32}, "^digest must be 32 bytes"),
             ({"digest": np.zeros(32, np.uint8)}, "^digest must be 32 bytes"),
-        ],
+            ({"pool": lambda t: t.pool.tolist()}, "^pool must be a numpy array, got list$"),
+        ] + [({"lo": lo, "hi": hi}, BEYOND_PI.format(k)) for k, lo, hi in boxes_beyond_pi()],
         ids=["short-digest", "long-digest", "inverted-box", "inverted-theta3", "nan-bound",
              "max-depth-beyond-u32", "fractional-max-depth", "pool-of-4x7", "flat-pool",
-             "3-component-box", "5-component-box", "text-tol", "str-digest", "array-digest"],
+             "3-component-box", "5-component-box", "text-tol", "str-digest", "array-digest",
+             "list-pool"] + [f"theta{k + 1}-{'max' if hi[k] > math.pi else 'min'}-beyond-pi"
+                             for k, lo, hi in boxes_beyond_pi()],
     )
     def test_table_save_cannot_round_trip_is_rejected(self, refined_mid, fields, message):
         # save would write such a table, and load would reject its bytes or
@@ -879,9 +926,15 @@ class TestSerialization:
             ("flat", {"lo": {1: -1e308}, "hi": {1: 1e308}}),
             ("refined", {"hi": {2: float("nan")}}),
             ("refined", {"lo": {1: 2.0}, "hi": {1: -2.0}}),
+            ("flat", {"hi": {0: 3.2}}),
+            ("flat", {"lo": {1: -3.2}}),
+            ("refined", {"hi": {2: 3.2}}),
+            ("refined", {"lo": {3: -3.2}}),
         ],
         ids=["count-0-in-one", "count-1", "nan-min", "inf-max", "empty-range",
-             "span-overflows", "refined-nan-max", "refined-min-above-max"],
+             "span-overflows", "refined-nan-max", "refined-min-above-max",
+             "theta1-max-beyond-pi", "theta2-min-beyond-pi", "refined-theta3-max-beyond-pi",
+             "refined-theta4-min-beyond-pi"],
     )
     def test_invalid_dimension_record(self, request, kind, fields):
         blob = save(request.getfixturevalue({"flat": "table", "refined": "refined_mid"}[kind]))

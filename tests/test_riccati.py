@@ -68,6 +68,14 @@ class TestCostWeights:
         with pytest.raises(ValueError, match=f"^{name} is too large"):
             CostWeights.from_diagonals(q_diag, r_diag)
 
+    @pytest.mark.parametrize("Q, R, message", [
+        (np.ones((2, 3)), [[1.0]], r"^Q must be a non-empty square matrix, got shape \(2, 3\)$"),
+        (np.eye(2), [1.0], r"^R must be a non-empty square matrix, got shape \(1,\)$"),
+    ], ids=["2x3-q", "1-d-r"])
+    def test_rejects_a_non_square_weight(self, Q, R, message):
+        with pytest.raises(ValueError, match=message):
+            CostWeights(Q, R)
+
     def test_from_diagonals(self):
         w = CostWeights.from_diagonals([1, 2], [3])
         assert np.array_equal(w.Q, np.diag([1.0, 2.0]))
@@ -78,7 +86,9 @@ class TestCostWeights:
         (1.0, [1.0] * 4, r"^q_diag must be a 1-D vector, got shape \(\)"),
         ([1.0] * 8, [[1.0, 1.0], [1.0]], r"^r_diag must be a 1-D vector of floats"),
         ([1.0] * 8, [10**400] * 4, r"^r_diag must be a 1-D vector of floats"),
-    ], ids=["2-d", "scalar", "ragged", "int-beyond-float"])
+        ([], [1.0] * 4, r"^Q must be a non-empty square matrix, got shape \(0, 0\)$"),
+        ([1.0] * 8, [], r"^R must be a non-empty square matrix, got shape \(0, 0\)$"),
+    ], ids=["2-d", "scalar", "ragged", "int-beyond-float", "empty-q", "empty-r"])
     def test_from_diagonals_names_a_bad_vector(self, q_diag, r_diag, message):
         with pytest.raises(ValueError, match=message):
             CostWeights.from_diagonals(q_diag, r_diag)

@@ -409,6 +409,11 @@ class TestClosedLoop:
             simulate(geom, masses, SimConfig(duration=0.1), ControllerMode.ONLINE_LQR,
                      PASSIVE_X0, weights=weights)
 
+    def test_online_requires_weights(self, geom, masses):
+        with pytest.raises(ValueError, match="^online mode requires cost weights$"):
+            simulate(geom, masses, SimConfig(duration=0.1), ControllerMode.ONLINE_LQR,
+                     PASSIVE_X0, PASSIVE_X0)
+
     @pytest.mark.parametrize("mode", ["online", None, 3])
     def test_mode_must_be_a_controller_mode(self, geom, masses, weights, flat_table, mode):
         # not parsed from its value, nor taken as table mode
