@@ -124,8 +124,8 @@ def check_digest(table, geom, masses, weights=None):
 # grid specification
 
 def _check_span(k: int, lo: float, hi: float, error=ValueError):
-    """Raise error unless -pi <= lo < hi <= pi, as lookup wraps angles into
-    (-pi, pi] first; a nan or infinite bound fails every comparison."""
+    """Raise error unless -pi <= lo < hi <= pi, as lookup answers no angle
+    outside [-pi, pi]; a nan or infinite bound fails every comparison."""
     if not -math.pi <= lo < hi <= math.pi:
         raise error(f"dimension {k}: need min < max, a finite span apart within "
                     f"[-pi, pi], got [{lo}, {hi}]")
@@ -207,29 +207,29 @@ def _blend(rows: np.ndarray, fractions) -> np.ndarray:
 
 
 def lookup(table, theta) -> np.ndarray:
-    """Interpolated gain matrix at theta (wrapped into (-pi, pi] first).
+    """Interpolated gain matrix at theta, from a GainTable or a RefinedTable.
 
-    Accepts a GainTable or a RefinedTable.  Raises OutOfBounds outside the
-    table's box (theta1 included) or for a non-finite angle; no
-    extrapolation is attempted.  theta is any array-like of 4 values, read
-    flattened (`errors.components`); any other size, a scalar being one
-    component, raises ValueError("theta must have 4 components, got N").
-    At a stored node the result is the stored matrix, bit for bit.
+    An angle outside the table's box is wrapped into (-pi, pi] and tested
+    again, so a box from -pi reads -pi as given and, unless it ends at pi,
+    refuses exactly +pi.  Raises OutOfBounds outside the box (theta1
+    included) or for a non-finite angle; no extrapolation is attempted.
+    theta is any array-like of 4 values, read flattened (`errors.components`);
+    any other size, a scalar being one component, raises ValueError("theta
+    must have 4 components, got N").  A node gives its stored gain bit for bit.
     """
     return _blend(*_cell(table, theta))
 
 
 def _cell(table, theta):
-    """lookup before the blend: theta read, wrapped, bounds-checked and
-    located; returns its cell's corner rows (8, 32) and fractions for _blend."""
+    """lookup before the blend: theta read, bounds-checked and located;
+    returns its cell's corner rows (8, 32) and fractions for _blend."""
     th = components(theta, NDIM, "theta")
     lo, hi = table.lo, table.hi
     for k, v in enumerate(th):
-        if not -math.pi < v <= math.pi:
-            v = th[k] = wrap_angle(v)
-        # written so that NaN (and +-inf, which wraps to NaN) fails it too
-        if not lo[k] <= v <= hi[k]:
-            raise OutOfBounds(f"angle {v!r} outside table dimension {k} [{lo[k]}, {hi[k]}]")
+        if not lo[k] <= v <= hi[k]:  # read as given in the box, so -pi can be a node
+            v = th[k] = wrap_angle(v)  # +-inf wraps to NaN, which fails the test again
+            if not lo[k] <= v <= hi[k]:
+                raise OutOfBounds(f"angle {v!r} outside table dimension {k} [{lo[k]}, {hi[k]}]")
     corners, fractions = table._locate(th[1], th[2], th[3])
     return table._rows.take(corners, axis=0), fractions
 

@@ -48,41 +48,27 @@ class ArmGeometry:
             object.__setattr__(self, name, v)
 
 
-@dataclass(frozen=True)
-class JointAngles:
-    """Joint angles in radians, wrapped into (-pi, pi] on construction.
+class JointAngles(NamedTuple("JointAngles", [("theta1", float), ("theta2", float),
+                                             ("theta3", float), ("theta4", float)])):
+    """Joint angles in radians, wrapped into (-pi, pi] on construction, by
+    _replace, pickling and copies too.  theta1 is the base yaw; theta2..theta4
+    are the planar joint angles measured from vertical.  A tuple, so it
+    equals the plain 4-tuple of its angles."""
 
-    theta1 is the base yaw; theta2..theta4 are the planar joint angles
-    measured from vertical.
-    """
+    __slots__ = ()
 
-    theta1: float
-    theta2: float
-    theta3: float
-    theta4: float
+    def __new__(cls, theta1, theta2, theta3, theta4):
+        angles = map(scalar, (theta1, theta2, theta3, theta4), cls._fields)
+        return super().__new__(cls, *map(wrap_angle, angles))
 
-    def __post_init__(self):
-        for name in ("theta1", "theta2", "theta3", "theta4"):
-            object.__setattr__(self, name, wrap_angle(scalar(getattr(self, name), name)))
+    _make = classmethod(lambda cls, iterable: cls(*iterable))  # through __new__
 
     @classmethod
     def from_array(cls, values) -> "JointAngles":
         return cls(*components(values, 4, "values"))
 
     def as_array(self) -> np.ndarray:
-        return np.array([self.theta1, self.theta2, self.theta3, self.theta4])
-
-    def __len__(self):
-        return 4
-
-    def __getitem__(self, index):
-        return (self.theta1, self.theta2, self.theta3, self.theta4)[index]
-
-    def __iter__(self):
-        yield self.theta1
-        yield self.theta2
-        yield self.theta3
-        yield self.theta4
+        return np.array(self)
 
 
 class PlanarPoint(NamedTuple):

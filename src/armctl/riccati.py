@@ -106,26 +106,6 @@ def _diagonal(values, name: str) -> np.ndarray:
     return np.diag(d)
 
 
-def _check_system(A, B, weights):
-    A = np.asarray(A, dtype=float)
-    if A.ndim < 2:
-        A = A.reshape(1, -1)  # as np.atleast_2d
-    B = np.asarray(B, dtype=float)
-    if B.ndim == 1:
-        B = B.reshape(-1, 1)
-    n = A.shape[0]
-    if A.shape != (n, n):
-        raise ValueError(f"A must be square, got {A.shape}")
-    if B.ndim != 2 or B.shape[0] != n:
-        raise ValueError(f"B must have {n} rows, got {B.shape}")
-    if weights.Q.shape != (n, n):
-        raise ValueError(f"Q must be {n}x{n}, got {weights.Q.shape}")
-    m = B.shape[1]
-    if weights.R.shape != (m, m):
-        raise ValueError(f"R must be {m}x{m}, got {weights.R.shape}")
-    return A, B
-
-
 def solve_stack(A, B, weights: CostWeights):
     """Solve a stack of systems sharing the weights, A (k, n, n) and B
     (k, n, m), in one call; a table build solves its nodes this way.
@@ -135,7 +115,8 @@ def solve_stack(A, B, weights: CostWeights):
     it.  failure is None, or (i, error) for the lowest-index system that
     cannot be solved, with the error solve_care raises for it alone; P and K
     then hold systems [:i] only.  Raises ValueError unless A and B are
-    stacks of k systems of one shape.
+    stacks of k systems, k = 0 included, of one shape that fits the
+    weights: each A n x n, each B n x m, Q n x n and R m x m.
 
     Each check runs over the whole stack; when one first fails at system i,
     the result is solve_stack(A[:i], B[:i], weights)'s, with its failure or
@@ -148,10 +129,15 @@ def solve_stack(A, B, weights: CostWeights):
     if A.ndim != 3 or B.ndim != 3 or len(A) != len(B):
         raise ValueError(f"A and B must be stacks of k systems, got shapes "
                          f"{A.shape} and {B.shape}")
-    if len(A):
-        _check_system(A[0], B[0], weights)
-    k, n = A.shape[:2]
-    m = B.shape[2]
+    k, n, m = len(A), A.shape[1], B.shape[2]
+    if A.shape[2] != n:
+        raise ValueError(f"A must be square, got {A.shape[1:]}")
+    if B.shape[1] != n:
+        raise ValueError(f"B must have {n} rows, got {B.shape[1:]}")
+    if weights.Q.shape != (n, n):
+        raise ValueError(f"Q must be {n}x{n}, got {weights.Q.shape}")
+    if weights.R.shape != (m, m):
+        raise ValueError(f"R must be {m}x{m}, got {weights.R.shape}")
 
     def fail(i, error):
         """Systems [:i] solved, with their own failure or else (i, error);
@@ -238,8 +224,14 @@ def solve_stack(A, B, weights: CostWeights):
 
 
 def _solve(A, B, weights: CostWeights):
-    """(P, K) of one system, as a stack of one."""
-    A, B = _check_system(A, B, weights)
+    """(P, K) of one system, as a stack of one.  For small cases by hand, a
+    scalar or 1-D A is read as by np.atleast_2d and a 1-D B as a column."""
+    A, B = np.asarray(A, dtype=float), np.asarray(B, dtype=float)
+    A = A.reshape(1, -1) if A.ndim < 2 else A
+    B = B.reshape(-1, 1) if B.ndim == 1 else B
+    if A.ndim != 2 or B.ndim != 2:  # not stackable: the message solve_stack's rule gives first
+        raise ValueError(f"A must be square, got {A.shape}" if A.shape != (len(A),) * 2
+                         else f"B must have {len(A)} rows, got {B.shape}")
     P, K, failure = solve_stack(A[None], B[None], weights)
     if failure:
         raise failure[1]

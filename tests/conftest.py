@@ -68,16 +68,20 @@ def write_config(tmp_path):
 
 @pytest.fixture()
 def lapack_failures(monkeypatch):
-    """inject(dgees=i, dsyevd=j, dgeev=k) makes the Riccati solver's dgees
-    call number i (from 0) report a convergence failure (info 3), its dsyevd
-    call number j a negative eigenvalue -0.5 of P, and its dgeev call
-    number k an unstable closed-loop eigenvalue 0.5; None skips one."""
+    """inject(dgees=i, dsyevd=j, dgeev=k, skew=s, shift=r) makes the Riccati
+    solver's dgees call number i (from 0) report a convergence failure (info
+    3), its dsyevd call number j a negative eigenvalue -0.5 of P, and its
+    dgeev call number k an unstable closed-loop eigenvalue 0.5.  dgees call
+    number s returns a basis [Z11; Z21] whose P = Z21 Z11^-1 is off by 1e-3
+    above the diagonal (so P is not symmetric), and call number r one whose
+    P is off by 1e-4 I (symmetric and PSD, but not a CARE solution).  None
+    skips one."""
     import armctl.riccati as riccati
 
     names = ("dgees", "dsyevd", "dgeev")
     real = {name: getattr(riccati.lapack, name) for name in names}
 
-    def inject(dgees=None, dsyevd=None, dgeev=None):
+    def inject(dgees=None, dsyevd=None, dgeev=None, skew=None, shift=None):
         calls = dict.fromkeys(names, 0)
 
         def counted(name):
@@ -86,7 +90,12 @@ def lapack_failures(monkeypatch):
 
         def failing_dgees(*args, **kwargs):
             out = real["dgees"](*args, **kwargs)
-            return out[:-1] + (3,) if counted("dgees") == dgees else out
+            call, Z = counted("dgees"), out[4]
+            n = len(Z) // 2
+            if call in (skew, shift):  # Z21 += E Z11 turns P into P + E
+                E = np.triu(np.full((n, n), 1e-3), 1) if call == skew else 1e-4 * np.eye(n)
+                Z[n:, :n] += E @ Z[:n, :n]
+            return out[:-1] + (3,) if call == dgees else out
 
         def failing_dsyevd(*args, **kwargs):
             w, *rest = real["dsyevd"](*args, **kwargs)

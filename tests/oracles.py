@@ -15,8 +15,8 @@ bit without the reference reading the code under test.
 The gain-table references are the 4-D multilinear blend over every node of a
 flat grid, theta1 included, that the planar lookup must match to rounding,
 and `reference_lookup`, the lookup kernel as the library had it before it
-read array-backed corner indices (every angle wrapped, each flat axis
-bisected by one call, corners as lists of ints read leaf by leaf from the
+read array-backed corner indices (an angle wrapped only outside the box,
+each flat axis bisected by one call, corners as lists of ints read leaf by leaf from the
 tree bytes), whose bytes and errors the library's lookup must reproduce, and
 `reference_refine`, the refined build as the library had it before it kept
 its cells by (depth, box): per-depth lists of corners, first children and
@@ -328,10 +328,12 @@ def _leaf_indices(tree: bytes) -> list:
 
 
 def reference_lookup(table, theta) -> np.ndarray:
-    """lookup(table, theta) as one wrap_angle per angle, one bounds test per
-    angle, and the cell's corner rows gathered by a list of ints."""
-    th = [wrap_angle(v) for v in components(theta, 4, "theta")]
+    """lookup(table, theta) as one wrap_angle per angle outside the box (an
+    angle in it is read as given), one bounds test per angle, and the cell's
+    corner rows gathered by a list of ints."""
     lo, hi = table.lo, table.hi
+    th = [v if lo[k] <= v <= hi[k] else wrap_angle(v)
+          for k, v in enumerate(components(theta, 4, "theta"))]
     for k in range(4):
         if not lo[k] <= th[k] <= hi[k]:
             raise OutOfBounds(f"angle {th[k]!r} outside table dimension {k} "

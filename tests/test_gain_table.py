@@ -473,16 +473,32 @@ class TestLookup:
             assert np.all(np.isfinite(lookup(t, leaves[n].center())))
 
     def test_box_edges_at_pi(self, geom, masses, weights):
-        # yaw over a full turn, theta2 ending at pi: -pi wraps to pi, and
-        # every node, both ends included, returns its stored gain
-        grid = GridSpec((-math.pi, 2.9, -1.15, 0.25), (math.pi, math.pi, -0.65, 0.75),
-                        (2, 3, 2, 2))
-        t = precompute(geom, masses, weights, grid)
-        for index in np.ndindex(grid.shape):
-            theta = grid.node_angles(index)
-            assert lookup(t, theta).tobytes() == t.entries[index].tobytes()
-        assert lookup(t, (-math.pi, 3.0, -0.9, 0.5)).tobytes() == \
-            lookup(t, (math.pi, 3.0, -0.9, 0.5)).tobytes()
+        # yaw over a full turn, and theta2 ending at pi, starting at -pi, or
+        # over a full turn: an angle in the box is read as given, so every
+        # node, both ends included, returns its own stored gain
+        for lo2, hi2, n2 in ((2.9, math.pi, 3), (-math.pi, -2.9, 2), (-math.pi, math.pi, 3)):
+            grid = GridSpec((-math.pi, lo2, -1.15, 0.25), (math.pi, hi2, -0.65, 0.75),
+                            (2, n2, 2, 2))
+            t = precompute(geom, masses, weights, grid)
+            for index in np.ndindex(grid.shape):
+                theta = grid.node_angles(index)
+                assert lookup(t, theta).tobytes() == t.entries[index].tobytes()
+                assert reference_lookup(t, theta).tobytes() == t.entries[index].tobytes()
+            inside = (0.5 * (lo2 + hi2), -0.9, 0.5)
+            assert lookup(t, (-math.pi, *inside)).tobytes() == \
+                lookup(t, (math.pi, *inside)).tobytes()
+        # on a box ending at pi, -pi wraps to pi; on one from -pi to below
+        # pi, exactly +pi is outside
+        t = precompute(geom, masses, weights, GridSpec((-math.pi, 2.9, -1.15, 0.25),
+                                                       (math.pi, math.pi, -0.65, 0.75),
+                                                       (2, 2, 2, 2)))
+        assert lookup(t, (0.0, -math.pi, -0.9, 0.5)).tobytes() == \
+            lookup(t, (0.0, math.pi, -0.9, 0.5)).tobytes()
+        t = precompute(geom, masses, weights, GridSpec((-math.pi, -math.pi, -1.15, 0.25),
+                                                       (math.pi, -2.9, -0.65, 0.75),
+                                                       (2, 2, 2, 2)))
+        with pytest.raises(OutOfBounds, match="dimension 1"):
+            lookup(t, (0.0, math.pi, -0.9, 0.5))
 
     def test_wraps_angles_first(self, table):
         # a 2*pi-shifted representation lands in the same cell (up to the

@@ -1,4 +1,6 @@
+import copy
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -66,6 +68,25 @@ class TestTypes:
         assert a[2] == 0.3 and len(a) == 4
         # behaves as a sequence for numpy consumers
         assert np.array_equal(np.asarray(a, dtype=float), a.as_array())
+
+    def test_joint_angles_are_a_wrapping_tuple(self):
+        a = JointAngles(0.1, 0.2, 0.3, 0.4)
+        assert isinstance(a, tuple) and a == (0.1, 0.2, 0.3, 0.4)
+        assert len(a) == 4 and a[1:3] == (0.2, 0.3) and a[-1] == 0.4
+        assert repr(a) == "JointAngles(theta1=0.1, theta2=0.2, theta3=0.3, theta4=0.4)"
+        assert hash(a) == hash((0.1, 0.2, 0.3, 0.4))
+        with pytest.raises(AttributeError):
+            a.theta1 = 1.0
+        assert a._replace(theta2=4.0) == (0.1, wrap_angle(4.0), 0.3, 0.4)
+        assert JointAngles._make([4.0, 0.2, 0.3, 0.4]).theta1 == wrap_angle(4.0)
+        with pytest.raises(ValueError, match="^theta3 must be finite"):
+            a._replace(theta3=float("nan"))
+        for copied in (pickle.loads(pickle.dumps(a)), copy.copy(a), copy.deepcopy(a)):
+            assert type(copied) is JointAngles and copied == a
+        # copies and pickles are built through the wrapping constructor
+        raw = tuple.__new__(JointAngles, (4.0, 0.2, 0.3, 0.4))
+        for copied in (pickle.loads(pickle.dumps(raw)), copy.copy(raw)):
+            assert copied == (wrap_angle(4.0), 0.2, 0.3, 0.4)
 
 
 class TestForwardKinematics:

@@ -153,6 +153,18 @@ MIDDLE_FAILURES = {
     "dgees info": (None, "B not finite", ("dgees",), "ordered Schur form failed"),
     "dsyevd PSD": (None, "singular basis", ("dsyevd",), "Riccati solution not PSD"),
     "dgeev Hurwitz": (None, "stable subspace too small", ("dgeev",), "closed loop not Hurwitz"),
+    # a later fault must come before dgees, whose calls the fixture counts
+    "P symmetric": (None, "B R^-1 B' overflows", ("skew",), "Riccati solution lost symmetry"),
+    "CARE residual": (None, "B not finite", ("shift",), "CARE residual"),
+}
+
+# a system and the message of the one shape rule it breaks, with weights
+# Q = I2 and R = I1
+SHAPE_ERRORS = {
+    "A square": (np.ones((2, 3)), np.ones((2, 1)), "A must be square, got (2, 3)"),
+    "B rows": (np.eye(2), np.ones((3, 1)), "B must have 2 rows, got (3, 1)"),
+    "Q nxn": (np.eye(3), np.ones((3, 1)), "Q must be 3x3, got (2, 2)"),
+    "R mxm": (np.eye(2), np.ones((2, 2)), "R must be 2x2, got (1, 1)"),
 }
 
 
@@ -267,6 +279,35 @@ class TestContracts:
     def test_stack_shape_validation(self, A, B):
         with pytest.raises(ValueError):
             riccati.solve_stack(A, B, CostWeights(np.eye(2), np.eye(1)))
+
+    @pytest.mark.parametrize("A, B, message", SHAPE_ERRORS.values(), ids=list(SHAPE_ERRORS))
+    def test_shape_messages(self, A, B, message):
+        """One shape rule: the reference's message word for word, from
+        lqr_gain and from stacks of 0, 1 and 3 such systems."""
+        w = CostWeights(np.eye(2), np.eye(1))
+        assert outcome(reference_care, A, B, w) == (ValueError, message)
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            lqr_gain(A, B, w)
+        for k in (0, 1, 3):
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                riccati.solve_stack(np.repeat(A[None], k, 0), np.repeat(B[None], k, 0), w)
+
+    @pytest.mark.parametrize("A, B, message", [
+        (np.ones((2, 2, 2)), np.ones((2, 1)), "A must be square, got (2, 2, 2)"),
+        (np.ones((2, 3)), 5.0, "A must be square, got (2, 3)"),
+        (np.eye(2), np.ones((2, 1, 1)), "B must have 2 rows, got (2, 1, 1)"),
+        (5.0, np.ones((1, 1, 1)), "B must have 1 rows, got (1, 1, 1)"),
+    ])
+    def test_a_system_that_is_not_2d_is_named(self, A, B, message):
+        """A or B still not 2-D after the scalar and 1-D conveniences:
+        the first of A's and B's messages that applies."""
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            lqr_gain(A, B, CostWeights(np.eye(2), np.eye(1)))
+
+    def test_empty_stack_is_shape_checked(self):
+        with pytest.raises(ValueError, match=r"^Q must be 3x3, got \(2, 2\)$"):
+            riccati.solve_stack(np.zeros((0, 3, 3)), np.zeros((0, 3, 1)),
+                                CostWeights(np.eye(2), np.eye(1)))
 
     def test_empty_stack(self):
         P, K, failure = riccati.solve_stack(np.zeros((0, 2, 2)), np.zeros((0, 2, 1)),

@@ -11,7 +11,9 @@ per call.  Each run appends one entry to the "layers" list of --out (other
 keys stay): the two sides' commits, and per case both sides' samples and
 medians, the ratio (the median over rounds of the change/parent ratio
 within a round), the rounds the change won, and whether those wins meet
-the layer-claim rule: at least 15 of 20, three quarters of the rounds.
+the layer-claim rule: at least 15 of 20, three quarters of the rounds.  A
+run of fewer than 20 rounds cannot support a claim, so it prints
+"n/a (fewer than 20 rounds)" and stores wins_rule as null.
 The ratio is taken within rounds because a shared host's speed can drift
 between rounds by more than a layer change: in one self-A/B on a 2-vCPU
 host the samples varied by ~20%, and the ratio of the two sides' medians
@@ -83,6 +85,7 @@ CASES = {"rk4_period": 2, "forward_dynamics": 500, "linearize": 300, "linearize_
          "precompute": 1}  # calls per timing
 REPEATS = 3
 WIN_FRACTION = 0.75  # a layer claim needs 15 of 20 wins
+MIN_ROUNDS = 20  # below this, 3 of 4 wins can come from noise
 
 
 def git(*args) -> str:
@@ -201,13 +204,14 @@ def main(argv=None) -> int:
         pairs = list(zip(runs["parent"], runs["change"]))
         ratio = statistics.median(c / p for p, c in pairs)
         wins = sum(c < p for p, c in pairs)
-        holds = wins >= WIN_FRACTION * args.rounds
+        holds = wins >= WIN_FRACTION * args.rounds if args.rounds >= MIN_ROUNDS else None
         layers["cases"][case] = {"parent": {"median": parent, "runs": runs["parent"]},
                                  "change": {"median": change, "runs": runs["change"]},
                                  "ratio": ratio, "wins": wins, "wins_rule": holds}
+        verdict = ("n/a (fewer than 20 rounds)" if holds is None
+                   else f"15-of-20 rule {'holds' if holds else 'fails'}")
         print(f"{case:<17} parent {parent * 1e6:10.1f} us  change {change * 1e6:10.1f} us  "
-              f"ratio {ratio:.3f}  wins {wins}/{args.rounds}  "
-              f"15-of-20 rule {'holds' if holds else 'fails'}")
+              f"ratio {ratio:.3f}  wins {wins}/{args.rounds}  {verdict}")
     if args.out:
         doc = json.loads(args.out.read_text()) if args.out.exists() else {}
         doc.setdefault("layers", []).append(layers)
