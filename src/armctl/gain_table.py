@@ -41,10 +41,12 @@ from __future__ import annotations
 import hashlib
 import itertools
 import math
+import multiprocessing.connection
 import os
 import struct
+import threading
 from bisect import bisect_right
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool, ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -305,6 +307,36 @@ def _solve_nodes(geom, masses, weights, thetas, indices) -> np.ndarray:
     return gains
 
 
+_pool: tuple[int, int, ProcessPoolExecutor] | None = None  # kept: (starting pid, size, executor)
+_pool_lock = threading.Lock()  # guards _pool
+
+
+def _exit_with_parent() -> None:
+    """Pool initializer: end this worker when the caller dies, which its task queue never shows."""
+    parent, caller = os.getppid(), multiprocessing.parent_process().sentinel
+    def watch():
+        while os.getppid() == parent and not multiprocessing.connection.wait([caller], 0.2):
+            pass
+        os._exit(1)
+    threading.Thread(target=watch, daemon=True).start()
+
+
+def _pool_map(size: int, chunks: list) -> list:
+    """_solve_nodes over chunks on the kept pool, holding `size` processes."""
+    global _pool
+    with _pool_lock:
+        pid = os.getpid()
+        if _pool is None or _pool[:2] != (pid, size):
+            if _pool is not None and _pool[0] == pid:  # a forked child drops it unjoined
+                _pool[2].shutdown()
+            _pool = (pid, size, ProcessPoolExecutor(size, initializer=_exit_with_parent))
+        try:
+            return list(_pool[2].map(_solve_nodes, *zip(*chunks)))
+        except BrokenProcessPool:
+            _pool = None  # a worker died: the next call starts a fresh pool
+            raise
+
+
 def precompute(
     geom: ArmGeometry,
     masses: MassModel,
@@ -319,9 +351,11 @@ def precompute(
     The planar nodes go in index order, in chunks of _CHUNK (64), each one
     work item linearized as one stack and solved as one Riccati stack.  A
     node's gain never depends on its chunk, so the table is bit-identical
-    for any worker count, and the pool gets at most one process per chunk.
-    Raises NodeFailure (carrying the node index and cause) for the first
-    node in index order that cannot be solved.
+    for any worker count.  The caller runs them if min(workers, chunks,
+    usable CPUs) is 1, else a pool of that size kept for the process
+    (replaced for another size or a dead worker, joined at exit), whose
+    workers run the solver as it was at the pool's start.  Raises NodeFailure
+    (node index and cause) for the first node in index order that fails.
     """
     workers = count(workers, "workers", 1)
     planar = list(np.ndindex(grid.shape[1:]))
@@ -330,13 +364,9 @@ def precompute(
     indices = [(0,) + ix for ix in planar]
     chunks = [(geom, masses, weights, thetas[s:s + _CHUNK], indices[s:s + _CHUNK])
               for s in range(0, len(planar), _CHUNK)]
-    if workers == 1:
-        gains = [_solve_nodes(*chunk) for chunk in chunks]
-    else:
-        # the pool starts all its processes up front; any beyond one per
-        # chunk would only sit idle
-        with ProcessPoolExecutor(max_workers=min(workers, len(chunks))) as pool:
-            gains = list(pool.map(_solve_nodes, *zip(*chunks)))
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    size = min(workers, len(chunks), cpus or 1)
+    gains = [_solve_nodes(*chunk) for chunk in chunks] if size == 1 else _pool_map(size, chunks)
 
     gains = np.concatenate(gains).reshape(grid.shape[1:] + GAIN_SHAPE)
     gains.flags.writeable = False

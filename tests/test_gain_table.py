@@ -1,11 +1,19 @@
 import dataclasses
 import itertools
 import math
+import multiprocessing
+import multiprocessing.connection
 import os
+import select
+import signal
 import stat
 import struct
+import subprocess
+import sys
 import time
 import tracemalloc
+from concurrent.futures.process import BrokenProcessPool
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -107,6 +115,56 @@ def solve_calls(monkeypatch):
     return calls
 
 
+def usable_cpus(monkeypatch, n):
+    """Make precompute see n CPUs that this process may use."""
+    monkeypatch.setattr(gt.os, "sched_getaffinity", lambda pid: set(range(n)), raising=False)
+
+
+class StandIn:
+    """An executor that maps in the caller, so no process is started."""
+
+    def __init__(self, max_workers, initializer=None):
+        pass
+
+    def map(self, fn, *iterables):
+        # one work item per chunk, each at most _CHUNK nodes
+        assert all(len(thetas) <= gt._CHUNK for thetas in iterables[3])
+        return map(fn, *iterables)
+
+    def shutdown(self):
+        pass
+
+
+@pytest.fixture()
+def executors(monkeypatch):
+    """Start with no kept pool and 64 usable CPUs.  executors(base) makes
+    precompute construct a recording subclass of base (ProcessPoolExecutor
+    or StandIn) and returns the log it appends ("start", size) and
+    ("shutdown", size) to.  The pools a test starts are shut down after it."""
+    log, made = [], []
+    monkeypatch.setattr(gt, "_pool", None)
+    usable_cpus(monkeypatch, 64)
+
+    def use(base):
+        class Recording(base):
+            def __init__(self, size, **kwargs):
+                super().__init__(size, **kwargs)
+                self.size = size
+                log.append(("start", size))
+                made.append(self)
+
+            def shutdown(self, *args, **kwargs):
+                log.append(("shutdown", self.size))
+                super().shutdown(*args, **kwargs)
+
+        monkeypatch.setattr(gt, "ProcessPoolExecutor", Recording)
+        return log
+
+    yield use
+    for pool in made:
+        pool.shutdown()
+
+
 class TestGridSpec:
     def test_validates(self):
         with pytest.raises(ValueError):
@@ -203,35 +261,38 @@ class TestPrecompute:
         assert one == parallel
 
     @pytest.mark.parametrize("counts, workers, expected", [
-        ((2, 2, 2, 2), 64, 1),  # 8 planar nodes: one chunk
+        ((2, 2, 2, 2), 64, 1),  # 8 planar nodes: one chunk, run in the caller
         ((3, 10, 10, 10), 64, -(-1000 // gt._CHUNK)),  # 1000 planar nodes: 16 chunks of 64
         ((3, 9, 9, 9), 2, 2),  # 729 planar nodes: 12 chunks, capped by the 2 workers
     ])
-    def test_pool_capped_at_chunk_count(self, geom, masses, weights, monkeypatch,
+    def test_pool_capped_at_chunk_count(self, geom, masses, weights, executors,
                                         counts, workers, expected):
-        # a recording stand-in for the executor, so no process is started
-        pools = []
-
-        class Recording:
-            def __init__(self, max_workers):
-                pools.append(max_workers)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, *iterables):
-                # one work item per chunk, each at most _CHUNK nodes
-                assert all(len(thetas) <= gt._CHUNK for thetas in iterables[3])
-                return map(fn, *iterables)
-
+        # expected processes run the chunks; for 1 the caller runs them, no pool
+        log = executors(StandIn)
         grid = GridSpec(BOX_LO, BOX_HI, counts)
         serial = save(precompute(geom, masses, weights, grid))
-        monkeypatch.setattr(gt, "ProcessPoolExecutor", Recording)
         assert save(precompute(geom, masses, weights, grid, workers=workers)) == serial
-        assert pools == [expected]
+        assert log == ([] if expected == 1 else [("start", expected)])
+
+    @pytest.mark.parametrize("affinity, cpu_count, expected", [
+        (2, None, 2),
+        (5, None, 5),
+        (1, None, 1),  # one usable CPU: the caller runs the chunks
+        (None, 3, 3),  # no sched_getaffinity: os.cpu_count
+        (None, None, 1),  # os.cpu_count unknown
+    ])
+    def test_pool_capped_at_cpu_count(self, geom, masses, weights, executors, monkeypatch,
+                                      affinity, cpu_count, expected):
+        log = executors(StandIn)
+        if affinity is None:
+            monkeypatch.delattr(gt.os, "sched_getaffinity", raising=False)
+        else:
+            usable_cpus(monkeypatch, affinity)
+        monkeypatch.setattr(gt.os, "cpu_count", lambda: cpu_count)
+        grid = GridSpec(BOX_LO, BOX_HI, (3, 10, 10, 10))  # 16 chunks
+        serial = save(precompute(geom, masses, weights, grid))
+        assert save(precompute(geom, masses, weights, grid, workers=64)) == serial
+        assert log == ([] if expected == 1 else [("start", expected)])
 
     def test_node_failure_carries_index(self, geom, weights):
         # no tool mass: every node has a degenerate joint-4 inertia
@@ -262,6 +323,122 @@ class TestPrecompute:
         precompute(geom, masses, weights, GridSpec(BOX_LO, BOX_HI, (3, 2, 2, 2)))
         assert len(solve_calls) == 8
         assert len({theta[1:] for theta in solve_calls}) == 8
+
+
+def running(pid):
+    """Whether process pid is alive and not a zombie, read from /proc."""
+    try:
+        with open(f"/proc/{pid}/stat") as f:
+            return f.read().rsplit(")", 1)[1].split()[0] not in ("Z", "X")
+    except (FileNotFoundError, ProcessLookupError):
+        return False
+
+
+# a child that builds a two-chunk table on a pool of 2 workers started by
+# the start method argv[2], prints the workers' pids and then exits or
+# (argv[1] == "hold") sleeps until it is killed
+POOL_CHILD = """
+import functools, multiprocessing, os, sys, time
+os.sched_getaffinity = lambda pid: {0, 1}
+import armctl, armctl.gain_table as gt
+gt.ProcessPoolExecutor = functools.partial(
+    gt.ProcessPoolExecutor, mp_context=multiprocessing.get_context(sys.argv[2]))
+geom = armctl.ArmGeometry(L1=1.0, L2=0.8, L3=0.6)
+masses = armctl.MassModel(m2=0.5, m3=0.4, m4=0.3, M1=0.4, M2=0.3, M3=0.2, g=9.81)
+weights = armctl.CostWeights.from_diagonals([100.0] * 4 + [1.0] * 4, [1.0] * 4)
+grid = armctl.GridSpec((0.05, 0.55, -1.15, 0.25), (0.55, 1.05, -0.65, 0.75), (2, 5, 5, 5))
+armctl.precompute(geom, masses, weights, grid, workers=2)
+print(*gt._pool[2]._processes, flush=True)
+if sys.argv[1] == "hold":
+    time.sleep(60)
+"""
+
+
+START_METHODS = multiprocessing.get_all_start_methods()
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/stat"), reason="reads process states in /proc")
+class TestKeptPool:
+    """precompute keeps one pool for the process while its size serves."""
+
+    GRID = GridSpec(BOX_LO, BOX_HI, (2, 5, 5, 5))  # 125 planar nodes: 2 chunks
+
+    @pytest.fixture(scope="class")
+    def serial(self, geom, masses, weights):
+        return save(precompute(geom, masses, weights, self.GRID, workers=1))
+
+    @pytest.mark.parametrize("method", START_METHODS)
+    def test_two_builds_start_one_pool(self, geom, masses, weights, executors, serial, method):
+        class Started(gt.ProcessPoolExecutor):
+            def __init__(self, size, **kwargs):
+                super().__init__(size, mp_context=multiprocessing.get_context(method), **kwargs)
+
+        log = executors(Started)
+        for _ in range(2):
+            assert save(precompute(geom, masses, weights, self.GRID, workers=2)) == serial
+        assert log == [("start", 2)]
+
+    def test_another_count_replaces_the_pool(self, geom, masses, weights, executors):
+        log = executors(gt.ProcessPoolExecutor)
+        grid = GridSpec(BOX_LO, BOX_HI, (2, 5, 5, 9))  # 225 planar nodes: 4 chunks
+        serial = save(precompute(geom, masses, weights, grid, workers=1))
+        for workers in (2, 3, 3):
+            assert save(precompute(geom, masses, weights, grid, workers=workers)) == serial
+        assert log == [("start", 2), ("shutdown", 2), ("start", 3)]
+
+    def test_killed_worker_drops_the_pool(self, geom, masses, weights, executors, serial):
+        log = executors(gt.ProcessPoolExecutor)
+        precompute(geom, masses, weights, self.GRID, workers=2)
+        worker = next(iter(gt._pool[2]._processes.values()))
+        os.kill(worker.pid, signal.SIGKILL)
+        assert multiprocessing.connection.wait([worker.sentinel], timeout=10)
+        with pytest.raises(BrokenProcessPool):
+            precompute(geom, masses, weights, self.GRID, workers=2)
+        assert gt._pool is None
+        assert save(precompute(geom, masses, weights, self.GRID, workers=2)) == serial
+        assert log == [("start", 2), ("start", 2)]
+
+    def test_pid_mismatch_starts_a_new_pool(self, geom, masses, weights, executors, serial,
+                                            monkeypatch):
+        # a forked child's copy of the pool: dropped, never shut down
+        log = executors(StandIn)
+        precompute(geom, masses, weights, self.GRID, workers=2)
+        pid = os.getpid()
+        monkeypatch.setattr(gt.os, "getpid", lambda: pid + 1)
+        assert save(precompute(geom, masses, weights, self.GRID, workers=2)) == serial
+        assert log == [("start", 2), ("start", 2)]
+
+    def child(self, mode, method="fork"):
+        src = Path(gt.__file__).resolve().parents[1]
+        return subprocess.Popen([sys.executable, "-c", POOL_CHILD, mode, method],
+                                stdout=subprocess.PIPE, text=True,
+                                env={**os.environ, "PYTHONPATH": str(src)})
+
+    def worker_pids(self, proc):
+        assert select.select([proc.stdout], [], [], 60)[0], "no pids within 60 s"
+        pids = [int(pid) for pid in proc.stdout.readline().split()]
+        assert len(pids) == 2
+        return pids
+
+    def test_exit_joins_the_workers(self):
+        with self.child("exit") as proc:
+            pids = self.worker_pids(proc)
+            assert proc.wait(timeout=60) == 0
+        assert not [pid for pid in pids if running(pid)]
+
+    @pytest.mark.parametrize("method", START_METHODS)
+    def test_killed_parent_leaves_no_worker(self, method):
+        with self.child("hold", method) as proc:
+            pids = self.worker_pids(proc)
+            proc.kill()
+            proc.wait(timeout=10)
+        deadline = time.monotonic() + 2
+        while any(running(pid) for pid in pids) and time.monotonic() < deadline:
+            time.sleep(0.05)
+        survivors = [pid for pid in pids if running(pid)]
+        for pid in survivors:  # leave no orphan behind a failure
+            os.kill(pid, signal.SIGKILL)
+        assert not survivors
 
 
 class TestYawInvariance:

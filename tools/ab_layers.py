@@ -49,7 +49,9 @@ Cases, on the test arm of tests/conftest.py:
   load_refined      load of the saved refine(tol 0.1, depth 4) on that box, the
                     203,733-byte reference tree whose load build-table's
                     load_ms times;
-  precompute        a 5^4 precompute with 1 worker on the same box.
+  precompute        a 5^4 precompute with 1 worker on the same box;
+  precompute_2w     the same build with 2 workers, as perfbench's set-up
+                    builds it (2 chunks of 64 planar nodes, so a pool of 2).
 
 Run with --parent HEAD first: that self-A/B shows the noise floor, and each
 of its ratios should lie within +/-5%.  That floor is also the resolution:
@@ -82,7 +84,7 @@ CASES = {"rk4_period": 2, "forward_dynamics": 500, "linearize": 300, "linearize_
          "online_update": 100, "lookup_flat": 500, "lookup_refined": 500,
          "table_update": 250,
          "linearize_stack64": 4, "stack64": 4, "refine": 1, "load_refined": 20,
-         "precompute": 1}  # calls per timing
+         "precompute": 1, "precompute_2w": 1}  # calls per timing
 REPEATS = 3
 WIN_FRACTION = 0.75  # a layer claim needs 15 of 20 wins
 MIN_ROUNDS = 20  # below this, 3 of 4 wins can come from noise
@@ -162,6 +164,7 @@ def cases(pkg) -> dict:
         "refine": lambda: pkg.refine(geom, masses, weights, box, 0.4, 3),
         "load_refined": lambda: pkg.load(reference),
         "precompute": lambda: pkg.precompute(geom, masses, weights, grid, workers=1),
+        "precompute_2w": lambda: pkg.precompute(geom, masses, weights, grid, workers=2),
     }
 
 
