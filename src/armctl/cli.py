@@ -6,12 +6,13 @@ reaches checks it, and its ValueError (a bad argument, see `errors`) exits 2
 with the usage line and the library's message naming the argument, e.g.
 "theta2 must be finite, got [nan]".  `--refine inf` builds a one-leaf table.
 
-Exit codes: 0 success; 1 any other armctl error; 2 usage, config or argument
-errors; 3 unreachable IK target; 4 gain-table node failure; 5 table digest
-mismatch; 6 simulation aborted mid-run (out of table bounds, solver failure,
-degenerate inertia, a diverged state); 7 a file that cannot be read or written
-(an absent --table file, an unwritable --out); 8 a malformed gain-table file
-(including an invalid dimension record).
+Exit codes: 0 success; 1 any other armctl error, or a precompute worker
+process that died (killed, say; the next call starts a new pool); 2 usage,
+config or argument errors; 3 unreachable IK target; 4 gain-table node failure;
+5 table digest mismatch; 6 simulation aborted mid-run (out of table bounds,
+solver failure, degenerate inertia, a diverged state); 7 a file that cannot be
+read or written (an absent --table file, an unwritable --out); 8 a malformed
+gain-table file (including an invalid dimension record).
 All angles are radians; results go to stdout, diagnostics to stderr.
 """
 
@@ -21,6 +22,7 @@ import argparse
 import math
 import sys
 from collections import Counter
+from concurrent.futures.process import BrokenProcessPool
 
 from .config import ArmConfig, load_config
 from .errors import (
@@ -63,7 +65,7 @@ _EXIT_CODES = (
     (NodeFailure, EXIT_NODE_FAILURE),
     (DigestMismatch, EXIT_DIGEST),
     (TableFormatError, EXIT_BAD_TABLE),
-    (ArmError, EXIT_ARM_ERROR),
+    ((ArmError, BrokenProcessPool), EXIT_ARM_ERROR),
     (OSError, EXIT_IO),
 )
 
@@ -269,7 +271,7 @@ def main(argv=None) -> int:
         return args.func(config, args)
     except ValueError as exc:  # a bad argument, named by the library's message
         parser.error(str(exc))
-    except (ArmError, OSError) as exc:
+    except (ArmError, BrokenProcessPool, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return next(code for kind, code in _EXIT_CODES if isinstance(exc, kind))
 

@@ -13,17 +13,17 @@ quickly (RefinedTable) share one lookup: locate the planar cell (bisection
 of each grid axis, descent in a tree), weigh its 8 corner gains, one (8, 32)
 product.
 
-Binary format, version 2 (little-endian):
+Binary format, version 2 (little-endian): one 124-byte header record
 
     magic "AGT1" | u32 version | u32 dims |
-    per dim: f64 min, f64 max, u32 count | 32-byte parameter digest | payload
+    per dim: f64 min, f64 max, u32 count | 32-byte parameter digest
 
-Flat payload: the n2*n3*n4 planar gains in row-major (theta2, theta3,
-theta4) order, each 32 f64 (4x8 row-major), shared by every theta1 node.
-Refined tables mark themselves with count = 0 in every dimension record
-(min/max then hold the root box), followed by f64 tolerance, u32 max_depth,
-u32 pool size, the pool of distinct corner gains (32 f64 each, in order of
-first use), and the pre-order tree: one tag byte per cell (0 = internal,
+then the payload.  Flat payload: the n2*n3*n4 planar gains in row-major
+(theta2, theta3, theta4) order, each 32 f64 (4x8 row-major), shared by every
+theta1 node.  Refined tables mark themselves with count = 0 in every
+dimension record (min/max then hold the root box), followed by f64 tolerance,
+u32 max_depth, u32 pool size, the pool of distinct corner gains (32 f64 each,
+in order of first use), and the pre-order tree: one tag byte per cell (0 = internal,
 1 = leaf, 2 = leaf that still violated the tolerance at max_depth), each leaf
 followed by the u32 pool indices of its 8 corners.  Children and corners are
 numbered with theta2 as the most significant bit.  The root is depth 1, and
@@ -34,7 +34,10 @@ them out or load read them.
 
 The parameter digest is two truncated SHA-256 halves - 16 bytes over the arm
 geometry/masses, 16 over the cost weights - so a loader can tell which side
-of a mismatch it is looking at.
+of a mismatch it is looking at.  load reports the first fault in this order:
+magic, header length, version, dimension count, box and counts (by GridSpec's
+rules for a flat header, the refined constructor's box rule for a tree),
+payload, tree.
 """
 from __future__ import annotations
 
@@ -78,6 +81,8 @@ _GAIN_BYTES = 4 * 8 * 8
 _REFINED_COUNT = 0  # per-dimension count sentinel marking a tree payload
 _MIN_CELL_BYTES = 1 + 8 * 4  # the smallest serialized cell: a leaf
 _MAX_COUNT = 2**32 - 1  # a table file stores each count and max_depth as a u32
+_HEADER = struct.Struct("<4sII" + "ddI" * NDIM + "32s")  # the header the docstring lays out
+_TREE_PARAMS = struct.Struct("<dII")  # a refined payload's tol, max_depth and pool size
 # planar nodes per Riccati stack: a precompute work item, or one solve of
 # a refine level; larger stacks gain little and hold more memory
 _CHUNK = 64
@@ -125,20 +130,15 @@ def check_digest(table, geom, masses, weights=None):
 # ---------------------------------------------------------------------------
 # grid specification
 
-def _check_span(k: int, lo: float, hi: float, error=ValueError):
-    """Raise error unless -pi <= lo < hi <= pi, as lookup answers no angle
-    outside [-pi, pi]; a nan or infinite bound fails every comparison."""
-    if not -math.pi <= lo < hi <= math.pi:
-        raise error(f"dimension {k}: need min < max, a finite span apart within "
-                    f"[-pi, pi], got [{lo}, {hi}]")
-
-
 def _box(lo, hi):
     """lo and hi, each read as 4 components (`errors.components`), as tuples
-    with -pi <= lo < hi <= pi in every dimension (_check_span)."""
+    with -pi <= lo < hi <= pi in every dimension, as lookup answers no angle
+    outside [-pi, pi]; a nan or infinite bound fails every comparison."""
     lo, hi = tuple(components(lo, NDIM, "lo")), tuple(components(hi, NDIM, "hi"))
     for k in range(NDIM):
-        _check_span(k, lo[k], hi[k])
+        if not -math.pi <= lo[k] < hi[k] <= math.pi:
+            raise ValueError(f"dimension {k}: need min < max, a finite span apart within "
+                             f"[-pi, pi], got [{lo[k]}, {hi[k]}]")
     return lo, hi
 
 
@@ -307,8 +307,18 @@ def _solve_nodes(geom, masses, weights, thetas, indices) -> np.ndarray:
     return gains
 
 
-_pool: tuple[int, int, ProcessPoolExecutor] | None = None  # kept: (starting pid, size, executor)
+_pool: tuple[int, ProcessPoolExecutor] | None = None  # kept: (size, executor)
 _pool_lock = threading.Lock()  # guards _pool
+
+
+def _forget_pool() -> None:
+    """After a fork: the child drops the parent's pool unjoined and takes a free lock."""
+    global _pool, _pool_lock
+    _pool, _pool_lock = None, threading.Lock()
+
+
+if hasattr(os, "register_at_fork"):  # another thread may hold the lock at a fork
+    os.register_at_fork(after_in_child=_forget_pool)
 
 
 def _exit_with_parent() -> None:
@@ -325,13 +335,12 @@ def _pool_map(size: int, chunks: list) -> list:
     """_solve_nodes over chunks on the kept pool, holding `size` processes."""
     global _pool
     with _pool_lock:
-        pid = os.getpid()
-        if _pool is None or _pool[:2] != (pid, size):
-            if _pool is not None and _pool[0] == pid:  # a forked child drops it unjoined
-                _pool[2].shutdown()
-            _pool = (pid, size, ProcessPoolExecutor(size, initializer=_exit_with_parent))
+        if _pool is None or _pool[0] != size:
+            if _pool is not None:
+                _pool[1].shutdown()
+            _pool = (size, ProcessPoolExecutor(size, initializer=_exit_with_parent))
         try:
-            return list(_pool[2].map(_solve_nodes, *zip(*chunks)))
+            return list(_pool[1].map(_solve_nodes, *zip(*chunks)))
         except BrokenProcessPool:
             _pool = None  # a worker died: the next call starts a fresh pool
             raise
@@ -496,7 +505,7 @@ class RefinedTable:
         return [leaf for leaf in self.leaves() if leaf.flagged]
 
     def _payload(self) -> bytes:
-        return (struct.pack("<dII", self.tol, self.max_depth, len(self.pool))
+        return (_TREE_PARAMS.pack(self.tol, self.max_depth, len(self.pool))
                 + _gain_bytes(self.pool) + self.tree)
 
 
@@ -590,84 +599,58 @@ def refine(
 # ---------------------------------------------------------------------------
 # serialization
 
-class _Reader:
-    def __init__(self, data: bytes):
-        self.data = data
-        self.pos = 0
-
-    def take(self, n: int) -> bytes:
-        if self.pos + n > len(self.data):
-            raise TruncatedData(
-                f"needed {n} bytes at offset {self.pos}, have {len(self.data) - self.pos}"
-            )
-        out = self.data[self.pos : self.pos + n]
-        self.pos += n
-        return out
-
-    def unpack(self, fmt: str):
-        return struct.unpack(fmt, self.take(struct.calcsize(fmt)))
-
-    def gains(self, n: int) -> np.ndarray:
-        # a view of immutable bytes: contiguous and read-only already
-        return np.frombuffer(self.take(n * _GAIN_BYTES), dtype="<f8").reshape((n,) + GAIN_SHAPE)
-
-    def done(self):
-        if self.pos != len(self.data):
-            raise TruncatedData(f"{len(self.data) - self.pos} trailing bytes")
-
-
 def _gain_bytes(gains: np.ndarray) -> bytes:
     return np.ascontiguousarray(gains, dtype="<f8").tobytes()
 
 
+def _take(data: bytes, at: int, n: int) -> bytes:
+    """The n bytes of data from offset at, or TruncatedData if it holds fewer.
+    A copy: a new bytes object's buffer is aligned for f8, as a header's end is not."""
+    if len(data) - at < n:
+        raise TruncatedData(f"needed {n} bytes at offset {at}, have {len(data) - at}")
+    return data[at:at + n]
+
+
 def save(table) -> bytes:
     """Serialize a GainTable or RefinedTable to the binary format."""
-    out = bytearray(MAGIC)
-    out += struct.pack("<II", FORMAT_VERSION, NDIM)
-    for k in range(NDIM):
-        out += struct.pack("<ddI", table.lo[k], table.hi[k], table.counts[k])
-    out += table.digest
-    out += table._payload()
-    return bytes(out)
+    dims = itertools.chain.from_iterable(zip(table.lo, table.hi, table.counts))
+    return _HEADER.pack(MAGIC, FORMAT_VERSION, NDIM, *dims, table.digest) + table._payload()
 
 
 def load(data: bytes):
-    """Parse a byte stream produced by save().
-
-    Raises BadMagic, VersionMismatch (a version 1 file included), BadGrid,
-    TruncatedData, TreeTooDeep or TableFormatError on malformed input.  The
-    stored digest is not compared here: check_digest does that.
-    """
-    r = _Reader(bytes(data))
-    if r.take(4) != MAGIC:
+    """Parse a byte stream produced by save(), raising the first fault in
+    the module docstring's order: BadMagic, TruncatedData, VersionMismatch (a
+    version 1 file included), BadGrid (with the constructor's message), then
+    TruncatedData, TreeTooDeep or TableFormatError.  The stored digest is not
+    compared here: check_digest does that."""
+    data = bytes(data)
+    if data[:4] != MAGIC:
         raise BadMagic(f"expected magic {MAGIC!r}")
-    (version,) = r.unpack("<I")
+    _, version, ndim, *dims, digest = _HEADER.unpack(_take(data, 0, _HEADER.size))
     if version != FORMAT_VERSION:
         raise VersionMismatch(f"unsupported format version {version}, expected "
                               f"{FORMAT_VERSION}; rebuild the table from its config")
-    (ndim,) = r.unpack("<I")
     if ndim != NDIM:
         raise VersionMismatch(f"unsupported dimension count {ndim}")
-
-    lo, hi, counts = zip(*(r.unpack("<ddI") for _ in range(NDIM)))
-    digest = r.take(32)
-
+    lo, hi, counts = dims[0::3], dims[1::3], dims[2::3]
     refined = all(c == _REFINED_COUNT for c in counts)
-    for k in range(NDIM):
-        _check_span(k, lo[k], hi[k], BadGrid)
-        if not refined and counts[k] < 2:
-            raise BadGrid(f"dimension {k}: count must be >= 2, got {counts[k]}")
+    try:  # by the constructors' rules, before any payload is read
+        spec = _box(lo, hi) if refined else GridSpec(lo, hi, counts)
+    except ValueError as exc:
+        raise BadGrid(str(exc)) from exc
 
+    at = _HEADER.size
     if refined:
-        tol, max_depth, n_pool = r.unpack("<dII")
-        pool = r.gains(n_pool)
-        return RefinedTable(lo, hi, digest, tol, max_depth, pool, r.take(len(r.data) - r.pos))
-
-    # length first: only the planar axes are built, for a payload that exists
-    gains = r.gains(math.prod(counts[1:]))
-    r.done()
-    grid = GridSpec(lo, hi, counts)
-    return GainTable(grid, gains.reshape(grid.shape[1:] + GAIN_SHAPE), digest)
+        tol, max_depth, n_pool = _TREE_PARAMS.unpack(_take(data, at, _TREE_PARAMS.size))
+        at += _TREE_PARAMS.size
+        pool = np.frombuffer(_take(data, at, n_pool * _GAIN_BYTES), "<f8")
+        return RefinedTable(*spec, digest, tol, max_depth,
+                            pool.reshape((n_pool,) + GAIN_SHAPE), data[at + pool.nbytes:])
+    # the length first, so GainTable builds its cell index only for a payload that exists
+    shape = spec.shape[1:] + GAIN_SHAPE
+    if len(data) - at != math.prod(shape) * 8:
+        raise TruncatedData(f"flat payload of {len(data) - at} bytes, need {math.prod(shape) * 8}")
+    return GainTable(spec, np.frombuffer(data[at:], "<f8").reshape(shape), digest)
 
 
 def save_file(table, path):

@@ -1,8 +1,10 @@
 import copy
 import json
 import math
+import multiprocessing.connection
 import os
 import re
+import signal
 import subprocess
 import sys
 from pathlib import Path
@@ -13,6 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import armctl
+import armctl.gain_table as gt
 import armctl.simulator as sim
 from armctl import ArmConfig, ConfigError, IllConditioned, load_config, parse_config
 from armctl.cli import main
@@ -372,6 +375,30 @@ class TestPrecompute:
         assert err.rstrip().endswith(
             "error: max_depth must be at most 4294967295, got 4294967296")
         assert not out_path.exists()
+
+    @pytest.mark.skipif(not hasattr(signal, "SIGKILL"), reason="kills a worker process")
+    def test_dead_worker_exit_1_then_rebuilds(self, capsys, write_config, tmp_path, monkeypatch):
+        # a worker of the kept pool dies between builds: the next build exits
+        # 1 with a message, and the one after starts a new pool
+        monkeypatch.setattr(gt, "_pool", None)
+        monkeypatch.setattr(gt.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        cfg = write_config({f"grid.theta{k}.count": 5 for k in (2, 3, 4)})  # two chunks
+        one, two = tmp_path / "one.agt", tmp_path / "two.agt"
+        argv = ["--config", cfg, "precompute", "--workers", "2", "--out", str(two)]
+        try:
+            assert run_cli(capsys, *argv)[0] == 0
+            worker = next(iter(gt._pool[-1]._processes.values()))
+            os.kill(worker.pid, signal.SIGKILL)
+            assert multiprocessing.connection.wait([worker.sentinel], timeout=10)
+            code, _, err = run_cli(capsys, *argv)
+            assert code == 1
+            assert err.startswith("error:") and "Traceback" not in err
+            assert run_cli(capsys, *argv)[0] == 0
+        finally:
+            if gt._pool is not None:
+                gt._pool[-1].shutdown()
+        assert run_cli(capsys, "--config", cfg, "precompute", "--out", str(one))[0] == 0
+        assert two.read_bytes() == one.read_bytes()
 
     def test_unwritable_out_exit_7(self, capsys, write_config, tmp_path):
         code, _, err = run_cli(

@@ -10,6 +10,7 @@ import stat
 import struct
 import subprocess
 import sys
+import threading
 import time
 import tracemalloc
 from concurrent.futures.process import BrokenProcessPool
@@ -348,7 +349,7 @@ masses = armctl.MassModel(m2=0.5, m3=0.4, m4=0.3, M1=0.4, M2=0.3, M3=0.2, g=9.81
 weights = armctl.CostWeights.from_diagonals([100.0] * 4 + [1.0] * 4, [1.0] * 4)
 grid = armctl.GridSpec((0.05, 0.55, -1.15, 0.25), (0.55, 1.05, -0.65, 0.75), (2, 5, 5, 5))
 armctl.precompute(geom, masses, weights, grid, workers=2)
-print(*gt._pool[2]._processes, flush=True)
+print(*gt._pool[-1]._processes, flush=True)
 if sys.argv[1] == "hold":
     time.sleep(60)
 """
@@ -389,7 +390,7 @@ class TestKeptPool:
     def test_killed_worker_drops_the_pool(self, geom, masses, weights, executors, serial):
         log = executors(gt.ProcessPoolExecutor)
         precompute(geom, masses, weights, self.GRID, workers=2)
-        worker = next(iter(gt._pool[2]._processes.values()))
+        worker = next(iter(gt._pool[-1]._processes.values()))
         os.kill(worker.pid, signal.SIGKILL)
         assert multiprocessing.connection.wait([worker.sentinel], timeout=10)
         with pytest.raises(BrokenProcessPool):
@@ -398,15 +399,37 @@ class TestKeptPool:
         assert save(precompute(geom, masses, weights, self.GRID, workers=2)) == serial
         assert log == [("start", 2), ("start", 2)]
 
-    def test_pid_mismatch_starts_a_new_pool(self, geom, masses, weights, executors, serial,
-                                            monkeypatch):
-        # a forked child's copy of the pool: dropped, never shut down
-        log = executors(StandIn)
-        precompute(geom, masses, weights, self.GRID, workers=2)
-        pid = os.getpid()
-        monkeypatch.setattr(gt.os, "getpid", lambda: pid + 1)
+    def test_fork_with_the_lock_held_builds(self, geom, masses, weights, executors, serial):
+        # a child forked while another thread holds the pool lock takes a
+        # free lock and a pool of its own; the parent keeps the pool it started
+        log = executors(gt.ProcessPoolExecutor)
         assert save(precompute(geom, masses, weights, self.GRID, workers=2)) == serial
-        assert log == [("start", 2), ("start", 2)]
+        held, release = threading.Event(), threading.Event()
+
+        def hold():
+            with gt._pool_lock:
+                held.set()
+                release.wait()
+
+        holder = threading.Thread(target=hold)
+        holder.start()
+        held.wait()
+        pid = os.fork()
+        if pid == 0:  # the child: exit 0 only if its 2-worker build is right
+            code = 1
+            try:
+                signal.alarm(20)
+                built = save(precompute(geom, masses, weights, self.GRID, workers=2))
+                code = 0 if built == serial else 1
+                gt._pool[-1].shutdown()
+            finally:
+                os._exit(code)
+        release.set()
+        holder.join()
+        _, status = os.waitpid(pid, 0)
+        assert os.waitstatus_to_exitcode(status) == 0
+        assert save(precompute(geom, masses, weights, self.GRID, workers=2)) == serial
+        assert log == [("start", 2)]
 
     def child(self, mode, method="fork"):
         src = Path(gt.__file__).resolve().parents[1]
@@ -852,6 +875,7 @@ class TestSerialization:
         assert isinstance(loaded, GainTable)
         assert save(loaded) == blob
         assert np.array_equal(loaded.entries, table.entries)
+        assert loaded.gains.flags.aligned  # unaligned gains slow every lookup
         assert loaded.grid == table.grid
         assert loaded.digest == table.digest
 
@@ -863,6 +887,7 @@ class TestSerialization:
         assert isinstance(loaded, RefinedTable)
         assert save(loaded) == blob
         assert loaded.tol == t.tol and loaded.max_depth == t.max_depth
+        assert loaded.pool.flags.aligned
         rng = np.random.default_rng(3)
         for _ in range(5):
             theta = rng.uniform(box[0], box[1])
@@ -894,12 +919,20 @@ class TestSerialization:
         with pytest.raises(VersionMismatch):
             load(bytes(blob))
 
-    def test_truncated(self, table):
+    def test_truncated(self, table, refined_mid):
         blob = save(table)
         with pytest.raises(TruncatedData):
             load(blob[: len(blob) - 7])
         with pytest.raises(TruncatedData):
             load(blob[:10])
+        # every prefix through the header and 16 bytes on: a short magic, else
+        # a short header or payload, whatever the version field reads so far
+        for blob in (save(table), save(refined_mid)):
+            for n in range(self.REFINED_HEADER + 17):
+                error = BadMagic if n < 4 else TruncatedData
+                with pytest.raises(error) as raised:
+                    load(blob[:n])
+                assert type(raised.value) is error, n
 
     def test_trailing_garbage(self, table):
         with pytest.raises(TruncatedData):
@@ -1109,29 +1142,32 @@ class TestSerialization:
         return bytes(blob)
 
     @pytest.mark.parametrize(
-        "kind, fields",
+        "kind, fields, message",
         [
-            ("flat", {"count": {2: 0}}),
-            ("flat", {"count": {0: 1}}),
-            ("flat", {"lo": {1: float("nan")}}),
-            ("flat", {"hi": {3: float("inf")}}),
-            ("flat", {"lo": {0: 1.0}, "hi": {0: 1.0}}),
-            ("flat", {"lo": {1: -1e308}, "hi": {1: 1e308}}),
-            ("refined", {"hi": {2: float("nan")}}),
-            ("refined", {"lo": {1: 2.0}, "hi": {1: -2.0}}),
-            ("flat", {"hi": {0: 3.2}}),
-            ("flat", {"lo": {1: -3.2}}),
-            ("refined", {"hi": {2: 3.2}}),
-            ("refined", {"lo": {3: -3.2}}),
+            ("flat", {"count": {2: 0}}, r"^counts\[2\] must be a whole number >= 2, got 0"),
+            ("flat", {"count": {0: 1}}, r"^counts\[0\] must be a whole number >= 2, got 1"),
+            ("flat", {"lo": {1: float("nan")}}, r"^dimension 1: need min < max, .* got \[nan, "),
+            ("flat", {"hi": {3: float("inf")}}, r"^dimension 3: need min < max, .*, inf\]$"),
+            ("flat", {"lo": {0: 1.0}, "hi": {0: 1.0}}, r"^dimension 0: .* got \[1.0, 1.0\]$"),
+            ("flat", {"lo": {1: -1e308}, "hi": {1: 1e308}}, r"^dimension 1: .* finite span"),
+            ("refined", {"hi": {2: float("nan")}}, r"^dimension 2: need min < max"),
+            ("refined", {"lo": {1: 2.0}, "hi": {1: -2.0}}, r"^dimension 1: .* got \[2.0, -2.0\]$"),
+            ("flat", {"hi": {0: 3.2}}, BEYOND_PI.format(0)),
+            ("flat", {"lo": {1: -3.2}}, BEYOND_PI.format(1)),
+            ("refined", {"hi": {2: 3.2}}, BEYOND_PI.format(2)),
+            ("refined", {"lo": {3: -3.2}}, BEYOND_PI.format(3)),
+            # as GridSpec reads them: the spans before the counts
+            ("flat", {"count": {0: 1}, "hi": {3: 3.2}}, BEYOND_PI.format(3)),
         ],
         ids=["count-0-in-one", "count-1", "nan-min", "inf-max", "empty-range",
              "span-overflows", "refined-nan-max", "refined-min-above-max",
              "theta1-max-beyond-pi", "theta2-min-beyond-pi", "refined-theta3-max-beyond-pi",
-             "refined-theta4-min-beyond-pi"],
+             "refined-theta4-min-beyond-pi", "span-before-count"],
     )
-    def test_invalid_dimension_record(self, request, kind, fields):
+    def test_invalid_dimension_record(self, request, kind, fields, message):
+        # a header is checked by the constructors' rules and carries their message
         blob = save(request.getfixturevalue({"flat": "table", "refined": "refined_mid"}[kind]))
-        with pytest.raises(BadGrid):
+        with pytest.raises(BadGrid, match=message):
             load(self._patch_dims(blob, **fields))
 
     def test_huge_counts_rejected_before_allocating(self, table):

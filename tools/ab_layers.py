@@ -49,6 +49,9 @@ Cases, on the test arm of tests/conftest.py:
   load_refined      load of the saved refine(tol 0.1, depth 4) on that box, the
                     203,733-byte reference tree whose load build-table's
                     load_ms times;
+  load_flat         load of the saved 5^4 table the precompute case builds,
+                    the one timing of the flat path (perfbench's load_ms
+                    times trees only);
   precompute        a 5^4 precompute with 1 worker on the same box;
   precompute_2w     the same build with 2 workers, as perfbench's set-up
                     builds it (2 chunks of 64 planar nodes, so a pool of 2).
@@ -84,6 +87,7 @@ CASES = {"rk4_period": 2, "forward_dynamics": 500, "linearize": 300, "linearize_
          "online_update": 100, "lookup_flat": 500, "lookup_refined": 500,
          "table_update": 250,
          "linearize_stack64": 4, "stack64": 4, "refine": 1, "load_refined": 20,
+         "load_flat": 200,
          "precompute": 1, "precompute_2w": 1}  # calls per timing
 REPEATS = 3
 WIN_FRACTION = 0.75  # a layer claim needs 15 of 20 wins
@@ -137,6 +141,7 @@ def cases(pkg) -> dict:
     flat = pkg.precompute(geom, masses, weights, grid, workers=1)
     tree = pkg.refine(geom, masses, weights, box, 0.4, 3)
     reference = pkg.save(pkg.refine(geom, masses, weights, box, 0.1, 4))
+    flat_bytes = pkg.save(flat)
     off_node = theta_ref + [0.01, 0.07, -0.05, 0.11]
     x, x_ref = np.concatenate([off_node, rates]), np.concatenate([theta_ref, np.zeros(4)])
     tau_ff = pkg.equilibrium_torque(geom, masses, theta_ref)
@@ -163,6 +168,7 @@ def cases(pkg) -> dict:
         "stack64": lambda: pkg.riccati.solve_stack(A, B, weights),
         "refine": lambda: pkg.refine(geom, masses, weights, box, 0.4, 3),
         "load_refined": lambda: pkg.load(reference),
+        "load_flat": lambda: pkg.load(flat_bytes),
         "precompute": lambda: pkg.precompute(geom, masses, weights, grid, workers=1),
         "precompute_2w": lambda: pkg.precompute(geom, masses, weights, grid, workers=2),
     }
