@@ -83,8 +83,7 @@ _MIN_CELL_BYTES = 1 + 8 * 4  # the smallest serialized cell: a leaf
 _MAX_COUNT = 2**32 - 1  # a table file stores each count and max_depth as a u32
 _HEADER = struct.Struct("<4sII" + "ddI" * NDIM + "32s")  # the header the docstring lays out
 _TREE_PARAMS = struct.Struct("<dII")  # a refined payload's tol, max_depth and pool size
-# planar nodes per Riccati stack: a precompute work item, or one solve of
-# a refine level; larger stacks gain little and hold more memory
+# points per Riccati stack of _solve_points; larger stacks gain little and hold more memory
 _CHUNK = 64
 
 
@@ -331,19 +330,26 @@ def _exit_with_parent() -> None:
     threading.Thread(target=watch, daemon=True).start()
 
 
-def _pool_map(size: int, chunks: list) -> list:
-    """_solve_nodes over chunks on the kept pool, holding `size` processes."""
+def _solve_points(geom, masses, weights, thetas, indices, workers: int = 1) -> np.ndarray:
+    """The gains (k, 4, 8) of the equilibrium nodes thetas (k, 4), in order, solved in
+    stacks as precompute says; a dead pool worker drops the pool and raises ArmError."""
     global _pool
+    stacks = [(geom, masses, weights, thetas[s:s + _CHUNK], indices[s:s + _CHUNK])
+              for s in range(0, len(thetas), _CHUNK)]
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    size = min(workers, len(stacks), cpus or 1)
+    if size <= 1:  # no points give an empty (0, 4, 8)
+        return np.concatenate([_solve_nodes(*stack) for stack in stacks] or [np.empty((0, 4, 8))])
     with _pool_lock:
         if _pool is None or _pool[0] != size:
             if _pool is not None:
                 _pool[1].shutdown()
             _pool = (size, ProcessPoolExecutor(size, initializer=_exit_with_parent))
         try:
-            return list(_pool[1].map(_solve_nodes, *zip(*chunks)))
-        except BrokenProcessPool:
+            return np.concatenate(list(_pool[1].map(_solve_nodes, *zip(*stacks))))
+        except BrokenProcessPool as exc:
             _pool = None  # a worker died: the next call starts a fresh pool
-            raise
+            raise ArmError(f"a table-build worker process died: {exc}") from exc
 
 
 def precompute(
@@ -357,27 +363,23 @@ def precompute(
 
     Nodes that differ only in theta1 share one gain, solved at i1 = 0, so a
     grid of n1 x n2 x n3 x n4 nodes costs and stores n2 * n3 * n4 solves.
-    The planar nodes go in index order, in chunks of _CHUNK (64), each one
-    work item linearized as one stack and solved as one Riccati stack.  A
-    node's gain never depends on its chunk, so the table is bit-identical
-    for any worker count.  The caller runs them if min(workers, chunks,
-    usable CPUs) is 1, else a pool of that size kept for the process
-    (replaced for another size or a dead worker, joined at exit), whose
-    workers run the solver as it was at the pool's start.  Raises NodeFailure
-    (node index and cause) for the first node in index order that fails.
+    The planar nodes go in index order to _solve_points (refine's path too):
+    stacks of _CHUNK (64), each linearized and solved as one stack, run by
+    the caller if min(workers, stacks, usable CPUs) is 1, else by a pool of
+    that size kept for the process (replaced for another size or a dead
+    worker, joined at exit) whose workers run the solver as it was at its
+    start.  A node's gain never depends on its stack, so the table is
+    bit-identical for any worker count.  Raises NodeFailure (node index and
+    cause) for the first failing node in index order, or ArmError if a pool
+    worker dies.
     """
     workers = count(workers, "workers", 1)
     planar = list(np.ndindex(grid.shape[1:]))
     axes = [grid.axis(k) for k in (1, 2, 3)]
     thetas = np.array([[grid.lo[0]] + [axis[i] for axis, i in zip(axes, ix)] for ix in planar])
     indices = [(0,) + ix for ix in planar]
-    chunks = [(geom, masses, weights, thetas[s:s + _CHUNK], indices[s:s + _CHUNK])
-              for s in range(0, len(planar), _CHUNK)]
-    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
-    size = min(workers, len(chunks), cpus or 1)
-    gains = [_solve_nodes(*chunk) for chunk in chunks] if size == 1 else _pool_map(size, chunks)
-
-    gains = np.concatenate(gains).reshape(grid.shape[1:] + GAIN_SHAPE)
+    gains = _solve_points(geom, masses, weights, thetas, indices, workers)
+    gains = gains.reshape(grid.shape[1:] + GAIN_SHAPE)
     gains.flags.writeable = False
     return GainTable(grid, gains, table_digest(geom, masses, weights))
 
@@ -536,13 +538,13 @@ def refine(
     interpolated minus the directly solved gain) exceeds tol is split in
     half along theta2..theta4, up to max_depth levels; cells still violating
     the tolerance at max_depth are kept as flagged leaves.  Every cell spans
-    the whole theta1 range.  The build goes level by level: the corners and
-    centers a depth needs that no earlier depth solved are solved in stacks
-    of at most _CHUNK (64), then that depth's cells are split or kept.  A
-    NodeFailure names the first failing point of the first failing stack.
-    Leaves are kept by (depth, planar box), which fixes a cell's split, and
-    laid out in pre-order from the root box; the pool holds each distinct
-    corner gain once, in order of first use, so the build is deterministic.
+    the whole theta1 range.  The build goes level by level: the new corners
+    and centers of a depth go to _solve_points in the caller, then its cells
+    are split or kept.  A NodeFailure names the first failing point of the
+    first failing stack.  Leaves are kept by (depth, planar box), which
+    fixes a cell's split, and laid out in pre-order from the root box; the
+    pool holds each distinct corner gain once, in order of first use, so the
+    build is deterministic.
     """
     box = components(root_box, 2 * NDIM, "root_box")
     lo, hi = _box(box[:NDIM], box[NDIM:])
@@ -559,10 +561,8 @@ def refine(
         centers = [] if math.isinf(tol) else [
             tuple(0.5 * (l + h) for l, h in zip(clo, chi)) for clo, chi in boxes]
         new = [p for p in dict.fromkeys(itertools.chain(*corners, centers)) if p not in cache]
-        for s in range(0, len(new), _CHUNK):
-            batch = new[s:s + _CHUNK]
-            coords = [(lo[0],) + p for p in batch]
-            cache.update(zip(batch, _solve_nodes(geom, masses, weights, np.array(coords), coords)))
+        coords = [(lo[0],) + p for p in new]
+        cache.update(zip(new, _solve_points(geom, masses, weights, np.array(coords), coords)))
         errors = np.linalg.norm([
             _blend(np.array([cache[p] for p in points]).reshape(8, 32), (0.5, 0.5, 0.5))
             - cache[center] for points, center in zip(corners, centers)

@@ -23,6 +23,7 @@ from hypothesis import strategies as st
 
 import armctl.gain_table as gt
 from armctl import (
+    ArmError,
     BadGrid,
     BadMagic,
     DegenerateInertia,
@@ -393,8 +394,9 @@ class TestKeptPool:
         worker = next(iter(gt._pool[-1]._processes.values()))
         os.kill(worker.pid, signal.SIGKILL)
         assert multiprocessing.connection.wait([worker.sentinel], timeout=10)
-        with pytest.raises(BrokenProcessPool):
+        with pytest.raises(ArmError, match="worker process died") as info:
             precompute(geom, masses, weights, self.GRID, workers=2)
+        assert isinstance(info.value.__cause__, BrokenProcessPool)
         assert gt._pool is None
         assert save(precompute(geom, masses, weights, self.GRID, workers=2)) == serial
         assert log == [("start", 2), ("start", 2)]
@@ -724,6 +726,15 @@ class TestRefine:
         planar = [theta[1:] for theta in solve_calls]
         assert len(planar) == len(set(planar))
 
+    def test_level_with_no_new_point(self, geom, masses, weights, solve_calls):
+        # a box one ulp wide in theta2..theta4: every deeper corner and center
+        # rounds onto a root corner, so depths 2 and 3 solve no point
+        lo = BOX_LO
+        hi = (BOX_HI[0],) + tuple(float(np.nextafter(v, 9.0)) for v in lo[1:])
+        t = refine(geom, masses, weights, (lo, hi), 1e-12, 3)
+        assert len(solve_calls) == 8 and max(leaf.depth for leaf in t.leaves()) == 3
+        assert save(t) == save(reference_refine(geom, masses, weights, (lo, hi), 1e-12, 3))
+
     def test_depth_cap_flags_root(self, geom, masses, weights):
         t = refine(geom, masses, weights, (BOX_LO, BOX_HI), 1e-9, 1)
         leaves = t.leaves()
@@ -758,6 +769,23 @@ class TestRefine:
             "one-leaf": len(leaves) == 1,
             "flagged": any(leaf.flagged for leaf in leaves),
         }[shows]
+
+    def test_reference_refine_solves_in_stacks(self, geom, masses, weights, theta_ref,
+                                               monkeypatch):
+        # each level's new points reach _solve_nodes in order, cut into stacks
+        # of _CHUNK: 9, 26, 154 and 1,052 points, 1,241 solves in 22 stacks
+        stacks, original = [], gt._solve_nodes
+
+        def recording(geom, masses, weights, thetas, indices):
+            stacks.append(len(thetas))
+            return original(geom, masses, weights, thetas, indices)
+
+        monkeypatch.setattr(gt, "_solve_nodes", recording)
+        box = (tuple(theta_ref - 0.25), tuple(theta_ref + 0.25))
+        refine(geom, masses, weights, box, 0.1, 4)
+        assert stacks == [min(gt._CHUNK, n - s) for n in (9, 26, 154, 1052)
+                          for s in range(0, n, gt._CHUNK)]
+        assert (len(stacks), sum(stacks), max(stacks)) == (22, 1241, gt._CHUNK)
 
     def test_depth_never_reached_costs_nothing(self, geom, masses, weights):
         # the level loop stops at the first depth that has no cell to split

@@ -34,9 +34,13 @@ Cases, on the test arm of tests/conftest.py:
                     lqr_gain at that state;
   linearize_eq      one linearize at the equilibrium at theta_ref (zero rates,
                     gravity-holding torque), as a table build linearizes nodes;
-  lookup_flat       one lookup off-node in the 5^4 table below;
-  lookup_refined    one lookup at the same angles in the refine(0.4, 3) tree;
-  table_update      one table control update on each of those two tables:
+  lookup_flat       one lookup off-node in the 5^4 table below, loaded from
+                    its saved bytes, as perfbench's regulate workloads fly
+                    loaded tables (so how load lays out a table's arrays
+                    shows here, as in control_us_p50);
+  lookup_refined    one lookup at the same angles in the refine(0.4, 3) tree,
+                    loaded the same way;
+  table_update      one table control update on each of those two loaded tables:
                     lookup, then tau_ff - K @ (x - x_ref) at a moving state
                     with those angles, as regulate-table's control_us_p50
                     times it (so a call is two updates);
@@ -138,10 +142,10 @@ def cases(pkg) -> dict:
         return pkg.lqr_gain(model.A, model.B, weights)
 
     grid = pkg.GridSpec(box[0], box[1], (5, 5, 5, 5))
-    flat = pkg.precompute(geom, masses, weights, grid, workers=1)
-    tree = pkg.refine(geom, masses, weights, box, 0.4, 3)
+    flat_bytes = pkg.save(pkg.precompute(geom, masses, weights, grid, workers=1))
+    flat = pkg.load(flat_bytes)
+    tree = pkg.load(pkg.save(pkg.refine(geom, masses, weights, box, 0.4, 3)))
     reference = pkg.save(pkg.refine(geom, masses, weights, box, 0.1, 4))
-    flat_bytes = pkg.save(flat)
     off_node = theta_ref + [0.01, 0.07, -0.05, 0.11]
     x, x_ref = np.concatenate([off_node, rates]), np.concatenate([theta_ref, np.zeros(4)])
     tau_ff = pkg.equilibrium_torque(geom, masses, theta_ref)
