@@ -8,20 +8,19 @@ armctl (from the src/ directory next to this script).  Each round times
 every case once on each side, the parent first in even rounds and the change
 first in odd ones.  A sample is the best of 3 repeats of the case's mean time
 per call.  Each run appends one entry to the "layers" list of --out (other
-keys stay): the two sides' commits, and per case both sides' samples and
-medians, the ratio (the median over rounds of the change/parent ratio
-within a round), the rounds the change won, and whether those wins meet
-the layer-claim rule: at least 15 of 20, three quarters of the rounds.  A
-run of fewer than 20 rounds cannot support a claim, so it prints
-"n/a (fewer than 20 rounds)" and stores wins_rule as null.
-The ratio is taken within rounds because a shared host's speed can drift
-between rounds by more than a layer change: in one self-A/B on a 2-vCPU
-host the samples varied by ~20%, and the ratio of the two sides' medians
-read 0.88-1.12 while the within-round ratio read 0.99-1.03.  The cases
-use the public API and the stacked build kernels
-linearization.linearize_stack and riccati.solve_stack, so a parent must be
-commit e759761, which added linearize_stack, or later; an older one fails
-with an AttributeError.
+keys stay): the two sides' commits and, per case, the rounds judged as pairs
+by tools/bench_pairs.py's compare_runs (each side's samples, median and
+quartiles, the ratio of the medians, the rounds won with ties counting for
+neither, the parent's spread), the claim by its claim_holds (at least 9 in
+10 rounds won and the medians apart by more than the parent's interquartile
+range; null, "no claim", below ten rounds) and round_ratio, the median over
+rounds of the change/parent ratio within a round.  That ratio cancels host
+drift the ratio of medians does not: in one self-A/B on a 2-vCPU host the
+samples varied by ~20%, and the ratio of medians read 0.88-1.12 while the
+within-round ratio read 0.99-1.03.  The cases use the public API and the
+stacked build kernels linearization.linearize_stack and riccati.solve_stack,
+so a parent must be commit e759761, which added linearize_stack, or later;
+an older one fails with an AttributeError.
 
 Cases, on the test arm of tests/conftest.py:
   rk4_period        a 0.2 s passive simulate (ten control periods of 20 RK4
@@ -61,7 +60,7 @@ Cases, on the test arm of tests/conftest.py:
                     builds it (2 chunks of 64 planar nodes, so a pool of 2).
 
 Run with --parent HEAD first: that self-A/B shows the noise floor, and each
-of its ratios should lie within +/-5%.  That floor is also the resolution:
+of its round ratios should lie within +/-5%.  That floor is also the resolution:
 the tool cannot resolve a ~5% change on a ~10 us case.  On a 2-vCPU host
 lookup_flat read 1.047 (4/20 wins) against a revision whose gain_table.py
 was identical, while the self-A/B beside it read 0.992: at that size the
@@ -85,17 +84,10 @@ from pathlib import Path
 
 import numpy as np
 
+from bench_pairs import claim_holds, compare_runs, verdict
+
 ROOT = Path(__file__).resolve().parents[1]
-CASES = {"rk4_period": 2, "forward_dynamics": 500, "linearize": 300, "linearize_eq": 300,
-         "lqr_gain": 200,
-         "online_update": 100, "lookup_flat": 500, "lookup_refined": 500,
-         "table_update": 250,
-         "linearize_stack64": 4, "stack64": 4, "refine": 1, "load_refined": 20,
-         "load_flat": 200,
-         "precompute": 1, "precompute_2w": 1}  # calls per timing
 REPEATS = 3
-WIN_FRACTION = 0.75  # a layer claim needs 15 of 20 wins
-MIN_ROUNDS = 20  # below this, 3 of 4 wins can come from noise
 
 
 def git(*args) -> str:
@@ -115,7 +107,7 @@ def load_parent(rev: str, into: Path):
 
 
 def cases(pkg) -> dict:
-    """Per case, a function of no arguments running it once with pkg."""
+    """Per case, its calls per timing and a function running it once with pkg."""
     geom = pkg.ArmGeometry(L1=1.0, L2=0.8, L3=0.6)
     masses = pkg.MassModel(m2=0.5, m3=0.4, m4=0.3, M1=0.4, M2=0.3, M3=0.2, g=9.81)
     weights = pkg.CostWeights.from_diagonals([100.0] * 4 + [1.0] * 4, [1.0] * 4)
@@ -156,30 +148,30 @@ def cases(pkg) -> dict:
     passive = pkg.SimConfig(duration=0.2)
     x0 = np.concatenate([theta_ref, rates])
     return {
-        "rk4_period": lambda: pkg.simulate(
-            geom, masses, passive, pkg.ControllerMode.PASSIVE, x0),
-        "forward_dynamics": lambda: pkg.forward_dynamics(
-            geom, masses, theta_ref, rates, torque),
-        "linearize": lambda: pkg.linearize(
-            geom, masses, pkg.OperatingPoint(theta_ref, rates, torque)),
-        "linearize_eq": lambda: pkg.linearize(geom, masses, equilibrium),
-        "lqr_gain": lambda: pkg.lqr_gain(online.A, online.B, weights),
-        "online_update": online_update,
-        "lookup_flat": lambda: pkg.lookup(flat, off_node),
-        "lookup_refined": lambda: pkg.lookup(tree, off_node),
-        "table_update": table_update,
-        "linearize_stack64": linearize_stack64,
-        "stack64": lambda: pkg.riccati.solve_stack(A, B, weights),
-        "refine": lambda: pkg.refine(geom, masses, weights, box, 0.4, 3),
-        "load_refined": lambda: pkg.load(reference),
-        "load_flat": lambda: pkg.load(flat_bytes),
-        "precompute": lambda: pkg.precompute(geom, masses, weights, grid, workers=1),
-        "precompute_2w": lambda: pkg.precompute(geom, masses, weights, grid, workers=2),
+        "rk4_period": (2, lambda: pkg.simulate(
+            geom, masses, passive, pkg.ControllerMode.PASSIVE, x0)),
+        "forward_dynamics": (500, lambda: pkg.forward_dynamics(
+            geom, masses, theta_ref, rates, torque)),
+        "linearize": (300, lambda: pkg.linearize(
+            geom, masses, pkg.OperatingPoint(theta_ref, rates, torque))),
+        "linearize_eq": (300, lambda: pkg.linearize(geom, masses, equilibrium)),
+        "lqr_gain": (200, lambda: pkg.lqr_gain(online.A, online.B, weights)),
+        "online_update": (100, online_update),
+        "lookup_flat": (500, lambda: pkg.lookup(flat, off_node)),
+        "lookup_refined": (500, lambda: pkg.lookup(tree, off_node)),
+        "table_update": (250, table_update),
+        "linearize_stack64": (4, linearize_stack64),
+        "stack64": (4, lambda: pkg.riccati.solve_stack(A, B, weights)),
+        "refine": (1, lambda: pkg.refine(geom, masses, weights, box, 0.4, 3)),
+        "load_refined": (20, lambda: pkg.load(reference)),
+        "load_flat": (200, lambda: pkg.load(flat_bytes)),
+        "precompute": (1, lambda: pkg.precompute(geom, masses, weights, grid, workers=1)),
+        "precompute_2w": (1, lambda: pkg.precompute(geom, masses, weights, grid, workers=2)),
     }
 
 
-def sample(fn, number: int) -> float:
-    """Best of REPEATS means, in seconds per call."""
+def sample(number: int, fn) -> float:
+    """Best of REPEATS means of number calls of fn, in seconds per call."""
     best = float("inf")
     for _ in range(REPEATS):
         start = time.perf_counter()
@@ -201,30 +193,27 @@ def main(argv=None) -> int:
 
     with tempfile.TemporaryDirectory() as tmp:
         sides = {"parent": cases(load_parent(args.parent, Path(tmp))), "change": cases(armctl)}
-        times = {case: {"parent": [], "change": []} for case in CASES}
+        times = {case: {"parent": [], "change": []} for case in sides["change"]}
         for r in range(args.rounds):
             order = ("parent", "change") if r % 2 == 0 else ("change", "parent")
-            for case, number in CASES.items():
+            for case in times:
                 for side in order:
-                    times[case][side].append(sample(sides[side][case], number))
+                    times[case][side].append(sample(*sides[side][case]))
 
     layers = {"parent": {"rev": args.parent, "commit": git("rev-parse", args.parent)},
               "change": {"commit": git("rev-parse", "HEAD"),
                          "src_modified": bool(git("status", "--porcelain", "src/armctl"))},
               "rounds": args.rounds, "unit": "s per call", "cases": {}}
     for case, runs in times.items():
-        parent, change = statistics.median(runs["parent"]), statistics.median(runs["change"])
-        pairs = list(zip(runs["parent"], runs["change"]))
-        ratio = statistics.median(c / p for p, c in pairs)
-        wins = sum(c < p for p, c in pairs)
-        holds = wins >= WIN_FRACTION * args.rounds if args.rounds >= MIN_ROUNDS else None
-        layers["cases"][case] = {"parent": {"median": parent, "runs": runs["parent"]},
-                                 "change": {"median": change, "runs": runs["change"]},
-                                 "ratio": ratio, "wins": wins, "wins_rule": holds}
-        verdict = ("n/a (fewer than 20 rounds)" if holds is None
-                   else f"15-of-20 rule {'holds' if holds else 'fails'}")
-        print(f"{case:<17} parent {parent * 1e6:10.1f} us  change {change * 1e6:10.1f} us  "
-              f"ratio {ratio:.3f}  wins {wins}/{args.rounds}  {verdict}")
+        entry = compare_runs(runs["parent"], runs["change"], "lower")
+        entry["round_ratio"] = statistics.median(
+            c / p for p, c in zip(runs["parent"], runs["change"]))
+        entry["claim"] = claim_holds(entry)
+        layers["cases"][case] = entry
+        print(f"{case:<17} parent {entry['parent']['median'] * 1e6:10.1f} us  "
+              f"change {entry['change']['median'] * 1e6:10.1f} us  ratio {entry['ratio']:.3f}  "
+              f"in rounds {entry['round_ratio']:.3f}  wins {entry['wins']}/{args.rounds}  "
+              f"{verdict(entry['claim'])}")
     if args.out:
         doc = json.loads(args.out.read_text()) if args.out.exists() else {}
         doc.setdefault("layers", []).append(layers)

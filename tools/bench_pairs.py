@@ -18,11 +18,12 @@ spread exceeds the metric's bound, unless every change run reads better
 than every parent run: the runs cannot then tell a regression from noise.
 Otherwise it regressed when the change's median is worse than the
 parent's by more than the bound.  Each workload's regressed and unresolved
-metrics are also printed.  A claim
-(WORKLOAD:METRIC) holds when the change wins at least 9 in 10 of its pairs
-and the medians differ, in the better direction, by more than the parent's
-interquartile range.  A run that fails the correctness gate, or exits non-zero,
-is recorded, and the script then exits with status 1.
+metrics are also printed.  A claim (WORKLOAD:METRIC) holds when the change
+wins at least 9 in 10 of its pairs and the medians differ, in the better
+direction, by more than the parent's interquartile range; below ten pairs
+it is null, and printed as such.  tools/ab_layers.py claims by this rule
+too.  A run that fails the correctness gate, or exits non-zero, is
+recorded, and the script then exits with status 1.
 """
 
 from __future__ import annotations
@@ -38,7 +39,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 SECONDS = 10
-CLAIM_WIN_FRACTION = 0.9
+CLAIM_MIN_PAIRS = 10
 
 
 def run_once(checkout: Path, workload: str, seed: int) -> dict:
@@ -62,47 +63,52 @@ def run_once(checkout: Path, workload: str, seed: int) -> dict:
 
 
 def summary(values: list[float]) -> dict:
-    q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    # quantiles needs two points before Python 3.13; one run is its own quartiles
+    q1, median, q3 = (statistics.quantiles(values, n=4, method="inclusive")
+                      if len(values) > 1 else values * 3)
     return {"median": median, "q1": q1, "q3": q3, "runs": values}
 
 
-def compare(parent_runs, change_runs, spec) -> dict:
-    """Per end-to-end metric: both sides summarized, ratio, wins, spread,
-    and whether it is unresolved or regressed (see the module docstring)."""
-    out = {}
-    for metric in spec["end_to_end"]:
-        name, lower, bound = metric["name"], metric["better"] == "lower", metric["bound"]
-        p = [run["metrics"][name] for run in parent_runs]
-        c = [run["metrics"][name] for run in change_runs]
-        ps, cs = summary(p), summary(c)
-        wins = sum((b < a) if lower else (b > a) for a, b in zip(p, c))
-        ratio = cs["median"] / ps["median"] if ps["median"] else None
+def compare_runs(parent: list[float], change: list[float], better: str,
+                 bound: float | None = None) -> dict:
+    """One metric's paired runs judged as the module docstring says: both
+    sides summarized, ratio, wins, pairs, spread and, given a bound, verdict."""
+    lower = better == "lower"
+    ps, cs = summary(parent), summary(change)
+    spread = (ps["q3"] - ps["q1"]) / abs(ps["median"]) if ps["median"] else 0.0
+    entry = {
+        "better": better,
+        "parent": ps,
+        "change": cs,
+        "ratio": cs["median"] / ps["median"] if ps["median"] else None,
+        "wins": sum((c < p) if lower else (c > p) for p, c in zip(parent, change)),
+        "pairs": len(parent),
+        "spread": spread,
+    }
+    if bound is not None:
         worse = (cs["median"] - ps["median"]) if lower else (ps["median"] - cs["median"])
-        spread = (ps["q3"] - ps["q1"]) / abs(ps["median"]) if ps["median"] else 0.0
-        all_better = max(c) < min(p) if lower else min(c) > max(p)
+        all_better = max(change) < min(parent) if lower else min(change) > max(parent)
         unresolved = spread > bound and not all_better
-        out[name] = {
-            "better": metric["better"],
-            "bound": bound,
-            "parent": ps,
-            "change": cs,
-            "ratio": ratio,
-            "wins": wins,
-            "pairs": len(p),
-            "spread": spread,
-            "unresolved": unresolved,
-            "regressed": not unresolved and worse > bound * abs(ps["median"]),
-        }
-    return out
+        entry.update(bound=bound, unresolved=unresolved,
+                     regressed=not unresolved and worse > bound * abs(ps["median"]))
+    return entry
 
 
-def claim_holds(entry: dict) -> bool:
+def claim_holds(entry: dict) -> bool | None:
+    """The claim rule of the module docstring for a compare_runs entry; None
+    below CLAIM_MIN_PAIRS pairs, which can claim nothing."""
+    if entry["pairs"] < CLAIM_MIN_PAIRS:
+        return None
     parent, change = entry["parent"], entry["change"]
     gain = parent["median"] - change["median"]
     if entry["better"] == "higher":
         gain = -gain
-    return (entry["wins"] >= CLAIM_WIN_FRACTION * entry["pairs"]
-            and gain > parent["q3"] - parent["q1"])
+    return 10 * entry["wins"] >= 9 * entry["pairs"] and gain > parent["q3"] - parent["q1"]
+
+
+def verdict(holds: bool | None) -> str:
+    return {None: f"no claim (fewer than {CLAIM_MIN_PAIRS} pairs)",
+            True: "claim holds", False: "claim fails"}[holds]
 
 
 def main(argv=None) -> int:
@@ -140,10 +146,13 @@ def main(argv=None) -> int:
                 print(f"{workload} seed {seed} {side}: exit {run['exit']}", flush=True)
         entry = {"seeds": seeds, "runs": runs}
         if all(run["metrics"] for side in runs.values() for run in side):
-            entry["metrics"] = compare(runs["parent"], runs["change"], spec)
-            for verdict in ("regressed", "unresolved"):
-                names = [k for k, v in entry["metrics"].items() if v[verdict]]
-                print(f"{workload} {verdict}: {', '.join(names) or 'none'}", flush=True)
+            entry["metrics"] = {m["name"]: compare_runs(
+                [run["metrics"][m["name"]] for run in runs["parent"]],
+                [run["metrics"][m["name"]] for run in runs["change"]],
+                m["better"], m["bound"]) for m in spec["end_to_end"]}
+            for flag in ("regressed", "unresolved"):
+                names = [k for k, v in entry["metrics"].items() if v[flag]]
+                print(f"{workload} {flag}: {', '.join(names) or 'none'}", flush=True)
         else:
             status = 1
         doc["workloads"][workload] = entry
@@ -153,6 +162,7 @@ def main(argv=None) -> int:
         workload, metric = args.claim.split(":")
         entry = doc["workloads"][workload]["metrics"][metric]
         doc["claim"] = {"workload": workload, "metric": metric, "holds": claim_holds(entry)}
+        print(f"{args.claim}: {verdict(doc['claim']['holds'])}", flush=True)
     args.out.write_text(json.dumps(doc, indent=1, sort_keys=True) + "\n")
     return status
 
