@@ -19,16 +19,47 @@ system gets the bytes and the error it gets alone: when a check first fails
 at system i, the stack's result is that of its prefix [:i] solved again,
 with the prefix's own failure or else system i's.  solve_care and lqr_gain
 solve a stack of one.
+
+The LAPACK routines are scipy's, from its compiled scipy/linalg/_flapack
+module (scipy.linalg.lapack re-exports them).  _load_flapack loads that one
+file by its path: importing scipy.linalg would run the package's init, ~300
+more modules and ~20 MB that armctl never uses.
 """
 
 from __future__ import annotations
 
+import os
+import sys
 from dataclasses import dataclass, field
+from importlib import machinery, util
 
 import numpy as np
-from scipy.linalg import lapack
 
 from .errors import IllConditioned, NotStabilizable
+
+
+def _load_flapack():
+    """scipy.linalg._flapack loaded from its file, with sys.modules left as it
+    was; a later `import scipy.linalg` runs its init and shares the routines."""
+    name, scipy = "scipy.linalg._flapack", util.find_spec("scipy")
+    where = os.path.join(scipy.submodule_search_locations[0] if scipy else "scipy", "linalg")
+    paths = [os.path.join(where, "_flapack" + s) for s in machinery.EXTENSION_SUFFIXES]
+    path = next((p for p in paths if os.path.isfile(p)), None)
+    if path is None:
+        raise ImportError(f"no compiled _flapack module in {where}", name=name)
+    spec = util.spec_from_file_location(name, path)
+    kept = sys.modules.pop(name, None)  # creating a single-phase extension files it there
+    try:
+        module = util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+    finally:
+        sys.modules.pop(name, None)
+        if kept is not None:
+            sys.modules[name] = kept
+    return module
+
+
+lapack = _load_flapack()
 
 # residual contract: ||A'P + PA - PBR^-1B'P + Q||_F <= RESIDUAL_RTOL * max(1, ||Q||_F)
 RESIDUAL_RTOL = 1e-8

@@ -207,12 +207,25 @@ def test_mutated_config_is_config_or_config_error(raw):
         pass
 
 
-def test_import_leaves_out_jsonschema():
+def _modules_after(code):
+    """The names in sys.modules of a fresh interpreter that has run code."""
     src = Path(armctl.__file__).resolve().parents[1]
-    code = "import sys, armctl; print('jsonschema' in sys.modules)"
+    code += "; import sys; print(*sys.modules)"
     out = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": str(src)},
                          capture_output=True, text=True, check=True).stdout
-    assert out.strip() == "False"
+    return set(out.split())
+
+
+def test_import_leaves_out_jsonschema():
+    assert "jsonschema" not in _modules_after("import armctl")
+
+
+def test_import_leaves_out_scipy():
+    """riccati loads scipy's compiled LAPACK module by its path, so neither
+    the library nor the CLI imports any scipy module, scipy.linalg's package
+    init above all."""
+    modules = _modules_after("import armctl, armctl.cli")
+    assert not {name for name in modules if name.split(".")[0] == "scipy"}
 
 
 @pytest.mark.parametrize(

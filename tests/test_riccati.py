@@ -1,7 +1,10 @@
 import dataclasses
+import importlib.machinery
 import math
 import pickle
 import re
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -455,3 +458,24 @@ class TestCachedWeights:
                                                        np.zeros(4)))
         assert (lqr_gain(model.A, model.B, copy).tobytes()
                 == lqr_gain(model.A, model.B, weights).tobytes())
+
+
+class TestLapackSource:
+    """riccati loads scipy's compiled scipy/linalg/_flapack extension by its
+    path and leaves sys.modules as it found it (test_config_cli checks that
+    importing armctl imports no scipy module)."""
+
+    def test_routines_are_scipys_compiled_module(self):
+        assert riccati.lapack.__file__ == scipy.linalg._flapack.__file__
+
+    def test_load_keeps_sys_modules(self):
+        before = dict(sys.modules)
+        module = riccati._load_flapack()
+        assert module is not scipy.linalg._flapack
+        assert sys.modules == before
+
+    def test_missing_extension_is_import_error(self, monkeypatch):
+        monkeypatch.setattr(importlib.machinery, "EXTENSION_SUFFIXES", [".missing"])
+        where = str(Path(scipy.linalg.__file__).parent)
+        with pytest.raises(ImportError, match=re.escape(where)):
+            riccati._load_flapack()

@@ -59,13 +59,18 @@ Cases, on the test arm of tests/conftest.py:
   precompute_2w     the same build with 2 workers, as perfbench's set-up
                     builds it (2 chunks of 64 planar nodes, so a pool of 2).
 
-Run with --parent HEAD first: that self-A/B shows the noise floor, and each
-of its round ratios should lie within +/-5%.  That floor is also the resolution:
-the tool cannot resolve a ~5% change on a ~10 us case.  On a 2-vCPU host
-lookup_flat read 1.047 (4/20 wins) against a revision whose gain_table.py
-was identical, while the self-A/B beside it read 0.992: at that size the
-other side's tree (its imports, its memory layout) can move a case as much
-as the code timed.
+Run with --parent HEAD first: that self-A/B shows the noise floor, which is
+wide.  On a 2-vCPU host one round on identical code read ratios from 0.86
+(rk4_period) to 1.75 (load_flat); one round against a tree that differed
+only in how riccati loads its unchanged LAPACK routines read 0.55 (stack64)
+to 1.90 (refine), and ten rounds of it 0.95-1.04.  Ten rounds on identical
+code read precompute_2w at 0.921 and linearize_eq at 1.065 as ratios of
+medians.  So read no single ratio as a change; the claim rule above
+decides.  That floor is also the resolution: the tool cannot resolve a ~5%
+change on a ~10 us case.  On a 2-vCPU host lookup_flat read 1.047 (4/20
+wins) against a revision whose gain_table.py was identical, while the
+self-A/B beside it read 0.992: at that size the other side's tree (its
+imports, its memory layout) can move a case as much as the code timed.
 """
 
 from __future__ import annotations
