@@ -54,7 +54,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import MassModel, equilibrium_torque
+from .dynamics import MassModel
 from .errors import (
     ArmError,
     BadGrid,
@@ -291,11 +291,10 @@ class GainTable:
 
 def _solve_nodes(geom, masses, weights, thetas, indices) -> np.ndarray:
     """The gains (k, 4, 8) of the equilibrium nodes thetas (k, 4), linearized
-    as one stack at zero rates and equilibrium_torque, then solved as one
-    Riccati stack.  The first node i that fails raises NodeFailure(indices[i],
-    cause) for an ArmError, or the ValueError itself."""
-    torque = np.array([equilibrium_torque(geom, masses, theta) for theta in thetas])
-    A, B, failure = linearize_stack(geom, masses, thetas, np.zeros((len(thetas), 4)), torque)
+    as one stack at zero rates and each node's equilibrium torque, then
+    solved as one Riccati stack.  The first node i that fails raises
+    NodeFailure(indices[i], cause) for an ArmError, or the ValueError itself."""
+    A, B, failure = linearize_stack(geom, masses, thetas, np.zeros((len(thetas), 4)))
     _, gains, stack_failure = solve_stack(A, B, weights)
     failure = stack_failure or failure  # a failing stack holds only earlier nodes
     if failure:

@@ -77,12 +77,15 @@ def equilibrium_point(
     return OperatingPoint(theta, np.zeros(4), equilibrium_torque(geom, masses, theta))
 
 
-def linearize_stack(geom: ArmGeometry, masses: MassModel, theta, rates, torque):
+def linearize_stack(geom: ArmGeometry, masses: MassModel, theta, rates, torque=None):
     """Linearize k points given as unchecked float arrays (k, 4) in one
-    pass.  Returns (A, B, failure), A (k, 8, 8) and B (k, 8, 4); failure is
-    None, or (i, error) for the lowest-index point that fails, as in
-    `riccati.solve_stack`: DegenerateInertia where forward_dynamics raises
-    it, or Diverged where A overflows.  A and B then hold points [:i].
+    pass; torque None stands for each point's equilibrium torque
+    (0.0, P2, P3, P4), read from the kernel evaluated there, the bytes
+    `equilibrium_torque` returns.  Returns (A, B, failure), A (k, 8, 8) and
+    B (k, 8, 4); failure is None, or (i, error) for the lowest-index point
+    that fails, as in `riccati.solve_stack`: DegenerateInertia where
+    forward_dynamics raises it, or Diverged where A overflows.  A and B
+    then hold points [:i].
 
     With N_i the numerator above and H_k the Hessian of I_k (k = 1..4) or
     of PE, the lower blocks are
@@ -94,12 +97,14 @@ def linearize_stack(geom: ArmGeometry, masses: MassModel, theta, rates, torque):
     """
     forms = _mass_forms(geom, masses)
     # a row per point: 1/I, J (4x4), acc and the Hessian weights in dN/dtheta
-    rows, resting, failure = [], [], None
-    for i, ((_, t2, t3, t4), (w1, w2, w3, w4), tau) in enumerate(
-            zip(theta.tolist(), rates.tolist(), torque.tolist())):
+    rows, resting, taus, failure = [], [], [], None
+    torque = None if torque is None else torque.tolist()
+    for i, ((_, t2, t3, t4), (w1, w2, w3, w4)) in enumerate(zip(theta.tolist(),
+                                                                rates.tolist())):
         kernel = _kernel(forms, t2, t3, t4)
+        taus.append([0.0, *kernel[5:8]] if torque is None else torque[i])
         try:
-            acc = _solve(kernel, t2, t3, t4, w1, w2, w3, w4, *tau)
+            acc = _solve(kernel, t2, t3, t4, w1, w2, w3, w4, *taus[i])
         except DegenerateInertia as exc:
             failure = i, exc
             break
@@ -134,7 +139,7 @@ def linearize_stack(geom: ArmGeometry, masses: MassModel, theta, rates, torque):
     if False in finite:
         i = finite.index(False)
         failure = i, Diverged(f"linear model not finite at rates {rates[i].tolist()} "
-                              f"and torque {torque[i].tolist()}")
+                              f"and torque {taus[i]}")
         A, rows = A[:i], rows[:i]
 
     return A, _B_LOW * rows[:, None, :4], failure  # 1/I > 0, so B's zeros are +0.0

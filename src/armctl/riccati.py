@@ -17,8 +17,11 @@ solve for P, the symmetry and residual checks, the products around them)
 runs once over the stack, which saves most of the per-call overhead.  Each
 system gets the bytes and the error it gets alone: when a check first fails
 at system i, the stack's result is that of its prefix [:i] solved again,
-with the prefix's own failure or else system i's.  solve_care and lqr_gain
-solve a stack of one.
+with the prefix's own failure or else system i's.  solve_care and lqr_gain,
+the online path, solve one system through _solve, a body on 2-D operands
+with the same LAPACK calls, products and checks, which a stack of one
+took 1.11x as long to solve (in-process, 2-vCPU x86-64 host).  _ERRORS
+holds each check's error for both bodies.
 
 The LAPACK routines are scipy's, from its compiled scipy/linalg/_flapack
 module (scipy.linalg.lapack re-exports them).  _load_flapack loads that one
@@ -28,6 +31,7 @@ more modules and ~20 MB that armctl never uses.
 
 from __future__ import annotations
 
+import math
 import os
 import sys
 from dataclasses import dataclass, field
@@ -85,6 +89,42 @@ def _symmetric(mat: np.ndarray, name: str) -> tuple[np.ndarray, float]:
 
 def _lhp(re, im):
     return re < 0.0
+
+
+# each check's error type and message, in the order the checks run; both
+# bodies raise or return _error(check, *values)
+_ERRORS = {
+    "B finite": (ValueError, "B must be finite"),
+    "H finite": (ValueError, "A must be finite, and B R^-1 B' must not overflow"),
+    "dgees info": (IllConditioned, "ordered Schur form failed (dgees info {})"),
+    "dgees sdim": (NotStabilizable, "stable invariant subspace has dimension {}, expected {}"),
+    "singular basis": (NotStabilizable, "singular subspace basis: {}"),
+    "P symmetric": (IllConditioned, "Riccati solution lost symmetry"),
+    "P PSD": (NotStabilizable, "Riccati solution not PSD (min eig {})"),
+    "CARE residual": (IllConditioned, "CARE residual {:.3e} exceeds {:.3e}"),
+    "closed loop Hurwitz": (NotStabilizable, "closed loop not Hurwitz (max Re eig {:.3e})"),
+}
+
+
+def _error(check: str, *values) -> Exception:
+    kind, message = _ERRORS[check]
+    return kind(message.format(*values))
+
+
+def _fit(a_shape, b_shape, weights) -> tuple[int, int]:
+    """(n, m) of a system whose A and B end in the shapes a_shape and b_shape
+    and fit the weights (each A n x n, each B n x m, Q n x n, R m x m), or
+    ValueError naming the first that does not."""
+    n, m = a_shape[-2], b_shape[-1]
+    if a_shape[-1] != n:
+        raise ValueError(f"A must be square, got {a_shape[-2:]}")
+    if b_shape[-2] != n:
+        raise ValueError(f"B must have {n} rows, got {b_shape[-2:]}")
+    if weights.Q.shape != (n, n):
+        raise ValueError(f"Q must be {n}x{n}, got {weights.Q.shape}")
+    if weights.R.shape != (m, m):
+        raise ValueError(f"R must be {m}x{m}, got {weights.R.shape}")
+    return n, m
 
 
 @dataclass(frozen=True)
@@ -160,15 +200,7 @@ def solve_stack(A, B, weights: CostWeights):
     if A.ndim != 3 or B.ndim != 3 or len(A) != len(B):
         raise ValueError(f"A and B must be stacks of k systems, got shapes "
                          f"{A.shape} and {B.shape}")
-    k, n, m = len(A), A.shape[1], B.shape[2]
-    if A.shape[2] != n:
-        raise ValueError(f"A must be square, got {A.shape[1:]}")
-    if B.shape[1] != n:
-        raise ValueError(f"B must have {n} rows, got {B.shape[1:]}")
-    if weights.Q.shape != (n, n):
-        raise ValueError(f"Q must be {n}x{n}, got {weights.Q.shape}")
-    if weights.R.shape != (m, m):
-        raise ValueError(f"R must be {m}x{m}, got {weights.R.shape}")
+    k, (n, m) = len(A), _fit(A.shape, B.shape, weights)
 
     def fail(i, error):
         """Systems [:i] solved, with their own failure or else (i, error);
@@ -184,7 +216,7 @@ def solve_stack(A, B, weights: CostWeights):
     # finiteness is checked here, on B and on H, in place of scipy's checks
     i = first_bad(np.isfinite(B).all(axis=(1, 2)))
     if i is not None:
-        return fail(i, ValueError("B must be finite"))
+        return fail(i, _error("B finite"))
     X = np.empty((k, n, m)).transpose(0, 2, 1)  # R^-1 B', Fortran-ordered as from dpotrs
     for i in range(k):
         X[i] = lapack.dpotrs(weights._r_chol, B[i].T)[0]
@@ -196,16 +228,15 @@ def solve_stack(A, B, weights: CostWeights):
     H[:, n:, :n], H[:, n:, n:] = weights._neg_q, -A.transpose(0, 2, 1)
     i = first_bad(np.isfinite(H).all(axis=(1, 2)))
     if i is not None:
-        return fail(i, ValueError("A must be finite, and B R^-1 B' must not overflow"))
+        return fail(i, _error("H finite"))
     Zt = np.empty((k, n, 2 * n))  # the bases [Z11; Z21], transposed
     for i in range(k):
         _, sdim, _, _, Z, _, info = lapack.dgees(_lhp, H[i], lwork=weights._lwork,
                                                  sort_t=1, overwrite_a=1)
         if info:
-            return fail(i, IllConditioned(f"ordered Schur form failed (dgees info {info})"))
+            return fail(i, _error("dgees info", info))
         if sdim != n:
-            return fail(i, NotStabilizable(f"stable invariant subspace has dimension {sdim}, "
-                                           f"expected {n}"))
+            return fail(i, _error("dgees sdim", sdim, n))
         Zt[i] = Z[:, :n].T
     try:
         P = np.linalg.solve(Zt[:, :, :n], Zt[:, :, n:]).transpose(0, 2, 1)
@@ -214,7 +245,7 @@ def solve_stack(A, B, weights: CostWeights):
             try:
                 np.linalg.solve(Zt[i, :, :n], Zt[i, :, n:])
             except np.linalg.LinAlgError as exc:
-                error = NotStabilizable(f"singular subspace basis: {exc}")
+                error = _error("singular basis", exc)
                 error.__cause__ = exc
                 return fail(i, error)
         raise
@@ -223,13 +254,13 @@ def solve_stack(A, B, weights: CostWeights):
     scale = np.fmax(np.abs(P).max(axis=(1, 2)), 1.0)  # max(1.0, nan) is 1.0
     i = first_bad(~(np.abs(P - P_t).max(axis=(1, 2)) > 1e-10 * scale))
     if i is not None:
-        return fail(i, IllConditioned("Riccati solution lost symmetry"))
+        return fail(i, _error("P symmetric"))
     P = 0.5 * (P + P_t)
 
     for i in range(k):
         eigs = lapack.dsyevd(P[i], compute_v=0)[0]
         if eigs.min() < -1e-8 * max(1.0, eigs.max()):
-            return fail(i, NotStabilizable(f"Riccati solution not PSD (min eig {eigs.min()})"))
+            return fail(i, _error("P PSD", eigs.min()))
 
     # the norm as np.linalg.norm takes it: the flattened matrix's dot product
     # with itself; written so that a non-finite residual fails too
@@ -237,8 +268,7 @@ def solve_stack(A, B, weights: CostWeights):
     residual = np.sqrt(R @ R.transpose(0, 2, 1)).ravel()
     i = first_bad(residual <= weights._limit)
     if i is not None:
-        return fail(i, IllConditioned(f"CARE residual {residual[i]:.3e} exceeds "
-                                      f"{weights._limit:.3e}"))
+        return fail(i, _error("CARE residual", residual[i], weights._limit))
 
     K = np.empty((k, n, m)).transpose(0, 2, 1)  # Fortran-ordered as from dpotrs
     BtP = B.transpose(0, 2, 1) @ P
@@ -249,24 +279,61 @@ def solve_stack(A, B, weights: CostWeights):
     for i in range(k):
         eigs = lapack.dgeev(closed[i], compute_vl=0, compute_vr=0, overwrite_a=1)[0]
         if eigs.max() >= 0.0:
-            return fail(i, NotStabilizable(f"closed loop not Hurwitz "
-                                           f"(max Re eig {eigs.max():.3e})"))
+            return fail(i, _error("closed loop Hurwitz", eigs.max()))
     return P, K, None
 
 
 def _solve(A, B, weights: CostWeights):
-    """(P, K) of one system, as a stack of one.  For small cases by hand, a
+    """(P, K) of one system: solve_stack's steps on 2-D operands, raising
+    the error of the first check that fails.  For small cases by hand, a
     scalar or 1-D A is read as by np.atleast_2d and a 1-D B as a column."""
     A, B = np.asarray(A, dtype=float), np.asarray(B, dtype=float)
     A = A.reshape(1, -1) if A.ndim < 2 else A
     B = B.reshape(-1, 1) if B.ndim == 1 else B
-    if A.ndim != 2 or B.ndim != 2:  # not stackable: the message solve_stack's rule gives first
+    if A.ndim != 2 or B.ndim != 2:  # not a system: the message _fit's rule gives first
         raise ValueError(f"A must be square, got {A.shape}" if A.shape != (len(A),) * 2
                          else f"B must have {len(A)} rows, got {B.shape}")
-    P, K, failure = solve_stack(A[None], B[None], weights)
-    if failure:
-        raise failure[1]
-    return P[0], K[0]
+    n, _ = _fit(A.shape, B.shape, weights)
+    if not np.isfinite(B).all():
+        raise _error("B finite")
+    X = lapack.dpotrs(weights._r_chol, B.T)[0]
+    with np.errstate(over="ignore"):  # an overflow fails the check on H below
+        G = B @ X
+
+    H = np.empty((2 * n, 2 * n), order="F")  # dgees works on it in place
+    H[:n, :n], H[:n, n:], H[n:, :n], H[n:, n:] = A, -G, weights._neg_q, -A.T
+    if not np.isfinite(H).all():
+        raise _error("H finite")
+    _, sdim, _, _, Z, _, info = lapack.dgees(_lhp, H, lwork=weights._lwork, sort_t=1,
+                                             overwrite_a=1)
+    if info:
+        raise _error("dgees info", info)
+    if sdim != n:
+        raise _error("dgees sdim", sdim, n)
+    try:
+        P = np.linalg.solve(Z[:n, :n].T, Z[n:, :n].T).T
+    except np.linalg.LinAlgError as exc:
+        raise _error("singular basis", exc) from exc
+
+    if np.abs(P - P.T).max() > 1e-10 * max(1.0, np.abs(P).max()):  # max(1.0, nan) is 1.0
+        raise _error("P symmetric")
+    P = 0.5 * (P + P.T)
+
+    eigs = lapack.dsyevd(P, compute_v=0)[0]
+    if eigs.min() < -1e-8 * max(1.0, eigs.max()):
+        raise _error("P PSD", eigs.min())
+
+    R = (A.T @ P + P @ A - P @ G @ P + weights.Q).ravel()  # as np.linalg.norm takes it
+    residual = math.sqrt(R @ R)
+    if not residual <= weights._limit:  # a non-finite residual fails too
+        raise _error("CARE residual", residual, weights._limit)
+
+    K = lapack.dpotrs(weights._r_chol, B.T @ P)[0]  # Fortran-ordered
+    eigs = lapack.dgeev(np.subtract(A, B @ K, order="F"), compute_vl=0, compute_vr=0,
+                        overwrite_a=1)[0]
+    if eigs.max() >= 0.0:
+        raise _error("closed loop Hurwitz", eigs.max())
+    return P, K
 
 
 def solve_care(A, B, weights: CostWeights) -> np.ndarray:

@@ -11,6 +11,7 @@ from armctl import (
     MassModel,
     OperatingPoint,
     equilibrium_point,
+    equilibrium_torque,
     forward_dynamics,
     joint_inertias,
     linearize,
@@ -268,6 +269,27 @@ class TestStack:
         assert failure[0] == i and isinstance(failure[1], Diverged)
         assert str(failure[1]).startswith("linear model not finite at rates [1e+160")
         _assert_matches_oracle(geom, masses, ops[:i], A, B)
+
+    @pytest.mark.parametrize("fast_at", [None, 0, 2])
+    def test_no_torque_is_each_points_equilibrium_torque(self, geom, masses, fast_at):
+        """torque None gives each point the bytes and failure it gets with
+        its equilibrium_torque passed: at zero rates, as a table build's
+        nodes, and with one point too fast, whose Diverged message names
+        that torque."""
+        thetas = safe_random_theta(np.random.default_rng(17), 5)
+        rates = np.zeros((5, 4))
+        if fast_at is not None:
+            rates[fast_at, 0] = 1e160
+        torque = np.array([equilibrium_torque(geom, masses, t) for t in thetas])
+        A, B, failure = lin.linearize_stack(geom, masses, thetas, rates)
+        A0, B0, failure0 = lin.linearize_stack(geom, masses, thetas, rates, torque)
+        assert A.tobytes() == A0.tobytes() and B.tobytes() == B0.tobytes()
+        if fast_at is None:
+            assert failure is None and failure0 is None
+        else:
+            assert failure[0] == failure0[0] == fast_at
+            assert str(failure[1]) == str(failure0[1])
+            assert str(failure[1]).endswith(f"and torque {torque[fast_at].tolist()}")
 
     def test_the_lower_index_failure_wins(self, geom, masses, theta_ref):
         fast = OperatingPoint(theta_ref, [1e160, 0.0, 0.0, 0.0], np.zeros(4))

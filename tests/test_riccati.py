@@ -21,6 +21,7 @@ from armctl import (
     NotStabilizable,
     OperatingPoint,
     equilibrium_point,
+    equilibrium_torque,
     linearize,
     lqr_gain,
     solve_care,
@@ -414,6 +415,30 @@ class TestMatchesReference:
                 got += stack_outcomes(As[s:s + k], Bs[s:s + k], weights)
             assert got == expected
             assert stack_outcomes(As[::-1][:k], Bs[::-1][:k], weights) == expected[::-1][:k]
+
+    def test_online_gain_layout(self, geom, masses, weights, theta_ref):
+        """At online states as perfbench's replay meets them (non-zero rates,
+        torque off equilibrium), lqr_gain's K is the K of the same system in
+        a stack of 3 and the reference's: its bytes, its Fortran layout and
+        the bytes of the control law tau_ff - K @ (x - x_ref), which the
+        simulator's trajectories depend on."""
+        rng = np.random.default_rng(32)
+        x_ref = np.concatenate([theta_ref, np.zeros(4)])
+        tau_ff = equilibrium_torque(geom, masses, theta_ref)
+        for _ in range(10):
+            states = np.hstack([theta_ref + rng.uniform(-0.4, 0.4, (3, 4)),
+                                rng.uniform(-1.5, 1.5, (3, 4))])
+            models = [linearize(geom, masses, OperatingPoint(
+                x[:4], x[4:], tau_ff + rng.uniform(-2.0, 2.0, 4))) for x in states]
+            _, stacked, failure = riccati.solve_stack(np.array([m.A for m in models]),
+                                                      np.array([m.B for m in models]), weights)
+            assert failure is None
+            for x, model, K_stack in zip(states, models, stacked):
+                gains = (lqr_gain(model.A, model.B, weights), K_stack,
+                         reference_care(model.A, model.B, weights)[1])
+                assert all(K.flags.f_contiguous for K in gains)
+                assert len({K.tobytes() for K in gains}) == 1
+                assert len({(tau_ff - K @ (x - x_ref)).tobytes() for K in gains}) == 1
 
     @pytest.mark.parametrize("A, B, w", [
         # unstabilizable: an unstable mode, or a mode on the imaginary axis,

@@ -29,8 +29,9 @@ Cases, on the test arm of tests/conftest.py:
                     and torque);
   linearize         one linearize at that online state;
   lqr_gain          one lqr_gain on the linear model of that state;
-  online_update     one online control update: OperatingPoint, linearize and
-                    lqr_gain at that state;
+  online_update     one online control update at that state: OperatingPoint,
+                    linearize and lqr_gain, then tau_ff - K @ (x - x_ref), as
+                    regulate-online's control_us_p50 times it;
   linearize_eq      one linearize at the equilibrium at theta_ref (zero rates,
                     gravity-holding torque), as a table build linearizes nodes;
   lookup_flat       one lookup off-node in the 5^4 table below, loaded from
@@ -43,9 +44,11 @@ Cases, on the test arm of tests/conftest.py:
                     lookup, then tau_ff - K @ (x - x_ref) at a moving state
                     with those angles, as regulate-table's control_us_p50
                     times it (so a call is two updates);
-  linearize_stack64 the linear models of 64 equilibrium nodes, as a build
-                    makes them: 64 equilibrium_torque calls, then one
-                    linearization.linearize_stack call;
+  linearize_stack64 the linear models of 64 equilibrium nodes: 64
+                    equilibrium_torque calls, then one
+                    linearization.linearize_stack call given those torques,
+                    which every parent accepts (a build lets
+                    linearize_stack read them from its kernel instead);
   stack64           the gains of 64 equilibrium nodes from their linear models:
                     one riccati.solve_stack call;
   refine            refine(tol 0.4, depth 3) on the box theta_ref +/- 0.25;
@@ -129,14 +132,9 @@ def cases(pkg) -> dict:
     B = np.array([model.B for model in models])
 
     def linearize_stack64():
-        # as gain_table._solve_nodes: zero rates, each node's equilibrium torque
+        # zero rates and each node's equilibrium torque, passed in
         torque = np.array([pkg.equilibrium_torque(geom, masses, t) for t in thetas])
         return pkg.linearization.linearize_stack(geom, masses, thetas, np.zeros((64, 4)), torque)
-
-    def online_update():
-        op = pkg.OperatingPoint(theta_ref, rates, torque)
-        model = pkg.linearize(geom, masses, op)
-        return pkg.lqr_gain(model.A, model.B, weights)
 
     grid = pkg.GridSpec(box[0], box[1], (5, 5, 5, 5))
     flat_bytes = pkg.save(pkg.precompute(geom, masses, weights, grid, workers=1))
@@ -150,8 +148,13 @@ def cases(pkg) -> dict:
     def table_update():
         return [tau_ff - pkg.lookup(table, x[:4]) @ (x - x_ref) for table in (flat, tree)]
 
-    passive = pkg.SimConfig(duration=0.2)
     x0 = np.concatenate([theta_ref, rates])
+
+    def online_update():
+        model = pkg.linearize(geom, masses, pkg.OperatingPoint(x0[:4], x0[4:], torque))
+        return tau_ff - pkg.lqr_gain(model.A, model.B, weights) @ (x0 - x_ref)
+
+    passive = pkg.SimConfig(duration=0.2)
     return {
         "rk4_period": (2, lambda: pkg.simulate(
             geom, masses, passive, pkg.ControllerMode.PASSIVE, x0)),
