@@ -24,16 +24,19 @@ configuration from the six link sines and cosines that
 is straight-line code, one block per link, and returns one flat tuple of
 floats: the four joint inertias, the potential energy, and their non-zero
 exact gradients (d/da_l, summed over the links each joint angle turns).
-`forms` is `_mass_forms(geom, masses)`, looked up once per caller: once
-per public call below, and once per control period in the simulator.
-Every public function below reads what it needs from that one kernel call.
+Given the rates and torques too, the same call goes on to the accelerations
+and returns only those four, so an RK4 stage is one call; with `full` it
+returns the 17 values followed by the accelerations, which
+`linearize_stack` reads from one evaluation per point.  `forms` is
+`_mass_forms(geom, masses)`, looked up once per caller: once per public
+call below, and once per control period in the simulator.  Every public
+function below reads what it needs from that one kernel call.
 
-The accelerations are computed once, in `_solve`, from a kernel evaluation,
-the rates and the torques, all Python floats, in straight-line code.
-`forward_dynamics` checks its arguments, calls `_kernel` then `_solve` and
-wraps the result in an array; the simulator's RK4 loop calls the two
-directly, so integration pays no per-stage conversion.  Both repeat the
-IEEE operations of the loop form that `tests/oracles.py` keeps as their
+`forward_dynamics` checks its arguments, makes one kernel call and wraps
+the accelerations in an array, raising Diverged when finite arguments
+overflow one; the simulator's RK4 loop calls the kernel directly, so
+integration pays no per-stage conversion.  The kernel repeats the IEEE
+operations of the loop form that `tests/oracles.py` keeps as its
 reference, in the same order, each sum starting from 0.0 and each
 structural-zero term kept, so every result is bit-identical to it.
 
@@ -47,20 +50,20 @@ expansion.
 The public functions read theta, rates and torque through
 `errors.vector`: any array-like of 4 values is accepted flattened, any
 other size raises ValueError("<name> must have 4 components, got N"), and a
-nan or inf ValueError("<name> must be finite").  `_kernel` and `_solve`
-do not check, and the simulator raises Diverged for a non-finite state
-instead.
+nan or inf ValueError("<name> must be finite").  `_kernel` does not
+check, and the simulator raises Diverged for a non-finite state instead.
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateInertia, scalar, vector
+from .errors import DegenerateInertia, Diverged, scalar, vector
 from .kinematics import ArmGeometry, planar_chain
 
 # below this (kg m^2) a joint is considered unactuatable and dynamics error out
@@ -137,7 +140,8 @@ def _mass_forms(geom: ArmGeometry, mm: MassModel):
     return C, h, i4
 
 
-def _kernel(forms, t2: float, t3: float, t4: float) -> tuple:
+def _kernel(forms, t2: float, t3: float, t4: float, w1=None, w2=None, w3=None, w4=None,
+            tau1=None, tau2=None, tau3=None, tau4=None, full=False) -> tuple:
     """Inertias, potential energy and their exact gradients at a planar
     configuration, from the mass forms `_mass_forms(geom, masses)`, as one
     flat tuple of 17 floats:
@@ -151,32 +155,65 @@ def _kernel(forms, t2: float, t3: float, t4: float) -> tuple:
     heights (P1 is the zero reference); Pj = dPE/dtheta_j and
     Jkj = dI_k/dtheta_j.  The theta1 entries and the gradient of I4 are
     structurally zero and left out.
+
+    Given the rates w1..w4 and the torques tau1..tau4 (floats; tau1 None
+    stands for the torque holding the arm still, (0.0, P2, P3, P4)), it
+    returns the four accelerations instead, or with `full` the 17 values
+    followed by them, and raises DegenerateInertia when any I_k <=
+    EPS_INERTIA.  Each acceleration is forward_dynamics' formula, its sums
+    taken term by term in index order.  The rates are finite (every caller
+    checks them), so each structural-zero term 0.0 * w * w of a quadratic
+    sum is +0.0 and is added as such (the first quadratic sum, and
+    dPE/dtheta1, are 0.0); the convective sums keep their signed zeros
+    0.0 * w.
     """
     u0, v0, u1, v1, u2, v2 = planar_chain(t2, t3, t4)
     ((c00, c01, c02), (c10, c11, c12), (c20, c21, c22)), (h0, h1, h2), i4 = forms
     # a4 = theta2 + theta3 + theta4, a3 = theta2 + theta3, a2 = theta2: so
     # d/dtheta_j sums d/da_l over the links l >= j - 2, a suffix sum taken
-    # from link 2 down, as every other sum is, each starting from 0.0.
+    # from link 2 down, as every other sum is, each starting from 0.0 (PE's
+    # last: only the 17 values carry it).
     # link 2: (C u)_2 and (C v)_2, first over the elbow links 1 and 2 alone
     eu, ev = c21 * u1 + c22 * u2, c21 * v1 + c22 * v2
     cu, cv = eu + c20 * u0, ev + c20 * v0
     i1, i2, i3 = 0.0 + u2 * cu, 0.0 + (u2 * cu + v2 * cv), 0.0 + (u2 * eu + v2 * ev)
-    pe, p4 = 0.0 + h2 * v2, 0.0 - h2 * u2
+    p4 = 0.0 - h2 * u2
     j14, j24 = 0.0 + 2.0 * v2 * cu, 0.0 + 2.0 * (v2 * cu - u2 * cv)
     j34 = 0.0 + 2.0 * (v2 * eu - u2 * ev)
     # link 1
     eu, ev = c11 * u1 + c12 * u2, c11 * v1 + c12 * v2
     cu, cv = eu + c10 * u0, ev + c10 * v0
     i1, i2, i3 = i1 + u1 * cu, i2 + (u1 * cu + v1 * cv), i3 + (u1 * eu + v1 * ev)
-    pe, p3 = pe + h1 * v1, p4 - h1 * u1
+    p3 = p4 - h1 * u1
     j13, j23 = j14 + 2.0 * v1 * cu, j24 + 2.0 * (v1 * cu - u1 * cv)
     j33 = j34 + 2.0 * (v1 * eu - u1 * ev)
-    # link 0, which I3 does not cover
+    # link 0, which I3 (so J3j too) does not cover
     cu = c01 * u1 + c02 * u2 + c00 * u0
     cv = c01 * v1 + c02 * v2 + c00 * v0
-    return (i1 + u0 * cu, i2 + (u0 * cu + v0 * cv), i3, i4, pe + h0 * v0,
-            p3 - h0 * u0, p3, p4, j13 + 2.0 * v0 * cu, j13, j14,
-            j23 + 2.0 * (v0 * cu - u0 * cv), j23, j24, j33, j33, j34)
+    i1, i2, p2 = i1 + u0 * cu, i2 + (u0 * cu + v0 * cv), p3 - h0 * u0
+    j12, j22 = j13 + 2.0 * v0 * cu, j23 + 2.0 * (v0 * cu - u0 * cv)
+    if w1 is not None:
+        if i1 <= EPS_INERTIA or i2 <= EPS_INERTIA or i3 <= EPS_INERTIA or i4 <= EPS_INERTIA:
+            k, inertia = next((k, i) for k, i in enumerate((i1, i2, i3, i4))
+                              if i <= EPS_INERTIA)
+            raise DegenerateInertia(
+                f"joint {k + 1} inertia {inertia!r} <= {EPS_INERTIA} at theta={(t2, t3, t4)!r}"
+            )
+        if tau1 is None:
+            tau1, tau2, tau3, tau4 = 0.0, p2, p3, p4
+        z = 0.0 * w1
+        a1 = (0.0 - w1 * (z + j12 * w2 + j13 * w3 + j14 * w4) + tau1) / i1
+        a2 = (0.5 * (j12 * w1 * w1 + j22 * w2 * w2 + j33 * w3 * w3 + 0.0) - p2
+              - w2 * (z + j22 * w2 + j23 * w3 + j24 * w4) + tau2) / i2
+        a3 = (0.5 * (j13 * w1 * w1 + j23 * w2 * w2 + j33 * w3 * w3 + 0.0) - p3
+              - w3 * (z + j33 * w2 + j33 * w3 + j34 * w4) + tau3) / i3
+        a4 = (0.5 * (j14 * w1 * w1 + j24 * w2 * w2 + j34 * w3 * w3 + 0.0) - p4
+              - w4 * (z + 0.0 * w2 + 0.0 * w3 + 0.0 * w4) + tau4) / i4
+        if not full:
+            return a1, a2, a3, a4
+    pe = 0.0 + h2 * v2 + h1 * v1 + h0 * v0
+    kernel = (i1, i2, i3, i4, pe, p2, p3, p4, j12, j13, j14, j22, j23, j24, j33, j33, j34)
+    return kernel + (a1, a2, a3, a4) if full else kernel
 
 
 def _kinetic(kernel, w1: float, w2: float, w3: float, w4: float) -> float:
@@ -222,35 +259,6 @@ def equilibrium_torque(geom: ArmGeometry, masses: MassModel, theta) -> np.ndarra
     """
     _, t2, t3, t4 = vector(theta, 4, "theta")
     return np.array((0.0, *_kernel(_mass_forms(geom, masses), t2, t3, t4)[5:8]))
-
-
-def _solve(kernel, t2, t3, t4, w1, w2, w3, w4, tau1, tau2, tau3, tau4) -> tuple:
-    """The four accelerations from a `_kernel` evaluation at the planar
-    angles t2..t4, the rates w1..w4 and the torques tau1..tau4 (floats).
-    Raises DegenerateInertia when any I_k <= EPS_INERTIA.
-
-    Each acceleration is forward_dynamics' formula, its sums taken term by
-    term in index order.  The rates are finite (every caller checks them),
-    so each structural-zero term 0.0 * w * w of a quadratic sum is +0.0 and
-    is added as such (the first quadratic sum, and dPE/dtheta1, are 0.0);
-    the convective sums keep their signed zeros 0.0 * w.
-    """
-    i1, i2, i3, i4, _, p2, p3, p4, j12, j13, j14, j22, j23, j24, j32, j33, j34 = kernel
-    if i1 <= EPS_INERTIA or i2 <= EPS_INERTIA or i3 <= EPS_INERTIA or i4 <= EPS_INERTIA:
-        k, inertia = next((k, i) for k, i in enumerate(kernel[:4]) if i <= EPS_INERTIA)
-        raise DegenerateInertia(
-            f"joint {k + 1} inertia {inertia!r} <= {EPS_INERTIA} at theta={(t2, t3, t4)!r}"
-        )
-    z = 0.0 * w1
-    return (
-        (0.0 - w1 * (z + j12 * w2 + j13 * w3 + j14 * w4) + tau1) / i1,
-        (0.5 * (j12 * w1 * w1 + j22 * w2 * w2 + j32 * w3 * w3 + 0.0) - p2
-         - w2 * (z + j22 * w2 + j23 * w3 + j24 * w4) + tau2) / i2,
-        (0.5 * (j13 * w1 * w1 + j23 * w2 * w2 + j33 * w3 * w3 + 0.0) - p3
-         - w3 * (z + j32 * w2 + j33 * w3 + j34 * w4) + tau3) / i3,
-        (0.5 * (j14 * w1 * w1 + j24 * w2 * w2 + j34 * w3 * w3 + 0.0) - p4
-         - w4 * (z + 0.0 * w2 + 0.0 * w3 + 0.0 * w4) + tau4) / i4,
-    )
 
 
 # the cumulative angles a2, a3, a4 as integer combinations of theta1..theta4
@@ -319,10 +327,13 @@ def forward_dynamics(
                   - w_i * sum_j dI_i/dq_j * w_j
                   + tau_i ) / I_i
 
-    Raises DegenerateInertia when any I_k(theta) <= EPS_INERTIA.
+    Raises DegenerateInertia when any I_k(theta) <= EPS_INERTIA, and
+    Diverged when finite arguments overflow an acceleration.
     """
-    _, t2, t3, t4 = vector(theta, 4, "theta")
-    return np.array(_solve(
-        _kernel(_mass_forms(geom, masses), t2, t3, t4), t2, t3, t4,
-        *vector(rates, 4, "rates"), *vector(torque, 4, "torque"),
-    ))
+    _, t2, t3, t4 = theta = vector(theta, 4, "theta")
+    rates, torque = vector(rates, 4, "rates"), vector(torque, 4, "torque")
+    acc = _kernel(_mass_forms(geom, masses), t2, t3, t4, *rates, *torque)
+    if not math.isfinite(sum(acc)) and not all(map(math.isfinite, acc)):
+        raise Diverged(f"accelerations {list(acc)} not finite at theta {theta}, "
+                       f"rates {rates} and torque {torque}")
+    return np.array(acc)

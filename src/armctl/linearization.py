@@ -8,16 +8,16 @@ With the decoupled kinetic energy each acceleration is a quotient
                                - w_i sum_j dI_i/dtheta_j w_j + tau_i,
 
 so A is assembled from one configuration evaluation: the inertias I, their
-gradient J[i][j] = dI_i/dtheta_j and the accelerations come from the same
-`dynamics._kernel` call and `dynamics._solve` that forward_dynamics uses,
+gradient J[i][j] = dI_i/dtheta_j and the accelerations come from one
+`dynamics._kernel` call, the body forward_dynamics and the simulator use,
 and the Hessians of I1..I4 and PE from `dynamics._hessians`.  No dynamics
 call is differenced.
 
-One body, `linearize_stack`, serves a stack of points: a kernel and a
-`_solve` call per point, then the Hessians, A and B over the stack, each
-product in its per-point shape so that a point's bytes never depend on its
-stack (one (k, 4) @ (4, T) product for the angles n . theta rounds them
-otherwise).  `linearize` and each chunk of a table build are such stacks.
+One body, `linearize_stack`, serves a stack of points: one kernel call per
+point, then the Hessians, A and B over the stack, each product in its
+per-point shape so that a point's bytes never depend on its stack (one
+(k, 4) @ (4, T) product for the angles n . theta rounds them otherwise).
+`linearize` and each chunk of a table build are such stacks.
 
 A keeps its exact block structure (zero / identity top blocks).  The theta1
 column is +0.0: the dynamics never read the yaw angle.  At zero rates the
@@ -28,11 +28,12 @@ enters additively as tau_k / I_k(theta).
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import MassModel, _hessians, _kernel, _mass_forms, _solve, equilibrium_torque
+from .dynamics import MassModel, _hessians, _kernel, _mass_forms, equilibrium_torque
 from .errors import DegenerateInertia, Diverged, vector
 from .kinematics import ArmGeometry
 
@@ -98,20 +99,19 @@ def linearize_stack(geom: ArmGeometry, masses: MassModel, theta, rates, torque=N
     forms = _mass_forms(geom, masses)
     # a row per point: 1/I, J (4x4), acc and the Hessian weights in dN/dtheta
     rows, resting, taus, failure = [], [], [], None
-    torque = None if torque is None else torque.tolist()
-    for i, ((_, t2, t3, t4), (w1, w2, w3, w4)) in enumerate(zip(theta.tolist(),
-                                                                rates.tolist())):
-        kernel = _kernel(forms, t2, t3, t4)
-        taus.append([0.0, *kernel[5:8]] if torque is None else torque[i])
+    torque = itertools.repeat((None,) * 4) if torque is None else torque.tolist()
+    for i, ((_, t2, t3, t4), (w1, w2, w3, w4), tau) in enumerate(zip(
+            theta.tolist(), rates.tolist(), torque)):
         try:
-            acc = _solve(kernel, t2, t3, t4, w1, w2, w3, w4, *taus[i])
+            (i1, i2, i3, i4, _, p2, p3, p4, j12, j13, j14, j22, j23, j24, j32, j33, j34,
+             a1, a2, a3, a4) = _kernel(forms, t2, t3, t4, w1, w2, w3, w4, *tau, full=True)
         except DegenerateInertia as exc:
             failure = i, exc
             break
-        i1, i2, i3, i4, _, _, _, _, j12, j13, j14, j22, j23, j24, j32, j33, j34 = kernel
+        taus.append([0.0, p2, p3, p4] if tau[0] is None else tau)
         rows.append((1.0 / i1, 1.0 / i2, 1.0 / i3, 1.0 / i4, 0.0, j12, j13, j14, 0.0, j22,
-                     j23, j24, 0.0, j32, j33, j34, 0.0, 0.0, 0.0, 0.0, *acc, 0.5 * w1 * w1,
-                     0.5 * w2 * w2, 0.5 * w3 * w3, 0.5 * w4 * w4, -1.0))
+                     j23, j24, 0.0, j32, j33, j34, 0.0, 0.0, 0.0, 0.0, a1, a2, a3, a4,
+                     0.5 * w1 * w1, 0.5 * w2 * w2, 0.5 * w3 * w3, 0.5 * w4 * w4, -1.0))
         if not (w1 or w2 or w3 or w4):
             resting.append(i)
     k = len(rows)

@@ -51,7 +51,7 @@ from armctl import (
     segment_inertia,
     table_digest,
 )
-from armctl.dynamics import EPS_INERTIA, _cosine_terms, _kernel, _mass_forms, _solve
+from armctl.dynamics import EPS_INERTIA, _cosine_terms, _kernel, _mass_forms
 from armctl.errors import components
 from armctl.gain_table import _blend, _corner_coords, _fraction, _split
 from armctl.kinematics import planar_chain, wrap_angle
@@ -160,11 +160,11 @@ def loop_linearize(geom, masses, op) -> LinearModel:
     theta, w = op.theta, op.rates
     wl = w.tolist()
     _, t2, t3, t4 = theta.tolist()
-    kernel = _kernel(_mass_forms(geom, masses), t2, t3, t4)
-    acc = np.array(_solve(kernel, t2, t3, t4, *wl, *op.torque.tolist()))
+    kernel = _kernel(_mass_forms(geom, masses), t2, t3, t4, *wl, *op.torque.tolist(), full=True)
+    acc = np.array(kernel[17:])
     inverse = 1.0 / np.array(kernel[:4])
     jac = np.zeros((4, 4))
-    jac[:3, 1:] = kernel[8:11], kernel[11:14], kernel[14:]
+    jac[:3, 1:] = kernel[8:11], kernel[11:14], kernel[14:17]
     n, alpha, nn = _cosine_terms(geom, masses)
     hess = -((alpha.T * np.cos(n @ theta)) @ nn).reshape(5, 4, 4)
 

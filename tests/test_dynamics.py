@@ -8,14 +8,18 @@ from hypothesis import strategies as st
 from armctl import (
     ArmGeometry,
     DegenerateInertia,
+    Diverged,
     MassModel,
+    equilibrium_point,
     equilibrium_torque,
     forward_dynamics,
     joint_inertias,
     kinetic_energy,
+    linearize,
     point_inertia,
     potential_energy,
     segment_inertia,
+    step_rk4,
 )
 from armctl.dynamics import _cosine_terms, _hessians, _kernel, _mass_forms
 from conftest import safe_random_theta
@@ -361,6 +365,49 @@ class TestForwardDynamics:
     def test_vertical_arm_degenerate_yaw(self, geom, masses):
         with pytest.raises(DegenerateInertia):
             forward_dynamics(geom, masses, np.zeros(4), np.zeros(4), np.zeros(4))
+
+    def test_degenerate_inertia_messages(self, geom, masses):
+        """The kernel names the first degenerate joint, its inertia and the
+        planar angles, on every path that solves for accelerations."""
+        tool_free = MassModel(m2=0.5, m3=0.4, m4=0.0, M1=0.4, M2=0.3, M3=0.0)
+        bent, rest = [0.3, 0.9, -0.7, 0.2], np.zeros(4)
+        calls = [
+            (lambda: forward_dynamics(geom, tool_free, bent, rest, rest),
+             "joint 4 inertia 0.0 <= 1e-12 at theta=(0.9, -0.7, 0.2)"),
+            (lambda: linearize(geom, tool_free, equilibrium_point(geom, tool_free, bent)),
+             "joint 4 inertia 0.0 <= 1e-12 at theta=(0.9, -0.7, 0.2)"),
+            (lambda: forward_dynamics(geom, masses, rest, rest, rest),
+             "joint 1 inertia 0.0 <= 1e-12 at theta=(0.0, 0.0, 0.0)"),
+            (lambda: step_rk4(geom, masses, [0.3, 0.0, -0.0, 0.0, 0.1, 0.0, 0.0, 0.0], rest, 1e-3),
+             "joint 1 inertia 0.0 <= 1e-12 at theta=(0.0, -0.0, 0.0)"),
+        ]
+        for call, message in calls:
+            with pytest.raises(DegenerateInertia) as info:
+                call()
+            assert str(info.value) == message
+
+    @pytest.mark.parametrize("rates, torque", [
+        ([1e200, 0.0, 0.0, 0.0], [0.0] * 4),
+        ([0.0, 1e200, 0.0, 0.0], [0.0] * 4),
+        ([0.0] * 4, [0.0, 1e308, -1e308, 1e308]),
+    ])
+    def test_overflow_is_diverged(self, geom, masses, theta_ref, rates, torque):
+        """Finite rates or torques whose accelerations overflow raise a
+        typed error naming the state, not a non-finite result."""
+        state = f"at theta {theta_ref.tolist()}, rates {rates} and torque {torque}"
+        with pytest.raises(Diverged, match=r"^accelerations \[.*\] not finite ") as info:
+            forward_dynamics(geom, masses, theta_ref, rates, torque)
+        assert str(info.value).endswith(state)
+
+    @settings(max_examples=300, deadline=None)
+    @given(rates=st.lists(st.floats(-1e300, 1e300), min_size=4, max_size=4),
+           torque=st.lists(st.floats(-1e300, 1e300), min_size=4, max_size=4))
+    def test_finite_or_diverged(self, geom, masses, theta_ref, rates, torque):
+        try:
+            acc = forward_dynamics(geom, masses, theta_ref, rates, torque)
+        except Diverged:
+            return
+        assert np.isfinite(acc).all()
 
     def test_matches_lagrangian_oracle(self, geom, masses):
         rng = np.random.default_rng(42)

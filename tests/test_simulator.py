@@ -28,7 +28,7 @@ from armctl import (
 )
 from armctl.simulator import CSV_HEADER
 from conftest import safe_random_theta
-from oracles import reference_step_rk4
+from oracles import reference_accelerations, reference_step_rk4
 
 UNIT = ArmGeometry(1.0, 1.0, 1.0)
 
@@ -141,6 +141,31 @@ def _reference_integrate(geom, masses, x, torque, dt, steps):
     for _ in range(steps):
         x = reference_step_rk4(geom, masses, x, torque, dt)
     return x.tolist()
+
+
+def _first_non_finite(geom, masses, x, torque, dt, steps):
+    """The array form's first non-finite state along `steps` RK4 steps, as
+    (state list, n, stage): stage 1-3 for a stage state and 4 for a step's
+    end state, n the count Diverged's message gives (n + 1 after an end
+    state); None if every state stays finite."""
+    x, tau = np.asarray(x, dtype=float), np.asarray(torque, dtype=float)
+
+    def f(state):
+        return np.concatenate(
+            [state[4:], reference_accelerations(geom, masses, state[:4], state[4:], tau)])
+
+    with np.errstate(all="ignore"):
+        for n in range(steps):
+            k = [f(x)]
+            for stage, scale in enumerate((0.5 * dt, 0.5 * dt, dt), 1):
+                y = x + scale * k[-1]
+                if not np.isfinite(y).all():
+                    return y.tolist(), n, stage
+                k.append(f(y))
+            x = x + (dt / 6.0) * (k[0] + 2.0 * k[1] + 2.0 * k[2] + k[3])
+            if not np.isfinite(x).all():
+                return x.tolist(), n + 1, 4
+    return None
 
 
 def _outcome(fn, *args):
@@ -309,6 +334,25 @@ class TestDivergence:
         assert partial.states.shape == (n, 8) and partial.inputs.shape == (n, 4)
         for field in ("times", "states", "inputs", "energy"):
             assert getattr(partial, field).tobytes() == getattr(full, field)[:n].tobytes(), field
+
+    @pytest.mark.parametrize("rates, n, stage", [
+        ([1e154, 0.0, 0.0, 0.0], 0, 1),
+        ([1e20, 0.0, 0.0, 0.0], 1, 1),
+        ([0.0, 0.0, 1e20, 0.0], 1, 2),
+        ([0.0, 0.0, 0.0, 1e20], 1, 3),
+        ([0.0, 1e20, 0.0, 0.0], 2, 4),
+    ])
+    def test_diverged_names_the_first_non_finite_state(self, geom, masses, theta_ref, rates,
+                                                       n, stage):
+        """Each start state first turns non-finite at the given stage state
+        (4: the step's end state) of step n, in the array form; the float
+        loop raises there, with that state's values and step count."""
+        x = [*theta_ref.tolist(), *rates]
+        state, *where = _first_non_finite(geom, masses, x, [0.0] * 4, 1e-3, 5)
+        assert where == [n, stage]
+        with pytest.raises(Diverged) as info:
+            sim._integrate(geom, masses, x, [0.0] * 4, 1e-3, 5)
+        assert str(info.value) == f"non-finite state {state!r} after {n} of 5 RK4 steps"
 
     def test_step_rk4_rejects_non_finite_state(self, geom, masses):
         x = np.array([0.3, 0.8, -0.9, 0.5, 0.0, np.nan, 0.0, 0.0])

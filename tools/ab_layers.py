@@ -25,6 +25,9 @@ an older one fails with an AttributeError.
 Cases, on the test arm of tests/conftest.py:
   rk4_period        a 0.2 s passive simulate (ten control periods of 20 RK4
                     steps);
+  table_episode     a 0.2 s table-mode simulate on the loaded 5^4 table below,
+                    from the moving off-node state of table_update, the path
+                    regulate-table's sim_rate times;
   forward_dynamics  one forward_dynamics at an online state (non-zero rates
                     and torque);
   linearize         one linearize at that online state;
@@ -154,10 +157,13 @@ def cases(pkg) -> dict:
         model = pkg.linearize(geom, masses, pkg.OperatingPoint(x0[:4], x0[4:], torque))
         return tau_ff - pkg.lqr_gain(model.A, model.B, weights) @ (x0 - x_ref)
 
-    passive = pkg.SimConfig(duration=0.2)
+    short = pkg.SimConfig(duration=0.2)
     return {
         "rk4_period": (2, lambda: pkg.simulate(
-            geom, masses, passive, pkg.ControllerMode.PASSIVE, x0)),
+            geom, masses, short, pkg.ControllerMode.PASSIVE, x0)),
+        "table_episode": (2, lambda: pkg.simulate(
+            geom, masses, short, pkg.ControllerMode.TABLE_LQR, x, x_ref, weights=weights,
+            table=flat)),
         "forward_dynamics": (500, lambda: pkg.forward_dynamics(
             geom, masses, theta_ref, rates, torque)),
         "linearize": (300, lambda: pkg.linearize(

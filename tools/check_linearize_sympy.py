@@ -1,5 +1,5 @@
-"""Check armctl's closed-form linearization against a computer-algebra
-derivation of the same arm.
+"""Check armctl's closed-form linearization and forward dynamics against a
+computer-algebra derivation of the same arm.
 
     python3 tools/check_linearize_sympy.py [--states N] [--seed S] [--config ARM.json]
 
@@ -8,11 +8,15 @@ dynamics kernel: the joint inertias I1..I4 as integrals over the uniform
 link rods plus the point masses (I1 about the vertical axis, I2 about P1,
 I3 about P2, I4 about P3), KE = 1/2 sum_k I_k w_k^2, and PE from the heights
 of the masses.  sympy forms the Euler-Lagrange accelerations of L = KE - PE
-and differentiates them symbolically; the resulting A is evaluated at 30
-significant digits (mpmath) at N seeded random states, half of them
-equilibria, and compared with armctl.linearize.  It prints the worst
-difference relative to max|A| of each state and exits 1 when that exceeds
-1e-12.  sympy is needed to run it; it is not a dependency of armctl.
+and differentiates them symbolically; the accelerations and the resulting A
+are evaluated at 30 significant digits (mpmath) at N seeded random states,
+half of them equilibria, and compared with armctl.forward_dynamics and
+armctl.linearize.  It prints the worst difference in A relative to max|A|
+of each state, and in the accelerations relative to max|acc| of each
+moving state; at an equilibrium, where the accelerations are zero, it is
+relative to max|tau_k / I_k|, the size of the terms that cancel there.  It
+exits 1 when any of them exceeds 1e-12.  sympy is needed to run it; it is
+not a dependency of armctl.
 
 The arm is the test arm of tests/conftest.py unless --config names an arm
 config.  armctl is imported from the src/ directory next to this file.
@@ -33,6 +37,8 @@ from armctl import (  # noqa: E402
     MassModel,
     OperatingPoint,
     equilibrium_point,
+    forward_dynamics,
+    joint_inertias,
     linearize,
     load_config,
 )
@@ -51,8 +57,9 @@ def exact(value: float) -> sp.Float:
     return sp.Float(value, DIGITS)
 
 
-def lower_a(geom: ArmGeometry, masses: MassModel):
-    """Symbols (theta, w, tau) and the 4x8 matrix d acc / d[theta, w]."""
+def euler_lagrange(geom: ArmGeometry, masses: MassModel):
+    """Symbols (theta, w, tau), the accelerations acc (4x1) and the 4x8
+    matrix d acc / d[theta, w]."""
     theta = sp.symbols("t1:5", real=True)
     w = sp.symbols("w1:5", real=True)
     tau = sp.symbols("tau1:5", real=True)
@@ -105,7 +112,7 @@ def lower_a(geom: ArmGeometry, masses: MassModel):
         for i in range(4)
     ])
     acc = mass_matrix.LUsolve(rhs)
-    return (theta, w, tau), acc.jacobian(list(theta) + list(w))
+    return (theta, w, tau), acc, acc.jacobian(list(theta) + list(w))
 
 
 def main(argv=None) -> int:
@@ -119,12 +126,14 @@ def main(argv=None) -> int:
         config = load_config(args.config)
         geom, masses = config.geometry, config.masses
 
-    symbols, jac = lower_a(geom, masses)
+    symbols, acc, jac = euler_lagrange(geom, masses)
     mpmath.mp.dps = DIGITS
-    evaluate = sp.lambdify([s for group in symbols for s in group], jac, modules="mpmath")
+    flat = [s for group in symbols for s in group]
+    evaluate_acc = sp.lambdify(flat, acc, modules="mpmath")
+    evaluate_jac = sp.lambdify(flat, jac, modules="mpmath")
 
     rng = np.random.default_rng(args.seed)
-    worst = 0.0
+    worst_a, worst_acc, worst_eq = 0.0, 0.0, 0.0
     for k in range(args.states):
         theta = rng.uniform(THETA_LO, THETA_HI)
         if k % 2:
@@ -132,11 +141,22 @@ def main(argv=None) -> int:
         else:
             op = OperatingPoint(theta, rng.uniform(-1.5, 1.5, 4), rng.uniform(-4.0, 4.0, 4))
         A = linearize(geom, masses, op).A
+        got = forward_dynamics(geom, masses, op.theta, op.rates, op.torque)
         values = [mpmath.mpf(float(v)) for v in (*op.theta, *op.rates, *op.torque)]
-        reference = np.array(evaluate(*values).tolist(), dtype=float)
-        worst = max(worst, float(np.max(np.abs(A[4:8] - reference)) / np.max(np.abs(A))))
+        reference = np.array(evaluate_jac(*values).tolist(), dtype=float)
+        worst_a = max(worst_a, float(np.max(np.abs(A[4:8] - reference)) / np.max(np.abs(A))))
+        exact_acc = np.array(evaluate_acc(*values).tolist(), dtype=float).ravel()
+        error = np.max(np.abs(got - exact_acc))
+        if k % 2:  # acc is zero: relative to the torque terms that cancel there
+            scale = np.max(np.abs(op.torque / joint_inertias(geom, masses, op.theta)))
+            worst_eq = max(worst_eq, float(error / scale))
+        else:
+            worst_acc = max(worst_acc, float(error / np.max(np.abs(got))))
+    worst = max(worst_a, worst_acc, worst_eq)
     print(f"states: {args.states} (seed {args.seed}, half at equilibria)")
-    print(f"worst |A - A_sympy| / max|A|: {worst:.3e}")
+    print(f"worst |A - A_sympy| / max|A|: {worst_a:.3e}")
+    print(f"worst |acc - acc_sympy| / max|acc| (moving): {worst_acc:.3e}")
+    print(f"worst |acc - acc_sympy| / max|tau_k / I_k| (equilibria): {worst_eq:.3e}")
     print(f"tolerance: {TOLERANCE:.0e}: {'pass' if worst <= TOLERANCE else 'FAIL'}")
     return 0 if worst <= TOLERANCE else 1
 

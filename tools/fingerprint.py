@@ -12,8 +12,12 @@ Each line is a name and the first 16 hex digits of the sha256 of:
     at every node (every grid node, or every corner of every leaf) and then
     at 2,000 points drawn uniformly in the box (seed 20);
   - the states, inputs and energy of a 1 s simulate in the passive, online,
-    flat-table (the 5^4 table) and refined-table (the tol 0.4 table) modes.
-All use the test arm of tests/conftest.py and the box theta_ref +/- 0.25.
+    flat-table (the 5^4 table) and refined-table (the tol 0.4 table) modes;
+  - forward_dynamics, linearize's A and B, and step_rk4 (dt 1e-3) at 1,000
+    moving states drawn with seed 33: angles in [-pi, pi], rates in
+    [-2, 2] and torques in [-5, 5], off every equilibrium.
+All use the test arm of tests/conftest.py, and all but the last lines the
+box theta_ref +/- 0.25.
 It imports armctl from the src/ directory next to it.  It exits with status
 1, naming the grid on standard error, when a grid's 1- and 2-worker tables
 differ.
@@ -44,6 +48,7 @@ THETA_REF = np.array([0.3, 0.8, -0.9, 0.5])
 # off the reference, moving, and inside the box for the whole run
 X0 = np.array([0.4, 0.7, -0.8, 0.6, 0.2, -0.3, 0.1, 0.4])
 OFF_NODE = 2000  # seeded lookup points in the box, after the nodes
+MOVING = 1000  # seeded moving states for the dynamics lines
 
 
 def digest(data: bytes) -> str:
@@ -100,6 +105,19 @@ def fingerprints(pkg):
                             **kwargs)
         for field in ("states", "inputs", "energy"):
             lines[f"simulate {name} {field}"] = digest(getattr(traj, field).tobytes())
+
+    rng = np.random.default_rng(33)
+    states = zip(rng.uniform(-np.pi, np.pi, (MOVING, 4)), rng.uniform(-2.0, 2.0, (MOVING, 4)),
+                 rng.uniform(-5.0, 5.0, (MOVING, 4)))
+    out = {"forward_dynamics": [], "linearize A": [], "linearize B": [], "step_rk4": []}
+    for theta, rates, torque in states:
+        model = pkg.linearize(geom, masses, pkg.OperatingPoint(theta, rates, torque))
+        out["forward_dynamics"].append(pkg.forward_dynamics(geom, masses, theta, rates, torque))
+        out["linearize A"].append(model.A)
+        out["linearize B"].append(model.B)
+        out["step_rk4"].append(pkg.step_rk4(geom, masses, [*theta, *rates], torque, 1e-3))
+    for name, arrays in out.items():
+        lines[name] = digest(b"".join(a.tobytes() for a in arrays))
     return lines, mismatched
 
 
