@@ -70,8 +70,8 @@ from .errors import (
     count,
 )
 from .kinematics import ArmGeometry, wrap_angle
-from .linearization import linearize_stack
-from .riccati import CostWeights, solve_stack
+from .linearization import equilibrium_point, linearize, linearize_stack
+from .riccati import CostWeights, lqr_gain, solve_stack
 
 MAGIC = b"AGT1"
 FORMAT_VERSION = 2
@@ -292,17 +292,22 @@ class GainTable:
 def _solve_nodes(geom, masses, weights, thetas, indices) -> np.ndarray:
     """The gains (k, 4, 8) of the equilibrium nodes thetas (k, 4), linearized
     as one stack at zero rates and each node's equilibrium torque, then
-    solved as one Riccati stack.  The first node i that fails raises
-    NodeFailure(indices[i], cause) for an ArmError, or the ValueError itself."""
-    A, B, failure = linearize_stack(geom, masses, thetas, np.zeros((len(thetas), 4)))
-    _, gains, stack_failure = solve_stack(A, B, weights)
-    failure = stack_failure or failure  # a failing stack holds only earlier nodes
-    if failure:
-        i, exc = failure
-        if isinstance(exc, ArmError):
-            raise NodeFailure(indices[i], exc) from exc
-        raise exc
-    return gains
+    solved as one Riccati stack.  If either stack raises, the nodes are
+    solved alone in order, and the first node i that fails raises
+    NodeFailure(indices[i], cause) for an ArmError, or the ValueError itself;
+    a node's bytes never depend on its stack, so were none to fail, the
+    stack's error would be raised as it is."""
+    try:
+        A, B = linearize_stack(geom, masses, thetas, np.zeros((len(thetas), 4)))
+        return solve_stack(A, B, weights)[1]
+    except (ArmError, ValueError):
+        for theta, index in zip(thetas, indices):
+            try:
+                model = linearize(geom, masses, equilibrium_point(geom, masses, theta))
+                lqr_gain(model.A, model.B, weights)
+            except ArmError as exc:
+                raise NodeFailure(index, exc) from exc
+        raise
 
 
 _pool: tuple[int, ProcessPoolExecutor] | None = None  # kept: (size, executor)
@@ -369,8 +374,8 @@ def precompute(
     worker, joined at exit) whose workers run the solver as it was at its
     start.  A node's gain never depends on its stack, so the table is
     bit-identical for any worker count.  Raises NodeFailure (node index and
-    cause) for the first failing node in index order, or ArmError if a pool
-    worker dies.
+    cause) for the first node in index order that fails solved alone, as
+    _solve_nodes finds it, or ArmError if a pool worker dies.
     """
     workers = count(workers, "workers", 1)
     planar = list(np.ndindex(grid.shape[1:]))
@@ -539,11 +544,11 @@ def refine(
     the tolerance at max_depth are kept as flagged leaves.  Every cell spans
     the whole theta1 range.  The build goes level by level: the new corners
     and centers of a depth go to _solve_points in the caller, then its cells
-    are split or kept.  A NodeFailure names the first failing point of the
-    first failing stack.  Leaves are kept by (depth, planar box), which
-    fixes a cell's split, and laid out in pre-order from the root box; the
-    pool holds each distinct corner gain once, in order of first use, so the
-    build is deterministic.
+    are split or kept.  A NodeFailure names the level's first point, in
+    order, that fails solved alone.  Leaves are kept by (depth, planar
+    box), which fixes a cell's split, and laid out in pre-order from the
+    root box; the pool holds each distinct corner gain once, in order of
+    first use, so the build is deterministic.
     """
     box = components(root_box, 2 * NDIM, "root_box")
     lo, hi = _box(box[:NDIM], box[NDIM:])

@@ -17,7 +17,9 @@ One body, `linearize_stack`, serves a stack of points: one kernel call per
 point, then the Hessians, A and B over the stack, each product in its
 per-point shape so that a point's bytes never depend on its stack (one
 (k, 4) @ (4, T) product for the angles n . theta rounds them otherwise).
-`linearize` and each chunk of a table build are such stacks.
+`linearize` and each chunk of a table build are such stacks.  A stack with
+a failing point raises that point's error; which node of a table build
+fails first is `gain_table._solve_nodes`' to find.
 
 A keeps its exact block structure (zero / identity top blocks).  The theta1
 column is +0.0: the dynamics never read the yaw angle.  At zero rates the
@@ -34,7 +36,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dynamics import MassModel, _hessians, _kernel, _mass_forms, equilibrium_torque
-from .errors import DegenerateInertia, Diverged, vector
+from .errors import Diverged, vector
 from .kinematics import ArmGeometry
 
 # the identity blocks of every A (d theta/dt = rates) and of every B's lower half
@@ -82,11 +84,10 @@ def linearize_stack(geom: ArmGeometry, masses: MassModel, theta, rates, torque=N
     """Linearize k points given as unchecked float arrays (k, 4) in one
     pass; torque None stands for each point's equilibrium torque
     (0.0, P2, P3, P4), read from the kernel evaluated there, the bytes
-    `equilibrium_torque` returns.  Returns (A, B, failure), A (k, 8, 8) and
-    B (k, 8, 4); failure is None, or (i, error) for the lowest-index point
-    that fails, as in `riccati.solve_stack`: DegenerateInertia where
-    forward_dynamics raises it, or Diverged where A overflows.  A and B
-    then hold points [:i].
+    `equilibrium_torque` returns.  Returns (A, B), A (k, 8, 8) and
+    B (k, 8, 4).  Raises DegenerateInertia where forward_dynamics raises
+    it, at the first such point, or else Diverged for the first point whose
+    A overflows; each is the error `linearize` raises for that point alone.
 
     With N_i the numerator above and H_k the Hessian of I_k (k = 1..4) or
     of PE, the lower blocks are
@@ -98,16 +99,12 @@ def linearize_stack(geom: ArmGeometry, masses: MassModel, theta, rates, torque=N
     """
     forms = _mass_forms(geom, masses)
     # a row per point: 1/I, J (4x4), acc and the Hessian weights in dN/dtheta
-    rows, resting, taus, failure = [], [], [], None
+    rows, resting, taus = [], [], []
     torque = itertools.repeat((None,) * 4) if torque is None else torque.tolist()
     for i, ((_, t2, t3, t4), (w1, w2, w3, w4), tau) in enumerate(zip(
             theta.tolist(), rates.tolist(), torque)):
-        try:
-            (i1, i2, i3, i4, _, p2, p3, p4, j12, j13, j14, j22, j23, j24, j32, j33, j34,
-             a1, a2, a3, a4) = _kernel(forms, t2, t3, t4, w1, w2, w3, w4, *tau, full=True)
-        except DegenerateInertia as exc:
-            failure = i, exc
-            break
+        (i1, i2, i3, i4, _, p2, p3, p4, j12, j13, j14, j22, j23, j24, j32, j33, j34,
+         a1, a2, a3, a4) = _kernel(forms, t2, t3, t4, w1, w2, w3, w4, *tau, full=True)
         taus.append([0.0, p2, p3, p4] if tau[0] is None else tau)
         rows.append((1.0 / i1, 1.0 / i2, 1.0 / i3, 1.0 / i4, 0.0, j12, j13, j14, 0.0, j22,
                      j23, j24, 0.0, j32, j33, j34, 0.0, 0.0, 0.0, 0.0, a1, a2, a3, a4,
@@ -115,7 +112,7 @@ def linearize_stack(geom: ArmGeometry, masses: MassModel, theta, rates, torque=N
         if not (w1 or w2 or w3 or w4):
             resting.append(i)
     k = len(rows)
-    theta, rates, rows = theta[:k], rates[:k], np.array(rows).reshape(k, 29)
+    rows = np.array(rows).reshape(k, 29)
     inverse, jac = rows[:, :4, None], rows[:, 4:20].reshape(k, 4, 4)
     hess = _hessians(geom, masses, theta)
     w = rates[:, :, None]
@@ -138,18 +135,13 @@ def linearize_stack(geom: ArmGeometry, masses: MassModel, theta, rates, torque=N
     finite = np.isfinite(A).all(axis=(1, 2)).tolist()
     if False in finite:
         i = finite.index(False)
-        failure = i, Diverged(f"linear model not finite at rates {rates[i].tolist()} "
-                              f"and torque {taus[i]}")
-        A, rows = A[:i], rows[:i]
-
-    return A, _B_LOW * rows[:, None, :4], failure  # 1/I > 0, so B's zeros are +0.0
+        raise Diverged(f"linear model not finite at rates {rates[i].tolist()} "
+                       f"and torque {taus[i]}")
+    return A, _B_LOW * rows[:, None, :4]  # 1/I > 0, so B's zeros are +0.0
 
 
 def linearize(geom: ArmGeometry, masses: MassModel, op: OperatingPoint) -> LinearModel:
     """A = d[rates, acc]/d[theta, rates] and B = d[rates, acc]/d tau at op,
-    in closed form: a stack of one, raising its failure."""
-    A, B, failure = linearize_stack(geom, masses, op.theta[None], op.rates[None],
-                                    op.torque[None])
-    if failure:
-        raise failure[1]
+    in closed form: a stack of one."""
+    A, B = linearize_stack(geom, masses, op.theta[None], op.rates[None], op.torque[None])
     return LinearModel(A[0], B[0])

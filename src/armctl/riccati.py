@@ -15,9 +15,9 @@ solve_stack solves a stack of systems that share the weights, as a table
 build does: the LAPACK calls still run once per system, and the rest (the
 solve for P, the symmetry and residual checks, the products around them)
 runs once over the stack, which saves most of the per-call overhead.  Each
-system gets the bytes and the error it gets alone: when a check first fails
-at system i, the stack's result is that of its prefix [:i] solved again,
-with the prefix's own failure or else system i's.  solve_care and lqr_gain,
+system gets the bytes it gets alone, and a stack with a failing system
+raises the error that system raises alone; which node of a table build
+fails first is gain_table._solve_nodes' to find.  solve_care and lqr_gain,
 the online path, solve one system through _solve, a body on 2-D operands
 with the same LAPACK calls, products and checks, which a stack of one
 took 1.11x as long to solve (in-process, 2-vCPU x86-64 host).  _ERRORS
@@ -181,19 +181,16 @@ def solve_stack(A, B, weights: CostWeights):
     """Solve a stack of systems sharing the weights, A (k, n, n) and B
     (k, n, m), in one call; a table build solves its nodes this way.
 
-    Returns (P, K, failure).  P and K are (k, n, n) and (k, m, n), and
-    system i's P[i] and K[i] are the bytes solve_care and lqr_gain return for
-    it.  failure is None, or (i, error) for the lowest-index system that
-    cannot be solved, with the error solve_care raises for it alone; P and K
-    then hold systems [:i] only.  Raises ValueError unless A and B are
-    stacks of k systems, k = 0 included, of one shape that fits the
-    weights: each A n x n, each B n x m, Q n x n and R m x m.
+    Returns (P, K), (k, n, n) and (k, m, n): system i's P[i] and K[i] are
+    the bytes solve_care and lqr_gain return for it.  Each check runs over
+    the whole stack, and the first that fails raises the error solve_care
+    raises alone for the first system failing it.  Raises ValueError unless
+    A and B are stacks of k systems, k = 0 included, of one shape that fits
+    the weights: each A n x n, each B n x m, Q n x n and R m x m.
 
-    Each check runs over the whole stack; when one first fails at system i,
-    the result is solve_stack(A[:i], B[:i], weights)'s, with its failure or
-    else (i, error).  The LAPACK calls run per system; the rest runs over
-    the stack on operands laid out per system as LAPACK lays them out, so a
-    system's bytes do not depend on the rest of its stack.
+    The LAPACK calls run per system; the rest runs over the stack on
+    operands laid out per system as LAPACK lays them out, so a system's
+    bytes do not depend on the rest of its stack.
     """
     A = np.asarray(A, dtype=float)
     B = np.asarray(B, dtype=float)
@@ -202,21 +199,9 @@ def solve_stack(A, B, weights: CostWeights):
                          f"{A.shape} and {B.shape}")
     k, (n, m) = len(A), _fit(A.shape, B.shape, weights)
 
-    def fail(i, error):
-        """Systems [:i] solved, with their own failure or else (i, error);
-        they passed every check before this one, so can fail only a later one."""
-        P, K, failure = solve_stack(A[:i], B[:i], weights)
-        return P, K, failure or (i, error)
-
-    def first_bad(ok):
-        """The first system that is not ok, or None."""
-        ok = ok.tolist()
-        return ok.index(False) if False in ok else None
-
     # finiteness is checked here, on B and on H, in place of scipy's checks
-    i = first_bad(np.isfinite(B).all(axis=(1, 2)))
-    if i is not None:
-        return fail(i, _error("B finite"))
+    if not np.isfinite(B).all():
+        raise _error("B finite")
     X = np.empty((k, n, m)).transpose(0, 2, 1)  # R^-1 B', Fortran-ordered as from dpotrs
     for i in range(k):
         X[i] = lapack.dpotrs(weights._r_chol, B[i].T)[0]
@@ -226,49 +211,40 @@ def solve_stack(A, B, weights: CostWeights):
     H = np.empty((k, 2 * n, 2 * n)).transpose(0, 2, 1)  # Fortran-ordered for dgees
     H[:, :n, :n], H[:, :n, n:] = A, -G
     H[:, n:, :n], H[:, n:, n:] = weights._neg_q, -A.transpose(0, 2, 1)
-    i = first_bad(np.isfinite(H).all(axis=(1, 2)))
-    if i is not None:
-        return fail(i, _error("H finite"))
+    if not np.isfinite(H).all():
+        raise _error("H finite")
     Zt = np.empty((k, n, 2 * n))  # the bases [Z11; Z21], transposed
     for i in range(k):
         _, sdim, _, _, Z, _, info = lapack.dgees(_lhp, H[i], lwork=weights._lwork,
                                                  sort_t=1, overwrite_a=1)
         if info:
-            return fail(i, _error("dgees info", info))
+            raise _error("dgees info", info)
         if sdim != n:
-            return fail(i, _error("dgees sdim", sdim, n))
+            raise _error("dgees sdim", sdim, n)
         Zt[i] = Z[:, :n].T
     try:
         P = np.linalg.solve(Zt[:, :, :n], Zt[:, :, n:]).transpose(0, 2, 1)
-    except np.linalg.LinAlgError:
-        for i in range(k):  # the first singular basis
-            try:
-                np.linalg.solve(Zt[i, :, :n], Zt[i, :, n:])
-            except np.linalg.LinAlgError as exc:
-                error = _error("singular basis", exc)
-                error.__cause__ = exc
-                return fail(i, error)
-        raise
+    except np.linalg.LinAlgError as exc:  # numpy's message, as for one system
+        raise _error("singular basis", exc) from exc
 
     P_t = P.transpose(0, 2, 1)
     scale = np.fmax(np.abs(P).max(axis=(1, 2)), 1.0)  # max(1.0, nan) is 1.0
-    i = first_bad(~(np.abs(P - P_t).max(axis=(1, 2)) > 1e-10 * scale))
-    if i is not None:
-        return fail(i, _error("P symmetric"))
+    if (np.abs(P - P_t).max(axis=(1, 2)) > 1e-10 * scale).any():
+        raise _error("P symmetric")
     P = 0.5 * (P + P_t)
 
     for i in range(k):
         eigs = lapack.dsyevd(P[i], compute_v=0)[0]
         if eigs.min() < -1e-8 * max(1.0, eigs.max()):
-            return fail(i, _error("P PSD", eigs.min()))
+            raise _error("P PSD", eigs.min())
 
     # the norm as np.linalg.norm takes it: the flattened matrix's dot product
     # with itself; written so that a non-finite residual fails too
     R = (A.transpose(0, 2, 1) @ P + P @ A - P @ G @ P + weights.Q).reshape(k, 1, n * n)
     residual = np.sqrt(R @ R.transpose(0, 2, 1)).ravel()
-    i = first_bad(residual <= weights._limit)
-    if i is not None:
-        return fail(i, _error("CARE residual", residual[i], weights._limit))
+    failed = residual[~(residual <= weights._limit)]
+    if len(failed):
+        raise _error("CARE residual", failed[0], weights._limit)
 
     K = np.empty((k, n, m)).transpose(0, 2, 1)  # Fortran-ordered as from dpotrs
     BtP = B.transpose(0, 2, 1) @ P
@@ -279,8 +255,8 @@ def solve_stack(A, B, weights: CostWeights):
     for i in range(k):
         eigs = lapack.dgeev(closed[i], compute_vl=0, compute_vr=0, overwrite_a=1)[0]
         if eigs.max() >= 0.0:
-            return fail(i, _error("closed loop Hurwitz", eigs.max()))
-    return P, K, None
+            raise _error("closed loop Hurwitz", eigs.max())
+    return P, K
 
 
 def _solve(A, B, weights: CostWeights):

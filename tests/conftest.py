@@ -75,7 +75,9 @@ def lapack_failures(monkeypatch):
     number s returns a basis [Z11; Z21] whose P = Z21 Z11^-1 is off by 1e-3
     above the diagonal (so P is not symmetric), and call number r one whose
     P is off by 1e-4 I (symmetric and PSD, but not a CARE solution).  None
-    skips one."""
+    skips one.  LAPACK is modelled as a function of its input: a later call
+    of the routine on the same values as a faulted call gets the same
+    fault, so solving a system again does not heal it."""
     import armctl.riccati as riccati
 
     names = ("dgees", "dsyevd", "dgeev")
@@ -83,29 +85,41 @@ def lapack_failures(monkeypatch):
 
     def inject(dgees=None, dsyevd=None, dgeev=None, skew=None, shift=None):
         calls = dict.fromkeys(names, 0)
+        faulted = {}  # (routine, input shape and values) -> its fault
 
-        def counted(name):
-            calls[name] += 1
-            return calls[name] - 1
+        def fault(name, matrix, **at):
+            """The fault of this call: the one injected on its call number (at
+            maps fault -> call number), else the one an earlier call on the
+            same input got, else None.  The input is read before the call,
+            which may overwrite it."""
+            key = (name, matrix.shape, np.ascontiguousarray(matrix).tobytes())
+            call, calls[name] = calls[name], calls[name] + 1
+            for kind, number in at.items():
+                if call == number:
+                    faulted[key] = kind
+            return faulted.get(key)
 
-        def failing_dgees(*args, **kwargs):
-            out = real["dgees"](*args, **kwargs)
-            call, Z = counted("dgees"), out[4]
+        def failing_dgees(select, a, *args, **kwargs):
+            kind = fault("dgees", a, info=dgees, skew=skew, shift=shift)
+            out = real["dgees"](select, a, *args, **kwargs)
+            Z = out[4]
             n = len(Z) // 2
-            if call in (skew, shift):  # Z21 += E Z11 turns P into P + E
-                E = np.triu(np.full((n, n), 1e-3), 1) if call == skew else 1e-4 * np.eye(n)
+            if kind in ("skew", "shift"):  # Z21 += E Z11 turns P into P + E
+                E = np.triu(np.full((n, n), 1e-3), 1) if kind == "skew" else 1e-4 * np.eye(n)
                 Z[n:, :n] += E @ Z[:n, :n]
-            return out[:-1] + (3,) if call == dgees else out
+            return out[:-1] + (3,) if kind == "info" else out
 
-        def failing_dsyevd(*args, **kwargs):
-            w, *rest = real["dsyevd"](*args, **kwargs)
-            if counted("dsyevd") == dsyevd:
+        def failing_dsyevd(a, *args, **kwargs):
+            kind = fault("dsyevd", a, psd=dsyevd)
+            w, *rest = real["dsyevd"](a, *args, **kwargs)
+            if kind:
                 w = np.append(-0.5, w[1:])
             return (w, *rest)
 
-        def failing_dgeev(*args, **kwargs):
-            wr, *rest = real["dgeev"](*args, **kwargs)
-            if counted("dgeev") == dgeev:
+        def failing_dgeev(a, *args, **kwargs):
+            kind = fault("dgeev", a, hurwitz=dgeev)
+            wr, *rest = real["dgeev"](a, *args, **kwargs)
+            if kind:
                 wr = np.append(wr[1:], 0.5)
             return (wr, *rest)
 

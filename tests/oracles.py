@@ -366,10 +366,8 @@ def _kernel_torque_gains(geom, masses, weights, thetas):
     forms = _mass_forms(geom, masses)
     torque = np.zeros((len(thetas), 4))
     torque[:, 1:] = [_kernel(forms, t2, t3, t4)[5:8] for _, t2, t3, t4 in thetas.tolist()]
-    A, B, failure = linearize_stack(geom, masses, thetas, np.zeros((len(thetas), 4)), torque)
-    _, gains, stack_failure = solve_stack(A, B, weights)
-    assert not (failure or stack_failure), failure or stack_failure
-    return gains
+    A, B = linearize_stack(geom, masses, thetas, np.zeros((len(thetas), 4)), torque)
+    return solve_stack(A, B, weights)[1]
 
 
 def reference_refine(geom, masses, weights, root_box, tol, max_depth) -> RefinedTable:

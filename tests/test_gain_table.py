@@ -26,12 +26,15 @@ from armctl import (
     ArmError,
     BadGrid,
     BadMagic,
+    CostWeights,
     DegenerateInertia,
     DigestMismatch,
     GainTable,
     GridSpec,
+    IllConditioned,
     MassModel,
     NodeFailure,
+    NotStabilizable,
     OutOfBounds,
     RefinedTable,
     TableFormatError,
@@ -320,6 +323,51 @@ class TestPrecompute:
             precompute(geom, masses, weights, GridSpec(BOX_LO, BOX_HI, (2, 2, 2, 2)))
         assert info.value.index == (0, 0, 0, 1)
         assert str(info.value.cause) == "closed loop not Hurwitz (max Re eig 5.000e-01)"
+
+    @pytest.mark.parametrize("fault, kind, message", [
+        ("dgees", IllConditioned, "ordered Schur form failed (dgees info 3)"),
+        ("skew", IllConditioned, "Riccati solution lost symmetry"),
+        ("dsyevd", NotStabilizable, "Riccati solution not PSD (min eig -0.5)"),
+        ("shift", IllConditioned, "CARE residual"),
+        ("dgeev", NotStabilizable, "closed loop not Hurwitz (max Re eig 5.000e-01)"),
+    ])
+    def test_a_lapack_fault_names_its_node(self, geom, masses, weights, lapack_failures,
+                                           fault, kind, message):
+        # call 2 of the stack solves node 2, which fails the same way alone
+        lapack_failures(**{fault: 2})
+        with pytest.raises(NodeFailure) as info:
+            precompute(geom, masses, weights, GridSpec(BOX_LO, BOX_HI, (2, 2, 2, 2)))
+        assert info.value.index == (0, 0, 1, 0)
+        assert type(info.value.cause) is kind and str(info.value.cause).startswith(message)
+
+    def test_a_riccati_failure_before_a_degenerate_node_wins(self, geom, masses, weights,
+                                                            lapack_failures):
+        # planar node 13, (1, 1, 1), is upright and fails to linearize;
+        # node 5's closed loop fails in the Riccati solve, and is lower
+        lapack_failures(dgeev=5)
+        with pytest.raises(NodeFailure) as info:
+            precompute(geom, masses, weights, GridSpec([-0.5] * 4, [0.5] * 4, (2, 3, 3, 3)))
+        assert info.value.index == (0, 0, 1, 2)
+        assert isinstance(info.value.cause, NotStabilizable)
+        assert str(info.value.cause) == "closed loop not Hurwitz (max Re eig 5.000e-01)"
+
+    def test_a_stack_error_no_node_raises_alone_is_raised_as_it_is(self, geom, masses,
+                                                                   weights, monkeypatch):
+        spurious = IllConditioned("a stack error no node raises alone")
+
+        def failing_stack(A, B, weights):
+            raise spurious
+
+        monkeypatch.setattr(gt, "solve_stack", failing_stack)
+        with pytest.raises(IllConditioned) as info:
+            precompute(geom, masses, weights, GridSpec(BOX_LO, BOX_HI, (2, 2, 2, 2)))
+        assert info.value is spurious
+
+    def test_weights_that_do_not_fit_raise_value_error(self, geom, masses):
+        weights = CostWeights.from_diagonals([1.0, 1.0], [1.0])
+        with pytest.raises(ValueError, match=r"^Q must be 8x8, got \(2, 2\)$") as info:
+            precompute(geom, masses, weights, GridSpec(BOX_LO, BOX_HI, (2, 2, 2, 2)))
+        assert type(info.value) is ValueError
 
     def test_one_solve_per_planar_configuration(self, geom, masses, weights, solve_calls):
         precompute(geom, masses, weights, GridSpec(BOX_LO, BOX_HI, (3, 2, 2, 2)))

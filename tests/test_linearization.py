@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -228,7 +230,8 @@ NODES = st.tuples(THETAS, st.booleans(), st.tuples(*[st.floats(-0.5, 0.5)] * 4),
 
 class TestStack:
     """linearize_stack reproduces the per-point body byte for byte, for
-    every point of any stack, and names the lowest failing point."""
+    every point of any stack, and a stack with a failing point raises the
+    error that point raises alone."""
 
     @settings(max_examples=30, deadline=None)
     @given(nodes=st.sampled_from([1, 2, 64]).flatmap(
@@ -236,8 +239,7 @@ class TestStack:
     def test_bytes_match_the_per_point_oracle(self, geom, masses, nodes):
         ops = [_op(geom, masses, theta, rates, torque, at_equilibrium)
                for theta, at_equilibrium, rates, torque in nodes]
-        A, B, failure = lin.linearize_stack(geom, masses, *_stack(ops))
-        assert failure is None
+        A, B = lin.linearize_stack(geom, masses, *_stack(ops))
         _assert_matches_oracle(geom, masses, ops, A, B)
         for op, a, b in zip(ops, A, B):
             model = linearize(geom, masses, op)
@@ -252,27 +254,33 @@ class TestStack:
         ops[i] = bad
         return ops
 
+    def _assert_raises_alone_error(self, geom, masses, ops, bad, kind):
+        """The stack ops raises bad's error alone, of type kind."""
+        with pytest.raises(kind) as alone:
+            linearize(geom, masses, bad)
+        with pytest.raises(kind, match=f"^{re.escape(str(alone.value))}$"):
+            lin.linearize_stack(geom, masses, *_stack(ops))
+
     @pytest.mark.parametrize("i", [0, 2, 4])
     def test_degenerate_point_is_reported_at_its_index(self, geom, masses, i):
-        # upright: theta2 = theta3 = theta4 = 0 leaves no yaw inertia (I1 = 0)
+        # upright: theta2 = theta3 = theta4 = 0 leaves no yaw inertia (I1 = 0);
+        # the message names the point's angles
         upright = OperatingPoint([0.4, 0.0, 0.0, 0.0], np.zeros(4), np.zeros(4))
         ops = self._ops_with(geom, masses, upright, i)
-        A, B, failure = lin.linearize_stack(geom, masses, *_stack(ops))
-        assert failure[0] == i and isinstance(failure[1], DegenerateInertia)
-        _assert_matches_oracle(geom, masses, ops[:i], A, B)
+        self._assert_raises_alone_error(geom, masses, ops, upright, DegenerateInertia)
 
     @pytest.mark.parametrize("i", [0, 2, 4])
     def test_overflowing_point_is_reported_at_its_index(self, geom, masses, theta_ref, i):
+        # the message names the point's rates and torque
         fast = OperatingPoint(theta_ref, [1e160, 0.0, 0.0, 0.0], np.zeros(4))
         ops = self._ops_with(geom, masses, fast, i)
-        A, B, failure = lin.linearize_stack(geom, masses, *_stack(ops))
-        assert failure[0] == i and isinstance(failure[1], Diverged)
-        assert str(failure[1]).startswith("linear model not finite at rates [1e+160")
-        _assert_matches_oracle(geom, masses, ops[:i], A, B)
+        with pytest.raises(Diverged, match=r"^linear model not finite at rates \[1e\+160"):
+            lin.linearize_stack(geom, masses, *_stack(ops))
+        self._assert_raises_alone_error(geom, masses, ops, fast, Diverged)
 
     @pytest.mark.parametrize("fast_at", [None, 0, 2])
     def test_no_torque_is_each_points_equilibrium_torque(self, geom, masses, fast_at):
-        """torque None gives each point the bytes and failure it gets with
+        """torque None gives each point the bytes and error it gets with
         its equilibrium_torque passed: at zero rates, as a table build's
         nodes, and with one point too fast, whose Diverged message names
         that torque."""
@@ -281,22 +289,26 @@ class TestStack:
         if fast_at is not None:
             rates[fast_at, 0] = 1e160
         torque = np.array([equilibrium_torque(geom, masses, t) for t in thetas])
-        A, B, failure = lin.linearize_stack(geom, masses, thetas, rates)
-        A0, B0, failure0 = lin.linearize_stack(geom, masses, thetas, rates, torque)
-        assert A.tobytes() == A0.tobytes() and B.tobytes() == B0.tobytes()
-        if fast_at is None:
-            assert failure is None and failure0 is None
-        else:
-            assert failure[0] == failure0[0] == fast_at
-            assert str(failure[1]) == str(failure0[1])
-            assert str(failure[1]).endswith(f"and torque {torque[fast_at].tolist()}")
+        outcomes = []
+        for given_torque in (None, torque):
+            try:
+                A, B = lin.linearize_stack(geom, masses, thetas, rates, given_torque)
+                outcomes.append((A.tobytes(), B.tobytes()))
+            except Diverged as exc:
+                outcomes.append(str(exc))
+        assert outcomes[0] == outcomes[1]
+        if fast_at is not None:
+            assert outcomes[0].endswith(f"and torque {torque[fast_at].tolist()}")
 
-    def test_the_lower_index_failure_wins(self, geom, masses, theta_ref):
+    def test_a_degenerate_point_raises_before_an_overflowing_one(self, geom, masses,
+                                                                 theta_ref):
+        """The kernel's DegenerateInertia comes before the check on A, so a
+        degenerate point's error is raised over an earlier overflow's."""
         fast = OperatingPoint(theta_ref, [1e160, 0.0, 0.0, 0.0], np.zeros(4))
+        upright = OperatingPoint([0.4, 0.0, 0.0, 0.0], np.zeros(4), np.zeros(4))
         ops = self._ops_with(geom, masses, fast, 1)
-        ops[3] = OperatingPoint([0.4, 0.0, 0.0, 0.0], np.zeros(4), np.zeros(4))
-        _, _, failure = lin.linearize_stack(geom, masses, *_stack(ops))
-        assert failure[0] == 1 and isinstance(failure[1], Diverged)
+        ops[3] = upright
+        self._assert_raises_alone_error(geom, masses, ops, upright, DegenerateInertia)
 
 
 class TestOperatingPointDependence:

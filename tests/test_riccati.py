@@ -146,7 +146,8 @@ def _bad_system(fault, system):
 
 
 # check -> (system 2's input fault, system 4's, the LAPACK calls the
-# lapack_failures fixture fails, the start of the check's message)
+# lapack_failures fixture fails, the start of the check's message for
+# system 2); system 4 fails the same check or an earlier one
 MIDDLE_FAILURES = {
     "B finite": ("B not finite", "B not finite", (), "B must be finite"),
     "H finite": ("B R^-1 B' overflows", "B not finite", (), "A must be finite, and B R^-1 B'"),
@@ -157,7 +158,6 @@ MIDDLE_FAILURES = {
     "dgees info": (None, "B not finite", ("dgees",), "ordered Schur form failed"),
     "dsyevd PSD": (None, "singular basis", ("dsyevd",), "Riccati solution not PSD"),
     "dgeev Hurwitz": (None, "stable subspace too small", ("dgeev",), "closed loop not Hurwitz"),
-    # a later fault must come before dgees, whose calls the fixture counts
     "P symmetric": (None, "B R^-1 B' overflows", ("skew",), "Riccati solution lost symmetry"),
     "CARE residual": (None, "B not finite", ("shift",), "CARE residual"),
 }
@@ -232,48 +232,49 @@ class TestContracts:
         with pytest.raises(IllConditioned, match=r"^ordered Schur form failed \(dgees info 3\)"):
             lqr_gain(*DOUBLE_INTEGRATOR, w)
 
-    def test_lowest_failing_index_wins_in_a_stack(self, geom, masses, weights,
-                                                 lapack_failures):
+    def test_failing_stack_raises_a_failing_systems_error(self, geom, masses, weights,
+                                                         lapack_failures):
         """dgees fails at system 2 and the closed-loop check, a later one,
-        at system 1: system 1's failure comes back, as it raises alone, and
-        P and K hold system 0."""
+        at system 1: the stack raises the error one of them raises alone,
+        and without the faults it gives every system its bytes alone."""
         models = [linearize(geom, masses, equilibrium_point(geom, masses, t))
                   for t in safe_random_theta(np.random.default_rng(3), 4)]
         A, B = np.array([m.A for m in models]), np.array([m.B for m in models])
-        expected_K = lqr_gain(A[0], B[0], weights)
+        expected = [outcome(library, a, b, weights) for a, b in zip(A, B)]
+        assert_stack_contract(A, B, weights, expected)
         lapack_failures(dgeev=0)
-        with pytest.raises(NotStabilizable) as alone:
-            lqr_gain(A[1], B[1], weights)
-        assert str(alone.value) == "closed loop not Hurwitz (max Re eig 5.000e-01)"
+        expected[1] = outcome(library, A[1], B[1], weights)
+        assert expected[1] == (NotStabilizable, "closed loop not Hurwitz (max Re eig 5.000e-01)")
+        lapack_failures(dgees=0)
+        expected[2] = outcome(library, A[2], B[2], weights)
+        assert expected[2] == (IllConditioned, "ordered Schur form failed (dgees info 3)")
 
         lapack_failures(dgees=2, dgeev=1)
-        P, K, (i, error) = riccati.solve_stack(A, B, weights)
-        assert (i, type(error), str(error)) == (1, NotStabilizable, str(alone.value))
-        assert len(P) == len(K) == 1 and K[0].tobytes() == expected_K.tobytes()
+        assert_stack_contract(A, B, weights, expected)
 
     @pytest.mark.parametrize("bad, later, inject, message", MIDDLE_FAILURES.values(),
                              ids=list(MIDDLE_FAILURES))
     def test_failure_in_the_middle_of_a_stack(self, bad, later, inject, message,
                                               lapack_failures):
-        """System 2 of five fails a check and system 4 fails too (the same
-        check, or one before it): system 2's failure comes back, as it
-        raises alone, and P and K hold systems 0 and 1 as solved alone."""
+        """System 2 of five fails a check: the stack raises the error it
+        raises alone.  With system 4 failing too (the same check, or one
+        before it), the stack raises the error one of the two raises alone.
+        """
         w = CostWeights(np.eye(2), np.eye(1))
         systems = [(np.array([[0.0, 1.0], [0.1 * i, -0.2 * i]]),
                     np.array([[0.0], [1.0 + 0.1 * i]])) for i in range(5)]
-        expected = [(solve_care(A, B, w), lqr_gain(A, B, w)) for A, B in systems[:2]]
-        systems[2], systems[4] = _bad_system(bad, systems[2]), _bad_system(later, systems[4])
+        expected = [outcome(library, A, B, w) for A, B in systems]
+        systems[2], bad_4 = _bad_system(bad, systems[2]), _bad_system(later, systems[4])
+        failed_4 = outcome(library, *bad_4, w)
+        assert failed_4[0] != "ok"
         lapack_failures(**{check: 0 for check in inject})
-        with pytest.raises((ValueError, ArmError), match=f"^{re.escape(message)}") as alone:
-            lqr_gain(*systems[2], w)
+        expected[2] = outcome(library, *systems[2], w)
+        assert expected[2][0] != "ok" and expected[2][1].startswith(message)
 
-        lapack_failures(**{check: 2 for check in inject})
-        A, B = (np.array(x) for x in zip(*systems))
-        P, K, (i, error) = riccati.solve_stack(A, B, w)
-        assert (i, type(error), str(error)) == (2, type(alone.value), str(alone.value))
-        assert len(P) == len(K) == 2
-        for p, k, (p_alone, k_alone) in zip(P, K, expected):
-            assert p.tobytes() == p_alone.tobytes() and k.tobytes() == k_alone.tobytes()
+        for system_4, expected_4 in ((systems[4], expected[4]), (bad_4, failed_4)):
+            A, B = (np.array(x) for x in zip(*systems[:4], system_4))
+            lapack_failures(**{check: 2 for check in inject})
+            assert_stack_contract(A, B, w, expected[:4] + [expected_4])
 
     @pytest.mark.parametrize("A, B", [
         (np.eye(2), np.ones((2, 1))),  # one system, not a stack
@@ -314,9 +315,9 @@ class TestContracts:
                                 CostWeights(np.eye(2), np.eye(1)))
 
     def test_empty_stack(self):
-        P, K, failure = riccati.solve_stack(np.zeros((0, 2, 2)), np.zeros((0, 2, 1)),
-                                            CostWeights(np.eye(2), np.eye(1)))
-        assert P.shape == (0, 2, 2) and K.shape == (0, 1, 2) and failure is None
+        P, K = riccati.solve_stack(np.zeros((0, 2, 2)), np.zeros((0, 2, 1)),
+                                   CostWeights(np.eye(2), np.eye(1)))
+        assert P.shape == (0, 2, 2) and K.shape == (0, 1, 2)
 
     def test_scalar_b_names_b(self):
         # a 0-d B has no row axis; the reference raises IndexError here
@@ -337,18 +338,19 @@ def library(A, B, w):
     return solve_care(A, B, w), lqr_gain(A, B, w)
 
 
-def stack_outcomes(As, Bs, w):
-    """Each system's outcome, as outcome() gives it, from solving the list
-    as one stack; after a failure the rest is solved as a new stack."""
-    out = []
-    while len(out) < len(As):
-        P, K, failure = riccati.solve_stack(np.array(As[len(out):]), np.array(Bs[len(out):]), w)
-        out += [("ok", p.tobytes(), k.tobytes()) for p, k in zip(P, K)]
-        if failure:
-            i, exc = failure
-            assert i == len(P)
-            out.append((type(exc), str(exc)))
-    return out
+def assert_stack_contract(As, Bs, w, expected):
+    """The systems As, Bs solved as one stack, given each one's outcome
+    alone (as outcome() gives it): with every outcome "ok", each system's
+    bytes alone; else the type and message of one failing system's error
+    alone."""
+    failed = [e for e in expected if e[0] != "ok"]
+    if not failed:
+        P, K = riccati.solve_stack(np.array(As), np.array(Bs), w)
+        assert [("ok", p.tobytes(), k.tobytes()) for p, k in zip(P, K)] == list(expected)
+        return
+    with pytest.raises((ValueError, ArmError)) as info:
+        riccati.solve_stack(np.array(As), np.array(Bs), w)
+    assert (type(info.value), str(info.value)) in failed
 
 
 # one case per system: an 8x8 linearized test-arm model (at an equilibrium,
@@ -372,8 +374,10 @@ class TestMatchesReference:
     @settings(max_examples=40, deadline=None)
     @given(cases=st.lists(st.one_of(ARM_CASES, SMALL_CASES), min_size=1, max_size=6))
     def test_byte_identical_gains(self, geom, masses, weights, cases):
-        """Alone and in stacks: the list is solved as one stack per size and
-        weights, each system's outcome that of the reference alone."""
+        """Alone and in stacks: each system's outcome alone is the
+        reference's, and the list is solved as one stack per size and
+        weights, then so are the systems of it that solve, each stack held
+        to assert_stack_contract."""
         shared = {n: CostWeights(np.eye(n), np.eye(1)) for n in (1, 2)}
         stacks = {}  # (n, id of the weights) -> (weights, [(A, B, expected outcome)])
         for case in cases:
@@ -393,8 +397,10 @@ class TestMatchesReference:
                 assert expected[0] == "ok"
             stacks.setdefault((len(A), id(w)), (w, []))[1].append((A, B, expected))
         for w, systems in stacks.values():
-            As, Bs, expected = zip(*systems)
-            assert stack_outcomes(As, Bs, w) == list(expected)
+            for group in (systems, [s for s in systems if s[2][0] == "ok"]):
+                if group:
+                    As, Bs, expected = zip(*group)
+                    assert_stack_contract(As, Bs, w, expected)
 
     def test_stacked_bytes_never_depend_on_batch_mates(self, geom, masses, weights):
         """Stacks of 1, 2, 9 and one more than a table build's stack cap,
@@ -410,11 +416,9 @@ class TestMatchesReference:
         expected = [outcome(reference_care, A, B, weights) for A, B in zip(As, Bs)]
         assert all(e[0] == "ok" for e in expected)
         for k in (1, 2, 9, size):
-            got = []
             for s in range(0, size, k):
-                got += stack_outcomes(As[s:s + k], Bs[s:s + k], weights)
-            assert got == expected
-            assert stack_outcomes(As[::-1][:k], Bs[::-1][:k], weights) == expected[::-1][:k]
+                assert_stack_contract(As[s:s + k], Bs[s:s + k], weights, expected[s:s + k])
+            assert_stack_contract(As[::-1][:k], Bs[::-1][:k], weights, expected[::-1][:k])
 
     def test_online_gain_layout(self, geom, masses, weights, theta_ref):
         """At online states as perfbench's replay meets them (non-zero rates,
@@ -430,9 +434,8 @@ class TestMatchesReference:
                                 rng.uniform(-1.5, 1.5, (3, 4))])
             models = [linearize(geom, masses, OperatingPoint(
                 x[:4], x[4:], tau_ff + rng.uniform(-2.0, 2.0, 4))) for x in states]
-            _, stacked, failure = riccati.solve_stack(np.array([m.A for m in models]),
-                                                      np.array([m.B for m in models]), weights)
-            assert failure is None
+            _, stacked = riccati.solve_stack(np.array([m.A for m in models]),
+                                             np.array([m.B for m in models]), weights)
             for x, model, K_stack in zip(states, models, stacked):
                 gains = (lqr_gain(model.A, model.B, weights), K_stack,
                          reference_care(model.A, model.B, weights)[1])
