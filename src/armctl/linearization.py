@@ -13,13 +13,19 @@ gradient J[i][j] = dI_i/dtheta_j and the accelerations come from one
 and the Hessians of I1..I4 and PE from `dynamics._hessians`.  No dynamics
 call is differenced.
 
-One body, `linearize_stack`, serves a stack of points: one kernel call per
-point, then the Hessians, A and B over the stack, each product in its
-per-point shape so that a point's bytes never depend on its stack (one
-(k, 4) @ (4, T) product for the angles n . theta rounds them otherwise).
-`linearize` and each chunk of a table build are such stacks.  A stack with
-a failing point raises that point's error; which node of a table build
-fails first is `gain_table._solve_nodes`' to find.
+Two bodies evaluate these formulas, and the caller's input picks one.
+`linearize_stack` serves a stack of points, as each chunk of a table build
+is: one kernel call per point, then the Hessians, A and B over the stack,
+each product in its per-point shape so that a point's bytes never depend on
+its stack (one (k, 4) @ (4, T) product for the angles n . theta rounds them
+otherwise).  A stack with a failing point raises that point's error; which
+node of a table build fails first is `gain_table._solve_nodes`' to find.
+`linearize` serves one `OperatingPoint`, as each online control update
+does: the same kernel call and Hessians, the same three products on the
+same operands (their bytes depend on BLAS's summation order), and every
+elementwise operation on floats in the stack's order, each structural-zero
+term kept, so it returns the stack's bytes without paying for a stack of
+one.  Both are held to `tests/oracles.loop_linearize` byte for byte.
 
 A keeps its exact block structure (zero / identity top blocks).  The theta1
 column is +0.0: the dynamics never read the yaw angle.  At zero rates the
@@ -31,6 +37,7 @@ enters additively as tau_k / I_k(theta).
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -41,6 +48,7 @@ from .kinematics import ArmGeometry
 
 # the identity blocks of every A (d theta/dt = rates) and of every B's lower half
 _A_TOP, _B_LOW = np.eye(8, 8, 4), np.eye(8, 4, -4)
+_A_TOP_ROWS = _A_TOP[:4].ravel().tolist()  # the top half of A, as `linearize` builds it
 
 
 @dataclass(frozen=True)
@@ -78,6 +86,10 @@ def equilibrium_point(
     state derivative vanishes there."""
     theta = vector(theta_ref, 4, "theta_ref")
     return OperatingPoint(theta, np.zeros(4), equilibrium_torque(geom, masses, theta))
+
+
+def _diverged(rates: list, torque: list) -> Diverged:
+    return Diverged(f"linear model not finite at rates {rates} and torque {torque}")
 
 
 def linearize_stack(geom: ArmGeometry, masses: MassModel, theta, rates, torque=None):
@@ -135,13 +147,49 @@ def linearize_stack(geom: ArmGeometry, masses: MassModel, theta, rates, torque=N
     finite = np.isfinite(A).all(axis=(1, 2)).tolist()
     if False in finite:
         i = finite.index(False)
-        raise Diverged(f"linear model not finite at rates {rates[i].tolist()} "
-                       f"and torque {taus[i]}")
+        raise _diverged(rates[i].tolist(), taus[i])
     return A, _B_LOW * rows[:, None, :4]  # 1/I > 0, so B's zeros are +0.0
 
 
 def linearize(geom: ArmGeometry, masses: MassModel, op: OperatingPoint) -> LinearModel:
     """A = d[rates, acc]/d[theta, rates] and B = d[rates, acc]/d tau at op,
-    in closed form: a stack of one."""
-    A, B = linearize_stack(geom, masses, op.theta[None], op.rates[None], op.torque[None])
-    return LinearModel(A[0], B[0])
+    in closed form: `linearize_stack`'s formulas at one point, each
+    elementwise operation on floats in the stack's order and each product
+    on the operands the stack gives it, so the bytes are the stack's."""
+    theta, rates = op.theta, op.rates
+    (_, t2, t3, t4), (w1, w2, w3, w4), torque = theta.tolist(), rates.tolist(), op.torque.tolist()
+    (i1, i2, i3, i4, _, _, _, _, j12, j13, j14, j22, j23, j24, j32, j33, j34,
+     a1, a2, a3, a4) = _kernel(_mass_forms(geom, masses), t2, t3, t4, w1, w2, w3, w4, *torque,
+                               full=True)
+    r1, r2, r3, r4 = inverse = (1.0 / i1, 1.0 / i2, 1.0 / i3, 1.0 / i4)
+    hess = _hessians(geom, masses, theta[None])[0]
+    rate = (0.0,) * 16  # at rest the rate block keeps +0.0, as the stack leaves it
+    with np.errstate(over="ignore", invalid="ignore"):  # A is checked below
+        d = (np.array((0.5 * w1 * w1, 0.5 * w2 * w2, 0.5 * w3 * w3, 0.5 * w4 * w4, -1.0))
+             @ hess.reshape(5, 16)).tolist()
+        c = (rates @ hess[:4]).ravel().tolist()
+        if w1 or w2 or w3 or w4:  # row i: w_m J[m][i] - w_i J[i][m], less (J w)_i at m = i
+            jw1, jw2, jw3, jw4 = (np.array((0.0, j12, j13, j14, 0.0, j22, j23, j24, 0.0, j32,
+                                            j33, j34, 0.0, 0.0, 0.0, 0.0)).reshape(4, 4)
+                                  @ rates).tolist()
+            rate = (((w1 * 0.0 - w1 * 0.0) - jw1) * r1, (w2 * 0.0 - w1 * j12) * r1,
+                    (w3 * 0.0 - w1 * j13) * r1, (w4 * 0.0 - w1 * j14) * r1,
+                    (w1 * j12 - w2 * 0.0) * r2, ((w2 * j22 - w2 * j22) - jw2) * r2,
+                    (w3 * j32 - w2 * j23) * r2, (w4 * 0.0 - w2 * j24) * r2,
+                    (w1 * j13 - w3 * 0.0) * r3, (w2 * j23 - w3 * j32) * r3,
+                    ((w3 * j33 - w3 * j33) - jw3) * r3, (w4 * 0.0 - w3 * j34) * r3,
+                    (w1 * j14 - w4 * 0.0) * r4, (w2 * j24 - w4 * 0.0) * r4,
+                    (w3 * j34 - w4 * 0.0) * r4, ((w4 * 0.0 - w4 * 0.0) - jw4) * r4)
+    # the angle block, dN_i/dtheta_l then the quotient rule; the theta1 column is +0.0
+    A = [*_A_TOP_ROWS,
+         0.0, ((d[1] - w1 * c[1]) - a1 * j12) * r1, ((d[2] - w1 * c[2]) - a1 * j13) * r1,
+         ((d[3] - w1 * c[3]) - a1 * j14) * r1, *rate[:4],
+         0.0, ((d[5] - w2 * c[5]) - a2 * j22) * r2, ((d[6] - w2 * c[6]) - a2 * j23) * r2,
+         ((d[7] - w2 * c[7]) - a2 * j24) * r2, *rate[4:8],
+         0.0, ((d[9] - w3 * c[9]) - a3 * j32) * r3, ((d[10] - w3 * c[10]) - a3 * j33) * r3,
+         ((d[11] - w3 * c[11]) - a3 * j34) * r3, *rate[8:12],
+         0.0, ((d[13] - w4 * c[13]) - a4 * 0.0) * r4, ((d[14] - w4 * c[14]) - a4 * 0.0) * r4,
+         ((d[15] - w4 * c[15]) - a4 * 0.0) * r4, *rate[12:]]
+    if not math.isfinite(sum(A)) and not all(map(math.isfinite, A)):
+        raise _diverged([w1, w2, w3, w4], torque)
+    return LinearModel(np.array(A).reshape(8, 8), _B_LOW * np.array(inverse))

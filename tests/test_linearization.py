@@ -245,6 +245,23 @@ class TestStack:
             model = linearize(geom, masses, op)
             assert model.A.tobytes() == a.tobytes() and model.B.tobytes() == b.tobytes()
 
+    @pytest.mark.parametrize("rates", [
+        [0.4, -0.0, 0.0, -0.0], [0.0, -0.4, -0.0, 0.0], [-0.0, 0.0, 0.4, -0.0],
+        [0.0, -0.0, -0.0, -0.4], [-0.0] * 4, None,
+    ])
+    def test_bytes_at_the_resting_boundary(self, geom, masses, theta_ref, rates):
+        """linearize, the stack's row and the oracle agree byte for byte on
+        the boundary of the resting branch, which the test above draws only
+        by chance: one rate non-zero among 0.0 and -0.0 on each axis (each
+        case leaves -0.0 entries in A), every rate -0.0 (the rate block
+        stays +0.0), and an equilibrium (None)."""
+        op = (equilibrium_point(geom, masses, theta_ref) if rates is None
+              else OperatingPoint(theta_ref, rates, [0.5, -1.0, 2.0, -0.0]))
+        A, B = lin.linearize_stack(geom, masses, *_stack([op]))
+        _assert_matches_oracle(geom, masses, [op], A, B)
+        model = linearize(geom, masses, op)
+        assert model.A.tobytes() == A[0].tobytes() and model.B.tobytes() == B[0].tobytes()
+
     def _ops_with(self, geom, masses, bad, i):
         """Five points, online and equilibria in turn, with bad at index i."""
         rng = np.random.default_rng(41)

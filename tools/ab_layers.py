@@ -35,8 +35,11 @@ Cases, on the test arm of tests/conftest.py:
   online_update     one online control update at that state: OperatingPoint,
                     linearize and lqr_gain, then tau_ff - K @ (x - x_ref), as
                     regulate-online's control_us_p50 times it;
-  linearize_eq      one linearize at the equilibrium at theta_ref (zero rates,
-                    gravity-holding torque), as a table build linearizes nodes;
+  linearize_eq      one linearize at rest, at the equilibrium at theta_ref
+                    (zero rates, gravity-holding torque): the path of
+                    gain_table._solve_nodes' per-node fallback and of
+                    perfbench's direct_gain (builds linearize their nodes
+                    in stacks, timed by linearize_stack64);
   lookup_flat       one lookup off-node in the 5^4 table below, loaded from
                     its saved bytes, as perfbench's regulate workloads fly
                     loaded tables (so how load lays out a table's arrays

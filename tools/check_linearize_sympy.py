@@ -10,12 +10,14 @@ I3 about P2, I4 about P3), KE = 1/2 sum_k I_k w_k^2, and PE from the heights
 of the masses.  sympy forms the Euler-Lagrange accelerations of L = KE - PE
 and differentiates them symbolically; the accelerations and the resulting A
 are evaluated at 30 significant digits (mpmath) at N seeded random states,
-half of them equilibria, and compared with armctl.forward_dynamics and
-armctl.linearize.  It prints the worst difference in A relative to max|A|
-of each state, and in the accelerations relative to max|acc| of each
-moving state; at an equilibrium, where the accelerations are zero, it is
-relative to max|tau_k / I_k|, the size of the terms that cancel there.  It
-exits 1 when any of them exceeds 1e-12.  sympy is needed to run it; it is
+half of them equilibria, and compared with armctl.forward_dynamics and with
+both linearization bodies: armctl.linearize at each state, and
+linearize_stack at all N states in one stacked call.  It prints the worst
+difference in A relative to max|A| of each state, for each body, and in the
+accelerations relative to max|acc| of each moving state; at an
+equilibrium, where the accelerations are zero, it is relative to
+max|tau_k / I_k|, the size of the terms that cancel there.  It exits 1
+when any of them exceeds 1e-12.  sympy is needed to run it; it is
 not a dependency of armctl.
 
 The arm is the test arm of tests/conftest.py unless --config names an arm
@@ -42,6 +44,7 @@ from armctl import (  # noqa: E402
     linearize,
     load_config,
 )
+from armctl.linearization import linearize_stack  # noqa: E402
 
 TOLERANCE = 1e-12
 DIGITS = 30
@@ -134,6 +137,7 @@ def main(argv=None) -> int:
 
     rng = np.random.default_rng(args.seed)
     worst_a, worst_acc, worst_eq = 0.0, 0.0, 0.0
+    ops, references = [], []
     for k in range(args.states):
         theta = rng.uniform(THETA_LO, THETA_HI)
         if k % 2:
@@ -145,6 +149,8 @@ def main(argv=None) -> int:
         values = [mpmath.mpf(float(v)) for v in (*op.theta, *op.rates, *op.torque)]
         reference = np.array(evaluate_jac(*values).tolist(), dtype=float)
         worst_a = max(worst_a, float(np.max(np.abs(A[4:8] - reference)) / np.max(np.abs(A))))
+        ops.append(op)
+        references.append(reference)
         exact_acc = np.array(evaluate_acc(*values).tolist(), dtype=float).ravel()
         error = np.max(np.abs(got - exact_acc))
         if k % 2:  # acc is zero: relative to the torque terms that cancel there
@@ -152,9 +158,15 @@ def main(argv=None) -> int:
             worst_eq = max(worst_eq, float(error / scale))
         else:
             worst_acc = max(worst_acc, float(error / np.max(np.abs(got))))
-    worst = max(worst_a, worst_acc, worst_eq)
+    stack = (np.array([getattr(op, name) for op in ops]).reshape(-1, 4)
+             for name in ("theta", "rates", "torque"))
+    stacked, _ = linearize_stack(geom, masses, *stack)
+    worst_stack = max((float(np.max(np.abs(A[4:8] - reference)) / np.max(np.abs(A)))
+                       for A, reference in zip(stacked, references)), default=0.0)
+    worst = max(worst_a, worst_stack, worst_acc, worst_eq)
     print(f"states: {args.states} (seed {args.seed}, half at equilibria)")
-    print(f"worst |A - A_sympy| / max|A|: {worst_a:.3e}")
+    print(f"worst |A - A_sympy| / max|A|, linearize: {worst_a:.3e}")
+    print(f"worst |A - A_sympy| / max|A|, linearize_stack: {worst_stack:.3e}")
     print(f"worst |acc - acc_sympy| / max|acc| (moving): {worst_acc:.3e}")
     print(f"worst |acc - acc_sympy| / max|tau_k / I_k| (equilibria): {worst_eq:.3e}")
     print(f"tolerance: {TOLERANCE:.0e}: {'pass' if worst <= TOLERANCE else 'FAIL'}")

@@ -15,7 +15,9 @@ Each line is a name and the first 16 hex digits of the sha256 of:
     flat-table (the 5^4 table) and refined-table (the tol 0.4 table) modes;
   - forward_dynamics, linearize's A and B, and step_rk4 (dt 1e-3) at 1,000
     moving states drawn with seed 33: angles in [-pi, pi], rates in
-    [-2, 2] and torques in [-5, 5], off every equilibrium.
+    [-2, 2] and torques in [-5, 5], off every equilibrium;
+  - linearize's A and B at 1,000 equilibria (zero rates, equilibrium_torque)
+    at angles in [-pi, pi] drawn with seed 35, linearize's resting branch.
 All use the test arm of tests/conftest.py, and all but the last lines the
 box theta_ref +/- 0.25.
 It imports armctl from the src/ directory next to it.  It exits with status
@@ -49,6 +51,7 @@ THETA_REF = np.array([0.3, 0.8, -0.9, 0.5])
 X0 = np.array([0.4, 0.7, -0.8, 0.6, 0.2, -0.3, 0.1, 0.4])
 OFF_NODE = 2000  # seeded lookup points in the box, after the nodes
 MOVING = 1000  # seeded moving states for the dynamics lines
+RESTING = 1000  # seeded equilibria for the resting linearize lines
 
 
 def digest(data: bytes) -> str:
@@ -116,6 +119,10 @@ def fingerprints(pkg):
         out["linearize A"].append(model.A)
         out["linearize B"].append(model.B)
         out["step_rk4"].append(pkg.step_rk4(geom, masses, [*theta, *rates], torque, 1e-3))
+    rest = [pkg.linearize(geom, masses, pkg.equilibrium_point(geom, masses, theta))
+            for theta in np.random.default_rng(35).uniform(-np.pi, np.pi, (RESTING, 4))]
+    out["linearize A at rest"] = [model.A for model in rest]
+    out["linearize B at rest"] = [model.B for model in rest]
     for name, arrays in out.items():
         lines[name] = digest(b"".join(a.tobytes() for a in arrays))
     return lines, mismatched
