@@ -447,35 +447,37 @@ class RefinedTable:
         tree, n_pool, max_depth = self.tree, len(self.pool), self.max_depth
         if max_depth < 1:  # the root is depth 1; the walk checks its bytes first
             raise TreeTooDeep(f"cell at depth 1 exceeds max_depth {max_depth}")
-        # per cell: first child or ~leaf, planar box; per leaf: (cell, depth, flag), offset
-        child, boxes, cells, offsets = [0], [(lo[1:], hi[1:])], [], []
-        pos, pending = 0, [(0, 1)]  # cells still to read, next one last: (cell, depth)
+        # per cell: first child or ~leaf, depth, planar box; per leaf: (cell, depth, flag), offset
+        child, depths, boxes, cells, offsets = [0], [1], [(lo[1:], hi[1:])], [], []
+        pos, pending, size = 0, [0], len(tree)  # cells still to read, next one last
         try:
             while pending:
                 # each pending cell takes a leaf's bytes or more: no read runs short
-                left = len(tree) - pos
+                left = size - pos
                 if left < len(pending) * _MIN_CELL_BYTES:
                     raise TruncatedData(f"{len(pending)} cells pending at tree offset {pos}, "
                                         f"only {left} bytes left")
-                cell, depth = pending.pop()
+                cell = pending.pop()
+                depth = depths[cell]
                 if depth > max_depth:
                     raise TreeTooDeep(f"cell at depth {depth} exceeds max_depth {max_depth}")
                 tag = tree[pos]
                 if tag == _TAG_INTERNAL:
                     first = child[cell] = len(child)
                     child += [0] * 8
+                    depths += [depth + 1] * 8
                     boxes += _split(*boxes[cell])
-                    pending.extend((first + octant, depth + 1) for octant in range(7, -1, -1))
+                    pending += range(first + 7, first - 1, -1)
                     pos += 1
-                elif tag in (_TAG_LEAF, _TAG_LEAF_FLAGGED):
+                elif tag == _TAG_LEAF or tag == _TAG_LEAF_FLAGGED:
                     child[cell] = ~len(cells)
                     cells.append((cell, depth, tag == _TAG_LEAF_FLAGGED))
                     offsets.append(pos + 1)
                     pos += _MIN_CELL_BYTES
                 else:
                     raise TruncatedData(f"unknown cell tag {tag} at tree offset {pos}")
-            if pos != len(tree):
-                raise TruncatedData(f"{len(tree) - pos} trailing bytes after the tree")
+            if pos != size:
+                raise TruncatedData(f"{size - pos} trailing bytes after the tree")
         finally:
             # every leaf's 8 u32 corner indices in one gather, also after a walk
             # error, since an index outside the pool read before it comes first
@@ -521,10 +523,15 @@ def _corner_coords(lo, hi):
 
 
 def _split(lo, hi):
-    """The half-size children (lo, hi) of a box, in corner order: child i
-    spans from corner i of the lower half-box to corner i of the upper."""
-    mids = tuple(0.5 * (l + h) for l, h in zip(lo, hi))
-    return list(zip(_corner_coords(lo, mids), _corner_coords(mids, hi)))
+    """The 8 half-size children (lo, hi) of a planar box, in corner order
+    (theta2 most significant): child i spans from corner i of the lower
+    half-box to corner i of the upper."""
+    (l2, l3, l4), (h2, h3, h4) = lo, hi
+    m2, m3, m4 = 0.5 * (l2 + h2), 0.5 * (l3 + h3), 0.5 * (l4 + h4)
+    return [((l2, l3, l4), (m2, m3, m4)), ((l2, l3, m4), (m2, m3, h4)),
+            ((l2, m3, l4), (m2, h3, m4)), ((l2, m3, m4), (m2, h3, h4)),
+            ((m2, l3, l4), (h2, m3, m4)), ((m2, l3, m4), (h2, m3, h4)),
+            ((m2, m3, l4), (h2, h3, m4)), ((m2, m3, m4), (h2, h3, h4))]
 
 
 def refine(

@@ -21,7 +21,13 @@ tree bytes), whose bytes and errors the library's lookup must reproduce, and
 `reference_refine`, the refined build as the library had it before it kept
 its cells by (depth, box): per-depth lists of corners, first children and
 flags, laid out by (depth, position) cursors, each node's torque read from
-the dynamics kernel.  The library's refine must save the same bytes.
+the dynamics kernel, and each box split by `reference_split`, the product
+form of a split.  The library's refine must save the same bytes, and its
+straight-line `_split` give the same boxes bit for bit.  `reference_tree_walk`
+is RefinedTable's tree walk as it was before its stack held cell numbers
+(a stack of (cell, depth) tuples, the product split, corners unpacked leaf
+by leaf); the constructor and load must raise its first fault, type and
+message, or derive its child numbers, boxes, leaves and corners.
 The CARE reference is the Schur solve written with scipy.linalg's
 high-level schur, cho_factor/cho_solve and np.block, whose P and K the
 library's direct LAPACK calls must reproduce byte for byte.
@@ -44,6 +50,9 @@ from armctl import (
     NotStabilizable,
     OutOfBounds,
     RefinedTable,
+    TableFormatError,
+    TreeTooDeep,
+    TruncatedData,
     fk_planar,
     kinetic_energy,
     point_inertia,
@@ -53,7 +62,7 @@ from armctl import (
 )
 from armctl.dynamics import EPS_INERTIA, _cosine_terms, _kernel, _mass_forms
 from armctl.errors import components
-from armctl.gain_table import _blend, _corner_coords, _fraction, _split
+from armctl.gain_table import _MIN_CELL_BYTES, _blend, _corner_coords, _fraction
 from armctl.kinematics import planar_chain, wrap_angle
 from armctl.linearization import linearize_stack
 from armctl.riccati import RESIDUAL_RTOL, solve_stack
@@ -370,6 +379,57 @@ def _kernel_torque_gains(geom, masses, weights, thetas):
     return solve_stack(A, B, weights)[1]
 
 
+def reference_split(lo, hi):
+    """The half-size children (lo, hi) of a box, in corner order, as a
+    product over each axis's (low, high) pair of the two half-boxes."""
+    mids = tuple(0.5 * (l + h) for l, h in zip(lo, hi))
+    return list(zip(_corner_coords(lo, mids), _corner_coords(mids, hi)))
+
+
+def reference_tree_walk(lo, hi, max_depth: int, n_pool: int, tree: bytes):
+    """RefinedTable's checks of a tree and what it derives from one, read
+    by a stack of (cell, depth) tuples: returns (child, boxes, cells,
+    corners) for the root box lo..hi, or raises the first fault.  A leaf's
+    corner indices are gathered after the walk, also after a walk error,
+    and an index outside the pool raises first."""
+    if max_depth < 1:
+        raise TreeTooDeep(f"cell at depth 1 exceeds max_depth {max_depth}")
+    child, boxes, cells, offsets = [0], [(tuple(lo[1:]), tuple(hi[1:]))], [], []
+    pos, pending = 0, [(0, 1)]
+    try:
+        while pending:
+            left = len(tree) - pos
+            if left < len(pending) * _MIN_CELL_BYTES:
+                raise TruncatedData(f"{len(pending)} cells pending at tree offset {pos}, "
+                                    f"only {left} bytes left")
+            cell, depth = pending.pop()
+            if depth > max_depth:
+                raise TreeTooDeep(f"cell at depth {depth} exceeds max_depth {max_depth}")
+            tag = tree[pos]
+            if tag == 0:
+                first = child[cell] = len(child)
+                child += [0] * 8
+                boxes += reference_split(*boxes[cell])
+                pending.extend((first + octant, depth + 1) for octant in range(7, -1, -1))
+                pos += 1
+            elif tag in (1, 2):
+                child[cell] = ~len(cells)
+                cells.append((cell, depth, tag == 2))
+                offsets.append(pos + 1)
+                pos += _MIN_CELL_BYTES
+            else:
+                raise TruncatedData(f"unknown cell tag {tag} at tree offset {pos}")
+        if pos != len(tree):
+            raise TruncatedData(f"{len(tree) - pos} trailing bytes after the tree")
+    finally:
+        corners = [list(struct.unpack_from("<8I", tree, at)) for at in offsets]
+        for at, indices in zip(offsets, corners):
+            if max(indices) >= n_pool:
+                raise TableFormatError(f"corner index {max(indices)} at tree offset {at} "
+                                       f"outside a pool of {n_pool}")
+    return tuple(child), boxes, cells, np.array(corners, np.intp).reshape(-1, 8)
+
+
 def reference_refine(geom, masses, weights, root_box, tol, max_depth) -> RefinedTable:
     """refine() on valid arguments, level by level: each depth keeps its
     cells' corner points, the index of each cell's first child among the
@@ -403,7 +463,7 @@ def reference_refine(geom, masses, weights, root_box, tol, max_depth) -> Refined
             firsts.append(len(children) if split else None)
             flagged.append(not err <= tol)
             if split:
-                children.extend(_split(*cell))
+                children.extend(reference_split(*cell))
         levels.append((corners, firsts, flagged))
         boxes = children
         if not boxes:

@@ -54,7 +54,14 @@ from armctl import (
     save_file,
     table_digest,
 )
-from oracles import _leaf_indices, reference_lookup, reference_multilinear, reference_refine
+from oracles import (
+    _leaf_indices,
+    reference_lookup,
+    reference_multilinear,
+    reference_refine,
+    reference_split,
+    reference_tree_walk,
+)
 
 BOX_LO = (0.05, 0.55, -1.15, 0.25)
 BOX_HI = (0.55, 1.05, -0.65, 0.75)
@@ -1349,6 +1356,90 @@ class TestTreeRoundTrip:
         assert loaded.leaves() == t.leaves()
 
 
+# bounds where a split's float rounding has edges: signed zeros, pi, the
+# subnormal range and the floats either side of those
+EDGE_BOUNDS = [0.0, -0.0, math.pi, -math.pi, math.nextafter(math.pi, 0.0),
+               math.nextafter(-math.pi, 0.0), 5e-324, -5e-324, 1e-323,
+               2.2250738585072009e-308, -2.2250738585072009e-308, 2.2250738585072014e-308]
+split_bounds = st.one_of(st.sampled_from(EDGE_BOUNDS), st.floats(-math.pi, math.pi),
+                         st.floats(-1e-307, 1e-307))
+# an axis is any two bounds, or one bound twice (zero width)
+split_axes = st.one_of(st.tuples(split_bounds, split_bounds),
+                       split_bounds.map(lambda v: (v, v)))
+
+
+def box_bits(boxes):
+    """The boxes (lo, hi) as bytes, so -0.0 and 0.0 differ."""
+    return [struct.pack("<6d", *lo, *hi) for lo, hi in boxes]
+
+
+def walk_outcome(make):
+    """The first fault make() raises, as (type, message), or what the table
+    it returns derives from its tree."""
+    try:
+        t = make()
+    except TableFormatError as exc:
+        return type(exc), str(exc)
+    assert t.corners.dtype == np.intp and t.corners.shape == (len(t._cells), 8)
+    return t.child, t._boxes, t._cells, t.corners.tolist()
+
+
+class TestTreeWalk:
+    """The constructor walk against the product split and the tuple-stack walk."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(planar=st.lists(split_axes, min_size=3, max_size=3))
+    def test_split_matches_product_form(self, planar):
+        lo, hi = tuple(a for a, _ in planar), tuple(b for _, b in planar)
+        children = gt._split(lo, hi)
+        assert box_bits(children) == box_bits(reference_split(lo, hi))
+        assert all(type(v) is float for box in children for half in box for v in half)
+
+    def test_split_edges_by_hand(self):
+        # the midpoint of a one-ulp subnormal span rounds to 0.0, and a
+        # signed zero survives as the lower half's bound
+        lo, hi = (-0.0, 0.0, -math.pi), (5e-324, 0.0, math.pi)
+        children = gt._split(lo, hi)
+        assert box_bits(children[:1]) == box_bits([((-0.0, 0.0, -math.pi), (0.0, 0.0, 0.0))])
+        assert box_bits(children) == box_bits(reference_split(lo, hi))
+
+    @staticmethod
+    def _tag_offsets(tree):
+        offsets, pos = [], 0
+        while pos < len(tree):
+            offsets.append(pos)
+            pos += 33 if tree[pos] else 1
+        return offsets
+
+    @settings(max_examples=1000, deadline=None)
+    @given(
+        # each edit sets one byte to a tag value, at a cell's tag half the time
+        edits=st.lists(st.tuples(st.booleans(), st.integers(0, 2**16), st.integers(0, 3)),
+                       max_size=4),
+        cut=st.one_of(st.none(), st.integers(0, 2**16)),
+        tail=st.binary(max_size=40),
+        max_depth=st.one_of(st.none(), st.integers(0, 5), st.just(2**32 - 1)),
+    )
+    def test_damaged_tree_walks_as_the_oracle(self, refined_mid, edits, cut, tail, max_depth):
+        t = refined_mid
+        tree, tags = bytearray(t.tree), self._tag_offsets(t.tree)
+        for at_tag, pos, value in edits:
+            tree[tags[pos % len(tags)] if at_tag else pos % len(tree)] = value
+        if cut is not None:
+            tree = tree[: cut % (len(tree) + 1)]
+        tree = bytes(tree) + tail
+        depth = t.max_depth if max_depth is None else max_depth
+        try:
+            expected = reference_tree_walk(t.lo, t.hi, depth, len(t.pool), tree)
+            expected = expected[:3] + (expected[3].tolist(),)
+        except TableFormatError as exc:
+            expected = type(exc), str(exc)
+        blob = bytearray(save(t)[: -len(t.tree)])
+        struct.pack_into("<I", blob, TestSerialization.REFINED_HEADER + 8, depth)
+        assert walk_outcome(lambda: dataclasses.replace(t, max_depth=depth, tree=tree)) == expected
+        assert walk_outcome(lambda: load(bytes(blob) + tree)) == expected
+
+
 @pytest.fixture(scope="module")
 def fuzz_blobs(geom, masses, weights, theta_ref, table):
     box = (tuple(theta_ref - 0.25), tuple(theta_ref + 0.25))
@@ -1384,3 +1475,4 @@ class TestLoadFuzz:
         except TableFormatError:
             return
         assert isinstance(loaded, (GainTable, RefinedTable))
+        assert save(loaded) == bytes(blob)  # whatever load reads, save writes back

@@ -61,6 +61,9 @@ Cases, on the test arm of tests/conftest.py:
   load_refined      load of the saved refine(tol 0.1, depth 4) on that box, the
                     203,733-byte reference tree whose load build-table's
                     load_ms times;
+  load_deploy       load of the saved refine(tol 0.4, depth 3), the tree
+                    lookup_refined reads, whose load the regulate workloads'
+                    load_ms times;
   load_flat         load of the saved 5^4 table the precompute case builds,
                     the one timing of the flat path (perfbench's load_ms
                     times trees only);
@@ -151,7 +154,8 @@ def cases(pkg) -> dict:
     grid = pkg.GridSpec(box[0], box[1], (5, 5, 5, 5))
     flat_bytes = pkg.save(pkg.precompute(geom, masses, weights, grid, workers=1))
     flat = pkg.load(flat_bytes)
-    tree = pkg.load(pkg.save(pkg.refine(geom, masses, weights, box, 0.4, 3)))
+    deploy = pkg.save(pkg.refine(geom, masses, weights, box, 0.4, 3))
+    tree = pkg.load(deploy)
     reference = pkg.save(pkg.refine(geom, masses, weights, box, 0.1, 4))
     off_node = theta_ref + [0.01, 0.07, -0.05, 0.11]
     x, x_ref = np.concatenate([off_node, rates]), np.concatenate([theta_ref, np.zeros(4)])
@@ -187,6 +191,7 @@ def cases(pkg) -> dict:
         "stack64": (4, lambda: pkg.riccati.solve_stack(A, B, weights)),
         "refine": (1, lambda: pkg.refine(geom, masses, weights, box, 0.4, 3)),
         "load_refined": (20, lambda: pkg.load(reference)),
+        "load_deploy": (100, lambda: pkg.load(deploy)),
         "load_flat": (200, lambda: pkg.load(flat_bytes)),
         "precompute": (1, lambda: pkg.precompute(geom, masses, weights, grid, workers=1)),
         "precompute_2w": (1, lambda: pkg.precompute(geom, masses, weights, grid, workers=2)),

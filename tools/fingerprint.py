@@ -11,6 +11,8 @@ Each line is a name and the first 16 hex digits of the sha256 of:
   - the bytes lookup returns, on the 5^4 table and on both refined tables,
     at every node (every grid node, or every corner of every leaf) and then
     at 2,000 points drawn uniformly in the box (seed 20);
+  - what load derives from each saved refined table: its leaves, each packed
+    as (lo, hi, depth, flagged), then its child numbers and corner indices;
   - the states, inputs and energy of a 1 s simulate in the passive, online,
     flat-table (the 5^4 table) and refined-table (the tol 0.4 table) modes;
   - forward_dynamics, linearize's A and B, and step_rk4 (dt 1e-3) at 1,000
@@ -34,6 +36,7 @@ bit for bit.
 import argparse
 import hashlib
 import itertools
+import struct
 import sys
 import tempfile
 from pathlib import Path
@@ -69,6 +72,16 @@ def lookup_bytes(pkg, table, lo, hi) -> bytes:
     return b"".join(pkg.lookup(table, theta).tobytes() for theta in [*nodes, *off_node])
 
 
+def walk_bytes(pkg, table) -> bytes:
+    """load(save(table))'s leaves as (lo, hi, depth, flagged), then its
+    child and corners arrays."""
+    loaded = pkg.load(pkg.save(table))
+    leaves = b"".join(struct.pack("<8dI?", *leaf.lo, *leaf.hi, leaf.depth, leaf.flagged)
+                      for leaf in loaded.leaves())
+    return (leaves + np.array(loaded.child, "<i8").tobytes()
+            + np.asarray(loaded.corners, "<i8").tobytes())
+
+
 def fingerprints(pkg):
     """({name: digest}, [grids whose 1- and 2-worker tables differ]) of the
     armctl package pkg."""
@@ -94,6 +107,8 @@ def fingerprints(pkg):
     lines["refine tol=0.1 depth=4"] = digest(pkg.save(fine))
     for name, table in (("5^4", flat), ("refine tol=0.4", coarse), ("refine tol=0.1", fine)):
         lines[f"lookup {name}"] = digest(lookup_bytes(pkg, table, lo, hi))
+    for name, table in (("refine tol=0.4", coarse), ("refine tol=0.1", fine)):
+        lines[f"leaves {name}"] = digest(walk_bytes(pkg, table))
 
     x_ref = np.concatenate([THETA_REF, np.zeros(4)])
     mode = pkg.ControllerMode
