@@ -248,8 +248,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--iters", type=_positive_int, default=1000)
     p.add_argument("--layers", action="store_true",
                    help="also print the median of each layer: linearize, care (online "
-                        "step); locate (argument read, wrap, bounds, cell, corner gather), "
-                        "blend (corner blend, gain product): one pass, summing to lookup")
+                        "step); locate (argument read, bounds, wrap, cell and weights, corner "
+                        "gather), blend (weighted sum, gain product): one pass, summing to lookup")
     p.set_defaults(func=cmd_bench)
 
     p = sub.add_parser("inspect", help="describe a gain-table file; with --config, "

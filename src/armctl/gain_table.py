@@ -9,9 +9,10 @@ bit at every theta1.  Tables are therefore planar: they store gains over
 (theta2, theta3, theta4) and keep the theta1 range only as a bound, so a yaw
 outside it is still OutOfBounds.  A flat regular grid (GainTable) and an
 error-driven subdivision that splits a cell 8 ways where the gain varies
-quickly (RefinedTable) share one lookup: locate the planar cell (bisection
-of each grid axis, descent in a tree), weigh its 8 corner gains, one (8, 32)
-product.
+quickly (RefinedTable) share one lookup: one bounds test of the box, then
+locate the planar cell (bisection of each grid axis's interior nodes, descent
+in a tree) as its corner row and 8 trilinear weights, gather its 8 corner
+gains, and blend them in one (8,) @ (8, 32) product.
 
 Binary format, version 2 (little-endian): one 124-byte header record
 
@@ -187,24 +188,21 @@ class GridSpec:
 # ---------------------------------------------------------------------------
 # the lookup kernel
 
-def _fraction(v: float, lo: float, hi: float) -> float:
-    """Where v lies in [lo, hi], from 0 to 1.  A span of a few ulp can
-    leave a cell of width 0 (repeated grid nodes, or the upper half of a
-    split whose midpoint rounds up to hi); its fraction is 0."""
-    width = hi - lo
-    return (v - lo) / width if width else 0.0
-
-
-def _blend(rows: np.ndarray, fractions) -> np.ndarray:
-    """Trilinear blend of a planar cell's corner gains, rows (8, 32): row
-    4*b2 + 2*b3 + b4 holds the corner at the upper end of axis k where b_k
-    is set.  At a corner (fractions 0 or 1) one weight is 1 and the others
-    0, so that corner's gain comes back bit for bit."""
-    t2, t3, t4 = fractions
+def _weights(t2: float, t3: float, t4: float) -> list[float]:
+    """The trilinear weights of a planar cell's 8 corners at fractions t2,
+    t3, t4 along its axes: weight 4*b2 + 2*b3 + b4 belongs to the corner at
+    the upper end of axis k where b_k is set.  At a corner (fractions 0 or 1)
+    one weight is 1 and the others 0, so that corner's gain comes back bit
+    for bit.  A cell of width 0 on an axis (repeated grid nodes, or the upper
+    half of a split whose midpoint rounds up to hi) has fraction 0 there."""
     s2, s3, s4 = 1.0 - t2, 1.0 - t3, 1.0 - t4
     a, b, c, d = s2 * s3, s2 * t3, t2 * s3, t2 * t3
-    w = [a * s4, a * t4, b * s4, b * t4, c * s4, c * t4, d * s4, d * t4]
-    return np.dot(w, rows).reshape(GAIN_SHAPE)
+    return [a * s4, a * t4, b * s4, b * t4, c * s4, c * t4, d * s4, d * t4]
+
+
+def _blend(rows: np.ndarray, weights) -> np.ndarray:
+    """The gain of a planar cell: its corner rows (8, 32) weighed by _weights."""
+    return np.dot(weights, rows).reshape(GAIN_SHAPE)
 
 
 def lookup(table, theta) -> np.ndarray:
@@ -223,16 +221,20 @@ def lookup(table, theta) -> np.ndarray:
 
 def _cell(table, theta):
     """lookup before the blend: theta read, bounds-checked and located;
-    returns its cell's corner rows (8, 32) and fractions for _blend."""
+    returns its cell's corner rows (8, 32) and weights for _blend."""
     th = components(theta, NDIM, "theta")
-    lo, hi = table.lo, table.hi
-    for k, v in enumerate(th):
-        if not lo[k] <= v <= hi[k]:  # read as given in the box, so -pi can be a node
-            v = th[k] = wrap_angle(v)  # +-inf wraps to NaN, which fails the test again
-            if not lo[k] <= v <= hi[k]:
-                raise OutOfBounds(f"angle {v!r} outside table dimension {k} [{lo[k]}, {hi[k]}]")
-    corners, fractions = table._locate(th[1], th[2], th[3])
-    return table._rows.take(corners, axis=0), fractions
+    t1, t2, t3, t4 = th
+    l1, l2, l3, l4, h1, h2, h3, h4 = table._bounds
+    if not (l1 <= t1 <= h1 and l2 <= t2 <= h2 and l3 <= t3 <= h3 and l4 <= t4 <= h4):
+        lo, hi = table.lo, table.hi
+        for k, v in enumerate(th):
+            if not lo[k] <= v <= hi[k]:  # read as given in the box, so -pi can be a node
+                v = th[k] = wrap_angle(v)  # +-inf wraps to NaN, which fails the test again
+                if not lo[k] <= v <= hi[k]:
+                    raise OutOfBounds(f"angle {v!r} outside table dimension {k} [{lo[k]}, {hi[k]}]")
+        t1, t2, t3, t4 = th
+    corners, weights = table._locate(t2, t3, t4)
+    return table._rows.take(corners, axis=0), weights
 
 
 # ---------------------------------------------------------------------------
@@ -257,13 +259,15 @@ class GainTable:
             raise ValueError("digest must be 32 bytes")
         _, n2, n3, n4 = self.grid.counts
         row = np.arange(n2 * n3 * n4, dtype=np.intp).reshape(n2, n3, n4)
-        # _corners[i2, i3, i4]: the rows of cell (i2, i3, i4)'s 8 corners, ordered as in _blend
+        # _corners[i2, i3, i4]: the rows of cell (i2, i3, i4)'s 8 corners, ordered as in _weights
         corners = np.stack([row[b2:n2 - 1 + b2, b3:n3 - 1 + b3, b4:n4 - 1 + b4]
                             for b2, b3, b4 in itertools.product((0, 1), repeat=3)], axis=-1)
         corners.flags.writeable = False
-        object.__setattr__(self, "_corners", corners)
-        object.__setattr__(self, "_rows", self.gains.reshape(-1, 32))
-        object.__setattr__(self, "_axes", tuple(self.grid.axis(k).tolist() for k in (1, 2, 3)))
+        a2, a3, a4 = (self.grid.axis(k).tolist() for k in (1, 2, 3))
+        for name, value in (("_corners", corners), ("_rows", self.gains.reshape(-1, 32)),
+                            ("_bounds", self.grid.lo + self.grid.hi), ("_axes", (a2, a3, a4)),
+                            ("_inner", (a2[1:-1], a3[1:-1], a4[1:-1]))):
+            object.__setattr__(self, name, value)
 
     lo = property(lambda self: self.grid.lo)
     hi = property(lambda self: self.grid.hi)
@@ -276,14 +280,14 @@ class GainTable:
 
     def _locate(self, t2, t3, t4):
         # cells are half-open [a[i], a[i+1]) with the last one closed, so a
-        # node belongs to the cell above it
-        a2, a3, a4 = self._axes
-        i2 = min(bisect_right(a2, t2), len(a2) - 1) - 1
-        i3 = min(bisect_right(a3, t3), len(a3) - 1) - 1
-        i4 = min(bisect_right(a4, t4), len(a4) - 1) - 1
-        fractions = (_fraction(t2, a2[i2], a2[i2 + 1]), _fraction(t3, a3[i3], a3[i3 + 1]),
-                     _fraction(t4, a4[i4], a4[i4 + 1]))
-        return self._corners[i2, i3, i4], fractions
+        # node belongs to the cell above it: the cell is the count of interior nodes <= t
+        (a2, a3, a4), (n2, n3, n4) = self._axes, self._inner
+        i2, i3, i4 = bisect_right(n2, t2), bisect_right(n3, t3), bisect_right(n4, t4)
+        l2, l3, l4 = a2[i2], a3[i3], a4[i4]
+        w2, w3, w4 = a2[i2 + 1] - l2, a3[i3 + 1] - l3, a4[i4 + 1] - l4
+        return self._corners[i2, i3, i4], _weights(
+            (t2 - l2) / w2 if w2 else 0.0, (t3 - l3) / w3 if w3 else 0.0,
+            (t4 - l4) / w4 if w4 else 0.0)
 
     def _payload(self) -> bytes:
         return _gain_bytes(self.gains)
@@ -420,7 +424,7 @@ class RefinedTable:
     tree alike (offsets count from the tree's first byte), and derives the
     rest: child[c] is the first of cell c's 8 consecutive children, or ~n
     when c is leaf n in pre-order (the root is cell 0); leaf n has the corner
-    gains pool[corners[n, i]], ordered as in _blend, corners being a
+    gains pool[corners[n, i]], ordered as in _weights, corners being a
     read-only (n_leaves, 8) np.intp array, and its flag in leaves()[n]."""
 
     lo: tuple[float, float, float, float]
@@ -489,8 +493,8 @@ class RefinedTable:
                                        f"{offsets[bad[0]]} outside a pool of {n_pool}")
         corners.flags.writeable = False
         for name, value in (("lo", lo), ("hi", hi), ("child", tuple(child)), ("corners", corners),
-                            ("_rows", self.pool.reshape(-1, 32)), ("_boxes", boxes),
-                            ("_cells", cells)):
+                            ("_rows", self.pool.reshape(-1, 32)), ("_bounds", lo + hi),
+                            ("_boxes", boxes), ("_cells", cells)):
             object.__setattr__(self, name, value)
 
     def _locate(self, t2, t3, t4):
@@ -500,8 +504,10 @@ class RefinedTable:
             m2, m3, m4 = boxes[first + 7][0]
             cell = first + 4 * (t2 >= m2) + 2 * (t3 >= m3) + (t4 >= m4)
         (l2, l3, l4), (h2, h3, h4) = boxes[cell]
-        fractions = (_fraction(t2, l2, h2), _fraction(t3, l3, h3), _fraction(t4, l4, h4))
-        return self.corners[~first], fractions
+        w2, w3, w4 = h2 - l2, h3 - l3, h4 - l4
+        return self.corners[~first], _weights(
+            (t2 - l2) / w2 if w2 else 0.0, (t3 - l3) / w3 if w3 else 0.0,
+            (t4 - l4) / w4 if w4 else 0.0)
 
     def leaves(self) -> list[RefinedCell]:
         """The leaf cells in pre-order, so leaves()[n] is leaf n."""
@@ -575,7 +581,7 @@ def refine(
         coords = [(lo[0],) + p for p in new]
         cache.update(zip(new, _solve_points(geom, masses, weights, np.array(coords), coords)))
         errors = np.linalg.norm([
-            _blend(np.array([cache[p] for p in points]).reshape(8, 32), (0.5, 0.5, 0.5))
+            _blend(np.array([cache[p] for p in points]).reshape(8, 32), _weights(0.5, 0.5, 0.5))
             - cache[center] for points, center in zip(corners, centers)
         ], 2, axis=(1, 2)).tolist() if centers else [0.0] * len(boxes)
         children = []

@@ -245,8 +245,8 @@ def simulate(
 class LatencyReport:
     """Wall-clock cost of one control step, online versus table lookup, and
     the medians of its layers: online, linearize and lqr_gain; lookup, in one
-    pass, locate (argument read, wrap, bounds, cell location, corner gather)
-    then blend (corner blend, gain product), which sum to it per iteration."""
+    pass, locate (argument read, bounds, wrap, cell and its 8 weights, corner
+    gather) then blend (the corners' weighted sum, gain product), summing to it."""
 
     online_median_us: float
     online_p95_us: float

@@ -62,7 +62,7 @@ from armctl import (
 )
 from armctl.dynamics import EPS_INERTIA, _cosine_terms, _kernel, _mass_forms
 from armctl.errors import components
-from armctl.gain_table import _MIN_CELL_BYTES, _blend, _corner_coords, _fraction
+from armctl.gain_table import _MIN_CELL_BYTES, _corner_coords
 from armctl.kinematics import planar_chain, wrap_angle
 from armctl.linearization import linearize_stack
 from armctl.riccati import RESIDUAL_RTOL, solve_stack
@@ -313,6 +313,23 @@ def reference_multilinear(grid, entries, theta):
     return gain
 
 
+def _fraction(v: float, lo: float, hi: float) -> float:
+    """Where v lies in [lo, hi], from 0 to 1; a cell of width 0 has fraction 0."""
+    width = hi - lo
+    return (v - lo) / width if width else 0.0
+
+
+def reference_blend(rows: np.ndarray, fractions) -> np.ndarray:
+    """Trilinear blend of a planar cell's corner rows (8, 32) at its three
+    fractions: 8 weights in corner order (row 4*b2 + 2*b3 + b4 at the upper
+    end of axis k where b_k is set), then one np.dot."""
+    t2, t3, t4 = fractions
+    s2, s3, s4 = 1.0 - t2, 1.0 - t3, 1.0 - t4
+    a, b, c, d = s2 * s3, s2 * t3, t2 * s3, t2 * t3
+    w = [a * s4, a * t4, b * s4, b * t4, c * s4, c * t4, d * s4, d * t4]
+    return np.dot(w, rows).reshape(4, 8)
+
+
 def _cell_coordinate(axis, v: float):
     """(index, fraction) of the cell owning v, which lies within the axis
     (a sorted list of floats).  Cells are half-open [axis[i], axis[i+1]) with
@@ -366,7 +383,7 @@ def reference_lookup(table, theta) -> np.ndarray:
         fractions = (_fraction(t2, l2, h2), _fraction(t3, l3, h3), _fraction(t4, l4, h4))
         corners = _leaf_indices(table.tree)[~child[cell]]
         rows = table.pool.reshape(-1, 32)
-    return _blend(rows.take(corners, axis=0), fractions)
+    return reference_blend(rows.take(corners, axis=0), fractions)
 
 
 def _kernel_torque_gains(geom, masses, weights, thetas):
@@ -454,7 +471,7 @@ def reference_refine(geom, masses, weights, root_box, tol, max_depth) -> Refined
             tuple(0.5 * (l + h) for l, h in zip(clo, chi)) for clo, chi in boxes]
         solve(itertools.chain(*corners, centers))
         errors = np.linalg.norm([
-            _blend(np.array([cache[p] for p in points]).reshape(8, 32), (0.5, 0.5, 0.5))
+            reference_blend(np.array([cache[p] for p in points]).reshape(8, 32), (0.5, 0.5, 0.5))
             - cache[center] for points, center in zip(corners, centers)
         ], 2, axis=(1, 2)).tolist() if centers else [0.0] * len(boxes)
         firsts, flagged, children = [], [], []

@@ -549,8 +549,11 @@ class TestYawInvariance:
 def oracle_tables(geom, masses, weights, theta_ref):
     """The tables whose lookups are compared with the byte reference: two flat
     grids and two trees on the box theta_ref +/- 0.25, a grid whose few-ulp
-    theta2 span repeats nodes, and a tree with zero-width leaves."""
+    theta2 span repeats nodes, a tree with zero-width leaves, and a grid
+    with no interior planar node and a tree, each with theta1 a full turn
+    [-pi, pi] (so +-pi, +-2 pi and non-finite draws test its box and wrap)."""
     lo, hi = tuple(theta_ref - 0.25), tuple(theta_ref + 0.25)
+    turn_lo, turn_hi = (-math.pi,) + lo[1:], (math.pi,) + hi[1:]
     few_ulp = list(BOX_HI)
     few_ulp[1] = float(np.nextafter(BOX_LO[1], 2.0))
     ulp_lo, ulp_hi = list(BOX_LO), list(BOX_HI)
@@ -564,6 +567,9 @@ def oracle_tables(geom, masses, weights, theta_ref):
         "repeated-nodes": precompute(geom, masses, weights,
                                      GridSpec(BOX_LO, few_ulp, (2, 4, 2, 2))),
         "zero-width-leaf": refine(geom, masses, weights, (ulp_lo, ulp_hi), 1e-12, 2),
+        "full-turn-2^3": precompute(geom, masses, weights,
+                                    GridSpec(turn_lo, turn_hi, (3, 2, 2, 2))),
+        "full-turn-tree": refine(geom, masses, weights, (turn_lo, turn_hi), 0.4, 3),
     }
 
 
@@ -586,7 +592,8 @@ def outcome(fn, table, theta):
 
 class TestLookup:
     @pytest.mark.parametrize("name", ["5^4", "3x4x2x5", "tol-0.4", "tol-0.1",
-                                      "repeated-nodes", "zero-width-leaf"])
+                                      "repeated-nodes", "zero-width-leaf",
+                                      "full-turn-2^3", "full-turn-tree"])
     def test_every_node_matches_byte_reference(self, oracle_tables, name):
         # every flat node, or every corner of every leaf, hi included
         t = oracle_tables[name]

@@ -6,7 +6,13 @@ result as BENCH_<n>.json.
         --workload build-table:4 --seed 16001 \\
         --claim regulate-table:control_us_p50 --out BENCH_6.json
 
-Each directory is a checkout holding perfbench/ and src/.  For workload j
+Each directory is a checkout holding perfbench/ and src/.  Make both clean
+trees of the same shape, for example two `git archive` copies: a working
+copy differs from a clean tree in more than its code (its .git, its caches),
+and the tree alone can move a metric, as tools/ab_layers.py warns.  On a
+2-vCPU host a clean parent paired against a working copy read regulate-table
+build_s at 1.35 of the parent (0/4 pairs won), while two clean trees of the
+same code read 0.917 (3/4).  For workload j
 (in the order given) pair i runs `perfbench/run.py --workload W --seed S
 --seconds 10 --trace 0` with S = seed + 100 * j + i on both checkouts, the
 parent first in even pairs and the change first in odd ones.  For every

@@ -8,9 +8,13 @@ Each line is a name and the first 16 hex digits of the sha256 of:
     order and a theta1 count that differs from the others; 7^4 is the grid
     perfbench builds);
   - save() of refine(tol 0.4, depth 3) and refine(tol 0.1, depth 4);
-  - the bytes lookup returns, on the 5^4 table and on both refined tables,
-    at every node (every grid node, or every corner of every leaf) and then
-    at 2,000 points drawn uniformly in the box (seed 20);
+  - the bytes lookup returns, on the 5^4 and 3x4x2x5 tables (the latter has
+    a count-2 axis, with no interior node) and on both refined tables, at
+    every node (every grid node, or every corner of every leaf) and then at
+    2,000 points drawn uniformly in the box (seed 20);
+  - the bytes lookup returns on the 5^4 table and the tol 0.4 tree at those
+    2,000 points shifted by +2 pi on theta1 and -2 pi on theta4, which
+    lookup wraps back into the box;
   - what load derives from each saved refined table: its leaves, each packed
     as (lo, hi, depth, flagged), then its child numbers and corner indices;
   - the states, inputs and energy of a 1 s simulate in the passive, online,
@@ -55,21 +59,22 @@ X0 = np.array([0.4, 0.7, -0.8, 0.6, 0.2, -0.3, 0.1, 0.4])
 OFF_NODE = 2000  # seeded lookup points in the box, after the nodes
 MOVING = 1000  # seeded moving states for the dynamics lines
 RESTING = 1000  # seeded equilibria for the resting linearize lines
+TURN = np.array([2 * np.pi, 0.0, 0.0, -2 * np.pi])  # the shift of the wrapped lookup lines
 
 
 def digest(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()[:16]
 
 
-def lookup_bytes(pkg, table, lo, hi) -> bytes:
-    """lookup's bytes at every node of table, then at OFF_NODE points."""
+def lookup_bytes(pkg, table, points) -> bytes:
+    return b"".join(pkg.lookup(table, theta).tobytes() for theta in points)
+
+
+def node_points(pkg, table) -> list:
+    """Every node of a flat table, or every corner of every leaf of a tree."""
     if isinstance(table, pkg.GainTable):
-        nodes = itertools.product(*(table.grid.axis(k).tolist() for k in range(4)))
-    else:
-        nodes = sorted({p for leaf in table.leaves()
-                        for p in itertools.product(*zip(leaf.lo, leaf.hi))})
-    off_node = np.random.default_rng(20).uniform(lo, hi, size=(OFF_NODE, 4)).tolist()
-    return b"".join(pkg.lookup(table, theta).tobytes() for theta in [*nodes, *off_node])
+        return list(itertools.product(*(table.grid.axis(k).tolist() for k in range(4))))
+    return sorted({p for leaf in table.leaves() for p in itertools.product(*zip(leaf.lo, leaf.hi))})
 
 
 def walk_bytes(pkg, table) -> bytes:
@@ -105,8 +110,13 @@ def fingerprints(pkg):
     fine = pkg.refine(geom, masses, weights, (lo, hi), 0.1, 4)
     lines["refine tol=0.4 depth=3"] = digest(pkg.save(coarse))
     lines["refine tol=0.1 depth=4"] = digest(pkg.save(fine))
-    for name, table in (("5^4", flat), ("refine tol=0.4", coarse), ("refine tol=0.1", fine)):
-        lines[f"lookup {name}"] = digest(lookup_bytes(pkg, table, lo, hi))
+    points = np.random.default_rng(20).uniform(lo, hi, size=(OFF_NODE, 4))
+    for name, table in (("5^4", flat), ("3x4x2x5", tables["3x4x2x5", 1]),
+                        ("refine tol=0.4", coarse), ("refine tol=0.1", fine)):
+        lines[f"lookup {name}"] = digest(lookup_bytes(pkg, table,
+                                                      [*node_points(pkg, table), *points.tolist()]))
+    for name, table in (("5^4", flat), ("refine tol=0.4", coarse)):
+        lines[f"lookup {name} wrapped"] = digest(lookup_bytes(pkg, table, (points + TURN).tolist()))
     for name, table in (("refine tol=0.4", coarse), ("refine tol=0.1", fine)):
         lines[f"leaves {name}"] = digest(walk_bytes(pkg, table))
 
