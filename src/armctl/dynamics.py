@@ -26,8 +26,8 @@ floats: the four joint inertias, the potential energy, and their non-zero
 exact gradients (d/da_l, summed over the links each joint angle turns).
 Given the rates and torques too, the same call goes on to the accelerations
 and returns only those four, so an RK4 stage is one call; with `full` it
-returns the 17 values followed by the accelerations, which
-`linearize_stack` reads from one evaluation per point.  `forms` is
+returns the 17 values and then the accelerations, for `linearize` (and
+for `linearize_nodes`, at zero rates and torques).  `forms` is
 `_mass_forms(geom, masses)`, looked up once per caller: once per public
 call below, and once per control period in the simulator.  Every public
 function below reads what it needs from that one kernel call.
@@ -156,16 +156,17 @@ def _kernel(forms, t2: float, t3: float, t4: float, w1=None, w2=None, w3=None, w
     Jkj = dI_k/dtheta_j.  The theta1 entries and the gradient of I4 are
     structurally zero and left out.
 
-    Given the rates w1..w4 and the torques tau1..tau4 (floats; tau1 None
-    stands for the torque holding the arm still, (0.0, P2, P3, P4)), it
-    returns the four accelerations instead, or with `full` the 17 values
-    followed by them, and raises DegenerateInertia when any I_k <=
-    EPS_INERTIA.  Each acceleration is forward_dynamics' formula, its sums
-    taken term by term in index order.  The rates are finite (every caller
-    checks them), so each structural-zero term 0.0 * w * w of a quadratic
-    sum is +0.0 and is added as such (the first quadratic sum, and
-    dPE/dtheta1, are 0.0); the convective sums keep their signed zeros
-    0.0 * w.
+    Given the rates w1..w4 and the torques tau1..tau4 (floats), it returns
+    the four accelerations instead, or with `full` the 17 values followed
+    by them, and raises DegenerateInertia when any I_k <= EPS_INERTIA.
+    Each acceleration is forward_dynamics' formula, its sums taken term by
+    term in index order.  The rates are finite (every caller checks them),
+    so each structural-zero term 0.0 * w * w of a quadratic sum is +0.0 and
+    is added as such (the first quadratic sum, and dPE/dtheta1, are 0.0);
+    the convective sums keep their signed zeros 0.0 * w.  The J32 slot
+    holds J33: I3 covers only the elbow links 1 and 2, which theta2 and
+    theta3 both turn, and never reads link 0, so dI3/dtheta2 = dI3/dtheta3
+    exactly.
     """
     u0, v0, u1, v1, u2, v2 = planar_chain(t2, t3, t4)
     ((c00, c01, c02), (c10, c11, c12), (c20, c21, c22)), (h0, h1, h2), i4 = forms
@@ -199,8 +200,6 @@ def _kernel(forms, t2: float, t3: float, t4: float, w1=None, w2=None, w3=None, w
             raise DegenerateInertia(
                 f"joint {k + 1} inertia {inertia!r} <= {EPS_INERTIA} at theta={(t2, t3, t4)!r}"
             )
-        if tau1 is None:
-            tau1, tau2, tau3, tau4 = 0.0, p2, p3, p4
         z = 0.0 * w1
         a1 = (0.0 - w1 * (z + j12 * w2 + j13 * w3 + j14 * w4) + tau1) / i1
         a2 = (0.5 * (j12 * w1 * w1 + j22 * w2 * w2 + j33 * w3 * w3 + 0.0) - p2

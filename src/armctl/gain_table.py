@@ -71,7 +71,7 @@ from .errors import (
     count,
 )
 from .kinematics import ArmGeometry, wrap_angle
-from .linearization import equilibrium_point, linearize, linearize_stack
+from .linearization import equilibrium_point, linearize, linearize_nodes
 from .riccati import CostWeights, lqr_gain, solve_stack
 
 MAGIC = b"AGT1"
@@ -295,14 +295,13 @@ class GainTable:
 
 def _solve_nodes(geom, masses, weights, thetas, indices) -> np.ndarray:
     """The gains (k, 4, 8) of the equilibrium nodes thetas (k, 4), linearized
-    as one stack at zero rates and each node's equilibrium torque, then
-    solved as one Riccati stack.  If either stack raises, the nodes are
-    solved alone in order, and the first node i that fails raises
-    NodeFailure(indices[i], cause) for an ArmError, or the ValueError itself;
-    a node's bytes never depend on its stack, so were none to fail, the
-    stack's error would be raised as it is."""
+    as one stack of equilibria, then solved as one Riccati stack.  If either
+    stack raises, the nodes are solved alone in order, and the first node i
+    that fails raises NodeFailure(indices[i], cause) for an ArmError, or the
+    ValueError itself; a node's bytes never depend on its stack, so were
+    none to fail, the stack's error would be raised as it is."""
     try:
-        A, B = linearize_stack(geom, masses, thetas, np.zeros((len(thetas), 4)))
+        A, B = linearize_nodes(geom, masses, thetas)
         return solve_stack(A, B, weights)[1]
     except (ArmError, ValueError):
         for theta, index in zip(thetas, indices):

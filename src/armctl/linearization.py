@@ -13,19 +13,21 @@ gradient J[i][j] = dI_i/dtheta_j and the accelerations come from one
 and the Hessians of I1..I4 and PE from `dynamics._hessians`.  No dynamics
 call is differenced.
 
-Two bodies evaluate these formulas, and the caller's input picks one.
-`linearize_stack` serves a stack of points, as each chunk of a table build
-is: one kernel call per point, then the Hessians, A and B over the stack,
-each product in its per-point shape so that a point's bytes never depend on
-its stack (one (k, 4) @ (4, T) product for the angles n . theta rounds them
-otherwise).  A stack with a failing point raises that point's error; which
-node of a table build fails first is `gain_table._solve_nodes`' to find.
-`linearize` serves one `OperatingPoint`, as each online control update
-does: the same kernel call and Hessians, the same three products on the
-same operands (their bytes depend on BLAS's summation order), and every
-elementwise operation on floats in the stack's order, each structural-zero
-term kept, so it returns the stack's bytes without paying for a stack of
-one.  Both are held to `tests/oracles.loop_linearize` byte for byte.
+Two bodies evaluate these formulas.  `linearize` serves one
+`OperatingPoint`, as each online control update does, at any rates and
+torque: one kernel call, the Hessians, three numpy products, and every
+elementwise operation on floats, each structural-zero term kept.
+`linearize_nodes` serves a stack of equilibrium nodes (zero rates,
+gravity-holding torque), as each chunk of a table build is.  There every
+velocity term and the acceleration vanish, so the linear model is the
+textbook one, A = [[0, I], [-H_PE / I, 0]] and B = [0; diag(1/I)]: one
+kernel call per node, then the Hessians, A and B over the stack, each
+product in its per-node shape so that a node's bytes never depend on its
+stack (one (k, 4) @ (4, T) product for the angles n . theta rounds them
+otherwise).  At an equilibrium the two bodies give the same bytes, and
+both are held to `tests/oracles.loop_linearize` byte for byte.  A stack
+with a failing node raises that node's error; which node of a table build
+fails first is `gain_table._solve_nodes`' to find.
 
 A keeps its exact block structure (zero / identity top blocks).  The theta1
 column is +0.0: the dynamics never read the yaw angle.  At zero rates the
@@ -36,7 +38,6 @@ enters additively as tau_k / I_k(theta).
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -92,70 +93,49 @@ def _diverged(rates: list, torque: list) -> Diverged:
     return Diverged(f"linear model not finite at rates {rates} and torque {torque}")
 
 
-def linearize_stack(geom: ArmGeometry, masses: MassModel, theta, rates, torque=None):
-    """Linearize k points given as unchecked float arrays (k, 4) in one
-    pass; torque None stands for each point's equilibrium torque
-    (0.0, P2, P3, P4), read from the kernel evaluated there, the bytes
-    `equilibrium_torque` returns.  Returns (A, B), A (k, 8, 8) and
-    B (k, 8, 4).  Raises DegenerateInertia where forward_dynamics raises
-    it, at the first such point, or else Diverged for the first point whose
-    A overflows; each is the error `linearize` raises for that point alone.
+def linearize_nodes(geom: ArmGeometry, masses: MassModel, theta):
+    """Linearize k equilibrium nodes, given as an unchecked float array
+    theta (k, 4), in one pass: each at zero rates and its equilibrium
+    torque (0.0, P2, P3, P4), read from the kernel evaluated there.
+    Returns (A, B), A (k, 8, 8) and B (k, 8, 4), for each node the bytes
+    `linearize` returns at its `equilibrium_point`.  Raises
+    DegenerateInertia where forward_dynamics raises it, at the first such
+    node, or else Diverged for the first node whose A overflows; each is
+    the error `linearize` raises for that node alone.
 
-    With N_i the numerator above and H_k the Hessian of I_k (k = 1..4) or
-    of PE, the lower blocks are
-        dacc_i/dtheta_l = (1/2 sum_k H_k[i][l] w_k^2 - H_PE[i][l]
-                           - w_i sum_j H_i[j][l] w_j - acc_i J[i][l]) / I_i,
-        dacc_i/dw_m = (J[m][i] w_m - [i == m] sum_j J[i][j] w_j
-                       - w_i J[i][m]) / I_i,
+    With H_PE the Hessian of PE, the lower blocks are
+        dacc_i/dtheta_l = -H_PE[i][l] / I_i,   dacc_i/dw_m = 0,
     and B's lower block is diag(1/I).
     """
     forms = _mass_forms(geom, masses)
-    # a row per point: 1/I, J (4x4), acc and the Hessian weights in dN/dtheta
-    rows, resting, taus = [], [], []
-    torque = itertools.repeat((None,) * 4) if torque is None else torque.tolist()
-    for i, ((_, t2, t3, t4), (w1, w2, w3, w4), tau) in enumerate(zip(
-            theta.tolist(), rates.tolist(), torque)):
-        (i1, i2, i3, i4, _, p2, p3, p4, j12, j13, j14, j22, j23, j24, j32, j33, j34,
-         a1, a2, a3, a4) = _kernel(forms, t2, t3, t4, w1, w2, w3, w4, *tau, full=True)
-        taus.append([0.0, p2, p3, p4] if tau[0] is None else tau)
-        rows.append((1.0 / i1, 1.0 / i2, 1.0 / i3, 1.0 / i4, 0.0, j12, j13, j14, 0.0, j22,
-                     j23, j24, 0.0, j32, j33, j34, 0.0, 0.0, 0.0, 0.0, a1, a2, a3, a4,
-                     0.5 * w1 * w1, 0.5 * w2 * w2, 0.5 * w3 * w3, 0.5 * w4 * w4, -1.0))
-        if not (w1 or w2 or w3 or w4):
-            resting.append(i)
-    k = len(rows)
-    rows = np.array(rows).reshape(k, 29)
-    inverse, jac = rows[:, :4, None], rows[:, 4:20].reshape(k, 4, 4)
+    inverse, taus = [], []
+    for _, t2, t3, t4 in theta.tolist():
+        i1, i2, i3, i4, _, p2, p3, p4 = _kernel(forms, t2, t3, t4, 0.0, 0.0, 0.0, 0.0,
+                                                0.0, 0.0, 0.0, 0.0, full=True)[:8]
+        inverse.append((1.0 / i1, 1.0 / i2, 1.0 / i3, 1.0 / i4))
+        taus.append([0.0, p2, p3, p4])
+    k = len(taus)
+    inverse = np.array(inverse).reshape(k, 4, 1)
     hess = _hessians(geom, masses, theta)
-    w = rates[:, :, None]
-
     A = _A_TOP[None].repeat(k, 0)
-    with np.errstate(over="ignore", invalid="ignore"):  # A is checked below
-        # dN_i/dtheta_l, then the quotient rule
-        dnum = (rows[:, None, 24:] @ hess.reshape(k, 5, 16)).reshape(k, 4, 4)
-        dnum -= w * (rates[:, None, None] @ hess[:, :4]).reshape(k, 4, 4)
-        dnum -= rows[:, 20:24, None] * jac
-        np.multiply(dnum[:, :, 1:], inverse, out=A[:, 4:, 1:4])
-        if len(resting) < k:  # the rate block; resting points keep +0.0 there
-            # J[m][i] w_m is (w J)[m][i]; C order makes rate's diagonal a view
-            wjac = w * jac
-            rate = np.subtract(wjac.transpose(0, 2, 1), wjac, order="C")
-            rate.reshape(-1, 16)[:, ::5] -= (jac @ w)[:, :, 0]
-            np.multiply(rate, inverse, out=A[:, 4:, 4:])
-            if resting:
-                A[resting, 4:, 4:] = 0.0
+    with np.errstate(over="ignore"):  # A is checked below
+        np.multiply(-hess[:, 4, :, 1:], inverse, out=A[:, 4:, 1:4])
     finite = np.isfinite(A).all(axis=(1, 2)).tolist()
     if False in finite:
-        i = finite.index(False)
-        raise _diverged(rates[i].tolist(), taus[i])
-    return A, _B_LOW * rows[:, None, :4]  # 1/I > 0, so B's zeros are +0.0
+        raise _diverged([0.0] * 4, taus[finite.index(False)])
+    return A, _B_LOW * inverse.reshape(k, 1, 4)  # 1/I > 0, so B's zeros are +0.0
 
 
 def linearize(geom: ArmGeometry, masses: MassModel, op: OperatingPoint) -> LinearModel:
     """A = d[rates, acc]/d[theta, rates] and B = d[rates, acc]/d tau at op,
-    in closed form: `linearize_stack`'s formulas at one point, each
-    elementwise operation on floats in the stack's order and each product
-    on the operands the stack gives it, so the bytes are the stack's."""
+    in closed form.  With N_i the numerator above and H_k the Hessian of
+    I_k (k = 1..4) or of PE, the lower blocks are
+        dacc_i/dtheta_l = (1/2 sum_k H_k[i][l] w_k^2 - H_PE[i][l]
+                           - w_i sum_j H_i[j][l] w_j - acc_i J[i][l]) / I_i,
+        dacc_i/dw_m = (J[m][i] w_m - [i == m] sum_j J[i][j] w_j
+                       - w_i J[i][m]) / I_i,
+    and B's lower block is diag(1/I).  Raises DegenerateInertia where
+    forward_dynamics raises it, or Diverged when A overflows."""
     theta, rates = op.theta, op.rates
     (_, t2, t3, t4), (w1, w2, w3, w4), torque = theta.tolist(), rates.tolist(), op.torque.tolist()
     (i1, i2, i3, i4, _, _, _, _, j12, j13, j14, j22, j23, j24, j32, j33, j34,
@@ -163,7 +143,7 @@ def linearize(geom: ArmGeometry, masses: MassModel, op: OperatingPoint) -> Linea
                                full=True)
     r1, r2, r3, r4 = inverse = (1.0 / i1, 1.0 / i2, 1.0 / i3, 1.0 / i4)
     hess = _hessians(geom, masses, theta[None])[0]
-    rate = (0.0,) * 16  # at rest the rate block keeps +0.0, as the stack leaves it
+    rate = (0.0,) * 16  # at rest the rate block is +0.0
     with np.errstate(over="ignore", invalid="ignore"):  # A is checked below
         d = (np.array((0.5 * w1 * w1, 0.5 * w2 * w2, 0.5 * w3 * w3, 0.5 * w4 * w4, -1.0))
              @ hess.reshape(5, 16)).tolist()

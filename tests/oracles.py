@@ -48,6 +48,7 @@ from armctl import (
     IllConditioned,
     LinearModel,
     NotStabilizable,
+    OperatingPoint,
     OutOfBounds,
     RefinedTable,
     TableFormatError,
@@ -64,7 +65,6 @@ from armctl.dynamics import EPS_INERTIA, _cosine_terms, _kernel, _mass_forms
 from armctl.errors import components
 from armctl.gain_table import _MIN_CELL_BYTES, _corner_coords
 from armctl.kinematics import planar_chain, wrap_angle
-from armctl.linearization import linearize_stack
 from armctl.riccati import RESIDUAL_RTOL, solve_stack
 
 
@@ -387,12 +387,13 @@ def reference_lookup(table, theta) -> np.ndarray:
 
 
 def _kernel_torque_gains(geom, masses, weights, thetas):
-    """The gains of the equilibrium nodes thetas (k, 4), each torque
-    (0, dPE/dtheta2..4) read from the kernel; every node must solve."""
+    """The gains of the equilibrium nodes thetas (k, 4), each linearized by
+    `loop_linearize` at zero rates and its torque (0, dPE/dtheta2..4) read
+    from the kernel, then solved as one stack; every node must solve."""
     forms = _mass_forms(geom, masses)
-    torque = np.zeros((len(thetas), 4))
-    torque[:, 1:] = [_kernel(forms, t2, t3, t4)[5:8] for _, t2, t3, t4 in thetas.tolist()]
-    A, B = linearize_stack(geom, masses, thetas, np.zeros((len(thetas), 4)), torque)
+    models = [loop_linearize(geom, masses, OperatingPoint(
+        theta, np.zeros(4), (0.0, *_kernel(forms, *theta[1:])[5:8]))) for theta in thetas.tolist()]
+    A, B = np.array([model.A for model in models]), np.array([model.B for model in models])
     return solve_stack(A, B, weights)[1]
 
 

@@ -1,3 +1,4 @@
+import math
 import re
 
 import numpy as np
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 import armctl.dynamics as dyn
 import armctl.linearization as lin
 from armctl import (
+    ArmGeometry,
     DegenerateInertia,
     Diverged,
     MassModel,
@@ -211,121 +213,125 @@ class TestSkippedColumns:
         assert np.max(np.abs(model.A[4:8, :] - reference)) <= 1e-10 * scale
 
 
-def _stack(ops):
-    return tuple(np.array([getattr(op, name) for op in ops])
-                 for name in ("theta", "rates", "torque"))
+class TestPerPoint:
+    """linearize reproduces the per-point oracle byte for byte, at online
+    states and at equilibria."""
 
-
-def _assert_matches_oracle(geom, masses, ops, A, B):
-    assert A.shape == (len(ops), 8, 8) and B.shape == (len(ops), 8, 4)
-    for op, a, b in zip(ops, A, B):
-        want = loop_linearize(geom, masses, op)
-        assert a.tobytes() == want.A.tobytes()
-        assert b.tobytes() == want.B.tobytes()
-
-
-# an equilibrium, or an online state: rates up to 0.5 rad/s, torque off equilibrium
-NODES = st.tuples(THETAS, st.booleans(), st.tuples(*[st.floats(-0.5, 0.5)] * 4), TORQUES)
-
-
-class TestStack:
-    """linearize_stack reproduces the per-point body byte for byte, for
-    every point of any stack, and a stack with a failing point raises the
-    error that point raises alone."""
-
-    @settings(max_examples=30, deadline=None)
-    @given(nodes=st.sampled_from([1, 2, 64]).flatmap(
-        lambda k: st.lists(NODES, min_size=k, max_size=k)))
-    def test_bytes_match_the_per_point_oracle(self, geom, masses, nodes):
-        ops = [_op(geom, masses, theta, rates, torque, at_equilibrium)
-               for theta, at_equilibrium, rates, torque in nodes]
-        A, B = lin.linearize_stack(geom, masses, *_stack(ops))
-        _assert_matches_oracle(geom, masses, ops, A, B)
-        for op, a, b in zip(ops, A, B):
-            model = linearize(geom, masses, op)
-            assert model.A.tobytes() == a.tobytes() and model.B.tobytes() == b.tobytes()
+    @settings(max_examples=60, deadline=None)
+    @given(theta=THETAS, rates=RATES, torque=TORQUES, at_equilibrium=st.booleans())
+    def test_bytes_match_the_oracle(self, geom, masses, theta, rates, torque, at_equilibrium):
+        op = _op(geom, masses, theta, rates, torque, at_equilibrium)
+        model, want = linearize(geom, masses, op), loop_linearize(geom, masses, op)
+        assert model.A.tobytes() == want.A.tobytes() and model.B.tobytes() == want.B.tobytes()
 
     @pytest.mark.parametrize("rates", [
         [0.4, -0.0, 0.0, -0.0], [0.0, -0.4, -0.0, 0.0], [-0.0, 0.0, 0.4, -0.0],
         [0.0, -0.0, -0.0, -0.4], [-0.0] * 4, None,
     ])
     def test_bytes_at_the_resting_boundary(self, geom, masses, theta_ref, rates):
-        """linearize, the stack's row and the oracle agree byte for byte on
-        the boundary of the resting branch, which the test above draws only
-        by chance: one rate non-zero among 0.0 and -0.0 on each axis (each
-        case leaves -0.0 entries in A), every rate -0.0 (the rate block
-        stays +0.0), and an equilibrium (None)."""
+        """linearize and the oracle agree byte for byte on the boundary of
+        the resting branch, which the test above draws only by chance: one
+        rate non-zero among 0.0 and -0.0 on each axis (each case leaves
+        -0.0 entries in A), every rate -0.0 (the rate block stays +0.0),
+        and an equilibrium (None)."""
         op = (equilibrium_point(geom, masses, theta_ref) if rates is None
               else OperatingPoint(theta_ref, rates, [0.5, -1.0, 2.0, -0.0]))
-        A, B = lin.linearize_stack(geom, masses, *_stack([op]))
-        _assert_matches_oracle(geom, masses, [op], A, B)
-        model = linearize(geom, masses, op)
-        assert model.A.tobytes() == A[0].tobytes() and model.B.tobytes() == B[0].tobytes()
+        model, want = linearize(geom, masses, op), loop_linearize(geom, masses, op)
+        assert model.A.tobytes() == want.A.tobytes() and model.B.tobytes() == want.B.tobytes()
 
-    def _ops_with(self, geom, masses, bad, i):
-        """Five points, online and equilibria in turn, with bad at index i."""
-        rng = np.random.default_rng(41)
-        ops = [equilibrium_point(geom, masses, theta) if j % 2 else
-               OperatingPoint(theta, rng.uniform(-0.5, 0.5, 4), rng.uniform(-4.0, 4.0, 4))
-               for j, theta in enumerate(safe_random_theta(rng, 5))]
-        ops[i] = bad
-        return ops
 
-    def _assert_raises_alone_error(self, geom, masses, ops, bad, kind):
-        """The stack ops raises bad's error alone, of type kind."""
-        with pytest.raises(kind) as alone:
-            linearize(geom, masses, bad)
-        with pytest.raises(kind, match=f"^{re.escape(str(alone.value))}$"):
-            lin.linearize_stack(geom, masses, *_stack(ops))
+# every angle over [-pi, pi], signed zeros, +-pi and +-pi/2 drawn on purpose,
+# off the upright configurations (every link vertical) where I1 = 0
+ANGLES = st.one_of(st.floats(-np.pi, np.pi),
+                   st.sampled_from([0.0, -0.0, np.pi, -np.pi, np.pi / 2, -np.pi / 2]))
+EQUILIBRIA = st.tuples(*[ANGLES] * 4).filter(
+    lambda t: abs(math.sin(t[1])) + abs(math.sin(t[1] + t[2]))
+    + abs(math.sin(t[1] + t[2] + t[3])) > 1e-3)
+# a short arm under huge gravity: A ~ g / L overflows at theta_ref, where the
+# links hang, and stays finite where every link lies near horizontal
+SHORT = ArmGeometry(L1=1e-3, L2=8e-4, L3=6e-4)
+HEAVY = MassModel(m2=0.5, m3=0.4, m4=0.3, M1=0.4, M2=0.3, M3=0.2, g=1.4e305)
+UPRIGHT = [0.4, 0.0, 0.0, 0.0]  # every link vertical: no yaw inertia (I1 = 0)
+
+
+def _nodes_with(bad, i, lying=False):
+    """Five equilibrium nodes, bad at index i: safe angles, or with `lying`
+    angles within 0.2 rad of every link horizontal."""
+    rng = np.random.default_rng(41)
+    if lying:
+        thetas = rng.uniform([-np.pi, np.pi / 2 - 0.2, -0.2, -0.2],
+                             [np.pi, np.pi / 2 + 0.2, 0.2, 0.2], (5, 4))
+    else:
+        thetas = safe_random_theta(rng, 5)
+    if bad is not None:
+        thetas[i] = bad
+    return thetas
+
+
+def _assert_raises_alone_error(geom, masses, thetas, bad, kind):
+    """The node stack thetas raises the error of the equilibrium at bad
+    alone, of type kind."""
+    with pytest.raises(kind) as alone:
+        linearize(geom, masses, equilibrium_point(geom, masses, bad))
+    with pytest.raises(kind, match=f"^{re.escape(str(alone.value))}$"):
+        lin.linearize_nodes(geom, masses, thetas)
+
+
+class TestStack:
+    """linearize_nodes gives each node of any stack of equilibria the bytes
+    of the per-point oracle and of linearize at its equilibrium_point, and
+    a stack with a failing node raises the error that node raises alone."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(nodes=st.sampled_from([1, 2, 64]).flatmap(
+        lambda k: st.lists(EQUILIBRIA, min_size=k, max_size=k)))
+    def test_bytes_match_the_per_point_oracle(self, geom, masses, nodes):
+        thetas = np.array(nodes)
+        A, B = lin.linearize_nodes(geom, masses, thetas)
+        assert A.shape == (len(nodes), 8, 8) and B.shape == (len(nodes), 8, 4)
+        for theta, a, b in zip(thetas, A, B):
+            op = equilibrium_point(geom, masses, theta)
+            for model in (loop_linearize(geom, masses, op), linearize(geom, masses, op)):
+                assert a.tobytes() == model.A.tobytes() and b.tobytes() == model.B.tobytes()
 
     @pytest.mark.parametrize("i", [0, 2, 4])
     def test_degenerate_point_is_reported_at_its_index(self, geom, masses, i):
-        # upright: theta2 = theta3 = theta4 = 0 leaves no yaw inertia (I1 = 0);
-        # the message names the point's angles
-        upright = OperatingPoint([0.4, 0.0, 0.0, 0.0], np.zeros(4), np.zeros(4))
-        ops = self._ops_with(geom, masses, upright, i)
-        self._assert_raises_alone_error(geom, masses, ops, upright, DegenerateInertia)
+        # the message names the node's angles
+        thetas = _nodes_with(UPRIGHT, i)
+        _assert_raises_alone_error(geom, masses, thetas, UPRIGHT, DegenerateInertia)
 
     @pytest.mark.parametrize("i", [0, 2, 4])
-    def test_overflowing_point_is_reported_at_its_index(self, geom, masses, theta_ref, i):
-        # the message names the point's rates and torque
-        fast = OperatingPoint(theta_ref, [1e160, 0.0, 0.0, 0.0], np.zeros(4))
-        ops = self._ops_with(geom, masses, fast, i)
-        with pytest.raises(Diverged, match=r"^linear model not finite at rates \[1e\+160"):
-            lin.linearize_stack(geom, masses, *_stack(ops))
-        self._assert_raises_alone_error(geom, masses, ops, fast, Diverged)
+    def test_overflowing_point_is_reported_at_its_index(self, theta_ref, i):
+        # the message names the node's zero rates and equilibrium torque
+        thetas = _nodes_with(theta_ref, i, lying=True)
+        with pytest.raises(Diverged, match=r"^linear model not finite at rates \[0\.0, 0\.0, "):
+            lin.linearize_nodes(SHORT, HEAVY, thetas)
+        _assert_raises_alone_error(SHORT, HEAVY, thetas, theta_ref, Diverged)
 
     @pytest.mark.parametrize("fast_at", [None, 0, 2])
-    def test_no_torque_is_each_points_equilibrium_torque(self, geom, masses, fast_at):
-        """torque None gives each point the bytes and error it gets with
-        its equilibrium_torque passed: at zero rates, as a table build's
-        nodes, and with one point too fast, whose Diverged message names
-        that torque."""
-        thetas = safe_random_theta(np.random.default_rng(17), 5)
-        rates = np.zeros((5, 4))
-        if fast_at is not None:
-            rates[fast_at, 0] = 1e160
-        torque = np.array([equilibrium_torque(geom, masses, t) for t in thetas])
-        outcomes = []
-        for given_torque in (None, torque):
-            try:
-                A, B = lin.linearize_stack(geom, masses, thetas, rates, given_torque)
-                outcomes.append((A.tobytes(), B.tobytes()))
-            except Diverged as exc:
-                outcomes.append(str(exc))
-        assert outcomes[0] == outcomes[1]
-        if fast_at is not None:
-            assert outcomes[0].endswith(f"and torque {torque[fast_at].tolist()}")
+    def test_no_torque_is_each_points_equilibrium_torque(self, theta_ref, fast_at):
+        """linearize_nodes takes no torque: each node is linearized at its
+        equilibrium_torque, so it gets the bytes linearize gives it with
+        that torque passed, and an overflowing node's Diverged message
+        names that torque."""
+        thetas = _nodes_with(theta_ref if fast_at is not None else None, fast_at, lying=True)
+        torque = [equilibrium_torque(SHORT, HEAVY, t) for t in thetas]
+        if fast_at is None:
+            A, B = lin.linearize_nodes(SHORT, HEAVY, thetas)
+            for theta, tau, a, b in zip(thetas, torque, A, B):
+                model = linearize(SHORT, HEAVY, OperatingPoint(theta, np.zeros(4), tau))
+                assert a.tobytes() == model.A.tobytes() and b.tobytes() == model.B.tobytes()
+        else:
+            with pytest.raises(Diverged) as info:
+                lin.linearize_nodes(SHORT, HEAVY, thetas)
+            assert str(info.value).endswith(f"and torque {torque[fast_at].tolist()}")
 
-    def test_a_degenerate_point_raises_before_an_overflowing_one(self, geom, masses,
-                                                                 theta_ref):
+    def test_a_degenerate_point_raises_before_an_overflowing_one(self, theta_ref):
         """The kernel's DegenerateInertia comes before the check on A, so a
-        degenerate point's error is raised over an earlier overflow's."""
-        fast = OperatingPoint(theta_ref, [1e160, 0.0, 0.0, 0.0], np.zeros(4))
-        upright = OperatingPoint([0.4, 0.0, 0.0, 0.0], np.zeros(4), np.zeros(4))
-        ops = self._ops_with(geom, masses, fast, 1)
-        ops[3] = upright
-        self._assert_raises_alone_error(geom, masses, ops, upright, DegenerateInertia)
+        degenerate node's error is raised over an earlier overflow's."""
+        thetas = _nodes_with(theta_ref, 1, lying=True)
+        thetas[3] = UPRIGHT
+        _assert_raises_alone_error(SHORT, HEAVY, thetas, UPRIGHT, DegenerateInertia)
 
 
 class TestOperatingPointDependence:

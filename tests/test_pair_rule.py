@@ -1,7 +1,8 @@
 """The one claim rule that tools/bench_pairs.py and tools/ab_layers.py share,
-on synthetic paired runs."""
+and bench_pairs' one source digest per side, on synthetic paired runs."""
 
 import importlib.util
+import json
 from pathlib import Path
 
 import pytest
@@ -85,3 +86,37 @@ def test_a_single_run_summarizes_without_raising():
     assert entry["wins"] == 1 and entry["spread"] == 0.0
     assert not entry["unresolved"] and not entry["regressed"]
     assert holds is None
+
+
+@pytest.mark.parametrize("edited", [None, "parent", "change"])
+def test_each_side_is_one_source_digest_over_its_runs(tmp_path, monkeypatch, capsys, edited):
+    """A side's identity is the src_sha256 its runs report; a side whose
+    runs report two digests (its tree changed between runs) is named, and
+    the script exits 1."""
+    names = [m["name"] for m in json.loads((_PATH.parents[1] / "BENCHMARK.json").read_text())[
+        "end_to_end"]]
+    sides = {"parent": tmp_path / "parent", "change": tmp_path / "change"}
+    calls = {"parent": 0, "change": 0}
+
+    def run_once(checkout, workload, seed):
+        side = "parent" if checkout == sides["parent"].resolve() else "change"
+        calls[side] += 1
+        digest = f"{side}-{calls[side] if side == edited else 0}"
+        return {"seed": seed, "exit": 0, "identity": {"commit": None, "src_sha256": digest},
+                "attempted": 1, "failed": 0, "metrics": dict.fromkeys(names, 1.0),
+                "error": None}
+
+    monkeypatch.setattr(bench_pairs, "run_once", run_once)
+    out = tmp_path / "bench.json"
+    status = bench_pairs.main(["--parent", str(sides["parent"]), "--change", str(sides["change"]),
+                               "--workload", "build-table:2", "--workload", "regulate-table:1",
+                               "--seed", "1", "--out", str(out)])
+    doc = json.loads(out.read_text())
+    err = capsys.readouterr().err
+    for side in sides:
+        if side == edited:
+            assert doc[side]["src_sha256"] is None
+            assert err.startswith(f"{side}: src_sha256 differs over its runs: {side}-1, {side}-2")
+        else:
+            assert doc[side] == {"src_sha256": f"{side}-0", "commit": None}
+    assert status == (0 if edited is None else 1) and (edited is not None or err == "")

@@ -18,9 +18,12 @@ rounds of the change/parent ratio within a round.  That ratio cancels host
 drift the ratio of medians does not: in one self-A/B on a 2-vCPU host the
 samples varied by ~20%, and the ratio of medians read 0.88-1.12 while the
 within-round ratio read 0.99-1.03.  The cases use the public API and the
-stacked build kernels linearization.linearize_stack and riccati.solve_stack,
-so a parent must be commit e759761, which added linearize_stack, or later;
-an older one fails with an AttributeError.
+stacked build kernels linearization.linearize_nodes and riccati.solve_stack.
+A parent without linearize_nodes runs linearize_nodes64 through its
+linearize_stack(geom, masses, thetas, zeros), which reads each node's
+equilibrium torque from its kernel from commit b86483e on, so a parent must
+be that commit or later; an older one fails with a TypeError or an
+AttributeError.
 
 Cases, on the test arm of tests/conftest.py:
   rk4_period        a 0.2 s passive simulate (ten control periods of 20 RK4
@@ -39,7 +42,7 @@ Cases, on the test arm of tests/conftest.py:
                     (zero rates, gravity-holding torque): the path of
                     gain_table._solve_nodes' per-node fallback and of
                     perfbench's direct_gain (builds linearize their nodes
-                    in stacks, timed by linearize_stack64);
+                    in stacks, timed by linearize_nodes64);
   lookup_flat       one lookup off-node in the 5^4 table below, loaded from
                     its saved bytes, as perfbench's regulate workloads fly
                     loaded tables (so how load lays out a table's arrays
@@ -50,11 +53,9 @@ Cases, on the test arm of tests/conftest.py:
                     lookup, then tau_ff - K @ (x - x_ref) at a moving state
                     with those angles, as regulate-table's control_us_p50
                     times it (so a call is two updates);
-  linearize_stack64 the linear models of 64 equilibrium nodes: 64
-                    equilibrium_torque calls, then one
-                    linearization.linearize_stack call given those torques,
-                    which every parent accepts (a build lets
-                    linearize_stack read them from its kernel instead);
+  linearize_nodes64 the linear models of 64 equilibrium nodes: one
+                    linearization.linearize_nodes call, as a build makes
+                    for each stack of its nodes;
   stack64           the gains of 64 equilibrium nodes from their linear models:
                     one riccati.solve_stack call;
   refine            refine(tol 0.4, depth 3) on the box theta_ref +/- 0.25;
@@ -146,10 +147,9 @@ def cases(pkg) -> dict:
     A = np.array([model.A for model in models])
     B = np.array([model.B for model in models])
 
-    def linearize_stack64():
-        # zero rates and each node's equilibrium torque, passed in
-        torque = np.array([pkg.equilibrium_torque(geom, masses, t) for t in thetas])
-        return pkg.linearization.linearize_stack(geom, masses, thetas, np.zeros((64, 4)), torque)
+    # a parent older than linearize_nodes linearizes its nodes at zero rates
+    linearize_nodes = getattr(pkg.linearization, "linearize_nodes", None) or (
+        lambda g, m, t: pkg.linearization.linearize_stack(g, m, t, np.zeros((len(t), 4))))
 
     grid = pkg.GridSpec(box[0], box[1], (5, 5, 5, 5))
     flat_bytes = pkg.save(pkg.precompute(geom, masses, weights, grid, workers=1))
@@ -187,7 +187,7 @@ def cases(pkg) -> dict:
         "lookup_flat": (500, lambda: pkg.lookup(flat, off_node)),
         "lookup_refined": (500, lambda: pkg.lookup(tree, off_node)),
         "table_update": (250, table_update),
-        "linearize_stack64": (4, linearize_stack64),
+        "linearize_nodes64": (4, lambda: linearize_nodes(geom, masses, thetas)),
         "stack64": (4, lambda: pkg.riccati.solve_stack(A, B, weights)),
         "refine": (1, lambda: pkg.refine(geom, masses, weights, box, 0.4, 3)),
         "load_refined": (20, lambda: pkg.load(reference)),

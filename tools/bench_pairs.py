@@ -30,6 +30,12 @@ direction, by more than the parent's interquartile range; below ten pairs
 it is null, and printed as such.  tools/ab_layers.py claims by this rule
 too.  A run that fails the correctness gate, or exits non-zero, is
 recorded, and the script then exits with status 1.
+
+Each side's identity is the src_sha256 its runs report, a digest of its
+src/armctl: its report's commit is null on a `git archive` copy, which has
+no .git.  Every run of a side must report the same src_sha256, which a
+tree edited between runs does not; else the script names the side on
+standard error and exits with status 1.
 """
 
 from __future__ import annotations
@@ -162,8 +168,15 @@ def main(argv=None) -> int:
         else:
             status = 1
         doc["workloads"][workload] = entry
-    for side in sides:  # what each side ran, from its first run's report
-        doc[side] = runs[side][0]["identity"]
+    for side in sides:  # what each side ran: one src/armctl digest over all its runs
+        side_runs = [run for entry in doc["workloads"].values() for run in entry["runs"][side]]
+        digests = sorted({run["identity"]["src_sha256"] for run in side_runs} - {None})
+        if len(digests) > 1:
+            print(f"{side}: src_sha256 differs over its runs: {', '.join(digests)}",
+                  file=sys.stderr)
+            status = 1
+        doc[side] = {"src_sha256": digests[0] if len(digests) == 1 else None,
+                     "commit": side_runs[0]["identity"]["commit"]}
     if args.claim and status == 0:
         workload, metric = args.claim.split(":")
         entry = doc["workloads"][workload]["metrics"][metric]

@@ -23,9 +23,13 @@ Each line is a name and the first 16 hex digits of the sha256 of:
     moving states drawn with seed 33: angles in [-pi, pi], rates in
     [-2, 2] and torques in [-5, 5], off every equilibrium;
   - linearize's A and B at 1,000 equilibria (zero rates, equilibrium_torque)
-    at angles in [-pi, pi] drawn with seed 35, linearize's resting branch.
-All use the test arm of tests/conftest.py, and all but the last lines the
-box theta_ref +/- 0.25.
+    at angles in [-pi, pi] drawn with seed 35, linearize's resting branch;
+  - the gains gain_table._solve_nodes returns for 1,000 equilibria drawn
+    with seed 39 across the workspace (theta1 in [-pi, pi], theta2 in
+    [0.3, 2.8], theta3 in [-2.5, -0.3], theta4 in [-2, 2]) in stacks of 64,
+    as a build solves its nodes, far beyond the tables' box.
+All use the test arm of tests/conftest.py, and the table, lookup and
+simulate lines the box theta_ref +/- 0.25.
 It imports armctl from the src/ directory next to it.  It exits with status
 1, naming the grid on standard error, when a grid's 1- and 2-worker tables
 differ.
@@ -59,6 +63,8 @@ X0 = np.array([0.4, 0.7, -0.8, 0.6, 0.2, -0.3, 0.1, 0.4])
 OFF_NODE = 2000  # seeded lookup points in the box, after the nodes
 MOVING = 1000  # seeded moving states for the dynamics lines
 RESTING = 1000  # seeded equilibria for the resting linearize lines
+NODES = 1000  # seeded equilibria for the node gains line, over the workspace box below
+WORKSPACE = ([-np.pi, 0.3, -2.5, -2.0], [np.pi, 2.8, -0.3, 2.0])
 TURN = np.array([2 * np.pi, 0.0, 0.0, -2 * np.pi])  # the shift of the wrapped lookup lines
 
 
@@ -148,6 +154,10 @@ def fingerprints(pkg):
             for theta in np.random.default_rng(35).uniform(-np.pi, np.pi, (RESTING, 4))]
     out["linearize A at rest"] = [model.A for model in rest]
     out["linearize B at rest"] = [model.B for model in rest]
+    thetas = np.random.default_rng(39).uniform(*WORKSPACE, (NODES, 4))
+    out["nodes"] = [pkg.gain_table._solve_nodes(geom, masses, weights, thetas[s:s + 64],
+                                                range(s, s + 64))
+                    for s in range(0, NODES, 64)]
     for name, arrays in out.items():
         lines[name] = digest(b"".join(a.tobytes() for a in arrays))
     return lines, mismatched
