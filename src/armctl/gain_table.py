@@ -9,10 +9,10 @@ bit at every theta1.  Tables are therefore planar: they store gains over
 (theta2, theta3, theta4) and keep the theta1 range only as a bound, so a yaw
 outside it is still OutOfBounds.  A flat regular grid (GainTable) and an
 error-driven subdivision that splits a cell 8 ways where the gain varies
-quickly (RefinedTable) share one lookup: one bounds test of the box, then
-locate the planar cell (bisection of each grid axis's interior nodes, descent
-in a tree) as its corner row and 8 trilinear weights, gather its 8 corner
-gains, and blend them in one (8,) @ (8, 32) product.
+quickly (RefinedTable) share one lookup: a bounds test of the box, then locate
+the planar cell (bisecting each grid axis's interior nodes, descending a tree)
+and its 8 trilinear weights, read its cell's 8 corner gains, gathered once per
+table at its first lookup, and blend them in one (8,) @ (8, 32) product.
 
 Binary format, version 2 (little-endian): one 124-byte header record
 
@@ -42,6 +42,7 @@ payload, tree.
 """
 from __future__ import annotations
 
+import functools
 import hashlib
 import itertools
 import math
@@ -150,6 +151,12 @@ def _u32(value, name: str, least: int) -> int:
     return v
 
 
+def _frozen(array: np.ndarray) -> np.ndarray:
+    """array, made read-only."""
+    array.flags.writeable = False
+    return array
+
+
 @dataclass(frozen=True)
 class GridSpec:
     """Per-dimension (min, max, count) over the four joint angles, each range
@@ -177,9 +184,7 @@ class GridSpec:
 
     def axis(self, k: int) -> np.ndarray:
         """Node coordinates of dimension k, built on demand (n1 may be large)."""
-        axis = np.linspace(self.lo[k], self.hi[k], self.counts[k])
-        axis.flags.writeable = False
-        return axis
+        return _frozen(np.linspace(self.lo[k], self.hi[k], self.counts[k]))
 
     def node_angles(self, index) -> np.ndarray:
         return np.array([self.axis(k)[index[k]] for k in range(NDIM)])
@@ -221,7 +226,7 @@ def lookup(table, theta) -> np.ndarray:
 
 def _cell(table, theta):
     """lookup before the blend: theta read, bounds-checked and located;
-    returns its cell's corner rows (8, 32) and weights for _blend."""
+    returns its cell's cached corner block (8, 32) and weights for _blend."""
     th = components(theta, NDIM, "theta")
     t1, t2, t3, t4 = th
     l1, l2, l3, l4, h1, h2, h3, h4 = table._bounds
@@ -233,17 +238,17 @@ def _cell(table, theta):
                 if not lo[k] <= v <= hi[k]:
                     raise OutOfBounds(f"angle {v!r} outside table dimension {k} [{lo[k]}, {hi[k]}]")
         t1, t2, t3, t4 = th
-    corners, weights = table._locate(t2, t3, t4)
-    return table._rows.take(corners, axis=0), weights
+    return table._locate(t2, t3, t4)
 
 
 # ---------------------------------------------------------------------------
 # flat tables
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GainTable:
-    """Flat grid of gain matrices: gains[i2, i3, i4] is the 4x8 gain of
-    every node (i1, i2, i3, i4)."""
+    """Flat grid of gain matrices: gains[i2, i3, i4] is the 4x8 gain of every
+    node (i1, i2, i3, i4), read-only (a writeable gains is copied: _blocks is
+    cached).  == and hash are identity; tables compare by save(a) == save(b)."""
 
     grid: GridSpec
     gains: np.ndarray
@@ -257,17 +262,20 @@ class GainTable:
             raise ValueError(f"gains must have shape {expected}, got {self.gains.shape}")
         if not isinstance(self.digest, bytes) or len(self.digest) != 32:
             raise ValueError("digest must be 32 bytes")
+        gains = _frozen(self.gains.copy()) if self.gains.flags.writeable else self.gains
+        a2, a3, a4 = (self.grid.axis(k).tolist() for k in (1, 2, 3))
+        for name, value in (("gains", gains), ("_bounds", self.grid.lo + self.grid.hi),
+                            ("_axes", (a2, a3, a4)), ("_inner", (a2[1:-1], a3[1:-1], a4[1:-1]))):
+            object.__setattr__(self, name, value)
+
+    @functools.cached_property
+    def _blocks(self) -> np.ndarray:
+        """Read-only: [i2, i3, i4] is cell (i2, i3, i4)'s 8 corner rows in _weights order."""
         _, n2, n3, n4 = self.grid.counts
         row = np.arange(n2 * n3 * n4, dtype=np.intp).reshape(n2, n3, n4)
-        # _corners[i2, i3, i4]: the rows of cell (i2, i3, i4)'s 8 corners, ordered as in _weights
         corners = np.stack([row[b2:n2 - 1 + b2, b3:n3 - 1 + b3, b4:n4 - 1 + b4]
                             for b2, b3, b4 in itertools.product((0, 1), repeat=3)], axis=-1)
-        corners.flags.writeable = False
-        a2, a3, a4 = (self.grid.axis(k).tolist() for k in (1, 2, 3))
-        for name, value in (("_corners", corners), ("_rows", self.gains.reshape(-1, 32)),
-                            ("_bounds", self.grid.lo + self.grid.hi), ("_axes", (a2, a3, a4)),
-                            ("_inner", (a2[1:-1], a3[1:-1], a4[1:-1]))):
-            object.__setattr__(self, name, value)
+        return _frozen(self.gains.reshape(-1, 32).take(corners, axis=0))
 
     lo = property(lambda self: self.grid.lo)
     hi = property(lambda self: self.grid.hi)
@@ -285,7 +293,7 @@ class GainTable:
         i2, i3, i4 = bisect_right(n2, t2), bisect_right(n3, t3), bisect_right(n4, t4)
         l2, l3, l4 = a2[i2], a3[i3], a4[i4]
         w2, w3, w4 = a2[i2 + 1] - l2, a3[i3 + 1] - l3, a4[i4 + 1] - l4
-        return self._corners[i2, i3, i4], _weights(
+        return self._blocks[i2, i3, i4], _weights(
             (t2 - l2) / w2 if w2 else 0.0, (t3 - l3) / w3 if w3 else 0.0,
             (t4 - l4) / w4 if w4 else 0.0)
 
@@ -386,8 +394,7 @@ def precompute(
     thetas = np.array([[grid.lo[0]] + [axis[i] for axis, i in zip(axes, ix)] for ix in planar])
     indices = [(0,) + ix for ix in planar]
     gains = _solve_points(geom, masses, weights, thetas, indices, workers)
-    gains = gains.reshape(grid.shape[1:] + GAIN_SHAPE)
-    gains.flags.writeable = False
+    gains = _frozen(gains.reshape(grid.shape[1:] + GAIN_SHAPE))
     return GainTable(grid, gains, table_digest(geom, masses, weights))
 
 
@@ -414,7 +421,7 @@ class RefinedCell:
         return 0.5 * (np.asarray(self.lo) + np.asarray(self.hi))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RefinedTable:
     """Error-driven subdivision of a root box over theta2..theta4.
 
@@ -424,7 +431,9 @@ class RefinedTable:
     rest: child[c] is the first of cell c's 8 consecutive children, or ~n
     when c is leaf n in pre-order (the root is cell 0); leaf n has the corner
     gains pool[corners[n, i]], ordered as in _weights, corners being a
-    read-only (n_leaves, 8) np.intp array, and its flag in leaves()[n]."""
+    read-only (n_leaves, 8) np.intp array, and its flag in leaves()[n].  pool
+    is read-only, as for GainTable.gains.  == and hash are identity: two
+    tables are compared by save(a) == save(b)."""
 
     lo: tuple[float, float, float, float]
     hi: tuple[float, float, float, float]
@@ -490,11 +499,16 @@ class RefinedTable:
             if bad.size:
                 raise TableFormatError(f"corner index {corners[bad[0]].max()} at tree offset "
                                        f"{offsets[bad[0]]} outside a pool of {n_pool}")
-        corners.flags.writeable = False
-        for name, value in (("lo", lo), ("hi", hi), ("child", tuple(child)), ("corners", corners),
-                            ("_rows", self.pool.reshape(-1, 32)), ("_bounds", lo + hi),
+        pool = _frozen(self.pool.copy()) if self.pool.flags.writeable else self.pool
+        for name, value in (("lo", lo), ("hi", hi), ("child", tuple(child)),
+                            ("corners", _frozen(corners)), ("pool", pool), ("_bounds", lo + hi),
                             ("_boxes", boxes), ("_cells", cells)):
             object.__setattr__(self, name, value)
+
+    @functools.cached_property
+    def _blocks(self) -> np.ndarray:
+        """Read-only (n_leaves, 8, 32): leaf n's corner gains pool[corners[n]]."""
+        return _frozen(self.pool.reshape(-1, 32).take(self.corners, axis=0))
 
     def _locate(self, t2, t3, t4):
         child, boxes, cell = self.child, self._boxes, 0
@@ -504,7 +518,7 @@ class RefinedTable:
             cell = first + 4 * (t2 >= m2) + 2 * (t3 >= m3) + (t4 >= m4)
         (l2, l3, l4), (h2, h3, h4) = boxes[cell]
         w2, w3, w4 = h2 - l2, h3 - l3, h4 - l4
-        return self.corners[~first], _weights(
+        return self._blocks[~first], _weights(
             (t2 - l2) / w2 if w2 else 0.0, (t3 - l3) / w3 if w3 else 0.0,
             (t4 - l4) / w4 if w4 else 0.0)
 
@@ -606,10 +620,8 @@ def refine(
         else:
             tree.append(_TAG_INTERNAL)
             pending.extend((depth + 1, child) for child in reversed(_split(*box)))
-    gains = np.array([cache[p] for p in pool])
-    gains.flags.writeable = False
     return RefinedTable(lo, hi, table_digest(geom, masses, weights), tol, max_depth,
-                        gains, bytes(tree))
+                        _frozen(np.array([cache[p] for p in pool])), bytes(tree))
 
 
 # ---------------------------------------------------------------------------

@@ -772,6 +772,88 @@ class TestLookup:
         assert np.allclose(lookup(table, theta), lookup(table, shifted), rtol=0, atol=1e-12)
 
 
+BLOCK_TABLES = ["5^4", "3x4x2x5", "tol-0.4", "tol-0.1"]
+
+
+def gathered_rows(t):
+    """Per cell (flat, in row-major (i2, i3, i4) order) or leaf, its 8 corner
+    rows gathered through the corner indices, in _weights order."""
+    if isinstance(t, RefinedTable):
+        return [t.pool.reshape(-1, 32)[corners] for corners in t.corners]
+    rows, (n2, n3, n4) = t.gains.reshape(-1, 32), t.gains.shape[:3]
+    return [rows[[((i2 + b2) * n3 + i3 + b3) * n4 + i4 + b4
+                  for b2, b3, b4 in itertools.product((0, 1), repeat=3)]]
+            for i2, i3, i4 in itertools.product(range(n2 - 1), range(n3 - 1), range(n4 - 1))]
+
+
+def with_source(t, array):
+    """t rebuilt by its constructor from array in place of its gains or pool."""
+    if isinstance(t, GainTable):
+        return GainTable(t.grid, array, t.digest)
+    return RefinedTable(t.lo, t.hi, t.digest, t.tol, t.max_depth, array, t.tree)
+
+
+class TestCornerBlocks:
+    """Each table gathers its cells' 8 corner rows once, at its first lookup,
+    into a read-only _blocks that every later lookup reads."""
+
+    @pytest.mark.parametrize("name", BLOCK_TABLES)
+    def test_blocks_are_the_gathered_corner_rows(self, oracle_tables, name):
+        t = load(save(oracle_tables[name]))
+        lookup(t, t.lo)
+        cells = (len(t.corners),) if isinstance(t, RefinedTable) else tuple(
+            n - 1 for n in t.gains.shape[:3])
+        assert t._blocks.shape == cells + (8, 32) and not t._blocks.flags.writeable
+        blocks, want = t._blocks.reshape(-1, 8, 32), gathered_rows(t)
+        assert len(blocks) == len(want)
+        assert all(b.tobytes() == w.tobytes() for b, w in zip(blocks, want))
+
+    @pytest.mark.parametrize("name", BLOCK_TABLES)
+    def test_gathered_at_the_first_lookup_only(self, oracle_tables, name):
+        blob = save(oracle_tables[name])
+        t = load(blob)
+        assert "_blocks" not in t.__dict__
+        lookup(t, t.hi)
+        blocks = t.__dict__["_blocks"]
+        for theta in np.random.default_rng(40).uniform(t.lo, t.hi, size=(20, 4)):
+            lookup(t, theta)
+        assert t._blocks is blocks
+        assert save(t) == blob
+
+    @pytest.mark.parametrize("name", BLOCK_TABLES)
+    def test_writeable_source_is_copied(self, oracle_tables, name):
+        # a change to the array a table was built from reaches no later lookup
+        t = oracle_tables[name]
+        source = np.array(t.gains if isinstance(t, GainTable) else t.pool)
+        copy = with_source(t, source)
+        points = np.random.default_rng(41).uniform(t.lo, t.hi, size=(20, 4))
+        before = [lookup(copy, theta).tobytes() for theta in points]
+        source[...] = 0.0
+        assert [lookup(copy, theta).tobytes() for theta in points] == before
+        assert save(copy) == save(t)
+        stored = copy.gains if isinstance(t, GainTable) else copy.pool
+        assert not stored.flags.writeable and not np.shares_memory(stored, source)
+
+    @pytest.mark.parametrize("name", BLOCK_TABLES)
+    def test_read_only_source_is_kept(self, oracle_tables, name):
+        t = oracle_tables[name]
+        source = t.gains if isinstance(t, GainTable) else t.pool
+        assert not source.flags.writeable  # precompute and refine build read-only arrays
+        kept = with_source(t, source)
+        assert (kept.gains if isinstance(t, GainTable) else kept.pool) is source
+        loaded = load(save(t))
+        stored = loaded.gains if isinstance(t, GainTable) else loaded.pool
+        assert not stored.flags.writeable and not stored.flags.owndata  # a view of the bytes read
+
+    @pytest.mark.parametrize("name", ["5^4", "tol-0.4"])
+    def test_equality_and_hash_are_identity(self, oracle_tables, name):
+        t = oracle_tables[name]
+        other = load(save(t))
+        assert (t == other) is False and t != other
+        assert t == t and hash(t) == hash(t)
+        assert {t: 1, other: 2}[t] == 1
+
+
 class TestRefine:
     def test_infinite_tolerance_is_single_leaf_8_solves(
         self, geom, masses, weights, solve_calls

@@ -1,5 +1,7 @@
+import functools
 import io
 import math
+import time
 
 import numpy as np
 import pytest
@@ -21,8 +23,11 @@ from armctl import (
     SimConfig,
     bench_controller,
     equilibrium_torque,
+    load,
+    lookup,
     precompute,
     refine,
+    save,
     simulate,
     step_rk4,
 )
@@ -530,7 +535,8 @@ class TestBench:
 
     @pytest.mark.parametrize("kind", ["flat", "refined"])
     def test_one_lookup_pass(self, request, geom, masses, weights, kind, monkeypatch):
-        # the layers are the two halves of the timed lookup: one _locate per iteration
+        # the layers are the two halves of the timed lookup: one _locate per
+        # iteration, after the one untimed lookup at the box's low corner
         table = request.getfixturevalue(f"{kind}_table")
         calls = []
         real = type(table)._locate
@@ -541,7 +547,31 @@ class TestBench:
 
         monkeypatch.setattr(type(table), "_locate", counting)
         bench_controller(geom, masses, table, 20, weights=weights)
-        assert len(calls) == 20
+        assert len(calls) == 21 and calls[0] == tuple(table.lo[1:])
+
+    @pytest.mark.parametrize("kind", ["flat", "refined"])
+    def test_first_lookup_gather_is_not_timed(self, request, geom, masses, weights, kind,
+                                              monkeypatch):
+        # a table's first lookup gathers its corner blocks; made 0.2 s slow
+        # here, a timed first lookup would set p95 of 20 (>= 10 ms), so a
+        # table never looked up and a warmed one must both stay under 2 ms
+        table = request.getfixturevalue(f"{kind}_table")
+        gather = type(table)._blocks.func
+
+        def slow(self):
+            time.sleep(0.2)
+            return gather(self)
+
+        blocks = functools.cached_property(slow)
+        blocks.__set_name__(type(table), "_blocks")
+        monkeypatch.setattr(type(table), "_blocks", blocks)
+        cold, warm = load(save(table)), load(save(table))
+        lookup(warm, warm.lo)
+        assert "_blocks" not in cold.__dict__ and "_blocks" in warm.__dict__
+        for t in (cold, warm):
+            report = bench_controller(geom, masses, t, 20, weights=weights)
+            assert report.lookup_median_us < 2000.0 and report.lookup_p95_us < 2000.0
+            assert report.locate_median_us < 2000.0
 
     def test_online_step_at_non_zero_rates(self, geom, masses, weights, flat_table,
                                            monkeypatch):

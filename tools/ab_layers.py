@@ -68,6 +68,10 @@ Cases, on the test arm of tests/conftest.py:
   load_flat         load of the saved 5^4 table the precompute case builds,
                     the one timing of the flat path (perfbench's load_ms
                     times trees only);
+  load_lookup       load of the saved reference tree of load_refined, then
+                    one lookup on it at lookup_refined's angles: the cold
+                    path, where a table's first lookup gathers its corner
+                    blocks once;
   precompute        a 5^4 precompute with 1 worker on the same box;
   precompute_2w     the same build with 2 workers, as perfbench's set-up
                     builds it (2 chunks of 64 planar nodes, so a pool of 2).
@@ -193,6 +197,7 @@ def cases(pkg) -> dict:
         "load_refined": (20, lambda: pkg.load(reference)),
         "load_deploy": (100, lambda: pkg.load(deploy)),
         "load_flat": (200, lambda: pkg.load(flat_bytes)),
+        "load_lookup": (20, lambda: pkg.lookup(pkg.load(reference), off_node)),
         "precompute": (1, lambda: pkg.precompute(geom, masses, weights, grid, workers=1)),
         "precompute_2w": (1, lambda: pkg.precompute(geom, masses, weights, grid, workers=2)),
     }

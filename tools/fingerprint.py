@@ -8,10 +8,11 @@ Each line is a name and the first 16 hex digits of the sha256 of:
     order and a theta1 count that differs from the others; 7^4 is the grid
     perfbench builds);
   - save() of refine(tol 0.4, depth 3) and refine(tol 0.1, depth 4);
-  - the bytes lookup returns, on the 5^4 and 3x4x2x5 tables (the latter has
-    a count-2 axis, with no interior node) and on both refined tables, at
-    every node (every grid node, or every corner of every leaf) and then at
-    2,000 points drawn uniformly in the box (seed 20);
+  - the bytes lookup returns, on the 5^4, 3x4x2x5 and 7^4 tables (3x4x2x5
+    has a count-2 axis, with no interior node; 7^4 is the grid perfbench's
+    build-table flies) and on both refined tables, at every node (every grid
+    node, or every corner of every leaf) and then at 2,000 points drawn
+    uniformly in the box (seed 20);
   - the bytes lookup returns on the 5^4 table and the tol 0.4 tree at those
     2,000 points shifted by +2 pi on theta1 and -2 pi on theta4, which
     lookup wraps back into the box;
@@ -118,6 +119,7 @@ def fingerprints(pkg):
     lines["refine tol=0.1 depth=4"] = digest(pkg.save(fine))
     points = np.random.default_rng(20).uniform(lo, hi, size=(OFF_NODE, 4))
     for name, table in (("5^4", flat), ("3x4x2x5", tables["3x4x2x5", 1]),
+                        ("7^4", tables["7^4", 1]),
                         ("refine tol=0.4", coarse), ("refine tol=0.1", fine)):
         lines[f"lookup {name}"] = digest(lookup_bytes(pkg, table,
                                                       [*node_points(pkg, table), *points.tolist()]))
