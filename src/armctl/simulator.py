@@ -1,10 +1,10 @@
 """Fixed-step RK4 simulation of the arm, passive or closed loop.
 
-Closed-loop control is u = tau_eq(theta_ref) - K (x - x_ref), updated every
-control period and held constant between updates (zero-order hold).  The
-gain K comes either from a fresh linearize-plus-Riccati solve each update
-(online mode, linearizing at the previously commanded torque) or from a
-precomputed gain table (table mode).
+Closed-loop control is one law, u = tau_eq(theta_ref) - K (x - x_ref), updated
+every control period and held between updates (zero-order hold).  Each mode
+is a gain source built once with its checks, a function of the state and the
+held torque returning K: a linearize-plus-Riccati solve at the held torque
+(online mode) or a gain-table lookup (table mode).  Passive mode has none.
 
 The plant is integrated on Python floats: `_integrate` runs a whole control
 period of RK4 steps in one loop, one `dynamics._kernel` call per stage
@@ -180,42 +180,18 @@ def simulate(
 ) -> Trajectory:
     """Run the closed- or open-loop simulation and sample every control period.
 
-    Online mode needs `weights`; table mode needs `table` (its digest is
-    checked against geom/masses, and against `weights` when given).  On a
-    mid-run failure (any ArmError, e.g. OutOfBounds, NotStabilizable,
-    IllConditioned, DegenerateInertia or Diverged) the exception is re-raised
-    with the samples so far attached as `.partial`.  x0 and x_ref are
-    8-vectors [theta, rates], read by `errors.vector`.
+    Online mode needs `weights` and table mode `table`, whose digest is checked
+    against geom/masses (and `weights` when given); either of another type
+    raises ValueError.  On a mid-run failure (any ArmError, e.g. OutOfBounds,
+    NotStabilizable, IllConditioned, DegenerateInertia or Diverged) the
+    exception is re-raised with the samples so far attached as `.partial`.
+    x0 and x_ref are 8-vectors [theta, rates], read by `errors.vector`.
     """
     if not isinstance(mode, ControllerMode):
         raise ValueError(f"mode must be a ControllerMode, got {mode!r}")
     x = np.array(vector(x0, 8, "x0"))
-    if x_ref is not None:
-        x_ref = np.array(vector(x_ref, 8, "x_ref"))
-    if mode is not ControllerMode.PASSIVE:
-        if x_ref is None:
-            raise ValueError(f"{mode.value} mode requires x_ref")
-        tau_ff = equilibrium_torque(geom, masses, x_ref[:4])
-    if mode is ControllerMode.ONLINE_LQR and weights is None:
-        raise ValueError("online mode requires cost weights")
-    if mode is ControllerMode.TABLE_LQR:
-        if table is None:
-            raise ValueError("table mode requires a gain table")
-        check_digest(table, geom=geom, masses=masses, weights=weights)
-
-    # the torque held before the first update, which online mode linearizes at
-    u = (equilibrium_torque(geom, masses, x[:4]) if mode is ControllerMode.ONLINE_LQR
-         else np.zeros(4))
-
-    def control(state, u):
-        if mode is ControllerMode.PASSIVE:
-            return u
-        if mode is ControllerMode.ONLINE_LQR:
-            model = linearize(geom, masses, OperatingPoint(state[:4], state[4:], u))
-            gain = lqr_gain(model.A, model.B, weights)
-        else:
-            gain = lookup(table, state[:4])
-        return tau_ff - gain @ (state - x_ref)
+    x_ref = None if x_ref is None else np.array(vector(x_ref, 8, "x_ref"))
+    gain, tau_ff, u = _gain_source(geom, masses, mode, x, x_ref, weights, table)
 
     times, states, inputs, energy = [], [], [], []
     forms = _mass_forms(geom, masses)
@@ -227,7 +203,8 @@ def simulate(
     try:
         # x is a fresh array every period and u a float array, so both are kept as they are
         for p in range(config.n_updates + 1):
-            u = control(x, u)
+            if gain is not None:
+                u = tau_ff - gain(x, u) @ (x - x_ref)
             times.append(p * config.control_period)
             states.append(x)
             inputs.append(u)
@@ -239,6 +216,29 @@ def simulate(
         exc.partial = trajectory()
         raise
     return trajectory()
+
+
+def _gain_source(geom, masses, mode, x, x_ref, weights, table):
+    """The mode's gain source, feed-forward and first held torque, after its checks."""
+    if mode is ControllerMode.PASSIVE:
+        return None, None, np.zeros(4)
+    if x_ref is None:
+        raise ValueError(f"{mode.value} mode requires x_ref")
+    if not isinstance(weights, (CostWeights, type(None))):
+        raise ValueError(f"weights must be a CostWeights, got {type(weights).__name__}")
+    tau_ff = equilibrium_torque(geom, masses, x_ref[:4])
+    if mode is ControllerMode.ONLINE_LQR:
+        if weights is None:
+            raise ValueError("online mode requires cost weights")
+        def online(state, u):
+            model = linearize(geom, masses, OperatingPoint(state[:4], state[4:], u))
+            return lqr_gain(model.A, model.B, weights)
+        return online, tau_ff, equilibrium_torque(geom, masses, x[:4])
+    if not isinstance(table, (GainTable, RefinedTable)):
+        raise ValueError("table mode requires a gain table" if table is None else
+                         f"table must be a GainTable or RefinedTable, got {type(table).__name__}")
+    check_digest(table, geom=geom, masses=masses, weights=weights)
+    return (lambda state, u: lookup(table, state[:4])), tau_ff, np.zeros(4)
 
 
 @dataclass(frozen=True)

@@ -19,12 +19,15 @@ from armctl import (
     Diverged,
     GridSpec,
     MassModel,
+    OperatingPoint,
     OutOfBounds,
     SimConfig,
     bench_controller,
     equilibrium_torque,
+    linearize,
     load,
     lookup,
+    lqr_gain,
     precompute,
     refine,
     save,
@@ -39,6 +42,8 @@ UNIT = ArmGeometry(1.0, 1.0, 1.0)
 
 # gentle passive motion, inertias bounded away from zero throughout
 PASSIVE_X0 = np.array([0.4, 2.6, 0.8, -0.5, 0.3, 0.0, 0.0, 0.0])
+# added to the reference state: a moving start off every table node
+MOVING = np.array([0.1, -0.1, 0.1, 0.1, 0.2, -0.3, 0.1, 0.4])
 
 
 @pytest.fixture(scope="module")
@@ -487,6 +492,105 @@ class TestClosedLoop:
         partial = info.value.partial
         assert partial.times.size >= 1
         assert partial.states.shape == (partial.times.size, 8)
+
+
+class TestControlLaw:
+    """Every closed-loop input is tau_ff - K (x - x_ref), bit for bit, with
+    K the mode's gain at that sample: a lookup at its angles in table mode,
+    and in online mode the Riccati gain of the model linearized at its state
+    and the previous input (the start pose's equilibrium torque before the
+    first)."""
+
+    @pytest.mark.parametrize("run", ["online", "flat", "refined"])
+    def test_each_input_is_the_law(self, request, geom, masses, weights, ref_state, run):
+        mode, kwargs = _run(request, run, weights)
+        x0 = ref_state + MOVING
+        traj = simulate(geom, masses, SimConfig(duration=0.2), mode, x0, ref_state, **kwargs)
+        assert traj.times.size == 11
+        tau_ff = equilibrium_torque(geom, masses, ref_state[:4])
+        held = equilibrium_torque(geom, masses, x0[:4])
+        for x, u in zip(traj.states, traj.inputs):
+            if run == "online":
+                model = linearize(geom, masses, OperatingPoint(x[:4], x[4:], held))
+                gain = lqr_gain(model.A, model.B, weights)
+            else:
+                gain = lookup(kwargs["table"], x[:4])
+            assert u.tobytes() == (tau_ff - gain @ (x - ref_state)).tobytes()
+            held = u
+
+    def test_passive_inputs_are_positive_zero(self, geom, masses, ref_state):
+        traj = simulate(geom, masses, SimConfig(duration=0.2), ControllerMode.PASSIVE,
+                        ref_state + MOVING, ref_state)
+        assert traj.inputs.tobytes() == np.zeros((11, 4)).tobytes()
+
+
+OTHER_MASSES = MassModel(m2=0.9, m3=0.4, m4=0.3, M1=0.4, M2=0.3, M3=0.2)
+ONLINE, TABLE = ControllerMode.ONLINE_LQR, ControllerMode.TABLE_LQR
+
+
+class TestArguments:
+    """simulate's argument checks run before the first period, in one order:
+    the mode, x_ref, online mode's weights, table mode's table, then its
+    digest.  Each case breaks its own check and every later one, so the
+    first to run raises."""
+
+    @pytest.mark.parametrize("mode, faults, error, message", [
+        ("online", {"x_ref", "weights", "table", "arm"}, ValueError,
+         "^mode must be a ControllerMode, got 'online'$"),
+        (ONLINE, {"x_ref", "weights"}, ValueError, "^online mode requires x_ref$"),
+        (TABLE, {"x_ref", "table", "arm"}, ValueError, "^table mode requires x_ref$"),
+        (ONLINE, {"weights"}, ValueError, "^online mode requires cost weights$"),
+        (TABLE, {"table", "arm"}, ValueError, "^table mode requires a gain table$"),
+        (TABLE, {"arm", "cost"}, DigestMismatch, "^table was built for a different arm$"),
+        (TABLE, {"cost"}, DigestMismatch, "^table was built for different cost weights$"),
+    ], ids=["mode", "online-x_ref", "table-x_ref", "weights", "table", "arm", "cost"])
+    def test_first_failing_check_raises(self, geom, masses, weights, ref_state, flat_table,
+                                        mode, faults, error, message):
+        other = CostWeights.from_diagonals([1.0] * 8, [1.0] * 4)
+        x_ref = None if "x_ref" in faults else ref_state
+        kwargs = {"weights": None if "weights" in faults else other if "cost" in faults
+                  else weights,
+                  "table": None if "table" in faults else flat_table}
+        arm = OTHER_MASSES if "arm" in faults else masses
+        with pytest.raises(error, match=message) as info:
+            simulate(geom, arm, SimConfig(duration=0.1), mode, ref_state + MOVING, x_ref,
+                     **kwargs)
+        assert not hasattr(info.value, "partial")
+
+    def test_table_without_weights_checks_the_arm_only(self, geom, masses, weights, ref_state,
+                                                        flat_table):
+        cfg, x0 = SimConfig(duration=0.1), ref_state + MOVING
+        bare = simulate(geom, masses, cfg, TABLE, x0, ref_state, table=flat_table)
+        full = simulate(geom, masses, cfg, TABLE, x0, ref_state, weights=weights,
+                        table=flat_table)
+        assert bare.inputs.tobytes() == full.inputs.tobytes()
+        with pytest.raises(DigestMismatch, match="^table was built for a different arm$"):
+            simulate(geom, OTHER_MASSES, cfg, TABLE, x0, ref_state, table=flat_table)
+
+    def test_passive_ignores_weights_and_table(self, geom, masses, ref_state):
+        cfg, x0 = SimConfig(duration=0.1), ref_state + MOVING
+        plain = simulate(geom, masses, cfg, ControllerMode.PASSIVE, x0)
+        junk = simulate(geom, masses, cfg, ControllerMode.PASSIVE, x0, weights=object(),
+                        table=b"AGT1")
+        for field in ("times", "states", "inputs", "energy"):
+            assert getattr(junk, field).tobytes() == getattr(plain, field).tobytes(), field
+
+    @pytest.mark.parametrize("mode, name", [(ONLINE, "weights"), (TABLE, "weights"),
+                                            (TABLE, "table")],
+                             ids=["online-weights", "table-weights", "table-table"])
+    @pytest.mark.parametrize("kind", ["bytes", "dict", "object"])
+    def test_wrong_type_is_a_value_error(self, geom, masses, weights, ref_state, flat_table,
+                                         mode, name, kind):
+        """A table's saved bytes, a dict or any other object in place of a
+        table or weights is refused before the first period, by name and type."""
+        value = {"bytes": save(flat_table), "dict": {"Q": 1}, "object": object()}[kind]
+        kwargs = {"weights": weights, "table": flat_table, name: value}
+        expected = {"weights": "CostWeights", "table": "GainTable or RefinedTable"}[name]
+        with pytest.raises(ValueError, match=f"^{name} must be a {expected}, "
+                                             f"got {type(value).__name__}$") as info:
+            simulate(geom, masses, SimConfig(duration=0.1), mode, ref_state + MOVING,
+                     ref_state, **kwargs)
+        assert not hasattr(info.value, "partial")
 
 
 class TestCSV:

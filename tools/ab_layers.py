@@ -31,6 +31,8 @@ Cases, on the test arm of tests/conftest.py:
   table_episode     a 0.2 s table-mode simulate on the loaded 5^4 table below,
                     from the moving off-node state of table_update, the path
                     regulate-table's sim_rate times;
+  online_episode    a 0.2 s online-mode simulate from that same moving state,
+                    the path regulate-online's sim_rate times;
   forward_dynamics  one forward_dynamics at an online state (non-zero rates
                     and torque);
   linearize         one linearize at that online state;
@@ -83,7 +85,7 @@ only in how riccati loads its unchanged LAPACK routines read 0.55 (stack64)
 to 1.90 (refine), and ten rounds of it 0.95-1.04.  Ten rounds on identical
 code read precompute_2w at 0.921 and linearize_eq at 1.065 as ratios of
 medians.  rk4_period and table_episode time 9 calls per sample, about
-20 ms: at 2 calls the parent's rk4_period IQR, 14% of its median, hid a
+20 ms, and online_episode 4 (about 18 ms on a 2-vCPU host): at 2 calls the parent's rk4_period IQR, 14% of its median, hid a
 10/10 win at 0.869.  In three ten-round self-A/Bs at 9 calls on a busy
 2-vCPU host the parent side's IQR read 7-26% of the median for rk4_period
 and 4-18% for table_episode, while two 2-call self-A/Bs run beside them
@@ -181,6 +183,8 @@ def cases(pkg) -> dict:
         "table_episode": (9, lambda: pkg.simulate(
             geom, masses, short, pkg.ControllerMode.TABLE_LQR, x, x_ref, weights=weights,
             table=flat)),
+        "online_episode": (4, lambda: pkg.simulate(
+            geom, masses, short, pkg.ControllerMode.ONLINE_LQR, x, x_ref, weights=weights)),
         "forward_dynamics": (500, lambda: pkg.forward_dynamics(
             geom, masses, theta_ref, rates, torque)),
         "linearize": (300, lambda: pkg.linearize(
