@@ -72,8 +72,8 @@ from .errors import (
     count,
 )
 from .kinematics import ArmGeometry, wrap_angle
-from .linearization import equilibrium_point, linearize, linearize_nodes
-from .riccati import CostWeights, lqr_gain, solve_stack
+from .linearization import linearize_nodes
+from .riccati import CostWeights, solve_stack
 
 MAGIC = b"AGT1"
 FORMAT_VERSION = 2
@@ -120,8 +120,10 @@ def table_digest(geom: ArmGeometry, masses: MassModel, weights: CostWeights) -> 
 
 
 def check_digest(table, geom, masses, weights=None):
-    """Raise DigestMismatch if the table was built for another arm, or, when
-    weights is given, for other cost weights."""
+    """ValueError unless table is a GainTable or RefinedTable, DigestMismatch
+    if it was built for another arm or, when weights is given, other weights."""
+    if not isinstance(table, (GainTable, RefinedTable)):
+        raise ValueError(f"table must be a GainTable or RefinedTable, got {type(table).__name__}")
     if table.digest[:16] != arm_digest(geom, masses):
         raise DigestMismatch("table was built for a different arm")
     if weights is not None and table.digest[16:] != weights_digest(weights):
@@ -302,20 +304,17 @@ class GainTable:
 
 
 def _solve_nodes(geom, masses, weights, thetas, indices) -> np.ndarray:
-    """The gains (k, 4, 8) of the equilibrium nodes thetas (k, 4), linearized
-    as one stack of equilibria, then solved as one Riccati stack.  If either
-    stack raises, the nodes are solved alone in order, and the first node i
+    """The gains (k, 4, 8) of the equilibrium nodes thetas (k, 4): one
+    linearize_nodes stack, then one solve_stack.  If either raises, each node
+    is solved again by both as a stack of one, in order, and the first node i
     that fails raises NodeFailure(indices[i], cause) for an ArmError, or the
-    ValueError itself; a node's bytes never depend on its stack, so were
-    none to fail, the stack's error would be raised as it is."""
+    ValueError itself; were none to fail alone, the stack's error is raised."""
     try:
-        A, B = linearize_nodes(geom, masses, thetas)
-        return solve_stack(A, B, weights)[1]
+        return solve_stack(*linearize_nodes(geom, masses, thetas), weights)[1]
     except (ArmError, ValueError):
-        for theta, index in zip(thetas, indices):
+        for i, index in enumerate(indices):
             try:
-                model = linearize(geom, masses, equilibrium_point(geom, masses, theta))
-                lqr_gain(model.A, model.B, weights)
+                solve_stack(*linearize_nodes(geom, masses, thetas[i:i + 1]), weights)
             except ArmError as exc:
                 raise NodeFailure(index, exc) from exc
         raise
@@ -385,8 +384,8 @@ def precompute(
     worker, joined at exit) whose workers run the solver as it was at its
     start.  A node's gain never depends on its stack, so the table is
     bit-identical for any worker count.  Raises NodeFailure (node index and
-    cause) for the first node in index order that fails solved alone, as
-    _solve_nodes finds it, or ArmError if a pool worker dies.
+    cause) for the first node in index order that fails as a stack of one,
+    as _solve_nodes finds it, or ArmError if a pool worker dies.
     """
     workers = count(workers, "workers", 1)
     planar = list(np.ndindex(grid.shape[1:]))
@@ -571,7 +570,7 @@ def refine(
     the whole theta1 range.  The build goes level by level: the new corners
     and centers of a depth go to _solve_points in the caller, then its cells
     are split or kept.  A NodeFailure names the level's first point, in
-    order, that fails solved alone.  Leaves are kept by (depth, planar
+    order, that fails as a stack of one.  Leaves are kept by (depth, planar
     box), which fixes a cell's split, and laid out in pre-order from the
     root box; the pool holds each distinct corner gain once, in order of
     first use, so the build is deterministic.

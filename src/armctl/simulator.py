@@ -224,8 +224,7 @@ def _gain_source(geom, masses, mode, x, x_ref, weights, table):
         return None, None, np.zeros(4)
     if x_ref is None:
         raise ValueError(f"{mode.value} mode requires x_ref")
-    if not isinstance(weights, (CostWeights, type(None))):
-        raise ValueError(f"weights must be a CostWeights, got {type(weights).__name__}")
+    _check_weights(weights, type(None))
     tau_ff = equilibrium_torque(geom, masses, x_ref[:4])
     if mode is ControllerMode.ONLINE_LQR:
         if weights is None:
@@ -234,11 +233,15 @@ def _gain_source(geom, masses, mode, x, x_ref, weights, table):
             model = linearize(geom, masses, OperatingPoint(state[:4], state[4:], u))
             return lqr_gain(model.A, model.B, weights)
         return online, tau_ff, equilibrium_torque(geom, masses, x[:4])
-    if not isinstance(table, (GainTable, RefinedTable)):
-        raise ValueError("table mode requires a gain table" if table is None else
-                         f"table must be a GainTable or RefinedTable, got {type(table).__name__}")
+    if table is None:
+        raise ValueError("table mode requires a gain table")
     check_digest(table, geom=geom, masses=masses, weights=weights)
     return (lambda state, u: lookup(table, state[:4])), tau_ff, np.zeros(4)
+
+
+def _check_weights(weights, *allowed):
+    if not isinstance(weights, (CostWeights, *allowed)):
+        raise ValueError(f"weights must be a CostWeights, got {type(weights).__name__}")
 
 
 @dataclass(frozen=True)
@@ -279,9 +282,11 @@ def bench_controller(
     lqr_gain inside the online step, and the lookup's two halves, locate
     (`gain_table._cell`) and blend, timed in one pass so they sum to it.
     An untimed lookup first pays the table's one-off gather of its corner blocks.
-    Everything runs on the calling thread so the timings are stable.
+    Everything runs on the calling thread so the timings are stable.  Its
+    arguments are checked first, in order: n_iters, weights, table, digest.
     """
     n_iters = count(n_iters, "n_iters", 1)
+    _check_weights(weights)
     check_digest(table, geom=geom, masses=masses, weights=weights)
     lookup(table, table.lo)
 

@@ -28,6 +28,9 @@ is RefinedTable's tree walk as it was before its stack held cell numbers
 (a stack of (cell, depth) tuples, the product split, corners unpacked leaf
 by leaf); the constructor and load must raise its first fault, type and
 message, or derive its child numbers, boxes, leaves and corners.
+`reference_build_failure` solves a grid's nodes one at a time through the
+online per-point bodies; a build, which solves its nodes only through the
+stacked ones, must name its first failing node, cause type and message.
 The CARE reference is the Schur solve written with scipy.linalg's
 high-level schur, cho_factor/cho_solve and np.block, whose P and K the
 library's direct LAPACK calls must reproduce byte for byte.
@@ -42,6 +45,7 @@ import numpy as np
 import scipy.linalg
 
 from armctl import (
+    ArmError,
     DegenerateInertia,
     Diverged,
     GainTable,
@@ -54,8 +58,11 @@ from armctl import (
     TableFormatError,
     TreeTooDeep,
     TruncatedData,
+    equilibrium_point,
     fk_planar,
     kinetic_energy,
+    linearize,
+    lqr_gain,
     point_inertia,
     potential_energy,
     segment_inertia,
@@ -395,6 +402,23 @@ def _kernel_torque_gains(geom, masses, weights, thetas):
         theta, np.zeros(4), (0.0, *_kernel(forms, *theta[1:])[5:8]))) for theta in thetas.tolist()]
     A, B = np.array([model.A for model in models]), np.array([model.B for model in models])
     return solve_stack(A, B, weights)[1]
+
+
+def reference_build_failure(geom, masses, weights, grid):
+    """The first planar node of grid, in index order, that fails solved
+    alone through the online per-point bodies (`linearize` at its
+    `equilibrium_point`, then `lqr_gain`), as (node index, its ArmError), or
+    None when every node solves.  A node (i2, i3, i4) sits at theta1 =
+    grid.lo[0], index (0, i2, i3, i4), as precompute solves it."""
+    axes = [grid.axis(k) for k in (1, 2, 3)]
+    for ix in np.ndindex(grid.shape[1:]):
+        theta = [grid.lo[0]] + [axis[i] for axis, i in zip(axes, ix)]
+        try:
+            model = linearize(geom, masses, equilibrium_point(geom, masses, theta))
+            lqr_gain(model.A, model.B, weights)
+        except ArmError as exc:
+            return (0,) + ix, exc
+    return None
 
 
 def reference_split(lo, hi):

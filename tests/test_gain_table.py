@@ -18,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import armctl.gain_table as gt
@@ -56,6 +56,7 @@ from armctl import (
 )
 from oracles import (
     _leaf_indices,
+    reference_build_failure,
     reference_lookup,
     reference_multilinear,
     reference_refine,
@@ -361,9 +362,13 @@ class TestPrecompute:
     def test_a_stack_error_no_node_raises_alone_is_raised_as_it_is(self, geom, masses,
                                                                    weights, monkeypatch):
         spurious = IllConditioned("a stack error no node raises alone")
+        real = gt.solve_stack
 
         def failing_stack(A, B, weights):
-            raise spurious
+            # a build solves a failing stack's nodes again as stacks of one
+            if len(A) > 1:
+                raise spurious
+            return real(A, B, weights)
 
         monkeypatch.setattr(gt, "solve_stack", failing_stack)
         with pytest.raises(IllConditioned) as info:
@@ -380,6 +385,61 @@ class TestPrecompute:
         precompute(geom, masses, weights, GridSpec(BOX_LO, BOX_HI, (3, 2, 2, 2)))
         assert len(solve_calls) == 8
         assert len({theta[1:] for theta in solve_calls}) == 8
+
+
+# a planar axis of a grid around the upright pose: its count, the index of
+# its node at 0 and its node spacing
+UPRIGHT_AXIS = st.integers(2, 5).flatmap(lambda n: st.tuples(
+    st.just(n), st.integers(0, n - 1), st.sampled_from([0.25, 0.5])))
+
+
+class TestBuildFailure:
+    """A build solves its nodes only through the stacked bodies, yet names
+    the first failing node as the online per-point bodies find it."""
+
+    @pytest.fixture(scope="class")
+    def two_cpus(self):
+        """No kept pool and 2 usable CPUs, so a grid of more than 64 planar
+        nodes (2 stacks) builds on a pool of 2 with 2 workers; the pool is
+        shut down after the class."""
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(gt, "_pool", None)
+            usable_cpus(mp, 2)
+            yield
+            if gt._pool is not None:
+                gt._pool[1].shutdown()
+
+    @settings(max_examples=50, deadline=None)
+    @given(axes=st.tuples(UPRIGHT_AXIS, UPRIGHT_AXIS, UPRIGHT_AXIS),
+           shift=st.sampled_from([0.0, 1e-6, 1e-4, 0.125]), toolless=st.booleans())
+    # planar node 87 of 125, in stack 2, is the upright pose moved by shift
+    @example(axes=((5, 3, 0.25), (5, 2, 0.25), (5, 2, 0.25)), shift=0.0, toolless=False)
+    @example(axes=((5, 3, 0.25), (5, 2, 0.25), (5, 2, 0.25)), shift=1e-6, toolless=False)
+    @example(axes=((5, 3, 0.25), (5, 2, 0.25), (5, 2, 0.25)), shift=1e-4, toolless=False)
+    @example(axes=((5, 3, 0.25), (5, 2, 0.25), (5, 2, 0.25)), shift=0.125, toolless=False)
+    def test_first_failing_node_matches_the_per_node_oracle(self, geom, masses, weights,
+                                                            two_cpus, axes, shift, toolless):
+        # every planar axis moved by shift: the node at the upright pose (0) is
+        # degenerate, at 1e-6 off it fails the Riccati subspace check, at 1e-4
+        # its residual check, and at 0.125 every node solves; with no tool
+        # mass (m4 = M3 = 0) every node is degenerate, so the first must win
+        if toolless:
+            masses = dataclasses.replace(masses, m4=0.0, M3=0.0)
+        grid = GridSpec([-0.5] + [shift - z * step for _, z, step in axes],
+                        [0.5] + [shift + (n - 1 - z) * step for n, z, step in axes],
+                        (2,) + tuple(n for n, _, _ in axes))
+        expected = reference_build_failure(geom, masses, weights, grid)
+        builds = []
+        for workers in (1, 2):
+            try:
+                builds.append(save(precompute(geom, masses, weights, grid, workers)))
+            except NodeFailure as exc:
+                builds.append((exc.index, type(exc.cause), str(exc.cause)))
+        if expected is None:
+            assert isinstance(builds[0], bytes) and builds[1] == builds[0]
+        else:
+            index, cause = expected
+            assert builds == [(index, type(cause), str(cause))] * 2
 
 
 def running(pid):

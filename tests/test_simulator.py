@@ -697,3 +697,22 @@ class TestBench:
         other = CostWeights.from_diagonals([1.0] * 8, [1.0] * 4)
         with pytest.raises(DigestMismatch):
             bench_controller(geom, masses, flat_table, 10, weights=other)
+
+    @pytest.mark.parametrize("n_iters, bad_weights, message", [
+        (0, "dict", "^n_iters must be a whole number >= 1, got 0$"),
+        (10, "dict", "^weights must be a CostWeights, got dict$"),
+        (10, "None", "^weights must be a CostWeights, got NoneType$"),
+        (10, "other", "^table must be a GainTable or RefinedTable, got bytes$"),
+    ], ids=["n_iters", "weights-dict", "weights-None", "table-bytes"])
+    def test_first_failing_check_raises(self, geom, masses, flat_table, monkeypatch,
+                                        n_iters, bad_weights, message):
+        """The checks run before the first lookup, so before any timing, in
+        order: n_iters, weights, table, then the digest (test_digest_checked),
+        with simulate's messages.  Each case breaks its own check and every
+        later one: the table is always its saved bytes, and "other" weights
+        are a CostWeights the table was not built for."""
+        weights = {"dict": {"Q": 1}, "None": None,
+                   "other": CostWeights.from_diagonals([1.0] * 8, [1.0] * 4)}[bad_weights]
+        monkeypatch.setattr(sim, "lookup", lambda table, theta: pytest.fail("looked up"))
+        with pytest.raises(ValueError, match=message):
+            bench_controller(geom, masses, save(flat_table), n_iters, weights=weights)

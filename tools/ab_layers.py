@@ -18,12 +18,9 @@ rounds of the change/parent ratio within a round.  That ratio cancels host
 drift the ratio of medians does not: in one self-A/B on a 2-vCPU host the
 samples varied by ~20%, and the ratio of medians read 0.88-1.12 while the
 within-round ratio read 0.99-1.03.  The cases use the public API and the
-stacked build kernels linearization.linearize_nodes and riccati.solve_stack.
-A parent without linearize_nodes runs linearize_nodes64 through its
-linearize_stack(geom, masses, thetas, zeros), which reads each node's
-equilibrium torque from its kernel from commit b86483e on, so a parent must
-be that commit or later; an older one fails with a TypeError or an
-AttributeError.
+stacked build kernels linearization.linearize_nodes and riccati.solve_stack,
+so a parent must be commit 74530df, which added linearize_nodes, or later;
+an older one fails with an AttributeError.
 
 Cases, on the test arm of tests/conftest.py:
   rk4_period        a 0.2 s passive simulate (ten control periods of 20 RK4
@@ -42,9 +39,8 @@ Cases, on the test arm of tests/conftest.py:
                     regulate-online's control_us_p50 times it;
   linearize_eq      one linearize at rest, at the equilibrium at theta_ref
                     (zero rates, gravity-holding torque): the path of
-                    gain_table._solve_nodes' per-node fallback and of
-                    perfbench's direct_gain (builds linearize their nodes
-                    in stacks, timed by linearize_nodes64);
+                    perfbench's direct_gain (builds linearize their nodes,
+                    failing or not, in stacks, timed by linearize_nodes64);
   lookup_flat       one lookup off-node in the 5^4 table below, loaded from
                     its saved bytes, as perfbench's regulate workloads fly
                     loaded tables (so how load lays out a table's arrays
@@ -153,10 +149,6 @@ def cases(pkg) -> dict:
     A = np.array([model.A for model in models])
     B = np.array([model.B for model in models])
 
-    # a parent older than linearize_nodes linearizes its nodes at zero rates
-    linearize_nodes = getattr(pkg.linearization, "linearize_nodes", None) or (
-        lambda g, m, t: pkg.linearization.linearize_stack(g, m, t, np.zeros((len(t), 4))))
-
     grid = pkg.GridSpec(box[0], box[1], (5, 5, 5, 5))
     flat_bytes = pkg.save(pkg.precompute(geom, masses, weights, grid, workers=1))
     flat = pkg.load(flat_bytes)
@@ -195,7 +187,7 @@ def cases(pkg) -> dict:
         "lookup_flat": (500, lambda: pkg.lookup(flat, off_node)),
         "lookup_refined": (500, lambda: pkg.lookup(tree, off_node)),
         "table_update": (250, table_update),
-        "linearize_nodes64": (4, lambda: linearize_nodes(geom, masses, thetas)),
+        "linearize_nodes64": (4, lambda: pkg.linearization.linearize_nodes(geom, masses, thetas)),
         "stack64": (4, lambda: pkg.riccati.solve_stack(A, B, weights)),
         "refine": (1, lambda: pkg.refine(geom, masses, weights, box, 0.4, 3)),
         "load_refined": (20, lambda: pkg.load(reference)),

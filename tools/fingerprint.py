@@ -28,11 +28,18 @@ Each line is a name and the first 16 hex digits of the sha256 of:
   - the gains gain_table._solve_nodes returns for 1,000 equilibria drawn
     with seed 39 across the workspace (theta1 in [-pi, pi], theta2 in
     [0.3, 2.8], theta3 in [-2.5, -0.3], theta4 in [-2, 2]) in stacks of 64,
-    as a build solves its nodes, far beyond the tables' box.
+    as a build solves its nodes, far beyond the tables' box;
+  - the NodeFailure of three failing precomputes, each with 1 and with 2
+    workers: its node index, its cause's type name and its cause's message.
+    The grids: 2^4 on the tables' box for the tool-less arm (m4 = M3 = 0,
+    every node degenerate); 2x3^3 over [-0.5, 0.5], whose node (0, 1, 1, 1)
+    is the upright pose; and 2x5^3 over theta2 in [-0.75, 0.25], the rest
+    in [-0.5, 0.5], whose upright node (0, 3, 2, 2) is planar node 87, in
+    its second stack of 64, so a 2-worker build finds it in a pool worker.
 All use the test arm of tests/conftest.py, and the table, lookup and
 simulate lines the box theta_ref +/- 0.25.
 It imports armctl from the src/ directory next to it.  It exits with status
-1, naming the grid on standard error, when a grid's 1- and 2-worker tables
+1, naming the grid on standard error, when a grid's 1- and 2-worker builds
 differ.
 
 With --against REV it also imports REV's src/armctl from `git archive`, as
@@ -94,8 +101,18 @@ def walk_bytes(pkg, table) -> bytes:
             + np.asarray(loaded.corners, "<i8").tobytes())
 
 
+def failure_bytes(pkg, build) -> bytes:
+    """The NodeFailure build() raises, as its index, its cause's type name
+    and its cause's message, or b"built" if it returns."""
+    try:
+        build()
+    except pkg.NodeFailure as exc:
+        return repr((exc.index, type(exc.cause).__name__, str(exc.cause))).encode()
+    return b"built"
+
+
 def fingerprints(pkg):
-    """({name: digest}, [grids whose 1- and 2-worker tables differ]) of the
+    """({name: digest}, [grids whose 1- and 2-worker builds differ]) of the
     armctl package pkg."""
     geom = pkg.ArmGeometry(L1=1.0, L2=0.8, L3=0.6)
     masses = pkg.MassModel(m2=0.5, m3=0.4, m4=0.3, M1=0.4, M2=0.3, M3=0.2, g=9.81)
@@ -112,6 +129,19 @@ def fingerprints(pkg):
             lines[f"precompute {name} workers={workers}"] = digests[-1]
         if digests[0] != digests[1]:
             mismatched.append(name)
+    toolless = pkg.MassModel(m2=0.5, m3=0.4, m4=0.0, M1=0.4, M2=0.3, M3=0.0, g=9.81)
+    for name, arm, grid in (
+            ("tool-less 2^4", toolless, pkg.GridSpec(lo, hi, (2, 2, 2, 2))),
+            ("upright 2x3^3", masses, pkg.GridSpec([-0.5] * 4, [0.5] * 4, (2, 3, 3, 3))),
+            ("upright 2x5^3", masses, pkg.GridSpec([-0.5, -0.75, -0.5, -0.5],
+                                                   [0.5, 0.25, 0.5, 0.5], (2, 5, 5, 5)))):
+        digests = []
+        for workers in (1, 2):
+            digests.append(digest(failure_bytes(
+                pkg, lambda: pkg.precompute(geom, arm, weights, grid, workers))))
+            lines[f"precompute failure {name} workers={workers}"] = digests[-1]
+        if digests[0] != digests[1]:
+            mismatched.append(f"failure {name}")
     flat = tables["5^4", 1]
     coarse = pkg.refine(geom, masses, weights, (lo, hi), 0.4, 3)
     fine = pkg.refine(geom, masses, weights, (lo, hi), 0.1, 4)
@@ -175,7 +205,7 @@ def main(argv=None):
     for name, value in lines.items():
         print(name, value)
     for name in mismatched:
-        print(f"precompute {name}: the 1- and 2-worker tables differ", file=sys.stderr)
+        print(f"precompute {name}: the 1- and 2-worker builds differ", file=sys.stderr)
     differ = []
     if args.against:
         with tempfile.TemporaryDirectory() as tmp:
