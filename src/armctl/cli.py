@@ -4,7 +4,11 @@ inspection, simulation, and controller latency benchmarking.
 Number arguments parse as plain float or int; the library function each one
 reaches checks it, and its ValueError (a bad argument, see `errors`) exits 2
 with the usage line and the library's message naming the argument, e.g.
-"theta2 must be finite, got [nan]".  `--refine inf` builds a one-leaf table.
+"theta2 must be finite, got [nan]".  The counts `--workers` and `--iters` are
+read by the same `errors.count` before anything is built or read, so
+`--workers 0` gives "workers must be a whole number >= 1, got 0" (with
+`--refine` too) and `--iters 0` the same for n_iters.  `--refine inf` builds
+a one-leaf table.
 
 Exit codes: 0 success; 1 any other armctl error, a dead precompute worker
 process included (killed, say; the next call starts a new pool); 2 usage,
@@ -32,6 +36,7 @@ from .errors import (
     SingularYaw,
     TableFormatError,
     Unreachable,
+    count,
 )
 from .gain_table import (
     FORMAT_VERSION,
@@ -77,13 +82,6 @@ def _point(p) -> str:
     return "(" + ", ".join(_fmt(c) for c in p) + ")"
 
 
-def _positive_int(text: str) -> int:
-    value = int(text)
-    if value <= 0:
-        raise argparse.ArgumentTypeError(f"must be a positive integer, got {value}")
-    return value
-
-
 def cmd_fk(config: ArmConfig, args) -> int:
     angles = JointAngles(*args.angles)
     points = fk_spatial(config.geometry, angles)
@@ -99,6 +97,7 @@ def cmd_ik(config: ArmConfig, args) -> int:
 
 
 def cmd_precompute(config: ArmConfig, args) -> int:
+    workers = count(args.workers, "workers", 1)  # also checked when --refine ignores it
     if args.refine is not None:
         table = refine(
             config.geometry,
@@ -118,7 +117,7 @@ def cmd_precompute(config: ArmConfig, args) -> int:
     else:
         table = precompute(
             config.geometry, config.masses, config.weights, config.grid,
-            workers=args.workers,
+            workers=workers,
         )
         save_file(table, args.out)
         print(f"nodes: {table.grid.n_nodes}")
@@ -154,9 +153,9 @@ def cmd_simulate(config: ArmConfig, args) -> int:
 
 
 def cmd_bench(config: ArmConfig, args) -> int:
-    table = load_file(args.table)
+    n_iters = count(args.iters, "n_iters", 1)  # before the table file is read
     report = bench_controller(
-        config.geometry, config.masses, table, args.iters, weights=config.weights,
+        config.geometry, config.masses, load_file(args.table), n_iters, weights=config.weights,
     )
     print(f"online_median_us: {report.online_median_us:.3f}")
     print(f"online_p95_us: {report.online_p95_us:.3f}")
@@ -230,7 +229,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--refine", type=float, default=None, metavar="TOL",
                    help="build an error-driven refined table with this tolerance")
     p.add_argument("--max-depth", type=int, default=6, dest="max_depth")
-    p.add_argument("--workers", type=_positive_int, default=1)
+    p.add_argument("--workers", type=int, default=1)
     p.set_defaults(func=cmd_precompute)
 
     p = sub.add_parser("simulate", help="run a simulation and write a CSV trajectory")
@@ -245,7 +244,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("bench", help="latency: online LQR step vs table lookup")
     p.add_argument("--table", required=True)
-    p.add_argument("--iters", type=_positive_int, default=1000)
+    p.add_argument("--iters", type=int, default=1000)
     p.add_argument("--layers", action="store_true",
                    help="also print the median of each layer: linearize, care (online "
                         "step); locate (argument read, bounds, wrap, cell and weights, corner "

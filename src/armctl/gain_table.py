@@ -9,10 +9,10 @@ bit at every theta1.  Tables are therefore planar: they store gains over
 (theta2, theta3, theta4) and keep the theta1 range only as a bound, so a yaw
 outside it is still OutOfBounds.  A flat regular grid (GainTable) and an
 error-driven subdivision that splits a cell 8 ways where the gain varies
-quickly (RefinedTable) share one lookup: a bounds test of the box, then locate
-the planar cell (bisecting each grid axis's interior nodes, descending a tree)
-and its 8 trilinear weights, read its cell's 8 corner gains, gathered once per
-table at its first lookup, and blend them in one (8,) @ (8, 32) product.
+quickly (RefinedTable) share one lookup: a bounds test of the box, each kind
+finding its planar cell (bisecting grid axes, descending a tree), one cell
+rule (_weights) for its 8 trilinear weights, and one (8,) @ (8, 32) product
+over its corner gains, gathered once per table at its first lookup.
 
 Binary format, version 2 (little-endian): one 124-byte header record
 
@@ -195,13 +195,15 @@ class GridSpec:
 # ---------------------------------------------------------------------------
 # the lookup kernel
 
-def _weights(t2: float, t3: float, t4: float) -> list[float]:
-    """The trilinear weights of a planar cell's 8 corners at fractions t2,
-    t3, t4 along its axes: weight 4*b2 + 2*b3 + b4 belongs to the corner at
-    the upper end of axis k where b_k is set.  At a corner (fractions 0 or 1)
-    one weight is 1 and the others 0, so that corner's gain comes back bit
-    for bit.  A cell of width 0 on an axis (repeated grid nodes, or the upper
-    half of a split whose midpoint rounds up to hi) has fraction 0 there."""
+def _weights(d2: float, w2: float, d3: float, w3: float, d4: float, w4: float) -> list[float]:
+    """The trilinear weights of a planar cell's 8 corners at offsets d_k from
+    its lower corner along axes of width w_k: the one cell rule of both table
+    kinds.  The fraction on axis k is d_k / w_k, or 0 on a width-0 axis
+    (repeated grid nodes, or the upper half of a split whose midpoint rounds
+    up to hi).  Weight 4*b2 + 2*b3 + b4 belongs to the corner at the upper
+    end of axis k where b_k is set; at a corner (fractions 0 or 1) one weight
+    is 1 and the others 0, so that corner's gain comes back bit for bit."""
+    t2, t3, t4 = d2 / w2 if w2 else 0.0, d3 / w3 if w3 else 0.0, d4 / w4 if w4 else 0.0
     s2, s3, s4 = 1.0 - t2, 1.0 - t3, 1.0 - t4
     a, b, c, d = s2 * s3, s2 * t3, t2 * s3, t2 * t3
     return [a * s4, a * t4, b * s4, b * t4, c * s4, c * t4, d * s4, d * t4]
@@ -221,7 +223,8 @@ def lookup(table, theta) -> np.ndarray:
     included) or for a non-finite angle; no extrapolation is attempted.
     theta is any array-like of 4 values, read flattened (`errors.components`);
     any other size, a scalar being one component, raises ValueError("theta
-    must have 4 components, got N").  A node gives its stored gain bit for bit.
+    must have 4 components, got N").  Both table kinds apply _weights' one
+    cell rule, so a node gives its stored gain bit for bit.
     """
     return _blend(*_cell(table, theta))
 
@@ -294,10 +297,8 @@ class GainTable:
         (a2, a3, a4), (n2, n3, n4) = self._axes, self._inner
         i2, i3, i4 = bisect_right(n2, t2), bisect_right(n3, t3), bisect_right(n4, t4)
         l2, l3, l4 = a2[i2], a3[i3], a4[i4]
-        w2, w3, w4 = a2[i2 + 1] - l2, a3[i3 + 1] - l3, a4[i4 + 1] - l4
-        return self._blocks[i2, i3, i4], _weights(
-            (t2 - l2) / w2 if w2 else 0.0, (t3 - l3) / w3 if w3 else 0.0,
-            (t4 - l4) / w4 if w4 else 0.0)
+        return self._blocks[i2, i3, i4], _weights(t2 - l2, a2[i2 + 1] - l2, t3 - l3,
+                                                  a3[i3 + 1] - l3, t4 - l4, a4[i4 + 1] - l4)
 
     def _payload(self) -> bytes:
         return _gain_bytes(self.gains)
@@ -516,10 +517,7 @@ class RefinedTable:
             m2, m3, m4 = boxes[first + 7][0]
             cell = first + 4 * (t2 >= m2) + 2 * (t3 >= m3) + (t4 >= m4)
         (l2, l3, l4), (h2, h3, h4) = boxes[cell]
-        w2, w3, w4 = h2 - l2, h3 - l3, h4 - l4
-        return self._blocks[~first], _weights(
-            (t2 - l2) / w2 if w2 else 0.0, (t3 - l3) / w3 if w3 else 0.0,
-            (t4 - l4) / w4 if w4 else 0.0)
+        return self._blocks[~first], _weights(t2 - l2, h2 - l2, t3 - l3, h3 - l3, t4 - l4, h4 - l4)
 
     def leaves(self) -> list[RefinedCell]:
         """The leaf cells in pre-order, so leaves()[n] is leaf n."""
@@ -592,8 +590,9 @@ def refine(
         new = [p for p in dict.fromkeys(itertools.chain(*corners, centers)) if p not in cache]
         coords = [(lo[0],) + p for p in new]
         cache.update(zip(new, _solve_points(geom, masses, weights, np.array(coords), coords)))
+        center_weights = _weights(0.5, 1.0, 0.5, 1.0, 0.5, 1.0)  # at a cell's center
         errors = np.linalg.norm([
-            _blend(np.array([cache[p] for p in points]).reshape(8, 32), _weights(0.5, 0.5, 0.5))
+            _blend(np.array([cache[p] for p in points]).reshape(8, 32), center_weights)
             - cache[center] for points, center in zip(corners, centers)
         ], 2, axis=(1, 2)).tolist() if centers else [0.0] * len(boxes)
         children = []

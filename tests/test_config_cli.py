@@ -389,6 +389,25 @@ class TestPrecompute:
             "error: max_depth must be at most 4294967295, got 4294967296")
         assert not out_path.exists()
 
+    @pytest.mark.parametrize("refine", [[], ["--refine", "inf"]], ids=["flat", "refined"])
+    def test_zero_workers_exit_2_no_file(self, capsys, write_config, tmp_path, monkeypatch,
+                                         refine):
+        # errors.count's own message, read before either branch builds anything
+        def build(*args, **kwargs):
+            raise AssertionError("a table was built")
+        monkeypatch.setattr(armctl.cli, "precompute", build)
+        monkeypatch.setattr(armctl.cli, "refine", build)
+        cfg = write_config()
+        with pytest.raises(SystemExit) as info:
+            main(["--config", cfg, "precompute", "--out", str(tmp_path / "gains.agt"),
+                  "--workers", "0"] + refine)
+        assert info.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage:")
+        assert err.rstrip().endswith("error: workers must be a whole number >= 1, got 0")
+        assert "Traceback" not in err
+        assert list(tmp_path.iterdir()) == [tmp_path / "arm.json"]  # nothing written
+
     @pytest.mark.skipif(not hasattr(signal, "SIGKILL"), reason="kills a worker process")
     def test_dead_worker_exit_1_then_rebuilds(self, capsys, write_config, tmp_path, monkeypatch):
         # a worker of the kept pool dies between builds: the next build exits
@@ -745,6 +764,13 @@ class TestBench:
         assert out == ""
 
     def test_zero_iters_exit_2(self, capsys, write_config, tmp_path):
+        # n_iters is read before the table, so a missing file still exits 2
+        # with errors.count's message, not 7
+        missing = tmp_path / "missing.agt"
         with pytest.raises(SystemExit) as info:
-            main(["--config", write_config(), "bench", "--table", "x", "--iters", "0"])
+            main(["--config", write_config(), "bench", "--table", str(missing), "--iters", "0"])
         assert info.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage:")
+        assert err.rstrip().endswith("error: n_iters must be a whole number >= 1, got 0")
+        assert "Traceback" not in err

@@ -914,6 +914,44 @@ class TestCornerBlocks:
         assert {t: 1, other: 2}[t] == 1
 
 
+@pytest.fixture(scope="module")
+def one_cell_pairs(geom, masses, weights):
+    """Per box, a 2^4 flat table and a one-leaf tree (refine at tol inf) over
+    it: one planar cell each, with the same 8 corner gains.  The boxes are
+    the tables' box, that box with theta2 spanning one ulp, and a box whose
+    planar widths (1.1, 1.1, 1.3) are not powers of two, where a division
+    and a product by the reciprocal round apart."""
+    boxes = {"box": (BOX_LO, BOX_HI), "one-ulp": few_ulp_box(1),
+             "wide": ((0.05, 0.3, -1.4, -0.4), (0.55, 1.4, -0.3, 0.9))}
+    return {name: (precompute(geom, masses, weights, GridSpec(lo, hi, (2, 2, 2, 2))),
+                   refine(geom, masses, weights, (lo, hi), math.inf, 4))
+            for name, (lo, hi) in boxes.items()}
+
+
+class TestOneCellRule:
+    """A flat cell and a leaf over the same box weigh the same corners by one
+    rule, _weights, so their lookups agree byte for byte."""
+
+    @pytest.mark.parametrize("name", ["box", "one-ulp", "wide"])
+    def test_same_cell_same_corners(self, one_cell_pairs, name):
+        flat, tree = one_cell_pairs[name]
+        assert len(tree.leaves()) == 1 and tree.lo == flat.lo and tree.hi == flat.hi
+        assert tree.pool.tobytes() == flat.gains.tobytes()  # corner order is row-major
+
+    @pytest.mark.parametrize("name", ["box", "one-ulp", "wide"])
+    def test_box_corners_match_across_kinds(self, one_cell_pairs, name):
+        flat, tree = one_cell_pairs[name]
+        for theta in itertools.product(*zip(flat.lo, flat.hi)):
+            assert lookup(flat, theta).tobytes() == lookup(tree, theta).tobytes()
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_points_match_across_kinds(self, one_cell_pairs, data):
+        flat, tree = one_cell_pairs[data.draw(st.sampled_from(["box", "one-ulp", "wide"]))]
+        theta = [data.draw(st.floats(lo, hi)) for lo, hi in zip(flat.lo, flat.hi)]
+        assert lookup(flat, theta).tobytes() == lookup(tree, theta).tobytes()
+
+
 class TestRefine:
     def test_infinite_tolerance_is_single_leaf_8_solves(
         self, geom, masses, weights, solve_calls
