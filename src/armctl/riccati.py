@@ -8,16 +8,20 @@ solve_care extracts the stable invariant subspace of the Hamiltonian
 with an ordered real Schur decomposition and recovers P from its basis.
 The solver accepts any n x n / n x m pair so small analytic cases can be
 checked by hand.  Each solve calls LAPACK directly (dgees, dpotrs, dsyevd,
-dgeev), and CostWeights computes once what depends on the weights alone: the
-Cholesky factor of R, -Q, the residual limit and the dgees workspace.
+dgeev).  dgees runs at f2py's default workspace, LAPACK's minimum 3*2n: an
+arm's Hamiltonian (2n = 16) is far below LAPACK's blocking crossovers,
+where the optimal workspace runs the same unblocked code.  CostWeights
+computes once what depends on the weights alone: the Cholesky factor of R,
+-Q and the residual limit.
 
 solve_stack solves a stack of systems that share the weights, as a table
-build does: the LAPACK calls still run once per system, and the rest (the
-solve for P, the symmetry and residual checks, the products around them)
-runs once over the stack, which saves most of the per-call overhead.  Each
-system gets the bytes it gets alone, and a stack with a failing system
-raises the error that system raises alone; which node of a table build
-fails first is gain_table._solve_nodes' to find.  solve_care and lqr_gain,
+build does: dgees, dsyevd and dgeev run once per system, each dpotrs once
+per stack on the columns of all its systems, and the rest (the solve for P,
+the symmetry and residual checks, the products around them) once over the
+stack, which saves most of the per-call overhead.  Each system gets the
+bytes it gets alone, and a stack with a failing system raises the error
+that system raises alone; which node of a table build fails first is
+gain_table._solve_nodes' to find.  solve_care and lqr_gain,
 the online path, solve one system through _solve, a body on 2-D operands
 with the same LAPACK calls, products and checks, which a stack of one
 took 1.11x as long to solve (in-process, 2-vCPU x86-64 host).  _ERRORS
@@ -137,7 +141,6 @@ class CostWeights:
     _r_chol: np.ndarray = field(init=False, repr=False, compare=False)
     _neg_q: np.ndarray = field(init=False, repr=False, compare=False)
     _limit: float = field(init=False, repr=False, compare=False)
-    _lwork: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         q, q_norm = _symmetric(self.Q, "Q")
@@ -156,9 +159,6 @@ class CostWeights:
         object.__setattr__(self, "_r_chol", r_chol)
         object.__setattr__(self, "_neg_q", -q)
         object.__setattr__(self, "_limit", RESIDUAL_RTOL * max(1.0, q_norm))
-        # the optimal dgees workspace, queried as scipy.linalg.schur does; it depends on n alone
-        query = lapack.dgees(_lhp, np.zeros((2 * len(q),) * 2), lwork=-1)
-        object.__setattr__(self, "_lwork", int(query[-2][0]))
 
     @classmethod
     def from_diagonals(cls, q_diag, r_diag) -> "CostWeights":
@@ -188,9 +188,10 @@ def solve_stack(A, B, weights: CostWeights):
     A and B are stacks of k systems, k = 0 included, of one shape that fits
     the weights: each A n x n, each B n x m, Q n x n and R m x m.
 
-    The LAPACK calls run per system; the rest runs over the stack on
-    operands laid out per system as LAPACK lays them out, so a system's
-    bytes do not depend on the rest of its stack.
+    dgees, dsyevd and dgeev run per system, and each dpotrs once on the
+    stack's k*n right-hand sides, each column solved on its own; the rest
+    runs over the stack on operands laid out per system as LAPACK lays them
+    out, so a system's bytes do not depend on the rest of its stack.
     """
     A = np.asarray(A, dtype=float)
     B = np.asarray(B, dtype=float)
@@ -202,9 +203,10 @@ def solve_stack(A, B, weights: CostWeights):
     # finiteness is checked here, on B and on H, in place of scipy's checks
     if not np.isfinite(B).all():
         raise _error("B finite")
-    X = np.empty((k, n, m)).transpose(0, 2, 1)  # R^-1 B', Fortran-ordered as from dpotrs
-    for i in range(k):
-        X[i] = lapack.dpotrs(weights._r_chol, B[i].T)[0]
+    # R^-1 B', and K below, solved over the stack's columns laid out (m, k*n):
+    # each X[i] and K[i] is Fortran-ordered as from dpotrs
+    X = lapack.dpotrs(weights._r_chol, B.transpose(2, 0, 1).reshape(m, k * n))[0]
+    X = X.reshape(m, k, n).transpose(1, 0, 2)
     with np.errstate(over="ignore"):  # an overflow fails the check on H below
         G = B @ X
 
@@ -215,8 +217,7 @@ def solve_stack(A, B, weights: CostWeights):
         raise _error("H finite")
     Zt = np.empty((k, n, 2 * n))  # the bases [Z11; Z21], transposed
     for i in range(k):
-        _, sdim, _, _, Z, _, info = lapack.dgees(_lhp, H[i], lwork=weights._lwork,
-                                                 sort_t=1, overwrite_a=1)
+        _, sdim, _, _, Z, _, info = lapack.dgees(_lhp, H[i], sort_t=1, overwrite_a=1)
         if info:
             raise _error("dgees info", info)
         if sdim != n:
@@ -246,10 +247,8 @@ def solve_stack(A, B, weights: CostWeights):
     if len(failed):
         raise _error("CARE residual", failed[0], weights._limit)
 
-    K = np.empty((k, n, m)).transpose(0, 2, 1)  # Fortran-ordered as from dpotrs
-    BtP = B.transpose(0, 2, 1) @ P
-    for i in range(k):
-        K[i] = lapack.dpotrs(weights._r_chol, BtP[i])[0]
+    BtP = (B.transpose(0, 2, 1) @ P).transpose(1, 0, 2).reshape(m, k * n)
+    K = lapack.dpotrs(weights._r_chol, BtP)[0].reshape(m, k, n).transpose(1, 0, 2)
     closed = np.empty((k, n, n)).transpose(0, 2, 1)  # Fortran-ordered: dgeev overwrites it
     np.subtract(A, B @ K, out=closed)
     for i in range(k):
@@ -280,8 +279,7 @@ def _solve(A, B, weights: CostWeights):
     H[:n, :n], H[:n, n:], H[n:, :n], H[n:, n:] = A, -G, weights._neg_q, -A.T
     if not np.isfinite(H).all():
         raise _error("H finite")
-    _, sdim, _, _, Z, _, info = lapack.dgees(_lhp, H, lwork=weights._lwork, sort_t=1,
-                                             overwrite_a=1)
+    _, sdim, _, _, Z, _, info = lapack.dgees(_lhp, H, sort_t=1, overwrite_a=1)
     if info:
         raise _error("dgees info", info)
     if sdim != n:

@@ -443,6 +443,29 @@ class TestMatchesReference:
                 assert len({K.tobytes() for K in gains}) == 1
                 assert len({(tau_ff - K @ (x - x_ref)).tobytes() for K in gains}) == 1
 
+    @pytest.mark.parametrize("k", [0, 1, 2, 5, 64])
+    def test_stacked_r_solves_with_full_weights(self, k):
+        """With full SPD Q and R, where the triangular solves of R^-1 mix
+        every row, a stack of k systems solves each R^-1 over all its
+        systems' columns at once and still gives each system the bytes of
+        _solve and of the reference, with K[i] Fortran-ordered."""
+        rng = np.random.default_rng(45 + k)
+        for n in range(1, 9):
+            for m in range(1, 5):
+                C, D = rng.normal(size=(n, n)), rng.normal(size=(m, m))
+                w = CostWeights(C.T @ C, D.T @ D + 0.1 * np.eye(m))
+                systems = [random_stabilizable(rng, n, m)[:2] for _ in range(k)]
+                A = np.array([a for a, _ in systems]).reshape(k, n, n)
+                B = np.array([b for _, b in systems]).reshape(k, n, m)
+                P, K = riccati.solve_stack(A, B, w)
+                assert P.shape == (k, n, n) and K.shape == (k, m, n)
+                for a, b, p, g in zip(A, B, P, K):
+                    expected = outcome(reference_care, a, b, w)
+                    assert expected[0] == "ok"
+                    assert outcome(riccati._solve, a, b, w) == expected
+                    assert ("ok", p.tobytes(), g.tobytes()) == expected
+                    assert g.flags.f_contiguous
+
     @pytest.mark.parametrize("A, B, w", [
         # unstabilizable: an unstable mode, or a mode on the imaginary axis,
         # outside the input's reach
@@ -467,9 +490,9 @@ class TestMatchesReference:
 
 
 class TestCachedWeights:
-    """CostWeights keeps its R factor, -Q, residual limit and dgees
-    workspace in fields outside equality and repr, and carries them through
-    pickle, which is how precompute's workers receive the weights."""
+    """CostWeights keeps its R factor, -Q and residual limit in fields
+    outside equality and repr, and carries them through pickle, which is
+    how precompute's workers receive the weights."""
 
     def test_equality_and_repr_see_only_q_and_r(self):
         w = CostWeights([[2.0]], [[3.0]])

@@ -22,6 +22,13 @@ stacked build kernels linearization.linearize_nodes and riccati.solve_stack,
 so a parent must be commit 74530df, which added linearize_nodes, or later;
 an older one fails with an AttributeError.
 
+Before numpy is imported the tool sets the six thread variables that
+perfbench/run.py's pin_threads sets (THREADS) to 1, so both sides run on one
+BLAS/OpenMP thread per process, as perfbench measures them, and records them
+in the entry's "threads".  Unpinned, each process's BLAS thread pool
+competes with the other worker of a 2-worker build, a configuration
+perfbench never measures.
+
 Cases, on the test arm of tests/conftest.py:
   rk4_period        a 0.2 s passive simulate (ten control periods of 20 RK4
                     steps);
@@ -100,6 +107,7 @@ import argparse
 import importlib
 import io
 import json
+import os
 import statistics
 import subprocess
 import sys
@@ -108,9 +116,16 @@ import tempfile
 import time
 from pathlib import Path
 
-import numpy as np
+# perfbench/run.py's pin_threads: one BLAS/OpenMP thread per process, set
+# before numpy is imported, and only when run (fingerprint.py imports this)
+THREADS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
+           "BLIS_NUM_THREADS", "VECLIB_MAXIMUM_THREADS", "NUMEXPR_NUM_THREADS")
+if __name__ == "__main__":
+    os.environ.update(dict.fromkeys(THREADS, "1"))
 
-from bench_pairs import claim_holds, compare_runs, verdict
+import numpy as np  # noqa: E402
+
+from bench_pairs import claim_holds, compare_runs, verdict  # noqa: E402
 
 ROOT = Path(__file__).resolve().parents[1]
 REPEATS = 3
@@ -232,7 +247,8 @@ def main(argv=None) -> int:
     layers = {"parent": {"rev": args.parent, "commit": git("rev-parse", args.parent)},
               "change": {"commit": git("rev-parse", "HEAD"),
                          "src_modified": bool(git("status", "--porcelain", "src/armctl"))},
-              "rounds": args.rounds, "unit": "s per call", "cases": {}}
+              "rounds": args.rounds, "unit": "s per call",
+              "threads": {var: os.environ.get(var) for var in THREADS}, "cases": {}}
     for case, runs in times.items():
         entry = compare_runs(runs["parent"], runs["change"], "lower")
         entry["round_ratio"] = statistics.median(

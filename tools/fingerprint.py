@@ -7,17 +7,21 @@ Each line is a name and the first 16 hex digits of the sha256 of:
     and with 2 workers (the non-cubic and 7^4 grids cover the planar gain
     order and a theta1 count that differs from the others; 7^4 is the grid
     perfbench builds);
-  - save() of refine(tol 0.4, depth 3) and refine(tol 0.1, depth 4);
+  - save() of refine(tol 0.4, depth 3) and refine(tol 0.1, depth 4), and of
+    refine(tol 0.4, depth 3) on the non-dyadic box theta_ref +/- (0.25,
+    0.3, 0.35, 0.4), whose planar widths 0.6, 0.7 and 0.8 (unlike 0.5) make
+    d / w and d * (1 / w) round apart;
   - the bytes lookup returns, on the 5^4, 3x4x2x5 and 7^4 tables (3x4x2x5
     has a count-2 axis, with no interior node; 7^4 is the grid perfbench's
-    build-table flies) and on both refined tables, at every node (every grid
-    node, or every corner of every leaf) and then at 2,000 points drawn
-    uniformly in the box (seed 20);
+    build-table flies) and on the three refined tables, at every node (every
+    grid node, or every corner of every leaf) and then at 2,000 points drawn
+    uniformly in the table's box (seed 20);
   - the bytes lookup returns on the 5^4 table and the tol 0.4 tree at those
     2,000 points shifted by +2 pi on theta1 and -2 pi on theta4, which
     lookup wraps back into the box;
-  - what load derives from each saved refined table: its leaves, each packed
-    as (lo, hi, depth, flagged), then its child numbers and corner indices;
+  - what load derives from each of the three saved refined tables: its
+    leaves, each packed as (lo, hi, depth, flagged), then its child numbers
+    and corner indices;
   - the states, inputs and energy of a 1 s simulate in the passive, online,
     flat-table (the 5^4 table) and refined-table (the tol 0.4 table) modes;
   - forward_dynamics, linearize's A and B, and step_rk4 (dt 1e-3) at 1,000
@@ -37,7 +41,7 @@ Each line is a name and the first 16 hex digits of the sha256 of:
     in [-0.5, 0.5], whose upright node (0, 3, 2, 2) is planar node 87, in
     its second stack of 64, so a 2-worker build finds it in a pool worker.
 All use the test arm of tests/conftest.py, and the table, lookup and
-simulate lines the box theta_ref +/- 0.25.
+simulate lines the box theta_ref +/- 0.25 unless named "non-dyadic".
 It imports armctl from the src/ directory next to it.  It exits with status
 1, naming the grid on standard error, when a grid's 1- and 2-worker builds
 differ.
@@ -74,6 +78,7 @@ RESTING = 1000  # seeded equilibria for the resting linearize lines
 NODES = 1000  # seeded equilibria for the node gains line, over the workspace box below
 WORKSPACE = ([-np.pi, 0.3, -2.5, -2.0], [np.pi, 2.8, -0.3, 2.0])
 TURN = np.array([2 * np.pi, 0.0, 0.0, -2 * np.pi])  # the shift of the wrapped lookup lines
+NON_DYADIC = np.array([0.25, 0.3, 0.35, 0.4])  # half-widths of the non-dyadic tree's box
 
 
 def digest(data: bytes) -> str:
@@ -147,15 +152,21 @@ def fingerprints(pkg):
     fine = pkg.refine(geom, masses, weights, (lo, hi), 0.1, 4)
     lines["refine tol=0.4 depth=3"] = digest(pkg.save(coarse))
     lines["refine tol=0.1 depth=4"] = digest(pkg.save(fine))
+    odd_box = (tuple(THETA_REF - NON_DYADIC), tuple(THETA_REF + NON_DYADIC))
+    odd = pkg.refine(geom, masses, weights, odd_box, 0.4, 3)
+    lines["refine non-dyadic tol=0.4 depth=3"] = digest(pkg.save(odd))
     points = np.random.default_rng(20).uniform(lo, hi, size=(OFF_NODE, 4))
     for name, table in (("5^4", flat), ("3x4x2x5", tables["3x4x2x5", 1]),
                         ("7^4", tables["7^4", 1]),
-                        ("refine tol=0.4", coarse), ("refine tol=0.1", fine)):
-        lines[f"lookup {name}"] = digest(lookup_bytes(pkg, table,
-                                                      [*node_points(pkg, table), *points.tolist()]))
+                        ("refine tol=0.4", coarse), ("refine tol=0.1", fine),
+                        ("refine non-dyadic tol=0.4", odd)):
+        box_points = np.random.default_rng(20).uniform(table.lo, table.hi, size=(OFF_NODE, 4))
+        lines[f"lookup {name}"] = digest(lookup_bytes(
+            pkg, table, [*node_points(pkg, table), *box_points.tolist()]))
     for name, table in (("5^4", flat), ("refine tol=0.4", coarse)):
         lines[f"lookup {name} wrapped"] = digest(lookup_bytes(pkg, table, (points + TURN).tolist()))
-    for name, table in (("refine tol=0.4", coarse), ("refine tol=0.1", fine)):
+    for name, table in (("refine tol=0.4", coarse), ("refine tol=0.1", fine),
+                        ("refine non-dyadic tol=0.4", odd)):
         lines[f"leaves {name}"] = digest(walk_bytes(pkg, table))
 
     x_ref = np.concatenate([THETA_REF, np.zeros(4)])
