@@ -672,7 +672,8 @@ def load(data: bytes):
         pool = np.frombuffer(_take(data, at, n_pool * _GAIN_BYTES), "<f8")
         return RefinedTable(*spec, digest, tol, max_depth,
                             pool.reshape((n_pool,) + GAIN_SHAPE), data[at + pool.nbytes:])
-    # the length first, so GainTable builds its cell index only for a payload that exists
+    # the length first: a payload of the wrong length is TruncatedData (exit 8), not the
+    # ValueError np.frombuffer or reshape would raise, which main turns into exit 2
     shape = spec.shape[1:] + GAIN_SHAPE
     if len(data) - at != math.prod(shape) * 8:
         raise TruncatedData(f"flat payload of {len(data) - at} bytes, need {math.prod(shape) * 8}")

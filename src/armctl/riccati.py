@@ -15,17 +15,19 @@ computes once what depends on the weights alone: the Cholesky factor of R,
 -Q and the residual limit.
 
 solve_stack solves a stack of systems that share the weights, as a table
-build does: dgees, dsyevd and dgeev run once per system, each dpotrs once
-per stack on the columns of all its systems, and the rest (the solve for P,
-the symmetry and residual checks, the products around them) once over the
-stack, which saves most of the per-call overhead.  Each system gets the
-bytes it gets alone, and a stack with a failing system raises the error
-that system raises alone; which node of a table build fails first is
-gain_table._solve_nodes' to find.  solve_care and lqr_gain,
-the online path, solve one system through _solve, a body on 2-D operands
-with the same LAPACK calls, products and checks, which a stack of one
-took 1.11x as long to solve (in-process, 2-vCPU x86-64 host).  _ERRORS
-holds each check's error for both bodies.
+build does; solve_care and lqr_gain, the online path, solve one system
+through _solve.  Both bodies call the same per-system steps, each with its
+checks: _schur_basis (dgees), _basis_solve, _check_psd (dsyevd) and
+_check_hurwitz (dgeev); _ERRORS holds each check's error.  They differ
+only in layout: solve_stack makes each dpotrs once per stack on the
+columns of all its systems, and the Hamiltonians, the symmetry and
+residual checks and the closed loops once over the stack, which saves most
+of the per-call overhead; _solve works on 2-D operands, and a stack of one
+takes 1.12x as long (tools/ab_layers.py's stack1 over lqr_gain, 2-vCPU
+x86-64 host, one BLAS thread).  Each system gets the bytes it gets alone,
+and a stack with a failing system raises the error that system raises
+alone; which node of a table build fails first is gain_table._solve_nodes'
+to find.
 
 The LAPACK routines are scipy's, from its compiled scipy/linalg/_flapack
 module (scipy.linalg.lapack re-exports them).  _load_flapack loads that one
@@ -72,6 +74,7 @@ lapack = _load_flapack()
 # residual contract: ||A'P + PA - PBR^-1B'P + Q||_F <= RESIDUAL_RTOL * max(1, ||Q||_F)
 RESIDUAL_RTOL = 1e-8
 _SYM_TOL = 1e-12
+_P_SYM_RTOL = 1e-10  # P's symmetry, relative to max(1, max |P|)
 
 
 def _symmetric(mat: np.ndarray, name: str) -> tuple[np.ndarray, float]:
@@ -113,6 +116,39 @@ _ERRORS = {
 def _error(check: str, *values) -> Exception:
     kind, message = _ERRORS[check]
     return kind(message.format(*values))
+
+
+def _schur_basis(H, n: int) -> np.ndarray:
+    """The basis [Z11; Z21] of H's stable invariant subspace, transposed
+    (n x 2n), from H's ordered real Schur form; dgees overwrites H."""
+    _, sdim, _, _, Z, _, info = lapack.dgees(_lhp, H, sort_t=1, overwrite_a=1)
+    if info:
+        raise _error("dgees info", info)
+    if sdim != n:
+        raise _error("dgees sdim", sdim, n)
+    return Z[:, :n].T
+
+
+def _basis_solve(Zt: np.ndarray) -> np.ndarray:
+    """P = Z21 Z11^-1 from a transposed basis, or from a stack of them."""
+    n = Zt.shape[-2]
+    try:
+        return np.linalg.solve(Zt[..., :n], Zt[..., n:]).swapaxes(-1, -2)
+    except np.linalg.LinAlgError as exc:  # numpy's message, as for one system
+        raise _error("singular basis", exc) from exc
+
+
+def _check_psd(P: np.ndarray) -> None:
+    eigs = lapack.dsyevd(P, compute_v=0)[0]
+    if eigs.min() < -1e-8 * max(1.0, eigs.max()):
+        raise _error("P PSD", eigs.min())
+
+
+def _check_hurwitz(closed: np.ndarray) -> None:
+    """dgeev overwrites closed, which must be Fortran-ordered."""
+    eigs = lapack.dgeev(closed, compute_vl=0, compute_vr=0, overwrite_a=1)[0]
+    if eigs.max() >= 0.0:
+        raise _error("closed loop Hurwitz", eigs.max())
 
 
 def _fit(a_shape, b_shape, weights) -> tuple[int, int]:
@@ -215,29 +251,19 @@ def solve_stack(A, B, weights: CostWeights):
     H[:, n:, :n], H[:, n:, n:] = weights._neg_q, -A.transpose(0, 2, 1)
     if not np.isfinite(H).all():
         raise _error("H finite")
-    Zt = np.empty((k, n, 2 * n))  # the bases [Z11; Z21], transposed
+    Zt = np.empty((k, n, 2 * n))
     for i in range(k):
-        _, sdim, _, _, Z, _, info = lapack.dgees(_lhp, H[i], sort_t=1, overwrite_a=1)
-        if info:
-            raise _error("dgees info", info)
-        if sdim != n:
-            raise _error("dgees sdim", sdim, n)
-        Zt[i] = Z[:, :n].T
-    try:
-        P = np.linalg.solve(Zt[:, :, :n], Zt[:, :, n:]).transpose(0, 2, 1)
-    except np.linalg.LinAlgError as exc:  # numpy's message, as for one system
-        raise _error("singular basis", exc) from exc
+        Zt[i] = _schur_basis(H[i], n)
+    P = _basis_solve(Zt)
 
     P_t = P.transpose(0, 2, 1)
     scale = np.fmax(np.abs(P).max(axis=(1, 2)), 1.0)  # max(1.0, nan) is 1.0
-    if (np.abs(P - P_t).max(axis=(1, 2)) > 1e-10 * scale).any():
+    if (np.abs(P - P_t).max(axis=(1, 2)) > _P_SYM_RTOL * scale).any():
         raise _error("P symmetric")
     P = 0.5 * (P + P_t)
 
-    for i in range(k):
-        eigs = lapack.dsyevd(P[i], compute_v=0)[0]
-        if eigs.min() < -1e-8 * max(1.0, eigs.max()):
-            raise _error("P PSD", eigs.min())
+    for p in P:
+        _check_psd(p)
 
     # the norm as np.linalg.norm takes it: the flattened matrix's dot product
     # with itself; written so that a non-finite residual fails too
@@ -251,10 +277,8 @@ def solve_stack(A, B, weights: CostWeights):
     K = lapack.dpotrs(weights._r_chol, BtP)[0].reshape(m, k, n).transpose(1, 0, 2)
     closed = np.empty((k, n, n)).transpose(0, 2, 1)  # Fortran-ordered: dgeev overwrites it
     np.subtract(A, B @ K, out=closed)
-    for i in range(k):
-        eigs = lapack.dgeev(closed[i], compute_vl=0, compute_vr=0, overwrite_a=1)[0]
-        if eigs.max() >= 0.0:
-            raise _error("closed loop Hurwitz", eigs.max())
+    for c in closed:
+        _check_hurwitz(c)
     return P, K
 
 
@@ -279,23 +303,13 @@ def _solve(A, B, weights: CostWeights):
     H[:n, :n], H[:n, n:], H[n:, :n], H[n:, n:] = A, -G, weights._neg_q, -A.T
     if not np.isfinite(H).all():
         raise _error("H finite")
-    _, sdim, _, _, Z, _, info = lapack.dgees(_lhp, H, sort_t=1, overwrite_a=1)
-    if info:
-        raise _error("dgees info", info)
-    if sdim != n:
-        raise _error("dgees sdim", sdim, n)
-    try:
-        P = np.linalg.solve(Z[:n, :n].T, Z[n:, :n].T).T
-    except np.linalg.LinAlgError as exc:
-        raise _error("singular basis", exc) from exc
+    P = _basis_solve(_schur_basis(H, n))
 
-    if np.abs(P - P.T).max() > 1e-10 * max(1.0, np.abs(P).max()):  # max(1.0, nan) is 1.0
+    if np.abs(P - P.T).max() > _P_SYM_RTOL * max(1.0, np.abs(P).max()):  # max(1.0, nan) is 1.0
         raise _error("P symmetric")
     P = 0.5 * (P + P.T)
 
-    eigs = lapack.dsyevd(P, compute_v=0)[0]
-    if eigs.min() < -1e-8 * max(1.0, eigs.max()):
-        raise _error("P PSD", eigs.min())
+    _check_psd(P)
 
     R = (A.T @ P + P @ A - P @ G @ P + weights.Q).ravel()  # as np.linalg.norm takes it
     residual = math.sqrt(R @ R)
@@ -303,10 +317,7 @@ def _solve(A, B, weights: CostWeights):
         raise _error("CARE residual", residual, weights._limit)
 
     K = lapack.dpotrs(weights._r_chol, B.T @ P)[0]  # Fortran-ordered
-    eigs = lapack.dgeev(np.subtract(A, B @ K, order="F"), compute_vl=0, compute_vr=0,
-                        overwrite_a=1)[0]
-    if eigs.max() >= 0.0:
-        raise _error("closed loop Hurwitz", eigs.max())
+    _check_hurwitz(np.subtract(A, B @ K, order="F"))
     return P, K
 
 

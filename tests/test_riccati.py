@@ -1,5 +1,6 @@
 import dataclasses
 import importlib.machinery
+import itertools
 import math
 import pickle
 import re
@@ -162,6 +163,69 @@ MIDDLE_FAILURES = {
     "CARE residual": (None, "B not finite", ("shift",), "CARE residual"),
 }
 
+
+def _five_systems():
+    """Five stabilizable 2-state, 1-input systems, for weights Q = I2, R = I1."""
+    return [(np.array([[0.0, 1.0], [0.1 * i, -0.2 * i]]), np.array([[0.0], [1.0 + 0.1 * i]]))
+            for i in range(5)]
+
+
+def _psd_limit(top):
+    """The smallest eigenvalue of P the PSD check passes, P's largest being top."""
+    return -1e-8 * max(1.0, top)
+
+
+def _not_psd(top):
+    """The eigenvalues of P one ulp below the PSD check's limit, and its error."""
+    low = np.nextafter(_psd_limit(top), -np.inf)
+    return [low, top], (NotStabilizable, f"Riccati solution not PSD (min eig {low})")
+
+
+# the eigenvalues one dsyevd or dgeev call returns (dgeev: their real parts)
+# and the error the check raises on them, or None: the PSD check at its
+# limit and one ulp below, the Hurwitz check at the largest negative double
+# and at -0.0 and +0.0 (-0.0 >= 0.0 holds)
+CHECK_LIMITS = {
+    "PSD at the limit": ("dsyevd", [_psd_limit(0.5), 0.5], None),
+    "PSD one ulp below": ("dsyevd", *_not_psd(0.5)),
+    "PSD at the limit, top 250": ("dsyevd", [_psd_limit(250.0), 3.0, 250.0], None),
+    "PSD one ulp below, top 250": ("dsyevd", *_not_psd(250.0)),
+    "Hurwitz at -5e-324": ("dgeev", [-3.0, -5e-324], None),
+    "Hurwitz at -0.0": ("dgeev", [-3.0, -0.0],
+                        (NotStabilizable, "closed loop not Hurwitz (max Re eig -0.000e+00)")),
+    "Hurwitz at +0.0": ("dgeev", [0.0, -3.0],
+                        (NotStabilizable, "closed loop not Hurwitz (max Re eig 0.000e+00)")),
+}
+
+
+@pytest.fixture()
+def chosen_eigenvalues(monkeypatch):
+    """inject(routine, call, eigs) makes riccati.lapack's dsyevd or dgeev
+    return eigs as its eigenvalues (dgeev: their real parts) on its call
+    number call (from 0) after inject, and its own on every other call."""
+    real = {name: getattr(riccati.lapack, name) for name in ("dsyevd", "dgeev")}
+
+    def inject(routine, call, eigs):
+        calls = itertools.count()
+
+        def chosen(a, *args, **kwargs):
+            w, *rest = real[routine](a, *args, **kwargs)
+            return (np.array(eigs) if next(calls) == call else w, *rest)
+
+        monkeypatch.setattr(riccati.lapack, routine, chosen)
+
+    return inject
+
+
+def gain_outcome(solve):
+    """("ok", K bytes) of solve(), or its error's (type, message)."""
+    try:
+        K = solve()
+    except (ValueError, ArmError) as exc:
+        return type(exc), str(exc)
+    return "ok", K.tobytes()
+
+
 # a system and the message of the one shape rule it breaks, with weights
 # Q = I2 and R = I1
 SHAPE_ERRORS = {
@@ -261,8 +325,7 @@ class TestContracts:
         before it), the stack raises the error one of the two raises alone.
         """
         w = CostWeights(np.eye(2), np.eye(1))
-        systems = [(np.array([[0.0, 1.0], [0.1 * i, -0.2 * i]]),
-                    np.array([[0.0], [1.0 + 0.1 * i]])) for i in range(5)]
+        systems = _five_systems()
         expected = [outcome(library, A, B, w) for A, B in systems]
         systems[2], bad_4 = _bad_system(bad, systems[2]), _bad_system(later, systems[4])
         failed_4 = outcome(library, *bad_4, w)
@@ -275,6 +338,23 @@ class TestContracts:
             A, B = (np.array(x) for x in zip(*systems[:4], system_4))
             lapack_failures(**{check: 2 for check in inject})
             assert_stack_contract(A, B, w, expected[:4] + [expected_4])
+
+    @pytest.mark.parametrize("routine, eigs, error", CHECK_LIMITS.values(),
+                             ids=list(CHECK_LIMITS))
+    def test_each_shared_check_at_its_limit(self, routine, eigs, error, chosen_eigenvalues):
+        """One dsyevd or dgeev call returns eigenvalues at a check's limit:
+        lqr_gain and solve_stack, on the system alone and as system 2 of
+        five, all pass with the system's own bytes or all raise one error."""
+        w = CostWeights(np.eye(2), np.eye(1))
+        A, B = (np.array(x) for x in zip(*_five_systems()))
+        clean = gain_outcome(lambda: lqr_gain(A[2], B[2], w))
+        outcomes = []
+        for call, solve in ((0, lambda: lqr_gain(A[2], B[2], w)),
+                            (0, lambda: riccati.solve_stack(A[2:3], B[2:3], w)[1][0]),
+                            (2, lambda: riccati.solve_stack(A, B, w)[1][2])):
+            chosen_eigenvalues(routine, call, eigs)
+            outcomes.append(gain_outcome(solve))
+        assert outcomes == [error or clean] * 3
 
     @pytest.mark.parametrize("A, B", [
         (np.eye(2), np.ones((2, 1))),  # one system, not a stack

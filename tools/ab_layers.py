@@ -41,6 +41,11 @@ Cases, on the test arm of tests/conftest.py:
                     and torque);
   linearize         one linearize at that online state;
   lqr_gain          one lqr_gain on the linear model of that state;
+  stack1            the same solve as a stack of one: one riccati.solve_stack
+                    call on that model, what lqr_gain would cost through the
+                    stack body instead of its own; the tool prints its
+                    median over lqr_gain's on each side, the price of
+                    dropping the per-system body;
   online_update     one online control update at that state: OperatingPoint,
                     linearize and lqr_gain, then tau_ff - K @ (x - x_ref), as
                     regulate-online's control_us_p50 times it;
@@ -198,6 +203,7 @@ def cases(pkg) -> dict:
             geom, masses, pkg.OperatingPoint(theta_ref, rates, torque))),
         "linearize_eq": (300, lambda: pkg.linearize(geom, masses, equilibrium)),
         "lqr_gain": (200, lambda: pkg.lqr_gain(online.A, online.B, weights)),
+        "stack1": (200, lambda: pkg.riccati.solve_stack(online.A[None], online.B[None], weights)),
         "online_update": (100, online_update),
         "lookup_flat": (500, lambda: pkg.lookup(flat, off_node)),
         "lookup_refined": (500, lambda: pkg.lookup(tree, off_node)),
@@ -259,6 +265,9 @@ def main(argv=None) -> int:
               f"change {entry['change']['median'] * 1e6:10.1f} us  ratio {entry['ratio']:.3f}  "
               f"in rounds {entry['round_ratio']:.3f}  wins {entry['wins']}/{args.rounds}  "
               f"{verdict(entry['claim'])}")
+    lqr, stack1 = layers["cases"]["lqr_gain"], layers["cases"]["stack1"]
+    print("stack1 / lqr_gain medians: " + "  ".join(
+        f"{side} {stack1[side]['median'] / lqr[side]['median']:.3f}" for side in ("parent", "change")))
     if args.out:
         doc = json.loads(args.out.read_text()) if args.out.exists() else {}
         doc.setdefault("layers", []).append(layers)

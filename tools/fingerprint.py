@@ -40,6 +40,17 @@ Each line is a name and the first 16 hex digits of the sha256 of:
     is the upright pose; and 2x5^3 over theta2 in [-0.75, 0.25], the rest
     in [-0.5, 0.5], whose upright node (0, 3, 2, 2) is planar node 87, in
     its second stack of 64, so a 2-worker build finds it in a pool worker.
+    All three fail in linearize_nodes, before any Riccati check;
+  - the Riccati solver's own outcomes on 1,000 random systems drawn with
+    seed 47, in stacks of 64 that share n (1-8), m (1-4) and random full
+    SPD weights: each system's solve_care P and lqr_gain K, then each
+    stack's solve_stack P and K, or the error's type name and message.
+    In every second stack about one system in 10 has a mode outside B's
+    reach, on the imaginary axis or unstable, and one in 10 a B whose
+    B R^-1 B' overflows; single-input systems of 4 or more states fail the
+    residual check now and then.  So the line reaches the checks on H, on
+    the Schur form's dimension, on the basis and on the residual, and the
+    stacks without a fault give their bytes;
 All use the test arm of tests/conftest.py, and the table, lookup and
 simulate lines the box theta_ref +/- 0.25 unless named "non-dyadic".
 It imports armctl from the src/ directory next to it.  It exits with status
@@ -79,6 +90,7 @@ NODES = 1000  # seeded equilibria for the node gains line, over the workspace bo
 WORKSPACE = ([-np.pi, 0.3, -2.5, -2.0], [np.pi, 2.8, -0.3, 2.0])
 TURN = np.array([2 * np.pi, 0.0, 0.0, -2 * np.pi])  # the shift of the wrapped lookup lines
 NON_DYADIC = np.array([0.25, 0.3, 0.35, 0.4])  # half-widths of the non-dyadic tree's box
+SYSTEMS = 1000  # seeded random systems for the Riccati line, in stacks of 64
 
 
 def digest(data: bytes) -> str:
@@ -114,6 +126,38 @@ def failure_bytes(pkg, build) -> bytes:
     except pkg.NodeFailure as exc:
         return repr((exc.index, type(exc.cause).__name__, str(exc.cause))).encode()
     return b"built"
+
+
+def outcome_bytes(pkg, solve) -> bytes:
+    """The bytes of the arrays solve() returns, or its error's type name
+    and message."""
+    try:
+        return b"".join(a.tobytes() for a in solve())
+    except (ValueError, pkg.ArmError) as exc:
+        return repr((type(exc).__name__, str(exc))).encode()
+
+
+def riccati_bytes(pkg) -> bytes:
+    """The Riccati line's outcomes: per stack of up to 64 random systems,
+    each system's (solve_care, lqr_gain), then the stack's solve_stack."""
+    rng = np.random.default_rng(47)
+    out = []
+    for s in range(0, SYSTEMS, 64):
+        k, n, m = min(64, SYSTEMS - s), int(rng.integers(1, 9)), int(rng.integers(1, 5))
+        C, D = rng.normal(size=(n, n)), rng.normal(size=(m, m))
+        weights = pkg.CostWeights(C.T @ C, D.T @ D + np.eye(m))
+        A, B = rng.normal(size=(k, n, n)), rng.normal(size=(k, n, m))
+        fault, mode, at = rng.uniform(size=k), rng.uniform(0.0, 2.0, k), rng.integers(0, n, k)
+        share = 0.1 * (s // 64 % 2)  # of each fault, in every second stack
+        for i in np.flatnonzero(fault < share):  # mode `at` outside B's reach, half at 0
+            A[i, at[i]], B[i, at[i]] = 0.0, 0.0
+            A[i, at[i], at[i]] = mode[i] if fault[i] < share / 2 else 0.0
+        B[fault > 1.0 - share] *= 1e160  # B R^-1 B' overflows
+        for a, b in zip(A, B):
+            out.append(outcome_bytes(pkg, lambda: (pkg.solve_care(a, b, weights),
+                                                   pkg.lqr_gain(a, b, weights))))
+        out.append(outcome_bytes(pkg, lambda: pkg.riccati.solve_stack(A, B, weights)))
+    return b"".join(out)
 
 
 def fingerprints(pkg):
@@ -203,6 +247,7 @@ def fingerprints(pkg):
                     for s in range(0, NODES, 64)]
     for name, arrays in out.items():
         lines[name] = digest(b"".join(a.tobytes() for a in arrays))
+    lines["riccati random systems"] = digest(riccati_bytes(pkg))
     return lines, mismatched
 
 
