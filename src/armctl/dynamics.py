@@ -307,7 +307,8 @@ def _cosine_terms(geom: ArmGeometry, mm: MassModel):
 def _hessians(geom: ArmGeometry, masses: MassModel, theta) -> np.ndarray:
     """Exact second derivatives at a stack theta (k, 4): H[s, q, i, j] =
     d2 Q / dtheta_i dtheta_j at theta[s], Q = I1..I4 (q = 0..3) or PE (q = 4).
-    Row and column 0 (theta1) and H[:, 3] (I4 is constant) are zero."""
+    Row and column 0 (theta1) and H[:, 3] (I4 is constant) are zero.  The
+    products may overflow (g = 1e308): callers run this in np.errstate."""
     n, alpha, nn = _cosine_terms(geom, masses)
     c = np.cos(n @ theta[:, :, None])
     return -((alpha.T * c.transpose(0, 2, 1)) @ nn).reshape(-1, 5, 4, 4)

@@ -89,12 +89,17 @@ class SpatialPoint(NamedTuple):
 def planar_chain(theta2: float, theta3: float, theta4: float):
     """Sines and cosines of the cumulative angles a2..a4 from vertical:
     (u2, v2, u3, v3, u4, v4) with u = sin a, v = cos a.  Link k runs along
-    (sin a_k, cos a_k), so the zero pose stacks the links straight up."""
+    (sin a_k, cos a_k), so the zero pose stacks the links straight up.
+    Finite angles whose sums overflow raise ValueError naming them."""
     a2 = theta2
     a3 = a2 + theta3
     a4 = a3 + theta4
-    return (math.sin(a2), math.cos(a2), math.sin(a3), math.cos(a3),
-            math.sin(a4), math.cos(a4))
+    try:  # free on success; math.sin(inf) is a domain error
+        return (math.sin(a2), math.cos(a2), math.sin(a3), math.cos(a3),
+                math.sin(a4), math.cos(a4))
+    except ValueError:
+        raise ValueError(f"theta2 + theta3 + theta4 must be finite, got "
+                         f"{theta2!r} + {theta3!r} + {theta4!r}") from None
 
 
 def fk_planar(

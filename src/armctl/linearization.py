@@ -96,33 +96,33 @@ def _diverged(rates: list, torque: list) -> Diverged:
 def linearize_nodes(geom: ArmGeometry, masses: MassModel, theta):
     """Linearize k equilibrium nodes, given as an unchecked float array
     theta (k, 4), in one pass: each at zero rates and its equilibrium
-    torque (0.0, P2, P3, P4), read from the kernel evaluated there.
-    Returns (A, B), A (k, 8, 8) and B (k, 8, 4), for each node the bytes
-    `linearize` returns at its `equilibrium_point`.  Raises
+    torque.  Returns (A, B), A (k, 8, 8) and B (k, 8, 4), for each node the
+    bytes `linearize` returns at its `equilibrium_point`.  Raises
     DegenerateInertia where forward_dynamics raises it, at the first such
-    node, or else Diverged for the first node whose A overflows; each is
-    the error `linearize` raises for that node alone.
+    node, or else Diverged naming the torque of the first node whose A
+    overflows: the error `linearize` raises for that node alone, unless
+    the torque overflows too (g = 1e308) and `equilibrium_point` refuses it.
 
     With H_PE the Hessian of PE, the lower blocks are
         dacc_i/dtheta_l = -H_PE[i][l] / I_i,   dacc_i/dw_m = 0,
     and B's lower block is diag(1/I).
     """
     forms = _mass_forms(geom, masses)
-    inverse, taus = [], []
+    inverse = []
     for _, t2, t3, t4 in theta.tolist():
-        i1, i2, i3, i4, _, p2, p3, p4 = _kernel(forms, t2, t3, t4, 0.0, 0.0, 0.0, 0.0,
-                                                0.0, 0.0, 0.0, 0.0, full=True)[:8]
+        i1, i2, i3, i4 = _kernel(forms, t2, t3, t4, 0.0, 0.0, 0.0, 0.0,
+                                 0.0, 0.0, 0.0, 0.0, full=True)[:4]
         inverse.append((1.0 / i1, 1.0 / i2, 1.0 / i3, 1.0 / i4))
-        taus.append([0.0, p2, p3, p4])
-    k = len(taus)
+    k = len(inverse)
     inverse = np.array(inverse).reshape(k, 4, 1)
-    hess = _hessians(geom, masses, theta)
     A = _A_TOP[None].repeat(k, 0)
-    with np.errstate(over="ignore"):  # A is checked below
+    with np.errstate(over="ignore", invalid="ignore"):  # A is checked below
+        hess = _hessians(geom, masses, theta)
         np.multiply(-hess[:, 4, :, 1:], inverse, out=A[:, 4:, 1:4])
     finite = np.isfinite(A).all(axis=(1, 2)).tolist()
     if False in finite:
-        raise _diverged([0.0] * 4, taus[finite.index(False)])
+        i = finite.index(False)
+        raise _diverged([0.0] * 4, equilibrium_torque(geom, masses, theta[i]).tolist())
     return A, _B_LOW * inverse.reshape(k, 1, 4)  # 1/I > 0, so B's zeros are +0.0
 
 
@@ -142,9 +142,9 @@ def linearize(geom: ArmGeometry, masses: MassModel, op: OperatingPoint) -> Linea
      a1, a2, a3, a4) = _kernel(_mass_forms(geom, masses), t2, t3, t4, w1, w2, w3, w4, *torque,
                                full=True)
     r1, r2, r3, r4 = inverse = (1.0 / i1, 1.0 / i2, 1.0 / i3, 1.0 / i4)
-    hess = _hessians(geom, masses, theta[None])[0]
     rate = (0.0,) * 16  # at rest the rate block is +0.0
     with np.errstate(over="ignore", invalid="ignore"):  # A is checked below
+        hess = _hessians(geom, masses, theta[None])[0]
         d = (np.array((0.5 * w1 * w1, 0.5 * w2 * w2, 0.5 * w3 * w3, 0.5 * w4 * w4, -1.0))
              @ hess.reshape(5, 16)).tolist()
         c = (rates @ hess[:4]).ravel().tolist()

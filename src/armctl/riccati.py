@@ -12,7 +12,9 @@ dgeev).  dgees runs at f2py's default workspace, LAPACK's minimum 3*2n: an
 arm's Hamiltonian (2n = 16) is far below LAPACK's blocking crossovers,
 where the optimal workspace runs the same unblocked code.  CostWeights
 computes once what depends on the weights alone: the Cholesky factor of R,
--Q and the residual limit.
+-Q and the residual limit.  Finiteness is one scan of H per solve: a non-finite
+B reaches the diagonal of B R^-1 B' (R^-1 is positive definite), so B is read
+only when that scan fails, to name it.
 
 solve_stack solves a stack of systems that share the weights, as a table
 build does; solve_care and lqr_gain, the online path, solve one system
@@ -71,7 +73,8 @@ def _load_flapack():
 
 lapack = _load_flapack()
 
-# residual contract: ||A'P + PA - PBR^-1B'P + Q||_F <= RESIDUAL_RTOL * max(1, ||Q||_F)
+# residual contract: ||A'P + PA - PBR^-1B'P + Q||_F <= RESIDUAL_RTOL * max(1, ||Q||_F),
+# not scaled by P: 24 of tools/fingerprint.py's 512 well-posed seed-47 systems fail it
 RESIDUAL_RTOL = 1e-8
 _SYM_TOL = 1e-12
 _P_SYM_RTOL = 1e-10  # P's symmetry, relative to max(1, max |P|)
@@ -98,8 +101,8 @@ def _lhp(re, im):
     return re < 0.0
 
 
-# each check's error type and message, in the order the checks run; both
-# bodies raise or return _error(check, *values)
+# each check's error type and message, in the order the checks run (the
+# scan of H names B first); both bodies raise _error(check, *values)
 _ERRORS = {
     "B finite": (ValueError, "B must be finite"),
     "H finite": (ValueError, "A must be finite, and B R^-1 B' must not overflow"),
@@ -236,21 +239,18 @@ def solve_stack(A, B, weights: CostWeights):
                          f"{A.shape} and {B.shape}")
     k, (n, m) = len(A), _fit(A.shape, B.shape, weights)
 
-    # finiteness is checked here, on B and on H, in place of scipy's checks
-    if not np.isfinite(B).all():
-        raise _error("B finite")
     # R^-1 B', and K below, solved over the stack's columns laid out (m, k*n):
     # each X[i] and K[i] is Fortran-ordered as from dpotrs
     X = lapack.dpotrs(weights._r_chol, B.transpose(2, 0, 1).reshape(m, k * n))[0]
     X = X.reshape(m, k, n).transpose(1, 0, 2)
-    with np.errstate(over="ignore"):  # an overflow fails the check on H below
+    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite G fails the check on H
         G = B @ X
 
     H = np.empty((k, 2 * n, 2 * n)).transpose(0, 2, 1)  # Fortran-ordered for dgees
     H[:, :n, :n], H[:, :n, n:] = A, -G
     H[:, n:, :n], H[:, n:, n:] = weights._neg_q, -A.transpose(0, 2, 1)
-    if not np.isfinite(H).all():
-        raise _error("H finite")
+    if not np.isfinite(H).all():  # the one finiteness scan, in place of scipy's checks
+        raise _error("H finite" if np.isfinite(B).all() else "B finite")
     Zt = np.empty((k, n, 2 * n))
     for i in range(k):
         Zt[i] = _schur_basis(H[i], n)
@@ -293,16 +293,14 @@ def _solve(A, B, weights: CostWeights):
         raise ValueError(f"A must be square, got {A.shape}" if A.shape != (len(A),) * 2
                          else f"B must have {len(A)} rows, got {B.shape}")
     n, _ = _fit(A.shape, B.shape, weights)
-    if not np.isfinite(B).all():
-        raise _error("B finite")
     X = lapack.dpotrs(weights._r_chol, B.T)[0]
-    with np.errstate(over="ignore"):  # an overflow fails the check on H below
+    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite G fails the check on H
         G = B @ X
 
     H = np.empty((2 * n, 2 * n), order="F")  # dgees works on it in place
     H[:n, :n], H[:n, n:], H[n:, :n], H[n:, n:] = A, -G, weights._neg_q, -A.T
-    if not np.isfinite(H).all():
-        raise _error("H finite")
+    if not np.isfinite(H).all():  # the one finiteness scan
+        raise _error("H finite" if np.isfinite(B).all() else "B finite")
     P = _basis_solve(_schur_basis(H, n))
 
     if np.abs(P - P.T).max() > _P_SYM_RTOL * max(1.0, np.abs(P).max()):  # max(1.0, nan) is 1.0

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import re
 
@@ -12,7 +13,9 @@ from armctl import (
     ArmGeometry,
     DegenerateInertia,
     Diverged,
+    GridSpec,
     MassModel,
+    NodeFailure,
     OperatingPoint,
     equilibrium_point,
     equilibrium_torque,
@@ -20,6 +23,8 @@ from armctl import (
     joint_inertias,
     linearize,
     numdiff,
+    precompute,
+    refine,
 )
 from conftest import safe_random_theta
 from oracles import fd_jacobian, five_point_jacobian, loop_linearize
@@ -73,6 +78,28 @@ class TestOverflow:
         a typed error, with no numpy overflow warning on the way."""
         with pytest.raises(Diverged, match="^linear model not finite"):
             linearize(geom, masses, OperatingPoint(theta_ref, rates, torque))
+
+    def test_overflowing_gravity_is_diverged(self, geom, masses, weights, theta_ref):
+        """Under g = 1e308 the Hessians' products overflow: linearize,
+        linearize_nodes, precompute and refine raise Diverged, with no numpy
+        warning on the way.  The stack's message names the node's
+        equilibrium torque, which overflows too, so equilibrium_point
+        refuses the node before linearize could."""
+        huge = dataclasses.replace(masses, g=1e308)
+        torque = equilibrium_torque(geom, huge, theta_ref).tolist()
+        with pytest.raises(ValueError, match=r"^torque must be finite"):
+            equilibrium_point(geom, huge, theta_ref)
+        with pytest.raises(Diverged, match="^linear model not finite"):
+            linearize(geom, huge, OperatingPoint(theta_ref, np.zeros(4), np.zeros(4)))
+        with pytest.raises(Diverged) as info:
+            lin.linearize_nodes(geom, huge, np.array([theta_ref]))
+        assert str(info.value).endswith(f"and torque {torque}")
+        box = (tuple(theta_ref - 0.1), tuple(theta_ref + 0.1))
+        for build in (lambda: precompute(geom, huge, weights, GridSpec(*box, (2, 2, 2, 2))),
+                      lambda: refine(geom, huge, weights, box, 0.4, 2)):
+            with pytest.raises(NodeFailure) as info:
+                build()
+            assert isinstance(info.value.cause, Diverged)
 
 
 class TestBlockStructure:

@@ -155,6 +155,24 @@ def test_non_finite_input(entry_points, name, position, bad):
     assert np.all(np.isfinite(_floats(result))), f"{name} returned a non-finite result"
 
 
+# each planar reader, and where theta2 sits in its flattened arguments
+# (simulate's x_ref: table mode looks x0 up first, which is out of bounds)
+ANGLE_SUMS = {"fk_planar": 0, "forward_dynamics": 1, "equilibrium_torque": 1,
+              "total_energy": 1, "joint_inertias": 1, "equilibrium_point": 1, "linearize": 1,
+              "step_rk4": 1, "simulate": 9}
+
+
+@pytest.mark.parametrize("name, at", ANGLE_SUMS.items(), ids=list(ANGLE_SUMS))
+def test_overflowing_angle_sum_names_the_angles(entry_points, name, at):
+    """Finite angles theta2 = theta3 = 1e308, whose sum overflows, raise a
+    ValueError naming the angles, not math's domain error."""
+    values = _flatten(entry_points[name][0])
+    values[at:at + 2] = [1e308, 1e308]
+    with pytest.raises(ValueError, match=r"^theta2 \+ theta3 \+ theta4 must be finite, got "
+                                         r"1e\+308 \+ 1e\+308 \+ "):
+        _call(entry_points[name], values)
+
+
 @pytest.mark.parametrize("name", NAMES)
 def test_wrong_size_vector_names_the_argument(entry_points, name):
     arguments, call = entry_points[name]

@@ -138,6 +138,7 @@ def _bad_system(fault, system):
     return {
         None: (A, B),
         "B not finite": (A, np.array([[np.inf], [1.0]])),
+        "B holds a nan": (A, np.array([[0.0], [np.nan]])),
         "B R^-1 B' overflows": (A, np.array([[1e200], [1.0]])),
         # a mode on the imaginary axis outside the input's reach
         "stable subspace too small": (np.diag([0.0, -1.0]), np.array([[0.0], [1.0]])),
@@ -339,6 +340,20 @@ class TestContracts:
             lapack_failures(**{check: 2 for check in inject})
             assert_stack_contract(A, B, w, expected[:4] + [expected_4])
 
+    def test_b_is_named_over_an_earlier_overflow(self):
+        """System 1's B R^-1 B' overflows and system 3's B holds a nan: the
+        one scan of the stack's H fails at both, and the stack raises the
+        B check's error, the check that runs first."""
+        w = CostWeights(np.eye(2), np.eye(1))
+        systems = _five_systems()
+        systems[1] = _bad_system("B R^-1 B' overflows", systems[1])
+        systems[3] = _bad_system("B holds a nan", systems[3])
+        assert [outcome(library, *s, w)[1] for s in systems[1:4:2]] == [
+            "A must be finite, and B R^-1 B' must not overflow", "B must be finite"]
+        A, B = (np.array(x) for x in zip(*systems))
+        with pytest.raises(ValueError, match="^B must be finite$"):
+            riccati.solve_stack(A, B, w)
+
     @pytest.mark.parametrize("routine, eigs, error", CHECK_LIMITS.values(),
                              ids=list(CHECK_LIMITS))
     def test_each_shared_check_at_its_limit(self, routine, eigs, error, chosen_eigenvalues):
@@ -405,6 +420,27 @@ class TestContracts:
             solve_care([[1.0]], 5.0, CostWeights([[1.0]], [[1.0]]))
 
 
+def _non_finite_systems():
+    """For n 1-8 and m 1-4, a random system with full SPD weights whose B
+    holds +inf, -inf or nan at a drawn entry, every third with A holding
+    one too; then three with a finite B and a non-finite A."""
+    rng = np.random.default_rng(49)
+    bad = (np.inf, -np.inf, np.nan)
+    systems = []
+    for n, m in itertools.product(range(1, 9), range(1, 5)):
+        C, D = rng.normal(size=(n, n)), rng.normal(size=(m, m))
+        A, B, _ = random_stabilizable(rng, n, m)
+        B[rng.integers(n), rng.integers(m)] = bad[rng.integers(3)]
+        if len(systems) % 3 == 2:
+            A[rng.integers(n), rng.integers(n)] = bad[rng.integers(3)]
+        systems.append((A, B, CostWeights(C.T @ C, D.T @ D + 0.1 * np.eye(m))))
+    for value in bad:
+        A, B, w = random_stabilizable(rng, 3, 2)
+        A[rng.integers(3), rng.integers(3)] = value
+        systems.append((A, B, w))
+    return systems
+
+
 def outcome(solve, A, B, w):
     """("ok", P bytes, K bytes) or (exception type, message)."""
     try:
@@ -416,6 +452,12 @@ def outcome(solve, A, B, w):
 
 def library(A, B, w):
     return solve_care(A, B, w), lqr_gain(A, B, w)
+
+
+def stacked(A, B, w):
+    """solve_stack's (P, K) for the one system (A, B), read as _solve reads it."""
+    P, K = riccati.solve_stack(np.atleast_2d(A)[None], np.asarray(B, dtype=float)[None], w)
+    return P[0], K[0]
 
 
 def assert_stack_contract(As, Bs, w, expected):
@@ -562,11 +604,13 @@ class TestMatchesReference:
         ([[np.nan, 0.0], [0.0, 1.0]], np.ones((2, 1)), CostWeights(np.eye(2), np.eye(1))),
         (np.eye(2), [[np.inf], [1.0]], CostWeights(np.eye(2), np.eye(1))),
         (np.eye(2), [[1e200], [1.0]], CostWeights(np.eye(2), np.eye(1))),
-    ])
+    ] + _non_finite_systems())
     def test_same_error_as_reference(self, A, B, w):
+        """The online body and a stack of one raise the reference's error."""
         expected = outcome(reference_care, A, B, w)
         assert expected[0] != "ok"
         assert outcome(library, A, B, w) == expected
+        assert outcome(stacked, A, B, w) == expected
 
 
 class TestCachedWeights:

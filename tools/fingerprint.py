@@ -51,6 +51,12 @@ Each line is a name and the first 16 hex digits of the sha256 of:
     residual check now and then.  So the line reaches the checks on H, on
     the Schur form's dimension, on the basis and on the residual, and the
     stacks without a fault give their bytes;
+  - the same outcomes on 1,000 random systems drawn alike with seed 49,
+    where each stack puts +inf, -inf or nan at one entry of B in a share
+    of its systems and at one entry of A in another, the shares (B, A)
+    cycling over (0.1, 0), (0, 0.1), (0.1, 0.1) and (0.02, 0.2): so a
+    stack names B, or A when only A is not finite, and each system alone
+    gives its own error or bytes;
 All use the test arm of tests/conftest.py, and the table, lookup and
 simulate lines the box theta_ref +/- 0.25 unless named "non-dyadic".
 It imports armctl from the src/ directory next to it.  It exits with status
@@ -90,7 +96,9 @@ NODES = 1000  # seeded equilibria for the node gains line, over the workspace bo
 WORKSPACE = ([-np.pi, 0.3, -2.5, -2.0], [np.pi, 2.8, -0.3, 2.0])
 TURN = np.array([2 * np.pi, 0.0, 0.0, -2 * np.pi])  # the shift of the wrapped lookup lines
 NON_DYADIC = np.array([0.25, 0.3, 0.35, 0.4])  # half-widths of the non-dyadic tree's box
-SYSTEMS = 1000  # seeded random systems for the Riccati line, in stacks of 64
+SYSTEMS = 1000  # seeded random systems for each Riccati line, in stacks of 64
+# (share of systems with a non-finite B, with a non-finite A) in turn per stack
+NON_FINITE_SHARES = ((0.1, 0.0), (0.0, 0.1), (0.1, 0.1), (0.02, 0.2))
 
 
 def digest(data: bytes) -> str:
@@ -137,26 +145,52 @@ def outcome_bytes(pkg, solve) -> bytes:
         return repr((type(exc).__name__, str(exc))).encode()
 
 
-def riccati_bytes(pkg) -> bytes:
-    """The Riccati line's outcomes: per stack of up to 64 random systems,
-    each system's (solve_care, lqr_gain), then the stack's solve_stack."""
-    rng = np.random.default_rng(47)
-    out = []
+def random_stacks(pkg, seed):
+    """SYSTEMS random systems in stacks of up to 64, drawn from seed, as
+    (rng, stack start, A, B, weights): a stack shares n (1-8), m (1-4) and
+    random full SPD weights.  The caller may put faults in A and B."""
+    rng = np.random.default_rng(seed)
     for s in range(0, SYSTEMS, 64):
         k, n, m = min(64, SYSTEMS - s), int(rng.integers(1, 9)), int(rng.integers(1, 5))
         C, D = rng.normal(size=(n, n)), rng.normal(size=(m, m))
         weights = pkg.CostWeights(C.T @ C, D.T @ D + np.eye(m))
-        A, B = rng.normal(size=(k, n, n)), rng.normal(size=(k, n, m))
+        yield rng, s, rng.normal(size=(k, n, n)), rng.normal(size=(k, n, m)), weights
+
+
+def stack_outcomes(pkg, A, B, weights) -> list:
+    """Each system's (solve_care, lqr_gain) outcome, then the stack's solve_stack."""
+    out = [outcome_bytes(pkg, lambda: (pkg.solve_care(a, b, weights),
+                                       pkg.lqr_gain(a, b, weights))) for a, b in zip(A, B)]
+    return out + [outcome_bytes(pkg, lambda: pkg.riccati.solve_stack(A, B, weights))]
+
+
+def riccati_bytes(pkg) -> bytes:
+    """The Riccati line's outcomes, on the seed-47 stacks."""
+    out = []
+    for rng, s, A, B, weights in random_stacks(pkg, 47):
+        k, n = A.shape[:2]
         fault, mode, at = rng.uniform(size=k), rng.uniform(0.0, 2.0, k), rng.integers(0, n, k)
         share = 0.1 * (s // 64 % 2)  # of each fault, in every second stack
         for i in np.flatnonzero(fault < share):  # mode `at` outside B's reach, half at 0
             A[i, at[i]], B[i, at[i]] = 0.0, 0.0
             A[i, at[i], at[i]] = mode[i] if fault[i] < share / 2 else 0.0
         B[fault > 1.0 - share] *= 1e160  # B R^-1 B' overflows
-        for a, b in zip(A, B):
-            out.append(outcome_bytes(pkg, lambda: (pkg.solve_care(a, b, weights),
-                                                   pkg.lqr_gain(a, b, weights))))
-        out.append(outcome_bytes(pkg, lambda: pkg.riccati.solve_stack(A, B, weights)))
+        out += stack_outcomes(pkg, A, B, weights)
+    return b"".join(out)
+
+
+def non_finite_bytes(pkg) -> bytes:
+    """The non-finite Riccati line's outcomes, on the seed-49 stacks: in
+    each, a share of the systems has +inf, -inf or nan at one entry of B,
+    and a share at one entry of A, the shares cycling over the stacks."""
+    bad = (np.inf, -np.inf, np.nan)
+    out = []
+    for rng, s, A, B, weights in random_stacks(pkg, 49):
+        (k, n, m), (in_b, in_a) = B.shape, NON_FINITE_SHARES[s // 64 % len(NON_FINITE_SHARES)]
+        for M, share, cols in ((B, in_b, m), (A, in_a, n)):
+            for i in np.flatnonzero(rng.uniform(size=k) < share):
+                M[i, rng.integers(n), rng.integers(cols)] = bad[rng.integers(3)]
+        out += stack_outcomes(pkg, A, B, weights)
     return b"".join(out)
 
 
@@ -248,6 +282,7 @@ def fingerprints(pkg):
     for name, arrays in out.items():
         lines[name] = digest(b"".join(a.tobytes() for a in arrays))
     lines["riccati random systems"] = digest(riccati_bytes(pkg))
+    lines["riccati non-finite inputs"] = digest(non_finite_bytes(pkg))
     return lines, mismatched
 
 
