@@ -29,15 +29,18 @@ and returns only those four, so an RK4 stage is one call; with `full` it
 returns the 17 values and then the accelerations, for `linearize` (and
 for `linearize_nodes`, at zero rates and torques).  `forms` is
 `_mass_forms(geom, masses)`, looked up once per caller: once per public
-call below, and once per control period in the simulator.  Every public
-function below reads what it needs from that one kernel call.
+call below, and once per control period in the simulator.
 
-`forward_dynamics` checks its arguments, makes one kernel call and wraps
-the accelerations in an array, raising Diverged when finite arguments
-overflow one; the simulator's RK4 loop calls the kernel directly, so
-integration pays no per-stage conversion.  The kernel repeats the IEEE
-operations of the loop form that `tests/oracles.py` keeps as its
-reference, in the same order, each sum starting from 0.0 and each
+The six public readers (`forward_dynamics`, `equilibrium_torque`,
+`joint_inertias` and the three energies) are each one call of `_read`, the
+one checked kernel read: the arguments, one kernel call, and Diverged when
+a value the kernel returns is not finite, so no reader returns part of a
+model that overflowed (g or the masses near 1e308).  The energies' kinetic
+term is formed after it, unchecked (inf at rates near 1e154).  The RK4
+stages, the per-period energy, `linearize` and `linearize_nodes` call the
+kernel directly, so integration pays no per-stage conversion.  The kernel
+repeats the IEEE operations of the loop form that `tests/oracles.py` keeps
+as its reference, in the same order, each sum starting from 0.0 and each
 structural-zero term kept, so every result is bit-identical to it.
 
 Second derivatives come from the same forms.  By the product-to-sum
@@ -51,7 +54,8 @@ The public functions read theta, rates and torque through
 `errors.vector`: any array-like of 4 values is accepted flattened, any
 other size raises ValueError("<name> must have 4 components, got N"), and a
 nan or inf ValueError("<name> must be finite").  `_kernel` does not
-check, and the simulator raises Diverged for a non-finite state instead.
+check its arguments or its values: `_read` checks the values, and the
+simulator raises Diverged for a non-finite state.
 """
 
 from __future__ import annotations
@@ -226,28 +230,40 @@ def _energy(forms, t2, t3, t4, w1, w2, w3, w4) -> float:
     return _kinetic(kernel, w1, w2, w3, w4) + kernel[4]
 
 
+def _read(geom: ArmGeometry, masses: MassModel, theta, *moving) -> tuple:
+    """theta, and forward_dynamics' rates then torque (`moving`), read by
+    `errors.vector`; one `_kernel` call, returning the 17 values or, given
+    `moving`, the 4 accelerations; Diverged when a value is not finite."""
+    _, t2, t3, t4 = theta = vector(theta, 4, "theta")
+    rates = torque = ()
+    if moving:
+        rates, torque = vector(moving[0], 4, "rates"), vector(moving[1], 4, "torque")
+    values = _kernel(_mass_forms(geom, masses), t2, t3, t4, *rates, *torque)
+    # a finite sum proves every value finite; a non-finite one may be overflow
+    if not math.isfinite(sum(values)) and not all(map(math.isfinite, values)):
+        at = f"theta {theta}" + (f", rates {rates} and torque {torque}" if torque else "")
+        raise Diverged(f"{'accelerations' if torque else 'model'} {[*values]} not finite at {at}")
+    return values
+
+
 def joint_inertias(geom: ArmGeometry, masses: MassModel, theta) -> np.ndarray:
     """Effective rotational inertia seen by each joint at configuration theta."""
-    _, t2, t3, t4 = vector(theta, 4, "theta")
-    return np.array(_kernel(_mass_forms(geom, masses), t2, t3, t4)[:4])
+    return np.array(_read(geom, masses, theta)[:4])
 
 
 def potential_energy(geom: ArmGeometry, masses: MassModel, theta) -> float:
     """Gravitational potential energy of the arm (joules, P1 height = 0)."""
-    _, t2, t3, t4 = vector(theta, 4, "theta")
-    return _kernel(_mass_forms(geom, masses), t2, t3, t4)[4]
+    return _read(geom, masses, theta)[4]
 
 
 def kinetic_energy(geom: ArmGeometry, masses: MassModel, theta, rates) -> float:
     """Decoupled rotational kinetic energy: (1/2) sum_k I_k(theta) rate_k^2."""
-    _, t2, t3, t4 = vector(theta, 4, "theta")
-    return _kinetic(_kernel(_mass_forms(geom, masses), t2, t3, t4), *vector(rates, 4, "rates"))
+    return _kinetic(_read(geom, masses, theta), *vector(rates, 4, "rates"))
 
 
 def total_energy(geom: ArmGeometry, masses: MassModel, theta, rates) -> float:
     """KE + PE."""
-    _, t2, t3, t4 = vector(theta, 4, "theta")
-    return _energy(_mass_forms(geom, masses), t2, t3, t4, *vector(rates, 4, "rates"))
+    return _kinetic(kernel := _read(geom, masses, theta), *vector(rates, 4, "rates")) + kernel[4]
 
 
 def equilibrium_torque(geom: ArmGeometry, masses: MassModel, theta) -> np.ndarray:
@@ -256,8 +272,7 @@ def equilibrium_torque(geom: ArmGeometry, masses: MassModel, theta) -> np.ndarra
     forward_dynamics(theta, 0, equilibrium_torque(theta)) is zero to machine
     precision because both read the same kernel gradient.
     """
-    _, t2, t3, t4 = vector(theta, 4, "theta")
-    return np.array((0.0, *_kernel(_mass_forms(geom, masses), t2, t3, t4)[5:8]))
+    return np.array((0.0, *_read(geom, masses, theta)[5:8]))
 
 
 # the cumulative angles a2, a3, a4 as integer combinations of theta1..theta4
@@ -314,9 +329,7 @@ def _hessians(geom: ArmGeometry, masses: MassModel, theta) -> np.ndarray:
     return -((alpha.T * c.transpose(0, 2, 1)) @ nn).reshape(-1, 5, 4, 4)
 
 
-def forward_dynamics(
-    geom: ArmGeometry, masses: MassModel, theta, rates, torque
-) -> np.ndarray:
+def forward_dynamics(geom: ArmGeometry, masses: MassModel, theta, rates, torque) -> np.ndarray:
     """Joint accelerations from the Euler-Lagrange equations of KE - PE.
 
     With the decoupled kinetic energy the system is diagonal in the
@@ -330,10 +343,4 @@ def forward_dynamics(
     Raises DegenerateInertia when any I_k(theta) <= EPS_INERTIA, and
     Diverged when finite arguments overflow an acceleration.
     """
-    _, t2, t3, t4 = theta = vector(theta, 4, "theta")
-    rates, torque = vector(rates, 4, "rates"), vector(torque, 4, "torque")
-    acc = _kernel(_mass_forms(geom, masses), t2, t3, t4, *rates, *torque)
-    if not math.isfinite(sum(acc)) and not all(map(math.isfinite, acc)):
-        raise Diverged(f"accelerations {list(acc)} not finite at theta {theta}, "
-                       f"rates {rates} and torque {torque}")
-    return np.array(acc)
+    return np.array(_read(geom, masses, theta, rates, torque))

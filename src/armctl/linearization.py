@@ -99,9 +99,11 @@ def linearize_nodes(geom: ArmGeometry, masses: MassModel, theta):
     torque.  Returns (A, B), A (k, 8, 8) and B (k, 8, 4), for each node the
     bytes `linearize` returns at its `equilibrium_point`.  Raises
     DegenerateInertia where forward_dynamics raises it, at the first such
-    node, or else Diverged naming the torque of the first node whose A
-    overflows: the error `linearize` raises for that node alone, unless
-    the torque overflows too (g = 1e308) and `equilibrium_point` refuses it.
+    node, or else Diverged for the first node whose A overflows, as that
+    node alone gives it through `equilibrium_point` and `linearize`: the
+    error of `equilibrium_torque` where its values overflow too (g =
+    1e308), otherwise one naming its torque.  A node that is degenerate and
+    overflows gives DegenerateInertia here but Diverged there.
 
     With H_PE the Hessian of PE, the lower blocks are
         dacc_i/dtheta_l = -H_PE[i][l] / I_i,   dacc_i/dw_m = 0,
@@ -135,7 +137,14 @@ def linearize(geom: ArmGeometry, masses: MassModel, op: OperatingPoint) -> Linea
         dacc_i/dw_m = (J[m][i] w_m - [i == m] sum_j J[i][j] w_j
                        - w_i J[i][m]) / I_i,
     and B's lower block is diag(1/I).  Raises DegenerateInertia where
-    forward_dynamics raises it, or Diverged when A overflows."""
+    forward_dynamics raises it, or Diverged when A overflows.
+
+    Its domain is narrower than forward_dynamics': the Hessians evaluate
+    cos(n . theta) for integer n with entries up to 2, so at finite angles
+    near 1e308 whose n . theta overflows (theta = (0, 1e308, -1e308, 0.3))
+    it raises Diverged where forward_dynamics answers.  Forming those
+    cosines from `planar_chain` instead would change A's bytes at every
+    point."""
     theta, rates = op.theta, op.rates
     (_, t2, t3, t4), (w1, w2, w3, w4), torque = theta.tolist(), rates.tolist(), op.torque.tolist()
     (i1, i2, i3, i4, _, _, _, _, j12, j13, j14, j22, j23, j24, j32, j33, j34,

@@ -225,17 +225,19 @@ def _gain_source(geom, masses, mode, x, x_ref, weights, table):
     if x_ref is None:
         raise ValueError(f"{mode.value} mode requires x_ref")
     _check_weights(weights, type(None))
-    tau_ff = equilibrium_torque(geom, masses, x_ref[:4])
+    # tau_ff follows each mode's checks, so they report before its Diverged
     if mode is ControllerMode.ONLINE_LQR:
         if weights is None:
             raise ValueError("online mode requires cost weights")
         def online(state, u):
             model = linearize(geom, masses, OperatingPoint(state[:4], state[4:], u))
             return lqr_gain(model.A, model.B, weights)
+        tau_ff = equilibrium_torque(geom, masses, x_ref[:4])
         return online, tau_ff, equilibrium_torque(geom, masses, x[:4])
     if table is None:
         raise ValueError("table mode requires a gain table")
     check_digest(table, geom=geom, masses=masses, weights=weights)
+    tau_ff = equilibrium_torque(geom, masses, x_ref[:4])
     return (lambda state, u: lookup(table, state[:4])), tau_ff, np.zeros(4)
 
 

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from armctl import (
@@ -20,6 +20,7 @@ from armctl import (
     potential_energy,
     segment_inertia,
     step_rk4,
+    total_energy,
 )
 from armctl.dynamics import _cosine_terms, _hessians, _kernel, _mass_forms
 from conftest import safe_random_theta
@@ -417,3 +418,61 @@ class TestForwardDynamics:
             got = forward_dynamics(geom, masses, theta, rates, tau)
             want = lagrangian_accelerations(geom, masses, theta, rates, tau)
             assert np.max(np.abs(got - want) / np.maximum(1.0, np.abs(want))) <= 1e-4
+
+
+# an arm's six masses and g, each up to 1e308
+huge_arm_st = st.tuples(*[st.floats(0.0, 1e308)] * 7)
+huge_st = st.lists(st.floats(-1e300, 1e300), min_size=4, max_size=4)
+THETA_REF = (0.3, 0.8, -0.9, 0.5)
+NOMINAL = (0.5, 0.4, 0.3, 0.4, 0.3, 0.2, 9.81)
+
+
+class TestOverflowingArms:
+    """Every public dynamics reader goes through one checked kernel read,
+    so on an arm whose model overflows each returns only finite values or
+    raises Diverged, and none returns part of a model that overflowed."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(arm=huge_arm_st, theta=theta_st, rates=huge_st, torque=huge_st,
+           spin=st.lists(st.floats(-1e100, 1e100), min_size=4, max_size=4))
+    # every mass 1e308: the inertias overflow to [nan, nan, inf, 4.8e307]
+    @example(arm=(1e308,) * 6 + (9.81,), theta=THETA_REF, rates=[0.0] * 4, torque=[0.0] * 4,
+             spin=[1.0] * 4)
+    # g = 1e308: the equilibrium torque overflows to -inf
+    @example(arm=NOMINAL[:6] + (1e308,), theta=THETA_REF, rates=[0.0] * 4, torque=[0.0] * 4,
+             spin=[1.0] * 4)
+    def test_finite_or_diverged(self, geom, arm, theta, rates, torque, spin):
+        masses = MassModel(*arm)
+        try:
+            acc = forward_dynamics(geom, masses, theta, rates, torque)
+        except (Diverged, DegenerateInertia):
+            pass
+        else:
+            assert np.isfinite(acc).all()
+        # the energies' rates: at most 1e100, and less on a heavy arm, so that
+        # (1/2) sum_k I_k w_k^2, formed after the read and not checked, cannot
+        # overflow finite inertias (its overflow is a FOUND of CHANGES.md)
+        spin = [w / math.sqrt(1.0 + max(arm[:6])) for w in spin]
+        readers = [
+            lambda: joint_inertias(geom, masses, theta),
+            lambda: potential_energy(geom, masses, theta),
+            lambda: kinetic_energy(geom, masses, theta, spin),
+            lambda: total_energy(geom, masses, theta, spin),
+            lambda: equilibrium_torque(geom, masses, theta),
+            lambda: equilibrium_point(geom, masses, theta).torque,
+        ]
+        outcomes = []
+        for read in readers:
+            try:
+                outcomes.append(np.isfinite(read()).all())
+            except Diverged as exc:
+                outcomes.append(str(exc))
+        # the static model is read whole: every reader returns, with finite
+        # values, exactly when all 17 kernel values are finite, and otherwise
+        # each raises the one read's error
+        model = _kernel(_mass_forms(geom, masses), *theta[1:])
+        if np.isfinite(model).all():
+            assert outcomes == [True] * len(readers)
+        else:
+            assert str(outcomes[0]).startswith("model [")
+            assert outcomes == outcomes[:1] * len(readers)
