@@ -189,7 +189,13 @@ class GridSpec:
         return _frozen(np.linspace(self.lo[k], self.hi[k], self.counts[k]))
 
     def node_angles(self, index) -> np.ndarray:
-        return np.array([self.axis(k)[index[k]] for k in range(NDIM)])
+        """axis(k)[index[k]] for each k, as np.linspace computes it (i / (n - 1)
+        scales the span where the step underflows to 0), with no axis built."""
+        out = []
+        for k, (lo, hi, n) in enumerate(zip(self.lo, self.hi, self.counts)):
+            i, step = range(n)[index[k]], (hi - lo) / (n - 1)  # numpy's index rules
+            out.append(hi if i == n - 1 else (i * step if step else i / (n - 1) * (hi - lo)) + lo)
+        return np.array(out)
 
 
 # ---------------------------------------------------------------------------

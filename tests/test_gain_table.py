@@ -230,6 +230,55 @@ class TestGridSpec:
             [BOX_HI[0], BOX_LO[1], BOX_HI[2], BOX_LO[3]],
         )
 
+    # a wide span, a span one ulp wide, and a subnormal span near 0, where
+    # linspace's step underflows to 0 and it scales i / (n - 1) instead
+    AXIS_BOUNDS = (
+        st.tuples(st.floats(-math.pi, math.pi), st.floats(-math.pi, math.pi))
+        .filter(lambda b: b[0] < b[1])
+        | st.floats(-3.0, 3.0).map(lambda a: (a, float(np.nextafter(a, 4.0))))
+        | st.tuples(st.integers(-2**20, 2**20), st.integers(1, 64))
+        .map(lambda p: (p[0] * 5e-324, (p[0] + p[1]) * 5e-324)))
+
+    @settings(max_examples=200, deadline=None)
+    @given(bounds=st.lists(AXIS_BOUNDS, min_size=4, max_size=4),
+           counts=st.lists(st.integers(2, 40), min_size=4, max_size=4))
+    @example(bounds=[(0.0, 5e-324)] * 4, counts=[3, 4, 40, 2])
+    def test_node_angles_are_the_axes_bytes(self, bounds, counts):
+        """Every node coordinate, negative indices included, is axis(k)[i]
+        bit for bit, and an index out of range raises IndexError."""
+        grid = GridSpec([b[0] for b in bounds], [b[1] for b in bounds], counts)
+        for k, n in enumerate(counts):
+            axis = grid.axis(k)
+            for i in range(-n, n):
+                index = [0, -1, 1, 0]
+                index[k] = i
+                angles = grid.node_angles(index)
+                assert angles[k].tobytes() == axis[i].tobytes()
+                assert angles.tobytes() == np.array(
+                    [grid.axis(j)[index[j]] for j in range(4)]).tobytes()
+            for i in (n, -n - 1):
+                index = [0, 0, 0, 0]
+                index[k] = i
+                with pytest.raises(IndexError):
+                    grid.node_angles(index)
+
+    def test_node_angles_build_no_axis(self):
+        """A node of a grid with 10^7 yaw nodes costs no 80 MB axis (nor
+        32 GiB at the u32 count a flat header may store)."""
+        grid = GridSpec(BOX_LO, BOX_HI, (10**7, 2, 2, 2))
+        tracemalloc.start()
+        try:
+            angles = [grid.node_angles((i, 1, 0, 1)) for i in (0, 5, -2, -1)]
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000
+        assert angles[0][0] == BOX_LO[0] and angles[-1][0] == BOX_HI[0]
+        step = (BOX_HI[0] - BOX_LO[0]) / (10**7 - 1)
+        assert angles[1][0] == 5 * step + BOX_LO[0]
+        assert angles[2][0] == (10**7 - 2) * step + BOX_LO[0]
+        assert angles[0][1:].tolist() == [BOX_HI[1], BOX_LO[2], BOX_HI[3]]
+
 
 class TestPrecompute:
     def test_two_per_dimension_gives_16(self, table):

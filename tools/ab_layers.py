@@ -122,10 +122,11 @@ import time
 from pathlib import Path
 
 # perfbench/run.py's pin_threads: one BLAS/OpenMP thread per process, set
-# before numpy is imported, and only when run (fingerprint.py imports this)
+# before numpy is imported, when this tool runs or a script that sets
+# PIN_THREADS imports it first (tools/frontier.py; not fingerprint.py)
 THREADS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
            "BLIS_NUM_THREADS", "VECLIB_MAXIMUM_THREADS", "NUMEXPR_NUM_THREADS")
-if __name__ == "__main__":
+if __name__ == "__main__" or getattr(sys.modules["__main__"], "PIN_THREADS", False):
     os.environ.update(dict.fromkeys(THREADS, "1"))
 
 import numpy as np  # noqa: E402
@@ -152,11 +153,16 @@ def load_parent(rev: str, into: Path):
     return importlib.import_module("armctl_parent")
 
 
+def arm(pkg):
+    """The test arm of tests/conftest.py in pkg: (geom, masses, weights)."""
+    return (pkg.ArmGeometry(L1=1.0, L2=0.8, L3=0.6),
+            pkg.MassModel(m2=0.5, m3=0.4, m4=0.3, M1=0.4, M2=0.3, M3=0.2, g=9.81),
+            pkg.CostWeights.from_diagonals([100.0] * 4 + [1.0] * 4, [1.0] * 4))
+
+
 def cases(pkg) -> dict:
     """Per case, its calls per timing and a function running it once with pkg."""
-    geom = pkg.ArmGeometry(L1=1.0, L2=0.8, L3=0.6)
-    masses = pkg.MassModel(m2=0.5, m3=0.4, m4=0.3, M1=0.4, M2=0.3, M3=0.2, g=9.81)
-    weights = pkg.CostWeights.from_diagonals([100.0] * 4 + [1.0] * 4, [1.0] * 4)
+    geom, masses, weights = arm(pkg)
     theta_ref = np.array([0.3, 0.8, -0.9, 0.5])
     box = (tuple(theta_ref - 0.25), tuple(theta_ref + 0.25))
 

@@ -80,7 +80,7 @@ from pathlib import Path
 
 import numpy as np
 
-from ab_layers import load_parent
+from ab_layers import arm, load_parent
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
@@ -197,9 +197,7 @@ def non_finite_bytes(pkg) -> bytes:
 def fingerprints(pkg):
     """({name: digest}, [grids whose 1- and 2-worker builds differ]) of the
     armctl package pkg."""
-    geom = pkg.ArmGeometry(L1=1.0, L2=0.8, L3=0.6)
-    masses = pkg.MassModel(m2=0.5, m3=0.4, m4=0.3, M1=0.4, M2=0.3, M3=0.2, g=9.81)
-    weights = pkg.CostWeights.from_diagonals([100.0] * 4 + [1.0] * 4, [1.0] * 4)
+    geom, masses, weights = arm(pkg)
     lo, hi = tuple(THETA_REF - 0.25), tuple(THETA_REF + 0.25)
     lines, tables, mismatched = {}, {}, []
     for name, counts in (("5^4", (5, 5, 5, 5)), ("3x4x2x5", (3, 4, 2, 5)),
@@ -213,7 +211,7 @@ def fingerprints(pkg):
         if digests[0] != digests[1]:
             mismatched.append(name)
     toolless = pkg.MassModel(m2=0.5, m3=0.4, m4=0.0, M1=0.4, M2=0.3, M3=0.0, g=9.81)
-    for name, arm, grid in (
+    for name, arm_masses, grid in (
             ("tool-less 2^4", toolless, pkg.GridSpec(lo, hi, (2, 2, 2, 2))),
             ("upright 2x3^3", masses, pkg.GridSpec([-0.5] * 4, [0.5] * 4, (2, 3, 3, 3))),
             ("upright 2x5^3", masses, pkg.GridSpec([-0.5, -0.75, -0.5, -0.5],
@@ -221,7 +219,7 @@ def fingerprints(pkg):
         digests = []
         for workers in (1, 2):
             digests.append(digest(failure_bytes(
-                pkg, lambda: pkg.precompute(geom, arm, weights, grid, workers))))
+                pkg, lambda: pkg.precompute(geom, arm_masses, weights, grid, workers))))
             lines[f"precompute failure {name} workers={workers}"] = digests[-1]
         if digests[0] != digests[1]:
             mismatched.append(f"failure {name}")
