@@ -7,29 +7,43 @@ solve_care extracts the stable invariant subspace of the Hamiltonian
 
 with an ordered real Schur decomposition and recovers P from its basis.
 The solver accepts any n x n / n x m pair so small analytic cases can be
-checked by hand.  Each solve calls LAPACK directly (dgees, dpotrs, dsyevd,
-dgeev).  dgees runs at f2py's default workspace, LAPACK's minimum 3*2n: an
-arm's Hamiltonian (2n = 16) is far below LAPACK's blocking crossovers,
-where the optimal workspace runs the same unblocked code.  CostWeights
-computes once what depends on the weights alone: the Cholesky factor of R,
--Q and the residual limit.  Finiteness is one scan of H per solve: a non-finite
-B reaches the diagonal of B R^-1 B' (R^-1 is positive definite), so B is read
-only when that scan fails, to name it.
+checked by hand.  Each solve calls LAPACK directly (dgees, dpotrs, dpotrf,
+and dsyevd and dgeev where a certificate fails).  dgees runs at f2py's
+default workspace, LAPACK's minimum 3*2n: an arm's Hamiltonian (2n = 16)
+is far below LAPACK's blocking crossovers, where the optimal workspace runs
+the same unblocked code.  CostWeights computes once what depends on the
+weights alone: the Cholesky factor of R, -Q, the residual limit and the
+certificates' margin factors.  Finiteness is one scan of H per solve: a
+non-finite B reaches the diagonal of B R^-1 B' (R^-1 is positive
+definite), so B is read only when that scan fails, to name it.
+
+The PSD and Hurwitz checks compute no eigenvalue unless a certificate
+fails.  The PSD check factors P - tau_P I with dpotrf: success proves P
+positive definite, which passes the eigenvalue test.  With P so certified,
+the Hurwitz check factors -(A_cl'P + P A_cl) - tau_S I, A_cl = A - BK: by
+Lyapunov's theorem, success proves A_cl Hurwitz.  The margins tau_P and
+tau_S bound the rounding of the products and of Cholesky itself (_margins),
+so a pass is a proof for the matrices as computed.  A system whose
+factorization fails, or whose P was not certified, runs the eigenvalue
+test as before: dsyevd's smallest eigenvalue of P against -1e-8 max(1,
+largest), dgeev's largest real part against 0, with their errors.  P and K
+never depend on a certificate, nor does the order of the checks.  On the
+arm's systems every certificate passes.
 
 solve_stack solves a stack of systems that share the weights, as a table
 build does; solve_care and lqr_gain, the online path, solve one system
 through _solve.  Both bodies call the same per-system steps, each with its
-checks: _schur_basis (dgees), _basis_solve, _check_psd (dsyevd) and
-_check_hurwitz (dgeev); _ERRORS holds each check's error.  They differ
-only in layout: solve_stack makes each dpotrs once per stack on the
-columns of all its systems, and the Hamiltonians, the symmetry and
-residual checks and the closed loops once over the stack, which saves most
-of the per-call overhead; _solve works on 2-D operands, and a stack of one
-takes 1.12x as long (tools/ab_layers.py's stack1 over lqr_gain, 2-vCPU
-x86-64 host, one BLAS thread).  Each system gets the bytes it gets alone,
-and a stack with a failing system raises the error that system raises
-alone; which node of a table build fails first is gain_table._solve_nodes'
-to find.
+checks: _schur_basis (dgees), _basis_solve, _check_psd (dpotrf, then
+dsyevd) and _check_hurwitz (dpotrf, then dgeev); _ERRORS holds each check's
+error.  They differ only in layout: solve_stack makes each dpotrs once per
+stack on the columns of all its systems, and the Hamiltonians, the
+symmetry and residual checks, the closed loops and the certificates'
+matrices and margins once over the stack, which saves most of the per-call
+overhead; _solve works on 2-D operands, and a stack of one takes ~1.3x as
+long (tools/ab_layers.py's stack1 over lqr_gain, 2-vCPU x86-64 host, one
+BLAS thread).  Each system gets the bytes it gets alone, and a stack with
+a failing system raises the error that system raises alone; which node of
+a table build fails first is gain_table._solve_nodes' to find.
 
 The LAPACK routines are scipy's, from its compiled scipy/linalg/_flapack
 module (scipy.linalg.lapack re-exports them).  _load_flapack loads that one
@@ -78,6 +92,12 @@ lapack = _load_flapack()
 RESIDUAL_RTOL = 1e-8
 _SYM_TOL = 1e-12
 _P_SYM_RTOL = 1e-10  # P's symmetry, relative to max(1, max |P|)
+# the certificates (_margins): unit roundoff, the margins' absolute floor,
+# and the bound on ||A_cl||_F ||P||_F under which the Lyapunov matrix cannot
+# overflow, so a certificate proves nothing beyond it
+_U = 2.0**-53
+_FLOOR = 2.0**-1000
+_CERTIFIABLE = 2.0**1020
 
 
 def _symmetric(mat: np.ndarray, name: str) -> tuple[np.ndarray, float]:
@@ -141,14 +161,54 @@ def _basis_solve(Zt: np.ndarray) -> np.ndarray:
         raise _error("singular basis", exc) from exc
 
 
-def _check_psd(P: np.ndarray) -> None:
+def _margins(n: int) -> tuple[float, float]:
+    """(c_P, c_S), the factors of the certificates' margins for n states:
+    tau_P = c_P (||P||_F + _FLOOR) and tau_S = c_S (||A_cl||_F ||P||_F + _FLOOR).
+
+    With u = 2^-53, a Cholesky factorization that runs to completion on a
+    symmetric M gives R'R = M + E with ||E||_2 <= (n+1) u tr M (to first
+    order; Demmel 1989, Rump, BIT 46, 2006), so lambda_min(M) > -(n+1) u tr M.
+    For M = fl(P - tau_P I), rounded on its diagonal only (by u |P_ii|),
+    and tr M <= tr P <= sqrt(n) ||P||_F, P is positive definite once
+    tau_P > (n+2) sqrt(n) u ||P||_F.  For the Lyapunov matrix of A_cl and P,
+    A_cl'P has an error of 2-norm <= n u ||A_cl||_F ||P||_F, twice that in
+    the sum with its transpose, whose rounding adds 2u ||A_cl||_F ||P||_F,
+    and Cholesky adds (n+2) u tr|N| <= 2(n+2) u ||A_cl||_F ||P||_F: (4n+6) u
+    ||A_cl||_F ||P||_F in all.  tau_S adds 16 n^2 u ||A_cl||_F ||P||_F, so
+    that A_cl + E stays Hurwitz for any E of 2-norm up to 8 n^2 u ||A_cl||_F,
+    an allowance for dgeev's backward error.  Each factor is twice its
+    bound, which covers the rounding of the margins themselves, and
+    _FLOOR covers underflow (an underflowing operation errs by at most
+    2^-1075)."""
+    return 2 * (n + 2) * math.sqrt(n) * _U, 2 * (4 * n + 6 + 16 * n * n) * _U
+
+
+def _check_psd(P: np.ndarray, shifted) -> bool:
+    """Raise unless P passes the PSD check.  The certificate first factors
+    shifted, fl(P - tau_P I) Fortran-ordered (dpotrf overwrites it): when
+    that succeeds, P is positive definite, so the eigenvalue test passes
+    (dsyevd's backward error, O(n u ||P||), is far inside its 1e-8 ||P||),
+    and True says so.  Otherwise dsyevd decides (False).  A P whose norm is
+    not finite gets an inf or nan margin, so a diagonal that fails the
+    factorization; an inf entry of P has already warned in the symmetry
+    check."""
+    if not lapack.dpotrf(shifted, overwrite_a=1, clean=0)[1]:
+        return True
     eigs = lapack.dsyevd(P, compute_v=0)[0]
     if eigs.min() < -1e-8 * max(1.0, eigs.max()):
         raise _error("P PSD", eigs.min())
+    return False
 
 
-def _check_hurwitz(closed: np.ndarray) -> None:
-    """dgeev overwrites closed, which must be Fortran-ordered."""
+def _check_hurwitz(closed: np.ndarray, lyapunov) -> None:
+    """Raise unless the closed loop A_cl is Hurwitz.  The certificate
+    factors lyapunov, fl(-(A_cl'P + P A_cl)) - tau_S I Fortran-ordered, for
+    a P that _check_psd certified (None if it did not): when that succeeds,
+    A_cl'P + P A_cl is negative definite, so by Lyapunov's theorem A_cl is
+    Hurwitz.  Otherwise dgeev decides; it overwrites closed, which must be
+    Fortran-ordered."""
+    if lyapunov is not None and not lapack.dpotrf(lyapunov, overwrite_a=1, clean=0)[1]:
+        return
     eigs = lapack.dgeev(closed, compute_vl=0, compute_vr=0, overwrite_a=1)[0]
     if eigs.max() >= 0.0:
         raise _error("closed loop Hurwitz", eigs.max())
@@ -180,6 +240,7 @@ class CostWeights:
     _r_chol: np.ndarray = field(init=False, repr=False, compare=False)
     _neg_q: np.ndarray = field(init=False, repr=False, compare=False)
     _limit: float = field(init=False, repr=False, compare=False)
+    _margins: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         q, q_norm = _symmetric(self.Q, "Q")
@@ -198,6 +259,7 @@ class CostWeights:
         object.__setattr__(self, "_r_chol", r_chol)
         object.__setattr__(self, "_neg_q", -q)
         object.__setattr__(self, "_limit", RESIDUAL_RTOL * max(1.0, q_norm))
+        object.__setattr__(self, "_margins", _margins(len(q)))
 
     @classmethod
     def from_diagonals(cls, q_diag, r_diag) -> "CostWeights":
@@ -227,10 +289,11 @@ def solve_stack(A, B, weights: CostWeights):
     A and B are stacks of k systems, k = 0 included, of one shape that fits
     the weights: each A n x n, each B n x m, Q n x n and R m x m.
 
-    dgees, dsyevd and dgeev run per system, and each dpotrs once on the
-    stack's k*n right-hand sides, each column solved on its own; the rest
-    runs over the stack on operands laid out per system as LAPACK lays them
-    out, so a system's bytes do not depend on the rest of its stack.
+    dgees and the certificates' dpotrf run per system (dsyevd and dgeev
+    only where a certificate fails), and each dpotrs once on the stack's
+    k*n right-hand sides, each column solved on its own; the rest runs over
+    the stack on operands laid out per system as LAPACK lays them out, so a
+    system's bytes do not depend on the rest of its stack.
     """
     A = np.asarray(A, dtype=float)
     B = np.asarray(B, dtype=float)
@@ -262,8 +325,13 @@ def solve_stack(A, B, weights: CostWeights):
         raise _error("P symmetric")
     P = 0.5 * (P + P_t)
 
-    for p in P:
-        _check_psd(p)
+    # the certificates' matrices, each system's passed Fortran-ordered (a
+    # symmetric matrix is its own transpose)
+    c_psd, c_lyapunov = weights._margins
+    p_norm = np.sqrt(np.einsum("kij,kij->k", P, P))
+    shifted = P.copy()
+    shifted.reshape(k, n * n)[:, :: n + 1] -= (c_psd * (p_norm + _FLOOR))[:, None]
+    certified = [_check_psd(p, s.T) for p, s in zip(P, shifted)]
 
     # the norm as np.linalg.norm takes it: the flattened matrix's dot product
     # with itself; written so that a non-finite residual fails too
@@ -277,8 +345,14 @@ def solve_stack(A, B, weights: CostWeights):
     K = lapack.dpotrs(weights._r_chol, BtP)[0].reshape(m, k, n).transpose(1, 0, 2)
     closed = np.empty((k, n, n)).transpose(0, 2, 1)  # Fortran-ordered: dgeev overwrites it
     np.subtract(A, B @ K, out=closed)
-    for c in closed:
-        _check_hurwitz(c)
+    with np.errstate(over="ignore", invalid="ignore"):  # beyond the bound, an inf margin
+        W = closed.transpose(0, 2, 1) @ P
+        lyapunov = np.negative(W + W.transpose(0, 2, 1))
+        bound = np.sqrt(np.einsum("kij,kij->k", closed, closed)) * p_norm
+        lyapunov.reshape(k, n * n)[:, :: n + 1] -= c_lyapunov * (
+            np.where(bound <= _CERTIFIABLE, bound, np.inf) + _FLOOR)[:, None]
+    for c, s, ok in zip(closed, lyapunov, certified):
+        _check_hurwitz(c, s.T if ok else None)
     return P, K
 
 
@@ -307,7 +381,12 @@ def _solve(A, B, weights: CostWeights):
         raise _error("P symmetric")
     P = 0.5 * (P + P.T)
 
-    _check_psd(P)
+    # solve_stack's certificates (np.vdot, unlike matmul, never warns)
+    c_psd, c_lyapunov = weights._margins
+    p_norm = math.sqrt(np.vdot(P, P))
+    shifted = P.copy()
+    shifted.ravel()[:: n + 1] -= c_psd * (p_norm + _FLOOR)
+    certified = _check_psd(P, shifted.T)  # Fortran-ordered, and still P - tau_P I
 
     R = (A.T @ P + P @ A - P @ G @ P + weights.Q).ravel()  # as np.linalg.norm takes it
     residual = math.sqrt(R @ R)
@@ -315,7 +394,15 @@ def _solve(A, B, weights: CostWeights):
         raise _error("CARE residual", residual, weights._limit)
 
     K = lapack.dpotrs(weights._r_chol, B.T @ P)[0]  # Fortran-ordered
-    _check_hurwitz(np.subtract(A, B @ K, order="F"))
+    closed = np.subtract(A, B @ K, order="F")
+    bound = math.sqrt(np.vdot(closed, closed)) * p_norm if certified else math.inf
+    lyapunov = None
+    if bound <= _CERTIFIABLE:
+        W = closed.T @ P
+        lyapunov = np.negative(W + W.T)
+        lyapunov.ravel()[:: n + 1] -= c_lyapunov * (bound + _FLOOR)
+        lyapunov = lyapunov.T
+    _check_hurwitz(closed, lyapunov)
     return P, K
 
 

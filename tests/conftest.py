@@ -1,3 +1,5 @@
+import inspect
+import itertools
 import json
 
 import numpy as np
@@ -66,41 +68,68 @@ def write_config(tmp_path):
     return _write
 
 
+def fail_certificates(monkeypatch, check, fails):
+    """Wrap riccati's check ("_check_psd" or "_check_hurwitz") so that its
+    certificate factorization fails on each call for which fails(number,
+    matrix) is true, number counting the check's calls from 0 (each
+    system's solve makes one of each) and matrix being its P or closed
+    loop, read before the check, which may overwrite it.  The check then
+    decides by its eigenvalue routine, dsyevd or dgeev, as it does
+    whenever its certificate fails."""
+    import armctl.riccati as riccati
+
+    real, calls = inspect.unwrap(getattr(riccati, check)), itertools.count()
+
+    def uncertified(matrix, certificate):
+        if fails(next(calls), matrix) and certificate is not None:
+            certificate = -np.eye(len(matrix), order="F")  # fails at its first pivot
+        return real(matrix, certificate)
+
+    uncertified.__wrapped__ = real  # so a later call wraps the check itself
+    monkeypatch.setattr(riccati, check, uncertified)
+
+
+# the check whose certificate falls back to each eigenvalue routine
+CHECKS = {"dsyevd": "_check_psd", "dgeev": "_check_hurwitz"}
+
+
 @pytest.fixture()
 def lapack_failures(monkeypatch):
     """inject(dgees=i, dsyevd=j, dgeev=k, skew=s, shift=r) makes the Riccati
     solver's dgees call number i (from 0) report a convergence failure (info
-    3), its dsyevd call number j a negative eigenvalue -0.5 of P, and its
-    dgeev call number k an unstable closed-loop eigenvalue 0.5.  dgees call
-    number s returns a basis [Z11; Z21] whose P = Z21 Z11^-1 is off by 1e-3
-    above the diagonal (so P is not symmetric), and call number r one whose
-    P is off by 1e-4 I (symmetric and PSD, but not a CARE solution).  None
-    skips one.  LAPACK is modelled as a function of its input: a later call
-    of the routine on the same values as a faulted call gets the same
-    fault, so solving a system again does not heal it."""
+    3), its PSD check number j report a negative eigenvalue -0.5 of P, and
+    its Hurwitz check number k an unstable closed-loop eigenvalue 0.5: the
+    check's certificate factorization fails and its dsyevd or dgeev call
+    returns that eigenvalue.  dgees call number s returns a basis
+    [Z11; Z21] whose P = Z21 Z11^-1 is off by 1e-3 above the diagonal (so
+    P is not symmetric), and call number r one whose P is off by 1e-4 I
+    (symmetric and PSD, but not a CARE solution).  None skips one.  LAPACK
+    is modelled as a function of its input: a later call of the routine, or
+    check, on the same values as a faulted one gets the same fault, so
+    solving a system again does not heal it."""
     import armctl.riccati as riccati
 
-    names = ("dgees", "dsyevd", "dgeev")
-    real = {name: getattr(riccati.lapack, name) for name in names}
+    real = {name: getattr(riccati.lapack, name) for name in ("dgees", *CHECKS)}
 
     def inject(dgees=None, dsyevd=None, dgeev=None, skew=None, shift=None):
-        calls = dict.fromkeys(names, 0)
+        calls = {"dgees": itertools.count()}
         faulted = {}  # (routine, input shape and values) -> its fault
 
-        def fault(name, matrix, **at):
+        def key(name, matrix):
+            return name, matrix.shape, np.ascontiguousarray(matrix).tobytes()
+
+        def fault(name, matrix, call, **at):
             """The fault of this call: the one injected on its call number (at
             maps fault -> call number), else the one an earlier call on the
             same input got, else None.  The input is read before the call,
             which may overwrite it."""
-            key = (name, matrix.shape, np.ascontiguousarray(matrix).tobytes())
-            call, calls[name] = calls[name], calls[name] + 1
             for kind, number in at.items():
                 if call == number:
-                    faulted[key] = kind
-            return faulted.get(key)
+                    faulted[key(name, matrix)] = kind
+            return faulted.get(key(name, matrix))
 
         def failing_dgees(select, a, *args, **kwargs):
-            kind = fault("dgees", a, info=dgees, skew=skew, shift=shift)
+            kind = fault("dgees", a, next(calls["dgees"]), info=dgees, skew=skew, shift=shift)
             out = real["dgees"](select, a, *args, **kwargs)
             Z = out[4]
             n = len(Z) // 2
@@ -110,19 +139,23 @@ def lapack_failures(monkeypatch):
             return out[:-1] + (3,) if kind == "info" else out
 
         def failing_dsyevd(a, *args, **kwargs):
-            kind = fault("dsyevd", a, psd=dsyevd)
+            kind = faulted.get(key("dsyevd", a))
             w, *rest = real["dsyevd"](a, *args, **kwargs)
             if kind:
                 w = np.append(-0.5, w[1:])
             return (w, *rest)
 
         def failing_dgeev(a, *args, **kwargs):
-            kind = fault("dgeev", a, hurwitz=dgeev)
+            kind = faulted.get(key("dgeev", a))
             wr, *rest = real["dgeev"](a, *args, **kwargs)
             if kind:
                 wr = np.append(wr[1:], 0.5)
             return (wr, *rest)
 
+        for routine, call in (("dsyevd", dsyevd), ("dgeev", dgeev)):
+            fail_certificates(monkeypatch, CHECKS[routine],
+                              lambda number, matrix, routine=routine, call=call:
+                              fault(routine, matrix, number, fault=call) is not None)
         monkeypatch.setattr(riccati.lapack, "dgees", failing_dgees)
         monkeypatch.setattr(riccati.lapack, "dsyevd", failing_dsyevd)
         monkeypatch.setattr(riccati.lapack, "dgeev", failing_dgeev)

@@ -1,5 +1,6 @@
 import dataclasses
 import importlib.machinery
+import inspect
 import itertools
 import math
 import pickle
@@ -17,17 +18,23 @@ import armctl.gain_table as gt
 import armctl.riccati as riccati
 from armctl import (
     ArmError,
+    ControllerMode,
     CostWeights,
+    GridSpec,
     IllConditioned,
     NotStabilizable,
     OperatingPoint,
+    SimConfig,
     equilibrium_point,
     equilibrium_torque,
     linearize,
     lqr_gain,
+    precompute,
+    refine,
+    simulate,
     solve_care,
 )
-from conftest import safe_random_theta
+from conftest import CHECKS, fail_certificates, safe_random_theta
 from oracles import reference_care
 
 DOUBLE_INTEGRATOR = (np.array([[0.0, 1.0], [0.0, 0.0]]), np.array([[0.0], [1.0]]))
@@ -201,18 +208,26 @@ CHECK_LIMITS = {
 
 @pytest.fixture()
 def chosen_eigenvalues(monkeypatch):
-    """inject(routine, call, eigs) makes riccati.lapack's dsyevd or dgeev
-    return eigs as its eigenvalues (dgeev: their real parts) on its call
-    number call (from 0) after inject, and its own on every other call."""
-    real = {name: getattr(riccati.lapack, name) for name in ("dsyevd", "dgeev")}
+    """inject(routine, call, eigs) makes the check that falls back to
+    riccati.lapack's dsyevd or dgeev (the PSD or the Hurwitz check) fail
+    its certificate on its call number call (from 0) after inject, and
+    that fallback call return eigs as its eigenvalues (dgeev: their real
+    parts); every other call runs as it is."""
+    real = {name: getattr(riccati.lapack, name) for name in CHECKS}
 
     def inject(routine, call, eigs):
-        calls = itertools.count()
+        due = []  # the faulted check's fallback call, until it is made
+
+        def fails(number, matrix):
+            if number == call:
+                due.append(routine)
+            return number == call
 
         def chosen(a, *args, **kwargs):
             w, *rest = real[routine](a, *args, **kwargs)
-            return (np.array(eigs) if next(calls) == call else w, *rest)
+            return (np.array(eigs) if due and due.pop() else w, *rest)
 
+        fail_certificates(monkeypatch, CHECKS[routine], fails)
         monkeypatch.setattr(riccati.lapack, routine, chosen)
 
     return inject
@@ -614,9 +629,9 @@ class TestMatchesReference:
 
 
 class TestCachedWeights:
-    """CostWeights keeps its R factor, -Q and residual limit in fields
-    outside equality and repr, and carries them through pickle, which is
-    how precompute's workers receive the weights."""
+    """CostWeights keeps its R factor, -Q, residual limit and margin
+    factors in fields outside equality and repr, and carries them through
+    pickle, which is how precompute's workers receive the weights."""
 
     def test_equality_and_repr_see_only_q_and_r(self):
         w = CostWeights([[2.0]], [[3.0]])
@@ -654,3 +669,148 @@ class TestLapackSource:
         where = str(Path(scipy.linalg.__file__).parent)
         with pytest.raises(ImportError, match=re.escape(where)):
             riccati._load_flapack()
+
+
+def _counting(monkeypatch, *routines):
+    """Wrap each of riccati.lapack's routines named so that it counts its
+    calls; returns {name: calls}."""
+    calls = dict.fromkeys(routines, 0)
+
+    def counted(name, real):
+        def routine(*args, **kwargs):
+            calls[name] += 1
+            return real(*args, **kwargs)
+        return routine
+
+    for name in routines:
+        monkeypatch.setattr(riccati.lapack, name, counted(name, getattr(riccati.lapack, name)))
+    return calls
+
+
+def _critical(rng, n, eig, jordan):
+    """An n x n closed loop whose eigenvalues are exactly eig (in a 3 x 3
+    Jordan block if jordan) and those of a Hurwitz block: block upper
+    triangular, with a random coupling, then permuted, all of it exact in
+    floating point."""
+    k = 3 if jordan else 1
+    S = rng.normal(size=(n - k, n - k))
+    A = np.zeros((n, n))
+    A[:k, :k] = eig * np.eye(k) + np.eye(k, k=1)
+    A[:k, k:] = rng.normal(size=(k, n - k))
+    A[k:, k:] = S - (np.abs(np.linalg.eigvals(S).real).max() + 0.5) * np.eye(n - k)
+    order = rng.permutation(n)
+    return A[np.ix_(order, order)]
+
+
+def _with_p(rng, n, delta):
+    """A symmetric n x n P whose smallest eigenvalue is exactly delta, a
+    power of two: the integer Gram matrix C C' of rank n - 1 plus delta I."""
+    C = rng.integers(-3, 4, size=(n, n - 1)).astype(float)
+    return C @ C.T + delta * np.eye(n)
+
+
+def _lyapunov_p(A, shift):
+    """The P > 0 with (A - shift I)'P + P(A - shift I) = -I for A - shift I
+    Hurwitz, solved on its Kronecker form and made exactly symmetric:
+    -(A'P + PA) = I - 2 shift P, which for A with an eigenvalue just below
+    shift is as near to positive definite as A allows.  Where that form is
+    singular in floating point (a Jordan block at -1e-15), the identity:
+    no P may certify a loop that is not Hurwitz."""
+    n = len(A)
+    S = A - shift * np.eye(n)
+    L = np.kron(np.eye(n), S.T) + np.kron(S.T, np.eye(n))  # vec(S'P + PS), P column-major
+    try:
+        P = np.linalg.solve(L, -np.eye(n).ravel()).reshape(n, n).T
+    except np.linalg.LinAlgError:
+        return np.eye(n)
+    return 0.5 * (P + P.T)
+
+
+DELTAS = [10.0**-k for k in range(1, 16)]
+
+
+class TestCertificates:
+    """Each check's certificate, a Cholesky factorization with a stated
+    margin, passes only on what it proves: a positive definite P, and a
+    closed loop that P proves Hurwitz.  Where it fails, the check calls
+    dsyevd or dgeev, as each check always did.  The soundness tests give
+    the bodies a chosen P and closed loop: the Schur basis and the basis
+    solve are patched to return P, B = 0 makes the closed loop A, and the
+    residual limit is lifted."""
+
+    @staticmethod
+    def certified(monkeypatch, A, P, body):
+        """(P certified, closed loop certified) by lqr_gain or by a stack
+        of one: the PSD and the Lyapunov certificate's dpotrf calls, in
+        that order, and whether each succeeded."""
+        n = len(A)
+        w = CostWeights(np.eye(n), np.eye(1))
+        object.__setattr__(w, "_limit", math.inf)
+        monkeypatch.setattr(riccati, "_schur_basis", lambda H, n: np.zeros((n, 2 * n)))
+        monkeypatch.setattr(riccati, "_basis_solve",
+                            lambda Zt: np.broadcast_to(P, Zt.shape[:-2] + P.shape).copy())
+        passed, real = [], inspect.unwrap(riccati.lapack.dpotrf)
+
+        def dpotrf(*args, **kwargs):
+            out = real(*args, **kwargs)
+            passed.append(out[1] == 0)
+            return out
+
+        dpotrf.__wrapped__ = real
+        monkeypatch.setattr(riccati.lapack, "dpotrf", dpotrf)
+        B = np.zeros((n, 1))
+        try:
+            if body == "lqr_gain":
+                lqr_gain(A, B, w)
+            else:
+                riccati.solve_stack(A[None], B[None], w)
+        except NotStabilizable:  # a fallback check failed
+            pass
+        return passed[0], passed[1:] == [True]
+
+    @pytest.mark.parametrize("body", ["lqr_gain", "solve_stack"])
+    @pytest.mark.parametrize("jordan", [False, True], ids=["simple", "jordan"])
+    @pytest.mark.parametrize("sign", [-1.0, 0.0, 1.0], ids=["-delta", "0", "+delta"])
+    def test_never_certifies_a_loop_that_is_not_hurwitz(self, monkeypatch, sign, jordan, body):
+        rng = np.random.default_rng(52)
+        passed = []
+        for delta in DELTAS:
+            n = int(rng.integers(4, 9))
+            A = _critical(rng, n, sign * delta, jordan)
+            P = _lyapunov_p(A, sign * delta + delta)
+            psd, hurwitz = self.certified(monkeypatch, A, P, body)
+            assert not (hurwitz and sign >= 0.0), delta
+            passed.append((psd, hurwitz))
+        # at delta 0.1 P is certified, so the loop's own certificate ran,
+        # and a clear margin passes it
+        assert passed[0] == (True, sign < 0.0)
+
+    @pytest.mark.parametrize("body", ["lqr_gain", "solve_stack"])
+    @pytest.mark.parametrize("sign", [-1.0, 1.0], ids=["-delta", "+delta"])
+    def test_never_certifies_an_indefinite_p(self, monkeypatch, sign, body):
+        rng = np.random.default_rng(53)
+        passed = []
+        for k in range(1, 16):
+            n = int(rng.integers(2, 9))
+            delta = 2.0 ** -round(k * math.log2(10.0))  # about 10^-k
+            A = _critical(rng, n, -1.0, False)
+            psd, _ = self.certified(monkeypatch, A, _with_p(rng, n, sign * delta), body)
+            assert not (psd and sign < 0.0), delta
+            passed.append(psd)
+        if sign > 0.0:
+            assert passed[0]
+
+    def test_test_arm_never_calls_an_eigenvalue_routine(self, monkeypatch, geom, masses,
+                                                        weights, theta_ref):
+        """On the test arm's systems every certificate passes: a 7^4 build
+        (its 7^3 planar nodes), the reference tree and a 2 s online episode
+        call neither dsyevd nor dgeev."""
+        calls = _counting(monkeypatch, "dsyevd", "dgeev", "dgees")
+        lo, hi = tuple(theta_ref - 0.25), tuple(theta_ref + 0.25)
+        precompute(geom, masses, weights, GridSpec(lo, hi, (7, 7, 7, 7)), workers=1)
+        refine(geom, masses, weights, (lo, hi), 0.1, 4)
+        x0 = np.concatenate([theta_ref + 0.1, [0.2, -0.3, 0.1, 0.4]])
+        simulate(geom, masses, SimConfig(duration=2.0), ControllerMode.ONLINE_LQR, x0,
+                 np.concatenate([theta_ref, np.zeros(4)]), weights=weights)
+        assert calls["dgees"] == 7**3 + 1241 + 101  # 7^3 planar nodes
+        assert (calls["dsyevd"], calls["dgeev"]) == (0, 0)

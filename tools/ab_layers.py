@@ -84,7 +84,9 @@ Cases, on the test arm of tests/conftest.py:
                     blocks once;
   precompute        a 5^4 precompute with 1 worker on the same box;
   precompute_2w     the same build with 2 workers, as perfbench's set-up
-                    builds it (2 chunks of 64 planar nodes, so a pool of 2).
+                    builds it (2 chunks of 64 planar nodes, so a pool of 2);
+  precompute_7      a 7^4 precompute with 1 worker on the same box, the
+                    build build-table's build_1w_s times.
 
 Run with --parent HEAD first: that self-A/B shows the noise floor, which is
 wide.  On a 2-vCPU host one round on identical code read ratios from 0.86
@@ -176,6 +178,7 @@ def cases(pkg) -> dict:
     B = np.array([model.B for model in models])
 
     grid = pkg.GridSpec(box[0], box[1], (5, 5, 5, 5))
+    grid7 = pkg.GridSpec(box[0], box[1], (7, 7, 7, 7))
     flat_bytes = pkg.save(pkg.precompute(geom, masses, weights, grid, workers=1))
     flat = pkg.load(flat_bytes)
     deploy = pkg.save(pkg.refine(geom, masses, weights, box, 0.4, 3))
@@ -223,6 +226,7 @@ def cases(pkg) -> dict:
         "load_lookup": (20, lambda: pkg.lookup(pkg.load(reference), off_node)),
         "precompute": (1, lambda: pkg.precompute(geom, masses, weights, grid, workers=1)),
         "precompute_2w": (1, lambda: pkg.precompute(geom, masses, weights, grid, workers=2)),
+        "precompute_7": (1, lambda: pkg.precompute(geom, masses, weights, grid7, workers=1)),
     }
 
 

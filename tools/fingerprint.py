@@ -57,6 +57,16 @@ Each line is a name and the first 16 hex digits of the sha256 of:
     cycling over (0.1, 0), (0, 0.1), (0.1, 0.1) and (0.02, 0.2): so a
     stack names B, or A when only A is not finite, and each system alone
     gives its own error or bytes;
+  - the same outcomes, and each system's solve_stack alone, on the
+    "riccati near-limit systems" drawn with seed 52: n = 6, m = 2, one
+    stack of 14 per (coupling, weight) pair, whose system k (1-14) has an
+    uncontrollable stable mode at -10^-k (state 0: its row of A and of B
+    zero but for that eigenvalue).  Its column of A, the mode driving the
+    other states, is zero (no coupling) or a random one scaled by 100 (a
+    non-normal coupling), and random full SPD weights weight it with its
+    Q row and column scaled by 1, 1e-6 or 0.  So P and the closed loop
+    come near where the checks' certificates hand over to dsyevd and
+    dgeev, and beyond it to the CARE residual's limit;
 All use the test arm of tests/conftest.py, and the table, lookup and
 simulate lines the box theta_ref +/- 0.25 unless named "non-dyadic".
 It imports armctl from the src/ directory next to it.  It exits with status
@@ -97,6 +107,9 @@ WORKSPACE = ([-np.pi, 0.3, -2.5, -2.0], [np.pi, 2.8, -0.3, 2.0])
 TURN = np.array([2 * np.pi, 0.0, 0.0, -2 * np.pi])  # the shift of the wrapped lookup lines
 NON_DYADIC = np.array([0.25, 0.3, 0.35, 0.4])  # half-widths of the non-dyadic tree's box
 SYSTEMS = 1000  # seeded random systems for each Riccati line, in stacks of 64
+NEAR_LIMIT = range(1, 15)  # the near-limit line's uncontrollable modes at -10^-k
+COUPLINGS = (0.0, 100.0)  # the scale of that mode's column of A: none, non-normal
+MODE_WEIGHTS = (1.0, 1e-6, 0.0)  # the scale of its row and column of Q
 # (share of systems with a non-finite B, with a non-finite A) in turn per stack
 NON_FINITE_SHARES = ((0.1, 0.0), (0.0, 0.1), (0.1, 0.1), (0.02, 0.2))
 
@@ -194,6 +207,29 @@ def non_finite_bytes(pkg) -> bytes:
     return b"".join(out)
 
 
+def near_limit_bytes(pkg) -> bytes:
+    """The near-limit Riccati line's outcomes: per (coupling, weight) pair,
+    each system's solve_care and lqr_gain, its solve_stack alone, then the
+    stack's."""
+    rng = np.random.default_rng(52)
+    n, m = 6, 2
+    out = []
+    for coupling, mode_weight in itertools.product(COUPLINGS, MODE_WEIGHTS):
+        C, D = rng.normal(size=(n, n)), rng.normal(size=(m, m))
+        Q = C.T @ C
+        Q[0] *= mode_weight
+        Q[:, 0] *= mode_weight
+        weights = pkg.CostWeights(Q, D.T @ D + np.eye(m))
+        A, B = rng.normal(size=(len(NEAR_LIMIT), n, n)), rng.normal(size=(len(NEAR_LIMIT), n, m))
+        A[:, 0], B[:, 0] = 0.0, 0.0
+        A[:, 0, 0] = [-(10.0 ** -k) for k in NEAR_LIMIT]
+        A[:, 1:, 0] *= coupling
+        out += [outcome_bytes(pkg, lambda: pkg.riccati.solve_stack(a[None], b[None], weights))
+                for a, b in zip(A, B)]
+        out += stack_outcomes(pkg, A, B, weights)
+    return b"".join(out)
+
+
 def fingerprints(pkg):
     """({name: digest}, [grids whose 1- and 2-worker builds differ]) of the
     armctl package pkg."""
@@ -281,6 +317,7 @@ def fingerprints(pkg):
         lines[name] = digest(b"".join(a.tobytes() for a in arrays))
     lines["riccati random systems"] = digest(riccati_bytes(pkg))
     lines["riccati non-finite inputs"] = digest(non_finite_bytes(pkg))
+    lines["riccati near-limit systems"] = digest(near_limit_bytes(pkg))
     return lines, mismatched
 
 
