@@ -6,9 +6,9 @@ reaches checks it, and its ValueError (a bad argument, see `errors`) exits 2
 with the usage line and the library's message naming the argument, e.g.
 "theta2 must be finite, got [nan]".  The counts `--workers` and `--iters` are
 read by the same `errors.count` before anything is built or read, so
-`--workers 0` gives "workers must be a whole number >= 1, got 0" (with
-`--refine` too) and `--iters 0` the same for n_iters.  `--refine inf` builds
-a one-leaf table.
+`--workers 0` gives "workers must be a whole number >= 1, got 0" and
+`--iters 0` the same for n_iters.  The commands build, fly and inspect flat
+tables only: a refined (tree) table file exits 8.
 
 Exit codes: 0 success; 1 any other armctl error, a dead precompute worker
 process included (killed, say; the next call starts a new pool); 2 usage,
@@ -16,7 +16,7 @@ config or argument errors; 3 unreachable IK target; 4 gain-table node failure;
 5 table digest mismatch; 6 simulation aborted mid-run (out of table bounds,
 solver failure, degenerate inertia, a diverged state); 7 a file that cannot be
 read or written (an absent --table file, an unwritable --out); 8 a malformed
-gain-table file (including an invalid dimension record).
+or refined gain-table file (a bad dimension record or an inf or nan gain included).
 All angles are radians; results go to stdout, diagnostics to stderr.
 """
 
@@ -25,7 +25,6 @@ from __future__ import annotations
 import argparse
 import math
 import sys
-from collections import Counter
 
 from .config import ArmConfig, load_config
 from .errors import (
@@ -42,10 +41,9 @@ from .gain_table import (
     FORMAT_VERSION,
     RefinedTable,
     arm_digest,
-    load,
     load_file,
     precompute,
-    refine,
+    save,
     save_file,
     weights_digest,
 )
@@ -97,38 +95,27 @@ def cmd_ik(config: ArmConfig, args) -> int:
 
 
 def cmd_precompute(config: ArmConfig, args) -> int:
-    workers = count(args.workers, "workers", 1)  # also checked when --refine ignores it
-    if args.refine is not None:
-        table = refine(
-            config.geometry,
-            config.masses,
-            config.weights,
-            (config.grid.lo, config.grid.hi),
-            args.refine,
-            args.max_depth,
-        )
-        leaves = table.leaves()
-        flagged = table.flagged_leaves()
-        save_file(table, args.out)
-        print(f"leaves: {len(leaves)}")
-        print(f"flagged: {len(flagged)}")
-        for cell in flagged:
-            print(f"  unrefinable cell lo={cell.lo} hi={cell.hi}", file=sys.stderr)
-    else:
-        table = precompute(
-            config.geometry, config.masses, config.weights, config.grid,
-            workers=workers,
-        )
-        save_file(table, args.out)
-        print(f"nodes: {table.grid.n_nodes}")
+    table = precompute(config.geometry, config.masses, config.weights, config.grid,
+                       workers=args.workers)
+    save_file(table, args.out)
+    print(f"nodes: {table.grid.n_nodes}")
     return EXIT_OK
+
+
+def _flat_table(path):
+    """The flat table in the file at path; a retired refined one raises TableFormatError."""
+    table = load_file(path)
+    if isinstance(table, RefinedTable):
+        raise TableFormatError(f"{path} is a refined (tree) table, which is retired: "
+                               "rebuild it as a flat grid with precompute")
+    return table
 
 
 def cmd_simulate(config: ArmConfig, args) -> int:
     mode = ControllerMode(args.mode)
     table = None
     if mode is ControllerMode.TABLE_LQR and args.table is not None:
-        table = load_file(args.table)  # without one, simulate's ValueError exits 2
+        table = _flat_table(args.table)  # without one, simulate's ValueError exits 2
     grid = config.grid
     x0 = args.x0 or [0.5 * (lo + hi) for lo, hi in zip(grid.lo, grid.hi)] + [0.0] * 4
     x_ref = (args.ref or x0[:4]) + [0.0] * 4
@@ -155,7 +142,7 @@ def cmd_simulate(config: ArmConfig, args) -> int:
 def cmd_bench(config: ArmConfig, args) -> int:
     n_iters = count(args.iters, "n_iters", 1)  # before the table file is read
     report = bench_controller(
-        config.geometry, config.masses, load_file(args.table), n_iters, weights=config.weights,
+        config.geometry, config.masses, _flat_table(args.table), n_iters, weights=config.weights,
     )
     print(f"online_median_us: {report.online_median_us:.3f}")
     print(f"online_p95_us: {report.online_p95_us:.3f}")
@@ -169,31 +156,17 @@ def cmd_bench(config: ArmConfig, args) -> int:
 
 
 def cmd_inspect(config: ArmConfig | None, args) -> int:
-    with open(args.table, "rb") as f:
-        data = f.read()
-    table = load(data)
-    refined = isinstance(table, RefinedTable)
-    print(f"kind: {'refined' if refined else 'flat'}")
+    table = _flat_table(args.table)
+    print("kind: flat")
     print(f"version: {FORMAT_VERSION}")
     for k in range(4):
         print(f"theta{k + 1}: [{table.lo[k]!r}, {table.hi[k]!r}]")
-    if refined:
-        leaves = table.leaves()
-        depths = Counter(leaf.depth for leaf in leaves)
-        print(f"tol: {table.tol!r}")
-        print(f"max_depth: {table.max_depth}")
-        print(f"leaves: {len(leaves)}")
-        print("depths: " + " ".join(f"{d}:{depths[d]}" for d in sorted(depths)))
-        print(f"flagged: {sum(leaf.flagged for leaf in leaves)}")
-        gains = table.pool
-    else:
-        print("counts: " + " ".join(str(n) for n in table.grid.counts))
-        print(f"leaves: {math.prod(n - 1 for n in table.grid.counts[1:])}")
-        print("flagged: 0")
-        gains = table.gains
-    print(f"pool_gains: {gains.size // 32}")
-    print(f"pool_bytes: {gains.nbytes}")
-    print(f"file_bytes: {len(data)}")
+    print("counts: " + " ".join(str(n) for n in table.grid.counts))
+    print(f"leaves: {math.prod(n - 1 for n in table.grid.counts[1:])}")
+    print("flagged: 0")
+    print(f"pool_gains: {table.gains.size // 32}")
+    print(f"pool_bytes: {table.gains.nbytes}")
+    print(f"file_bytes: {len(save(table))}")  # save(load(b)) == b
     if config is not None:
         arm = table.digest[:16] == arm_digest(config.geometry, config.masses)
         cost = table.digest[16:] == weights_digest(config.weights)
@@ -226,9 +199,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("precompute", help="build and save a gain table")
     p.add_argument("--out", required=True, help="output table file")
-    p.add_argument("--refine", type=float, default=None, metavar="TOL",
-                   help="build an error-driven refined table with this tolerance")
-    p.add_argument("--max-depth", type=int, default=6, dest="max_depth")
     p.add_argument("--workers", type=int, default=1)
     p.set_defaults(func=cmd_precompute)
 

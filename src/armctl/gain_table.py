@@ -38,7 +38,7 @@ geometry/masses, 16 over the cost weights - so a loader can tell which side
 of a mismatch it is looking at.  load reports the first fault in this order:
 magic, header length, version, dimension count, box and counts (by GridSpec's
 rules for a flat header, the refined constructor's box rule for a tree),
-payload, tree.
+payload length, a nan or infinite gain (flat payload or tree pool), tree.
 """
 from __future__ import annotations
 
@@ -643,6 +643,15 @@ def _take(data: bytes, at: int, n: int) -> bytes:
     return data[at:at + n]
 
 
+def _finite(gains: np.ndarray, at: int) -> np.ndarray:
+    """gains, read from offset at, or TableFormatError at the first nan or inf's offset."""
+    finite = np.isfinite(gains)  # not a sum: numpy warns when one overflows
+    if not finite.all():
+        first = int(np.argmin(finite))
+        raise TableFormatError(f"gain {gains[first]} at offset {at + 8 * first} is not finite")
+    return gains
+
+
 def save(table) -> bytes:
     """Serialize a GainTable or RefinedTable to the binary format."""
     dims = itertools.chain.from_iterable(zip(table.lo, table.hi, table.counts))
@@ -653,8 +662,8 @@ def load(data: bytes):
     """Parse a byte stream produced by save(), raising the first fault in
     the module docstring's order: BadMagic, TruncatedData, VersionMismatch (a
     version 1 file included), BadGrid (with the constructor's message), then
-    TruncatedData, TreeTooDeep or TableFormatError.  The stored digest is not
-    compared here: check_digest does that."""
+    TruncatedData, TableFormatError (a nan or inf gain), TreeTooDeep or
+    TableFormatError.  The stored digest is not compared: check_digest does that."""
     data = bytes(data)
     if data[:4] != MAGIC:
         raise BadMagic(f"expected magic {MAGIC!r}")
@@ -675,7 +684,7 @@ def load(data: bytes):
     if refined:
         tol, max_depth, n_pool = _TREE_PARAMS.unpack(_take(data, at, _TREE_PARAMS.size))
         at += _TREE_PARAMS.size
-        pool = np.frombuffer(_take(data, at, n_pool * _GAIN_BYTES), "<f8")
+        pool = _finite(np.frombuffer(_take(data, at, n_pool * _GAIN_BYTES), "<f8"), at)
         return RefinedTable(*spec, digest, tol, max_depth,
                             pool.reshape((n_pool,) + GAIN_SHAPE), data[at + pool.nbytes:])
     # the length first: a payload of the wrong length is TruncatedData (exit 8), not the
@@ -683,7 +692,7 @@ def load(data: bytes):
     shape = spec.shape[1:] + GAIN_SHAPE
     if len(data) - at != math.prod(shape) * 8:
         raise TruncatedData(f"flat payload of {len(data) - at} bytes, need {math.prod(shape) * 8}")
-    return GainTable(spec, np.frombuffer(data[at:], "<f8").reshape(shape), digest)
+    return GainTable(spec, _finite(np.frombuffer(data[at:], "<f8"), at).reshape(shape), digest)
 
 
 def save_file(table, path):

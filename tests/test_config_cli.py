@@ -5,6 +5,7 @@ import multiprocessing.connection
 import os
 import re
 import signal
+import struct
 import subprocess
 import sys
 from pathlib import Path
@@ -241,12 +242,9 @@ def test_import_leaves_out_scipy():
          "--ref", "0.3", "inf", "-0.9", "0.5"],
         ["simulate", "--mode", "passive", "--out", "run.csv",
          "--ref", "0.3", "nan", "-0.9", "0.5"],
-        ["precompute", "--out", "gains.agt", "--refine", "nan"],
-        ["precompute", "--out", "gains.agt", "--refine", "-0.1"],
-        ["precompute", "--out", "gains.agt", "--refine", "0.1", "--max-depth", "0"],
     ],
     ids=["fk-nan", "fk-inf", "ik-nan", "ik-pitch-inf", "simulate-x0-nan",
-         "simulate-ref-inf", "passive-ref-nan", "refine-nan", "refine-negative", "max-depth-0"],
+         "simulate-ref-inf", "passive-ref-nan"],
 )
 def test_bad_number_is_usage_error(capsys, write_config, tmp_path, monkeypatch, argv):
     monkeypatch.chdir(tmp_path)
@@ -376,31 +374,17 @@ class TestPrecompute:
         assert "counts[0] must be at most 4294967295" in err
         assert "Traceback" not in err and not out_path.exists()
 
-    def test_max_depth_beyond_u32_exit_2_no_file(self, capsys, write_config, tmp_path):
-        # refine's own ValueError, before any node is solved
-        out_path = tmp_path / "refined.agt"
-        with pytest.raises(SystemExit) as info:
-            main(["--config", write_config(), "precompute", "--out", str(out_path),
-                  "--refine", "inf", "--max-depth", str(2**32)])
-        assert info.value.code == 2
-        err = capsys.readouterr().err
-        assert err.startswith("usage:")
-        assert err.rstrip().endswith(
-            "error: max_depth must be at most 4294967295, got 4294967296")
-        assert not out_path.exists()
-
-    @pytest.mark.parametrize("refine", [[], ["--refine", "inf"]], ids=["flat", "refined"])
+    @pytest.mark.parametrize("kind", ["flat"])  # the one kind precompute builds
     def test_zero_workers_exit_2_no_file(self, capsys, write_config, tmp_path, monkeypatch,
-                                         refine):
-        # errors.count's own message, read before either branch builds anything
-        def build(*args, **kwargs):
-            raise AssertionError("a table was built")
-        monkeypatch.setattr(armctl.cli, "precompute", build)
-        monkeypatch.setattr(armctl.cli, "refine", build)
+                                         kind):
+        # precompute's errors.count message, read before any node is solved
+        def solve(*args, **kwargs):
+            raise AssertionError("a node was solved")
+        monkeypatch.setattr(gt, "_solve_points", solve)
         cfg = write_config()
         with pytest.raises(SystemExit) as info:
             main(["--config", cfg, "precompute", "--out", str(tmp_path / "gains.agt"),
-                  "--workers", "0"] + refine)
+                  "--workers", "0"])
         assert info.value.code == 2
         err = capsys.readouterr().err
         assert err.startswith("usage:")
@@ -451,40 +435,17 @@ class TestPrecompute:
         assert sorted(tmp_path.iterdir()) == [tmp_path / "arm.json", out_dir]
         assert list(out_dir.iterdir()) == []
 
-    def test_refine_inf_builds_one_leaf(self, capsys, write_config, tmp_path):
-        out_path = tmp_path / "refined.agt"
-        code, out, _ = run_cli(capsys, "--config", write_config(), "precompute",
-                               "--out", str(out_path), "--refine", "inf")
-        assert code == 0
-        assert "leaves: 1" in out
-        code, out, _ = run_cli(capsys, "inspect", str(out_path))
-        assert code == 0
-        assert "leaves: 1" in out.splitlines()
-
-    def test_refined_leaves_meet_tolerance(self, capsys, write_config, tmp_path):
-        cfg = write_config({
-            "grid.theta1": {"min": 0.25, "max": 0.35, "count": 2},
-            "grid.theta2": {"min": 0.75, "max": 0.85, "count": 2},
-            "grid.theta3": {"min": -0.95, "max": -0.85, "count": 2},
-            "grid.theta4": {"min": 0.45, "max": 0.55, "count": 2},
-        })
-        out_path = tmp_path / "refined.agt"
-        code, out, _ = run_cli(capsys, "--config", cfg, "precompute", "--out",
-                               str(out_path), "--refine", "1e-2", "--max-depth", "3")
-        assert code == 0
-        assert "flagged: 0" in out
-
-        from armctl import equilibrium_point, linearize, load_file, lookup, lqr_gain
-
-        table = load_file(out_path)
-        config = load_config(cfg)
-        for leaf in table.leaves():
-            center = leaf.center()
-            model = linearize(config.geometry, config.masses,
-                              equilibrium_point(config.geometry, config.masses, center))
-            direct = lqr_gain(model.A, model.B, config.weights)
-            interpolated = lookup(table, center)
-            assert np.linalg.norm(interpolated - direct, 2) <= 1e-2
+    @pytest.mark.parametrize("option", [["--refine", "0.1"], ["--max-depth", "3"]],
+                             ids=["refine", "max-depth"])
+    def test_tree_options_are_gone(self, capsys, write_config, tmp_path, monkeypatch, option):
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(SystemExit) as info:
+            main(["--config", write_config(), "precompute", "--out", "gains.agt"] + option)
+        assert info.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage:")
+        assert err.rstrip().endswith(f"error: unrecognized arguments: {' '.join(option)}")
+        assert list(tmp_path.iterdir()) == [tmp_path / "arm.json"]  # nothing written
 
 
 class TestSimulate:
@@ -661,6 +622,23 @@ class TestSimulate:
         assert code == 8
         assert "version 1" in err and "rebuild" in err
 
+    def test_non_finite_gain_exit_8(self, capsys, write_config, tmp_path):
+        # the file fails at load, not the run at node (0, 0, 0, 0), whose lookup is nan
+        cfg = write_config({f"grid.theta{k}.count": 3 for k in (2, 3, 4)})
+        table_path, out_csv = tmp_path / "gains.agt", tmp_path / "run.csv"
+        assert run_cli(capsys, "--config", cfg, "precompute", "--out", str(table_path))[0] == 0
+        blob = bytearray(table_path.read_bytes())
+        struct.pack_into("<d", blob, 124, math.nan)  # that node's K[0, 0]
+        table_path.write_bytes(bytes(blob))
+        code, out, err = run_cli(
+            capsys, "--config", cfg, "simulate", "--mode", "table",
+            "--table", str(table_path), "--out", str(out_csv),
+            "--x0", "0.05", "0.55", "-1.15", "0.25", "0", "0", "0", "0",
+        )
+        assert code == 8 and out == ""
+        assert err == "error: gain nan at offset 124 is not finite\n"
+        assert not out_csv.exists()
+
     def test_malformed_table_exit_8(self, capsys, write_config, tmp_path):
         table_path = tmp_path / "gains.agt"
         table_path.write_bytes(b"AGT1" + bytes(20))
@@ -688,27 +666,6 @@ class TestInspect:
         assert report["pool_bytes"] == str(12 * 256)
         assert report["file_bytes"] == str(table_path.stat().st_size)
         assert "arm_digest" not in report
-
-    def test_refined_with_config(self, capsys, write_config, tmp_path):
-        cfg = write_config()
-        table_path = tmp_path / "refined.agt"
-        code, out, _ = run_cli(capsys, "--config", cfg, "precompute", "--out",
-                               str(table_path), "--refine", "0.4", "--max-depth", "2")
-        assert code == 0
-        built = dict(line.split(": ") for line in out.strip().splitlines())
-        other = write_config({"cost.r_diag": [2.0] * 4}, name="other.json")
-        code, out, _ = run_cli(capsys, "--config", other, "inspect", str(table_path))
-        assert code == 0
-        report = dict(line.split(": ", 1) for line in out.strip().splitlines())
-        assert report["kind"] == "refined"
-        assert report["tol"] == "0.4" and report["max_depth"] == "2"
-        assert report["leaves"] == built["leaves"] and report["flagged"] == built["flagged"]
-        depths = dict(item.split(":") for item in report["depths"].split())
-        assert sum(map(int, depths.values())) == int(report["leaves"])
-        assert set(depths) <= {"1", "2"}
-        assert int(report["pool_bytes"]) == 256 * int(report["pool_gains"])
-        assert report["arm_digest"] == "match"
-        assert report["weights_digest"] == "differs"
 
     def test_bad_files(self, capsys, tmp_path):
         assert run_cli(capsys, "inspect", str(tmp_path / "missing.agt"))[0] == 7
@@ -774,3 +731,22 @@ class TestBench:
         assert err.startswith("usage:")
         assert err.rstrip().endswith("error: n_iters must be a whole number >= 1, got 0")
         assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", [
+    ["inspect"],
+    ["simulate", "--mode", "table", "--out", "run.csv", "--table"],
+    ["bench", "--iters", "5", "--table"],
+], ids=["inspect", "simulate", "bench"])
+def test_refined_table_file_exit_8(capsys, write_config, tmp_path, monkeypatch, command):
+    # a tree written through the library: the CLI flies and inspects flat tables only
+    monkeypatch.chdir(tmp_path)
+    cfg = write_config()
+    config = load_config(cfg)
+    armctl.save_file(armctl.refine(config.geometry, config.masses, config.weights,
+                                   (config.grid.lo, config.grid.hi), 0.4, 2), "refined.agt")
+    code, out, err = run_cli(capsys, "--config", cfg, *command, "refined.agt")
+    assert code == 8 and out == ""
+    assert err == ("error: refined.agt is a refined (tree) table, which is retired: "
+                   "rebuild it as a flat grid with precompute\n")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["arm.json", "refined.agt"]

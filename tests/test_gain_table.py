@@ -1496,6 +1496,31 @@ class TestSerialization:
         with pytest.raises(BadGrid, match=message):
             load(self._patch_dims(blob, **fields))
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("kind, start", [("table", REFINED_HEADER),
+                                             ("refined_mid", REFINED_HEADER + 16)],
+                             ids=["flat", "refined"])
+    def test_non_finite_gain(self, request, kind, start, bad):
+        # a flat payload or a tree pool: the first bad gain is named by its byte offset
+        blob = bytearray(save(request.getfixturevalue(kind)))
+        first = start + 8 * 37
+        struct.pack_into("<d", blob, first, bad)
+        struct.pack_into("<d", blob, start + 8 * 200, math.nan)
+        with pytest.raises(TableFormatError) as raised:
+            load(bytes(blob))
+        assert type(raised.value) is TableFormatError
+        assert str(raised.value) == f"gain {bad} at offset {first} is not finite"
+
+    @pytest.mark.parametrize("kind, start", [("table", REFINED_HEADER),
+                                             ("refined_mid", REFINED_HEADER + 16)],
+                             ids=["flat", "refined"])
+    def test_finite_gains_whose_sum_overflows(self, request, kind, start):
+        # gains whose sum overflows load, with no overflow warning
+        blob = bytearray(save(request.getfixturevalue(kind)))
+        for k in (3, 4):
+            struct.pack_into("<d", blob, start + 8 * k, 1.7e308)
+        assert save(load(bytes(blob))) == bytes(blob)
+
     def test_huge_counts_rejected_before_allocating(self, table):
         blob = self._patch_dims(save(table), count={k: 2**31 for k in range(4)})
         tracemalloc.start()
