@@ -141,17 +141,11 @@ def cmd_simulate(config: ArmConfig, args) -> int:
 
 def cmd_bench(config: ArmConfig, args) -> int:
     n_iters = count(args.iters, "n_iters", 1)  # before the table file is read
-    report = bench_controller(
-        config.geometry, config.masses, _flat_table(args.table), n_iters, weights=config.weights,
-    )
-    print(f"online_median_us: {report.online_median_us:.3f}")
-    print(f"online_p95_us: {report.online_p95_us:.3f}")
-    print(f"lookup_median_us: {report.lookup_median_us:.3f}")
-    print(f"lookup_p95_us: {report.lookup_p95_us:.3f}")
-    print(f"speedup: {report.speedup:.3f}")
-    if args.layers:
-        for layer in ("linearize", "care", "locate", "blend"):
-            print(f"{layer}_median_us: {getattr(report, f'{layer}_median_us'):.3f}")
+    report = bench_controller(config.geometry, config.masses, _flat_table(args.table), n_iters,
+                              weights=config.weights)
+    for name in ("online_median_us", "online_p95_us", "lookup_median_us", "lookup_p95_us",
+                 "speedup"):
+        print(f"{name}: {getattr(report, name):.3f}")
     return EXIT_OK
 
 
@@ -212,13 +206,9 @@ def build_parser() -> argparse.ArgumentParser:
                    help="reference angles (default: the x0 angles)")
     p.set_defaults(func=cmd_simulate)
 
-    p = sub.add_parser("bench", help="latency: online LQR step vs table lookup")
+    p = sub.add_parser("bench", help="latency: online LQR update vs table lookup update")
     p.add_argument("--table", required=True)
     p.add_argument("--iters", type=int, default=1000)
-    p.add_argument("--layers", action="store_true",
-                   help="also print the median of each layer: linearize, care (online "
-                        "step); locate (argument read, bounds, wrap, cell and weights, corner "
-                        "gather), blend (weighted sum, gain product): one pass, summing to lookup")
     p.set_defaults(func=cmd_bench)
 
     p = sub.add_parser("inspect", help="describe a gain-table file; with --config, "

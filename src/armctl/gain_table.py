@@ -153,6 +153,22 @@ def _u32(value, name: str, least: int) -> int:
     return v
 
 
+class _NonFinite(ValueError):
+    """A table's nan or infinite gain, at flat index `index` of its array."""
+
+    def __init__(self, name: str, gains: np.ndarray, index: int):
+        self.value, self.index = float(gains.flat[index]), index
+        entry = ", ".join(map(str, np.unravel_index(index, gains.shape)))
+        super().__init__(f"{name}[{entry}] is {self.value}, not finite")
+
+
+def _check_finite(gains: np.ndarray, name: str) -> None:
+    """_NonFinite for the first nan or infinite entry of gains, in row-major order."""
+    finite = np.isfinite(gains)  # not a sum: numpy warns when one overflows
+    if not finite.all():
+        raise _NonFinite(name, gains, int(np.argmin(finite)))
+
+
 def _frozen(array: np.ndarray) -> np.ndarray:
     """array, made read-only."""
     array.flags.writeable = False
@@ -232,12 +248,6 @@ def lookup(table, theta) -> np.ndarray:
     must have 4 components, got N").  Both table kinds apply _weights' one
     cell rule, so a node gives its stored gain bit for bit.
     """
-    return _blend(*_cell(table, theta))
-
-
-def _cell(table, theta):
-    """lookup before the blend: theta read, bounds-checked and located;
-    returns its cell's cached corner block (8, 32) and weights for _blend."""
     th = components(theta, NDIM, "theta")
     t1, t2, t3, t4 = th
     l1, l2, l3, l4, h1, h2, h3, h4 = table._bounds
@@ -249,7 +259,7 @@ def _cell(table, theta):
                 if not lo[k] <= v <= hi[k]:
                     raise OutOfBounds(f"angle {v!r} outside table dimension {k} [{lo[k]}, {hi[k]}]")
         t1, t2, t3, t4 = th
-    return table._locate(t2, t3, t4)
+    return _blend(*table._locate(t2, t3, t4))
 
 
 # ---------------------------------------------------------------------------
@@ -257,8 +267,8 @@ def _cell(table, theta):
 
 @dataclass(frozen=True, eq=False)
 class GainTable:
-    """Flat grid of gain matrices: gains[i2, i3, i4] is the 4x8 gain of every
-    node (i1, i2, i3, i4), read-only (a writeable gains is copied: _blocks is
+    """Flat grid of gain matrices: gains[i2, i3, i4] is the finite 4x8 gain of
+    every node (i1, i2, i3, i4), read-only (a writeable gains is copied: _blocks is
     cached).  == and hash are identity; tables compare by save(a) == save(b)."""
 
     grid: GridSpec
@@ -273,6 +283,7 @@ class GainTable:
             raise ValueError(f"gains must have shape {expected}, got {self.gains.shape}")
         if not isinstance(self.digest, bytes) or len(self.digest) != 32:
             raise ValueError("digest must be 32 bytes")
+        _check_finite(self.gains, "gains")
         gains = _frozen(self.gains.copy()) if self.gains.flags.writeable else self.gains
         a2, a3, a4 = (self.grid.axis(k).tolist() for k in (1, 2, 3))
         for name, value in (("gains", gains), ("_bounds", self.grid.lo + self.grid.hi),
@@ -438,7 +449,7 @@ class RefinedTable:
     when c is leaf n in pre-order (the root is cell 0); leaf n has the corner
     gains pool[corners[n, i]], ordered as in _weights, corners being a
     read-only (n_leaves, 8) np.intp array, and its flag in leaves()[n].  pool
-    is read-only, as for GainTable.gains.  == and hash are identity: two
+    is finite and read-only, as for GainTable.gains.  == and hash are identity: two
     tables are compared by save(a) == save(b)."""
 
     lo: tuple[float, float, float, float]
@@ -462,6 +473,7 @@ class RefinedTable:
             raise ValueError(f"pool must be a numpy array, got {type(self.pool).__name__}")
         if self.pool.shape[1:] != GAIN_SHAPE:
             raise ValueError(f"pool must have shape (n, 4, 8), got {self.pool.shape}")
+        _check_finite(self.pool, "pool")  # a gain's fault comes before the tree's
         tree, n_pool, max_depth = self.tree, len(self.pool), self.max_depth
         if max_depth < 1:  # the root is depth 1; the walk checks its bytes first
             raise TreeTooDeep(f"cell at depth 1 exceeds max_depth {max_depth}")
@@ -643,15 +655,6 @@ def _take(data: bytes, at: int, n: int) -> bytes:
     return data[at:at + n]
 
 
-def _finite(gains: np.ndarray, at: int) -> np.ndarray:
-    """gains, read from offset at, or TableFormatError at the first nan or inf's offset."""
-    finite = np.isfinite(gains)  # not a sum: numpy warns when one overflows
-    if not finite.all():
-        first = int(np.argmin(finite))
-        raise TableFormatError(f"gain {gains[first]} at offset {at + 8 * first} is not finite")
-    return gains
-
-
 def save(table) -> bytes:
     """Serialize a GainTable or RefinedTable to the binary format."""
     dims = itertools.chain.from_iterable(zip(table.lo, table.hi, table.counts))
@@ -681,18 +684,23 @@ def load(data: bytes):
         raise BadGrid(str(exc)) from exc
 
     at = _HEADER.size
-    if refined:
-        tol, max_depth, n_pool = _TREE_PARAMS.unpack(_take(data, at, _TREE_PARAMS.size))
-        at += _TREE_PARAMS.size
-        pool = _finite(np.frombuffer(_take(data, at, n_pool * _GAIN_BYTES), "<f8"), at)
-        return RefinedTable(*spec, digest, tol, max_depth,
-                            pool.reshape((n_pool,) + GAIN_SHAPE), data[at + pool.nbytes:])
-    # the length first: a payload of the wrong length is TruncatedData (exit 8), not the
-    # ValueError np.frombuffer or reshape would raise, which main turns into exit 2
-    shape = spec.shape[1:] + GAIN_SHAPE
-    if len(data) - at != math.prod(shape) * 8:
-        raise TruncatedData(f"flat payload of {len(data) - at} bytes, need {math.prod(shape) * 8}")
-    return GainTable(spec, _finite(np.frombuffer(data[at:], "<f8"), at).reshape(shape), digest)
+    try:  # the constructors' finite rule, reported by byte offset
+        if refined:
+            tol, max_depth, n_pool = _TREE_PARAMS.unpack(_take(data, at, _TREE_PARAMS.size))
+            at += _TREE_PARAMS.size
+            pool = np.frombuffer(_take(data, at, n_pool * _GAIN_BYTES), "<f8")
+            return RefinedTable(*spec, digest, tol, max_depth,
+                                pool.reshape((n_pool,) + GAIN_SHAPE), data[at + pool.nbytes:])
+        # the length first: a payload of the wrong length is TruncatedData (exit 8), not the
+        # ValueError np.frombuffer or reshape would raise, which main turns into exit 2
+        shape = spec.shape[1:] + GAIN_SHAPE
+        if len(data) - at != math.prod(shape) * 8:
+            raise TruncatedData(f"flat payload of {len(data) - at} bytes, "
+                                f"need {math.prod(shape) * 8}")
+        return GainTable(spec, np.frombuffer(data[at:], "<f8").reshape(shape), digest)
+    except _NonFinite as exc:
+        raise TableFormatError(f"gain {exc.value} at offset {at + 8 * exc.index} "
+                               "is not finite") from exc
 
 
 def save_file(table, path):

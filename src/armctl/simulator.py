@@ -28,7 +28,7 @@ import numpy as np
 
 from .dynamics import MassModel, _energy, _kernel, _mass_forms, equilibrium_torque
 from .errors import ArmError, Diverged, components, count, scalar, vector
-from .gain_table import GainTable, RefinedTable, _blend, _cell, check_digest, lookup
+from .gain_table import GainTable, RefinedTable, check_digest, lookup
 from .kinematics import ArmGeometry
 from .linearization import OperatingPoint, linearize
 from .riccati import CostWeights, lqr_gain
@@ -248,11 +248,9 @@ def _check_weights(weights, *allowed):
 
 @dataclass(frozen=True)
 class LatencyReport:
-    """Wall-clock cost of one control step, online versus table lookup on a
-    table looked up once before, and the medians of its layers: online,
-    linearize and lqr_gain; lookup, in one pass, locate (argument read, bounds,
-    wrap, cell and its 8 weights, its cell's cached corner block) then blend
-    (the corners' weighted sum, gain product), summing to it."""
+    """Wall-clock cost of one control update, online versus table lookup,
+    each the update `simulate` performs: its gain source's gain at a state
+    and held torque, applied to the state error."""
 
     online_median_us: float
     online_p95_us: float
@@ -260,36 +258,23 @@ class LatencyReport:
     lookup_p95_us: float
     speedup: float
     n_iters: int
-    linearize_median_us: float
-    care_median_us: float
-    locate_median_us: float
-    blend_median_us: float
 
 
-def bench_controller(
-    geom: ArmGeometry,
-    masses: MassModel,
-    table: GainTable | RefinedTable,
-    n_iters: int,
-    *,
-    weights: CostWeights,
-) -> LatencyReport:
-    """Compare one online control step (linearize + Riccati solve + gain,
-    then applying the gain) against one table lookup + gain application,
-    at n_iters states drawn from a fixed seed: in-bounds angles and rates
-    up to BENCH_RATE.  The rates are non-zero, as in a closed-loop update,
-    so linearize fills the rate columns too (see linearization).
-
-    Each layer is also timed on its own (see LatencyReport): linearize and
-    lqr_gain inside the online step, and the lookup's two halves, locate
-    (`gain_table._cell`) and blend, timed in one pass so they sum to it.
-    An untimed lookup first pays the table's one-off gather of its corner blocks.
-    Everything runs on the calling thread so the timings are stable.  Its
-    arguments are checked first, in order: n_iters, weights, table, digest.
-    """
+def bench_controller(geom: ArmGeometry, masses: MassModel, table: GainTable | RefinedTable,
+                     n_iters: int, *, weights: CostWeights) -> LatencyReport:
+    """Time `simulate`'s two control updates, gain(x, u) @ dx of its online
+    and table gain sources, at n_iters states drawn from a fixed seed:
+    in-bounds angles, rates up to BENCH_RATE (non-zero, as in a closed-loop
+    update, so linearize fills the rate columns too) and the equilibrium
+    torque held.  The sources are built by simulate's checks, in order:
+    n_iters, weights, table, digest.  An untimed lookup first pays the
+    table's one-off gather of its corner blocks.  Everything runs on the
+    calling thread so the timings are stable."""
     n_iters = count(n_iters, "n_iters", 1)
     _check_weights(weights)
-    check_digest(table, geom=geom, masses=masses, weights=weights)
+    rest = np.zeros(8)  # the sources' feed-forward and first torque go unused
+    table_gain, online_gain = (_gain_source(geom, masses, mode, rest, rest, weights, table)[0]
+                               for mode in (ControllerMode.TABLE_LQR, ControllerMode.ONLINE_LQR))
     lookup(table, table.lo)
 
     rng = np.random.default_rng(0)
@@ -297,41 +282,16 @@ def bench_controller(
     refs = rng.uniform(table.lo, table.hi, size=(n_iters, 4))
     rates = rng.uniform(-BENCH_RATE, BENCH_RATE, size=(n_iters, 4))
 
-    # per iteration: online, lookup, linearize, care, locate, blend
-    ns = np.empty((6, n_iters))
+    ns = np.empty((2, n_iters))  # per iteration: online, lookup
     clock = time.perf_counter_ns
     for i in range(n_iters):
-        theta = thetas[i]
-        dx = np.concatenate([theta - refs[i], rates[i]])
-        op = OperatingPoint(theta, rates[i], equilibrium_torque(geom, masses, theta))
+        x = np.concatenate([thetas[i], rates[i]])
+        dx = np.concatenate([thetas[i] - refs[i], rates[i]])
+        u = equilibrium_torque(geom, masses, thetas[i])
+        for k, gain in enumerate((online_gain, table_gain)):
+            start = clock()
+            _ = gain(x, u) @ dx
+            ns[k, i] = clock() - start
 
-        start = clock()
-        model = linearize(geom, masses, op)
-        linearized = clock()
-        gain = lqr_gain(model.A, model.B, weights)
-        solved = clock()
-        _ = gain @ dx
-        end = clock()
-        ns[0, i], ns[2, i], ns[3, i] = end - start, linearized - start, solved - linearized
-
-        start = clock()
-        cell = _cell(table, theta)
-        located = clock()
-        _ = _blend(*cell) @ dx
-        end = clock()
-        ns[1, i], ns[4, i], ns[5, i] = end - start, located - start, end - located
-
-    online, lookup_us, linearize_us, care_us, locate_us, blend_us = (
-        np.median(ns / 1e3, axis=1).tolist())
-    return LatencyReport(
-        online_median_us=online,
-        online_p95_us=float(np.percentile(ns[0] / 1e3, 95)),
-        lookup_median_us=lookup_us,
-        lookup_p95_us=float(np.percentile(ns[1] / 1e3, 95)),
-        speedup=online / lookup_us,
-        n_iters=n_iters,
-        linearize_median_us=linearize_us,
-        care_median_us=care_us,
-        locate_median_us=locate_us,
-        blend_median_us=blend_us,
-    )
+    (online, table_us), (online_p95, table_p95) = np.percentile(ns / 1e3, [50, 95], axis=1).tolist()
+    return LatencyReport(online, online_p95, table_us, table_p95, online / table_us, n_iters)

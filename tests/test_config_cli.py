@@ -690,24 +690,17 @@ class TestBench:
                                "--table", str(table_path), "--iters", "30")
         assert code == 0
         report = dict(line.split(": ") for line in out.strip().splitlines())
+        assert list(report) == ["online_median_us", "online_p95_us", "lookup_median_us",
+                                "lookup_p95_us", "speedup"]
         assert float(report["speedup"]) > 1.0
         assert float(report["online_median_us"]) > float(report["lookup_median_us"]) > 0.0
 
-    def test_layers_flag(self, capsys, write_config, tmp_path):
-        cfg = write_config()
-        table_path = tmp_path / "gains.agt"
-        assert run_cli(capsys, "--config", cfg, "precompute", "--out", str(table_path))[0] == 0
-        base = ["--config", cfg, "bench", "--table", str(table_path), "--iters", "20"]
-        plain = [line.split(": ")[0] for line in run_cli(capsys, *base)[1].splitlines()]
-        code, out, _ = run_cli(capsys, *base, "--layers")
-        assert code == 0
-        report = dict(line.split(": ") for line in out.strip().splitlines())
-        layers = ["linearize_median_us", "care_median_us", "locate_median_us",
-                  "blend_median_us"]
-        # the default lines come first and unchanged; the layers follow
-        assert list(report) == plain + layers
-        assert all(float(report[name]) > 0.0 for name in layers)
-        assert float(report["linearize_median_us"]) < float(report["online_median_us"])
+    def test_layers_option_retired(self, capsys, write_config, tmp_path):
+        with pytest.raises(SystemExit) as info:
+            main(["--config", write_config(), "bench", "--table", str(tmp_path / "gains.agt"),
+                  "--layers"])
+        assert info.value.code == 2
+        assert "unrecognized arguments: --layers" in capsys.readouterr().err
 
     def test_other_arms_table_exit_5(self, capsys, write_config, tmp_path):
         table_path = tmp_path / "gains.agt"

@@ -1511,6 +1511,34 @@ class TestSerialization:
         assert type(raised.value) is TableFormatError
         assert str(raised.value) == f"gain {bad} at offset {first} is not finite"
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("kind, field", [("table", "gains"), ("refined_mid", "pool")],
+                             ids=["flat", "refined"])
+    def test_non_finite_gain_built_directly(self, request, kind, field, bad):
+        # the constructors hold the rule load reports by offset, so save never
+        # writes a table that load refuses; the first bad entry is named
+        t = request.getfixturevalue(kind)
+        gains = getattr(t, field).copy()
+        gains.flat[37], gains.flat[200] = bad, math.nan
+        entry = ", ".join(map(str, np.unravel_index(37, gains.shape)))
+        with pytest.raises(ValueError) as raised:
+            dataclasses.replace(t, **{field: gains})
+        assert str(raised.value) == f"{field}[{entry}] is {bad}, not finite"
+
+    def test_pool_fault_before_tree_fault(self, refined_mid):
+        # a nan pool gain of a tree too deep for max_depth 0 is the fault
+        # named, built or loaded: gains come before the tree
+        pool = refined_mid.pool.copy()
+        pool.flat[5] = math.nan
+        with pytest.raises(ValueError, match=r"^pool\[0, 0, 5\] is nan, not finite$"):
+            dataclasses.replace(refined_mid, pool=pool, max_depth=0)
+        blob = bytearray(save(refined_mid))
+        struct.pack_into("<I", blob, self.REFINED_HEADER + 8, 0)
+        struct.pack_into("<d", blob, self.REFINED_HEADER + 16 + 8 * 5, math.nan)
+        with pytest.raises(TableFormatError,
+                           match=f"^gain nan at offset {self.REFINED_HEADER + 56} is not finite$"):
+            load(bytes(blob))
+
     @pytest.mark.parametrize("kind, start", [("table", REFINED_HEADER),
                                              ("refined_mid", REFINED_HEADER + 16)],
                              ids=["flat", "refined"])
